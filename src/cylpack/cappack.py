@@ -12,6 +12,7 @@ one-sided bases; the report records which counting bounds hold under each
 reading of the cap measure.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -26,6 +27,9 @@ PROJECTIVE = "projective"
 
 REJECT_BUDGET = 10_000       # consecutive rejections that end the greedy phase
 MAXIMALITY_TRIALS = 100_000  # post-hoc probe points for the maximality flag
+SET_CACHE_SIZE = 8           # separated sets kept for reuse across codimensions
+_BAND = 1e-9                 # filter margin, far beyond product rounding
+_ROW_BLOCK = 256             # members per product in the blocked filter
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,7 +60,39 @@ def _pair_ok(candidate: np.ndarray, points: np.ndarray, cos_sep: float,
     return bool(np.max(level) < cos_sep)
 
 
-_SET_CACHE: dict = {}
+def _filter(cands: np.ndarray, members: np.ndarray, cos_sep: float,
+            metric: str) -> tuple[np.ndarray, np.ndarray]:
+    """(far, near) masks of candidates against the members.
+
+    A candidate is far when every level lies below cos_sep - _BAND and near
+    when its largest level lies within _BAND of cos_sep; one with a level at
+    or above cos_sep + _BAND is neither.  Members are scanned in row blocks
+    and a candidate is dropped at the first block that rules it out.
+    """
+    idx = np.arange(len(cands))
+    peak = np.full(len(cands), -np.inf)
+    for start in range(0, len(members), _ROW_BLOCK):
+        level = cands[idx] @ members[start:start + _ROW_BLOCK].T
+        if metric == PROJECTIVE:
+            np.abs(level, out=level)
+        peak = np.maximum(peak, np.max(level, axis=1))
+        alive = peak < cos_sep + _BAND
+        idx, peak = idx[alive], peak[alive]
+        if len(idx) == 0:
+            break
+    far = np.zeros(len(cands), dtype=bool)
+    near = np.zeros(len(cands), dtype=bool)
+    far[idx[peak < cos_sep - _BAND]] = True
+    near[idx[peak >= cos_sep - _BAND]] = True
+    return far, near
+
+
+def _push(buf: np.ndarray, n: int, point: np.ndarray) -> tuple[np.ndarray, int]:
+    """Store point as row n, doubling the buffer when it is full."""
+    if n == len(buf):
+        buf = np.concatenate([buf, np.empty_like(buf)])
+    buf[n] = point
+    return buf, n + 1
 
 
 def build_separated_set(d: int, two_delta: float, metric: str = PROJECTIVE,
@@ -68,13 +104,24 @@ def build_separated_set(d: int, two_delta: float, metric: str = PROJECTIVE,
     passes then insert any of MAXIMALITY_TRIALS quasi-uniform points found
     farther than two_delta from every member; the maximal flag records whether
     a full probe pass finished with no insertion.  Results are deterministic
-    per seed and cached (the construction is pure), since different
-    codimensions reuse the same set.
+    per seed, and the last SET_CACHE_SIZE sets are cached (the construction
+    is pure), since different codimensions reuse the same set.
+
+    Each block of proposals or probes is first filtered against the members
+    by blocked matrix products.  A candidate is dropped there only when some
+    level is at least cos(two_delta) + 1e-9, far beyond any rounding
+    difference between products, so the exact per-candidate test
+    (``_pair_ok`` against all current members) would reject it too.  Every
+    other candidate is decided by that exact test, and a probe chunk holding
+    a candidate within 1e-9 of the threshold repeats the probe filter as one
+    full product.  Random draws are unchanged, so the points and the maximal
+    flag are bit-identical to testing every candidate one by one.
     """
-    key = (d, float(two_delta), metric, seed)
-    cached = _SET_CACHE.get(key)
-    if cached is not None:
-        return cached
+    return _cached_set(d, float(two_delta), metric, seed)
+
+
+@functools.lru_cache(maxsize=SET_CACHE_SIZE)
+def _cached_set(d: int, two_delta: float, metric: str, seed: int) -> SeparatedSet:
     if d < 2:
         raise DomainError(f"sphere construction needs d >= 2, got {d}")
     if not 0.0 < two_delta < math.pi / 2.0:
@@ -83,20 +130,28 @@ def build_separated_set(d: int, two_delta: float, metric: str = PROJECTIVE,
         raise DomainError(f"unknown metric {metric!r}")
     cos_sep = math.cos(two_delta)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0x5E7)))
-    points: list[np.ndarray] = []
-    mat = np.empty((0, d))
+    buf = np.empty((64, d))
+    n = 0
     rejects = 0
     while rejects < REJECT_BUDGET:
         block = geom.uniform_sphere_points(d, 512, rng)
-        for cand in block:
-            if _pair_ok(cand, mat, cos_sep, metric):
-                points.append(cand)
-                mat = np.asarray(points)
+        far, near = _filter(block, buf[:n], cos_sep, metric)
+        last = -1
+        for i in np.flatnonzero(far | near).tolist():
+            # the dropped run before i holds rejections only
+            rejects += i - last - 1
+            if rejects >= REJECT_BUDGET:
+                break
+            last = i
+            if _pair_ok(block[i], buf[:n], cos_sep, metric):
+                buf, n = _push(buf, n, block[i])
                 rejects = 0
             else:
                 rejects += 1
                 if rejects >= REJECT_BUDGET:
                     break
+        else:
+            rejects += len(block) - last - 1
     probe_rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0xF0)))
     maximal = True
     for _ in range(12):  # each pass rescans a fresh probe set after insertions
@@ -105,23 +160,25 @@ def build_separated_set(d: int, two_delta: float, metric: str = PROJECTIVE,
         while remaining > 0:
             chunk = min(remaining, 4096)
             probes = geom.uniform_sphere_points(d, chunk, probe_rng)
-            level = probes @ mat.T
-            if metric == PROJECTIVE:
-                np.abs(level, out=level)
-            for idx in np.flatnonzero(np.max(level, axis=1) < cos_sep):
-                if _pair_ok(probes[idx], mat, cos_sep, metric):
-                    points.append(probes[idx])
-                    mat = np.asarray(points)
+            mat = buf[:n]
+            far, near = _filter(probes, mat, cos_sep, metric)
+            if near.any():
+                # reproduce the full-product filter bit for bit
+                level = probes @ mat.T
+                if metric == PROJECTIVE:
+                    np.abs(level, out=level)
+                far = np.max(level, axis=1) < cos_sep
+            for idx in np.flatnonzero(far):
+                if _pair_ok(probes[idx], buf[:n], cos_sep, metric):
+                    buf, n = _push(buf, n, probes[idx])
                     inserted = True
             remaining -= chunk
         if not inserted:
             break
     else:
         maximal = False
-    result = SeparatedSet(points=geom._freeze(mat), separation=two_delta,
-                          metric=metric, maximal=maximal, seed=seed)
-    _SET_CACHE[key] = result
-    return result
+    return SeparatedSet(points=geom._freeze(buf[:n]), separation=two_delta,
+                        metric=metric, maximal=maximal, seed=seed)
 
 
 def check_separation(sep_set: SeparatedSet, slack: float = 1e-12) -> bool:

@@ -52,8 +52,8 @@ class DiskBase:
     def __post_init__(self):
         object.__setattr__(self, "center", geom._freeze(np.atleast_1d(
             np.asarray(self.center, dtype=float))))
-        if not self.radius > 0:
-            raise DomainError(f"disk base radius must be positive, got {self.radius}")
+        if not 0 < self.radius < math.inf:
+            raise DomainError(f"disk base radius must be positive and finite, got {self.radius}")
 
     @property
     def dim(self) -> int:

@@ -41,8 +41,8 @@ class Disk:
     def __post_init__(self):
         c = np.asarray(self.center, dtype=float).reshape(2)
         object.__setattr__(self, "center", geom._freeze(c))
-        if self.radius < 0:
-            raise DomainError("disk radius must be nonnegative")
+        if not 0 <= self.radius < math.inf:
+            raise DomainError("disk radius must be nonnegative and finite")
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,6 +18,7 @@ from . import specfn
 from .errors import (
     DegenerateBody,
     DimensionMismatch,
+    DomainError,
     FullDimensional,
     NoConvergence,
     RankDeficient,
@@ -40,6 +41,8 @@ def _as_points(vectors) -> np.ndarray:
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float)
+    if not np.all(np.isfinite(out)):
+        raise DomainError("array fields must be finite")
     out.setflags(write=False)
     return out
 
@@ -138,6 +141,8 @@ class Ball:
     def __post_init__(self):
         c = _freeze(np.atleast_1d(np.asarray(self.center, dtype=float)))
         object.__setattr__(self, "center", c)
+        if not math.isfinite(self.radius):
+            raise DomainError(f"ball radius must be finite, got {self.radius}")
         if not self.radius > 0:
             raise DegenerateBody(f"ball radius must be positive, got {self.radius}")
 

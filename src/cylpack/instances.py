@@ -327,17 +327,20 @@ def parse_instance(obj: dict) -> dict:
     if version != SCHEMA_VERSION:
         raise DomainError(f"unsupported schema_version {version!r}")
     kind = obj.get("kind")
-    if kind in (KIND_PACKING, KIND_COVERING):
-        body = body_from_json(obj["body"])
-        family = [cylinders.cylinder_from_json(c) for c in obj["cylinders"]]
-        return {"kind": kind, "body": body, "family": family,
-                "r": int(obj["r"]), "k": int(obj["k"]), "raw": obj}
+    if kind not in (KIND_PACKING, KIND_COVERING, KIND_DISK_PLANKS):
+        raise DomainError(f"unknown instance kind {kind!r}")
+    r = int(obj["r"])
+    if r < 1:
+        raise DomainError(f"multiplicity r must be at least 1, got {r}")
     if kind == KIND_DISK_PLANKS:
         family = falconer.family_from_json({"disks": obj["disks"]})
         planks = [falconer.plank_from_json(p) for p in obj["planks"]]
         return {"kind": kind, "disk_family": family, "planks": planks,
-                "r": int(obj["r"]), "raw": obj}
-    raise DomainError(f"unknown instance kind {kind!r}")
+                "r": r, "raw": obj}
+    body = body_from_json(obj["body"])
+    family = [cylinders.cylinder_from_json(c) for c in obj["cylinders"]]
+    return {"kind": kind, "body": body, "family": family,
+            "r": r, "k": int(obj["k"]), "raw": obj}
 
 
 def dump_json(obj, path) -> None:

@@ -1,0 +1,97 @@
+"""Reference oracle: the one-candidate-at-a-time separated-set construction.
+
+``build_separated_set`` below is the original implementation, kept verbatim
+(with its own unbounded cache and the ``_pair_ok`` it calls) so that tests can
+require the blocked construction in ``cylpack.cappack`` to reproduce it bit
+for bit.  Tests that patch ``REJECT_BUDGET`` patch it here too and clear
+``_SET_CACHE``.
+"""
+
+import math
+
+import numpy as np
+
+from cylpack import geom
+from cylpack.cappack import GEODESIC, PROJECTIVE, SeparatedSet
+from cylpack.errors import DomainError
+
+REJECT_BUDGET = 10_000       # consecutive rejections that end the greedy phase
+MAXIMALITY_TRIALS = 100_000  # post-hoc probe points for the maximality flag
+
+
+def _pair_ok(candidate: np.ndarray, points: np.ndarray, cos_sep: float,
+             metric: str) -> bool:
+    if len(points) == 0:
+        return True
+    dots = points @ candidate
+    level = np.abs(dots) if metric == PROJECTIVE else dots
+    # distance > separation (strict)  <=>  cos(distance) < cos(separation)
+    return bool(np.max(level) < cos_sep)
+
+
+_SET_CACHE: dict = {}
+
+
+def build_separated_set(d: int, two_delta: float, metric: str = PROJECTIVE,
+                        seed: int = 0) -> SeparatedSet:
+    """Greedy maximal (two_delta)-separated set on the unit sphere.
+
+    Uniform proposals are inserted whenever they keep the strict separation;
+    the greedy phase ends after REJECT_BUDGET consecutive rejections.  Probe
+    passes then insert any of MAXIMALITY_TRIALS quasi-uniform points found
+    farther than two_delta from every member; the maximal flag records whether
+    a full probe pass finished with no insertion.  Results are deterministic
+    per seed and cached (the construction is pure), since different
+    codimensions reuse the same set.
+    """
+    key = (d, float(two_delta), metric, seed)
+    cached = _SET_CACHE.get(key)
+    if cached is not None:
+        return cached
+    if d < 2:
+        raise DomainError(f"sphere construction needs d >= 2, got {d}")
+    if not 0.0 < two_delta < math.pi / 2.0:
+        raise DomainError(f"separation must lie in (0, pi/2), got {two_delta}")
+    if metric not in (GEODESIC, PROJECTIVE):
+        raise DomainError(f"unknown metric {metric!r}")
+    cos_sep = math.cos(two_delta)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0x5E7)))
+    points: list[np.ndarray] = []
+    mat = np.empty((0, d))
+    rejects = 0
+    while rejects < REJECT_BUDGET:
+        block = geom.uniform_sphere_points(d, 512, rng)
+        for cand in block:
+            if _pair_ok(cand, mat, cos_sep, metric):
+                points.append(cand)
+                mat = np.asarray(points)
+                rejects = 0
+            else:
+                rejects += 1
+                if rejects >= REJECT_BUDGET:
+                    break
+    probe_rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0xF0)))
+    maximal = True
+    for _ in range(12):  # each pass rescans a fresh probe set after insertions
+        inserted = False
+        remaining = MAXIMALITY_TRIALS
+        while remaining > 0:
+            chunk = min(remaining, 4096)
+            probes = geom.uniform_sphere_points(d, chunk, probe_rng)
+            level = probes @ mat.T
+            if metric == PROJECTIVE:
+                np.abs(level, out=level)
+            for idx in np.flatnonzero(np.max(level, axis=1) < cos_sep):
+                if _pair_ok(probes[idx], mat, cos_sep, metric):
+                    points.append(probes[idx])
+                    mat = np.asarray(points)
+                    inserted = True
+            remaining -= chunk
+        if not inserted:
+            break
+    else:
+        maximal = False
+    result = SeparatedSet(points=geom._freeze(mat), separation=two_delta,
+                          metric=metric, maximal=maximal, seed=seed)
+    _SET_CACHE[key] = result
+    return result

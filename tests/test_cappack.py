@@ -48,6 +48,17 @@ def test_separated_set_deterministic():
     assert np.array_equal(a.points, b.points)
 
 
+def test_set_cache_is_bounded_and_shared():
+    a = cappack.build_separated_set(3, 0.8, seed=1)
+    assert cappack.build_separated_set(3, 0.8, metric=cappack.PROJECTIVE,
+                                       seed=1) is a
+    for seed in range(2, 2 + cappack.SET_CACHE_SIZE):
+        cappack.build_separated_set(3, 0.8, seed=seed)
+    assert cappack._cached_set.cache_info().currsize == cappack.SET_CACHE_SIZE
+    b = cappack.build_separated_set(3, 0.8, seed=1)
+    assert b is not a and np.array_equal(a.points, b.points)
+
+
 def test_pairwise_caps_disjoint_exactly():
     # separation beyond 2 delta makes |<y, x_i>| >= cos(delta) mutually
     # exclusive: membership cosines certify empty intersections

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cylpack import geom, specfn
+from cylpack import cylinders, geom, specfn
 from cylpack.errors import (
     DegenerateBody,
     DimensionMismatch,
+    DomainError,
     FullDimensional,
     RankDeficient,
     SamplingFailure,
@@ -189,6 +190,22 @@ def test_polytope_volume_mc_matches_triangulation_oracle(rng):
 def test_degenerate_polytope_rejected():
     with pytest.raises(DegenerateBody):
         geom.Polytope(np.array([[0, 0], [1, 0], [2, 0]], float))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_fields_rejected(bad):
+    makers = [
+        lambda: geom.Ball(np.array([bad, 0.0]), 1.0),
+        lambda: geom.Ball(np.zeros(2), bad),
+        lambda: geom.Ellipsoid(np.zeros(2), np.array([[1.0, 0.0], [0.0, bad]])),
+        lambda: geom.Polytope(np.array([[0, 0], [1, 0], [0, bad]], float)),
+        lambda: geom.Frame(np.array([[1.0], [bad]])),
+        lambda: cylinders.DiskBase(np.zeros(2), bad),
+        lambda: cylinders.CapBase(np.array([1.0, 0.0]), bad),
+    ]
+    for make in makers:
+        with pytest.raises(DomainError):
+            make()
 
 
 # --- enclosing ellipsoid ----------------------------------------------------

@@ -107,6 +107,35 @@ def test_cli_verify_malformed_exit2(tmp_path, capsys):
     assert rc == 2 and "error" in out
 
 
+def _set_nan_center(obj):
+    obj["body"]["center"][0] = float("nan")
+
+
+def _set_inf_disk_radius(obj):
+    obj["cylinders"][0]["base"]["radius"] = float("inf")
+
+
+def _set_r(value):
+    def mutate(obj):
+        obj["r"] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate", [_set_nan_center, _set_inf_disk_radius,
+                                    _set_r(0), _set_r(-3)],
+                         ids=["nan-center", "inf-disk-radius", "r=0", "r=-3"])
+def test_cli_verify_invalid_fields_exit2(tmp_path, capsys, mutate):
+    ball = geom.Ball(np.zeros(3), 1.0)
+    fam = instances.random_base_packing(ball, 1, 2, 1, seed=0, base_kind="disk")
+    obj = instances.packing_instance(ball, fam, 1, {"generator": "test", "seed": 0})
+    mutate(obj)
+    inst = tmp_path / "bad.json"
+    instances.dump_json(obj, inst)
+    rc = cli.main(["verify", str(inst), "--samples", "2000"])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 2 and "error" in out
+
+
 def test_cli_construct_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for out in (a, b):
