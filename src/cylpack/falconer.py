@@ -20,6 +20,7 @@ from scipy.spatial import ConvexHull
 from . import geom
 from .bounds import GE, LE, BoundReport, _make_report, instance_digest
 from .errors import (
+    DimensionMismatch,
     DomainError,
     LineMissesBody,
     NotAPacking,
@@ -33,13 +34,20 @@ RADIUS_SCALED = "radius_scaled"  # 1/(pi r) scaling: a chord of disk j integrate
 HULL_ARC_POINTS = 256       # inscribed-polygon resolution for hull membership
 
 
+def _plane_vector(value, field: str) -> np.ndarray:
+    vec = np.asarray(value, dtype=float)
+    if vec.size != 2:
+        raise DimensionMismatch(f"{field} needs 2 components, got {vec.size}")
+    return vec.reshape(2)
+
+
 @dataclass(frozen=True, eq=False)
 class Disk:
     center: np.ndarray
     radius: float
 
     def __post_init__(self):
-        c = np.asarray(self.center, dtype=float).reshape(2)
+        c = _plane_vector(self.center, "disk center")
         object.__setattr__(self, "center", geom._freeze(c))
         if not 0 <= self.radius < math.inf:
             raise DomainError("disk radius must be nonnegative and finite")
@@ -341,7 +349,7 @@ class Plank2D:
     b: float
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=float).reshape(2)
+        u = _plane_vector(self.u, "plank normal")
         norm = np.linalg.norm(u)
         if abs(norm - 1.0) > 1e-9:
             raise DomainError("plank normal must be a unit vector")

@@ -9,8 +9,10 @@ Carlo paths take explicit seeds and reduce in a fixed block order.
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 import numpy as np
+# unused here, kept importable: perfbench/tracer.py wraps geom.linprog/HalfspaceIntersection
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
@@ -28,6 +30,7 @@ from .errors import (
 
 ORTHO_TOL = 1e-12   # frame invariant: unit columns, vanishing cross products
 PIVOT_TOL = 1e-10   # relative dependence threshold in orthonormalization
+FACE_LAMBDA_TOL = 1e-12  # barycentric slack for a flat meeting a face simplex
 
 
 def _as_points(vectors) -> np.ndarray:
@@ -127,8 +130,12 @@ def complement(frame: Frame) -> Frame:
     d, m = frame.columns.shape
     if m >= d:
         raise FullDimensional("a full-dimensional frame has no complement")
-    u, _, _ = np.linalg.svd(frame.columns, full_matrices=True)
-    return Frame(u[:, m:])
+    return Frame(_complement_columns(frame.columns))
+
+
+def _complement_columns(cols: np.ndarray) -> np.ndarray:
+    u, _, _ = np.linalg.svd(cols, full_matrices=True)
+    return u[:, cols.shape[1]:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,6 +250,22 @@ class Polytope:
     @cached_property
     def centroid(self) -> np.ndarray:
         return _freeze(np.mean(self.vertices, axis=0))
+
+    @cached_property
+    def _face_simplex_cache(self) -> dict:
+        return {}
+
+    def _face_simplices(self, c: int) -> np.ndarray:
+        """Vertex indices (M, c+1) of the c-simplices of the triangulated
+        boundary, filled on demand per c.  Every c-face of the polytope is a
+        union of these simplices."""
+        idx = self._face_simplex_cache.get(c)
+        if idx is None:
+            picks = np.array(list(combinations(range(self.dim), c + 1)))
+            facets = np.sort(self._hull.simplices, axis=1)
+            idx = np.unique(facets[:, picks].reshape(-1, c + 1), axis=0)
+            self._face_simplex_cache[c] = idx
+        return idx
 
 
 ConvexBody = Ball | Ellipsoid | Polytope
@@ -439,6 +462,24 @@ def mvee(points, tol: float = 1e-6, max_iter: int = 200_000) -> EnclosingEllipso
     at the iteration cap.
     """
     pts = _as_points(points)
+    d = pts.shape[1]
+    u = _mvee_weights(pts, tol, max_iter)
+    center = pts.T @ u
+    cov = pts.T @ (u[:, None] * pts) - np.outer(center, center)
+    shape = np.linalg.inv(cov) / d
+    ell = Ellipsoid(center, shape)
+    diff = pts - center
+    residual = float(np.max(np.einsum("ij,jk,ik->i", diff, shape, diff)) - 1.0)
+    return EnclosingEllipsoid(ell, max(residual, 0.0))
+
+
+def _mvee_weights(pts: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
+    """Todd-Yildirim weights u of the enclosing-ellipsoid ascent.
+
+    With lifted points q_i = (p_i, 1) and X = sum u_i q_i q_i^T, it stops once
+    every q_i^T X^-1 q_i is at most (d+1)(1 + eps) and every one on the
+    support of u at least (d+1)(1 - eps), eps = tol / (2(d+1)).
+    """
     n, d = pts.shape
     if not (0.0 < tol <= 1e-3):
         raise DimensionMismatch(f"tol must lie in (0, 1e-3], got {tol}")
@@ -472,13 +513,7 @@ def mvee(points, tol: float = 1e-6, max_iter: int = 200_000) -> EnclosingEllipso
         u = np.maximum(u, 0.0)
     else:
         raise NoConvergence("ellipsoid ascent did not reach tolerance")
-    center = pts.T @ u
-    cov = pts.T @ (u[:, None] * pts) - np.outer(center, center)
-    shape = np.linalg.inv(cov) / d
-    ell = Ellipsoid(center, shape)
-    diff = pts - center
-    residual = float(np.max(np.einsum("ij,jk,ik->i", diff, shape, diff)) - 1.0)
-    return EnclosingEllipsoid(ell, max(residual, 0.0))
+    return u
 
 
 def hyperplane_shadow_volume(body: ConvexBody, u) -> float:
@@ -552,9 +587,22 @@ def max_hyperplane_projection(body: ConvexBody, grid: int = 512,
 def affine_slice_volume(body: ConvexBody, slice_frame: Frame, point) -> float:
     """Exact k-volume of the slice body ∩ (point + span(slice_frame)).
 
-    Ball and ellipsoid slices are closed-form.  Polytope slices intersect the
-    facet inequalities with the flat: an interval in k = 1, a halfspace
-    intersection above that.  Returns 0 for empty or lower-dimensional slices.
+    Ball and ellipsoid slices are closed-form.  A polytope slice with k = 1
+    is the interval cut from the line by the facet inequalities.  For k >= 2
+    the slice is built from faces: with c = d - k the codimension of the
+    flat, every vertex of the slice is a point where the flat meets a c-face
+    of the polytope (a point of the slice interior to a face of higher
+    dimension has a segment of that face through it inside the flat, and a
+    generic nearby flat meets faces of lower dimension nowhere).  Each c-face
+    is a union of c-simplices of the triangulated facets, so the slice is the
+    convex hull of the points where the flat crosses those simplices: the
+    solutions of [N^T V; 1^T] lam = [N^T point; 1] with lam >= 0, N a frame
+    of the complement and V the simplex vertices.  Simplices parallel to the
+    flat (singular systems) are skipped: their crossing points are also
+    crossings of transversal ones.  A nearly parallel simplex is kept, since a
+    backward-stable solve with bounded lam still puts its point in the
+    simplex and on the flat up to rounding.  Returns 0 for empty or
+    lower-dimensional slices.
     """
     x0 = np.asarray(point, dtype=float)
     s = slice_frame.columns
@@ -577,30 +625,32 @@ def affine_slice_volume(body: ConvexBody, slice_frame: Frame, point) -> float:
         if rho2 <= 0:
             return 0.0
         return specfn.unit_ball_volume(k) * rho2 ** (k / 2.0) / math.sqrt(np.linalg.det(qs))
-    eq = body.equations
-    a = eq[:, :-1] @ s                      # (F, k)
-    b = -(eq[:, -1] + eq[:, :-1] @ x0)      # A_s t <= b
     if k == 1:
+        eq = body.equations
+        a = eq[:, :-1] @ s                      # (F, 1)
+        b = -(eq[:, -1] + eq[:, :-1] @ x0)      # A_s t <= b
         col = a[:, 0]
         hi = np.min(b[col > 1e-14] / col[col > 1e-14]) if np.any(col > 1e-14) else np.inf
         lo = np.max(b[col < -1e-14] / col[col < -1e-14]) if np.any(col < -1e-14) else -np.inf
         if np.any((np.abs(col) <= 1e-14) & (b < 0)):
             return 0.0
         return float(max(hi - lo, 0.0)) if np.isfinite(hi - lo) else 0.0
-    norms = np.linalg.norm(a, axis=1)
-    keep = norms > 1e-13
-    if np.any(~keep & (b < -1e-12)):
+    c = body.dim - k
+    idx = body._face_simplices(c)
+    rel = body.vertices - x0
+    across = (rel @ _complement_columns(s))[idx]            # (M, c+1, c)
+    system = np.concatenate([across.transpose(0, 2, 1),
+                             np.ones((len(idx), 1, c + 1))], axis=1)
+    transversal = np.linalg.det(system) != 0.0
+    rhs = np.zeros((int(transversal.sum()), c + 1, 1))
+    rhs[:, c] = 1.0
+    lam = np.linalg.solve(system[transversal], rhs)[:, :, 0]
+    hit = np.all(lam >= -FACE_LAMBDA_TOL, axis=1)
+    along = (rel @ s)[idx[transversal][hit]]                 # (H, c+1, k)
+    t = np.einsum("hi,hik->hk", lam[hit], along)
+    if len(t) < k + 1:
         return 0.0
-    a, b, norms = a[keep], b[keep], norms[keep]
-    # widest inscribed ball (Chebyshev LP) certifies a strictly interior point
-    res = linprog(np.concatenate([np.zeros(k), [-1.0]]),
-                  A_ub=np.column_stack([a, norms]), b_ub=b,
-                  bounds=[(None, None)] * k + [(0, None)], method="highs")
-    if not res.success or res.x[-1] <= 1e-10:
-        return 0.0
-    interior = res.x[:k]
     try:
-        hs = HalfspaceIntersection(np.column_stack([a, -b]), interior)
-        return float(ConvexHull(hs.intersections).volume)
-    except (QhullError, ValueError):
+        return float(ConvexHull(t).volume)
+    except QhullError:
         return 0.0

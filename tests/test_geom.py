@@ -237,6 +237,33 @@ def test_mvee_contains_and_is_tight(rng):
     assert np.max(q2) > 1.0                      # some input falls outside
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_mvee_optimality_certificate(d):
+    # Todd-Yildirim / John conditions on the ascent weights u, with the lifted
+    # Mahalanobis values M_i = q_i^T X(u)^-1 q_i derived independently of mvee
+    rng = np.random.default_rng(100 + d)
+    pts = rng.standard_normal((12 * d, d)) * rng.uniform(0.5, 2.0, d)
+    tol = 1e-5
+    u = geom._mvee_weights(pts, tol, 200_000)
+    assert np.all(u >= 0.0) and abs(u.sum() - 1.0) <= 1e-12
+    lifted = np.column_stack([pts, np.ones(len(pts))])
+    x = lifted.T @ (u[:, None] * lifted)
+    m_vals = np.einsum("ij,jk,ik->i", lifted, np.linalg.inv(x), lifted)
+    assert np.max(m_vals) <= (d + 1) * (1 + tol)
+    support = u > 1e-12
+    assert np.min(m_vals[support]) >= (d + 1) * (1 - tol)
+    # at least d + 1 contact points carry the weight of a full-dimensional X
+    assert support.sum() >= d + 1
+    out = geom.mvee(pts, tol=tol)
+    ell = out.ellipsoid
+    assert np.allclose(ell.center, pts.T @ u, atol=1e-12)
+    diff = pts - ell.center
+    q = np.einsum("ij,jk,ik->i", diff, ell.shape, diff)
+    # the returned shape is X(u)'s: M_i = d q_i + 1 on every point
+    assert np.allclose(d * q + 1.0, m_vals, rtol=1e-9, atol=0.0)
+    assert np.all(q <= 1.0 + out.containment_tolerance + 1e-15)
+
+
 def test_mvee_volume_against_convex_solver(rng):
     cvxpy = pytest.importorskip("cvxpy")
     pts = rng.standard_normal((50, 3))

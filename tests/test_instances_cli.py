@@ -136,6 +136,34 @@ def test_cli_verify_invalid_fields_exit2(tmp_path, capsys, mutate):
     assert rc == 2 and "error" in out
 
 
+def _add_disk_center_component(obj):
+    obj["disks"][0]["center"].append(0.5)
+
+
+def _drop_plank_normal_component(obj):
+    obj["planks"][0]["u"] = obj["planks"][0]["u"][:1]
+
+
+@pytest.mark.parametrize("command", ["falconer", "verify"])
+@pytest.mark.parametrize("mutate,field,count",
+                         [(_add_disk_center_component, "disk center", 3),
+                          (_drop_plank_normal_component, "plank normal", 1)],
+                         ids=["3-component-center", "1-component-normal"])
+def test_cli_ns_family_wrong_vector_length_exit2(tmp_path, capsys, command,
+                                                 mutate, field, count):
+    inst = tmp_path / "ns.json"
+    assert cli.main(["construct", "--kind", "ns-family", "--n", "4", "--r", "2",
+                     "--seed", "5", "--out", str(inst)]) == 0
+    obj = instances.load_json(inst)
+    mutate(obj)
+    instances.dump_json(obj, inst)
+    rc = cli.main([command, str(inst), "--samples", "2000"])
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert rc == 2
+    assert err["type"] == "DimensionMismatch"
+    assert field in err["message"] and f"got {count}" in err["message"]
+
+
 def test_cli_construct_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for out in (a, b):
