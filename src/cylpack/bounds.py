@@ -1,10 +1,11 @@
 """Inequality checkers: both sides of every packing/covering bound, with slack.
 
-Each checker pre-verifies its hypothesis (packing or covering) through the
-multiplicity sampler, evaluates both sides of the inequality, and emits a
-BoundReport.  Checkers never assert optimality of searched quantities; grid
-searches only feed upper-bound-quality estimates and the report records slack
-rather than claiming tightness.
+Each checker pre-verifies its hypothesis (packing or covering) once through the
+multiplicity sampler (raising NotAPacking / NotACovering with the failing
+verdict), evaluates both sides of the inequality, and emits a BoundReport
+carrying the sampled evidence.  Checkers never assert optimality of searched
+quantities; grid searches only feed upper-bound-quality estimates and the
+report records slack rather than claiming tightness.
 """
 
 import csv
@@ -30,6 +31,12 @@ GE = ">="
 
 EXACT_TOL = 1e-9
 
+SLICE_COARSE = 7             # grid points per axis of a 1- or 2-d slice search
+SLICE_LEVELS = 5             # grid refinement levels of a slice search
+SLICE_INSTABILITY_BAND = 0.05  # largest relative move of the last refinement
+MVEE_TOL = 1e-5              # enclosing-ellipsoid volume tolerance
+SURFACE_REL_TOL = 0.005      # surface quadrature vs exact facet-area sum
+
 
 def instance_digest(obj) -> str:
     """Stable short digest of a JSON-serializable instance description."""
@@ -39,25 +46,17 @@ def instance_digest(obj) -> str:
 
 def _digest_family(body: geom.ConvexBody, family, extra=None) -> str:
     payload = {
-        "body": _body_json(body),
+        "body": geom.body_to_json(body),
         "cylinders": [cylinders.cylinder_to_json(c) for c in family],
         "extra": extra,
     }
     return instance_digest(payload)
 
 
-def _body_json(body: geom.ConvexBody) -> dict:
-    if isinstance(body, geom.Ball):
-        return {"type": "ball", "center": body.center.tolist(), "radius": body.radius}
-    if isinstance(body, geom.Ellipsoid):
-        return {"type": "ellipsoid", "center": body.center.tolist(),
-                "shape": body.shape.tolist()}
-    return {"type": "polytope", "vertices": body.vertices.tolist()}
-
-
 @dataclass(frozen=True)
 class BoundReport:
-    """One evaluated inequality: lhs (direction) rhs, with slack and verdict."""
+    """One evaluated inequality: lhs (direction) rhs, with slack and verdict.
+    ``evidence``, the sample that verified the hypothesis, stays out of JSON."""
 
     theorem_id: str
     lhs: float
@@ -69,20 +68,32 @@ class BoundReport:
     tolerance: float = EXACT_TOL
     probabilistic: bool = False
     notes: str = ""
+    evidence: multiplicity.MultiplicityReport | None = None
 
     def to_json(self) -> dict:
-        return dict(self.__dict__)
+        return {k: v for k, v in self.__dict__.items() if k != "evidence"}
 
 
-def _make_report(theorem_id: str, lhs: float, rhs: float, direction: str,
-                 digest: str, tolerance: float = EXACT_TOL,
-                 probabilistic: bool = False, notes: str = "") -> BoundReport:
+def make_report(theorem_id: str, lhs: float, rhs: float, direction: str,
+                digest: str, tolerance: float = EXACT_TOL,
+                probabilistic: bool = False, notes: str = "",
+                evidence: multiplicity.MultiplicityReport | None = None,
+                ) -> BoundReport:
     slack = rhs - lhs if direction == LE else lhs - rhs
     return BoundReport(
         theorem_id=theorem_id, lhs=float(lhs), rhs=float(rhs),
         direction=direction, slack=float(slack), instance_digest=digest,
         passed=bool(slack >= -tolerance), tolerance=tolerance,
-        probabilistic=probabilistic, notes=notes)
+        probabilistic=probabilistic, notes=notes, evidence=evidence)
+
+
+def _evidence(verdict: multiplicity.VerificationResult, failure: type,
+              ) -> multiplicity.MultiplicityReport:
+    """The sampled report of a passing hypothesis check; raises ``failure``
+    carrying the verdict otherwise."""
+    if not verdict.ok:
+        raise failure(verdict.reason, verdict)
+    return verdict.report
 
 
 def bound_reports_to_csv(reports) -> str:
@@ -106,9 +117,8 @@ def check_covering_lower(body: geom.ConvexBody, family, r: int,
     """Covering bound: sum of crv >= r / binom(d, k), or >= r in the
     ellipsoid codimension-1 mode."""
     family = list(family)
-    verdict = multiplicity.verify_covering(body, family, r, n, seed)
-    if not verdict.ok:
-        raise NotACovering(verdict.reason)
+    evidence = _evidence(multiplicity.verify_covering(body, family, r, n, seed),
+                         NotACovering)
     d = body.dim
     ks = {c.k for c in family}
     if len(ks) != 1:
@@ -124,9 +134,10 @@ def check_covering_lower(body: geom.ConvexBody, family, r: int,
         raise DomainError(f"unknown mode {mode!r}")
     lhs = cylinders.sum_crv(body, family)
     digest = _digest_family(body, family, {"r": r, "mode": mode})
-    return _make_report("covering_lower", lhs, rhs, GE, digest,
-                        probabilistic=True,
-                        notes=f"covering verified on {n} samples")
+    return make_report("covering_lower", lhs, rhs, GE, digest,
+                       probabilistic=True,
+                       notes=f"covering verified on {n} samples",
+                       evidence=evidence)
 
 
 def check_packing_upper_ellipsoid(body: geom.ConvexBody, family, r: int,
@@ -138,19 +149,19 @@ def check_packing_upper_ellipsoid(body: geom.ConvexBody, family, r: int,
     ks = {c.k for c in family}
     if not ks <= {1, 2}:
         raise DomainError(f"codimension must be 1 or 2, got {sorted(ks)}")
-    verdict = multiplicity.verify_packing(body, family, r, n, seed)
-    if not verdict.ok:
-        raise NotAPacking(verdict.reason)
+    evidence = _evidence(multiplicity.verify_packing(body, family, r, n, seed),
+                         NotAPacking)
     lhs = cylinders.sum_crv(body, family)
     digest = _digest_family(body, family, {"r": r})
-    return _make_report("packing_upper_ellipsoid", lhs, float(r), LE, digest,
-                        probabilistic=True,
-                        notes=f"packing verified on {n} samples")
+    return make_report("packing_upper_ellipsoid", lhs, float(r), LE, digest,
+                       probabilistic=True,
+                       notes=f"packing verified on {n} samples",
+                       evidence=evidence)
 
 
 def check_packing_scaled(body: geom.ConvexBody, family, r: int,
                          symmetric: bool = False, n: int = 10_000,
-                         seed: int = 0, mvee_tol: float = 1e-5) -> BoundReport:
+                         seed: int = 0) -> BoundReport:
     """Packing bound carried to a general body through its enclosing ellipsoid.
 
     The family must pack the minimum-volume enclosing ellipsoid of the body;
@@ -168,17 +179,17 @@ def check_packing_scaled(body: geom.ConvexBody, family, r: int,
         outer: geom.ConvexBody = body
         distance_bound = 1.0
     else:
-        outer = geom.mvee(body.vertices, tol=mvee_tol).ellipsoid
+        outer = geom.mvee(body.vertices, tol=MVEE_TOL).ellipsoid
         distance_bound = math.sqrt(d) if symmetric else float(d)
-    verdict = multiplicity.verify_packing(outer, family, r, n, seed)
-    if not verdict.ok:
-        raise NotAPacking(verdict.reason)
+    evidence = _evidence(multiplicity.verify_packing(outer, family, r, n, seed),
+                         NotAPacking)
     lhs = cylinders.sum_crv(body, family)
     rhs = r * distance_bound ** (d - k)
     digest = _digest_family(body, family, {"r": r, "symmetric": symmetric})
-    return _make_report("packing_upper_scaled", lhs, rhs, LE, digest,
-                        probabilistic=True,
-                        notes=f"distance bound {distance_bound:g}")
+    return make_report("packing_upper_scaled", lhs, rhs, LE, digest,
+                       probabilistic=True,
+                       notes=f"distance bound {distance_bound:g}",
+                       evidence=evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +207,7 @@ class SliceMax:
 
 
 def max_translate_slice(body: geom.ConvexBody, slice_frame: geom.Frame,
-                        base_region=None, coarse: int = 7, levels: int = 5,
-                        instability_band: float = 0.05,
-                        seed_offsets=None,
+                        base_region=None, seed_offsets=None,
                         offsets_frame: geom.Frame | None = None) -> SliceMax:
     """max over translates x of the slice volume body ∩ (x + span(slice_frame)).
 
@@ -210,7 +219,7 @@ def max_translate_slice(body: geom.ConvexBody, slice_frame: geom.Frame,
     frame of the offsets (it must span the complement of the slice subspace);
     by default an arbitrary orthonormal complement is used.  Raises
     SliceEstimateUnstable when the last refinement moves the maximum by more
-    than the stability band.
+    than SLICE_INSTABILITY_BAND.
     """
     if offsets_frame is None:
         offsets_frame = geom.complement(slice_frame)
@@ -223,7 +232,7 @@ def max_translate_slice(body: geom.ConvexBody, slice_frame: geom.Frame,
         return geom.affine_slice_volume(body, slice_frame, offsets_frame.embed(z))
 
     dim = offsets_frame.subspace_dim
-    per_axis = max(3, coarse if dim <= 2 else 5)
+    per_axis = SLICE_COARSE if dim <= 2 else 5
     center = (lo + hi) / 2.0
     half = (hi - lo) / 2.0
     best_z, best_v = center.copy(), slice_at(center)
@@ -253,7 +262,7 @@ def max_translate_slice(body: geom.ConvexBody, slice_frame: geom.Frame,
         return z, v
 
     level_values = []
-    for _ in range(levels):
+    for _ in range(SLICE_LEVELS):
         axes = [np.linspace(c - h, c + h, per_axis)
                 for c, h in zip(best_z, half)]
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
@@ -268,9 +277,9 @@ def max_translate_slice(body: geom.ConvexBody, slice_frame: geom.Frame,
         # the best grid point stays inside the next level
         half = half * (3.0 / per_axis)
     stable = True
-    if levels >= 2 and level_values[-1] > 0:
+    if level_values[-1] > 0:
         move = abs(level_values[-1] - level_values[-2]) / level_values[-1]
-        stable = move <= instability_band
+        stable = move <= SLICE_INSTABILITY_BAND
         if not stable:
             raise SliceEstimateUnstable(
                 f"refinement moved the slice maximum by {move:.1%}")
@@ -279,8 +288,7 @@ def max_translate_slice(body: geom.ConvexBody, slice_frame: geom.Frame,
 
 
 def check_packing_general(body: geom.ConvexBody, family, r: int,
-                          n: int = 10_000, seed: int = 0,
-                          coarse: int = 7, levels: int = 5) -> BoundReport:
+                          n: int = 10_000, seed: int = 0) -> BoundReport:
     """General convex-cylinder packing bound via the slice-ratio correction.
 
     sum of crv <= r * binom(d, k) * max over the family of
@@ -295,9 +303,8 @@ def check_packing_general(body: geom.ConvexBody, family, r: int,
             raise DomainError(
                 "antipodal cap bases make the restricted cylinder non-convex; "
                 "this bound needs one-sided caps")
-    verdict = multiplicity.verify_packing(body, family, r, n, seed)
-    if not verdict.ok:
-        raise NotAPacking(verdict.reason)
+    evidence = _evidence(multiplicity.verify_packing(body, family, r, n, seed),
+                         NotAPacking)
     d = body.dim
     ks = {c.k for c in family}
     if len(ks) != 1:
@@ -306,10 +313,9 @@ def check_packing_general(body: geom.ConvexBody, family, r: int,
     worst_ratio = 0.0
     for cyl in family:
         h_frame = geom.complement(cyl.frame)
-        body_max = max_translate_slice(body, h_frame, coarse=coarse, levels=levels)
+        body_max = max_translate_slice(body, h_frame)
         member = lambda z, b=cyl.base: cylinders.base_membership(b, z)
         cyl_max = max_translate_slice(body, h_frame, base_region=member,
-                                      coarse=coarse, levels=levels,
                                       seed_offsets=_base_offsets(cyl.base),
                                       offsets_frame=cyl.frame)
         if cyl_max.value <= 0:
@@ -318,9 +324,10 @@ def check_packing_general(body: geom.ConvexBody, family, r: int,
     lhs = cylinders.sum_crv(body, family)
     rhs = r * math.comb(d, k) * worst_ratio
     digest = _digest_family(body, family, {"r": r})
-    return _make_report("packing_upper_general", lhs, rhs, LE, digest,
-                        probabilistic=True,
-                        notes=f"worst slice ratio {worst_ratio:.6g}")
+    return make_report("packing_upper_general", lhs, rhs, LE, digest,
+                       probabilistic=True,
+                       notes=f"worst slice ratio {worst_ratio:.6g}",
+                       evidence=evidence)
 
 
 def _base_offsets(base: cylinders.CylinderBase) -> np.ndarray:
@@ -347,8 +354,6 @@ def _base_offsets(base: cylinders.CylinderBase) -> np.ndarray:
 
 
 def check_rogers_shephard(body: geom.ConvexBody, frame: geom.Frame,
-                          coarse: int = 7, levels: int = 5,
-                          tolerance: float = EXACT_TOL,
                           ) -> tuple[BoundReport, BoundReport]:
     """Both directions of the slice-projection volume product bound.
 
@@ -361,18 +366,16 @@ def check_rogers_shephard(body: geom.ConvexBody, frame: geom.Frame,
     d = body.dim
     k = frame.subspace_dim
     comp = geom.complement(frame)
-    max_slice = max_translate_slice(body, comp, coarse=coarse, levels=levels)
+    max_slice = max_translate_slice(body, comp)
     shadow_vol = geom.volume(geom.project_body(body, frame))
     product = max_slice.value * shadow_vol
     vol = geom.volume(body)
-    digest = instance_digest({"body": _body_json(body),
+    digest = instance_digest({"body": geom.body_to_json(body),
                               "frame": frame.columns.tolist()})
-    upper = _make_report("rogers_shephard_upper", product,
-                         math.comb(d, k) * vol, LE, digest,
-                         tolerance=tolerance,
-                         notes=f"max slice at offset {max_slice.offset}")
-    lower = _make_report("fubini_lower", product, vol, GE, digest,
-                         tolerance=tolerance)
+    upper = make_report("rogers_shephard_upper", product,
+                        math.comb(d, k) * vol, LE, digest,
+                        notes=f"max slice at offset {max_slice.offset}")
+    lower = make_report("fubini_lower", product, vol, GE, digest)
     return upper, lower
 
 
@@ -408,20 +411,19 @@ def cauchy_surface_area(body: geom.ConvexBody, n_dirs: int = 2048,
 def check_base_volume_bound(body: geom.ConvexBody, family, r: int,
                             n: int = 10_000, seed: int = 0,
                             grid: int = 720, refine_iters: int = 40,
-                            surface_rel_tol: float = 0.005) -> BoundReport:
+                            ) -> BoundReport:
     """Absolute base-volume packing bound for codimension-1 cylinders.
 
     sum of base (d-1)-volumes <= surface_constant(d) * r * (largest hyperplane
     shadow of the body).  For polytope bodies the surface-area formula behind
     the constant is validated on the spot: direction-quadrature of shadow
-    volumes must reproduce the exact facet-area sum within ``surface_rel_tol``.
+    volumes must reproduce the exact facet-area sum within SURFACE_REL_TOL.
     """
     family = list(family)
     if any(c.k != 1 for c in family):
         raise DomainError("the base-volume bound is for codimension-1 cylinders")
-    verdict = multiplicity.verify_packing(body, family, r, n, seed)
-    if not verdict.ok:
-        raise NotAPacking(verdict.reason)
+    evidence = _evidence(multiplicity.verify_packing(body, family, r, n, seed),
+                         NotAPacking)
     d = body.dim
     lhs = float(sum(cylinders.base_volume(c.base) for c in family))
     _, max_shadow = geom.max_hyperplane_projection(body, grid=grid,
@@ -435,10 +437,10 @@ def check_base_volume_bound(body: geom.ConvexBody, family, r: int,
         exact_surface = float(np.sum(areas))
         quad_surface = cauchy_surface_area(body)
         rel = abs(quad_surface - exact_surface) / exact_surface
-        surface_ok = rel <= surface_rel_tol
+        surface_ok = rel <= SURFACE_REL_TOL
         notes += f"; surface quadrature off by {rel:.2e}"
-    report = _make_report("plank_base_volume", lhs, rhs, LE, digest,
-                          probabilistic=True, notes=notes)
+    report = make_report("plank_base_volume", lhs, rhs, LE, digest,
+                         probabilistic=True, notes=notes, evidence=evidence)
     if not surface_ok:
         report = replace(report, passed=False)
     return report

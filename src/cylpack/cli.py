@@ -8,6 +8,7 @@ results are ordered by instance index regardless of completion order.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -16,8 +17,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import bounds, cappack, falconer, geom, instances, multiplicity
-from .errors import CylpackError, DomainError
+from . import bounds, cappack, falconer, geom, instances
+from .errors import CylpackError, DomainError, HypothesisFailed
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -111,51 +112,41 @@ def _load_instance(path):
         return None, _error_object("parse", exc)
     try:
         return instances.parse_instance(raw), None
-    except (CylpackError, KeyError, ValueError, TypeError) as exc:
+    except (CylpackError, KeyError, ValueError, TypeError, OverflowError) as exc:
         return None, _error_object("validate", exc)
 
 
-def _reports_for(inst, samples: int, seed: int,
-                 tol: float = 1e-9) -> tuple[list, dict | None, bool]:
-    """(bound reports, multiplicity report json, all_ok) for one instance."""
-    reports: list[bounds.BoundReport] = []
-    mult_json = None
-    if inst["kind"] == instances.KIND_PACKING:
-        body, family, r = inst["body"], inst["family"], inst["r"]
-        verdict = multiplicity.verify_packing(body, family, r, samples, seed,
-                                              base_tol=tol)
-        mult_json = verdict.report.to_json()
-        if not verdict.ok:
-            return reports, {**mult_json, "witness": verdict.witness,
-                             "reason": verdict.reason}, False
-        k = inst["k"]
-        if not isinstance(body, geom.Polytope) and k <= 2:
-            reports.append(bounds.check_packing_upper_ellipsoid(
-                body, family, r, n=samples, seed=seed))
-        elif k == 1:
-            reports.append(bounds.check_base_volume_bound(
-                body, family, r, n=samples, seed=seed))
-        else:
-            reports.append(bounds.check_packing_general(
-                body, family, r, n=samples, seed=seed))
-    elif inst["kind"] == instances.KIND_COVERING:
-        body, family, r = inst["body"], inst["family"], inst["r"]
-        verdict = multiplicity.verify_covering(body, family, r, samples, seed)
-        mult_json = verdict.report.to_json()
-        if not verdict.ok:
-            return reports, {**mult_json, "witness": verdict.witness,
-                             "reason": verdict.reason}, False
-        mode = "ellipsoid" if (inst["k"] == 1
-                               and not isinstance(body, geom.Polytope)) else "general"
-        reports.append(bounds.check_covering_lower(
-            body, family, r, mode=mode, n=samples, seed=seed))
-    else:
+def _reports_for(inst, samples: int, seed: int) -> tuple[list, dict | None, bool]:
+    """(bound reports, multiplicity report json, all_ok) for one instance.
+
+    A packing or covering instance is sampled once, by its checker; a failed
+    hypothesis yields no report and a multiplicity json with its witness.
+    """
+    if inst["kind"] == instances.KIND_DISK_PLANKS:
         family, planks, r = inst["disk_family"], inst["planks"], inst["r"]
         width, radius = falconer.check_width_sum(family, planks, r, seed=seed)
-        reports.extend([width, radius])
-        reports.append(falconer.check_ridge_mass(family, planks, r, seed=seed))
-        reports.append(falconer.check_mass_circumradius(family))
-    return reports, mult_json, all(rep.passed for rep in reports)
+        reports = [width, radius,
+                   falconer.check_ridge_mass(family, planks, r, seed=seed),
+                   falconer.check_mass_circumradius(family)]
+        return reports, None, all(rep.passed for rep in reports)
+    body, family, r, k = inst["body"], inst["family"], inst["r"], inst["k"]
+    round_body = not isinstance(body, geom.Polytope)
+    if inst["kind"] == instances.KIND_COVERING:
+        mode = "ellipsoid" if k == 1 and round_body else "general"
+        check = functools.partial(bounds.check_covering_lower, mode=mode)
+    elif round_body and k <= 2:
+        check = bounds.check_packing_upper_ellipsoid
+    elif k == 1:
+        check = bounds.check_base_volume_bound
+    else:
+        check = bounds.check_packing_general
+    try:
+        rep = check(body, family, r, n=samples, seed=seed)
+    except HypothesisFailed as exc:
+        verdict = exc.verdict
+        return [], {**verdict.report.to_json(), "witness": verdict.witness,
+                    "reason": verdict.reason}, False
+    return [rep], rep.evidence.to_json(), rep.passed
 
 
 def cmd_verify(args) -> int:
@@ -164,8 +155,7 @@ def cmd_verify(args) -> int:
         _emit(err, args.out)
         return EXIT_USAGE
     try:
-        reports, mult_json, ok = _reports_for(inst, args.samples, args.seed,
-                                              tol=args.tol)
+        reports, mult_json, ok = _reports_for(inst, args.samples, args.seed)
     except DomainError as exc:
         _emit(_error_object("verify", exc), args.out)
         return EXIT_USAGE
@@ -296,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("instance")
     ver.add_argument("--samples", type=int, default=10_000)
     ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--tol", type=float, default=1e-9)
     ver.add_argument("--out", default=None)
     ver.set_defaults(func=cmd_verify)
 

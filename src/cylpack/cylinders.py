@@ -21,6 +21,8 @@ from .errors import (
 )
 
 INTERIOR_MARGIN = 1e-12  # strict-interior slack: tangent cylinders are a legal packing
+BOUNDARY_SAMPLES = 1024  # sampled boundary directions of round and cap bases
+CONTAINMENT_TOL = 1e-9   # slack of base-in-shadow containment checks
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,8 +172,7 @@ def sum_crv(body: geom.ConvexBody, family) -> float:
     return float(sum(crv(body, c) for c in family))
 
 
-def base_contained(body: geom.ConvexBody, cyl: Cylinder, tol: float = 1e-9,
-                   boundary_samples: int = 1024) -> bool:
+def base_contained(body: geom.ConvexBody, cyl: Cylinder) -> bool:
     """Whether the base lies inside the body's shadow on the base subspace.
 
     Polytope bases check vertices exactly; disk bases check sampled boundary
@@ -183,22 +184,22 @@ def base_contained(body: geom.ConvexBody, cyl: Cylinder, tol: float = 1e-9,
     base = cyl.base
     m = base.dim
     if isinstance(base, PolytopeBase):
-        return bool(np.all(geom.contains_points(shadow, base.vertices, tol=tol)))
-    if isinstance(base, CapBase) and isinstance(body, geom.Ball) \
-            and abs(body.radius - 1.0) <= tol \
-            and np.linalg.norm(body.center) <= tol:
+        return bool(np.all(geom.contains_points(shadow, base.vertices,
+                                                tol=CONTAINMENT_TOL)))
+    if isinstance(base, CapBase) and geom.is_unit_ball(body):
         return True
-    dirs = _boundary_directions(m, boundary_samples)
+    dirs = _boundary_directions(m, BOUNDARY_SAMPLES)
     if isinstance(base, DiskBase):
         pts = base.center + base.radius * dirs
         support_ok = all(
-            base.center @ u + base.radius <= geom.support(shadow, u) + tol
+            base.center @ u + base.radius <= geom.support(shadow, u) + CONTAINMENT_TOL
             for u in dirs[:: max(len(dirs) // 64, 1)]
         )
     else:
         pts = _cap_boundary_points(base, dirs)
         support_ok = True
-    return support_ok and bool(np.all(geom.contains_points(shadow, pts, tol=tol)))
+    return support_ok and bool(np.all(
+        geom.contains_points(shadow, pts, tol=CONTAINMENT_TOL)))
 
 
 def _boundary_directions(m: int, n: int) -> np.ndarray:

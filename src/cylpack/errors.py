@@ -57,11 +57,20 @@ class PlaneMissesSphere(CylpackError):
     """The requested plane does not meet the unit sphere."""
 
 
-class NotAPacking(CylpackError):
+class HypothesisFailed(CylpackError):
+    """Pre-verification failed; ``verdict`` is the failing sampled
+    VerificationResult, or None where no sampling decided it."""
+
+    def __init__(self, reason: str, verdict=None):
+        super().__init__(reason)
+        self.verdict = verdict
+
+
+class NotAPacking(HypothesisFailed):
     """Pre-verification failed: the family is not an r-fold packing."""
 
 
-class NotACovering(CylpackError):
+class NotACovering(HypothesisFailed):
     """Pre-verification failed: the family is not an r-fold covering."""
 
 

@@ -15,10 +15,10 @@ from functools import cached_property
 import numpy as np
 from scipy import integrate
 from scipy.optimize import linprog
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, QhullError
 
 from . import geom
-from .bounds import GE, LE, BoundReport, _make_report, instance_digest
+from .bounds import GE, LE, BoundReport, instance_digest, make_report
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -89,7 +89,10 @@ class DiskFamily:
         pts = np.vstack([d.center + d.radius * ring for d in self.disks
                          if d.radius > 0] +
                         [d.center[None, :] for d in self.disks])
-        hull = ConvexHull(pts)
+        try:
+            hull = ConvexHull(pts)
+        except QhullError as exc:
+            raise DomainError("disk family hull is numerically degenerate") from exc
         return geom.Polytope(pts[hull.vertices])
 
     def to_json(self) -> dict:
@@ -354,6 +357,8 @@ class Plank2D:
         if abs(norm - 1.0) > 1e-9:
             raise DomainError("plank normal must be a unit vector")
         object.__setattr__(self, "u", geom._freeze(u / norm))
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise DomainError("plank offsets must be finite")
         if not self.b > self.a:
             raise DomainError("plank needs positive width")
 
@@ -501,12 +506,12 @@ def check_width_sum(family: DiskFamily, planks, r: int,
     diam_ns = ns_diameter(family)
     digest = instance_digest({"family": family.to_json(),
                               "planks": [p.to_json() for p in planks], "r": r})
-    width_report = _make_report("plank_width_sum", widths, r * diam_ns, LE,
-                                digest, probabilistic=False,
-                                notes="packing checked on arrangement cells")
+    width_report = make_report("plank_width_sum", widths, r * diam_ns, LE,
+                               digest, probabilistic=False,
+                               notes="packing checked on arrangement cells")
     circ = circumradius(family)
-    radius_report = _make_report("circumradius_vs_ns_diameter",
-                                 2.0 * circ.radius, diam_ns, LE, digest)
+    radius_report = make_report("circumradius_vs_ns_diameter",
+                                2.0 * circ.radius, diam_ns, LE, digest)
     return width_report, radius_report
 
 
@@ -602,9 +607,9 @@ def check_ridge_mass(family: DiskFamily, planks, r: int,
     rhs = total_mass(family, UNIT_CHORD)
     digest = instance_digest({"family": family.to_json(),
                               "planks": [p.to_json() for p in planks], "r": r})
-    return _make_report("ridge_mass_bound", lhs, rhs, LE, digest,
-                        probabilistic=True,
-                        notes=f"pointwise bound checked on {n_samples} samples")
+    return make_report("ridge_mass_bound", lhs, rhs, LE, digest,
+                       probabilistic=True,
+                       notes=f"pointwise bound checked on {n_samples} samples")
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +656,7 @@ def check_mass_circumradius(family: DiskFamily) -> BoundReport:
     circ = circumradius(family)
     mass = total_mass(family, UNIT_CHORD)
     digest = instance_digest({"family": family.to_json()})
-    return _make_report(
+    return make_report(
         "mass_circumradius", mass, 2.0 * circ.radius, GE, digest,
         notes=f"bracket [2R, ns_diameter] = [{2.0 * circ.radius!r}, {mass!r}]")
 

@@ -2,8 +2,10 @@
 
 Bodies are carried in closed form (balls, ellipsoids) or as vertex lists;
 subspaces are orthonormal frames.  All types are immutable values and all
-functions are pure, so objects can be shared freely between threads.  Monte
-Carlo paths take explicit seeds and reduce in a fixed block order.
+functions are pure, so objects can be shared freely between threads.  Volumes
+are exact in every dimension (closed forms, qhull for polytopes); the Monte
+Carlo :func:`polytope_volume_mc` is kept only as an oracle.  Random paths take
+explicit seeds; bodies round-trip through JSON bit for bit.
 """
 
 import math
@@ -279,8 +281,33 @@ class EnclosingEllipsoid:
     containment_tolerance: float
 
 
-def body_dim(body: ConvexBody) -> int:
-    return body.dim
+def is_unit_ball(body: ConvexBody) -> bool:
+    """Whether the body is the unit ball centred at the origin (within 1e-12),
+    where cap cylinders take closed-form shortcuts."""
+    return isinstance(body, Ball) and abs(body.radius - 1.0) <= 1e-12 \
+        and float(np.linalg.norm(body.center)) <= 1e-12
+
+
+def body_to_json(body: ConvexBody) -> dict:
+    if isinstance(body, Ball):
+        return {"type": "ball", "center": body.center.tolist(),
+                "radius": body.radius}
+    if isinstance(body, Ellipsoid):
+        return {"type": "ellipsoid", "center": body.center.tolist(),
+                "shape": body.shape.tolist()}
+    return {"type": "polytope", "vertices": body.vertices.tolist()}
+
+
+def body_from_json(obj: dict) -> ConvexBody:
+    t = obj["type"]
+    if t == "ball":
+        return Ball(np.asarray(obj["center"], dtype=float), float(obj["radius"]))
+    if t == "ellipsoid":
+        return Ellipsoid(np.asarray(obj["center"], dtype=float),
+                         np.asarray(obj["shape"], dtype=float))
+    if t == "polytope":
+        return Polytope(np.asarray(obj["vertices"], dtype=float))
+    raise DomainError(f"unknown body type {t!r}")
 
 
 def support(body: ConvexBody, u) -> float:
@@ -324,15 +351,6 @@ def bounding_box(body: ConvexBody) -> tuple[np.ndarray, np.ndarray]:
     return np.min(body.vertices, axis=0), np.max(body.vertices, axis=0)
 
 
-def circumradius_bound(body: ConvexBody) -> float:
-    """Radius of a ball around the body's natural center containing it."""
-    if isinstance(body, Ball):
-        return body.radius
-    if isinstance(body, Ellipsoid):
-        return 1.0 / math.sqrt(float(np.linalg.eigvalsh(body.shape)[0]))
-    return float(np.max(np.linalg.norm(body.vertices - body.centroid, axis=1)))
-
-
 def body_center(body: ConvexBody) -> np.ndarray:
     if isinstance(body, Polytope):
         return body.centroid
@@ -372,12 +390,11 @@ def transform_body(body: ConvexBody, t: np.ndarray, shift=None) -> ConvexBody:
     return Ellipsoid(t @ body.center + shift, new_q)
 
 
-def volume(body: ConvexBody, mc_samples: int = 200_000, mc_seed: int = 0) -> float:
-    """m-dimensional volume of a body living in R^m.
+def volume(body: ConvexBody) -> float:
+    """Exact m-dimensional volume of a body living in R^m.
 
-    Balls and ellipsoids are closed-form.  Polytope volume is exact (hull
-    triangulation) up to dimension 3 and a Monte Carlo estimate above that;
-    use :func:`polytope_volume_mc` directly when the standard error matters.
+    Balls and ellipsoids are closed-form; polytope volume is the qhull hull
+    triangulation's, in every dimension.
     """
     d = body.dim
     if isinstance(body, Ball):
@@ -388,14 +405,12 @@ def volume(body: ConvexBody, mc_samples: int = 200_000, mc_seed: int = 0) -> flo
         return specfn.unit_ball_volume(d) / math.sqrt(det)
     if d == 1:
         return float(np.ptp(body.vertices[:, 0]))
-    if d <= 3:
-        return float(body._hull.volume)
-    est, _ = polytope_volume_mc(body, mc_samples, mc_seed)
-    return est
+    return float(body._hull.volume)
 
 
 def polytope_volume_mc(body: Polytope, samples: int, seed: int) -> tuple[float, float]:
-    """Bounding-box rejection estimate of a polytope volume, with its stderr."""
+    """Bounding-box rejection estimate of a polytope volume, with its stderr
+    (an independent oracle for :func:`volume`)."""
     lo, hi = bounding_box(body)
     box_vol = float(np.prod(hi - lo))
     rng = np.random.default_rng(seed)

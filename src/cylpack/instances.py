@@ -56,29 +56,6 @@ def random_polytope(d: int, rng: np.random.Generator,
     return geom.Polytope(rng.standard_normal((n, d)))
 
 
-def body_to_json(body: geom.ConvexBody) -> dict:
-    if isinstance(body, geom.Ball):
-        return {"type": "ball", "center": body.center.tolist(),
-                "radius": body.radius}
-    if isinstance(body, geom.Ellipsoid):
-        return {"type": "ellipsoid", "center": body.center.tolist(),
-                "shape": body.shape.tolist()}
-    return {"type": "polytope", "vertices": body.vertices.tolist()}
-
-
-def body_from_json(obj: dict) -> geom.ConvexBody:
-    t = obj["type"]
-    if t == "ball":
-        return geom.Ball(np.asarray(obj["center"], dtype=float),
-                         float(obj["radius"]))
-    if t == "ellipsoid":
-        return geom.Ellipsoid(np.asarray(obj["center"], dtype=float),
-                              np.asarray(obj["shape"], dtype=float))
-    if t == "polytope":
-        return geom.Polytope(np.asarray(obj["vertices"], dtype=float))
-    raise DomainError(f"unknown body type {t!r}")
-
-
 # ---------------------------------------------------------------------------
 # projected-range helpers
 
@@ -293,7 +270,7 @@ def packing_instance(body: geom.ConvexBody, family, r: int, meta: dict) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": KIND_PACKING,
-        "body": body_to_json(body),
+        "body": geom.body_to_json(body),
         "k": max(ks) if ks else 0,
         "r": r,
         "cylinders": [cylinders.cylinder_to_json(c) for c in family],
@@ -330,14 +307,14 @@ def parse_instance(obj: dict) -> dict:
     if kind not in (KIND_PACKING, KIND_COVERING, KIND_DISK_PLANKS):
         raise DomainError(f"unknown instance kind {kind!r}")
     r = int(obj["r"])
-    if r < 1:
-        raise DomainError(f"multiplicity r must be at least 1, got {r}")
+    if not 1 <= r <= 2**53:  # above 2**53 the bounds' float arithmetic is inexact
+        raise DomainError(f"multiplicity r must lie in [1, 2**53], got {r}")
     if kind == KIND_DISK_PLANKS:
         family = falconer.family_from_json({"disks": obj["disks"]})
         planks = [falconer.plank_from_json(p) for p in obj["planks"]]
         return {"kind": kind, "disk_family": family, "planks": planks,
                 "r": r, "raw": obj}
-    body = body_from_json(obj["body"])
+    body = geom.body_from_json(obj["body"])
     family = [cylinders.cylinder_from_json(c) for c in obj["cylinders"]]
     return {"kind": kind, "body": body, "family": family,
             "r": r, "k": int(obj["k"]), "raw": obj}

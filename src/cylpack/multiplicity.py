@@ -68,11 +68,6 @@ def _sample_blocks(body: geom.ConvexBody, n: int, seed: int):
         remaining -= take
 
 
-def _is_unit_ball(body: geom.ConvexBody) -> bool:
-    return isinstance(body, geom.Ball) and abs(body.radius - 1.0) <= 1e-12 \
-        and float(np.linalg.norm(body.center)) <= 1e-12
-
-
 def multiplicity_counts(body: geom.ConvexBody, family, pts: np.ndarray,
                         ) -> tuple[np.ndarray, np.ndarray]:
     """(strict, closed) membership counts of each point across the family.
@@ -83,7 +78,7 @@ def multiplicity_counts(body: geom.ConvexBody, family, pts: np.ndarray,
     n = len(pts)
     strict = np.zeros(n, dtype=np.int32)
     closed = np.zeros(n, dtype=np.int32)
-    unit_ball = _is_unit_ball(body)
+    unit_ball = geom.is_unit_ball(body)
     margin = cylinders.INTERIOR_MARGIN
     for cyl in family:
         if pts.shape[1] != cyl.ambient_dim:
@@ -141,7 +136,7 @@ def estimate_multiplicity(body: geom.ConvexBody, family, n: int, seed: int,
 
 
 def verify_packing(body: geom.ConvexBody, family, r: int, n: int, seed: int,
-                   base_tol: float = 1e-9) -> VerificationResult:
+                   ) -> VerificationResult:
     """Probabilistic r-fold packing check.
 
     Fails with a witness when a sample lies in more than r open cylinders, or
@@ -149,13 +144,13 @@ def verify_packing(body: geom.ConvexBody, family, r: int, n: int, seed: int,
     sampling statement, not a proof.
     """
     family = list(family)
-    for i, cyl in enumerate(family):
-        if not cylinders.base_contained(body, cyl, tol=base_tol):
-            report = estimate_multiplicity(body, family, n, seed)
-            return VerificationResult(
-                False, None, report,
-                reason=f"base {i} is not contained in the body shadow")
+    outside = next((i for i, cyl in enumerate(family)
+                    if not cylinders.base_contained(body, cyl)), None)
     report = estimate_multiplicity(body, family, n, seed)
+    if outside is not None:
+        return VerificationResult(
+            False, None, report,
+            reason=f"base {outside} is not contained in the body shadow")
     if report.max_mult > r:
         return VerificationResult(
             False, report.witness_max, report,

@@ -1,12 +1,35 @@
 import numpy as np
 import pytest
 
-from cylpack import geom
+from cylpack import cli, geom
+
+# arguments of one small instance file per `cylpack construct` kind
+CONSTRUCT_KINDS = {
+    "plank": ["--kind", "plank-partition", "--dim", "2", "--n", "5", "--r", "2"],
+    "pack3": ["--kind", "packing", "--dim", "3", "--k", "1", "--r", "2"],
+    "pack4": ["--kind", "packing", "--dim", "4", "--k", "2"],
+    "pack5": ["--kind", "packing", "--dim", "5", "--k", "3"],
+    "cover": ["--kind", "covering", "--dim", "3", "--k", "2"],
+    "strips": ["--kind", "polygon-strips", "--n", "3", "--r", "2"],
+    "cap": ["--kind", "cap", "--dim", "4", "--k", "1", "--delta", "0.3"],
+    "ns": ["--kind", "ns-family", "--n", "4", "--r", "2"],
+}
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def construct_all(directory, seed: int) -> dict:
+    """{kind: path} of one constructed instance file per kind in ``directory``."""
+    paths = {}
+    for name, args in CONSTRUCT_KINDS.items():
+        path = directory / f"{name}.json"
+        assert cli.main(["construct", *args, "--seed", str(seed),
+                         "--out", str(path)]) == 0
+        paths[name] = path
+    return paths
 
 
 def random_frame(d: int, m: int, rng: np.random.Generator) -> geom.Frame:

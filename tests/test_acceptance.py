@@ -178,13 +178,9 @@ def test_criterion_6_slice_projection_product():
         poly = instances.random_polytope(d, gen)
         k = int(gen.integers(1, d))
         frame = geom.orthonormalize(gen.standard_normal((k, d)))
-        if d >= 4:
-            # d = 4 volumes go through the Monte Carlo path: 3-sigma band
-            _, se = geom.polytope_volume_mc(poly, 200_000, seed=0)
-            tol = 3 * se * math.comb(d, k)
-        else:
-            tol = 1e-9
-        upper, lower = bounds.check_rogers_shephard(poly, frame, tolerance=tol)
+        # exact volumes in every dimension: the exact 1e-9 tolerance throughout
+        upper, lower = bounds.check_rogers_shephard(poly, frame)
+        assert upper.tolerance == lower.tolerance == 1e-9
         assert upper.passed, (seed, upper)
         assert lower.passed, (seed, lower)
     ball3 = geom.Ball(np.zeros(3), 1.0)

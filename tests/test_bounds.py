@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cylpack import bounds, cappack, cylinders, geom, instances
+from cylpack import bounds, cappack, cylinders, geom, instances, multiplicity
 from cylpack.errors import DomainError, NotACovering, NotAPacking
 
 BALL2 = geom.Ball(np.zeros(2), 1.0)
@@ -47,9 +47,12 @@ def test_covering_general_mode_binomial():
 def test_covering_precondition():
     fam = instances.plank_partition(BALL2, 4)
     del fam[1]
-    with pytest.raises(NotACovering):
+    with pytest.raises(NotACovering) as info:
         bounds.check_covering_lower(BALL2, fam, 1, mode="ellipsoid",
                                     n=4000, seed=1)
+    verdict = info.value.verdict
+    assert str(info.value) == verdict.reason
+    assert verdict.report.min_mult == 0 and verdict.witness is not None
 
 
 # --- ellipsoid packing upper bounds -------------------------------------------
@@ -85,8 +88,20 @@ def test_packing_cap_family_bounded_by_one():
 
 def test_packing_precondition():
     fam = instances.plank_partition(BALL2, 4, r=2)
-    with pytest.raises(NotAPacking):
+    with pytest.raises(NotAPacking) as info:
         bounds.check_packing_upper_ellipsoid(BALL2, fam, 1, n=4000, seed=1)
+    verdict = info.value.verdict
+    assert not verdict.ok and verdict.witness is not None
+    assert str(info.value) == verdict.reason == "interior multiplicity 2 exceeds r=1"
+    assert verdict.report.max_mult == 2
+
+
+def test_sampling_checkers_carry_their_evidence():
+    fam = instances.plank_partition(BALL2, 4)
+    rep = bounds.check_packing_upper_ellipsoid(BALL2, fam, 1, n=4000, seed=1)
+    assert rep.evidence == multiplicity.verify_packing(BALL2, fam, 1, 4000, 1).report
+    assert "evidence" not in rep.to_json()
+    assert "evidence" not in bounds.bound_reports_to_csv([rep])
 
 
 # --- scaled bound through the enclosing ellipsoid -----------------------------
@@ -184,12 +199,8 @@ def test_rogers_shephard_random_polytopes(rng):
         poly = instances.random_polytope(d, rng)
         k = int(rng.integers(1, d))
         frame = geom.orthonormalize(rng.standard_normal((k, d)))
-        if d >= 4:
-            vol, se = geom.polytope_volume_mc(poly, 200_000, seed=0)
-            tol = 3 * se * math.comb(d, k)
-        else:
-            tol = 1e-9
-        upper, lower = bounds.check_rogers_shephard(poly, frame, tolerance=tol)
+        upper, lower = bounds.check_rogers_shephard(poly, frame)
+        assert upper.tolerance == lower.tolerance == bounds.EXACT_TOL
         assert upper.passed, (d, k, upper)
         assert lower.passed, (d, k, lower)
 

@@ -178,6 +178,17 @@ def test_polytope_volume_exact_small_dims():
     assert geom.volume(seg) == pytest.approx(2.5, abs=1e-14)
 
 
+@pytest.mark.parametrize("d", [4, 5, 6])
+def test_polytope_volume_exact_high_dims(d):
+    eye = np.eye(d)
+    cube = geom.Polytope(np.array(np.meshgrid(*[[0.0, 1.0]] * d)).reshape(d, -1).T)
+    cross = geom.Polytope(np.vstack([eye, -eye]))
+    simplex = geom.Polytope(np.vstack([np.zeros(d), eye]))
+    assert abs(geom.volume(cube) - 1.0) <= 1e-12
+    assert abs(geom.volume(cross) - 2.0**d / math.factorial(d)) <= 1e-12
+    assert abs(geom.volume(simplex) - 1.0 / math.factorial(d)) <= 1e-12
+
+
 def test_polytope_volume_mc_matches_triangulation_oracle(rng):
     from scipy.spatial import ConvexHull
 

@@ -1,9 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from cylpack import cli, cylinders, falconer, geom, instances, multiplicity
+from conftest import construct_all
 
 
 # --- generators ----------------------------------------------------------------
@@ -122,8 +124,10 @@ def _set_r(value):
 
 
 @pytest.mark.parametrize("mutate", [_set_nan_center, _set_inf_disk_radius,
-                                    _set_r(0), _set_r(-3)],
-                         ids=["nan-center", "inf-disk-radius", "r=0", "r=-3"])
+                                    _set_r(0), _set_r(-3), _set_r(math.inf),
+                                    _set_r(1e300)],
+                         ids=["nan-center", "inf-disk-radius", "r=0", "r=-3",
+                              "r=inf", "r=1e300"])
 def test_cli_verify_invalid_fields_exit2(tmp_path, capsys, mutate):
     ball = geom.Ball(np.zeros(3), 1.0)
     fam = instances.random_base_packing(ball, 1, 2, 1, seed=0, base_kind="disk")
@@ -162,6 +166,29 @@ def test_cli_ns_family_wrong_vector_length_exit2(tmp_path, capsys, command,
     assert rc == 2
     assert err["type"] == "DimensionMismatch"
     assert field in err["message"] and f"got {count}" in err["message"]
+
+
+def _set_infinite_plank_offset(obj):
+    obj["planks"][0]["interval"][0] = -math.inf
+
+
+def _set_huge_disk_radius(obj):
+    obj["disks"][0]["radius"] = 1e200  # its hull overflows double precision
+
+
+@pytest.mark.parametrize("mutate", [_set_infinite_plank_offset,
+                                    _set_huge_disk_radius],
+                         ids=["inf-plank-offset", "huge-disk-radius"])
+def test_cli_ns_family_unusable_numbers_exit2(tmp_path, capsys, mutate):
+    inst = tmp_path / "ns.json"
+    assert cli.main(["construct", "--kind", "ns-family", "--n", "4", "--r", "2",
+                     "--seed", "5", "--out", str(inst)]) == 0
+    obj = instances.load_json(inst)
+    mutate(obj)
+    instances.dump_json(obj, inst)
+    rc = cli.main(["verify", str(inst), "--samples", "2000"])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "DomainError"
 
 
 def test_cli_construct_deterministic(tmp_path):
@@ -298,3 +325,48 @@ def test_cli_verify_deterministic_output(tmp_path):
     cli.main(["verify", str(inst), "--samples", "3000", "--out", str(r1)])
     cli.main(["verify", str(inst), "--samples", "3000", "--out", str(r2)])
     assert r1.read_bytes() == r2.read_bytes()
+
+
+def test_cli_samples_each_instance_once(tmp_path, monkeypatch, capsys):
+    files = construct_all(tmp_path, seed=4)
+    paths = [str(p) for p in files.values()]
+    overpacked = tmp_path / "overpacked.json"
+    obj = instances.load_json(files["plank"])
+    obj["r"] = 1
+    instances.dump_json(obj, overpacked)
+    calls = []
+    real = multiplicity.estimate_multiplicity
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(multiplicity, "estimate_multiplicity", counting)
+    sampled = [str(p) for name, p in files.items() if name != "ns"] + [str(overpacked)]
+    for path in sampled:
+        calls.clear()
+        cli.main(["verify", path, "--samples", "2000"])
+        assert len(calls) == 1, path
+    calls.clear()
+    assert cli.main(["bounds", *paths, str(overpacked), "--samples", "2000"]) == 1
+    assert len(calls) == len(sampled)
+    calls.clear()
+    cli.main(["verify", str(files["ns"]), "--samples", "2000"])
+    assert calls == []
+    capsys.readouterr()
+
+
+def test_cli_reports_leave_out_evidence(tmp_path, capsys):
+    files = construct_all(tmp_path, seed=4)
+    paths = [str(p) for p in files.values()]
+    for name, path in files.items():
+        assert cli.main(["verify", str(path), "--samples", "2000"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["reports"]
+        assert all("evidence" not in rep for rep in out["reports"])
+        if name != "ns":
+            assert out["multiplicity"]["samples"] == 2000
+    assert cli.main(["bounds", *paths, "--samples", "2000"]) == 0
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert len(reports) >= len(paths)
+    assert all("evidence" not in rep for rep in reports)
