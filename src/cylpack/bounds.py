@@ -198,12 +198,11 @@ def check_packing_scaled(body: geom.ConvexBody, family, r: int,
 
 @dataclass(frozen=True)
 class SliceMax:
-    """Grid-refined maximum of a translated-slice volume, with stability info."""
+    """Grid-refined maximum of a translated-slice volume and its level history."""
 
     value: float
     offset: tuple
     level_values: tuple
-    stable: bool
 
 
 def max_translate_slice(body: geom.ConvexBody, slice_frame: geom.Frame,
@@ -276,15 +275,13 @@ def max_translate_slice(body: geom.ConvexBody, slice_frame: geom.Frame,
         # keep the refined window wider than one coarse cell so a peak next to
         # the best grid point stays inside the next level
         half = half * (3.0 / per_axis)
-    stable = True
     if level_values[-1] > 0:
         move = abs(level_values[-1] - level_values[-2]) / level_values[-1]
-        stable = move <= SLICE_INSTABILITY_BAND
-        if not stable:
+        if move > SLICE_INSTABILITY_BAND:
             raise SliceEstimateUnstable(
                 f"refinement moved the slice maximum by {move:.1%}")
     return SliceMax(value=best_v, offset=tuple(map(float, best_z)),
-                    level_values=tuple(level_values), stable=stable)
+                    level_values=tuple(level_values))
 
 
 def check_packing_general(body: geom.ConvexBody, family, r: int,

@@ -32,6 +32,7 @@ UNIT_CHORD = "unit_chord"   # density (1/pi) (r^2 - rho^2)^(-1/2): every chord i
 RADIUS_SCALED = "radius_scaled"  # 1/(pi r) scaling: a chord of disk j integrates to 1/r_j
 
 HULL_ARC_POINTS = 256       # inscribed-polygon resolution for hull membership
+SUPPORT_TOL = 1e-9          # slack of a plank's base against the hull's support range
 
 
 def _plane_vector(value, field: str) -> np.ndarray:
@@ -94,6 +95,23 @@ class DiskFamily:
         except QhullError as exc:
             raise DomainError("disk family hull is numerically degenerate") from exc
         return geom.Polytope(pts[hull.vertices])
+
+    @cached_property
+    def _hull_samples(self) -> dict:
+        return {}
+
+    def hull_sample(self, n: int, seed: int) -> np.ndarray:
+        """n uniform points of ``hull`` from ``default_rng(seed)``, read-only.
+
+        The last draw is kept, so the packing and ridge checks of one instance
+        share a single sample.
+        """
+        memo = self._hull_samples
+        if (n, seed) not in memo:
+            pts = geom.sample_in_body(self.hull, n, np.random.default_rng(seed))
+            memo.clear()
+            memo[n, seed] = geom._freeze(pts)
+        return memo[n, seed]
 
     def to_json(self) -> dict:
         return {"disks": [{"center": d.center.tolist(), "radius": d.radius}
@@ -457,8 +475,7 @@ def exact_plank_multiplicity(family: DiskFamily, planks,
             best = int(counts[k])
             witness = tuple(map(float, cand[inside][k]))
     if mc_samples > 0:
-        rng = np.random.default_rng(seed)
-        pts = geom.sample_in_body(hull, mc_samples, rng)
+        pts = family.hull_sample(mc_samples, seed)
         counts = _strict_counts(planks, pts)
         k = int(np.argmax(counts))
         if counts[k] > best:
@@ -468,13 +485,12 @@ def exact_plank_multiplicity(family: DiskFamily, planks,
 
 
 def verify_plank_packing(family: DiskFamily, planks, r: int,
-                         mc_samples: int = 20_000, seed: int = 0,
-                         tol: float = 1e-9) -> tuple[bool, str]:
+                         mc_samples: int = 20_000, seed: int = 0) -> tuple[bool, str]:
     """Exact-arrangement packing check for planks inside the hull."""
     for i, p in enumerate(planks):
         lo = -family.support(-p.u)
         hi = family.support(p.u)
-        if p.a < lo - tol or p.b > hi + tol:
+        if p.a < lo - SUPPORT_TOL or p.b > hi + SUPPORT_TOL:
             return False, f"plank {i} base leaves the support range"
     mult, witness = exact_plank_multiplicity(family, planks,
                                              mc_samples=mc_samples, seed=seed)
@@ -594,8 +610,7 @@ def check_ridge_mass(family: DiskFamily, planks, r: int,
     """
     planks = list(planks)
     ridges = [RidgeFunction(p.u, p.a, p.b, 1.0 / r) for p in planks]
-    rng = np.random.default_rng(seed)
-    pts = geom.sample_in_body(family.hull, n_samples, rng)
+    pts = family.hull_sample(n_samples, seed)
     sums = np.zeros(len(pts))
     for g in ridges:
         sums += g(pts @ g.u)

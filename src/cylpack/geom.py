@@ -33,6 +33,7 @@ from .errors import (
 ORTHO_TOL = 1e-12   # frame invariant: unit columns, vanishing cross products
 PIVOT_TOL = 1e-10   # relative dependence threshold in orthonormalization
 FACE_LAMBDA_TOL = 1e-12  # barycentric slack for a flat meeting a face simplex
+SAMPLE_CHUNK = 1024      # proposal rows per polytope membership test in sample_in_body
 
 
 def _as_points(vectors) -> np.ndarray:
@@ -427,8 +428,13 @@ def sample_in_body(body: ConvexBody, n: int, rng: np.random.Generator,
     """n points sampled uniformly from the body.
 
     Balls and ellipsoids are sampled directly; polytopes by bounding-box
-    rejection.  Raises SamplingFailure when the observed acceptance rate drops
-    below ``min_acceptance``.
+    rejection.  Each round draws a ``max(4 * (n - filled), 1024)``-row
+    proposal block from ``rng`` (so the RNG stream, the points returned and
+    the generator state afterwards are those of testing the whole block at
+    once), but tests it in ``SAMPLE_CHUNK``-row chunks and stops testing once
+    n points are accepted, so the temporary stays ``SAMPLE_CHUNK x F``.
+    Raises SamplingFailure when the observed acceptance rate, counted over
+    whole proposal blocks, drops below ``min_acceptance``.
     """
     d = body.dim
     if isinstance(body, Ball):
@@ -443,11 +449,15 @@ def sample_in_body(body: ConvexBody, n: int, rng: np.random.Generator,
     while filled < n:
         block = max(4 * (n - filled), 1024)
         pts = rng.uniform(lo, hi, size=(block, d))
-        pts = pts[contains_points(body, pts)]
         proposed += block
-        take = min(len(pts), n - filled)
-        out[filled:filled + take] = pts[:take]
-        filled += take
+        for start in range(0, block, SAMPLE_CHUNK):
+            chunk = pts[start:start + SAMPLE_CHUNK]
+            chunk = chunk[contains_points(body, chunk)]
+            take = min(len(chunk), n - filled)
+            out[filled:filled + take] = chunk[:take]
+            filled += take
+            if filled == n:
+                break
         if proposed >= 50_000 and filled / proposed < min_acceptance:
             raise SamplingFailure(
                 f"rejection acceptance {filled / proposed:.2e} below {min_acceptance:.0e}")

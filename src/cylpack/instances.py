@@ -316,8 +316,13 @@ def parse_instance(obj: dict) -> dict:
                 "r": r, "raw": obj}
     body = geom.body_from_json(obj["body"])
     family = [cylinders.cylinder_from_json(c) for c in obj["cylinders"]]
+    k = int(obj["k"])
+    # the CLI picks the checker from k, so it must be every cylinder's codimension
+    if any(c.k != k for c in family):
+        raise DomainError(f"instance k={k} disagrees with the cylinder codimensions "
+                          f"{sorted({c.k for c in family})}")
     return {"kind": kind, "body": body, "family": family,
-            "r": r, "k": int(obj["k"]), "raw": obj}
+            "r": r, "k": k, "raw": obj}
 
 
 def dump_json(obj, path) -> None:

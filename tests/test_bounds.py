@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from cylpack import bounds, cappack, cylinders, geom, instances, multiplicity
-from cylpack.errors import DomainError, NotACovering, NotAPacking
+from cylpack.errors import (DomainError, NotACovering, NotAPacking,
+                            SliceEstimateUnstable)
 
 BALL2 = geom.Ball(np.zeros(2), 1.0)
 BALL3 = geom.Ball(np.zeros(3), 1.0)
@@ -209,7 +210,32 @@ def test_max_translate_slice_ball_exact():
     frame = geom.orthonormalize(np.eye(3)[:1])  # slice along x-axis lines
     out = bounds.max_translate_slice(BALL3, frame)
     assert out.value == pytest.approx(2.0, rel=1e-9)
-    assert out.stable
+
+
+# a criterion-6 polytope (d = 4, interval slices) whose last grid refinement
+# moves the slice maximum by 5.2%, past SLICE_INSTABILITY_BAND
+UNSTABLE_VERTICES = [
+    [0.8128416106494756, -0.14906608473442182, -0.13945421561807486, 1.1657475129399153],
+    [0.18809862065839306, 0.3830609340677481, 0.588501256734581, 0.9992366014826984],
+    [0.8685925590308926, 1.1637043842915182, 1.0298921472270344, -1.0767667166814074],
+    [0.3489867217988547, -1.7028809072905984, -0.7120229074593658, -0.9521579749551138],
+    [-0.5441759823134107, -0.8215074497125336, 0.6174121207589423, -1.3210573299994548],
+    [0.4834275409267149, 2.263288616567191, 2.001428952024651, 1.020225729864999],
+    [-0.8884649847472124, -0.2766493344022921, -0.6730556092982838, 1.2043699872974611],
+    [1.4608460859473742, -1.4538688357142218, -0.20233402730135727, -1.3415310433407786],
+]
+UNSTABLE_FRAME = [
+    [1.5414116595780374, 1.1119692502815641, 0.7756852305240205, 0.0635356786154188],
+    [1.8127308754366804, -0.853813146252506, 0.2747782146373295, -0.40710262105788403],
+    [0.9581831066299249, -0.14168166290710243, 0.9490937797061745, 0.3014170531318306],
+]
+
+
+def test_max_translate_slice_unstable_refinement_raises():
+    poly = geom.Polytope(np.array(UNSTABLE_VERTICES))
+    frame = geom.orthonormalize(np.array(UNSTABLE_FRAME))
+    with pytest.raises(SliceEstimateUnstable, match="5.2%"):
+        bounds.check_rogers_shephard(poly, frame)
 
 
 # --- base-volume bound ---------------------------------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cylpack import cli, cylinders, falconer, geom, instances, multiplicity
-from conftest import construct_all
+from conftest import CONSTRUCT_KINDS, construct_all
 
 
 # --- generators ----------------------------------------------------------------
@@ -123,15 +123,34 @@ def _set_r(value):
     return mutate
 
 
-@pytest.mark.parametrize("mutate", [_set_nan_center, _set_inf_disk_radius,
-                                    _set_r(0), _set_r(-3), _set_r(math.inf),
-                                    _set_r(1e300)],
-                         ids=["nan-center", "inf-disk-radius", "r=0", "r=-3",
-                              "r=inf", "r=1e300"])
-def test_cli_verify_invalid_fields_exit2(tmp_path, capsys, mutate):
+def _set_k(obj):
+    obj["k"] = 7  # the cylinders keep codimension 2
+
+
+def _ball_packing(tmp_path):
     ball = geom.Ball(np.zeros(3), 1.0)
     fam = instances.random_base_packing(ball, 1, 2, 1, seed=0, base_kind="disk")
-    obj = instances.packing_instance(ball, fam, 1, {"generator": "test", "seed": 0})
+    return instances.packing_instance(ball, fam, 1, {"generator": "test", "seed": 0})
+
+
+def _ellipsoid_packing(tmp_path):
+    path = tmp_path / "pack4.json"
+    assert cli.main(["construct", "--kind", "packing", "--dim", "4", "--k", "2",
+                     "--seed", "3", "--out", str(path)]) == 0
+    return instances.load_json(path)
+
+
+@pytest.mark.parametrize("build,mutate",
+                         [(_ball_packing, _set_nan_center),
+                          (_ball_packing, _set_inf_disk_radius),
+                          (_ball_packing, _set_r(0)), (_ball_packing, _set_r(-3)),
+                          (_ball_packing, _set_r(math.inf)),
+                          (_ball_packing, _set_r(1e300)),
+                          (_ellipsoid_packing, _set_k)],
+                         ids=["nan-center", "inf-disk-radius", "r=0", "r=-3",
+                              "r=inf", "r=1e300", "k=7"])
+def test_cli_verify_invalid_fields_exit2(tmp_path, capsys, build, mutate):
+    obj = build(tmp_path)
     mutate(obj)
     inst = tmp_path / "bad.json"
     instances.dump_json(obj, inst)
@@ -354,6 +373,39 @@ def test_cli_samples_each_instance_once(tmp_path, monkeypatch, capsys):
     cli.main(["verify", str(files["ns"]), "--samples", "2000"])
     assert calls == []
     capsys.readouterr()
+
+
+def test_cli_draws_each_hull_sample_once(tmp_path, monkeypatch, capsys):
+    paths = []
+    for seed in (4, 5):
+        path = tmp_path / f"ns{seed}.json"
+        assert cli.main(["construct", *CONSTRUCT_KINDS["ns"], "--seed", str(seed),
+                         "--out", str(path)]) == 0
+        paths.append(str(path))
+    real = geom.sample_in_body
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(geom, "sample_in_body", counting)
+    runs = [["verify", paths[0]], ["bounds", *paths]]
+    outputs = []
+    for argv in runs:
+        calls.clear()
+        assert cli.main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+        assert len(calls) == len(argv) - 1, argv
+
+    # one fresh draw per check gives the same bytes
+    def fresh(family, n, seed):
+        return real(family.hull, n, np.random.default_rng(seed))
+
+    monkeypatch.setattr(falconer.DiskFamily, "hull_sample", fresh)
+    for argv, want in zip(runs, outputs):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == want
 
 
 def test_cli_reports_leave_out_evidence(tmp_path, capsys):
