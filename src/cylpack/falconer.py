@@ -5,17 +5,14 @@ splits them into two nonempty groups.  For non-separable families the sum of
 widths of any r-fold plank packing of the hull is at most r times the sum of
 the disk diameters; the machinery here decides separability exactly, certifies
 the circumradius of the hull, and verifies the width bound together with its
-ridge-function and variational ingredients.
+ridge-function and variational ingredients.  Every plank-packing check runs
+on the exact hull of the disks and samples nothing.
 """
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
-from scipy import integrate
-from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, QhullError
 
 from . import geom
 from .bounds import GE, LE, BoundReport, instance_digest, make_report
@@ -31,8 +28,8 @@ from .errors import (
 UNIT_CHORD = "unit_chord"   # density (1/pi) (r^2 - rho^2)^(-1/2): every chord integrates to 1
 RADIUS_SCALED = "radius_scaled"  # 1/(pi r) scaling: a chord of disk j integrates to 1/r_j
 
-HULL_ARC_POINTS = 256       # inscribed-polygon resolution for hull membership
 SUPPORT_TOL = 1e-9          # slack of a plank's base against the hull's support range
+ON_LINE = 1e-12             # relative gap and slope at which two boundary lines coincide
 
 
 def _plane_vector(value, field: str) -> np.ndarray:
@@ -82,37 +79,6 @@ class DiskFamily:
         u = np.asarray(u, dtype=float)
         return float(np.max(self.centers @ u + self.radii))
 
-    @cached_property
-    def hull(self) -> geom.Polytope:
-        """Inscribed polygon of the hull; used for membership and sampling."""
-        theta = np.linspace(0.0, 2.0 * math.pi, HULL_ARC_POINTS, endpoint=False)
-        ring = np.column_stack([np.cos(theta), np.sin(theta)])
-        pts = np.vstack([d.center + d.radius * ring for d in self.disks
-                         if d.radius > 0] +
-                        [d.center[None, :] for d in self.disks])
-        try:
-            hull = ConvexHull(pts)
-        except QhullError as exc:
-            raise DomainError("disk family hull is numerically degenerate") from exc
-        return geom.Polytope(pts[hull.vertices])
-
-    @cached_property
-    def _hull_samples(self) -> dict:
-        return {}
-
-    def hull_sample(self, n: int, seed: int) -> np.ndarray:
-        """n uniform points of ``hull`` from ``default_rng(seed)``, read-only.
-
-        The last draw is kept, so the packing and ridge checks of one instance
-        share a single sample.
-        """
-        memo = self._hull_samples
-        if (n, seed) not in memo:
-            pts = geom.sample_in_body(self.hull, n, np.random.default_rng(seed))
-            memo.clear()
-            memo[n, seed] = geom._freeze(pts)
-        return memo[n, seed]
-
     def to_json(self) -> dict:
         return {"disks": [{"center": d.center.tolist(), "radius": d.radius}
                           for d in self.disks]}
@@ -155,8 +121,10 @@ def _gap_offset(centers: np.ndarray, radii: np.ndarray, u: np.ndarray,
     return None
 
 
-def _critical_angles(centers: np.ndarray, radii: np.ndarray) -> list[float]:
-    out = set()
+def _pair_angles(centers: np.ndarray, radii: np.ndarray, offsets) -> list[float]:
+    """Angles of the unit normals v with (c_i - c_j).v = w, over the pairs
+    i < j and each w in ``offsets(r_i, r_j)``."""
+    out = []
     n = len(radii)
     for i in range(n):
         for j in range(i + 1, n):
@@ -165,13 +133,17 @@ def _critical_angles(centers: np.ndarray, radii: np.ndarray) -> list[float]:
             if rho < 1e-15:
                 continue
             psi = math.atan2(v[1], v[0])
-            for w in (radii[i] + radii[j], -(radii[i] + radii[j]),
-                      radii[i] - radii[j], radii[j] - radii[i]):
+            for w in offsets(radii[i], radii[j]):
                 val = w / rho
                 if abs(val) <= 1.0:
-                    a = math.acos(max(-1.0, min(1.0, val)))
-                    out.add((psi + a) % math.pi)
-                    out.add((psi - a) % math.pi)
+                    a = math.acos(val)
+                    out += [psi + a, psi - a]
+    return out
+
+
+def _critical_angles(centers: np.ndarray, radii: np.ndarray) -> list[float]:
+    out = {a % math.pi for a in _pair_angles(
+        centers, radii, lambda ri, rj: (ri + rj, -(ri + rj), ri - rj, rj - ri))}
     merged: list[float] = []
     for angle in sorted(out):
         if not merged or angle - merged[-1] > 1e-9:
@@ -313,8 +285,8 @@ def circumradius(family: DiskFamily, seed: int = 0) -> EnclosingCircle:
     Incremental Welzl-style pass over shuffled disks: whenever a disk falls
     outside the current circle it joins the boundary basis and the prefix is
     re-solved, so the output is determined by at most three internally tangent
-    support disks.  A containment post-check falls back to exhaustive basis
-    enumeration on (unreached in practice) degenerate inputs.
+    support disks.  A containment post-check raises ``DomainError`` if the
+    result still leaves a disk outside.
     """
     import random as _random
 
@@ -332,33 +304,88 @@ def circumradius(family: DiskFamily, seed: int = 0) -> EnclosingCircle:
 
     x, radius, basis = solve(order, [])
     if not all(_disk_in_circle(d, x, radius, tol=1e-10) for d in family.disks):
-        x, radius, basis = _brute_force_circle(family)
+        raise DomainError("the enclosing circle leaves a disk outside")
     return EnclosingCircle(center=(float(x[0]), float(x[1])),
                            radius=float(radius),
                            support=tuple(sorted(i for i, _ in basis)))
 
 
-def _brute_force_circle(family: DiskFamily):
-    # subset enumeration fallback; only reachable on degenerate inputs
-    from itertools import combinations
+# ---------------------------------------------------------------------------
+# exact hull of the disks
 
-    items = list(enumerate(family.disks))
-    best = None
-    for size in (1, 2, 3):
-        for subset in combinations(items, size):
-            x, radius = _smallest_circle_of(list(subset))
-            if radius < 0:
-                continue
-            if all(_disk_in_circle(d, x, radius, tol=1e-10) for d in family.disks):
-                if best is None or radius < best[1]:
-                    best = (x, radius, list(subset))
-    if best is None:
-        raise DomainError("could not determine an enclosing circle")
-    return best
+
+def _unit(theta: float) -> np.ndarray:
+    return np.array([math.cos(theta), math.sin(theta)])
+
+
+def _hull_polygon(family: DiskFamily) -> np.ndarray:
+    """Rows (n_x, n_y, offset) of halfplanes n.x <= offset.
+
+    The support function h(v) = max_i(c_i.v + r_i) changes its extreme disk
+    only at outer-bitangent normals, where c_i.v + r_i = c_j.v + r_j.  So the
+    hull boundary is the extreme disk's arc between consecutive such normals,
+    joined by bitangent segments, and the hull is the union of the disks and
+    the polygon of the arc endpoints.  That polygon is cut out by each
+    bitangent line and each arc's chord line; it is empty (no rows) when a
+    single arc remains, that is, when one disk holds all the others.
+    """
+    centers, radii = family.centers, family.radii
+    angles = sorted({a % (2.0 * math.pi) for a in _pair_angles(
+        centers, radii, lambda ri, rj: (rj - ri,))})
+    arcs: list[list] = []  # [extreme disk, start angle, end angle]
+    for lo, hi in zip(angles, angles[1:] + [a + 2.0 * math.pi for a in angles[:1]]):
+        disk = int(np.argmax(centers @ _unit((lo + hi) / 2.0) + radii))
+        if arcs and arcs[-1][0] == disk:
+            arcs[-1][2] = hi
+        else:
+            arcs.append([disk, lo, hi])
+    if len(arcs) > 1 and arcs[0][0] == arcs[-1][0]:
+        arcs[0][1] = arcs.pop()[1] - 2.0 * math.pi
+    rows = []
+    if len(arcs) > 1:
+        for disk, lo, hi in arcs:
+            v = _unit((lo + hi) / 2.0)
+            rows.append([*v, centers[disk] @ v + radii[disk] * math.cos((hi - lo) / 2.0)])
+            v = _unit(hi)
+            rows.append([*v, family.support(v)])
+    rows = np.asarray(rows, dtype=float).reshape(-1, 3)
+    if not np.all(np.isfinite(rows)):
+        raise DomainError("disk family hull is not finite in double precision")
+    return rows
+
+
+def _chord(family: DiskFamily, polygon: np.ndarray, point: np.ndarray,
+           direction: np.ndarray) -> tuple[float, float] | None:
+    """Range of t with point + t * direction in the hull (direction a unit
+    vector), or None when the line meets the hull in at most one point.
+
+    The hull is the union of the disks and the polygon, and that union is
+    convex, so its chord runs from the lowest to the highest end of theirs.
+    """
+    normal = np.array([-direction[1], direction[0]])
+    rel = family.centers - point
+    with np.errstate(over="ignore", invalid="ignore"):
+        room2 = family.radii ** 2 - (rel @ normal) ** 2
+        hit = room2 >= 0
+        half, mid = np.sqrt(room2[hit]), (rel @ direction)[hit]
+        ends = [mid - half, mid + half]
+        slope = polygon[:, :2] @ direction
+        room = polygon[:, 2] - polygon[:, :2] @ point
+        if len(polygon) and np.all(room[slope == 0] >= 0):
+            lo = np.max(room[slope < 0] / slope[slope < 0])
+            hi = np.min(room[slope > 0] / slope[slope > 0])
+            if lo <= hi:
+                ends += [[lo], [hi]]
+    ends = np.concatenate(ends)
+    if not (np.all(np.isfinite(room2)) and np.all(np.isfinite(ends))):
+        raise DomainError("disk family hull chord is not finite in double precision")
+    if not len(ends) or np.min(ends) >= np.max(ends):
+        return None
+    return float(np.min(ends)), float(np.max(ends))
 
 
 # ---------------------------------------------------------------------------
-# planks, ridge functions, exact multiplicity
+# planks and exact multiplicity
 
 
 @dataclass(frozen=True, eq=False)
@@ -393,107 +420,70 @@ def plank_from_json(obj: dict) -> Plank2D:
     return Plank2D(np.asarray(obj["u"], dtype=float), float(a), float(b))
 
 
-@dataclass(frozen=True, eq=False)
-class RidgeFunction:
-    """t -> scale * indicator of [a, b], composed with <x, u>."""
+def exact_plank_multiplicity(family: DiskFamily, planks) -> tuple[int, tuple]:
+    """Largest open-plank multiplicity over the hull, with a witness point.
 
-    u: np.ndarray
-    a: float
-    b: float
-    scale: float
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.scale * ((t >= self.a) & (t <= self.b))
-
-    def at_point(self, x) -> float:
-        return float(self(np.asarray(x, dtype=float) @ self.u))
-
-    def integral(self) -> float:
-        return self.scale * (self.b - self.a)
-
-
-def _strict_counts(planks, pts: np.ndarray, margin: float = 1e-12) -> np.ndarray:
-    counts = np.zeros(len(pts), dtype=np.int32)
-    for p in planks:
-        t = pts @ p.u
-        counts += (t > p.a + margin) & (t < p.b - margin)
-    return counts
-
-
-def exact_plank_multiplicity(family: DiskFamily, planks,
-                             mc_samples: int = 20_000, seed: int = 0,
-                             ) -> tuple[int, tuple]:
-    """Largest strict strip multiplicity over the hull.
-
-    The strip boundaries cut the plane into an arrangement whose cells carry
-    constant multiplicity, so the maximum is attained at cell interior points:
-    evaluation points are taken next to every boundary-line intersection, along
-    every boundary line clipped to the hull, and at the hull centroid, then a
-    Monte Carlo pass is folded in as a safety net.
+    The plank boundary lines cut the hull into arrangement cells of constant
+    multiplicity.  When some line crosses the hull interior, every cell that
+    meets the interior borders such a line's chord between two consecutive
+    crossings with the other lines; otherwise the hull is one cell.  So the
+    count on both sides of every sub-segment midpoint, plus the count at one
+    interior point, visits every cell.  A boundary line that coincides with
+    the chord's own line (within ``ON_LINE``, as shared plank boundaries do)
+    is decided by the side, not by comparing offsets.  The witness lies in
+    the hull and in exactly the returned number of open planks.
     """
     planks = list(planks)
-    hull = family.hull
-    circ = circumradius(family)
-    scale = max(circ.radius, 1.0)
-    eps = 1e-7 * scale
-    candidates = [hull.centroid]
-    lines = [(p.u, t) for p in planks for t in (p.a, p.b)]
-    for i in range(len(lines)):
-        u1, s1 = lines[i]
-        d1 = np.array([-u1[1], u1[0]])
-        # samples along the line, clipped to the hull, nudged to both sides
-        base_pt = s1 * u1
-        eq = hull.equations
-        denom = eq[:, :-1] @ d1
-        numer = -(eq[:, -1] + eq[:, :-1] @ base_pt)
-        t_hi = np.min(numer[denom > 1e-12] / denom[denom > 1e-12]) \
-            if np.any(denom > 1e-12) else None
-        t_lo = np.max(numer[denom < -1e-12] / denom[denom < -1e-12]) \
-            if np.any(denom < -1e-12) else None
-        if t_hi is not None and t_lo is not None and t_hi > t_lo:
-            for t in np.linspace(t_lo, t_hi, 25):
-                for side in (eps, -eps):
-                    candidates.append(base_pt + t * d1 + side * u1)
-        for j in range(i + 1, len(lines)):
-            u2, s2 = lines[j]
-            mat = np.array([u1, u2])
-            if abs(np.linalg.det(mat)) < 1e-12:
-                continue
-            p = np.linalg.solve(mat, np.array([s1, s2]))
-            for sa in (eps, -eps):
-                for sb in (eps, -eps):
-                    candidates.append(p + sa * u1 + sb * u2)
-    cand = np.asarray(candidates)
-    inside = geom.contains_points(hull, cand, tol=-1e-9 * scale)
-    best = 0
-    witness = tuple(map(float, hull.centroid))
-    if np.any(inside):
-        counts = _strict_counts(planks, cand[inside])
-        k = int(np.argmax(counts))
-        if counts[k] > best:
-            best = int(counts[k])
-            witness = tuple(map(float, cand[inside][k]))
-    if mc_samples > 0:
-        pts = family.hull_sample(mc_samples, seed)
-        counts = _strict_counts(planks, pts)
-        k = int(np.argmax(counts))
-        if counts[k] > best:
-            best = int(counts[k])
-            witness = tuple(map(float, pts[k]))
-    return best, witness
+    normals = np.asarray([p.u for p in planks]).reshape(-1, 2)
+    lows = np.asarray([p.a for p in planks])
+    highs = np.asarray([p.b for p in planks])
+    polygon = _hull_polygon(family)
+    inner = np.mean(family.centers, axis=0)  # interior: a mix of disk centers
+    t = normals @ inner
+    best, cell = int(np.sum((t > lows) & (t < highs))), None
+    for u, s in [(p.u, s) for p in planks for s in (p.a, p.b)]:
+        d = np.array([-u[1], u[0]])
+        chord = _chord(family, polygon, s * u, d)
+        if chord is None or not -family.support(-u) < s < family.support(u):
+            continue  # the line misses the hull interior
+        slope, along = normals @ d, normals @ u
+        crossing = np.abs(slope) > ON_LINE
+        cuts = ((np.concatenate([lows[crossing], highs[crossing]])
+                 - s * np.tile(along[crossing], 2)) / np.tile(slope[crossing], 2))
+        cuts = cuts[(cuts > chord[0]) & (cuts < chord[1])]
+        ts = np.unique(np.concatenate([chord, cuts]))
+        mids = s * u + ((ts[:-1] + ts[1:]) / 2.0)[:, None] * d
+        t = mids @ normals.T
+        on_line = ON_LINE * max(1.0, abs(s))
+        on_low = ~crossing & (np.abs(lows - s * along) <= on_line)
+        on_high = ~crossing & (np.abs(highs - s * along) <= on_line)
+        for side in (1.0, -1.0):
+            inside = (np.where(on_low, side * along > 0, t > lows)
+                      & np.where(on_high, side * along < 0, t < highs))
+            counts = inside.sum(axis=1)
+            k = int(np.argmax(counts))
+            if counts[k] > best:
+                best = int(counts[k])
+                cell = (mids[k], side * u, on_low, on_high)
+    if cell is None:
+        return best, tuple(map(float, inner))
+    # step off the midpoint into its cell: half way to the nearest other
+    # boundary line or to the hull boundary
+    mid, step, on_low, on_high = cell
+    t = normals @ mid
+    gaps = np.concatenate([np.abs(t - lows)[~on_low], np.abs(t - highs)[~on_high],
+                           [_chord(family, polygon, mid, step)[1]]])
+    return best, tuple(map(float, mid + 0.5 * float(np.min(gaps)) * step))
 
 
-def verify_plank_packing(family: DiskFamily, planks, r: int,
-                         mc_samples: int = 20_000, seed: int = 0) -> tuple[bool, str]:
-    """Exact-arrangement packing check for planks inside the hull."""
+def verify_plank_packing(family: DiskFamily, planks, r: int) -> tuple[bool, str]:
+    """Packing check for planks inside the hull, exact on arrangement cells."""
     for i, p in enumerate(planks):
         lo = -family.support(-p.u)
         hi = family.support(p.u)
         if p.a < lo - SUPPORT_TOL or p.b > hi + SUPPORT_TOL:
             return False, f"plank {i} base leaves the support range"
-    mult, witness = exact_plank_multiplicity(family, planks,
-                                             mc_samples=mc_samples, seed=seed)
+    mult, witness = exact_plank_multiplicity(family, planks)
     if mult > r:
         return False, f"multiplicity {mult} at {witness} exceeds r={r}"
     return True, ""
@@ -504,7 +494,6 @@ def verify_plank_packing(family: DiskFamily, planks, r: int,
 
 
 def check_width_sum(family: DiskFamily, planks, r: int,
-                    mc_samples: int = 20_000, seed: int = 0,
                     ) -> tuple[BoundReport, BoundReport]:
     """Width bound for plank packings of a non-separable family's hull.
 
@@ -514,8 +503,7 @@ def check_width_sum(family: DiskFamily, planks, r: int,
     separable, line = is_separable(family)
     if separable:
         raise NotNS(f"family is separable by the line {line}")
-    ok, reason = verify_plank_packing(family, planks, r,
-                                      mc_samples=mc_samples, seed=seed)
+    ok, reason = verify_plank_packing(family, planks, r)
     if not ok:
         raise NotAPacking(reason)
     widths = float(sum(p.width for p in planks))
@@ -543,16 +531,13 @@ def _chord_half_length(disk: Disk, s: float, u: np.ndarray) -> float:
 
 
 def sectional_integral(family: DiskFamily, s: float, u,
-                       mode: str = UNIT_CHORD,
-                       quadrature: bool = False) -> float:
+                       mode: str = UNIT_CHORD) -> float:
     """Integral of the family density over the line <x, u> = s inside the hull.
 
     In unit-chord mode every disk whose open interior the line crosses
     contributes exactly 1 (the arcsine integral of the inverse-square-root
     profile), so the value counts crossed disks; the radius-scaled normalization
-    contributes 1/radius instead.  With ``quadrature=True`` the per-disk chord
-    integrals are evaluated numerically (after the arcsine substitution) as a
-    cross-check.
+    contributes 1/radius instead.
     """
     u = np.asarray(u, dtype=float)
     u = u / np.linalg.norm(u)
@@ -560,18 +545,8 @@ def sectional_integral(family: DiskFamily, s: float, u,
         raise LineMissesBody("section line misses the interior of the hull")
     total = 0.0
     for disk in family.disks:
-        h = _chord_half_length(disk, s, u)
-        if h <= 0.0:
-            continue
-        weight = 1.0 if mode == UNIT_CHORD else 1.0 / disk.radius
-        if quadrature:
-            val, _ = integrate.quad(
-                lambda th, hh=h: (1.0 / math.pi) * hh * math.cos(th)
-                / math.sqrt(max(hh * hh * (1.0 - math.sin(th) ** 2), 1e-300)),
-                -math.pi / 2.0, math.pi / 2.0, epsabs=1e-10, epsrel=1e-10)
-            total += weight * val
-        else:
-            total += weight
+        if _chord_half_length(disk, s, u) > 0.0:
+            total += 1.0 if mode == UNIT_CHORD else 1.0 / disk.radius
     return total
 
 
@@ -580,51 +555,30 @@ def disk_mass(disk: Disk, mode: str = UNIT_CHORD) -> float:
     return 2.0 * disk.radius if mode == UNIT_CHORD else 2.0
 
 
-def disk_mass_quadrature(disk: Disk, mode: str = UNIT_CHORD) -> float:
-    """Radial quadrature of the same mass, via the sine substitution."""
-    r = disk.radius
-    norm = 1.0 / math.pi if mode == UNIT_CHORD else 1.0 / (math.pi * r)
-
-    def integrand(psi: float) -> float:
-        # rho = r sin(psi); weight (r^2 - rho^2)^(-1/2) = 1/(r cos(psi))
-        return norm * 2.0 * math.pi * (r * math.sin(psi)) * r * math.cos(psi) \
-            / (r * math.cos(psi))
-
-    val, _ = integrate.quad(integrand, 0.0, math.pi / 2.0,
-                            epsabs=1e-10, epsrel=1e-10)
-    return val
-
-
 def total_mass(family: DiskFamily, mode: str = UNIT_CHORD) -> float:
     """Mass of the summed disk densities; the NS-diameter in unit-chord mode."""
     return float(sum(disk_mass(d, mode) for d in family.disks))
 
 
-def check_ridge_mass(family: DiskFamily, planks, r: int,
-                     n_samples: int = 20_000, seed: int = 0) -> BoundReport:
+def check_ridge_mass(family: DiskFamily, planks, r: int) -> BoundReport:
     """Ridge-function route to the width bound.
 
-    Scaled strip indicators must sum to at most 1 across the hull (the packing
-    hypothesis, checked on a dense sample with a witness on failure); their
-    total integrals are then bounded by the total mass of the family density.
+    The strip indicators scaled by 1/r must sum to at most 1 almost
+    everywhere on the hull, which is the open-cell multiplicity bound of the
+    exact arrangement sweep (with a witness on failure); their total
+    integrals are then bounded by the total mass of the family density.
     """
     planks = list(planks)
-    ridges = [RidgeFunction(p.u, p.a, p.b, 1.0 / r) for p in planks]
-    pts = family.hull_sample(n_samples, seed)
-    sums = np.zeros(len(pts))
-    for g in ridges:
-        sums += g(pts @ g.u)
-    worst = int(np.argmax(sums))
-    if sums[worst] > 1.0 + 1e-9:
-        raise PointwiseViolated(
-            f"ridge sum {sums[worst]:.6f} at {tuple(map(float, pts[worst]))}")
-    lhs = float(sum(g.integral() for g in ridges))
+    mult, witness = exact_plank_multiplicity(family, planks)
+    if mult > r:
+        raise PointwiseViolated(f"ridge sum {mult / r:.6f} at {witness}")
+    lhs = float(sum((1.0 / r) * (p.b - p.a) for p in planks))
     rhs = total_mass(family, UNIT_CHORD)
     digest = instance_digest({"family": family.to_json(),
                               "planks": [p.to_json() for p in planks], "r": r})
     return make_report("ridge_mass_bound", lhs, rhs, LE, digest,
-                       probabilistic=True,
-                       notes=f"pointwise bound checked on {n_samples} samples")
+                       probabilistic=False,
+                       notes="pointwise bound checked on arrangement cells")
 
 
 # ---------------------------------------------------------------------------
@@ -641,28 +595,6 @@ def minimal_profile_mass(moment: float, floor: float) -> float:
     if moment <= 0 or floor <= 0:
         raise DomainError("moment and floor must be positive")
     return math.sqrt(2.0 * moment * floor)
-
-
-def lp_profile_minimum(moment: float, floor: float, n_cutoffs: int = 33,
-                       n_cells: int = 400) -> float:
-    """Discretized minimizer: one small LP per cutoff grid value.
-
-    Independent check of :func:`minimal_profile_mass`; agreement within 1% is
-    the documented contract.
-    """
-    if moment <= 0 or floor <= 0:
-        raise DomainError("moment and floor must be positive")
-    a_star = math.sqrt(2.0 * moment / floor)
-    best = math.inf
-    for a in np.linspace(0.4 * a_star, 2.5 * a_star, n_cutoffs):
-        h = a / n_cells
-        t = (np.arange(n_cells) + 0.5) * h
-        res = linprog(np.full(n_cells, h),
-                      A_ub=-(t * h)[None, :], b_ub=[-moment],
-                      bounds=[(floor, None)] * n_cells, method="highs")
-        if res.success:
-            best = min(best, float(res.fun))
-    return best
 
 
 def check_mass_circumradius(family: DiskFamily) -> BoundReport:

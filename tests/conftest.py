@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from cylpack import cli, geom
 
@@ -41,3 +44,14 @@ def random_spd(d: int, rng: np.random.Generator,
     q, _ = np.linalg.qr(rng.standard_normal((d, d)))
     axes = rng.uniform(*axis_range, size=d)
     return q @ np.diag(1.0 / axes**2) @ q.T
+
+
+def inscribed_hull(family, arc_points: int = 256) -> geom.Polytope:
+    """Polygon spanned by ``arc_points`` equally spaced points on every disk
+    circle and the disk centers; it lies inside the hull of the disks."""
+    theta = np.linspace(0.0, 2.0 * math.pi, arc_points, endpoint=False)
+    ring = np.column_stack([np.cos(theta), np.sin(theta)])
+    pts = np.vstack([d.center + d.radius * ring for d in family.disks
+                     if d.radius > 0] +
+                    [d.center[None, :] for d in family.disks])
+    return geom.Polytope(pts[ConvexHull(pts).vertices])

@@ -1,0 +1,122 @@
+"""Independent numerical references for ``cylpack.falconer``.
+
+The discretized LP profile minimizer, the radial disk-mass quadrature and the
+per-chord quadrature of sectional integrals check the closed forms the
+package uses.  ``hull_grid`` with ``open_counts`` is a one-sided reference
+for the exact plank-arrangement sweep: it counts open planks only at grid
+points that are certainly in the hull, so it can miss thin cells but never
+reports a count that does not occur.
+"""
+
+import math
+
+import numpy as np
+from scipy import integrate
+from scipy.optimize import linprog
+
+from conftest import inscribed_hull
+from cylpack.errors import DomainError, LineMissesBody
+from cylpack.falconer import UNIT_CHORD, _chord_half_length
+
+ORACLE_ARC_POINTS = 4096
+
+
+def lp_profile_minimum(moment: float, floor: float, n_cutoffs: int = 33,
+                       n_cells: int = 400) -> float:
+    """Discretized minimizer: one small LP per cutoff grid value.
+
+    Independent check of :func:`minimal_profile_mass`; agreement within 1% is
+    the documented contract.
+    """
+    if moment <= 0 or floor <= 0:
+        raise DomainError("moment and floor must be positive")
+    a_star = math.sqrt(2.0 * moment / floor)
+    best = math.inf
+    for a in np.linspace(0.4 * a_star, 2.5 * a_star, n_cutoffs):
+        h = a / n_cells
+        t = (np.arange(n_cells) + 0.5) * h
+        res = linprog(np.full(n_cells, h),
+                      A_ub=-(t * h)[None, :], b_ub=[-moment],
+                      bounds=[(floor, None)] * n_cells, method="highs")
+        if res.success:
+            best = min(best, float(res.fun))
+    return best
+
+
+def disk_mass_quadrature(disk, mode: str = UNIT_CHORD) -> float:
+    """Radial quadrature of the same mass, via the sine substitution."""
+    r = disk.radius
+    norm = 1.0 / math.pi if mode == UNIT_CHORD else 1.0 / (math.pi * r)
+
+    def integrand(psi: float) -> float:
+        # rho = r sin(psi); weight (r^2 - rho^2)^(-1/2) = 1/(r cos(psi))
+        return norm * 2.0 * math.pi * (r * math.sin(psi)) * r * math.cos(psi) \
+            / (r * math.cos(psi))
+
+    val, _ = integrate.quad(integrand, 0.0, math.pi / 2.0,
+                            epsabs=1e-10, epsrel=1e-10)
+    return val
+
+
+def sectional_integral_quadrature(family, s: float, u,
+                                  mode: str = UNIT_CHORD) -> float:
+    """Sectional integral with the per-disk chord integrals evaluated
+    numerically (after the arcsine substitution)."""
+    u = np.asarray(u, dtype=float)
+    u = u / np.linalg.norm(u)
+    if not (-family.support(-u) + 1e-12 < s < family.support(u) - 1e-12):
+        raise LineMissesBody("section line misses the interior of the hull")
+    total = 0.0
+    for disk in family.disks:
+        h = _chord_half_length(disk, s, u)
+        if h <= 0.0:
+            continue
+        weight = 1.0 if mode == UNIT_CHORD else 1.0 / disk.radius
+        val, _ = integrate.quad(
+            lambda th, hh=h: (1.0 / math.pi) * hh * math.cos(th)
+            / math.sqrt(max(hh * hh * (1.0 - math.sin(th) ** 2), 1e-300)),
+            -math.pi / 2.0, math.pi / 2.0, epsabs=1e-10, epsrel=1e-10)
+        total += weight * val
+    return total
+
+
+def _in_convex_polygon(vertices, pts) -> np.ndarray:
+    """Closed membership, by the wedge of each point around the vertex mean."""
+    center = vertices.mean(axis=0)
+    angle = np.arctan2(*(vertices - center).T[::-1])
+    order = np.argsort(angle)
+    vertices, angle = vertices[order], angle[order]
+    k = np.searchsorted(angle, np.arctan2(*(pts - center).T[::-1])) % len(angle)
+    a, b = vertices[k - 1], vertices[k]
+    edge, rel = b - a, pts - a
+    return edge[:, 0] * rel[:, 1] - edge[:, 1] * rel[:, 0] >= 0
+
+
+def certainly_in_hull(family, pts) -> np.ndarray:
+    """Points inside some disk or inside the inscribed 4096-gon."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    dist = np.linalg.norm(pts[:, None, :] - family.centers[None], axis=2)
+    inside = np.any(dist <= family.radii, axis=1)
+    polygon = inscribed_hull(family, ORACLE_ARC_POINTS).vertices
+    inside[~inside] = _in_convex_polygon(polygon, pts[~inside])
+    return inside
+
+
+def hull_grid(family, n: int = 300) -> np.ndarray:
+    """The points of an n x n grid on the disks' bounding box that are
+    certainly in the hull."""
+    lo = np.min(family.centers - family.radii[:, None], axis=0)
+    hi = np.max(family.centers + family.radii[:, None], axis=0)
+    xs, ys = np.meshgrid(np.linspace(lo[0], hi[0], n), np.linspace(lo[1], hi[1], n))
+    pts = np.column_stack([xs.ravel(), ys.ravel()])
+    return pts[certainly_in_hull(family, pts)]
+
+
+def open_counts(planks, pts) -> np.ndarray:
+    """Number of open planks containing each point."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    counts = np.zeros(len(pts), dtype=int)
+    for p in planks:
+        t = pts @ p.u
+        counts += (t > p.a) & (t < p.b)
+    return counts

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import falconer_oracle
+from conftest import inscribed_hull
 from cylpack import falconer, geom, instances
 from cylpack.errors import (
     DomainError,
@@ -121,6 +123,15 @@ def test_circumradius_tangent_trio():
     assert max(out.tangency_residuals(TANGENT_TRIO)) <= 1e-10
 
 
+def test_circumradius_raises_when_a_disk_stays_outside(monkeypatch):
+    def too_small(support):
+        return np.zeros(2), 0.5
+
+    monkeypatch.setattr(falconer, "_smallest_circle_of", too_small)
+    with pytest.raises(DomainError):
+        falconer.circumradius(TANGENT_TRIO)
+
+
 def test_circumradius_contains_and_is_tight(rng):
     for seed in range(25):
         gen = np.random.default_rng(seed)
@@ -146,8 +157,7 @@ def test_ns_diameter():
 
 def test_width_bound_unit_disk_partition_equality():
     planks = instances.plank2d_partition(UNIT_DISK, 4)
-    width, radius = falconer.check_width_sum(UNIT_DISK, planks, 1,
-                                             mc_samples=4000, seed=1)
+    width, radius = falconer.check_width_sum(UNIT_DISK, planks, 1)
     assert width.passed and width.lhs == pytest.approx(2.0, abs=1e-12)
     assert width.rhs == pytest.approx(2.0, abs=1e-12)
     assert radius.passed and abs(radius.slack) <= 1e-12
@@ -155,8 +165,7 @@ def test_width_bound_unit_disk_partition_equality():
 
 def test_width_bound_tangent_trio():
     planks = instances.random_plank2d_packing(TANGENT_TRIO, 3, 2, seed=5)
-    width, radius = falconer.check_width_sum(TANGENT_TRIO, planks, 2,
-                                             mc_samples=4000, seed=1)
+    width, radius = falconer.check_width_sum(TANGENT_TRIO, planks, 2)
     assert width.passed
     assert radius.lhs == pytest.approx(2 * (2 / math.sqrt(3) + 1), abs=1e-9)
     assert radius.rhs == 6.0
@@ -171,27 +180,130 @@ def test_width_bound_requires_ns():
 def test_width_bound_requires_packing():
     planks = instances.plank2d_partition(UNIT_DISK, 3, r=2)
     with pytest.raises(NotAPacking):
-        falconer.check_width_sum(UNIT_DISK, planks, 1, mc_samples=4000, seed=1)
+        falconer.check_width_sum(UNIT_DISK, planks, 1)
 
 
-def test_exact_multiplicity_matches_monte_carlo(rng):
+def _random_planks(family, gen, n):
+    """n planks with random normals and random intervals inside the support
+    range; they overlap freely."""
+    planks = []
+    for _ in range(n):
+        theta = gen.uniform(0.0, 2.0 * math.pi)
+        u = np.array([math.cos(theta), math.sin(theta)])
+        a, b = np.sort(gen.uniform(-family.support(-u), family.support(u), 2))
+        planks.append(falconer.Plank2D(u, float(a), float(b)))
+    return planks
+
+
+def test_exact_multiplicity_matches_grid_oracle():
     for seed in range(30):
-        fam = instances.random_ns_family(4, seed=seed + 100)
-        planks = instances.random_plank2d_packing(fam, 3, 2, seed=seed)
-        exact, _ = falconer.exact_plank_multiplicity(fam, planks,
-                                                     mc_samples=0, seed=seed)
-        hull = fam.hull
-        pts = geom.sample_in_body(hull, 20_000, np.random.default_rng(seed))
-        mc = int(np.max(falconer._strict_counts(planks, pts)))
-        assert exact >= mc
-        assert exact <= 2  # r = 2 packings by construction
+        fam = instances.random_ns_family(3 + seed % 4, seed=seed + 100)
+        grid = falconer_oracle.hull_grid(fam)
+        cases = [(instances.random_plank2d_packing(fam, 3, r, seed=seed), r)
+                 for r in (1, 2, 3)]
+        cases.append((_random_planks(fam, np.random.default_rng(seed), 5), None))
+        for planks, r in cases:
+            mult, witness = falconer.exact_plank_multiplicity(fam, planks)
+            assert mult >= np.max(falconer_oracle.open_counts(planks, grid)), (seed, r)
+            if r is not None:
+                assert mult <= r, (seed, r)
+            assert falconer_oracle.certainly_in_hull(fam, witness)[0], (seed, r)
+            assert falconer_oracle.open_counts(planks, witness)[0] == mult, (seed, r)
+
+
+def test_thin_plank_at_the_hull_top_overlaps():
+    # the inscribed 256-gon used to cut this sliver off the top disk
+    fam = instances.random_ns_family(4, 3)
+    theta = 0.3 + math.pi / 256
+    u = np.array([math.cos(theta), math.sin(theta)])
+    top = fam.support(u)
+    planks = [falconer.Plank2D(u, -fam.support(-u), top),
+              falconer.Plank2D(u, top - 1e-5, top)]
+    mult, witness = falconer.exact_plank_multiplicity(fam, planks)
+    assert mult == 2
+    assert falconer_oracle.open_counts(planks, witness)[0] == 2
+    assert falconer_oracle.certainly_in_hull(fam, witness)[0]
+    with pytest.raises(NotAPacking):
+        falconer.check_width_sum(fam, planks, 1)
+
+
+@pytest.mark.parametrize("family", [UNIT_DISK, TANGENT_TRIO,
+                                    instances.random_ns_family(5, 7)],
+                         ids=["disk", "trio", "ns"])
+@pytest.mark.parametrize("r", [1, 2])
+def test_partition_multiplicity_is_exactly_r(family, r):
+    # the partition's planks share boundary lines, r copies of each
+    for direction in ((1.0, 0.0), (0.6, 0.8), (-0.28, 0.96)):
+        planks = instances.plank2d_partition(family, 4, r=r, direction=direction)
+        mult, witness = falconer.exact_plank_multiplicity(family, planks)
+        assert mult == r
+        assert falconer_oracle.open_counts(planks, witness)[0] == r
+
+
+def test_cell_on_the_low_side_of_all_its_lines_is_found():
+    # three planks meet in a triangle around (0.5, 0) that lies below each
+    # plank's upper line; their lower lines only touch the disk, and the
+    # interior point (the origin) is outside the triangle
+    planks = []
+    for theta in (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0):
+        u = np.array([math.cos(theta), math.sin(theta)])
+        planks.append(falconer.Plank2D(u, -UNIT_DISK.support(-u),
+                                       0.5 * u[0] + 0.2))
+    assert falconer_oracle.open_counts(planks, [0.0, 0.0])[0] == 1
+    mult, witness = falconer.exact_plank_multiplicity(UNIT_DISK, planks)
+    assert mult == 3
+    assert falconer_oracle.open_counts(planks, witness)[0] == 3
+
+
+def test_parallel_planks_stay_apart_in_a_huge_hull():
+    # one disk of radius 1e154 holds the others; the packing's parallel
+    # planks are 1e-154 of the hull's size apart and must not coincide
+    fam = instances.random_ns_family(4, 1)
+    huge = falconer.DiskFamily(
+        (falconer.Disk(fam.disks[0].center, 1e154),) + fam.disks[1:])
+    planks = instances.random_plank2d_packing(fam, 3, 2, seed=1)
+    mult, witness = falconer.exact_plank_multiplicity(huge, planks)
+    assert mult == 2
+    assert falconer_oracle.open_counts(planks, witness)[0] == 2
+
+
+def test_plank_around_the_whole_hull_counts_once():
+    # no boundary line meets the hull: the interior point decides
+    planks = [falconer.Plank2D(np.array([0.0, 1.0]), -5.0, 5.0)]
+    mult, witness = falconer.exact_plank_multiplicity(TANGENT_TRIO, planks)
+    assert mult == 1
+    assert falconer_oracle.certainly_in_hull(TANGENT_TRIO, witness)[0]
+
+
+def test_hull_chords_end_on_the_hull_boundary(rng):
+    # an end point q of a chord has max_v (v.q - h(v)) = 0; the maximum is
+    # taken over a dense circle of normals plus the outer-bitangent normals,
+    # where h has its kinks
+    theta = np.linspace(0.0, 2.0 * math.pi, 100_000, endpoint=False)
+    for n in range(1, 8):
+        radii = [0.5] + list(rng.uniform(0.0, 1.2, n - 1))
+        fam = falconer.DiskFamily(tuple(
+            falconer.Disk(rng.uniform(-2, 2, 2), float(r)) for r in radii))
+        kinks = falconer._pair_angles(fam.centers, fam.radii,
+                                      lambda ri, rj: (rj - ri,))
+        angles = np.concatenate([theta, kinks])
+        normals = np.column_stack([np.cos(angles), np.sin(angles)])
+        support = np.max(normals @ fam.centers.T + fam.radii, axis=1)
+        polygon = falconer._hull_polygon(fam)
+        for _ in range(20):
+            phi = rng.uniform(0.0, 2.0 * math.pi)
+            direction = np.array([math.cos(phi), math.sin(phi)])
+            point = fam.centers[0]  # inside the first disk, of radius 0.5
+            lo, hi = falconer._chord(fam, polygon, point, direction)
+            for t in (lo, hi):
+                excess = np.max(normals @ (point + t * direction) - support)
+                assert -1e-8 <= excess <= 1e-12, n
 
 
 def test_exact_multiplicity_detects_overlap():
     planks = [falconer.Plank2D(np.array([1.0, 0.0]), -0.5, 0.1),
               falconer.Plank2D(np.array([1.0, 0.0]), -0.1, 0.5)]
-    mult, witness = falconer.exact_plank_multiplicity(UNIT_DISK, planks,
-                                                      mc_samples=2000, seed=0)
+    mult, witness = falconer.exact_plank_multiplicity(UNIT_DISK, planks)
     assert mult == 2
     w = np.asarray(witness)
     assert -0.1 < w[0] < 0.1
@@ -201,8 +313,7 @@ def test_exact_multiplicity_detects_overlap():
 
 def test_sectional_integral_single_chord():
     assert falconer.sectional_integral(UNIT_DISK, 0.3, (1.0, 0.0)) == 1.0
-    quad = falconer.sectional_integral(UNIT_DISK, 0.3, (1.0, 0.0),
-                                       quadrature=True)
+    quad = falconer_oracle.sectional_integral_quadrature(UNIT_DISK, 0.3, (1.0, 0.0))
     assert quad == pytest.approx(1.0, abs=1e-8)
 
 
@@ -215,7 +326,7 @@ def test_sectional_integral_counts_crossings():
 def test_sectional_integral_positive_on_ns(rng):
     for seed in range(10):
         fam = instances.random_ns_family(4, seed=seed + 30)
-        hull = fam.hull
+        hull = inscribed_hull(fam)
         pts = geom.sample_in_body(hull, 200, np.random.default_rng(seed))
         for _ in range(50):
             a, b = pts[rng.integers(0, len(pts), size=2)]
@@ -247,29 +358,23 @@ def test_total_mass_is_ns_diameter():
     assert falconer.total_mass(TANGENT_TRIO) == pytest.approx(6.0)
     fam = disks(((0, 0), 1.5))
     assert falconer.total_mass(fam) == pytest.approx(3.0)
-    assert falconer.disk_mass_quadrature(fam.disks[0]) == pytest.approx(
+    assert falconer_oracle.disk_mass_quadrature(fam.disks[0]) == pytest.approx(
         3.0, abs=1e-8)
 
 
 # --- ridge functions -----------------------------------------------------------
 
-def test_ridge_function_values():
-    g = falconer.RidgeFunction(np.array([1.0, 0.0]), -0.5, 0.5, 0.5)
-    assert g.at_point([0.2, 9.0]) == 0.5
-    assert g.at_point([0.7, 0.0]) == 0.0
-    assert g.integral() == pytest.approx(0.5)
-
-
 def test_ridge_mass_partition_equality():
     planks = instances.plank2d_partition(UNIT_DISK, 4)
-    rep = falconer.check_ridge_mass(UNIT_DISK, planks, 1, n_samples=4000, seed=1)
+    rep = falconer.check_ridge_mass(UNIT_DISK, planks, 1)
     assert rep.passed and rep.lhs == pytest.approx(2.0, abs=1e-12)
     assert rep.rhs == pytest.approx(2.0, abs=1e-12)
+    assert not rep.probabilistic  # decided on the arrangement cells
 
 
 def test_ridge_mass_doubled_partition():
     planks = instances.plank2d_partition(UNIT_DISK, 4, r=2)
-    rep = falconer.check_ridge_mass(UNIT_DISK, planks, 2, n_samples=4000, seed=1)
+    rep = falconer.check_ridge_mass(UNIT_DISK, planks, 2)
     assert rep.passed and rep.lhs == pytest.approx(2.0, abs=1e-12)
 
 
@@ -277,7 +382,7 @@ def test_ridge_mass_violation_witness():
     planks = [falconer.Plank2D(np.array([1.0, 0.0]), -0.5, 0.1),
               falconer.Plank2D(np.array([1.0, 0.0]), -0.1, 0.5)]
     with pytest.raises(PointwiseViolated):
-        falconer.check_ridge_mass(UNIT_DISK, planks, 1, n_samples=4000, seed=1)
+        falconer.check_ridge_mass(UNIT_DISK, planks, 1)
 
 
 # --- variational bound ----------------------------------------------------------
@@ -293,7 +398,7 @@ def test_lp_minimizer_agrees(rng):
         moment = float(rng.uniform(0.2, 4.0))
         floor = float(rng.uniform(0.3, 3.0))
         closed = falconer.minimal_profile_mass(moment, floor)
-        lp = falconer.lp_profile_minimum(moment, floor)
+        lp = falconer_oracle.lp_profile_minimum(moment, floor)
         assert lp == pytest.approx(closed, rel=0.01)
 
 

@@ -375,7 +375,8 @@ def test_cli_samples_each_instance_once(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_cli_draws_each_hull_sample_once(tmp_path, monkeypatch, capsys):
+def test_cli_ns_family_draws_no_sample(tmp_path, monkeypatch, capsys):
+    # ns-family checks are exact on the hull, so --samples and --seed are unread
     paths = []
     for seed in (4, 5):
         path = tmp_path / f"ns{seed}.json"
@@ -390,22 +391,12 @@ def test_cli_draws_each_hull_sample_once(tmp_path, monkeypatch, capsys):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(geom, "sample_in_body", counting)
-    runs = [["verify", paths[0]], ["bounds", *paths]]
-    outputs = []
-    for argv in runs:
-        calls.clear()
+    for argv in (["verify", paths[0]], ["bounds", *paths]):
         assert cli.main(argv) == 0
-        outputs.append(capsys.readouterr().out)
-        assert len(calls) == len(argv) - 1, argv
-
-    # one fresh draw per check gives the same bytes
-    def fresh(family, n, seed):
-        return real(family.hull, n, np.random.default_rng(seed))
-
-    monkeypatch.setattr(falconer.DiskFamily, "hull_sample", fresh)
-    for argv, want in zip(runs, outputs):
-        assert cli.main(argv) == 0
+        want = capsys.readouterr().out
+        assert cli.main([*argv, "--samples", "50", "--seed", "9"]) == 0
         assert capsys.readouterr().out == want
+    assert calls == []
 
 
 def test_cli_reports_leave_out_evidence(tmp_path, capsys):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import sample_oracle
+from conftest import inscribed_hull
 from cylpack import geom, instances
 from cylpack.errors import SamplingFailure
 
@@ -37,7 +38,7 @@ def test_matches_oracle_on_gaussian_polytopes(d, n):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_matches_oracle_on_ns_hulls(seed):
-    hull = instances.random_ns_family(4, seed).hull
+    hull = inscribed_hull(instances.random_ns_family(4, seed))
     _assert_same_draw(hull, 20_000, seed)
 
 
@@ -54,7 +55,7 @@ def test_thin_polytope_fails_on_both_sides():
 
 
 def test_ns_hull_sample_memory_is_bounded():
-    hull = instances.random_ns_family(4, 1).hull
+    hull = inscribed_hull(instances.random_ns_family(4, 1))
     assert len(hull.equations) > 200  # built outside the measured window
     tracemalloc.start()
     try:
