@@ -3,9 +3,11 @@
 Each checker pre-verifies its hypothesis (packing or covering) once through the
 multiplicity sampler (raising NotAPacking / NotACovering with the failing
 verdict), evaluates both sides of the inequality, and emits a BoundReport
-carrying the sampled evidence.  Checkers never assert optimality of searched
-quantities; grid searches only feed upper-bound-quality estimates and the
-report records slack rather than claiming tightness.
+carrying the sampled evidence.  Translated-slice maxima are brackets
+lo <= max <= hi, closed-form where the body and base allow it; each check
+takes the end that errs toward failing, and the report names the method.
+The remaining grid searches give lower estimates (lo = hi), and reports
+record slack rather than claiming tightness.
 """
 
 import csv
@@ -16,6 +18,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
 from . import cylinders, geom, multiplicity, specfn
 from .errors import (
@@ -34,6 +37,8 @@ EXACT_TOL = 1e-9
 SLICE_COARSE = 7             # grid points per axis of a 1- or 2-d slice search
 SLICE_LEVELS = 5             # grid refinement levels of a slice search
 SLICE_INSTABILITY_BAND = 0.05  # largest relative move of the last refinement
+SLICE_MARGIN = 1e-12         # relative rounding margin on closed-form slice maxima
+PIECE_MIN = 1e-12            # shortest polynomial piece, relative to the offset range
 MVEE_TOL = 1e-5              # enclosing-ellipsoid volume tolerance
 SURFACE_REL_TOL = 0.005      # surface quadrature vs exact facet-area sum
 
@@ -198,35 +203,127 @@ def check_packing_scaled(body: geom.ConvexBody, family, r: int,
 
 @dataclass(frozen=True)
 class SliceMax:
-    """Grid-refined maximum of a translated-slice volume and its level history."""
+    """Bracket lo <= max <= hi of a translated-slice maximum.
 
-    value: float
+    ``lo`` is the exact slice volume at ``offset`` (offsets-frame
+    coordinates), so it is achieved; ``hi`` bounds the maximum from above up
+    to the relative rounding margin SLICE_MARGIN.  ``method`` names the route:
+    "ellipsoid", "difference-body" and "piecewise-polynomial" are closed forms;
+    "grid" is the refined grid search, whose value is a lower estimate that
+    it reports as both ends.
+    """
+
+    lo: float
+    hi: float
     offset: tuple
-    level_values: tuple
+    method: str
 
 
 def max_translate_slice(body: geom.ConvexBody, slice_frame: geom.Frame,
-                        base_region=None, seed_offsets=None,
+                        base: cylinders.CylinderBase | None = None,
                         offsets_frame: geom.Frame | None = None) -> SliceMax:
-    """max over translates x of the slice volume body ∩ (x + span(slice_frame)).
+    """max over offsets z of the slice volume body ∩ (N z + span(slice_frame)),
+    N the ``offsets_frame`` (by default an orthonormal complement of the
+    slice subspace), over the offsets in ``base`` when one is given.
 
-    Coarse-to-fine grid over the shadow of the body on the complement of the
-    slice subspace (restricted to ``base_region`` membership when given).
-    Slice volumes are exact per offset; the grid refinement is what makes this
-    an estimate.  ``seed_offsets`` adds informed starting candidates (in shadow
-    coordinates) ahead of the grid.  ``offsets_frame`` fixes the coordinate
-    frame of the offsets (it must span the complement of the slice subspace);
-    by default an arbitrary orthonormal complement is used.  Raises
-    SliceEstimateUnstable when the last refinement moves the maximum by more
-    than SLICE_INSTABILITY_BAND.
+    Closed forms:
+    - ellipsoid: a ball or ellipsoid with no base or a disk base.  The
+      squared slice radius is 1 - |z - z_c|_P^2 over the shadow ellipsoid
+      (centre z_c, shape P), so the central slice is the largest and a disk
+      base needs the minimum of the shadow quadratic over the disk
+      (:func:`geom.quadratic_on_ball`: primal point for lo, dual bound for hi).
+    - difference-body: a polytope with 1-d slices and no base; the maximal
+      chord is the radial function of P - P (:func:`geom.longest_chord`).
+    - piecewise-polynomial: a polytope with 1-d offsets and no base.
+      Between consecutive vertex projections the slice volume is a
+      polynomial of degree m (the slice dimension); it is interpolated at
+      m + 1 Chebyshev nodes per piece and maximized over the roots of its
+      derivative and the piece ends.
+    Everything else takes the grid search.
     """
     if offsets_frame is None:
         offsets_frame = geom.complement(slice_frame)
+    if not isinstance(body, geom.Polytope):
+        if base is None or isinstance(base, cylinders.DiskBase):
+            return _ellipsoid_max(body, slice_frame, offsets_frame, base)
+    elif base is None and slice_frame.subspace_dim == 1:
+        t, q = geom.longest_chord(body, slice_frame.columns[:, 0])
+        return _bracket(body, slice_frame, offsets_frame,
+                        offsets_frame.coords(q), t, "difference-body")
+    elif base is None and offsets_frame.subspace_dim == 1:
+        return _piecewise_max(body, slice_frame, offsets_frame)
+    return _grid_search(body, slice_frame, offsets_frame, base)
+
+
+def _bracket(body, slice_frame, offsets_frame, z, upper: float,
+             method: str) -> SliceMax:
+    """SliceMax with lo the slice at offset z and hi the closed-form upper
+    value, widened by the rounding margin (and never below lo)."""
+    lo = geom.affine_slice_volume(body, slice_frame, offsets_frame.embed(z))
+    hi = max(upper, lo) * (1.0 + SLICE_MARGIN)
+    return SliceMax(lo=lo, hi=hi, offset=tuple(map(float, z)), method=method)
+
+
+def _ellipsoid_max(body, slice_frame, offsets_frame, base) -> SliceMax:
+    m = slice_frame.subspace_dim
+    s = slice_frame.columns
+    shadow = geom.project_body(body, offsets_frame)
+    if isinstance(body, geom.Ball):
+        central = specfn.unit_ball_volume(m) * body.radius**m
+        shape = np.eye(offsets_frame.subspace_dim) / shadow.radius**2
+    else:
+        central = specfn.unit_ball_volume(m) / math.sqrt(
+            np.linalg.det(s.T @ body.shape @ s))
+        shape = shadow.shape
+    if base is None:
+        z, dual = shadow.center, 0.0
+    else:
+        z, dual = geom.quadratic_on_ball(shape, shadow.center, base.center,
+                                         base.radius)
+    upper = central * max(1.0 - dual, 0.0) ** (m / 2.0)
+    return _bracket(body, slice_frame, offsets_frame, z, upper, "ellipsoid")
+
+
+def _piecewise_max(body, slice_frame, offsets_frame) -> SliceMax:
+    m = slice_frame.subspace_dim
+    knots = np.unique(body.vertices @ offsets_frame.columns[:, 0])
+    first, last = knots[0], knots[-1]
+    nodes = np.cos((2 * np.arange(m + 1) + 1) * math.pi / (2 * (m + 1)))
+    best_t, best_v = first, -math.inf
+    for a, b in zip(knots[:-1], knots[1:]):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        if half <= PIECE_MIN * (last - first):
+            continue  # the neighbouring pieces' ends cover it
+        vals = [geom.affine_slice_volume(body, slice_frame,
+                                         offsets_frame.embed([mid + half * x]))
+                for x in nodes]
+        coef = chebyshev.chebfit(nodes, vals, m)
+        # every real critical point is among the real parts of the roots;
+        # extra candidates inside [-1, 1] cannot raise the maximum
+        roots = chebyshev.chebroots(chebyshev.chebder(coef)).real
+        xs = np.concatenate([[-1.0, 1.0], np.clip(roots, -1.0, 1.0)])
+        ys = chebyshev.chebval(xs, coef)
+        i = int(np.argmax(ys))
+        if ys[i] > best_v:
+            best_v = float(ys[i])
+            best_t = min(max(mid + half * float(xs[i]), a), b)
+    return _bracket(body, slice_frame, offsets_frame, [best_t], best_v,
+                    "piecewise-polynomial")
+
+
+def _grid_search(body, slice_frame, offsets_frame, base) -> SliceMax:
+    """Coarse-to-fine grid over the shadow of the body on the offsets frame,
+    restricted to ``base`` membership and seeded with informed base points,
+    followed by compass moves per level.  Slice volumes are exact per offset;
+    the refinement makes the value a lower estimate.  Raises
+    SliceEstimateUnstable when the last refinement moves the maximum by more
+    than SLICE_INSTABILITY_BAND.
+    """
     shadow = geom.project_body(body, offsets_frame)
     lo, hi = geom.bounding_box(shadow)
 
     def slice_at(z: np.ndarray) -> float:
-        if base_region is not None and not base_region(z[None, :])[0]:
+        if base is not None and not cylinders.base_membership(base, z[None, :])[0]:
             return 0.0
         return geom.affine_slice_volume(body, slice_frame, offsets_frame.embed(z))
 
@@ -235,8 +332,8 @@ def max_translate_slice(body: geom.ConvexBody, slice_frame: geom.Frame,
     center = (lo + hi) / 2.0
     half = (hi - lo) / 2.0
     best_z, best_v = center.copy(), slice_at(center)
-    if seed_offsets is not None:
-        for z in np.atleast_2d(np.asarray(seed_offsets, dtype=float)):
+    if base is not None:
+        for z in _base_offsets(base):
             v = slice_at(z)
             if v > best_v:
                 best_v, best_z = v, z.copy()
@@ -280,8 +377,8 @@ def max_translate_slice(body: geom.ConvexBody, slice_frame: geom.Frame,
         if move > SLICE_INSTABILITY_BAND:
             raise SliceEstimateUnstable(
                 f"refinement moved the slice maximum by {move:.1%}")
-    return SliceMax(value=best_v, offset=tuple(map(float, best_z)),
-                    level_values=tuple(level_values))
+    return SliceMax(lo=best_v, hi=best_v, offset=tuple(map(float, best_z)),
+                    method="grid")
 
 
 def check_packing_general(body: geom.ConvexBody, family, r: int,
@@ -291,8 +388,9 @@ def check_packing_general(body: geom.ConvexBody, family, r: int,
     sum of crv <= r * binom(d, k) * max over the family of
         (max translated k-slice of the body) / (max translated k-slice of the
         restricted cylinder).
-    Restricted-cylinder slice maxima reduce to body slices over the base, so
-    both maxima use exact per-offset volumes under the same grid search.
+    Restricted-cylinder slice maxima are body slices over the base.  The
+    ratio takes the sound ends of both brackets: the body's achieved ``lo``
+    over the restricted cylinder's upper ``hi``.
     """
     family = list(family)
     for cyl in family:
@@ -307,23 +405,25 @@ def check_packing_general(body: geom.ConvexBody, family, r: int,
     if len(ks) != 1:
         raise DimensionMismatch("mixed codimensions in one packing check")
     k = ks.pop()
-    worst_ratio = 0.0
+    worst_ratio, methods = 0.0, ""
     for cyl in family:
         h_frame = geom.complement(cyl.frame)
         body_max = max_translate_slice(body, h_frame)
-        member = lambda z, b=cyl.base: cylinders.base_membership(b, z)
-        cyl_max = max_translate_slice(body, h_frame, base_region=member,
-                                      seed_offsets=_base_offsets(cyl.base),
+        cyl_max = max_translate_slice(body, h_frame, base=cyl.base,
                                       offsets_frame=cyl.frame)
-        if cyl_max.value <= 0:
+        if cyl_max.hi <= 0:
             raise DomainError("restricted cylinder has numerically empty slices")
-        worst_ratio = max(worst_ratio, body_max.value / cyl_max.value)
+        ratio = body_max.lo / cyl_max.hi
+        if ratio >= worst_ratio:
+            worst_ratio = ratio
+            methods = f"body {body_max.method}, restricted {cyl_max.method}"
     lhs = cylinders.sum_crv(body, family)
     rhs = r * math.comb(d, k) * worst_ratio
     digest = _digest_family(body, family, {"r": r})
     return make_report("packing_upper_general", lhs, rhs, LE, digest,
                        probabilistic=True,
-                       notes=f"worst slice ratio {worst_ratio:.6g}",
+                       notes=f"worst slice ratio {worst_ratio:.6g} "
+                             f"(slice maxima: {methods})",
                        evidence=evidence)
 
 
@@ -358,21 +458,22 @@ def check_rogers_shephard(body: geom.ConvexBody, frame: geom.Frame,
     lower:  maxslice * vol_k(shadow) >= vol_d(body)   (Fubini)
     where maxslice is the largest (d-k)-volume of a translate of the
     complement subspace intersected with the body, and the shadow lives on the
-    k-dimensional frame.
+    k-dimensional frame.  The upper check takes the slice bracket's ``hi``,
+    the lower one its achieved ``lo``.
     """
     d = body.dim
     k = frame.subspace_dim
     comp = geom.complement(frame)
     max_slice = max_translate_slice(body, comp)
     shadow_vol = geom.volume(geom.project_body(body, frame))
-    product = max_slice.value * shadow_vol
     vol = geom.volume(body)
     digest = instance_digest({"body": geom.body_to_json(body),
                               "frame": frame.columns.tolist()})
-    upper = make_report("rogers_shephard_upper", product,
-                        math.comb(d, k) * vol, LE, digest,
-                        notes=f"max slice at offset {max_slice.offset}")
-    lower = make_report("fubini_lower", product, vol, GE, digest)
+    notes = f"{max_slice.method} max slice at offset {max_slice.offset}"
+    upper = make_report("rogers_shephard_upper", max_slice.hi * shadow_vol,
+                        math.comb(d, k) * vol, LE, digest, notes=notes)
+    lower = make_report("fubini_lower", max_slice.lo * shadow_vol, vol, GE,
+                        digest, notes=notes)
     return upper, lower
 
 

@@ -21,7 +21,7 @@ from .errors import (
 )
 
 INTERIOR_MARGIN = 1e-12  # strict-interior slack: tangent cylinders are a legal packing
-BOUNDARY_SAMPLES = 1024  # sampled boundary directions of round and cap bases
+BOUNDARY_SAMPLES = 1024  # sampled boundary directions of cap bases
 CONTAINMENT_TOL = 1e-9   # slack of base-in-shadow containment checks
 
 
@@ -175,31 +175,37 @@ def sum_crv(body: geom.ConvexBody, family) -> float:
 def base_contained(body: geom.ConvexBody, cyl: Cylinder) -> bool:
     """Whether the base lies inside the body's shadow on the base subspace.
 
-    Polytope bases check vertices exactly; disk bases check sampled boundary
-    points plus a support-function comparison along the sampled directions.
-    Cap bases inside the unit ball of E are contained by construction when the
-    body is the unit ball.
+    Polytope bases check vertices exactly.  Disk bases are exact too: against
+    a polytope shadow every facet needs a_i . c + rho |a_i| <= b_i, against a
+    ball shadow |c - c0| + rho <= R, and against an ellipsoid shadow the
+    maximum of its quadratic over the disk (the S-lemma dual bound of
+    :func:`geom.quadratic_on_ball`) must be at most 1.  Cap bases inside the
+    unit ball of E are contained by construction when the body is the unit
+    ball; otherwise sampled boundary points of the cap are tested.
     """
     shadow = geom.project_body(body, cyl.frame)
     base = cyl.base
-    m = base.dim
     if isinstance(base, PolytopeBase):
         return bool(np.all(geom.contains_points(shadow, base.vertices,
                                                 tol=CONTAINMENT_TOL)))
-    if isinstance(base, CapBase) and geom.is_unit_ball(body):
-        return True
-    dirs = _boundary_directions(m, BOUNDARY_SAMPLES)
     if isinstance(base, DiskBase):
-        pts = base.center + base.radius * dirs
-        support_ok = all(
-            base.center @ u + base.radius <= geom.support(shadow, u) + CONTAINMENT_TOL
-            for u in dirs[:: max(len(dirs) // 64, 1)]
-        )
-    else:
-        pts = _cap_boundary_points(base, dirs)
-        support_ok = True
-    return support_ok and bool(np.all(
-        geom.contains_points(shadow, pts, tol=CONTAINMENT_TOL)))
+        if isinstance(shadow, geom.Ball):
+            gap = float(np.linalg.norm(base.center - shadow.center))
+            return gap + base.radius <= shadow.radius + CONTAINMENT_TOL
+        if isinstance(shadow, geom.Ellipsoid):
+            _, top = geom.quadratic_on_ball(shadow.shape, shadow.center,
+                                            base.center, base.radius,
+                                            maximize=True)
+            return top <= 1.0 + CONTAINMENT_TOL
+        eq = shadow.equations
+        reach = eq[:, :-1] @ base.center + eq[:, -1] \
+            + base.radius * np.linalg.norm(eq[:, :-1], axis=1)
+        return bool(np.all(reach <= CONTAINMENT_TOL))
+    if geom.is_unit_ball(body):
+        return True
+    pts = _cap_boundary_points(base, _boundary_directions(base.dim,
+                                                          BOUNDARY_SAMPLES))
+    return bool(np.all(geom.contains_points(shadow, pts, tol=CONTAINMENT_TOL)))
 
 
 def _boundary_directions(m: int, n: int) -> np.ndarray:

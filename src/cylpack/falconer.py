@@ -129,7 +129,7 @@ def _pair_angles(centers: np.ndarray, radii: np.ndarray, offsets) -> list[float]
     for i in range(n):
         for j in range(i + 1, n):
             v = centers[i] - centers[j]
-            rho = float(np.linalg.norm(v))
+            rho = math.hypot(v[0], v[1])  # no overflow in squares near 1e154
             if rho < 1e-15:
                 continue
             psi = math.atan2(v[1], v[0])

@@ -33,7 +33,9 @@ from .errors import (
 ORTHO_TOL = 1e-12   # frame invariant: unit columns, vanishing cross products
 PIVOT_TOL = 1e-10   # relative dependence threshold in orthonormalization
 FACE_LAMBDA_TOL = 1e-12  # barycentric slack for a flat meeting a face simplex
+CHORD_TIE_TOL = 1e-9     # relative spread of difference-body facets tied on one ray
 SAMPLE_CHUNK = 1024      # proposal rows per polytope membership test in sample_in_body
+SECULAR_ITERS = 200      # bisection cap of quadratic_on_ball; doubles run out first
 
 
 def _as_points(vectors) -> np.ndarray:
@@ -679,3 +681,88 @@ def affine_slice_volume(body: ConvexBody, slice_frame: Frame, point) -> float:
         return float(ConvexHull(t).volume)
     except QhullError:
         return 0.0
+
+
+def longest_chord(body: Polytope, u) -> tuple[float, np.ndarray]:
+    """Longest chord of a full-dimensional polytope parallel to the unit
+    vector u: its length t and an endpoint q, with q and q + t u both in the
+    body.
+
+    The chord lengths along u are the differences p - q in the body that are
+    multiples of u, so the longest is the radial function of the difference
+    body P - P (Rogers and Shephard, 1957): the least b_F / (a_F . u) over the
+    facets a_F . x <= b_F of its qhull hull with a_F . u > 0.  The barycentric
+    weights w of t u in the facet simplex with corners v_i - v_j give the
+    endpoints q = sum w v_j and q + t u = sum w v_i.  Triangulated coplanar
+    facets tie on the ray; the one whose weights are the least negative holds
+    the point.
+    """
+    u = np.asarray(u, dtype=float)
+    n = len(body.vertices)
+    first, second = np.nonzero(~np.eye(n, dtype=bool))
+    hull = ConvexHull(body.vertices[first] - body.vertices[second])
+    eq = hull.equations
+    rate = eq[:, :-1] @ u
+    reach = np.full(len(eq), np.inf)
+    ahead = rate > 0.0
+    reach[ahead] = -eq[ahead, -1] / rate[ahead]
+    t = float(np.min(reach))
+    tied = np.flatnonzero(reach <= t * (1.0 + CHORD_TIE_TOL))
+    corners = hull.points[hull.simplices[tied]]              # (T, d, d)
+    # triangulated merged facets can be flat simplices: skip those (volume
+    # below 1e-12 of the Hadamard bound)
+    flat = np.abs(np.linalg.det(corners)) <= 1e-12 * np.prod(
+        np.linalg.norm(corners, axis=2), axis=1)
+    tied, corners = tied[~flat], corners[~flat]
+    target = np.broadcast_to(t * u, (len(tied), body.dim))[:, :, None]
+    w = np.linalg.solve(corners.transpose(0, 2, 1), target)[:, :, 0]
+    best = int(np.argmax(np.min(w, axis=1)))
+    w = np.clip(w[best], 0.0, None)
+    w /= np.sum(w)
+    q = w @ body.vertices[second[hull.simplices[tied[best]]]]
+    return t, q
+
+
+def quadratic_on_ball(shape, center, ball_center, radius: float,
+                      maximize: bool = False) -> tuple[np.ndarray, float]:
+    """Minimum (or maximum) of q(z) = (z - center)^T shape (z - center) over
+    the ball |z - ball_center| <= radius, for positive-definite ``shape``.
+
+    With p the eigenvalues of shape and g the eigen-coordinates of
+    center - ball_center, the Lagrangian q + lam (|z - ball_center|^2 -
+    radius^2) is stationary at y(lam) = p g / (p + lam) and has the dual value
+    phi(lam) = lam (sum p g^2 / (p + lam) - radius^2).  By weak duality
+    phi(lam) bounds min q from below for every lam >= 0 and max q from above
+    for every lam < -max p (the S-lemma makes both bounds tight).  The secular
+    equation |y(lam)| = radius is bisected from the side where y(lam) lies in
+    the ball, down to adjacent doubles.  Returns (z, phi(lam)) at the final
+    lam: z, the point of eigen-coordinates y(lam) about ball_center, lies in
+    the ball, so phi <= min q <= q(z) for a minimum and max q <= phi for a
+    maximum.
+    """
+    p, vecs = np.linalg.eigh(shape)
+    g = vecs.T @ (center - ball_center)
+    pg = p * g
+    gap = math.hypot(*g) / radius
+    if maximize:
+        # strictly below -max p, so a start with no top-eigenvector component
+        # (the hard case) still has finite terms
+        inside, outside = -p[-1] * (1.0 + gap) * (1.0 + 1e-12), -p[-1]
+    elif gap <= 1.0:
+        return center, 0.0
+    else:
+        inside, outside = p[-1] * gap, 0.0
+    for _ in range(SECULAR_ITERS):
+        mid = 0.5 * (inside + outside)
+        if mid == inside or mid == outside:
+            break
+        if math.hypot(*(pg / (p + mid))) <= radius:
+            inside = mid
+        else:
+            outside = mid
+    y = pg / (p + inside)
+    y *= min(1.0, radius / max(math.hypot(*y), np.finfo(float).tiny))
+    with np.errstate(over="ignore"):
+        # centres near 1e154 apart overflow phi to +inf: no slice, no containment
+        dual = inside * (float(np.sum(pg * g / (p + inside))) - radius**2)
+    return ball_center + vecs @ y, dual

@@ -209,11 +209,14 @@ def test_rogers_shephard_random_polytopes(rng):
 def test_max_translate_slice_ball_exact():
     frame = geom.orthonormalize(np.eye(3)[:1])  # slice along x-axis lines
     out = bounds.max_translate_slice(BALL3, frame)
-    assert out.value == pytest.approx(2.0, rel=1e-9)
+    assert out.method == "ellipsoid"
+    assert out.lo == pytest.approx(2.0, rel=1e-12)
+    assert out.lo <= 2.0 * (1 + 1e-15) and out.hi >= 2.0
 
 
 # a criterion-6 polytope (d = 4, interval slices) whose last grid refinement
-# moves the slice maximum by 5.2%, past SLICE_INSTABILITY_BAND
+# moves the slice maximum by 5.2%, past SLICE_INSTABILITY_BAND; check_rogers_shephard
+# takes its maximum from the difference body instead
 UNSTABLE_VERTICES = [
     [0.8128416106494756, -0.14906608473442182, -0.13945421561807486, 1.1657475129399153],
     [0.18809862065839306, 0.3830609340677481, 0.588501256734581, 0.9992366014826984],
@@ -231,11 +234,23 @@ UNSTABLE_FRAME = [
 ]
 
 
-def test_max_translate_slice_unstable_refinement_raises():
+def test_max_translate_slice_unstable_refinement_raises(monkeypatch):
     poly = geom.Polytope(np.array(UNSTABLE_VERTICES))
     frame = geom.orthonormalize(np.array(UNSTABLE_FRAME))
+    comp = geom.complement(frame)
+    offsets = geom.complement(comp)
     with pytest.raises(SliceEstimateUnstable, match="5.2%"):
-        bounds.check_rogers_shephard(poly, frame)
+        bounds._grid_search(poly, comp, offsets, None)
+    out = bounds.max_translate_slice(poly, comp)
+    assert out.method == "difference-body"
+    upper, lower = bounds.check_rogers_shephard(poly, frame)
+    assert upper.passed and lower.passed
+    assert upper.lhs == pytest.approx(out.hi * geom.volume(
+        geom.project_body(poly, frame)), rel=1e-15)
+    # with the band lifted, the search's estimate stays below the bracket
+    monkeypatch.setattr(bounds, "SLICE_INSTABILITY_BAND", 1.0)
+    grid = bounds._grid_search(poly, comp, offsets, None)
+    assert grid.lo == grid.hi <= out.hi
 
 
 # --- base-volume bound ---------------------------------------------------------

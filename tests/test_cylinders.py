@@ -156,6 +156,52 @@ def test_base_contained_disk_in_ellipse(rng):
     assert not cylinders.base_contained(ell, too_big)
 
 
+def _disks_at_the_shadow_boundary(body, frame, gen, n=200):
+    """n (centre, radius) disks inside the shadow that touch its boundary."""
+    shadow = geom.project_body(body, frame)
+    out = []
+    while len(out) < n:
+        if isinstance(shadow, geom.Ball):
+            c = shadow.center + 0.8 * shadow.radius * gen.uniform(-1, 1, 3) / math.sqrt(3)
+            r = shadow.radius - float(np.linalg.norm(c - shadow.center))
+        elif isinstance(shadow, geom.Ellipsoid):
+            # a ball tangent inside at a boundary point x stays inside when its
+            # radius is below the least curvature radius a_min^2 / a_max
+            p, vecs = np.linalg.eigh(shadow.shape)
+            axes = 1.0 / np.sqrt(p)
+            w = gen.standard_normal(3)
+            x = shadow.center + vecs @ (axes * (vecs.T @ (w / np.linalg.norm(w))))
+            normal = shadow.shape @ (x - shadow.center)
+            r = gen.uniform(0.2, 0.9) * axes.min() ** 2 / axes.max()
+            c = x - r * normal / np.linalg.norm(normal)
+        else:
+            c = gen.dirichlet(np.ones(len(shadow.vertices))) @ shadow.vertices
+            eq = shadow.equations
+            r = float(np.min(-(eq[:, :-1] @ c + eq[:, -1])))
+        if r > 2e-3:
+            out.append((c, r))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["ball", "ellipsoid", "polytope"])
+def test_base_contained_disks_exact(kind):
+    # base space of dimension 3, where sampled boundary points missed
+    # protrusions of 5e-4
+    gen = np.random.default_rng(55)
+    if kind == "ball":
+        body = geom.Ball(gen.uniform(-0.2, 0.2, 5), 1.3)
+    elif kind == "ellipsoid":
+        body = geom.Ellipsoid(gen.uniform(-0.2, 0.2, 5), random_spd(5, gen))
+    else:
+        body = geom.Polytope(gen.standard_normal((12, 5)))
+    frame = random_frame(5, 3, gen)
+    for c, r in _disks_at_the_shadow_boundary(body, frame, gen):
+        inset = cylinders.Cylinder(frame, cylinders.DiskBase(c, r - 5e-4))
+        out = cylinders.Cylinder(frame, cylinders.DiskBase(c, r + 5e-4))
+        assert cylinders.base_contained(body, inset)
+        assert not cylinders.base_contained(body, out)
+
+
 def test_restrict_lens_area_against_segment_formula(rng):
     ball = geom.Ball(np.zeros(2), 1.0)
     w = 0.8

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -208,6 +209,28 @@ def test_cli_ns_family_unusable_numbers_exit2(tmp_path, capsys, mutate):
     rc = cli.main(["verify", str(inst), "--samples", "2000"])
     assert rc == 2
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "DomainError"
+
+
+def test_cli_ns_family_far_disk_is_separable_without_overflow(tmp_path, capsys):
+    # centres 1e300 apart: their squared distance overflows, their distance not
+    inst = tmp_path / "ns.json"
+    assert cli.main(["construct", "--kind", "ns-family", "--n", "4", "--r", "2",
+                     "--seed", "5", "--out", str(inst)]) == 0
+    obj = instances.load_json(inst)
+    obj["disks"][0]["center"][0] = 1e300
+    instances.dump_json(obj, inst)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["verify", str(inst)])
+        family = instances.parse_instance(instances.load_json(inst))["disk_family"]
+        separable, line = falconer.is_separable(family)
+    assert rc == 1
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "NotNS"
+    assert separable
+    u = np.asarray(line.u)
+    clear = np.abs(family.centers @ u - line.offset) - family.radii
+    side = family.centers @ u - line.offset > 0
+    assert np.all(clear > 0) and side.any() and (~side).any()
 
 
 def test_cli_construct_deterministic(tmp_path):
