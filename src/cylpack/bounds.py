@@ -15,7 +15,7 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import chebyshev
@@ -40,7 +40,6 @@ SLICE_INSTABILITY_BAND = 0.05  # largest relative move of the last refinement
 SLICE_MARGIN = 1e-12         # relative rounding margin on closed-form slice maxima
 PIECE_MIN = 1e-12            # shortest polynomial piece, relative to the offset range
 MVEE_TOL = 1e-5              # enclosing-ellipsoid volume tolerance
-SURFACE_REL_TOL = 0.005      # surface quadrature vs exact facet-area sum
 
 
 def instance_digest(obj) -> str:
@@ -272,8 +271,10 @@ def _ellipsoid_max(body, slice_frame, offsets_frame, base) -> SliceMax:
         central = specfn.unit_ball_volume(m) * body.radius**m
         shape = np.eye(offsets_frame.subspace_dim) / shadow.radius**2
     else:
-        central = specfn.unit_ball_volume(m) / math.sqrt(
-            np.linalg.det(s.T @ body.shape @ s))
+        det = np.linalg.det(s.T @ body.shape @ s)
+        if not det > 0:  # positive in exact arithmetic; rounding can zero it
+            raise DomainError("ellipsoid shape form too ill-conditioned to slice")
+        central = specfn.unit_ball_volume(m) / math.sqrt(det)
         shape = shadow.shape
     if base is None:
         z, dual = shadow.center, 0.0
@@ -486,36 +487,14 @@ def surface_constant(d: int) -> float:
     return d * specfn.unit_ball_volume(d) / (2.0 * specfn.unit_ball_volume(d - 1))
 
 
-def cauchy_surface_area(body: geom.ConvexBody, n_dirs: int = 2048,
-                        seed: int = 0) -> float:
-    """Surface area via direction-quadrature of hyperplane shadow volumes.
-
-    Averages shadow volumes over the sphere and multiplies by the sphere area
-    over omega_{d-1}.  In the plane the quadrature is a trapezoid rule over
-    angles; higher dimensions use a seeded uniform direction sample.
-    """
-    d = body.dim
-    if d == 2:
-        theta = np.linspace(0.0, 2.0 * math.pi, n_dirs, endpoint=False)
-        dirs = np.column_stack([np.cos(theta), np.sin(theta)])
-    else:
-        rng = np.random.default_rng(seed)
-        dirs = geom.uniform_sphere_points(d, n_dirs, rng)
-    vals = [geom.hyperplane_shadow_volume(body, u) for u in dirs]
-    sphere_area = d * specfn.unit_ball_volume(d)
-    return sphere_area * float(np.mean(vals)) / specfn.unit_ball_volume(d - 1)
-
-
 def check_base_volume_bound(body: geom.ConvexBody, family, r: int,
-                            n: int = 10_000, seed: int = 0,
-                            grid: int = 720, refine_iters: int = 40,
-                            ) -> BoundReport:
+                            n: int = 10_000, seed: int = 0) -> BoundReport:
     """Absolute base-volume packing bound for codimension-1 cylinders.
 
     sum of base (d-1)-volumes <= surface_constant(d) * r * (largest hyperplane
-    shadow of the body).  For polytope bodies the surface-area formula behind
-    the constant is validated on the spot: direction-quadrature of shadow
-    volumes must reproduce the exact facet-area sum within SURFACE_REL_TOL.
+    shadow of the body).  The largest shadow is exact
+    (:func:`geom.max_hyperplane_projection`), and the check runs no self-test
+    of the surface-area formula behind the constant.
     """
     family = list(family)
     if any(c.k != 1 for c in family):
@@ -524,21 +503,9 @@ def check_base_volume_bound(body: geom.ConvexBody, family, r: int,
                          NotAPacking)
     d = body.dim
     lhs = float(sum(cylinders.base_volume(c.base) for c in family))
-    _, max_shadow = geom.max_hyperplane_projection(body, grid=grid,
-                                                   refine_iters=refine_iters)
+    _, max_shadow = geom.max_hyperplane_projection(body)
     rhs = surface_constant(d) * r * max_shadow
     digest = _digest_family(body, family, {"r": r})
-    notes = f"max shadow {max_shadow:.6g}"
-    surface_ok = True
-    if isinstance(body, geom.Polytope):
-        _, areas = body.facet_data
-        exact_surface = float(np.sum(areas))
-        quad_surface = cauchy_surface_area(body)
-        rel = abs(quad_surface - exact_surface) / exact_surface
-        surface_ok = rel <= SURFACE_REL_TOL
-        notes += f"; surface quadrature off by {rel:.2e}"
-    report = make_report("plank_base_volume", lhs, rhs, LE, digest,
-                         probabilistic=True, notes=notes, evidence=evidence)
-    if not surface_ok:
-        report = replace(report, passed=False)
-    return report
+    return make_report("plank_base_volume", lhs, rhs, LE, digest,
+                       probabilistic=True, notes=f"max shadow {max_shadow:.6g}",
+                       evidence=evidence)

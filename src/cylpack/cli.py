@@ -2,9 +2,11 @@
 
 Exit codes: 0 all checks passed, 1 a verification or bound failed (the report
 carries a witness), 2 unusable input (parse error, unknown kind, bad
-parameters).  Output files depend only on the instance content and the flags,
-so reruns are byte-identical.  CYLPACK_THREADS caps the bounds work pool;
-results are ordered by instance index regardless of completion order.
+parameters, an instance outside a check's domain); ``bounds`` exits 2 when
+any instance is unusable, else 1 when any check failed.  Output files depend
+only on the instance content and the flags, so reruns are byte-identical.
+CYLPACK_THREADS caps the bounds work pool; results are ordered by instance
+index regardless of completion order.
 """
 
 import argparse
@@ -116,6 +118,19 @@ def _load_instance(path):
         return None, _error_object("validate", exc)
 
 
+def _failure_code(exc: CylpackError) -> int:
+    """Exit code of a check that raised: input outside its domain is unusable."""
+    return EXIT_USAGE if isinstance(exc, DomainError) else EXIT_FAILED
+
+
+def _plank_reports(inst) -> list:
+    """The exact disk-plank checks of one disk-plank instance."""
+    family, planks, r = inst["disk_family"], inst["planks"], inst["r"]
+    width, radius = falconer.check_width_sum(family, planks, r)
+    return [width, radius, falconer.check_ridge_mass(family, planks, r),
+            falconer.check_mass_circumradius(family)]
+
+
 def _reports_for(inst, samples: int, seed: int) -> tuple[list, dict | None, bool]:
     """(bound reports, multiplicity report json, all_ok) for one instance.
 
@@ -124,11 +139,7 @@ def _reports_for(inst, samples: int, seed: int) -> tuple[list, dict | None, bool
     disk-plank instance is decided exactly on its hull and samples nothing.
     """
     if inst["kind"] == instances.KIND_DISK_PLANKS:
-        family, planks, r = inst["disk_family"], inst["planks"], inst["r"]
-        width, radius = falconer.check_width_sum(family, planks, r)
-        reports = [width, radius,
-                   falconer.check_ridge_mass(family, planks, r),
-                   falconer.check_mass_circumradius(family)]
+        reports = _plank_reports(inst)
         return reports, None, all(rep.passed for rep in reports)
     body, family, r, k = inst["body"], inst["family"], inst["r"], inst["k"]
     round_body = not isinstance(body, geom.Polytope)
@@ -157,12 +168,9 @@ def cmd_verify(args) -> int:
         return EXIT_USAGE
     try:
         reports, mult_json, ok = _reports_for(inst, args.samples, args.seed)
-    except DomainError as exc:
-        _emit(_error_object("verify", exc), args.out)
-        return EXIT_USAGE
     except CylpackError as exc:
         _emit(_error_object("verify", exc), args.out)
-        return EXIT_FAILED
+        return _failure_code(exc)
     payload = {
         "schema_version": instances.SCHEMA_VERSION,
         "kind": inst["kind"],
@@ -196,16 +204,17 @@ def cmd_bounds(args) -> int:
     with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
         results = list(pool.map(run, jobs))
     all_reports = []
-    all_ok = True
+    code = EXIT_OK
     for (reports, ok, exc), path in zip(results, args.instances):
         if exc is not None:
             _emit(_error_object(f"bounds:{os.path.basename(path)}", exc))
-            all_ok = False
+            code = max(code, _failure_code(exc))
             continue
         if args.theorem:
             reports = [r for r in reports if args.theorem in r.theorem_id]
         all_reports.extend(reports)
-        all_ok &= ok
+        if not ok:
+            code = max(code, EXIT_FAILED)
     if args.format == "csv":
         text = bounds.bound_reports_to_csv(all_reports)
         if args.out:
@@ -215,7 +224,7 @@ def cmd_bounds(args) -> int:
             sys.stdout.write(text)
     else:
         _emit({"reports": [r.to_json() for r in all_reports]}, args.out)
-    return EXIT_OK if all_ok else EXIT_FAILED
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +255,12 @@ def cmd_falconer(args) -> int:
     ok = True
     if not separable:
         try:
-            reports, _, ok = _reports_for(inst, args.samples, args.seed)
-            payload["reports"] = [r.to_json() for r in reports]
+            reports = _plank_reports(inst)
         except CylpackError as exc:
             _emit(_error_object("falconer", exc), args.out)
-            return EXIT_FAILED
+            return _failure_code(exc)
+        payload["reports"] = [r.to_json() for r in reports]
+        ok = all(rep.passed for rep in reports)
     if args.svg:
         svg = falconer.family_to_svg(family, planks=inst["planks"], line=line)
         with open(args.svg, "w", encoding="utf-8") as fh:
@@ -302,8 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     fal = sub.add_parser("falconer", help="disk-family checks and SVG rendering")
     fal.add_argument("instance")
-    fal.add_argument("--samples", type=int, default=10_000)
-    fal.add_argument("--seed", type=int, default=0)
     fal.add_argument("--svg", default=None)
     fal.add_argument("--out", default=None)
     fal.set_defaults(func=cmd_falconer)

@@ -76,7 +76,8 @@ class CapBase:
 
     def __post_init__(self):
         pole = np.atleast_1d(np.asarray(self.pole, dtype=float))
-        norm = np.linalg.norm(pole)
+        with np.errstate(over="ignore"):  # past ~1.3e154 the norm is inf and fails
+            norm = np.linalg.norm(pole)
         if abs(norm - 1.0) > 1e-9:
             raise DomainError("cap pole must be a unit vector")
         object.__setattr__(self, "pole", geom._freeze(pole / norm))

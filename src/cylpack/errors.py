@@ -33,7 +33,7 @@ class NoConvergence(CylpackError):
     """An iterative solve hit its iteration cap before reaching tolerance."""
 
 
-class UnsupportedDimension(CylpackError):
+class UnsupportedDimension(DomainError):
     """The operation is only implemented for a restricted dimension range."""
 
 

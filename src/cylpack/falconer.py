@@ -398,7 +398,8 @@ class Plank2D:
 
     def __post_init__(self):
         u = _plane_vector(self.u, "plank normal")
-        norm = np.linalg.norm(u)
+        with np.errstate(over="ignore"):  # past ~1.3e154 the norm is inf and fails
+            norm = np.linalg.norm(u)
         if abs(norm - 1.0) > 1e-9:
             raise DomainError("plank normal must be a unit vector")
         object.__setattr__(self, "u", geom._freeze(u / norm))

@@ -14,6 +14,7 @@ from functools import cached_property
 from itertools import combinations
 
 import numpy as np
+from scipy import linalg
 # unused here, kept importable: perfbench/tracer.py wraps geom.linprog/HalfspaceIntersection
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
@@ -36,6 +37,7 @@ FACE_LAMBDA_TOL = 1e-12  # barycentric slack for a flat meeting a face simplex
 CHORD_TIE_TOL = 1e-9     # relative spread of difference-body facets tied on one ray
 SAMPLE_CHUNK = 1024      # proposal rows per polytope membership test in sample_in_body
 SECULAR_ITERS = 200      # bisection cap of quadratic_on_ball; doubles run out first
+PARALLEL_TOL = 1e-12     # 1 - |cos| under which facet normals share a line
 
 
 def _as_points(vectors) -> np.ndarray:
@@ -74,7 +76,8 @@ class Frame:
         d, m = cols.shape
         if not (1 <= m <= d):
             raise DimensionMismatch(f"frame needs 1 <= m <= d, got m={m}, d={d}")
-        norms = np.linalg.norm(cols, axis=0)
+        with np.errstate(over="ignore"):  # past ~1.3e154 a norm is inf and fails
+            norms = np.linalg.norm(cols, axis=0)
         if np.max(np.abs(norms - 1.0)) > ORTHO_TOL:
             raise DimensionMismatch("frame columns must be unit vectors")
         gram = cols.T @ cols
@@ -288,7 +291,7 @@ def is_unit_ball(body: ConvexBody) -> bool:
     """Whether the body is the unit ball centred at the origin (within 1e-12),
     where cap cylinders take closed-form shortcuts."""
     return isinstance(body, Ball) and abs(body.radius - 1.0) <= 1e-12 \
-        and float(np.linalg.norm(body.center)) <= 1e-12
+        and math.hypot(*body.center) <= 1e-12
 
 
 def body_to_json(body: ConvexBody) -> dict:
@@ -333,7 +336,8 @@ def contains_points(body: ConvexBody, points, tol: float = 0.0) -> np.ndarray:
     if pts.shape[1] != body.dim:
         raise DimensionMismatch("point dimension does not match the body")
     if isinstance(body, Ball):
-        return np.linalg.norm(pts - body.center, axis=1) <= body.radius + tol
+        with np.errstate(over="ignore"):  # an inf distance is outside
+            return np.linalg.norm(pts - body.center, axis=1) <= body.radius + tol
     if isinstance(body, Ellipsoid):
         diff = pts - body.center
         q = np.einsum("ij,jk,ik->i", diff, body.shape, diff)
@@ -401,7 +405,8 @@ def volume(body: ConvexBody) -> float:
     """
     d = body.dim
     if isinstance(body, Ball):
-        return specfn.unit_ball_volume(d) * body.radius**d
+        with np.errstate(over="ignore"):  # inf, not OverflowError, past ~1e154
+            return specfn.unit_ball_volume(d) * float(np.float64(body.radius) ** d)
     if isinstance(body, Ellipsoid):
         with np.errstate(over="ignore"):
             det = float(np.linalg.det(body.shape))
@@ -561,54 +566,61 @@ def hyperplane_shadow_volume(body: ConvexBody, u) -> float:
     return 0.5 * float(areas @ np.abs(normals @ u))
 
 
-def _direction_grid(d: int, grid: int, seed: int) -> np.ndarray:
-    if d == 2:
-        theta = np.linspace(0.0, math.pi, grid, endpoint=False)
-        return np.column_stack([np.cos(theta), np.sin(theta)])
-    if d == 3:
-        # Fibonacci spiral covers the sphere nearly uniformly
-        i = np.arange(grid) + 0.5
-        phi = math.pi * (1.0 + math.sqrt(5.0)) * i
-        z = 1.0 - 2.0 * i / grid
-        r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-        return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
-    rng = np.random.default_rng(seed)
-    return uniform_sphere_points(d, grid, rng)
+def max_hyperplane_projection(body: ConvexBody) -> tuple[np.ndarray, float]:
+    """Largest hyperplane shadow: a unit u maximizing
+    :func:`hyperplane_shadow_volume`, and that volume at u.
 
-
-def max_hyperplane_projection(body: ConvexBody, grid: int = 512,
-                              refine_iters: int = 60, seed: int = 0,
-                              ) -> tuple[np.ndarray, float]:
-    """Approximate maximizer of the hyperplane-shadow volume.
-
-    Direction-grid search followed by a shrinking pattern search; the returned
-    value is guaranteed to be at least the best grid value.  Supported in
-    dimensions 2 to 4 only.
+    Exact up to rounding.  A ball's shadow is the same in every direction.
+    An ellipsoid's is omega_{d-1} sqrt(det Q^-1 u^T Q u), largest along the
+    top eigenvector of Q.  A polytope's, 1/2 sum_F a_F |n_F . u|, is the
+    support function of the projection body, the zonotope sum_F [-w_F, w_F]
+    with w_F = a_F n_F / 2 (Cauchy's projection formula; Bolker 1969), so
+    it is largest along the longest vertex of that zonotope.  The zonotope
+    has O(F^(d-1)) vertices, so polytopes are supported for d in 2..4; round
+    bodies in every d >= 2.
     """
     d = body.dim
-    if d < 2 or d > 4:
-        raise UnsupportedDimension(f"hyperplane projection search supports d in 2..4, got {d}")
-    dirs = _direction_grid(d, grid, seed)
-    vals = np.array([hyperplane_shadow_volume(body, u) for u in dirs])
-    best = int(np.argmax(vals))
-    u, value = dirs[best].copy(), float(vals[best])
-    step = 2.0 * math.pi / max(grid, 8)
-    for _ in range(refine_iters):
-        improved = False
-        basis = complement(Frame(u[:, None])).columns.T
-        for t in basis:
-            for sgn in (1.0, -1.0):
-                cand = u + sgn * step * t
-                cand /= np.linalg.norm(cand)
-                v = hyperplane_shadow_volume(body, cand)
-                if v > value:
-                    u, value = cand, v
-                    improved = True
-        if not improved:
-            step *= 0.5
-            if step < 1e-9:
-                break
-    return u, value
+    if d < 2 or (isinstance(body, Polytope) and d > 4):
+        raise UnsupportedDimension(
+            f"largest hyperplane shadow supports d >= 2, and d <= 4 for "
+            f"polytopes, got d={d}")
+    if isinstance(body, Ball):
+        u = np.eye(d)[0]
+    elif isinstance(body, Ellipsoid):
+        u = np.linalg.eigh(body.shape)[1][:, -1]
+    else:
+        verts = _projection_zonotope_vertices(body)
+        z = verts[np.argmax(np.einsum("ij,ij->i", verts, verts))]
+        u = z / np.linalg.norm(z)
+    return u, hyperplane_shadow_volume(body, u)
+
+
+def _projection_zonotope_vertices(body: Polytope) -> np.ndarray:
+    """Vertices of the zonotope sum_F [-w_F, w_F], w_F = a_F n_F / 2.
+
+    Facet normals on one line through the origin (the triangulated pieces of
+    a facet, opposite facets) give one generator, since |n . u| only sees
+    the line.  A pivoted QR puts d spanning generators first; after them each
+    Minkowski sum with a segment keeps the hull vertices of (P + w) u (P - w).
+    """
+    normals, areas = body.facet_data
+    d = body.dim
+    cos = normals @ normals.T
+    free = np.ones(len(areas), dtype=bool)
+    gens = []
+    for i in range(len(areas)):
+        if free[i]:
+            line = free & (np.abs(cos[i]) >= 1.0 - PARALLEL_TOL)
+            free &= ~line
+            gens.append(0.5 * (areas[line] * np.sign(cos[i, line])) @ normals[line])
+    gens = np.asarray(gens)
+    _, order = linalg.qr(gens.T, mode="r", pivoting=True)
+    pts = np.zeros((1, d))
+    for i, w in enumerate(gens[order]):
+        pts = np.concatenate([pts + w, pts - w])
+        if i >= d - 1:
+            pts = pts[ConvexHull(pts).vertices]
+    return pts
 
 
 def affine_slice_volume(body: ConvexBody, slice_frame: Frame, point) -> float:
@@ -764,5 +776,5 @@ def quadratic_on_ball(shape, center, ball_center, radius: float,
     y *= min(1.0, radius / max(math.hypot(*y), np.finfo(float).tiny))
     with np.errstate(over="ignore"):
         # centres near 1e154 apart overflow phi to +inf: no slice, no containment
-        dual = inside * (float(np.sum(pg * g / (p + inside))) - radius**2)
+        dual = inside * (float(np.sum(pg * g / (p + inside))) - radius * radius)
     return ball_center + vecs @ y, dual

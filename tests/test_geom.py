@@ -299,14 +299,14 @@ def test_mvee_rank_deficient():
 
 def test_max_projection_ball():
     ball = geom.Ball(np.zeros(3), 1.0)
-    _, val = geom.max_hyperplane_projection(ball, grid=64, refine_iters=5)
+    _, val = geom.max_hyperplane_projection(ball)
     assert val == pytest.approx(math.pi, rel=1e-12)
 
 
 def test_max_projection_cube_brute_force_oracle(rng):
     cube = geom.Polytope(np.array(
         [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)], float))
-    u, val = geom.max_hyperplane_projection(cube, grid=600, refine_iters=60)
+    u, val = geom.max_hyperplane_projection(cube)
     assert val == pytest.approx(math.sqrt(3), abs=1e-3)
     assert np.allclose(np.abs(u), 1 / math.sqrt(3), atol=5e-2)
     # grid dominance: better than every direction of an independent sample
@@ -329,8 +329,12 @@ def test_shadow_identity_matches_projected_hull(rng):
 
 
 def test_max_projection_unsupported_dimension():
+    # round bodies are closed-form in every d; polytopes stop at d = 4
+    cube = geom.Polytope(np.array(
+        [[x, y, z, s, t] for x in (0, 1) for y in (0, 1) for z in (0, 1)
+         for s in (0, 1) for t in (0, 1)], float))
     with pytest.raises(UnsupportedDimension):
-        geom.max_hyperplane_projection(geom.Ball(np.zeros(5), 1.0))
+        geom.max_hyperplane_projection(cube)
 
 
 # --- slices -----------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import warnings
@@ -181,7 +182,7 @@ def test_cli_ns_family_wrong_vector_length_exit2(tmp_path, capsys, command,
     obj = instances.load_json(inst)
     mutate(obj)
     instances.dump_json(obj, inst)
-    rc = cli.main([command, str(inst), "--samples", "2000"])
+    rc = cli.main([command, str(inst)])
     err = json.loads(capsys.readouterr().out)["error"]
     assert rc == 2
     assert err["type"] == "DimensionMismatch"
@@ -209,6 +210,62 @@ def test_cli_ns_family_unusable_numbers_exit2(tmp_path, capsys, mutate):
     rc = cli.main(["verify", str(inst), "--samples", "2000"])
     assert rc == 2
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "DomainError"
+
+
+def _ns_huge_disk_radius(tmp_path):
+    path = tmp_path / "ns.json"
+    assert cli.main(["construct", "--kind", "ns-family", "--n", "4", "--r", "2",
+                     "--seed", "5", "--out", str(path)]) == 0
+    obj = instances.load_json(path)
+    _set_huge_disk_radius(obj)
+    instances.dump_json(obj, path)
+    return path
+
+
+def _antipodal_caps_k3(tmp_path):
+    # antipodal caps make the restricted cylinders of the general bound non-convex
+    path = tmp_path / "cap.json"
+    assert cli.main(["construct", "--kind", "cap", "--dim", "5", "--k", "3",
+                     "--delta", "0.3", "--seed", "2", "--out", str(path)]) == 0
+    return path
+
+
+def _polytope_d5_k1(tmp_path):
+    # the largest hyperplane shadow of a polytope is computed for d <= 4 only
+    cube = geom.Polytope(np.array(list(itertools.product((0.0, 1.0), repeat=5))))
+    base = cylinders.DiskBase(np.full(4, 0.5), 0.2)
+    family = [cylinders.Cylinder(geom.Frame(np.eye(5)[:, :4]), base)]
+    path = tmp_path / "cube5.json"
+    instances.dump_json(instances.packing_instance(cube, family, 1, {}), path)
+    return path
+
+
+@pytest.mark.parametrize("command", ["verify", "bounds", "falconer"])
+@pytest.mark.parametrize("make", [_ns_huge_disk_radius, _antipodal_caps_k3,
+                                  _polytope_d5_k1],
+                         ids=["huge-disk-radius", "antipodal-caps-k3",
+                              "polytope-d5-k1"])
+def test_cli_out_of_domain_instance_exits_2(tmp_path, capsys, command, make):
+    inst = make(tmp_path)
+    capsys.readouterr()
+    assert cli.main([command, str(inst)]) == 2
+    # bounds prints the error object first, then the (empty) table
+    err = json.JSONDecoder().raw_decode(capsys.readouterr().out)[0]["error"]
+    if command != "falconer" or make is _ns_huge_disk_radius:
+        assert err["type"] in ("DomainError", "UnsupportedDimension")
+
+
+def test_cli_bounds_exit_2_outranks_a_failed_check(tmp_path, capsys):
+    files = construct_all(tmp_path, seed=1)
+    overpacked = tmp_path / "overpacked.json"
+    obj = instances.load_json(files["strips"])
+    obj["r"] -= 1
+    instances.dump_json(obj, overpacked)
+    unusable = _polytope_d5_k1(tmp_path)
+    assert cli.main(["bounds", str(files["plank"]), str(overpacked),
+                     "--samples", "2000"]) == 1
+    assert cli.main(["bounds", str(files["plank"]), str(overpacked),
+                     str(unusable), "--samples", "2000"]) == 2
 
 
 def test_cli_ns_family_far_disk_is_separable_without_overflow(tmp_path, capsys):
@@ -326,7 +383,7 @@ def test_cli_falconer_svg(tmp_path, capsys):
                    "3", "--r", "2", "--out", str(inst)])
     assert rc == 0
     svg = tmp_path / "fam.svg"
-    rc = cli.main(["falconer", str(inst), "--svg", str(svg), "--samples", "3000"])
+    rc = cli.main(["falconer", str(inst), "--svg", str(svg)])
     out = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert not out["separable"]
