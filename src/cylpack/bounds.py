@@ -4,10 +4,9 @@ Each checker pre-verifies its hypothesis (packing or covering) once through the
 multiplicity sampler (raising NotAPacking / NotACovering with the failing
 verdict), evaluates both sides of the inequality, and emits a BoundReport
 carrying the sampled evidence.  Translated-slice maxima are brackets
-lo <= max <= hi, closed-form where the body and base allow it; each check
-takes the end that errs toward failing, and the report names the method.
-The remaining grid searches give lower estimates (lo = hi), and reports
-record slack rather than claiming tightness.
+lo <= max <= hi, closed-form where the body and base allow it and a
+certified concave search elsewhere; each check takes the end that errs
+toward failing, and the report names the method.
 """
 
 import csv
@@ -21,23 +20,15 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 from . import cylinders, geom, multiplicity, specfn
-from .errors import (
-    DimensionMismatch,
-    DomainError,
-    NotACovering,
-    NotAPacking,
-    SliceEstimateUnstable,
-)
+from .errors import DimensionMismatch, DomainError, NotACovering, NotAPacking
 
 LE = "<="
 GE = ">="
 
 EXACT_TOL = 1e-9
 
-SLICE_COARSE = 7             # grid points per axis of a 1- or 2-d slice search
-SLICE_LEVELS = 5             # grid refinement levels of a slice search
-SLICE_INSTABILITY_BAND = 0.05  # largest relative move of the last refinement
-SLICE_MARGIN = 1e-12         # relative rounding margin on closed-form slice maxima
+SLICE_GAP = 1e-6             # relative gap hi - lo at which a concave search stops
+SLICE_MARGIN = 1e-12         # relative rounding margin on the upper end of slice maxima
 PIECE_MIN = 1e-12            # shortest polynomial piece, relative to the offset range
 MVEE_TOL = 1e-5              # enclosing-ellipsoid volume tolerance
 
@@ -208,8 +199,8 @@ class SliceMax:
     coordinates), so it is achieved; ``hi`` bounds the maximum from above up
     to the relative rounding margin SLICE_MARGIN.  ``method`` names the route:
     "ellipsoid", "difference-body" and "piecewise-polynomial" are closed forms;
-    "grid" is the refined grid search, whose value is a lower estimate that
-    it reports as both ends.
+    "concave-search" certifies hi from its probes and stops at
+    hi - lo <= SLICE_GAP * hi.
     """
 
     lo: float
@@ -226,11 +217,12 @@ def max_translate_slice(body: geom.ConvexBody, slice_frame: geom.Frame,
     slice subspace), over the offsets in ``base`` when one is given.
 
     Closed forms:
-    - ellipsoid: a ball or ellipsoid with no base or a disk base.  The
-      squared slice radius is 1 - |z - z_c|_P^2 over the shadow ellipsoid
-      (centre z_c, shape P), so the central slice is the largest and a disk
-      base needs the minimum of the shadow quadratic over the disk
-      (:func:`geom.quadratic_on_ball`: primal point for lo, dual bound for hi).
+    - ellipsoid: a ball or ellipsoid with no base, a disk base or a
+      one-sided cap base.  The squared slice radius is 1 - |z - z_c|_P^2 over
+      the shadow ellipsoid (centre z_c, shape P), so the central slice is the
+      largest and a base needs the minimum of the shadow quadratic over it
+      (:func:`geom.quadratic_on_ball`: primal point for lo, dual bound for
+      hi; a cap is a ball cut by a halfspace, see :func:`_quadratic_on_cap`).
     - difference-body: a polytope with 1-d slices and no base; the maximal
       chord is the radial function of P - P (:func:`geom.longest_chord`).
     - piecewise-polynomial: a polytope with 1-d offsets and no base.
@@ -238,12 +230,17 @@ def max_translate_slice(body: geom.ConvexBody, slice_frame: geom.Frame,
       polynomial of degree m (the slice dimension); it is interpolated at
       m + 1 Chebyshev nodes per piece and maximized over the roots of its
       derivative and the piece ends.
-    Everything else takes the grid search.
+    Everything else takes the concave search (:func:`_concave_search`).
+    Antipodal cap bases raise DomainError: their restricted bodies are not
+    convex, so no route applies.
     """
     if offsets_frame is None:
         offsets_frame = geom.complement(slice_frame)
+    if isinstance(base, cylinders.CapBase) and base.antipodal:
+        raise DomainError("antipodal cap bases make the restricted body "
+                          "non-convex; slice maxima need one-sided caps")
     if not isinstance(body, geom.Polytope):
-        if base is None or isinstance(base, cylinders.DiskBase):
+        if not isinstance(base, cylinders.PolytopeBase):
             return _ellipsoid_max(body, slice_frame, offsets_frame, base)
     elif base is None and slice_frame.subspace_dim == 1:
         t, q = geom.longest_chord(body, slice_frame.columns[:, 0])
@@ -251,13 +248,13 @@ def max_translate_slice(body: geom.ConvexBody, slice_frame: geom.Frame,
                         offsets_frame.coords(q), t, "difference-body")
     elif base is None and offsets_frame.subspace_dim == 1:
         return _piecewise_max(body, slice_frame, offsets_frame)
-    return _grid_search(body, slice_frame, offsets_frame, base)
+    return _concave_search(body, slice_frame, offsets_frame, base)
 
 
 def _bracket(body, slice_frame, offsets_frame, z, upper: float,
              method: str) -> SliceMax:
-    """SliceMax with lo the slice at offset z and hi the closed-form upper
-    value, widened by the rounding margin (and never below lo)."""
+    """SliceMax with lo the slice at offset z and hi the upper value,
+    widened by the rounding margin (and never below lo)."""
     lo = geom.affine_slice_volume(body, slice_frame, offsets_frame.embed(z))
     hi = max(upper, lo) * (1.0 + SLICE_MARGIN)
     return SliceMax(lo=lo, hi=hi, offset=tuple(map(float, z)), method=method)
@@ -278,11 +275,41 @@ def _ellipsoid_max(body, slice_frame, offsets_frame, base) -> SliceMax:
         shape = shadow.shape
     if base is None:
         z, dual = shadow.center, 0.0
-    else:
+    elif isinstance(base, cylinders.DiskBase):
         z, dual = geom.quadratic_on_ball(shape, shadow.center, base.center,
                                          base.radius)
+    else:
+        z, dual = _quadratic_on_cap(shape, shadow.center, base)
     upper = central * max(1.0 - dual, 0.0) ** (m / 2.0)
     return _bracket(body, slice_frame, offsets_frame, z, upper, "ellipsoid")
+
+
+def _quadratic_on_cap(shape, center, cap) -> tuple[np.ndarray, float]:
+    """(z, dual) for the minimum of (z - center)^T shape (z - center) over
+    the one-sided cap |z| <= 1, pole . z >= cos(delta), as
+    :func:`geom.quadratic_on_ball` gives them over a ball.
+
+    A 1-d cap is the segment [cos(delta), 1] pole, a ball itself.  Otherwise
+    the unit ball's minimizer answers when it lies in the halfspace; when it
+    does not, the convex minimum sits on the hyperplane, over the ball of
+    radius sin(delta) that the hyperplane cuts from the unit ball.  There the
+    quadratic is its hyperplane minimum (at y_c) plus a quadratic in the
+    hyperplane coordinates y.
+    """
+    h, pole, n = math.cos(cap.delta), cap.pole, cap.dim
+    if n == 1:
+        return geom.quadratic_on_ball(shape, center, 0.5 * (1.0 + h) * pole,
+                                      0.5 * (1.0 - h))
+    z, dual = geom.quadratic_on_ball(shape, center, np.zeros(n), 1.0)
+    if z @ pole >= h:
+        return z, dual
+    basis = geom.complement(geom.Frame(pole[:, None])).columns
+    reduced = basis.T @ shape @ basis
+    y_c = np.linalg.solve(reduced, basis.T @ shape @ (center - h * pole))
+    gap = h * pole + basis @ y_c - center
+    y, dual = geom.quadratic_on_ball(reduced, y_c, np.zeros(n - 1),
+                                     math.sin(cap.delta))
+    return h * pole + basis @ y, float(gap @ shape @ gap) + dual
 
 
 def _piecewise_max(body, slice_frame, offsets_frame) -> SliceMax:
@@ -312,74 +339,155 @@ def _piecewise_max(body, slice_frame, offsets_frame) -> SliceMax:
                     "piecewise-polynomial")
 
 
-def _grid_search(body, slice_frame, offsets_frame, base) -> SliceMax:
-    """Coarse-to-fine grid over the shadow of the body on the offsets frame,
-    restricted to ``base`` membership and seeded with informed base points,
-    followed by compass moves per level.  Slice volumes are exact per offset;
-    the refinement makes the value a lower estimate.  Raises
-    SliceEstimateUnstable when the last refinement moves the maximum by more
-    than SLICE_INSTABILITY_BAND.
+def _concave_search(body, slice_frame, offsets_frame, base) -> SliceMax:
+    """Nested golden-section search over the offsets in D = shadow ∩ base.
+
+    f = V^(1/m) is concave on D (Brunn), and so is its maximum over each
+    section of D at fixed leading offset coordinates.  Each coordinate gets
+    a level of :func:`_golden_search`, whose probes are searches of the next
+    level at a sixteenth of its tolerance; a relative gap of SLICE_GAP / 2m
+    on f keeps the gap of V within SLICE_GAP.  Level j runs over the chord
+    at the fixed coordinates of the shadow's and the base's projections onto
+    the first j + 1 coordinates, which is the exact range of D's sections
+    when the base lies in the shadow.  The coordinates are rotated to put a
+    cap's pole first, so that the cap is the unit ball cut by y_0 >= cos(delta)
+    and projects exactly too.
     """
-    shadow = geom.project_body(body, offsets_frame)
-    lo, hi = geom.bounding_box(shadow)
+    m, n = slice_frame.subspace_dim, offsets_frame.subspace_dim
+    rot = np.eye(n)
+    if isinstance(base, cylinders.CapBase):
+        rot = np.linalg.qr(np.column_stack([base.pole, np.eye(n)]))[0]
+    quads, polys, cut = [], [], None  # regions in the rotated coordinates y
+    for region in [geom.project_body(body, offsets_frame), base]:
+        if isinstance(region, (geom.Ball, cylinders.DiskBase)):
+            quads.append((np.eye(n) / (region.radius * region.radius),
+                          region.center @ rot))
+        elif isinstance(region, geom.Ellipsoid):
+            quads.append((rot.T @ region.shape @ rot, region.center @ rot))
+        elif isinstance(region, (geom.Polytope, cylinders.PolytopeBase)):
+            polys.append(region.vertices @ rot)
+        elif isinstance(region, cylinders.CapBase):
+            quads.append((np.eye(n), np.zeros(n)))
+            cut = np.append(-rot.T @ region.pole, math.cos(region.delta))
+    levels = []  # (quadratics, halfspace rows) of the projections per level
+    for j in range(1, n + 1):
+        rows = [np.zeros((0, j + 1))]
+        rows += [geom.Polytope(v[:, :j]).equations for v in polys]
+        if cut is not None:
+            rows.append([np.append(cut[:j], cut[-1])])
+        levels.append(([(np.linalg.inv(np.linalg.inv(q)[:j, :j]), c[:j])
+                        for q, c in quads], np.vstack(rows)))
 
-    def slice_at(z: np.ndarray) -> float:
-        if base is not None and not cylinders.base_membership(base, z[None, :])[0]:
-            return 0.0
-        return geom.affine_slice_volume(body, slice_frame, offsets_frame.embed(z))
+    def level(prefix, tol):
+        def probe(x):
+            y = np.append(prefix, x)
+            if len(y) < n:
+                return level(y, tol / 16.0)
+            f = geom.affine_slice_volume(body, slice_frame,
+                                         offsets_frame.embed(rot @ y)) ** (1.0 / m)
+            return f, f, y
+        ends = _chord(prefix, *levels[len(prefix)])
+        if ends is None:
+            return -math.inf, math.inf, None
+        return _golden_search(probe, *ends, tol)
 
-    dim = offsets_frame.subspace_dim
-    per_axis = SLICE_COARSE if dim <= 2 else 5
-    center = (lo + hi) / 2.0
-    half = (hi - lo) / 2.0
-    best_z, best_v = center.copy(), slice_at(center)
-    if base is not None:
-        for z in _base_offsets(base):
-            v = slice_at(z)
-            if v > best_v:
-                best_v, best_z = v, z.copy()
+    _, hi, y = level(np.zeros(0), SLICE_GAP / (2.0 * m))
+    if y is None:
+        raise DomainError("no searched offset of the base meets the body's shadow")
+    return _bracket(body, slice_frame, offsets_frame, rot @ y, hi ** m,
+                    "concave-search")
 
-    def compass(z0, v0, step, budget=60):
-        # expanding/shrinking coordinate moves follow diagonal ridges that a
-        # fixed axis grid crawls along
-        z, v = z0.copy(), v0
-        evals = 0
-        while evals < budget and step > 1e-9:
-            moved = False
-            for axis in range(dim):
-                for sgn in (1.0, -1.0):
-                    cand = z.copy()
-                    cand[axis] += sgn * step
-                    val = slice_at(cand)
-                    evals += 1
-                    if val > v:
-                        z, v = cand, val
-                        moved = True
-            step = step * 1.6 if moved else step * 0.5
-        return z, v
 
-    level_values = []
-    for _ in range(SLICE_LEVELS):
-        axes = [np.linspace(c - h, c + h, per_axis)
-                for c, h in zip(best_z, half)]
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
-        for z in mesh:
-            v = slice_at(z)
-            if v > best_v:
-                best_v, best_z = v, z.copy()
-        step = float(np.max(half)) / max(per_axis - 1, 1)
-        best_z, best_v = compass(best_z, best_v, step)
-        level_values.append(best_v)
-        # keep the refined window wider than one coarse cell so a peak next to
-        # the best grid point stays inside the next level
-        half = half * (3.0 / per_axis)
-    if level_values[-1] > 0:
-        move = abs(level_values[-1] - level_values[-2]) / level_values[-1]
-        if move > SLICE_INSTABILITY_BAND:
-            raise SliceEstimateUnstable(
-                f"refinement moved the slice maximum by {move:.1%}")
-    return SliceMax(lo=best_v, hi=best_v, offset=tuple(map(float, best_z)),
-                    method="grid")
+def _chord(prefix, quads, planes) -> tuple[float, float] | None:
+    """Ends of {t : (prefix, t) in D}, or None, for D given by quadratics
+    (Q, c): (z - c)^T Q (z - c) <= 1 and halfspace rows [a, b]: a.z + b <= 0."""
+    j = len(prefix)
+    rate, rest = planes[:, j], planes[:, :j] @ prefix + planes[:, -1]
+    if np.any((rate == 0.0) & (rest > 0.0)):
+        return None
+    lo = np.max(-rest[rate < 0.0] / rate[rate < 0.0], initial=-math.inf)
+    hi = np.min(-rest[rate > 0.0] / rate[rate > 0.0], initial=math.inf)
+    for q, c in quads:
+        # with p = prefix - c[:j]: q_jj (t - t0)^2 <= room, completed square
+        # free of the cancellation in (z - c)^T q (z - c) - 1 for balls
+        p = prefix - c[:j]
+        w = q[j, :j] @ p
+        room = 1.0 - p @ q[:j, :j] @ p + w * w / q[j, j]
+        if not room >= 0.0:
+            return None
+        t0, half = c[j] - w / q[j, j], math.sqrt(room / q[j, j])
+        lo, hi = max(lo, t0 - half), min(hi, t0 + half)
+    return (float(lo), float(hi)) if lo <= hi else None
+
+
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_search(probe, a: float, b: float, tol: float):
+    """(lo, hi, z) for the maximum over [a, b] of a concave g whose probe at
+    x gives (lo, hi, z): lo <= g(x) <= hi and z the point achieving lo, or
+    (-inf, inf, None) where it found no point of the domain.  Golden-section
+    steps shrink a bracket around the larger lo of its inner probes, and
+    :func:`_concave_envelope` bounds g from all probes.  Stops at
+    hi - lo <= tol * hi or once the bracket has shrunk to adjacent doubles.
+    """
+    if not a < b:
+        return probe(a)
+    seen, ends = {}, (a, b)
+
+    def take(x):
+        seen[x] = probe(x)
+        return _concave_envelope(sorted((x, *v) for x, v in seen.items()
+                                        if v[2] is not None), *ends)
+
+    c, d = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
+    for x in dict.fromkeys((a, c, d, b)):  # c or d can round onto an end
+        lo, hi, z = take(x)
+    while lo < (1.0 - tol) * hi:
+        if seen[c][0] >= seen[d][0]:
+            b, d = d, c
+            x = c = b - GOLDEN * (b - a)
+        else:
+            a, c = c, d
+            x = d = a + GOLDEN * (b - a)
+        if x in seen:
+            break
+        lo, hi, z = take(x)
+    return lo, hi, z
+
+
+def _concave_envelope(found: list, a: float, b: float):
+    """(lo, hi, z): the best of the probes (x, lo, hi, z), sorted by x, and
+    an upper bound of the concave g on [a, b].  Between two probes g stays
+    below the chords through the probe pairs next to the gap, extended into
+    it; a chord takes hi at its end next to the gap and lo at its far end,
+    so brackets keep the bound sound (hi = inf ends no chord).  One chord
+    reaches past the outer probes to a and b, none the gap of two probes.
+    """
+    if not found:
+        return -math.inf, math.inf, None
+    xs, lo, hi, zs = zip(*found)
+    k, best = len(xs), int(np.argmax(lo))
+    if k < 3:
+        return lo[best], math.inf, zs[best]
+    top = -math.inf
+    for i in range(k - 1):
+        width, left, right = xs[i + 1] - xs[i], (math.inf,) * 2, (math.inf,) * 2
+        if i > 0:
+            rise = (hi[i] - lo[i - 1]) / (xs[i] - xs[i - 1])
+            left = (hi[i], hi[i] + rise * width)
+        if i + 2 < k:
+            rise = (hi[i + 1] - lo[i + 2]) / (xs[i + 2] - xs[i + 1])
+            right = (hi[i + 1] + rise * width, hi[i + 1])
+        top = max(top, min(left[0], right[0]), min(left[1], right[1]))
+        d0, d1 = left[0] - right[0], left[1] - right[1]  # nan or inf without two chords
+        if d0 * d1 < 0.0:
+            top = max(top, left[0] + d0 / (d0 - d1) * (left[1] - left[0]))
+    for end, near, far in ((a, 0, 1), (b, k - 1, k - 2)):
+        if end != xs[near]:
+            rise = (hi[near] - lo[far]) / (xs[near] - xs[far])
+            top = max(top, hi[near], hi[near] + rise * (end - xs[near]))
+    return lo[best], top, zs[best]
 
 
 def check_packing_general(body: geom.ConvexBody, family, r: int,
@@ -426,25 +534,6 @@ def check_packing_general(body: geom.ConvexBody, family, r: int,
                        notes=f"worst slice ratio {worst_ratio:.6g} "
                              f"(slice maxima: {methods})",
                        evidence=evidence)
-
-
-def _base_offsets(base: cylinders.CylinderBase) -> np.ndarray:
-    """Informed slice-offset candidates inside a cylinder base."""
-    if isinstance(base, cylinders.CapBase):
-        ts = np.linspace(math.cos(base.delta), 1.0, 9)
-        pts = ts[:, None] * base.pole
-        return np.vstack([pts, -pts]) if base.antipodal else pts
-    if isinstance(base, cylinders.DiskBase):
-        c, r = base.center, base.radius
-        norm = float(np.linalg.norm(c))
-        pts = [c]
-        if norm > 1e-12:
-            pts.append(c * max(0.0, 1.0 - r / norm))  # base point nearest the origin
-        else:
-            pts.append(np.zeros_like(c))
-        return np.asarray(pts)
-    verts = base.vertices
-    return np.vstack([np.mean(verts, axis=0)[None, :], verts])
 
 
 # ---------------------------------------------------------------------------

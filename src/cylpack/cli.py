@@ -132,32 +132,31 @@ def _plank_reports(inst) -> list:
 
 
 def _reports_for(inst, samples: int, seed: int) -> tuple[list, dict | None, bool]:
-    """(bound reports, multiplicity report json, all_ok) for one instance.
+    """(bound reports, multiplicity json, all_ok) for one instance.
 
-    A packing or covering instance is sampled once, by its checker; a failed
-    hypothesis yields no report and a multiplicity json with its witness.  A
+    A packing or covering instance is sampled once, by its checker; a
     disk-plank instance is decided exactly on its hull and samples nothing.
+    A failed hypothesis yields no report and a multiplicity json with its
+    witness and reason.
     """
-    if inst["kind"] == instances.KIND_DISK_PLANKS:
-        reports = _plank_reports(inst)
-        return reports, None, all(rep.passed for rep in reports)
-    body, family, r, k = inst["body"], inst["family"], inst["r"], inst["k"]
-    round_body = not isinstance(body, geom.Polytope)
-    if inst["kind"] == instances.KIND_COVERING:
-        mode = "ellipsoid" if k == 1 and round_body else "general"
-        check = functools.partial(bounds.check_covering_lower, mode=mode)
-    elif round_body and k <= 2:
-        check = bounds.check_packing_upper_ellipsoid
-    elif k == 1:
-        check = bounds.check_base_volume_bound
-    else:
-        check = bounds.check_packing_general
     try:
+        if inst["kind"] == instances.KIND_DISK_PLANKS:
+            reports = _plank_reports(inst)
+            return reports, None, all(rep.passed for rep in reports)
+        body, family, r, k = inst["body"], inst["family"], inst["r"], inst["k"]
+        round_body = not isinstance(body, geom.Polytope)
+        if inst["kind"] == instances.KIND_COVERING:
+            mode = "ellipsoid" if k == 1 and round_body else "general"
+            check = functools.partial(bounds.check_covering_lower, mode=mode)
+        elif round_body and k <= 2:
+            check = bounds.check_packing_upper_ellipsoid
+        elif k == 1:
+            check = bounds.check_base_volume_bound
+        else:
+            check = bounds.check_packing_general
         rep = check(body, family, r, n=samples, seed=seed)
     except HypothesisFailed as exc:
-        verdict = exc.verdict
-        return [], {**verdict.report.to_json(), "witness": verdict.witness,
-                    "reason": verdict.reason}, False
+        return [], exc.verdict.to_json(), False
     return [rep], rep.evidence.to_json(), rep.passed
 
 

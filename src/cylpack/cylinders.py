@@ -164,7 +164,9 @@ def crv(body: geom.ConvexBody, cyl: Cylinder) -> float:
     """
     shadow = geom.project_body(body, cyl.frame)
     denom = geom.volume(shadow)
-    if not denom > 0.0 or not math.isfinite(denom):
+    if denom == math.inf:
+        raise DomainError("projected body volume overflows")
+    if not denom > 0.0:
         raise DegenerateProjection("projected body has numerically zero volume")
     return base_volume(cyl.base) / denom
 

@@ -58,8 +58,9 @@ class PlaneMissesSphere(CylpackError):
 
 
 class HypothesisFailed(CylpackError):
-    """Pre-verification failed; ``verdict`` is the failing sampled
-    VerificationResult, or None where no sampling decided it."""
+    """Pre-verification failed; ``verdict`` is the failing verdict (a sampled
+    VerificationResult or an exact PlankVerdict), whose ``to_json`` the CLI
+    reports."""
 
     def __init__(self, reason: str, verdict=None):
         super().__init__(reason)
@@ -72,10 +73,6 @@ class NotAPacking(HypothesisFailed):
 
 class NotACovering(HypothesisFailed):
     """Pre-verification failed: the family is not an r-fold covering."""
-
-
-class SliceEstimateUnstable(CylpackError):
-    """Grid refinement changed a max-slice estimate beyond the stability band."""
 
 
 class PointwiseViolated(CylpackError):

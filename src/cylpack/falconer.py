@@ -134,7 +134,7 @@ def _pair_angles(centers: np.ndarray, radii: np.ndarray, offsets) -> list[float]
                 continue
             psi = math.atan2(v[1], v[0])
             for w in offsets(radii[i], radii[j]):
-                val = w / rho
+                val = float(w) / rho  # a Python float: inf, not a warning
                 if abs(val) <= 1.0:
                     a = math.acos(val)
                     out += [psi + a, psi - a]
@@ -477,17 +477,33 @@ def exact_plank_multiplicity(family: DiskFamily, planks) -> tuple[int, tuple]:
     return best, tuple(map(float, mid + 0.5 * float(np.min(gaps)) * step))
 
 
-def verify_plank_packing(family: DiskFamily, planks, r: int) -> tuple[bool, str]:
+@dataclass(frozen=True)
+class PlankVerdict:
+    """Exact plank-packing verdict: the sweep's largest open multiplicity and
+    its witness, both None when a plank leaves the support range."""
+
+    ok: bool
+    max_mult: int | None
+    witness: tuple | None
+    reason: str = ""
+
+    def to_json(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "ok"}
+
+
+def verify_plank_packing(family: DiskFamily, planks, r: int) -> PlankVerdict:
     """Packing check for planks inside the hull, exact on arrangement cells."""
     for i, p in enumerate(planks):
         lo = -family.support(-p.u)
         hi = family.support(p.u)
         if p.a < lo - SUPPORT_TOL or p.b > hi + SUPPORT_TOL:
-            return False, f"plank {i} base leaves the support range"
+            return PlankVerdict(False, None, None,
+                                f"plank {i} base leaves the support range")
     mult, witness = exact_plank_multiplicity(family, planks)
     if mult > r:
-        return False, f"multiplicity {mult} at {witness} exceeds r={r}"
-    return True, ""
+        return PlankVerdict(False, mult, witness,
+                            f"multiplicity {mult} at {witness} exceeds r={r}")
+    return PlankVerdict(True, mult, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -504,9 +520,9 @@ def check_width_sum(family: DiskFamily, planks, r: int,
     separable, line = is_separable(family)
     if separable:
         raise NotNS(f"family is separable by the line {line}")
-    ok, reason = verify_plank_packing(family, planks, r)
-    if not ok:
-        raise NotAPacking(reason)
+    verdict = verify_plank_packing(family, planks, r)
+    if not verdict.ok:
+        raise NotAPacking(verdict.reason, verdict)
     widths = float(sum(p.width for p in planks))
     diam_ns = ns_diameter(family)
     digest = instance_digest({"family": family.to_json(),

@@ -176,7 +176,8 @@ class Ellipsoid:
     def __post_init__(self):
         c = _freeze(np.atleast_1d(np.asarray(self.center, dtype=float)))
         q = np.asarray(self.shape, dtype=float)
-        q = _freeze(0.5 * (q + q.T))
+        with np.errstate(over="ignore"):  # an inf entry fails _freeze: exit 2
+            q = _freeze(0.5 * (q + q.T))
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "shape", q)
         if q.shape != (c.shape[0], c.shape[0]):
@@ -750,31 +751,37 @@ def quadratic_on_ball(shape, center, ball_center, radius: float,
     the ball, down to adjacent doubles.  Returns (z, phi(lam)) at the final
     lam: z, the point of eigen-coordinates y(lam) about ball_center, lies in
     the ball, so phi <= min q <= q(z) for a minimum and max q <= phi for a
-    maximum.
+    maximum.  Centres near 1e154 apart overflow phi to +inf (no slice, no
+    containment); where inf * 0 leaves phi or z undefined, the trivial
+    bounds stand: phi = 0 for a minimum, +inf for a maximum, z = ball_center.
     """
     p, vecs = np.linalg.eigh(shape)
-    g = vecs.T @ (center - ball_center)
-    pg = p * g
-    gap = math.hypot(*g) / radius
-    if maximize:
-        # strictly below -max p, so a start with no top-eigenvector component
-        # (the hard case) still has finite terms
-        inside, outside = -p[-1] * (1.0 + gap) * (1.0 + 1e-12), -p[-1]
-    elif gap <= 1.0:
-        return center, 0.0
-    else:
-        inside, outside = p[-1] * gap, 0.0
-    for _ in range(SECULAR_ITERS):
-        mid = 0.5 * (inside + outside)
-        if mid == inside or mid == outside:
-            break
-        if math.hypot(*(pg / (p + mid))) <= radius:
-            inside = mid
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = vecs.T @ (center - ball_center)
+        pg = p * g
+        gap = math.hypot(*g) / radius
+        if maximize:
+            # strictly below -max p, so a start with no top-eigenvector
+            # component (the hard case) still has finite terms
+            inside, outside = -p[-1] * (1.0 + gap) * (1.0 + 1e-12), -p[-1]
+        elif gap <= 1.0:
+            return center, 0.0
         else:
-            outside = mid
-    y = pg / (p + inside)
-    y *= min(1.0, radius / max(math.hypot(*y), np.finfo(float).tiny))
-    with np.errstate(over="ignore"):
-        # centres near 1e154 apart overflow phi to +inf: no slice, no containment
+            inside, outside = p[-1] * gap, 0.0
+        for _ in range(SECULAR_ITERS):
+            mid = 0.5 * (inside + outside)
+            if mid == inside or mid == outside:
+                break
+            if math.hypot(*(pg / (p + mid))) <= radius:
+                inside = mid
+            else:
+                outside = mid
+        y = pg / (p + inside)
+        y *= min(1.0, radius / max(math.hypot(*y), np.finfo(float).tiny))
         dual = inside * (float(np.sum(pg * g / (p + inside))) - radius * radius)
-    return ball_center + vecs @ y, dual
+        z = ball_center + vecs @ y
+    if math.isnan(dual):
+        dual = math.inf if maximize else 0.0
+    if not np.all(np.isfinite(z)):
+        z = ball_center
+    return z, dual

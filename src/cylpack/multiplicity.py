@@ -55,6 +55,10 @@ class VerificationResult:
     report: MultiplicityReport
     reason: str = ""
 
+    def to_json(self) -> dict:
+        return {**self.report.to_json(), "witness": self.witness,
+                "reason": self.reason}
+
 
 def _sample_blocks(body: geom.ConvexBody, n: int, seed: int):
     """Yield sample blocks with per-block derived seeds, in a fixed order."""

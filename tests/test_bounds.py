@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import shadow_oracle
+import slicemax_oracle
 from cylpack import bounds, cappack, cylinders, geom, instances, multiplicity
-from cylpack.errors import (DomainError, NotACovering, NotAPacking,
-                            SliceEstimateUnstable)
+from cylpack.errors import DomainError, NotACovering, NotAPacking
 
 BALL2 = geom.Ball(np.zeros(2), 1.0)
 BALL3 = geom.Ball(np.zeros(3), 1.0)
@@ -216,8 +216,8 @@ def test_max_translate_slice_ball_exact():
 
 
 # a criterion-6 polytope (d = 4, interval slices) whose last grid refinement
-# moves the slice maximum by 5.2%, past SLICE_INSTABILITY_BAND; check_rogers_shephard
-# takes its maximum from the difference body instead
+# moves the slice maximum by 5.2%, past the oracle's SLICE_INSTABILITY_BAND;
+# check_rogers_shephard takes its maximum from the difference body instead
 UNSTABLE_VERTICES = [
     [0.8128416106494756, -0.14906608473442182, -0.13945421561807486, 1.1657475129399153],
     [0.18809862065839306, 0.3830609340677481, 0.588501256734581, 0.9992366014826984],
@@ -240,8 +240,8 @@ def test_max_translate_slice_unstable_refinement_raises(monkeypatch):
     frame = geom.orthonormalize(np.array(UNSTABLE_FRAME))
     comp = geom.complement(frame)
     offsets = geom.complement(comp)
-    with pytest.raises(SliceEstimateUnstable, match="5.2%"):
-        bounds._grid_search(poly, comp, offsets, None)
+    with pytest.raises(slicemax_oracle.SliceEstimateUnstable, match="5.2%"):
+        slicemax_oracle._grid_search(poly, comp, offsets, None)
     out = bounds.max_translate_slice(poly, comp)
     assert out.method == "difference-body"
     upper, lower = bounds.check_rogers_shephard(poly, frame)
@@ -249,8 +249,8 @@ def test_max_translate_slice_unstable_refinement_raises(monkeypatch):
     assert upper.lhs == pytest.approx(out.hi * geom.volume(
         geom.project_body(poly, frame)), rel=1e-15)
     # with the band lifted, the search's estimate stays below the bracket
-    monkeypatch.setattr(bounds, "SLICE_INSTABILITY_BAND", 1.0)
-    grid = bounds._grid_search(poly, comp, offsets, None)
+    monkeypatch.setattr(slicemax_oracle, "SLICE_INSTABILITY_BAND", 1.0)
+    grid = slicemax_oracle._grid_search(poly, comp, offsets, None)
     assert grid.lo == grid.hi <= out.hi
 
 

@@ -2,8 +2,9 @@
 
 One number of a valid instance file is replaced: a non-finite value must be
 rejected as unusable input (exit 2); any finite value must end in one of the
-documented exit codes, never in an uncaught exception; the overflow edge
-1.34e154 (the least double whose square overflows) also without a warning.
+documented exit codes, never in an uncaught exception; the far ends of the
+doubles (1.34e154, whose square overflows, the largest double and the least
+subnormal) also without a warning.
 The ``meta`` block is provenance that verification never reads, so its
 numbers are left alone.
 """
@@ -13,6 +14,7 @@ import copy
 import io
 import json
 import math
+import sys
 import warnings
 
 import pytest
@@ -84,15 +86,24 @@ def test_finite_perturbation_exits_with_a_documented_code(fixtures, data, value)
     assert _verify_with(fixtures, data, value) in (0, 1, 2)
 
 
-@pytest.mark.parametrize("name", sorted(CONSTRUCT_KINDS))
-def test_overflow_edge_exits_quietly_with_a_documented_code(fixtures, name):
-    # the least double whose square overflows, in each field of the file (the
-    # first entry of every list): no RuntimeWarning, no uncaught exception
+# the far ends of the doubles: the least double whose square overflows, the
+# largest double and the least subnormal (the first keeps its bare kind ids)
+EDGES = [pytest.param(name, value, id=name if tag is None else f"{name}-{tag}")
+         for name in sorted(CONSTRUCT_KINDS)
+         for value, tag in ((OVERFLOW_EDGE, None), (sys.float_info.max, "max"),
+                            (5e-324, "subnormal"))]
+
+
+@pytest.mark.parametrize("name, value", EDGES)
+def test_overflow_edge_exits_quietly_with_a_documented_code(fixtures, name,
+                                                            value):
+    # the value in each field of the file (the first entry of every list):
+    # no RuntimeWarning, no uncaught exception
     root, objs = fixtures
     for path in _numeric_leaves(objs[name]):
         if any(isinstance(key, int) and key for key in path):
             continue
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = _verify(root, _replaced(objs[name], path, OVERFLOW_EDGE))
+            code = _verify(root, _replaced(objs[name], path, value))
         assert code in (0, 1, 2), path

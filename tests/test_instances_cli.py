@@ -103,6 +103,33 @@ def test_cli_verify_overpacked_exit1(tmp_path, capsys):
     assert out["multiplicity"]["witness"] is not None
 
 
+def test_cli_overpacked_disk_planks_report_their_witness(tmp_path, capsys):
+    inst = tmp_path / "ns.json"
+    assert cli.main(["construct", "--kind", "ns-family", "--n", "4", "--r", "2",
+                     "--seed", "1", "--out", str(inst)]) == 0
+    obj = instances.load_json(inst)
+    obj["r"] -= 1
+    instances.dump_json(obj, inst)
+    parsed = instances.parse_instance(obj)
+    capsys.readouterr()
+    assert cli.main(["verify", str(inst)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["passed"] is False and out["reports"] == []
+    mult = out["multiplicity"]
+    assert mult["max_mult"] > obj["r"]
+    assert "exceeds" in mult["reason"]
+    # the sweep's witness lies in the hull and in max_mult open planks
+    point = np.array(mult["witness"])
+    theta = np.linspace(0.0, 2.0 * math.pi, 3600, endpoint=False)
+    family = parsed["disk_family"]
+    assert all(u @ point <= family.support(u) + 1e-12
+               for u in np.column_stack([np.cos(theta), np.sin(theta)]))
+    assert sum(p.a < p.u @ point < p.b for p in parsed["planks"]) \
+        == mult["max_mult"]
+    assert cli.main(["bounds", str(inst)]) == 1
+    assert json.loads(capsys.readouterr().out) == {"reports": []}
+
+
 def test_cli_verify_malformed_exit2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -240,11 +267,22 @@ def _polytope_d5_k1(tmp_path):
     return path
 
 
+def _cap_huge_body_radius(tmp_path):
+    # the shadow volume of a ball of radius 1.34e154 overflows to +inf
+    path = tmp_path / "cap.json"
+    assert cli.main(["construct", "--kind", "cap", "--dim", "4", "--k", "1",
+                     "--seed", "1", "--out", str(path)]) == 0
+    obj = instances.load_json(path)
+    obj["body"]["radius"] = 1.3407807929942597e+154
+    instances.dump_json(obj, path)
+    return path
+
+
 @pytest.mark.parametrize("command", ["verify", "bounds", "falconer"])
 @pytest.mark.parametrize("make", [_ns_huge_disk_radius, _antipodal_caps_k3,
-                                  _polytope_d5_k1],
+                                  _polytope_d5_k1, _cap_huge_body_radius],
                          ids=["huge-disk-radius", "antipodal-caps-k3",
-                              "polytope-d5-k1"])
+                              "polytope-d5-k1", "cap-huge-body-radius"])
 def test_cli_out_of_domain_instance_exits_2(tmp_path, capsys, command, make):
     inst = make(tmp_path)
     capsys.readouterr()

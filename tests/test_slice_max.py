@@ -1,33 +1,46 @@
-"""Brackets of translated-slice maxima: lo is an achieved slice, hi bounds the
-maximum, and the grid search never finds more than hi."""
+"""Brackets of translated-slice maxima: lo is an achieved slice inside the
+base, hi bounds the maximum, and neither the grid-search oracle nor a dense
+scan of the offsets finds more than hi."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import slicemax_oracle
 from cylpack import bounds, cli, cylinders, geom, instances, specfn
+from cylpack.errors import DomainError
 
 CLOSED_FORMS = ("ellipsoid", "difference-body", "piecewise-polynomial")
+
+
+def _inside(base, z, tol: float = 0.0) -> bool:
+    """Base membership of z, loosened by tol for the rounding of its ends."""
+    z = np.asarray(z, dtype=float)
+    if isinstance(base, cylinders.DiskBase):
+        return bool(np.linalg.norm(z - base.center) <= base.radius + tol)
+    if isinstance(base, cylinders.CapBase):
+        return bool(np.linalg.norm(z) <= 1.0 + tol
+                    and z @ base.pole >= math.cos(base.delta) - tol)
+    return bool(geom.contains_points(base._poly, z, tol=tol)[0])
 
 
 def _check_bracket(body, slice_frame, offsets_frame, base, out, monkeypatch):
     assert out.lo == geom.affine_slice_volume(
         body, slice_frame, offsets_frame.embed(out.offset))
     if base is not None:  # inside the base, up to the rounding of its ends
-        scale = 1e-15 * (1.0 + np.max(np.abs(out.offset)))
-        assert cylinders.base_membership(
-            cylinders.DiskBase(base.center, base.radius + scale)
-            if isinstance(base, cylinders.DiskBase) else base,
-            np.asarray(out.offset))[0]
+        assert _inside(base, out.offset,
+                       1e-15 * (1.0 + np.max(np.abs(out.offset))))
     assert out.lo <= out.hi
     if out.method in CLOSED_FORMS:
         assert out.hi - out.lo <= 1e-9 * out.hi
     else:
-        assert out.lo == out.hi
-    # the search's estimate, with its stability band lifted, stays below hi
-    monkeypatch.setattr(bounds, "SLICE_INSTABILITY_BAND", math.inf)
-    grid = bounds._grid_search(body, slice_frame, offsets_frame, base)
+        assert out.method == "concave-search"
+        assert out.hi - out.lo <= bounds.SLICE_GAP * out.hi
+    # the grid search's estimate, with its stability band lifted, stays below hi
+    monkeypatch.setattr(slicemax_oracle, "SLICE_INSTABILITY_BAND", math.inf)
+    grid = slicemax_oracle._grid_search(body, slice_frame, offsets_frame, base)
     assert grid.hi <= out.hi * (1 + 1e-12)
 
 
@@ -41,7 +54,7 @@ def test_polytope_bracket_every_k(d, monkeypatch):
             comp = geom.complement(frame)
             out = bounds.max_translate_slice(poly, comp)
             want = ("difference-body" if d - k == 1 else
-                    "piecewise-polynomial" if k == 1 else "grid")
+                    "piecewise-polynomial" if k == 1 else "concave-search")
             assert out.method == want
             _check_bracket(poly, comp, geom.complement(comp), None, out,
                            monkeypatch)
@@ -152,3 +165,111 @@ def test_cli_d5_packing_that_broke_the_search(tmp_path):
                      "--seed", "682558", "--out", str(report)]) == 0
     text = report.read_text()
     assert "body ellipsoid, restricted ellipsoid" in text
+
+
+def _scan(body, slice_frame, offsets_frame, base, centre) -> float:
+    """Largest slice over a dense grid of the offsets in shadow ∩ base, and
+    over a small stencil around ``centre``."""
+    shadow = geom.project_body(body, offsets_frame)
+    lo, hi = geom.bounding_box(shadow)
+    n = len(lo)
+    axes = [np.linspace(a, b, {1: 201, 2: 25, 3: 9}[n]) for a, b in zip(lo, hi)]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    stencil = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=n)))
+    pts = np.vstack([grid, np.asarray(centre) + 1e-3 * (hi - lo) * stencil])
+    keep = geom.contains_points(shadow, pts)
+    if base is not None:
+        keep &= cylinders.base_membership(base, pts)
+    return max((geom.affine_slice_volume(body, slice_frame, offsets_frame.embed(z))
+                for z in pts[keep]), default=0.0)
+
+
+def _one_sided_cap(n: int, gen) -> cylinders.CapBase:
+    pole = gen.standard_normal(n)
+    return cylinders.CapBase(pole / np.linalg.norm(pole), 0.6, antipodal=False)
+
+
+def _cases(body, gen, kinds):
+    """(slice frame, offsets frame, base) per codimension k and base kind."""
+    d = body.dim
+    for k in range(1, d):
+        for kind in kinds:
+            if kind is None:
+                frame = geom.orthonormalize(gen.standard_normal((k, d)))
+                yield geom.complement(frame), frame, None
+            elif kind == "cap":
+                frame = geom.orthonormalize(gen.standard_normal((d - k, d)))
+                yield geom.complement(frame), frame, _one_sided_cap(d - k, gen)
+            else:
+                cyl = instances.random_base_packing(
+                    body, k, 1, 1, seed=int(gen.integers(1 << 20)),
+                    base_kind=kind)[0]
+                yield geom.complement(cyl.frame), cyl.frame, cyl.base
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_polytope_brackets_hold_over_every_base(d, monkeypatch):
+    gen = np.random.default_rng(740 + d)
+    # doubled, the shadows hold most of the unit ball, where cap bases live
+    poly = geom.Polytope(2.0 * instances.random_polytope(d, gen).vertices)
+    for slice_frame, offsets_frame, base in _cases(
+            poly, gen, (None, "disk", "box", "cap")):
+        out = bounds.max_translate_slice(poly, slice_frame, base=base,
+                                         offsets_frame=offsets_frame)
+        if base is not None:
+            assert out.method == "concave-search"
+        _check_bracket(poly, slice_frame, offsets_frame, base, out, monkeypatch)
+        assert _scan(poly, slice_frame, offsets_frame, base, out.offset) <= out.hi
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_ellipsoid_brackets_hold_over_box_and_cap_bases(d, monkeypatch):
+    gen = np.random.default_rng(760 + d)
+    body = instances.random_ellipsoid(d, gen)
+    for slice_frame, offsets_frame, base in _cases(body, gen, ("box", "cap")):
+        out = bounds.max_translate_slice(body, slice_frame, base=base,
+                                         offsets_frame=offsets_frame)
+        assert out.method == ("ellipsoid" if isinstance(base, cylinders.CapBase)
+                              else "concave-search")
+        _check_bracket(body, slice_frame, offsets_frame, base, out, monkeypatch)
+        assert _scan(body, slice_frame, offsets_frame, base, out.offset) <= out.hi
+
+
+def test_restricted_polytope_maximum_inside_a_disk_base():
+    # the grid search reported 0.891160 here, below a slice at an offset
+    # strictly inside the disk (0.902475)
+    poly = instances.random_polytope(4, np.random.default_rng(10))
+    cyl = instances.random_base_packing(poly, 2, 2, 1, seed=10)[1]
+    out = bounds.max_translate_slice(poly, geom.complement(cyl.frame),
+                                     base=cyl.base, offsets_frame=cyl.frame)
+    assert out.method == "concave-search"
+    assert out.hi >= 0.90247
+    assert _inside(cyl.base, out.offset)
+
+
+def test_cap_base_closed_form_on_the_unit_ball():
+    # the thickest chord over a one-sided cap sits on its rim: 2 sin(delta)
+    gen = np.random.default_rng(4)
+    ball = geom.Ball(np.zeros(4), 1.0)
+    frame = geom.orthonormalize(gen.standard_normal((3, 4)))
+    cap = _one_sided_cap(3, gen)
+    out = bounds.max_translate_slice(ball, geom.complement(frame), base=cap,
+                                     offsets_frame=frame)
+    assert out.method == "ellipsoid"
+    assert out.lo == pytest.approx(2.0 * math.sin(cap.delta), rel=1e-12)
+    assert out.hi >= 2.0 * math.sin(cap.delta)
+    # a ball whose shadow centre lies in the cap: the central chord, 2
+    moved = geom.Ball(frame.embed(0.95 * cap.pole), 1.0)
+    out = bounds.max_translate_slice(moved, geom.complement(frame), base=cap,
+                                     offsets_frame=frame)
+    assert out.lo == pytest.approx(2.0, rel=1e-15)
+    assert out.lo <= 2.0 * (1 + 1e-15) <= out.hi
+
+
+def test_antipodal_cap_base_is_out_of_domain():
+    ball = geom.Ball(np.zeros(4), 1.0)
+    frame = geom.orthonormalize(np.eye(4)[:3])
+    cap = cylinders.CapBase(np.array([1.0, 0.0, 0.0]), 0.3, antipodal=True)
+    with pytest.raises(DomainError, match="antipodal"):
+        bounds.max_translate_slice(ball, geom.complement(frame), base=cap,
+                                   offsets_frame=frame)
