@@ -123,14 +123,6 @@ def _failure_code(exc: CylpackError) -> int:
     return EXIT_USAGE if isinstance(exc, DomainError) else EXIT_FAILED
 
 
-def _plank_reports(inst) -> list:
-    """The exact disk-plank checks of one disk-plank instance."""
-    family, planks, r = inst["disk_family"], inst["planks"], inst["r"]
-    width, radius = falconer.check_width_sum(family, planks, r)
-    return [width, radius, falconer.check_ridge_mass(family, planks, r),
-            falconer.check_mass_circumradius(family)]
-
-
 def _reports_for(inst, samples: int, seed: int) -> tuple[list, dict | None, bool]:
     """(bound reports, multiplicity json, all_ok) for one instance.
 
@@ -141,7 +133,8 @@ def _reports_for(inst, samples: int, seed: int) -> tuple[list, dict | None, bool
     """
     try:
         if inst["kind"] == instances.KIND_DISK_PLANKS:
-            reports = _plank_reports(inst)
+            reports = falconer.check_disk_planks(
+                inst["disk_family"], inst["planks"], inst["r"])
             return reports, None, all(rep.passed for rep in reports)
         body, family, r, k = inst["body"], inst["family"], inst["r"], inst["k"]
         round_body = not isinstance(body, geom.Polytope)
@@ -254,12 +247,14 @@ def cmd_falconer(args) -> int:
     ok = True
     if not separable:
         try:
-            reports = _plank_reports(inst)
+            # a disk-plank instance reads no sample count or seed
+            reports, mult_json, ok = _reports_for(inst, 0, 0)
         except CylpackError as exc:
             _emit(_error_object("falconer", exc), args.out)
             return _failure_code(exc)
         payload["reports"] = [r.to_json() for r in reports]
-        ok = all(rep.passed for rep in reports)
+        if mult_json is not None:  # a failed packing: its witness and reason
+            payload["multiplicity"] = mult_json
     if args.svg:
         svg = falconer.family_to_svg(family, planks=inst["planks"], line=line)
         with open(args.svg, "w", encoding="utf-8") as fh:

@@ -114,20 +114,24 @@ class Cylinder:
         return self.frame.ambient_dim - self.frame.subspace_dim
 
 
-def base_membership(base: CylinderBase, z, strict: bool = False,
-                    margin: float = INTERIOR_MARGIN) -> np.ndarray:
-    """Vectorized base membership in E-coordinates; boundary counts as inside
-    unless ``strict``."""
+def base_membership(base: CylinderBase, z) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized (closed, strict) base membership in E-coordinates, from one
+    evaluation per base; the strict reading keeps ``INTERIOR_MARGIN`` off the
+    boundary."""
     z = np.atleast_2d(np.asarray(z, dtype=float))
-    tol = -margin if strict else 0.0
     if isinstance(base, DiskBase):
-        return np.linalg.norm(z - base.center, axis=1) <= base.radius + tol
+        dist = np.linalg.norm(z - base.center, axis=1)
+        return dist <= base.radius, dist <= base.radius - INTERIOR_MARGIN
     if isinstance(base, PolytopeBase):
-        return geom.contains_points(base._poly, z, tol=tol)
+        eq = base._poly.equations
+        top = np.max(z @ eq[:, :-1].T + eq[:, -1], axis=1)
+        return top <= 0.0, top <= -INTERIOR_MARGIN
     dots = z @ base.pole
     level = np.abs(dots) if base.antipodal else dots
-    inside_ball = np.linalg.norm(z, axis=1) <= 1.0 + tol
-    return inside_ball & (level >= math.cos(base.delta) - tol)
+    norm = np.linalg.norm(z, axis=1)
+    cos_d = math.cos(base.delta)
+    return ((norm <= 1.0) & (level >= cos_d),
+            (norm <= 1.0 - INTERIOR_MARGIN) & (level >= cos_d + INTERIOR_MARGIN))
 
 
 def contains(cyl: Cylinder, x, strict: bool = False) -> bool:
@@ -135,14 +139,16 @@ def contains(cyl: Cylinder, x, strict: bool = False) -> bool:
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != cyl.ambient_dim:
         raise DimensionMismatch("point dimension does not match the cylinder")
-    return bool(base_membership(cyl.base, cyl.frame.coords(x), strict=strict)[0])
+    closed, interior = base_membership(cyl.base, cyl.frame.coords(x))
+    return bool((interior if strict else closed)[0])
 
 
 def contains_points(cyl: Cylinder, pts, strict: bool = False) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if pts.shape[1] != cyl.ambient_dim:
         raise DimensionMismatch("point dimension does not match the cylinder")
-    return base_membership(cyl.base, pts @ cyl.frame.columns, strict=strict)
+    closed, interior = base_membership(cyl.base, pts @ cyl.frame.columns)
+    return interior if strict else closed
 
 
 def base_volume(base: CylinderBase) -> float:
@@ -310,6 +316,14 @@ def cylinder_to_json(cyl: Cylinder) -> dict:
     }
 
 
+def json_typed(value, kind: type, field: str):
+    """``value`` when it has exactly the JSON type ``kind`` (int or bool), so
+    a bool, float or string is never read as an int, nor a string as a bool."""
+    if type(value) is not kind:
+        raise DomainError(f"{field} must be a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
 def cylinder_from_json(obj: dict) -> Cylinder:
     cols = np.asarray(obj["frame"]["columns"], dtype=float).T
     frame = geom.Frame(cols)
@@ -321,10 +335,10 @@ def cylinder_from_json(obj: dict) -> Cylinder:
         base = DiskBase(np.asarray(b["center"], dtype=float), float(b["radius"]))
     elif kind == "cap":
         base = CapBase(np.asarray(b["pole"], dtype=float), float(b["delta"]),
-                       bool(b.get("antipodal", True)))
+                       json_typed(b.get("antipodal", True), bool, "cap antipodal"))
     else:
         raise DomainError(f"unknown base kind {kind!r}")
     cyl = Cylinder(frame, base)
-    if cyl.k != int(obj["k"]):
+    if cyl.k != json_typed(obj["k"], int, "cylinder k"):
         raise DimensionMismatch("codimension field disagrees with the frame shape")
     return cyl

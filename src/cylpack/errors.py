@@ -75,10 +75,6 @@ class NotACovering(HypothesisFailed):
     """Pre-verification failed: the family is not an r-fold covering."""
 
 
-class PointwiseViolated(CylpackError):
-    """A pointwise ridge-sum bound failed at a witness point."""
-
-
 class LineMissesBody(CylpackError):
     """The requested section line does not meet the interior of the body."""
 

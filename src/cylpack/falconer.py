@@ -5,8 +5,10 @@ splits them into two nonempty groups.  For non-separable families the sum of
 widths of any r-fold plank packing of the hull is at most r times the sum of
 the disk diameters; the machinery here decides separability exactly, certifies
 the circumradius of the hull, and verifies the width bound together with its
-ridge-function and variational ingredients.  Every plank-packing check runs
-on the exact hull of the disks and samples nothing.
+ridge-function and variational ingredients.  ``check_disk_planks`` decides all
+of one instance's checks in one pass: one separability test, one exact
+arrangement sweep on the hull of the disks and one circumradius; nothing is
+sampled.
 """
 
 import math
@@ -22,7 +24,6 @@ from .errors import (
     LineMissesBody,
     NotAPacking,
     NotNS,
-    PointwiseViolated,
 )
 
 UNIT_CHORD = "unit_chord"   # density (1/pi) (r^2 - rho^2)^(-1/2): every chord integrates to 1
@@ -507,36 +508,6 @@ def verify_plank_packing(family: DiskFamily, planks, r: int) -> PlankVerdict:
 
 
 # ---------------------------------------------------------------------------
-# width-sum and circumradius bounds
-
-
-def check_width_sum(family: DiskFamily, planks, r: int,
-                    ) -> tuple[BoundReport, BoundReport]:
-    """Width bound for plank packings of a non-separable family's hull.
-
-    Returns the width report (sum of widths <= r * sum of diameters) and the
-    companion circumradius report (2 R <= sum of diameters).
-    """
-    separable, line = is_separable(family)
-    if separable:
-        raise NotNS(f"family is separable by the line {line}")
-    verdict = verify_plank_packing(family, planks, r)
-    if not verdict.ok:
-        raise NotAPacking(verdict.reason, verdict)
-    widths = float(sum(p.width for p in planks))
-    diam_ns = ns_diameter(family)
-    digest = instance_digest({"family": family.to_json(),
-                              "planks": [p.to_json() for p in planks], "r": r})
-    width_report = make_report("plank_width_sum", widths, r * diam_ns, LE,
-                               digest, probabilistic=False,
-                               notes="packing checked on arrangement cells")
-    circ = circumradius(family)
-    radius_report = make_report("circumradius_vs_ns_diameter",
-                                2.0 * circ.radius, diam_ns, LE, digest)
-    return width_report, radius_report
-
-
-# ---------------------------------------------------------------------------
 # sectional integrals of the disk densities
 
 
@@ -577,27 +548,6 @@ def total_mass(family: DiskFamily, mode: str = UNIT_CHORD) -> float:
     return float(sum(disk_mass(d, mode) for d in family.disks))
 
 
-def check_ridge_mass(family: DiskFamily, planks, r: int) -> BoundReport:
-    """Ridge-function route to the width bound.
-
-    The strip indicators scaled by 1/r must sum to at most 1 almost
-    everywhere on the hull, which is the open-cell multiplicity bound of the
-    exact arrangement sweep (with a witness on failure); their total
-    integrals are then bounded by the total mass of the family density.
-    """
-    planks = list(planks)
-    mult, witness = exact_plank_multiplicity(family, planks)
-    if mult > r:
-        raise PointwiseViolated(f"ridge sum {mult / r:.6f} at {witness}")
-    lhs = float(sum((1.0 / r) * (p.b - p.a) for p in planks))
-    rhs = total_mass(family, UNIT_CHORD)
-    digest = instance_digest({"family": family.to_json(),
-                              "planks": [p.to_json() for p in planks], "r": r})
-    return make_report("ridge_mass_bound", lhs, rhs, LE, digest,
-                       probabilistic=False,
-                       notes="pointwise bound checked on arrangement cells")
-
-
 # ---------------------------------------------------------------------------
 # variational profile bound
 
@@ -614,15 +564,52 @@ def minimal_profile_mass(moment: float, floor: float) -> float:
     return math.sqrt(2.0 * moment * floor)
 
 
-def check_mass_circumradius(family: DiskFamily) -> BoundReport:
-    """Chain consistency: total density mass of the family is at least twice
-    the circumradius of the hull (and equals the NS-diameter)."""
-    circ = circumradius(family)
+# ---------------------------------------------------------------------------
+# the disk-plank checks
+
+
+def check_disk_planks(family: DiskFamily, planks, r: int) -> list[BoundReport]:
+    """Every disk-plank check of one instance, from one separability test,
+    one arrangement sweep and one circumradius.
+
+    Reports, in order: the width bound for plank packings of a non-separable
+    family's hull (sum of widths <= r * sum of diameters); the circumradius
+    bound (2 R <= sum of diameters); the ridge-function route to the width
+    bound, whose pointwise condition (the strip indicators scaled by 1/r sum
+    to at most 1 almost everywhere on the hull) is the sweep's open-cell
+    multiplicity bound, and whose strip integrals are bounded by the total
+    mass of the family density; and the chain consistency check that this
+    mass (the NS-diameter) is at least twice the circumradius.  Raises
+    ``NotNS`` for a separable family and ``NotAPacking``, carrying the
+    ``PlankVerdict`` and its witness, when the planks are no r-fold packing.
+    """
+    planks = list(planks)
+    separable, line = is_separable(family)
+    if separable:
+        raise NotNS(f"family is separable by the line {line}")
+    verdict = verify_plank_packing(family, planks, r)
+    if not verdict.ok:
+        raise NotAPacking(verdict.reason, verdict)
+    diam_ns = ns_diameter(family)
     mass = total_mass(family, UNIT_CHORD)
-    digest = instance_digest({"family": family.to_json()})
-    return make_report(
-        "mass_circumradius", mass, 2.0 * circ.radius, GE, digest,
-        notes=f"bracket [2R, ns_diameter] = [{2.0 * circ.radius!r}, {mass!r}]")
+    circ = circumradius(family)
+    digest = instance_digest({"family": family.to_json(),
+                              "planks": [p.to_json() for p in planks], "r": r})
+    return [
+        make_report("plank_width_sum", float(sum(p.width for p in planks)),
+                    r * diam_ns, LE, digest,
+                    notes="packing checked on arrangement cells"),
+        make_report("circumradius_vs_ns_diameter", 2.0 * circ.radius, diam_ns,
+                    LE, digest),
+        make_report("ridge_mass_bound",
+                    float(sum((1.0 / r) * (p.b - p.a) for p in planks)), mass,
+                    LE, digest,
+                    notes="pointwise bound checked on arrangement cells"),
+        make_report("mass_circumradius", mass, 2.0 * circ.radius, GE,
+                    instance_digest({"family": family.to_json()}),
+                    notes=f"bracket [2R, ns_diameter] = "
+                          f"[{2.0 * circ.radius!r}, {mass!r}]"),
+    ]
 
 
 # ---------------------------------------------------------------------------

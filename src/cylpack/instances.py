@@ -306,7 +306,7 @@ def parse_instance(obj: dict) -> dict:
     kind = obj.get("kind")
     if kind not in (KIND_PACKING, KIND_COVERING, KIND_DISK_PLANKS):
         raise DomainError(f"unknown instance kind {kind!r}")
-    r = int(obj["r"])
+    r = cylinders.json_typed(obj["r"], int, "multiplicity r")
     if not 1 <= r <= 2**53:  # above 2**53 the bounds' float arithmetic is inexact
         raise DomainError(f"multiplicity r must lie in [1, 2**53], got {r}")
     if kind == KIND_DISK_PLANKS:
@@ -316,7 +316,7 @@ def parse_instance(obj: dict) -> dict:
                 "r": r, "raw": obj}
     body = geom.body_from_json(obj["body"])
     family = [cylinders.cylinder_from_json(c) for c in obj["cylinders"]]
-    k = int(obj["k"])
+    k = cylinders.json_typed(obj["k"], int, "instance k")
     # the CLI picks the checker from k, so it must be every cylinder's codimension
     if any(c.k != k for c in family):
         raise DomainError(f"instance k={k} disagrees with the cylinder codimensions "

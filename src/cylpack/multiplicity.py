@@ -1,11 +1,12 @@
 """r-fold packing and covering verification by multiplicity sampling.
 
 Verification is probabilistic: n uniform samples of the body are tested
-against every cylinder, strict-interior membership driving packing checks and
-closed membership driving covering checks.  Reports carry witnesses and the
-seed, and identical seeds reproduce reports bit for bit.  Sampling is split
-into fixed-size blocks with per-block derived seeds and a fixed reduction
-order, so block-parallel execution cannot change the result.
+once against every cylinder's base, which gives both readings: strict-interior
+membership drives packing checks and closed membership covering checks.
+Reports carry witnesses and the seed, and identical seeds reproduce reports
+bit for bit.  Sampling is split into fixed-size blocks with per-block derived
+seeds and a fixed reduction order, so block-parallel execution cannot change
+the result.
 """
 
 import math
@@ -76,8 +77,9 @@ def multiplicity_counts(body: geom.ConvexBody, family, pts: np.ndarray,
                         ) -> tuple[np.ndarray, np.ndarray]:
     """(strict, closed) membership counts of each point across the family.
 
-    Cap-based cylinders inside the unit ball reduce to a dot product with the
-    embedded pole, which keeps large cap families affordable.
+    Each cylinder's base is evaluated once for both readings.  Cap-based
+    cylinders inside the unit ball reduce to a dot product with the embedded
+    pole, which keeps large cap families affordable.
     """
     n = len(pts)
     strict = np.zeros(n, dtype=np.int32)
@@ -105,9 +107,8 @@ def multiplicity_counts(body: geom.ConvexBody, family, pts: np.ndarray,
                     strict_in = np.zeros(n, dtype=bool)
                     strict_in[idx[strict_sub]] = True
             else:
-                z = pts @ cyl.frame.columns
-                closed_in = cylinders.base_membership(base, z)
-                strict_in = cylinders.base_membership(base, z, strict=True)
+                closed_in, strict_in = cylinders.base_membership(
+                    base, pts @ cyl.frame.columns)
             closed += closed_in
             strict += strict_in
     return strict, closed

@@ -265,9 +265,8 @@ def test_criterion_8_disk_family_suite():
         fam = instances.random_ns_family(3 + seed % 3, seed=seed)
         r = seed % 3 + 1
         planks = instances.random_plank2d_packing(fam, 3, r, seed=seed)
-        width, radius = falconer.check_width_sum(fam, planks, r)
-        assert width.passed, seed
-        assert radius.passed, seed
+        reps = falconer.check_disk_planks(fam, planks, r)
+        assert [rep.passed for rep in reps] == [True] * 4, seed
         circ = falconer.circumradius(fam)
         assert max(circ.tangency_residuals(fam)) <= 1e-10, seed
         # five random interior lines per family: the sectional mass is >= 1

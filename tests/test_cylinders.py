@@ -65,6 +65,48 @@ def test_cap_cylinder_membership():
     assert want  # 0.9 >= cos(pi/6) ~ 0.866
 
 
+def _membership_by_reading(base, z, tol):
+    """One reading of base membership, spelled out: ``tol`` 0 is the closed
+    base, ``-INTERIOR_MARGIN`` the strict one."""
+    if isinstance(base, cylinders.DiskBase):
+        return np.linalg.norm(z - base.center, axis=1) <= base.radius + tol
+    if isinstance(base, cylinders.PolytopeBase):
+        return geom.contains_points(base._poly, z, tol=tol)
+    level = z @ base.pole
+    level = np.abs(level) if base.antipodal else level
+    return ((np.linalg.norm(z, axis=1) <= 1.0 + tol)
+            & (level >= math.cos(base.delta) - tol))
+
+
+def test_base_membership_pair_is_both_readings(rng):
+    eps = cylinders.INTERIOR_MARGIN
+    delta = math.pi / 5
+    c = math.cos(delta)
+    bases = {
+        "disk": (cylinders.DiskBase(np.array([0.25, -0.5]), 0.75),
+                 [[1.0, -0.5], [0.25, 0.25], [1.0 - eps, -0.5], [0.25, 0.25 - eps],
+                  [-0.5 + eps, -0.5]]),
+        "polytope": (cylinders.PolytopeBase(np.array([[0.0, 0.0], [1.0, 0.0],
+                                                      [1.0, 1.0], [0.0, 1.0]])),
+                     [[1.0, 0.5], [0.5, 0.0], [1.0 - eps, 0.5], [0.5, eps],
+                      [eps, 1.0 - eps], [0.0, 0.0]]),
+        "cap": (cylinders.CapBase(np.array([1.0, 0.0]), delta, antipodal=False),
+                [[1.0, 0.0], [c, 0.1], [c + eps, 0.1], [1.0 - eps, 0.0],
+                 [-1.0, 0.0]]),
+        "antipodal-cap": (cylinders.CapBase(np.array([1.0, 0.0]), delta),
+                          [[-1.0, 0.0], [-c, 0.1], [-c - eps, 0.1],
+                           [eps - 1.0, 0.0], [c + eps, 0.2]]),
+    }
+    for name, (base, edge) in bases.items():
+        z = np.vstack([edge, rng.uniform(-1.2, 1.2, (500, 2))])
+        closed, strict = cylinders.base_membership(base, z)
+        assert np.array_equal(closed, _membership_by_reading(base, z, 0.0)), name
+        assert np.array_equal(strict, _membership_by_reading(base, z, -eps)), name
+        # the edge points sit on the boundary or one margin inside it, where
+        # the two readings part
+        assert np.any(closed[:len(edge)] & ~strict[:len(edge)]), name
+
+
 def test_crv_ball_disk_cylinder():
     ball = geom.Ball(np.zeros(3), 1.0)
     frame = geom.orthonormalize(np.eye(3)[:2])

@@ -11,7 +11,6 @@ from cylpack.errors import (
     LineMissesBody,
     NotAPacking,
     NotNS,
-    PointwiseViolated,
 )
 
 
@@ -157,7 +156,11 @@ def test_ns_diameter():
 
 def test_width_bound_unit_disk_partition_equality():
     planks = instances.plank2d_partition(UNIT_DISK, 4)
-    width, radius = falconer.check_width_sum(UNIT_DISK, planks, 1)
+    reps = falconer.check_disk_planks(UNIT_DISK, planks, 1)
+    assert [rep.theorem_id for rep in reps] == [
+        "plank_width_sum", "circumradius_vs_ns_diameter", "ridge_mass_bound",
+        "mass_circumradius"]
+    width, radius = reps[:2]
     assert width.passed and width.lhs == pytest.approx(2.0, abs=1e-12)
     assert width.rhs == pytest.approx(2.0, abs=1e-12)
     assert radius.passed and abs(radius.slack) <= 1e-12
@@ -165,7 +168,7 @@ def test_width_bound_unit_disk_partition_equality():
 
 def test_width_bound_tangent_trio():
     planks = instances.random_plank2d_packing(TANGENT_TRIO, 3, 2, seed=5)
-    width, radius = falconer.check_width_sum(TANGENT_TRIO, planks, 2)
+    width, radius, _, _ = falconer.check_disk_planks(TANGENT_TRIO, planks, 2)
     assert width.passed
     assert radius.lhs == pytest.approx(2 * (2 / math.sqrt(3) + 1), abs=1e-9)
     assert radius.rhs == 6.0
@@ -174,13 +177,13 @@ def test_width_bound_tangent_trio():
 def test_width_bound_requires_ns():
     fam = disks(((0, 0), 1.0), ((4, 0), 1.0))
     with pytest.raises(NotNS):
-        falconer.check_width_sum(fam, [], 1)
+        falconer.check_disk_planks(fam, [], 1)
 
 
 def test_width_bound_requires_packing():
     planks = instances.plank2d_partition(UNIT_DISK, 3, r=2)
     with pytest.raises(NotAPacking):
-        falconer.check_width_sum(UNIT_DISK, planks, 1)
+        falconer.check_disk_planks(UNIT_DISK, planks, 1)
 
 
 def _random_planks(family, gen, n):
@@ -224,7 +227,7 @@ def test_thin_plank_at_the_hull_top_overlaps():
     assert falconer_oracle.open_counts(planks, witness)[0] == 2
     assert falconer_oracle.certainly_in_hull(fam, witness)[0]
     with pytest.raises(NotAPacking):
-        falconer.check_width_sum(fam, planks, 1)
+        falconer.check_disk_planks(fam, planks, 1)
 
 
 @pytest.mark.parametrize("family", [UNIT_DISK, TANGENT_TRIO,
@@ -366,7 +369,8 @@ def test_total_mass_is_ns_diameter():
 
 def test_ridge_mass_partition_equality():
     planks = instances.plank2d_partition(UNIT_DISK, 4)
-    rep = falconer.check_ridge_mass(UNIT_DISK, planks, 1)
+    rep = falconer.check_disk_planks(UNIT_DISK, planks, 1)[2]
+    assert rep.theorem_id == "ridge_mass_bound"
     assert rep.passed and rep.lhs == pytest.approx(2.0, abs=1e-12)
     assert rep.rhs == pytest.approx(2.0, abs=1e-12)
     assert not rep.probabilistic  # decided on the arrangement cells
@@ -374,15 +378,21 @@ def test_ridge_mass_partition_equality():
 
 def test_ridge_mass_doubled_partition():
     planks = instances.plank2d_partition(UNIT_DISK, 4, r=2)
-    rep = falconer.check_ridge_mass(UNIT_DISK, planks, 2)
+    rep = falconer.check_disk_planks(UNIT_DISK, planks, 2)[2]
     assert rep.passed and rep.lhs == pytest.approx(2.0, abs=1e-12)
 
 
 def test_ridge_mass_violation_witness():
     planks = [falconer.Plank2D(np.array([1.0, 0.0]), -0.5, 0.1),
               falconer.Plank2D(np.array([1.0, 0.0]), -0.1, 0.5)]
-    with pytest.raises(PointwiseViolated):
-        falconer.check_ridge_mass(UNIT_DISK, planks, 1)
+    # the ridge sum exceeds 1 exactly where the planks overlap twice, which
+    # is the packing failure, reported with the sweep's witness
+    with pytest.raises(NotAPacking) as info:
+        falconer.check_disk_planks(UNIT_DISK, planks, 1)
+    verdict = info.value.verdict
+    assert verdict.max_mult == 2 and "exceeds r=1" in verdict.reason
+    x, y = verdict.witness
+    assert -0.1 < x < 0.1 and x * x + y * y < 1.0
 
 
 # --- variational bound ----------------------------------------------------------
@@ -410,15 +420,16 @@ def test_profile_domain():
 # --- chain consistency -----------------------------------------------------------
 
 def test_mass_circumradius_chain(rng):
-    rep = falconer.check_mass_circumradius(UNIT_DISK)
+    rep = falconer.check_disk_planks(UNIT_DISK, [], 1)[3]
+    assert rep.theorem_id == "mass_circumradius"
     assert rep.passed and abs(rep.slack) <= 1e-12  # single disk: equality
     overlap = disks(((0, 0), 1.0), ((1, 0), 1.0))
-    rep2 = falconer.check_mass_circumradius(overlap)
+    rep2 = falconer.check_disk_planks(overlap, [], 1)[3]
     assert rep2.lhs == pytest.approx(4.0)
     assert rep2.rhs == pytest.approx(3.0)  # 2 * (1.5)
     for seed in range(10):
         fam = instances.random_ns_family(4, seed=seed)
-        rep3 = falconer.check_mass_circumradius(fam)
+        rep3 = falconer.check_disk_planks(fam, [], 1)[3]
         assert rep3.passed
 
 

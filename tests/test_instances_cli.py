@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cylpack import cli, cylinders, falconer, geom, instances, multiplicity
+import falconer_oracle
 from conftest import CONSTRUCT_KINDS, construct_all
 
 
@@ -169,15 +170,60 @@ def _ellipsoid_packing(tmp_path):
     return instances.load_json(path)
 
 
+def _set_instance_k(value):
+    def mutate(obj):
+        obj["k"] = value
+    return mutate
+
+
+def _set_cylinder_k(value):
+    def mutate(obj):
+        obj["cylinders"][0]["k"] = value
+    return mutate
+
+
+def _set_antipodal(value):
+    def mutate(obj):
+        for cyl in obj["cylinders"]:
+            cyl["base"]["antipodal"] = value
+    return mutate
+
+
+def _plank_partition(tmp_path):
+    # the r = 2 partition covers every point twice: r read as 1 fails, as 2 passes
+    path = tmp_path / "plank.json"
+    assert cli.main(["construct", *CONSTRUCT_KINDS["plank"], "--seed", "1",
+                     "--out", str(path)]) == 0
+    return instances.load_json(path)
+
+
+def _one_sided_caps(tmp_path):
+    ball = geom.Ball(np.zeros(2), 1.0)
+    frame = geom.Frame(np.array([[1.0], [0.0]]))
+    caps = [cylinders.Cylinder(frame, cylinders.CapBase(np.array([s]), 0.5,
+                                                        antipodal=False))
+            for s in (1.0, -1.0)]
+    return instances.packing_instance(ball, caps, 1, {"generator": "test", "seed": 0})
+
+
 @pytest.mark.parametrize("build,mutate",
                          [(_ball_packing, _set_nan_center),
                           (_ball_packing, _set_inf_disk_radius),
                           (_ball_packing, _set_r(0)), (_ball_packing, _set_r(-3)),
                           (_ball_packing, _set_r(math.inf)),
                           (_ball_packing, _set_r(1e300)),
-                          (_ellipsoid_packing, _set_k)],
+                          (_ellipsoid_packing, _set_k),
+                          (_plank_partition, _set_r(1.9)),
+                          (_plank_partition, _set_r(2.5)),
+                          (_plank_partition, _set_r(True)),
+                          (_plank_partition, _set_r("2")),
+                          (_plank_partition, _set_instance_k(1.5)),
+                          (_plank_partition, _set_cylinder_k(1.0)),
+                          (_one_sided_caps, _set_antipodal("false"))],
                          ids=["nan-center", "inf-disk-radius", "r=0", "r=-3",
-                              "r=inf", "r=1e300", "k=7"])
+                              "r=inf", "r=1e300", "k=7", "r=1.9", "r=2.5",
+                              "r=true", "r='2'", "k=1.5", "cylinder-k=1.0",
+                              "antipodal='false'"])
 def test_cli_verify_invalid_fields_exit2(tmp_path, capsys, build, mutate):
     obj = build(tmp_path)
     mutate(obj)
@@ -491,6 +537,65 @@ def test_cli_samples_each_instance_once(tmp_path, monkeypatch, capsys):
     cli.main(["verify", str(files["ns"]), "--samples", "2000"])
     assert calls == []
     capsys.readouterr()
+
+
+def _count_calls(monkeypatch, module, names) -> dict:
+    """{name: list of calls}, filled as the module's functions are called."""
+    calls = {name: [] for name in names}
+    for name in names:
+        real = getattr(module, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls[_name].append(args)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_cli_verifies_disk_planks_in_one_pass(tmp_path, monkeypatch, capsys):
+    inst = tmp_path / "ns.json"
+    assert cli.main(["construct", *CONSTRUCT_KINDS["ns"], "--seed", "1",
+                     "--out", str(inst)]) == 0
+    calls = _count_calls(monkeypatch, falconer,
+                         ["exact_plank_multiplicity", "_hull_polygon",
+                          "circumradius", "is_separable"])
+    assert cli.main(["verify", str(inst)]) == 0
+    assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, 1)
+    capsys.readouterr()
+
+
+def test_cli_tests_each_base_once_per_sample_block(tmp_path, monkeypatch, capsys):
+    inst = tmp_path / "plank.json"
+    assert cli.main(["construct", *CONSTRUCT_KINDS["plank"], "--seed", "1",
+                     "--out", str(inst)]) == 0
+    calls = _count_calls(monkeypatch, cylinders, ["base_membership"])
+    # 10 strip cylinders and 2 sample blocks: one call per cylinder and block
+    assert cli.main(["verify", str(inst), "--samples", "10000"]) == 0
+    assert len(instances.load_json(inst)["cylinders"]) == 10
+    assert len(calls["base_membership"]) == 20
+    capsys.readouterr()
+
+
+def test_cli_falconer_reports_a_failed_packing_like_verify(tmp_path, capsys):
+    inst = tmp_path / "ns.json"
+    assert cli.main(["construct", *CONSTRUCT_KINDS["ns"], "--seed", "1",
+                     "--out", str(inst)]) == 0
+    obj = instances.load_json(inst)
+    obj["r"] -= 1
+    instances.dump_json(obj, inst)
+    parsed = instances.parse_instance(obj)
+    capsys.readouterr()
+    assert cli.main(["falconer", str(inst)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert "error" not in out and out["reports"] == [] and not out["separable"]
+    assert cli.main(["verify", str(inst)]) == 1
+    assert json.loads(capsys.readouterr().out)["multiplicity"] == out["multiplicity"]
+    mult = out["multiplicity"]
+    assert mult["max_mult"] == 2 and "exceeds r=1" in mult["reason"]
+    point = np.array(mult["witness"])
+    assert falconer_oracle.certainly_in_hull(parsed["disk_family"], point)[0]
+    assert falconer_oracle.open_counts(parsed["planks"], point)[0] == 2
 
 
 def test_cli_ns_family_draws_no_sample(tmp_path, monkeypatch, capsys):
