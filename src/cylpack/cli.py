@@ -123,18 +123,20 @@ def _failure_code(exc: CylpackError) -> int:
     return EXIT_USAGE if isinstance(exc, DomainError) else EXIT_FAILED
 
 
-def _reports_for(inst, samples: int, seed: int) -> tuple[list, dict | None, bool]:
+def _reports_for(inst, samples: int, seed: int, **known) -> tuple[list, dict | None, bool]:
     """(bound reports, multiplicity json, all_ok) for one instance.
 
     A packing or covering instance is sampled once, by its checker; a
-    disk-plank instance is decided exactly on its hull and samples nothing.
+    disk-plank instance is decided exactly on its hull and samples nothing,
+    reusing the separability or circumradius results in ``known`` (see
+    ``falconer.check_disk_planks``).
     A failed hypothesis yields no report and a multiplicity json with its
     witness and reason.
     """
     try:
         if inst["kind"] == instances.KIND_DISK_PLANKS:
             reports = falconer.check_disk_planks(
-                inst["disk_family"], inst["planks"], inst["r"])
+                inst["disk_family"], inst["planks"], inst["r"], **known)
             return reports, None, all(rep.passed for rep in reports)
         body, family, r, k = inst["body"], inst["family"], inst["r"], inst["k"]
         round_body = not isinstance(body, geom.Polytope)
@@ -248,7 +250,8 @@ def cmd_falconer(args) -> int:
     if not separable:
         try:
             # a disk-plank instance reads no sample count or seed
-            reports, mult_json, ok = _reports_for(inst, 0, 0)
+            reports, mult_json, ok = _reports_for(
+                inst, 0, 0, separation=(separable, line), circ=circ)
         except CylpackError as exc:
             _emit(_error_object("falconer", exc), args.out)
             return _failure_code(exc)
@@ -256,7 +259,8 @@ def cmd_falconer(args) -> int:
         if mult_json is not None:  # a failed packing: its witness and reason
             payload["multiplicity"] = mult_json
     if args.svg:
-        svg = falconer.family_to_svg(family, planks=inst["planks"], line=line)
+        svg = falconer.family_to_svg(family, planks=inst["planks"], line=line,
+                                     circ=circ)
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(svg)
         payload["svg"] = os.path.basename(args.svg)

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from . import cylinders, geom, specfn
 from .errors import (
@@ -98,6 +97,8 @@ def line_integral(measure: DensityMeasure, z, direction) -> float:
         if s <= 1e-30:
             return 1.0  # analytic limit of a*cos(theta)*p(x) at the endpoints
         return a * math.cos(theta) / math.sqrt(s)
+
+    from scipy import integrate
 
     value, _ = integrate.quad(integrand, -math.pi / 2.0, math.pi / 2.0,
                               epsabs=1e-10, epsrel=1e-10, limit=200)
@@ -190,6 +191,8 @@ def plane_section_integral(measure: DensityMeasure, plane: geom.Frame, z) -> flo
         weight = 1.0 / math.sqrt(max(1.0 - float(off_plane @ off_plane), 1e-300))
         speed = rho  # |dy/dphi|
         return weight * speed
+
+    from scipy import integrate
 
     value, _ = integrate.quad(integrand, 0.0, 2.0 * math.pi,
                               epsabs=1e-10, epsrel=1e-10, limit=200)

@@ -568,9 +568,13 @@ def minimal_profile_mass(moment: float, floor: float) -> float:
 # the disk-plank checks
 
 
-def check_disk_planks(family: DiskFamily, planks, r: int) -> list[BoundReport]:
+def check_disk_planks(family: DiskFamily, planks, r: int,
+                      separation: tuple[bool, SeparatingLine | None] | None = None,
+                      circ: EnclosingCircle | None = None) -> list[BoundReport]:
     """Every disk-plank check of one instance, from one separability test,
-    one arrangement sweep and one circumradius.
+    one arrangement sweep and one circumradius.  A caller that already has
+    ``is_separable(family)`` or ``circumradius(family)`` passes it as
+    ``separation`` or ``circ``, and it is not computed again.
 
     Reports, in order: the width bound for plank packings of a non-separable
     family's hull (sum of widths <= r * sum of diameters); the circumradius
@@ -584,7 +588,7 @@ def check_disk_planks(family: DiskFamily, planks, r: int) -> list[BoundReport]:
     ``PlankVerdict`` and its witness, when the planks are no r-fold packing.
     """
     planks = list(planks)
-    separable, line = is_separable(family)
+    separable, line = is_separable(family) if separation is None else separation
     if separable:
         raise NotNS(f"family is separable by the line {line}")
     verdict = verify_plank_packing(family, planks, r)
@@ -592,7 +596,8 @@ def check_disk_planks(family: DiskFamily, planks, r: int) -> list[BoundReport]:
         raise NotAPacking(verdict.reason, verdict)
     diam_ns = ns_diameter(family)
     mass = total_mass(family, UNIT_CHORD)
-    circ = circumradius(family)
+    if circ is None:
+        circ = circumradius(family)
     digest = instance_digest({"family": family.to_json(),
                               "planks": [p.to_json() for p in planks], "r": r})
     return [
@@ -617,9 +622,11 @@ def check_disk_planks(family: DiskFamily, planks, r: int) -> list[BoundReport]:
 
 
 def family_to_svg(family: DiskFamily, planks=(), line: SeparatingLine | None = None,
-                  size: int = 480) -> str:
-    """Static SVG drawing of disks, optional planks, and a separating line."""
-    circ = circumradius(family)
+                  size: int = 480, circ: EnclosingCircle | None = None) -> str:
+    """Static SVG drawing of disks, optional planks, and a separating line,
+    framed by the enclosing circle ``circ`` (computed when not given)."""
+    if circ is None:
+        circ = circumradius(family)
     cx, cy = circ.center
     half = circ.radius * 1.25
     scale = size / (2.0 * half)

@@ -8,16 +8,14 @@ Carlo :func:`polytope_volume_mc` is kept only as an oracle.  Random paths take
 explicit seeds; bodies round-trip through JSON bit for bit.
 """
 
+import importlib
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
 import numpy as np
-from scipy import linalg
-# unused here, kept importable: perfbench/tracer.py wraps geom.linprog/HalfspaceIntersection
-from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
 from . import specfn
 from .errors import (
@@ -38,6 +36,25 @@ CHORD_TIE_TOL = 1e-9     # relative spread of difference-body facets tied on one
 SAMPLE_CHUNK = 1024      # proposal rows per polytope membership test in sample_in_body
 SECULAR_ITERS = 200      # bisection cap of quadratic_on_ball; doubles run out first
 PARALLEL_TOL = 1e-12     # 1 - |cos| under which facet normals share a line
+
+# scipy names served as module attributes, loaded on first access: importing
+# scipy.spatial or scipy.optimize costs more than numpy itself
+_SCIPY_NAMES = {"ConvexHull": "scipy.spatial", "QhullError": "scipy.spatial",
+                "HalfspaceIntersection": "scipy.spatial",
+                "linprog": "scipy.optimize"}
+# hull calls go through this module's attributes (not bare globals), so they
+# reach __getattr__ on first use and a replaced geom.ConvexHull is the one run
+_geom = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    """Load a scipy name of ``_SCIPY_NAMES`` on first access (PEP 562) and
+    cache it as a module global."""
+    if name not in _SCIPY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_SCIPY_NAMES[name]), name)
+    globals()[name] = value
+    return value
 
 
 def _as_points(vectors) -> np.ndarray:
@@ -217,8 +234,8 @@ class Polytope:
                 raise DegenerateBody("1-d polytope has zero length")
         else:
             try:
-                hull = ConvexHull(vs)
-            except QhullError as exc:
+                hull = _geom.ConvexHull(vs)
+            except _geom.QhullError as exc:
                 raise DegenerateBody("vertex hull is not full-dimensional") from exc
             if hull.volume <= 0:
                 raise DegenerateBody("vertex hull has zero volume")
@@ -229,8 +246,8 @@ class Polytope:
         return self.vertices.shape[1]
 
     @cached_property
-    def _hull(self) -> ConvexHull:
-        return ConvexHull(self.vertices)
+    def _hull(self):
+        return _geom.ConvexHull(self.vertices)
 
     @cached_property
     def equations(self) -> np.ndarray:
@@ -615,12 +632,14 @@ def _projection_zonotope_vertices(body: Polytope) -> np.ndarray:
             free &= ~line
             gens.append(0.5 * (areas[line] * np.sign(cos[i, line])) @ normals[line])
     gens = np.asarray(gens)
+    from scipy import linalg
+
     _, order = linalg.qr(gens.T, mode="r", pivoting=True)
     pts = np.zeros((1, d))
     for i, w in enumerate(gens[order]):
         pts = np.concatenate([pts + w, pts - w])
         if i >= d - 1:
-            pts = pts[ConvexHull(pts).vertices]
+            pts = pts[_geom.ConvexHull(pts).vertices]
     return pts
 
 
@@ -691,8 +710,8 @@ def affine_slice_volume(body: ConvexBody, slice_frame: Frame, point) -> float:
     if len(t) < k + 1:
         return 0.0
     try:
-        return float(ConvexHull(t).volume)
-    except QhullError:
+        return float(_geom.ConvexHull(t).volume)
+    except _geom.QhullError:
         return 0.0
 
 
@@ -713,7 +732,7 @@ def longest_chord(body: Polytope, u) -> tuple[float, np.ndarray]:
     u = np.asarray(u, dtype=float)
     n = len(body.vertices)
     first, second = np.nonzero(~np.eye(n, dtype=bool))
-    hull = ConvexHull(body.vertices[first] - body.vertices[second])
+    hull = _geom.ConvexHull(body.vertices[first] - body.vertices[second])
     eq = hull.equations
     rate = eq[:, :-1] @ u
     reach = np.full(len(eq), np.inf)

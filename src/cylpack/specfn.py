@@ -9,8 +9,6 @@ which is what the cross-checks assert.
 
 import math
 
-from scipy import integrate, special
-
 from .errors import DomainError
 
 HALF_PI = math.pi / 2.0
@@ -20,6 +18,8 @@ def unit_ball_volume(m: int) -> float:
     """Volume of the unit ball in R^m; the 0-dimensional ball has volume 1."""
     if m < 0:
         raise DomainError(f"ball dimension must be >= 0, got {m}")
+    from scipy import special
+
     return math.pi ** (m / 2.0) / special.gamma(m / 2.0 + 1.0)
 
 
@@ -31,6 +31,8 @@ def full_cos_power_integral(n: int) -> float:
     """
     if n < 0:
         raise DomainError(f"power must be >= 0, got {n}")
+    from scipy import special
+
     return math.sqrt(math.pi) * special.gamma((n + 1) / 2.0) / special.gamma(n / 2.0 + 1.0)
 
 
@@ -52,6 +54,8 @@ def cos_power_integral(n: int, delta: float) -> float:
     _check_angle(delta, closed_top=True)
     if n == 0:
         return delta
+    from scipy import integrate
+
     value, _ = integrate.quad(
         lambda t: math.cos(t) ** n, HALF_PI - delta, HALF_PI,
         epsabs=1e-13, epsrel=1e-13, limit=200,

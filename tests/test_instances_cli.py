@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -636,3 +637,34 @@ def test_cli_reports_leave_out_evidence(tmp_path, capsys):
     reports = json.loads(capsys.readouterr().out)["reports"]
     assert len(reports) >= len(paths)
     assert all("evidence" not in rep for rep in reports)
+
+
+def test_cli_falconer_decides_separability_and_circumradius_once(
+        tmp_path, capsys, monkeypatch):
+    inst = tmp_path / "ns.json"
+    assert cli.main(["construct", "--kind", "ns-family", "--n", "4", "--r", "2",
+                     "--seed", "1", "--out", str(inst)]) == 0
+    calls = {"is_separable": 0, "circumradius": 0}
+
+    def counted(name):
+        real = getattr(falconer, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(falconer, name, counted(name))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["falconer", str(inst), "--svg", "fam.svg",
+                     "--out", "rep.json"]) == 0
+    assert calls == {"is_separable": 1, "circumradius": 1}
+    # the bytes written when each check recomputed its own separability test
+    # and enclosing circle
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("rep.json", "fam.svg")}
+    assert digests == {
+        "rep.json": "d4d6ae619f8f971f6b78a490d73ef5ab002784015859e1a8c8a0a75f3648a6d1",
+        "fam.svg": "eb6536a39b7fed1c20b94d6513a939b91422ca3deaf4dc2ad67ec7c4693413b5",
+    }
