@@ -4,9 +4,9 @@ k-codimensional cylinders."""
 from . import bounds, cappack, cylinders, densities, falconer, geom, \
     instances, multiplicity, specfn
 from .bounds import BoundReport
-from .cylinders import CapBase, Cylinder, DiskBase, PolytopeBase, crv
+from .cylinders import CapBase, Cylinder, crv
 from .errors import CylpackError
-from .falconer import Disk, DiskFamily, Plank2D
+from .falconer import Disk, DiskFamily
 from .geom import Ball, Ellipsoid, Frame, Polytope
 from .multiplicity import MultiplicityReport
 
@@ -14,8 +14,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Ball", "BoundReport", "CapBase", "Cylinder", "CylpackError", "Disk",
-    "DiskBase", "DiskFamily", "Ellipsoid", "Frame", "MultiplicityReport",
-    "Plank2D", "Polytope", "PolytopeBase", "bounds", "cappack", "crv",
-    "cylinders", "densities", "falconer", "geom", "instances",
-    "multiplicity", "specfn",
+    "DiskFamily", "Ellipsoid", "Frame", "MultiplicityReport", "Polytope",
+    "bounds", "cappack", "crv", "cylinders", "densities", "falconer", "geom",
+    "instances", "multiplicity", "specfn",
 ]

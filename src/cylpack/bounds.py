@@ -240,7 +240,7 @@ def max_translate_slice(body: geom.ConvexBody, slice_frame: geom.Frame,
         raise DomainError("antipodal cap bases make the restricted body "
                           "non-convex; slice maxima need one-sided caps")
     if not isinstance(body, geom.Polytope):
-        if not isinstance(base, cylinders.PolytopeBase):
+        if not isinstance(base, geom.Polytope):
             return _ellipsoid_max(body, slice_frame, offsets_frame, base)
     elif base is None and slice_frame.subspace_dim == 1:
         t, q = geom.longest_chord(body, slice_frame.columns[:, 0])
@@ -275,7 +275,7 @@ def _ellipsoid_max(body, slice_frame, offsets_frame, base) -> SliceMax:
         shape = shadow.shape
     if base is None:
         z, dual = shadow.center, 0.0
-    elif isinstance(base, cylinders.DiskBase):
+    elif isinstance(base, geom.Ball):
         z, dual = geom.quadratic_on_ball(shape, shadow.center, base.center,
                                          base.radius)
     else:
@@ -359,12 +359,12 @@ def _concave_search(body, slice_frame, offsets_frame, base) -> SliceMax:
         rot = np.linalg.qr(np.column_stack([base.pole, np.eye(n)]))[0]
     quads, polys, cut = [], [], None  # regions in the rotated coordinates y
     for region in [geom.project_body(body, offsets_frame), base]:
-        if isinstance(region, (geom.Ball, cylinders.DiskBase)):
+        if isinstance(region, geom.Ball):
             quads.append((np.eye(n) / (region.radius * region.radius),
                           region.center @ rot))
         elif isinstance(region, geom.Ellipsoid):
             quads.append((rot.T @ region.shape @ rot, region.center @ rot))
-        elif isinstance(region, (geom.Polytope, cylinders.PolytopeBase)):
+        elif isinstance(region, geom.Polytope):
             polys.append(region.vertices @ rot)
         elif isinstance(region, cylinders.CapBase):
             quads.append((np.eye(n), np.zeros(n)))

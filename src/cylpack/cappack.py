@@ -200,7 +200,6 @@ class CapCylinderFamily:
     metric: str
     antipodal: bool
     cylinders: tuple
-    frames: tuple
     points: np.ndarray
     seed: int
 
@@ -241,7 +240,6 @@ def build_cap_family(sep_set: SeparatedSet, delta: float, k: int,
     antipodal = sep_set.metric == PROJECTIVE
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0x5EED)))
     cyls = []
-    frames = []
     for x in sep_set.points:
         if m == 1:
             frame = geom.Frame(x[:, None])
@@ -251,11 +249,9 @@ def build_cap_family(sep_set: SeparatedSet, delta: float, k: int,
         pole = frame.coords(x)  # = e_1 in frame coordinates by construction
         base = cylinders.CapBase(pole, delta, antipodal=antipodal)
         cyls.append(cylinders.Cylinder(frame, base))
-        frames.append(frame)
     return CapCylinderFamily(
         delta=delta, k=k, metric=sep_set.metric, antipodal=antipodal,
-        cylinders=tuple(cyls), frames=tuple(frames),
-        points=sep_set.points, seed=seed)
+        cylinders=tuple(cyls), points=sep_set.points, seed=seed)
 
 
 @dataclass(frozen=True)

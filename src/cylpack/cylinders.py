@@ -3,12 +3,14 @@
 A cylinder is a base region B inside a (d-k)-dimensional subspace E plus the
 implicit complement subspace: a point belongs to the cylinder exactly when its
 orthogonal projection onto E lands in B.  Membership is therefore constant
-along the complement directions.
+along the complement directions.  B is given in E-coordinates: a
+``geom.Polytope`` or ``geom.Ball`` (which validate themselves when built) or a
+solid ``CapBase`` of the unit ball.  A plank is the k = d - 1 case, whose base
+is a 1-d polytope: an interval along the frame's one column.
 """
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -23,43 +25,7 @@ from .errors import (
 INTERIOR_MARGIN = 1e-12  # strict-interior slack: tangent cylinders are a legal packing
 BOUNDARY_SAMPLES = 1024  # sampled boundary directions of cap bases
 CONTAINMENT_TOL = 1e-9   # slack of base-in-shadow containment checks
-
-
-@dataclass(frozen=True, eq=False)
-class PolytopeBase:
-    """Convex-hull base given by vertices in E-coordinates, shape (n, m)."""
-
-    vertices: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", geom._freeze(np.atleast_2d(
-            np.asarray(self.vertices, dtype=float))))
-
-    @property
-    def dim(self) -> int:
-        return self.vertices.shape[1]
-
-    @cached_property
-    def _poly(self) -> geom.Polytope:
-        return geom.Polytope(self.vertices)
-
-
-@dataclass(frozen=True, eq=False)
-class DiskBase:
-    """Round base: an m-ball of the given center and radius in E-coordinates."""
-
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", geom._freeze(np.atleast_1d(
-            np.asarray(self.center, dtype=float))))
-        if not 0 < self.radius < math.inf:
-            raise DomainError(f"disk base radius must be positive and finite, got {self.radius}")
-
-    @property
-    def dim(self) -> int:
-        return self.center.shape[0]
+MAX_PROPOSALS = 100_000  # body samples after which an empty restricted cylinder raises
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +55,7 @@ class CapBase:
         return self.pole.shape[0]
 
 
-CylinderBase = PolytopeBase | DiskBase | CapBase
+CylinderBase = geom.Polytope | geom.Ball | CapBase
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,11 +85,11 @@ def base_membership(base: CylinderBase, z) -> tuple[np.ndarray, np.ndarray]:
     evaluation per base; the strict reading keeps ``INTERIOR_MARGIN`` off the
     boundary."""
     z = np.atleast_2d(np.asarray(z, dtype=float))
-    if isinstance(base, DiskBase):
+    if isinstance(base, geom.Ball):
         dist = np.linalg.norm(z - base.center, axis=1)
         return dist <= base.radius, dist <= base.radius - INTERIOR_MARGIN
-    if isinstance(base, PolytopeBase):
-        eq = base._poly.equations
+    if isinstance(base, geom.Polytope):
+        eq = base.equations
         top = np.max(z @ eq[:, :-1].T + eq[:, -1], axis=1)
         return top <= 0.0, top <= -INTERIOR_MARGIN
     dots = z @ base.pole
@@ -153,13 +119,10 @@ def contains_points(cyl: Cylinder, pts, strict: bool = False) -> np.ndarray:
 
 def base_volume(base: CylinderBase) -> float:
     """m-volume of the base region; cap bases use the closed form."""
-    m = base.dim
-    if isinstance(base, DiskBase):
-        return specfn.unit_ball_volume(m) * base.radius**m
-    if isinstance(base, PolytopeBase):
-        return geom.volume(base._poly)
-    sides = 2.0 if base.antipodal else 1.0
-    return sides * specfn.cap_volume(m, base.delta)
+    if isinstance(base, CapBase):
+        sides = 2.0 if base.antipodal else 1.0
+        return sides * specfn.cap_volume(base.dim, base.delta)
+    return geom.volume(base)
 
 
 def crv(body: geom.ConvexBody, cyl: Cylinder) -> float:
@@ -194,10 +157,10 @@ def base_contained(body: geom.ConvexBody, cyl: Cylinder) -> bool:
     """
     shadow = geom.project_body(body, cyl.frame)
     base = cyl.base
-    if isinstance(base, PolytopeBase):
+    if isinstance(base, geom.Polytope):
         return bool(np.all(geom.contains_points(shadow, base.vertices,
                                                 tol=CONTAINMENT_TOL)))
-    if isinstance(base, DiskBase):
+    if isinstance(base, geom.Ball):
         if isinstance(shadow, geom.Ball):
             gap = float(np.linalg.norm(base.center - shadow.center))
             return gap + base.radius <= shadow.radius + CONTAINMENT_TOL
@@ -259,8 +222,7 @@ class RestrictedCylinder:
         return geom.contains_points(self.body, pts, tol=tol) & \
             contains_points(self.cylinder, pts, strict=strict)
 
-    def sample(self, n: int, rng: np.random.Generator,
-               max_proposals: int = 100_000) -> np.ndarray:
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         out = []
         got = 0
         proposed = 0
@@ -271,7 +233,7 @@ class RestrictedCylinder:
             proposed += block
             out.append(hits[: n - got])
             got += len(hits[: n - got])
-            if proposed >= max_proposals and got == 0:
+            if proposed >= MAX_PROPOSALS and got == 0:
                 raise EmptyIntersection(
                     f"no intersection sample in {proposed} proposals")
         return np.vstack(out)
@@ -288,7 +250,7 @@ def transform_cylinder(cyl: Cylinder, t: np.ndarray) -> Cylinder:
     The complement subspace maps to T·H; the new base is the projection of the
     transformed base points onto the new base subspace.
     """
-    if not isinstance(cyl.base, PolytopeBase):
+    if not isinstance(cyl.base, geom.Polytope):
         raise DomainError("only polytope-based cylinders transform exactly")
     t = np.asarray(t, dtype=float)
     h_cols = geom.complement(cyl.frame).columns
@@ -296,14 +258,14 @@ def transform_cylinder(cyl: Cylinder, t: np.ndarray) -> Cylinder:
     new_e = geom.complement(new_h)
     base_pts = cyl.base.vertices @ cyl.frame.columns.T  # ambient base points
     new_base = (base_pts @ t.T) @ new_e.columns
-    return Cylinder(new_e, PolytopeBase(new_base))
+    return Cylinder(new_e, geom.Polytope(new_base))
 
 
 def cylinder_to_json(cyl: Cylinder) -> dict:
     base = cyl.base
-    if isinstance(base, PolytopeBase):
+    if isinstance(base, geom.Polytope):
         base_obj = {"kind": "polytope", "vertices": base.vertices.tolist()}
-    elif isinstance(base, DiskBase):
+    elif isinstance(base, geom.Ball):
         base_obj = {"kind": "disk", "center": base.center.tolist(),
                     "radius": base.radius}
     else:
@@ -330,9 +292,9 @@ def cylinder_from_json(obj: dict) -> Cylinder:
     b = obj["base"]
     kind = b["kind"]
     if kind == "polytope":
-        base: CylinderBase = PolytopeBase(np.asarray(b["vertices"], dtype=float))
+        base: CylinderBase = geom.Polytope(np.asarray(b["vertices"], dtype=float))
     elif kind == "disk":
-        base = DiskBase(np.asarray(b["center"], dtype=float), float(b["radius"]))
+        base = geom.Ball(np.asarray(b["center"], dtype=float), float(b["radius"]))
     elif kind == "cap":
         base = CapBase(np.asarray(b["pole"], dtype=float), float(b["delta"]),
                        json_typed(b.get("antipodal", True), bool, "cap antipodal"))

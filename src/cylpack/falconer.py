@@ -5,10 +5,12 @@ splits them into two nonempty groups.  For non-separable families the sum of
 widths of any r-fold plank packing of the hull is at most r times the sum of
 the disk diameters; the machinery here decides separability exactly, certifies
 the circumradius of the hull, and verifies the width bound together with its
-ridge-function and variational ingredients.  ``check_disk_planks`` decides all
-of one instance's checks in one pass: one separability test, one exact
-arrangement sweep on the hull of the disks and one circumradius; nothing is
-sampled.
+ridge-function and variational ingredients.  A plank is a k = 1
+``cylinders.Cylinder`` in the plane (:func:`plank`): its frame's one column is
+the normal u and its base, a 1-d ``geom.Polytope``, the interval [a, b] of
+<x, u>.  ``check_disk_planks`` decides all of one instance's checks in one
+pass: one separability test, one exact arrangement sweep on the hull of the
+disks and one circumradius; nothing is sampled.
 """
 
 import math
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geom
+from . import cylinders, geom
 from .bounds import GE, LE, BoundReport, instance_digest, make_report
 from .errors import (
     DimensionMismatch,
@@ -31,6 +33,8 @@ RADIUS_SCALED = "radius_scaled"  # 1/(pi r) scaling: a chord of disk j integrate
 
 SUPPORT_TOL = 1e-9          # slack of a plank's base against the hull's support range
 ON_LINE = 1e-12             # relative gap and slope at which two boundary lines coincide
+SHUFFLE_SEED = 0            # disk order of the enclosing-circle pass
+SVG_SIZE = 480              # width and height of family_to_svg drawings, in pixels
 
 
 def _plane_vector(value, field: str) -> np.ndarray:
@@ -280,19 +284,20 @@ def _smallest_circle_of(support: list[tuple[int, Disk]]) -> tuple[np.ndarray, fl
     return best if best is not None else _circle_two(disks[0], disks[-1])
 
 
-def circumradius(family: DiskFamily, seed: int = 0) -> EnclosingCircle:
+def circumradius(family: DiskFamily) -> EnclosingCircle:
     """Smallest circle containing every disk.
 
-    Incremental Welzl-style pass over shuffled disks: whenever a disk falls
-    outside the current circle it joins the boundary basis and the prefix is
-    re-solved, so the output is determined by at most three internally tangent
-    support disks.  A containment post-check raises ``DomainError`` if the
-    result still leaves a disk outside.
+    Incremental Welzl-style pass over disks shuffled with the fixed seed
+    ``SHUFFLE_SEED``: whenever a disk falls outside the current circle it joins
+    the boundary basis and the prefix is re-solved, so the output is determined
+    by at most three internally tangent support disks.  A containment
+    post-check raises ``DomainError`` if the result still leaves a disk
+    outside.
     """
     import random as _random
 
     order = list(enumerate(family.disks))
-    _random.Random(seed).shuffle(order)
+    _random.Random(SHUFFLE_SEED).shuffle(order)
 
     def solve(items: list, support: list) -> tuple[np.ndarray, float, list]:
         x, radius = _smallest_circle_of(support)
@@ -389,37 +394,45 @@ def _chord(family: DiskFamily, polygon: np.ndarray, point: np.ndarray,
 # planks and exact multiplicity
 
 
-@dataclass(frozen=True, eq=False)
-class Plank2D:
-    """Strip {x : a <= <x, u> <= b} for a unit normal u."""
-
-    u: np.ndarray
-    a: float
-    b: float
-
-    def __post_init__(self):
-        u = _plane_vector(self.u, "plank normal")
-        with np.errstate(over="ignore"):  # past ~1.3e154 the norm is inf and fails
-            norm = np.linalg.norm(u)
-        if abs(norm - 1.0) > 1e-9:
-            raise DomainError("plank normal must be a unit vector")
-        object.__setattr__(self, "u", geom._freeze(u / norm))
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise DomainError("plank offsets must be finite")
-        if not self.b > self.a:
-            raise DomainError("plank needs positive width")
-
-    @property
-    def width(self) -> float:
-        return self.b - self.a
-
-    def to_json(self) -> dict:
-        return {"u": self.u.tolist(), "interval": [self.a, self.b]}
+def plank(u, a: float, b: float) -> cylinders.Cylinder:
+    """The strip {x : a <= <x, u> <= b} for a unit normal u in the plane: a
+    k = 1 cylinder whose frame is u and whose base is the interval [a, b].
+    u is renormalized (it must be a unit vector within 1e-9) before the frame
+    checks it to 1e-12."""
+    u = _plane_vector(u, "plank normal")
+    with np.errstate(over="ignore"):  # past ~1.3e154 the norm is inf and fails
+        norm = np.linalg.norm(u)
+    if abs(norm - 1.0) > 1e-9:
+        raise DomainError("plank normal must be a unit vector")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError("plank offsets must be finite")
+    if not b > a:
+        raise DomainError("plank needs positive width")
+    return cylinders.Cylinder(geom.Frame((u / norm)[:, None]),
+                              geom.Polytope(np.array([[a], [b]], dtype=float)))
 
 
-def plank_from_json(obj: dict) -> Plank2D:
+def _plank_arrays(planks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(normals (n, 2), lows (n,), highs (n,)) of planar k = 1 cylinders: each
+    normal is the frame's column, each interval the base's bounding box."""
+    planks = list(planks)
+    if any(p.ambient_dim != 2 or p.k != 1 or isinstance(p.base, cylinders.CapBase)
+           for p in planks):
+        raise DimensionMismatch("planks are k = 1 cylinders in the plane "
+                                "with interval bases")
+    normals = np.array([p.frame.columns[:, 0] for p in planks]).reshape(-1, 2)
+    lows, highs = np.array([geom.bounding_box(p.base) for p in planks]).reshape(-1, 2).T
+    return normals, lows, highs
+
+
+def plank_to_json(p: cylinders.Cylinder) -> dict:
+    (u,), (lo,), (hi,) = _plank_arrays([p])
+    return {"u": u.tolist(), "interval": [float(lo), float(hi)]}
+
+
+def plank_from_json(obj: dict) -> cylinders.Cylinder:
     a, b = obj["interval"]
-    return Plank2D(np.asarray(obj["u"], dtype=float), float(a), float(b))
+    return plank(np.asarray(obj["u"], dtype=float), float(a), float(b))
 
 
 def exact_plank_multiplicity(family: DiskFamily, planks) -> tuple[int, tuple]:
@@ -435,15 +448,12 @@ def exact_plank_multiplicity(family: DiskFamily, planks) -> tuple[int, tuple]:
     is decided by the side, not by comparing offsets.  The witness lies in
     the hull and in exactly the returned number of open planks.
     """
-    planks = list(planks)
-    normals = np.asarray([p.u for p in planks]).reshape(-1, 2)
-    lows = np.asarray([p.a for p in planks])
-    highs = np.asarray([p.b for p in planks])
+    normals, lows, highs = _plank_arrays(planks)
     polygon = _hull_polygon(family)
     inner = np.mean(family.centers, axis=0)  # interior: a mix of disk centers
     t = normals @ inner
     best, cell = int(np.sum((t > lows) & (t < highs))), None
-    for u, s in [(p.u, s) for p in planks for s in (p.a, p.b)]:
+    for u, s in [(u, s) for u, a, b in zip(normals, lows, highs) for s in (a, b)]:
         d = np.array([-u[1], u[0]])
         chord = _chord(family, polygon, s * u, d)
         if chord is None or not -family.support(-u) < s < family.support(u):
@@ -494,10 +504,10 @@ class PlankVerdict:
 
 def verify_plank_packing(family: DiskFamily, planks, r: int) -> PlankVerdict:
     """Packing check for planks inside the hull, exact on arrangement cells."""
-    for i, p in enumerate(planks):
-        lo = -family.support(-p.u)
-        hi = family.support(p.u)
-        if p.a < lo - SUPPORT_TOL or p.b > hi + SUPPORT_TOL:
+    for i, (u, a, b) in enumerate(zip(*_plank_arrays(planks))):
+        lo = -family.support(-u)
+        hi = family.support(u)
+        if a < lo - SUPPORT_TOL or b > hi + SUPPORT_TOL:
             return PlankVerdict(False, None, None,
                                 f"plank {i} base leaves the support range")
     mult, witness = exact_plank_multiplicity(family, planks)
@@ -599,15 +609,17 @@ def check_disk_planks(family: DiskFamily, planks, r: int,
     if circ is None:
         circ = circumradius(family)
     digest = instance_digest({"family": family.to_json(),
-                              "planks": [p.to_json() for p in planks], "r": r})
+                              "planks": [plank_to_json(p) for p in planks], "r": r})
+    _, lows, highs = _plank_arrays(planks)
+    widths = (highs - lows).tolist()  # Python floats: sum() rounds as it always has
     return [
-        make_report("plank_width_sum", float(sum(p.width for p in planks)),
+        make_report("plank_width_sum", float(sum(widths)),
                     r * diam_ns, LE, digest,
                     notes="packing checked on arrangement cells"),
         make_report("circumradius_vs_ns_diameter", 2.0 * circ.radius, diam_ns,
                     LE, digest),
         make_report("ridge_mass_bound",
-                    float(sum((1.0 / r) * (p.b - p.a) for p in planks)), mass,
+                    float(sum((1.0 / r) * w for w in widths)), mass,
                     LE, digest,
                     notes="pointwise bound checked on arrangement cells"),
         make_report("mass_circumradius", mass, 2.0 * circ.radius, GE,
@@ -622,14 +634,15 @@ def check_disk_planks(family: DiskFamily, planks, r: int,
 
 
 def family_to_svg(family: DiskFamily, planks=(), line: SeparatingLine | None = None,
-                  size: int = 480, circ: EnclosingCircle | None = None) -> str:
-    """Static SVG drawing of disks, optional planks, and a separating line,
-    framed by the enclosing circle ``circ`` (computed when not given)."""
+                  circ: EnclosingCircle | None = None) -> str:
+    """Static ``SVG_SIZE``-pixel SVG drawing of disks, optional planks, and a
+    separating line, framed by the enclosing circle ``circ`` (computed when
+    not given)."""
     if circ is None:
         circ = circumradius(family)
     cx, cy = circ.center
     half = circ.radius * 1.25
-    scale = size / (2.0 * half)
+    scale = SVG_SIZE / (2.0 * half)
 
     def sx(x: float) -> float:
         return (x - cx + half) * scale
@@ -637,13 +650,12 @@ def family_to_svg(family: DiskFamily, planks=(), line: SeparatingLine | None = N
     def sy(y: float) -> float:
         return (cy + half - y) * scale
 
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-             f'height="{size}" viewBox="0 0 {size} {size}">']
-    for p in planks:
-        u = p.u
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" '
+             f'height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">']
+    for u, a, b in zip(*_plank_arrays(planks)):
         d = np.array([-u[1], u[0]])
-        corners = [p.a * u + 3 * half * d, p.b * u + 3 * half * d,
-                   p.b * u - 3 * half * d, p.a * u - 3 * half * d]
+        corners = [a * u + 3 * half * d, b * u + 3 * half * d,
+                   b * u - 3 * half * d, a * u - 3 * half * d]
         pts = " ".join(f"{sx(c[0]):.2f},{sy(c[1]):.2f}" for c in corners)
         parts.append(f'<polygon points="{pts}" fill="#44a" fill-opacity="0.15" '
                      f'stroke="#44a" stroke-width="1"/>')

@@ -5,7 +5,9 @@ subspaces are orthonormal frames.  All types are immutable values and all
 functions are pure, so objects can be shared freely between threads.  Volumes
 are exact in every dimension (closed forms, qhull for polytopes); the Monte
 Carlo :func:`polytope_volume_mc` is kept only as an oracle.  Random paths take
-explicit seeds; bodies round-trip through JSON bit for bit.
+explicit seeds; bodies round-trip through JSON bit for bit.  Balls and
+polytopes also serve as cylinder bases, in base-subspace coordinates (see
+``cylinders``).
 """
 
 import importlib
@@ -36,6 +38,8 @@ CHORD_TIE_TOL = 1e-9     # relative spread of difference-body facets tied on one
 SAMPLE_CHUNK = 1024      # proposal rows per polytope membership test in sample_in_body
 SECULAR_ITERS = 200      # bisection cap of quadratic_on_ball; doubles run out first
 PARALLEL_TOL = 1e-12     # 1 - |cos| under which facet normals share a line
+MIN_ACCEPTANCE = 1e-4    # rejection acceptance rate below which sample_in_body gives up
+MVEE_MAX_ITER = 200_000  # iteration cap of the enclosing-ellipsoid ascent
 
 # scipy names served as module attributes, loaded on first access: importing
 # scipy.spatial or scipy.optimize costs more than numpy itself
@@ -448,8 +452,7 @@ def polytope_volume_mc(body: Polytope, samples: int, seed: int) -> tuple[float, 
     return est, stderr
 
 
-def sample_in_body(body: ConvexBody, n: int, rng: np.random.Generator,
-                   min_acceptance: float = 1e-4) -> np.ndarray:
+def sample_in_body(body: ConvexBody, n: int, rng: np.random.Generator) -> np.ndarray:
     """n points sampled uniformly from the body.
 
     Balls and ellipsoids are sampled directly; polytopes by bounding-box
@@ -459,7 +462,7 @@ def sample_in_body(body: ConvexBody, n: int, rng: np.random.Generator,
     once), but tests it in ``SAMPLE_CHUNK``-row chunks and stops testing once
     n points are accepted, so the temporary stays ``SAMPLE_CHUNK x F``.
     Raises SamplingFailure when the observed acceptance rate, counted over
-    whole proposal blocks, drops below ``min_acceptance``.
+    whole proposal blocks, drops below ``MIN_ACCEPTANCE``.
     """
     d = body.dim
     if isinstance(body, Ball):
@@ -483,9 +486,9 @@ def sample_in_body(body: ConvexBody, n: int, rng: np.random.Generator,
             filled += take
             if filled == n:
                 break
-        if proposed >= 50_000 and filled / proposed < min_acceptance:
+        if proposed >= 50_000 and filled / proposed < MIN_ACCEPTANCE:
             raise SamplingFailure(
-                f"rejection acceptance {filled / proposed:.2e} below {min_acceptance:.0e}")
+                f"rejection acceptance {filled / proposed:.2e} below {MIN_ACCEPTANCE:.0e}")
     return out
 
 
@@ -503,17 +506,17 @@ def uniform_sphere_points(d: int, n: int, rng: np.random.Generator) -> np.ndarra
     return x
 
 
-def mvee(points, tol: float = 1e-6, max_iter: int = 200_000) -> EnclosingEllipsoid:
+def mvee(points, tol: float = 1e-6) -> EnclosingEllipsoid:
     """Minimum-volume enclosing ellipsoid via multiplicative-weight ascent.
 
     The returned ellipsoid contains every input point up to the recorded
     containment residual and its volume is within a (1 + tol) factor of the
     optimum.  Raises RankDeficient when the points do not span, NoConvergence
-    at the iteration cap.
+    after ``MVEE_MAX_ITER`` iterations.
     """
     pts = _as_points(points)
     d = pts.shape[1]
-    u = _mvee_weights(pts, tol, max_iter)
+    u = _mvee_weights(pts, tol)
     center = pts.T @ u
     cov = pts.T @ (u[:, None] * pts) - np.outer(center, center)
     shape = np.linalg.inv(cov) / d
@@ -523,7 +526,7 @@ def mvee(points, tol: float = 1e-6, max_iter: int = 200_000) -> EnclosingEllipso
     return EnclosingEllipsoid(ell, max(residual, 0.0))
 
 
-def _mvee_weights(pts: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
+def _mvee_weights(pts: np.ndarray, tol: float) -> np.ndarray:
     """Todd-Yildirim weights u of the enclosing-ellipsoid ascent.
 
     With lifted points q_i = (p_i, 1) and X = sum u_i q_i q_i^T, it stops once
@@ -539,7 +542,7 @@ def _mvee_weights(pts: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     u = np.full(n, 1.0 / n)
     dd = d + 1.0
     eps_stop = tol / (2.0 * dd)
-    for _ in range(max_iter):
+    for _ in range(MVEE_MAX_ITER):
         x = lifted.T @ (u[:, None] * lifted)
         m_vals = np.einsum("ij,jk,ik->i", lifted, np.linalg.inv(x), lifted)
         j_add = int(np.argmax(m_vals))

@@ -21,6 +21,12 @@ KIND_PACKING = "cylinder_packing"
 KIND_COVERING = "cylinder_covering"
 KIND_DISK_PLANKS = "disk_planks"
 
+AXIS_RANGE = (0.6, 1.8)      # semi-axis range of random ellipsoids
+POLYGON_POINTS = 9           # Gaussian points whose hull is a random polygon
+POLYTOPE_EXTRA_VERTICES = 4  # a random polytope in R^d hulls d + 4 points
+MIN_WIDTH_FRAC = 0.02        # narrowest random interval, relative to the range
+NS_TRIES = 500               # rejection draws of a non-separable disk family
+
 
 # ---------------------------------------------------------------------------
 # bodies
@@ -30,30 +36,24 @@ def unit_ball(d: int) -> geom.Ball:
     return geom.Ball(np.zeros(d), 1.0)
 
 
-def random_ellipsoid(d: int, rng: np.random.Generator,
-                     axis_range=(0.6, 1.8)) -> geom.Ellipsoid:
+def random_ellipsoid(d: int, rng: np.random.Generator) -> geom.Ellipsoid:
     """Random ellipsoid with moderate eccentricity, centered near the origin."""
     q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-    semi_axes = rng.uniform(*axis_range, size=d)
+    semi_axes = rng.uniform(*AXIS_RANGE, size=d)
     shape = q @ np.diag(1.0 / semi_axes**2) @ q.T
     center = rng.uniform(-0.2, 0.2, size=d)
     return geom.Ellipsoid(center, shape)
 
 
-def random_polygon(rng: np.random.Generator, n_points: int = 9,
-                   scale: float = 1.0) -> geom.Polytope:
+def random_polygon(rng: np.random.Generator) -> geom.Polytope:
     """Random convex polygon: hull of a Gaussian cloud in the plane."""
-    from scipy.spatial import ConvexHull
-
-    pts = rng.standard_normal((n_points, 2)) * scale
-    hull = ConvexHull(pts)
-    return geom.Polytope(pts[hull.vertices])
+    pts = rng.standard_normal((POLYGON_POINTS, 2))
+    return geom.Polytope(pts[geom.ConvexHull(pts).vertices])
 
 
-def random_polytope(d: int, rng: np.random.Generator,
-                    n_vertices: int | None = None) -> geom.Polytope:
-    n = n_vertices or (d + 4)
-    return geom.Polytope(rng.standard_normal((n, d)))
+def random_polytope(d: int, rng: np.random.Generator) -> geom.Polytope:
+    """Hull of d + POLYTOPE_EXTRA_VERTICES Gaussian points in R^d."""
+    return geom.Polytope(rng.standard_normal((d + POLYTOPE_EXTRA_VERTICES, d)))
 
 
 # ---------------------------------------------------------------------------
@@ -65,14 +65,14 @@ def _projected_interval(body: geom.ConvexBody, u: np.ndarray) -> tuple[float, fl
     return -geom.support(body, -u), geom.support(body, u)
 
 
-def _disjoint_intervals(lo: float, hi: float, n: int, rng: np.random.Generator,
-                        min_width_frac: float = 0.02) -> list[tuple[float, float]]:
+def _disjoint_intervals(lo: float, hi: float, n: int,
+                        rng: np.random.Generator) -> list[tuple[float, float]]:
     """n pairwise-disjoint intervals inside (lo, hi), widths bounded below."""
     span = hi - lo
     for _ in range(200):
         breaks = np.sort(rng.uniform(lo, hi, size=2 * n))
         pairs = [(float(breaks[2 * i]), float(breaks[2 * i + 1])) for i in range(n)]
-        if all(b - a >= min_width_frac * span for a, b in pairs):
+        if all(b - a >= MIN_WIDTH_FRAC * span for a, b in pairs):
             return pairs
     # fall back to an even partition with gaps
     cell = span / n
@@ -113,8 +113,7 @@ def plank_partition(body: geom.ConvexBody, n_planks: int, r: int = 1,
     family = []
     for _ in range(r):
         for a, b in zip(breaks, breaks[1:]):
-            base = cylinders.PolytopeBase(np.array([[a], [b]]))
-            family.append(cylinders.Cylinder(frame, base))
+            family.append(cylinders.Cylinder(frame, geom.Polytope([[a], [b]])))
     return family
 
 
@@ -153,12 +152,12 @@ def random_base_packing(body: geom.ConvexBody, k: int, n_per_layer: int, r: int,
             mid, half = (a + b) / 2.0, (b - a) / 2.0
             base_center = center + mid * axis
             if base_kind == "disk":
-                base: cylinders.CylinderBase = cylinders.DiskBase(base_center, half)
+                base: cylinders.CylinderBase = geom.Ball(base_center, half)
             elif base_kind == "box":
                 corners = np.stack(np.meshgrid(*[[-1.0, 1.0]] * m,
                                                indexing="ij"), axis=-1).reshape(-1, m)
                 side = half / math.sqrt(m)
-                base = cylinders.PolytopeBase(base_center + side * corners)
+                base = geom.Polytope(base_center + side * corners)
             else:
                 raise DomainError(f"unknown base kind {base_kind!r}")
             family.append(cylinders.Cylinder(frame, base))
@@ -187,7 +186,7 @@ def random_box_covering(body: geom.ConvexBody, k: int, r: int, seed: int,
             corners = np.stack(np.meshgrid(*[[0.0, 1.0]] * m,
                                            indexing="ij"), axis=-1).reshape(-1, m)
             verts = (cell_lo - pad) + corners * (cell_hi - cell_lo + 2 * pad)
-            family.append(cylinders.Cylinder(frame, cylinders.PolytopeBase(verts)))
+            family.append(cylinders.Cylinder(frame, geom.Polytope(verts)))
     return family
 
 
@@ -205,8 +204,7 @@ def random_strip_packing(body: geom.ConvexBody, n_per_layer: int, r: int,
         frame = geom.Frame(u[:, None])
         lo, hi = _projected_interval(body, u)
         for a, b in _disjoint_intervals(lo, hi, n_per_layer, rng):
-            family.append(cylinders.Cylinder(
-                frame, cylinders.PolytopeBase(np.array([[a], [b]]))))
+            family.append(cylinders.Cylinder(frame, geom.Polytope([[a], [b]])))
     return family
 
 
@@ -223,10 +221,10 @@ def cap_family_instance(d: int, k: int, delta: float, seed: int,
 # disk families and plank packings in the plane
 
 
-def random_ns_family(n_disks: int, seed: int, tries: int = 500) -> falconer.DiskFamily:
+def random_ns_family(n_disks: int, seed: int) -> falconer.DiskFamily:
     """Non-separable disk family by rejection on the exact separability test."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0xD15C)))
-    for _ in range(tries):
+    for _ in range(NS_TRIES):
         centers = rng.uniform(-1.4, 1.4, size=(n_disks, 2))
         radii = rng.uniform(0.5, 1.1, size=n_disks)
         family = falconer.DiskFamily(tuple(
@@ -234,12 +232,13 @@ def random_ns_family(n_disks: int, seed: int, tries: int = 500) -> falconer.Disk
         separable, _ = falconer.is_separable(family)
         if not separable:
             return family
-    raise DomainError(f"no NS family found in {tries} tries")
+    raise DomainError(f"no NS family found in {NS_TRIES} tries")
 
 
 def random_plank2d_packing(family: falconer.DiskFamily, n_per_layer: int,
-                           r: int, seed: int) -> list[falconer.Plank2D]:
-    """r layers of disjoint strips inside the hull's exact support range."""
+                           r: int, seed: int) -> list[cylinders.Cylinder]:
+    """r layers of disjoint planks (planar k = 1 cylinders) inside the hull's
+    exact support range."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0x9A2)))
     planks = []
     for _ in range(r):
@@ -247,17 +246,17 @@ def random_plank2d_packing(family: falconer.DiskFamily, n_per_layer: int,
         u = np.array([math.cos(theta), math.sin(theta)])
         lo, hi = -family.support(-u), family.support(u)
         for a, b in _disjoint_intervals(lo, hi, n_per_layer, rng):
-            planks.append(falconer.Plank2D(u, a, b))
+            planks.append(falconer.plank(u, a, b))
     return planks
 
 
 def plank2d_partition(family: falconer.DiskFamily, n_planks: int, r: int = 1,
-                      direction=None) -> list[falconer.Plank2D]:
+                      direction=None) -> list[cylinders.Cylinder]:
     u = np.array([1.0, 0.0]) if direction is None else np.asarray(direction, float)
     u = u / np.linalg.norm(u)
     lo, hi = -family.support(-u), family.support(u)
     breaks = np.linspace(lo, hi, n_planks + 1)
-    return [falconer.Plank2D(u, float(a), float(b))
+    return [falconer.plank(u, float(a), float(b))
             for _ in range(r) for a, b in zip(breaks, breaks[1:])]
 
 
@@ -290,7 +289,7 @@ def disk_planks_instance(family: falconer.DiskFamily, planks, r: int,
         "schema_version": SCHEMA_VERSION,
         "kind": KIND_DISK_PLANKS,
         "disks": family.to_json()["disks"],
-        "planks": [p.to_json() for p in planks],
+        "planks": [falconer.plank_to_json(p) for p in planks],
         "r": r,
         "meta": meta,
     }

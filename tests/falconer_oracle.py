@@ -15,6 +15,7 @@ from scipy import integrate
 from scipy.optimize import linprog
 
 from conftest import inscribed_hull
+from cylpack import geom
 from cylpack.errors import DomainError, LineMissesBody
 from cylpack.falconer import UNIT_CHORD, _chord_half_length
 
@@ -116,7 +117,8 @@ def open_counts(planks, pts) -> np.ndarray:
     """Number of open planks containing each point."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     counts = np.zeros(len(pts), dtype=int)
-    for p in planks:
-        t = pts @ p.u
-        counts += (t > p.a) & (t < p.b)
+    for p in planks:  # k = 1 cylinders: a unit normal and an interval base
+        t = pts @ p.frame.columns[:, 0]
+        (a,), (b,) = geom.bounding_box(p.base)
+        counts += (t > a) & (t < b)
     return counts

@@ -101,7 +101,7 @@ def _base_offsets(base: cylinders.CylinderBase) -> np.ndarray:
         ts = np.linspace(math.cos(base.delta), 1.0, 9)
         pts = ts[:, None] * base.pole
         return np.vstack([pts, -pts]) if base.antipodal else pts
-    if isinstance(base, cylinders.DiskBase):
+    if isinstance(base, geom.Ball):
         c, r = base.center, base.radius
         norm = float(np.linalg.norm(c))
         pts = [c]

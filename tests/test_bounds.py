@@ -139,7 +139,7 @@ def test_scaled_triangle_john_factor():
 
 def test_general_bound_full_cylinder():
     frame = geom.orthonormalize(np.eye(3)[:2])
-    full = cylinders.Cylinder(frame, cylinders.DiskBase(np.zeros(2), 1.0))
+    full = cylinders.Cylinder(frame, geom.Ball(np.zeros(2), 1.0))
     rep = bounds.check_packing_general(BALL3, [full], 1, n=4000, seed=2)
     assert rep.lhs == pytest.approx(1.0, rel=1e-12)
     assert rep.rhs == pytest.approx(3.0, rel=1e-6)
@@ -169,7 +169,7 @@ def test_general_bound_box_product_slack():
     box = geom.Polytope(np.array(
         [[x, y, z] for x in (0, 2) for y in (0, 0.7) for z in (0, 1.3)], float))
     frame = geom.orthonormalize(np.eye(3)[:2])
-    base = cylinders.PolytopeBase(geom.project_body(box, frame).vertices)
+    base = geom.Polytope(geom.project_body(box, frame).vertices)
     cyl = cylinders.Cylinder(frame, base)
     rep = bounds.check_packing_general(box, [cyl], 1, n=4000, seed=2)
     assert rep.slack == pytest.approx(math.comb(3, 1) - 1, abs=1e-9)

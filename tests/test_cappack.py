@@ -74,11 +74,11 @@ def test_pairwise_caps_disjoint_exactly():
 def test_build_cap_family_frames_contain_pole():
     out = cappack.build_separated_set(4, 0.6, seed=1)
     fam = cappack.build_cap_family(out, 0.3, 2, seed=1)
-    for x, frame in zip(out.points, fam.frames):
-        pole = frame.coords(x)
+    for x, cyl in zip(out.points, fam.cylinders):
+        pole = cyl.frame.coords(x)
         assert pole[0] == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(pole[1:], 0.0, atol=1e-12)
-        assert np.allclose(frame.embed(pole), x, atol=1e-12)
+        assert np.allclose(cyl.frame.embed(pole), x, atol=1e-12)
 
 
 def test_cap_cylinder_slice_maximum_value():
@@ -90,7 +90,7 @@ def test_cap_cylinder_slice_maximum_value():
     out = cappack.SeparatedSet(points=np.array([x]), separation=2 * delta,
                                metric=cappack.PROJECTIVE, maximal=False, seed=0)
     fam = cappack.build_cap_family(out, delta, k, seed=0)
-    h_frame = geom.complement(fam.frames[0])
+    h_frame = geom.complement(fam.cylinders[0].frame)
     val = geom.affine_slice_volume(ball, h_frame, math.cos(delta) * x)
     want = math.sin(delta) ** k * specfn.unit_ball_volume(k)
     assert val == pytest.approx(want, rel=1e-12)

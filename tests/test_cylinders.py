@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cylpack import cylinders, geom
 from cylpack.errors import (
+    DegenerateBody,
     DegenerateProjection,
     DimensionMismatch,
     DomainError,
@@ -19,8 +20,8 @@ from conftest import random_frame, random_spd
 def vertical_strip(width: float, center: float = 0.0) -> cylinders.Cylinder:
     """|x1 - center| <= width/2 in the plane (k = 1)."""
     frame = geom.Frame(np.array([[1.0], [0.0]]))
-    base = cylinders.PolytopeBase(np.array([[center - width / 2],
-                                            [center + width / 2]]))
+    base = geom.Polytope(np.array([[center - width / 2],
+                                   [center + width / 2]]))
     return cylinders.Cylinder(frame, base)
 
 
@@ -45,7 +46,7 @@ def test_contains_h_invariance_random(seed):
     d = int(rng.integers(2, 6))
     k = int(rng.integers(1, d))
     frame = geom.orthonormalize(rng.standard_normal((d - k, d)))
-    base = cylinders.DiskBase(rng.uniform(-0.3, 0.3, d - k), 0.5)
+    base = geom.Ball(rng.uniform(-0.3, 0.3, d - k), 0.5)
     cyl = cylinders.Cylinder(frame, base)
     comp = geom.complement(frame)
     x = rng.uniform(-1, 1, d)
@@ -68,10 +69,10 @@ def test_cap_cylinder_membership():
 def _membership_by_reading(base, z, tol):
     """One reading of base membership, spelled out: ``tol`` 0 is the closed
     base, ``-INTERIOR_MARGIN`` the strict one."""
-    if isinstance(base, cylinders.DiskBase):
+    if isinstance(base, geom.Ball):
         return np.linalg.norm(z - base.center, axis=1) <= base.radius + tol
-    if isinstance(base, cylinders.PolytopeBase):
-        return geom.contains_points(base._poly, z, tol=tol)
+    if isinstance(base, geom.Polytope):
+        return geom.contains_points(base, z, tol=tol)
     level = z @ base.pole
     level = np.abs(level) if base.antipodal else level
     return ((np.linalg.norm(z, axis=1) <= 1.0 + tol)
@@ -83,11 +84,11 @@ def test_base_membership_pair_is_both_readings(rng):
     delta = math.pi / 5
     c = math.cos(delta)
     bases = {
-        "disk": (cylinders.DiskBase(np.array([0.25, -0.5]), 0.75),
+        "disk": (geom.Ball(np.array([0.25, -0.5]), 0.75),
                  [[1.0, -0.5], [0.25, 0.25], [1.0 - eps, -0.5], [0.25, 0.25 - eps],
                   [-0.5 + eps, -0.5]]),
-        "polytope": (cylinders.PolytopeBase(np.array([[0.0, 0.0], [1.0, 0.0],
-                                                      [1.0, 1.0], [0.0, 1.0]])),
+        "polytope": (geom.Polytope(np.array([[0.0, 0.0], [1.0, 0.0],
+                                             [1.0, 1.0], [0.0, 1.0]])),
                      [[1.0, 0.5], [0.5, 0.0], [1.0 - eps, 0.5], [0.5, eps],
                       [eps, 1.0 - eps], [0.0, 0.0]]),
         "cap": (cylinders.CapBase(np.array([1.0, 0.0]), delta, antipodal=False),
@@ -110,7 +111,7 @@ def test_base_membership_pair_is_both_readings(rng):
 def test_crv_ball_disk_cylinder():
     ball = geom.Ball(np.zeros(3), 1.0)
     frame = geom.orthonormalize(np.eye(3)[:2])
-    cyl = cylinders.Cylinder(frame, cylinders.DiskBase(np.zeros(2), 0.5))
+    cyl = cylinders.Cylinder(frame, geom.Ball(np.zeros(2), 0.5))
     assert cylinders.crv(ball, cyl) == pytest.approx(0.25, abs=1e-14)
 
 
@@ -131,7 +132,7 @@ def test_crv_affine_invariance(rng):
         m = d - k
         verts = rng.uniform(-0.4, 0.4, size=(m + 2, m))
         try:
-            base = cylinders.PolytopeBase(verts)
+            base = geom.Polytope(verts)
             cyl = cylinders.Cylinder(frame, base)
             v1 = cylinders.crv(body, cyl)
         except Exception:
@@ -147,7 +148,7 @@ def test_crv_in_unit_interval_when_contained(rng):
         frame = random_frame(3, 2, rng)
         shadow = geom.project_body(body, frame)
         r_in = 1.0 / math.sqrt(float(np.linalg.eigvalsh(shadow.shape)[-1]))
-        base = cylinders.DiskBase(shadow.center, 0.8 * r_in)
+        base = geom.Ball(shadow.center, 0.8 * r_in)
         cyl = cylinders.Cylinder(frame, base)
         assert cylinders.base_contained(body, cyl)
         assert 0.0 < cylinders.crv(body, cyl) <= 1.0 + 1e-12
@@ -158,15 +159,15 @@ def test_crv_degenerate_projection():
     # which must surface as the dedicated error, not a silent 0 or inf ratio
     spiky = geom.Ellipsoid(np.zeros(3), np.diag([1e200, 1e200, 1e200]))
     frame = geom.orthonormalize(np.eye(3)[:2])
-    cyl = cylinders.Cylinder(frame, cylinders.DiskBase(np.zeros(2), 1e-200))
+    cyl = cylinders.Cylinder(frame, geom.Ball(np.zeros(2), 1e-200))
     with pytest.raises(DegenerateProjection):
         cylinders.crv(spiky, cyl)
 
 
 def test_base_volume_closed_forms():
-    disk = cylinders.DiskBase(np.zeros(2), 0.5)
+    disk = geom.Ball(np.zeros(2), 0.5)
     assert cylinders.base_volume(disk) == pytest.approx(math.pi / 4, rel=1e-14)
-    seg = cylinders.PolytopeBase(np.array([[0.1], [0.9]]))
+    seg = geom.Polytope(np.array([[0.1], [0.9]]))
     assert cylinders.base_volume(seg) == pytest.approx(0.8, abs=1e-14)
     cap1 = cylinders.CapBase(np.array([1.0, 0.0, 0.0]), 0.4, antipodal=False)
     cap2 = cylinders.CapBase(np.array([1.0, 0.0, 0.0]), 0.4, antipodal=True)
@@ -192,8 +193,8 @@ def test_base_contained_disk_in_ellipse(rng):
     frame = geom.orthonormalize(np.eye(3)[:2])
     shadow = geom.project_body(ell, frame)
     r_in = 1.0 / math.sqrt(float(np.linalg.eigvalsh(shadow.shape)[-1]))
-    ok = cylinders.Cylinder(frame, cylinders.DiskBase(np.zeros(2), 0.9 * r_in))
-    too_big = cylinders.Cylinder(frame, cylinders.DiskBase(np.zeros(2), 1.4 * r_in))
+    ok = cylinders.Cylinder(frame, geom.Ball(np.zeros(2), 0.9 * r_in))
+    too_big = cylinders.Cylinder(frame, geom.Ball(np.zeros(2), 1.4 * r_in))
     assert cylinders.base_contained(ell, ok)
     assert not cylinders.base_contained(ell, too_big)
 
@@ -238,8 +239,8 @@ def test_base_contained_disks_exact(kind):
         body = geom.Polytope(gen.standard_normal((12, 5)))
     frame = random_frame(5, 3, gen)
     for c, r in _disks_at_the_shadow_boundary(body, frame, gen):
-        inset = cylinders.Cylinder(frame, cylinders.DiskBase(c, r - 5e-4))
-        out = cylinders.Cylinder(frame, cylinders.DiskBase(c, r + 5e-4))
+        inset = cylinders.Cylinder(frame, geom.Ball(c, r - 5e-4))
+        out = cylinders.Cylinder(frame, geom.Ball(c, r + 5e-4))
         assert cylinders.base_contained(body, inset)
         assert not cylinders.base_contained(body, out)
 
@@ -263,7 +264,7 @@ def test_restrict_lens_area_against_segment_formula(rng):
 def test_restrict_whole_ball_cylinder(rng):
     ball = geom.Ball(np.zeros(3), 1.0)
     frame = geom.orthonormalize(np.eye(3)[:2])
-    cyl = cylinders.Cylinder(frame, cylinders.DiskBase(np.zeros(2), 1.0))
+    cyl = cylinders.Cylinder(frame, geom.Ball(np.zeros(2), 1.0))
     region = cylinders.restrict(cyl, ball)
     pts = geom.sample_in_body(ball, 2000, rng)
     assert np.all(region.contains_points(pts))
@@ -291,8 +292,8 @@ def test_restrict_empty_intersection():
 def test_cylinder_json_roundtrip_bit_exact(rng):
     frame = random_frame(4, 2, rng)
     bases = [
-        cylinders.DiskBase(rng.uniform(-0.5, 0.5, 2), 0.37),
-        cylinders.PolytopeBase(rng.uniform(-1, 1, (4, 2))),
+        geom.Ball(rng.uniform(-0.5, 0.5, 2), 0.37),
+        geom.Polytope(rng.uniform(-1, 1, (4, 2))),
         cylinders.CapBase(np.array([0.6, 0.8]), 0.55, antipodal=False),
     ]
     for base in bases:
@@ -308,10 +309,10 @@ def test_cylinder_json_roundtrip_bit_exact(rng):
 def test_cylinder_validation():
     with pytest.raises(DimensionMismatch):
         cylinders.Cylinder(geom.orthonormalize(np.eye(3)),
-                           cylinders.DiskBase(np.zeros(3), 1.0))  # k = 0
+                           geom.Ball(np.zeros(3), 1.0))  # k = 0
     with pytest.raises(DomainError):
         cylinders.CapBase(np.array([1.0, 0.0]), 2.0)
-    with pytest.raises(DomainError):
-        cylinders.DiskBase(np.zeros(2), -1.0)
+    with pytest.raises(DegenerateBody):  # a disk base is a geom.Ball
+        geom.Ball(np.zeros(2), -1.0)
     with pytest.raises(DimensionMismatch):
         cylinders.contains(vertical_strip(1.0), [0.0, 0.0, 0.0])

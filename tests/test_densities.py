@@ -70,7 +70,7 @@ def test_mu_full_ball_cylinder():
     d = 3
     m = densities.ball_chord_density(d)
     frame = geom.orthonormalize(np.eye(d)[:2])
-    full = cylinders.Cylinder(frame, cylinders.DiskBase(np.zeros(2), 1.0))
+    full = cylinders.Cylinder(frame, geom.Ball(np.zeros(2), 1.0))
     exact, _ = densities.mu_of_cylinder(m, full)
     assert exact == pytest.approx(densities.mu_total_mass(d), rel=1e-14)
 
@@ -79,7 +79,7 @@ def test_mu_strip_in_disk():
     m = densities.ball_chord_density(2)
     frame = geom.Frame(np.array([[1.0], [0.0]]))
     strip = cylinders.Cylinder(
-        frame, cylinders.PolytopeBase(np.array([[-0.5], [0.5]])))
+        frame, geom.Polytope(np.array([[-0.5], [0.5]])))
     exact, _ = densities.mu_of_cylinder(m, strip)
     assert exact == pytest.approx(math.pi, rel=1e-14)
 
@@ -88,7 +88,7 @@ def test_mu_disk_cylinder_mc_cross_check():
     d = 3
     m = densities.ball_chord_density(d)
     frame = geom.orthonormalize(np.eye(d)[:2])
-    cyl = cylinders.Cylinder(frame, cylinders.DiskBase(np.zeros(2), 0.5))
+    cyl = cylinders.Cylinder(frame, geom.Ball(np.zeros(2), 0.5))
     exact, est = densities.mu_of_cylinder(m, cyl, mc_samples=300_000, seed=4)
     assert exact == pytest.approx(math.pi * math.pi / 4, rel=1e-14)
     assert abs(est.value - exact) <= 3 * est.stderr
@@ -156,6 +156,6 @@ def test_sphere_section_total_identity():
 def test_mu_of_cylinder_requires_codim_one():
     m = densities.ball_chord_density(4)
     frame = geom.orthonormalize(np.eye(4)[:2])
-    cyl = cylinders.Cylinder(frame, cylinders.DiskBase(np.zeros(2), 0.5))
+    cyl = cylinders.Cylinder(frame, geom.Ball(np.zeros(2), 0.5))
     with pytest.raises(DomainError):
         densities.mu_of_cylinder(m, cyl)

@@ -194,7 +194,7 @@ def _random_planks(family, gen, n):
         theta = gen.uniform(0.0, 2.0 * math.pi)
         u = np.array([math.cos(theta), math.sin(theta)])
         a, b = np.sort(gen.uniform(-family.support(-u), family.support(u), 2))
-        planks.append(falconer.Plank2D(u, float(a), float(b)))
+        planks.append(falconer.plank(u, float(a), float(b)))
     return planks
 
 
@@ -220,8 +220,8 @@ def test_thin_plank_at_the_hull_top_overlaps():
     theta = 0.3 + math.pi / 256
     u = np.array([math.cos(theta), math.sin(theta)])
     top = fam.support(u)
-    planks = [falconer.Plank2D(u, -fam.support(-u), top),
-              falconer.Plank2D(u, top - 1e-5, top)]
+    planks = [falconer.plank(u, -fam.support(-u), top),
+              falconer.plank(u, top - 1e-5, top)]
     mult, witness = falconer.exact_plank_multiplicity(fam, planks)
     assert mult == 2
     assert falconer_oracle.open_counts(planks, witness)[0] == 2
@@ -250,8 +250,8 @@ def test_cell_on_the_low_side_of_all_its_lines_is_found():
     planks = []
     for theta in (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0):
         u = np.array([math.cos(theta), math.sin(theta)])
-        planks.append(falconer.Plank2D(u, -UNIT_DISK.support(-u),
-                                       0.5 * u[0] + 0.2))
+        planks.append(falconer.plank(u, -UNIT_DISK.support(-u),
+                                     0.5 * u[0] + 0.2))
     assert falconer_oracle.open_counts(planks, [0.0, 0.0])[0] == 1
     mult, witness = falconer.exact_plank_multiplicity(UNIT_DISK, planks)
     assert mult == 3
@@ -272,7 +272,7 @@ def test_parallel_planks_stay_apart_in_a_huge_hull():
 
 def test_plank_around_the_whole_hull_counts_once():
     # no boundary line meets the hull: the interior point decides
-    planks = [falconer.Plank2D(np.array([0.0, 1.0]), -5.0, 5.0)]
+    planks = [falconer.plank(np.array([0.0, 1.0]), -5.0, 5.0)]
     mult, witness = falconer.exact_plank_multiplicity(TANGENT_TRIO, planks)
     assert mult == 1
     assert falconer_oracle.certainly_in_hull(TANGENT_TRIO, witness)[0]
@@ -304,8 +304,8 @@ def test_hull_chords_end_on_the_hull_boundary(rng):
 
 
 def test_exact_multiplicity_detects_overlap():
-    planks = [falconer.Plank2D(np.array([1.0, 0.0]), -0.5, 0.1),
-              falconer.Plank2D(np.array([1.0, 0.0]), -0.1, 0.5)]
+    planks = [falconer.plank(np.array([1.0, 0.0]), -0.5, 0.1),
+              falconer.plank(np.array([1.0, 0.0]), -0.1, 0.5)]
     mult, witness = falconer.exact_plank_multiplicity(UNIT_DISK, planks)
     assert mult == 2
     w = np.asarray(witness)
@@ -383,8 +383,8 @@ def test_ridge_mass_doubled_partition():
 
 
 def test_ridge_mass_violation_witness():
-    planks = [falconer.Plank2D(np.array([1.0, 0.0]), -0.5, 0.1),
-              falconer.Plank2D(np.array([1.0, 0.0]), -0.1, 0.5)]
+    planks = [falconer.plank(np.array([1.0, 0.0]), -0.5, 0.1),
+              falconer.plank(np.array([1.0, 0.0]), -0.1, 0.5)]
     # the ridge sum exceeds 1 exactly where the planks overlap twice, which
     # is the packing failure, reported with the sweep's witness
     with pytest.raises(NotAPacking) as info:
@@ -448,5 +448,6 @@ def test_family_json_roundtrip():
     back = falconer.family_from_json(blob)
     assert np.array_equal(back.centers, TANGENT_TRIO.centers)
     assert np.array_equal(back.radii, TANGENT_TRIO.radii)
-    p = falconer.Plank2D(np.array([0.6, 0.8]), -0.25, 1.75)
-    assert falconer.plank_from_json(p.to_json()).to_json() == p.to_json()
+    blob = falconer.plank_to_json(falconer.plank(np.array([0.6, 0.8]), -0.25, 1.75))
+    assert blob["interval"] == [-0.25, 1.75]
+    assert falconer.plank_to_json(falconer.plank_from_json(blob)) == blob

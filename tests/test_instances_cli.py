@@ -126,8 +126,7 @@ def test_cli_overpacked_disk_planks_report_their_witness(tmp_path, capsys):
     family = parsed["disk_family"]
     assert all(u @ point <= family.support(u) + 1e-12
                for u in np.column_stack([np.cos(theta), np.sin(theta)]))
-    assert sum(p.a < p.u @ point < p.b for p in parsed["planks"]) \
-        == mult["max_mult"]
+    assert falconer_oracle.open_counts(parsed["planks"], point)[0] == mult["max_mult"]
     assert cli.main(["bounds", str(inst)]) == 1
     assert json.loads(capsys.readouterr().out) == {"reports": []}
 
@@ -198,6 +197,18 @@ def _plank_partition(tmp_path):
     return instances.load_json(path)
 
 
+def _box_packing(tmp_path):
+    ball = geom.Ball(np.zeros(3), 1.0)
+    fam = instances.random_base_packing(ball, 1, 2, 1, seed=0, base_kind="box")
+    return instances.packing_instance(ball, fam, 1, {"generator": "test", "seed": 0})
+
+
+def _set_base_vertices(vertices):
+    def mutate(obj):
+        obj["cylinders"][0]["base"]["vertices"] = vertices
+    return mutate
+
+
 def _one_sided_caps(tmp_path):
     ball = geom.Ball(np.zeros(2), 1.0)
     frame = geom.Frame(np.array([[1.0], [0.0]]))
@@ -220,10 +231,14 @@ def _one_sided_caps(tmp_path):
                           (_plank_partition, _set_r("2")),
                           (_plank_partition, _set_instance_k(1.5)),
                           (_plank_partition, _set_cylinder_k(1.0)),
+                          (_plank_partition, _set_base_vertices([[0.1], [0.1]])),
+                          (_box_packing, _set_base_vertices(
+                              [[0.0, 0.0], [0.1, 0.1], [0.2, 0.2], [0.3, 0.3]])),
                           (_one_sided_caps, _set_antipodal("false"))],
                          ids=["nan-center", "inf-disk-radius", "r=0", "r=-3",
                               "r=inf", "r=1e300", "k=7", "r=1.9", "r=2.5",
                               "r=true", "r='2'", "k=1.5", "cylinder-k=1.0",
+                              "zero-length-interval", "collinear-box",
                               "antipodal='false'"])
 def test_cli_verify_invalid_fields_exit2(tmp_path, capsys, build, mutate):
     obj = build(tmp_path)
@@ -232,7 +247,7 @@ def test_cli_verify_invalid_fields_exit2(tmp_path, capsys, build, mutate):
     instances.dump_json(obj, inst)
     rc = cli.main(["verify", str(inst), "--samples", "2000"])
     out = json.loads(capsys.readouterr().out)
-    assert rc == 2 and "error" in out
+    assert rc == 2 and out["error"]["stage"] == "validate"
 
 
 def _add_disk_center_component(obj):
@@ -307,7 +322,7 @@ def _antipodal_caps_k3(tmp_path):
 def _polytope_d5_k1(tmp_path):
     # the largest hyperplane shadow of a polytope is computed for d <= 4 only
     cube = geom.Polytope(np.array(list(itertools.product((0.0, 1.0), repeat=5))))
-    base = cylinders.DiskBase(np.full(4, 0.5), 0.2)
+    base = geom.Ball(np.full(4, 0.5), 0.2)
     family = [cylinders.Cylinder(geom.Frame(np.eye(5)[:, :4]), base)]
     path = tmp_path / "cube5.json"
     instances.dump_json(instances.packing_instance(cube, family, 1, {}), path)
@@ -509,6 +524,32 @@ def test_cli_verify_deterministic_output(tmp_path):
     cli.main(["verify", str(inst), "--samples", "3000", "--out", str(r1)])
     cli.main(["verify", str(inst), "--samples", "3000", "--out", str(r2)])
     assert r1.read_bytes() == r2.read_bytes()
+
+
+def test_cli_plank_and_strip_files_are_byte_pinned(tmp_path, monkeypatch):
+    # sha256 of the files these commands write, recorded while bases and
+    # planks had types of their own: holding them as geom bodies and k = 1
+    # cylinders must not move a byte
+    monkeypatch.chdir(tmp_path)
+    for args in (
+            ["construct", "--kind", "ns-family", "--n", "4", "--seed", "3", "--r", "2",
+             "--out", "ns.json"],
+            ["construct", "--kind", "plank-partition", "--dim", "2", "--n", "5",
+             "--out", "part.json"],
+            ["construct", "--kind", "polygon-strips", "--n", "3", "--r", "2",
+             "--seed", "4", "--out", "strips.json"],
+            ["verify", "ns.json", "--out", "ns.report.json"],
+            ["bounds", "ns.json", "--format", "csv", "--out", "ns.table.csv"]):
+        assert cli.main(args) == 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(tmp_path.iterdir())}
+    assert digests == {
+        "ns.json": "779702d0f20f01060d7c23c8459787bdfbdac77a8e24377164325843defd7fdb",
+        "ns.report.json": "cc4821e53afecd3ad925f1e5814f25ad4d5cda81da91b0a31fb4627a4a60f965",
+        "ns.table.csv": "530e3cba5c8b3ee722ebff3df6d5e289ea66d37400777f04b20f9fc88d394a77",
+        "part.json": "c92c1369abaa9893111d3f096693bf6ec8c1facc47d1c4a0ff3986898de20a9d",
+        "strips.json": "30caf7f3b2be95ecacc1c800a076ceba26bd9ff25402f5e98d83941e9cd0045a",
+    }
 
 
 def test_cli_samples_each_instance_once(tmp_path, monkeypatch, capsys):

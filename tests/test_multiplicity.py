@@ -7,7 +7,7 @@ from cylpack.errors import DomainError
 
 def strip(width, center=0.0):
     frame = geom.Frame(np.array([[1.0], [0.0]]))
-    return cylinders.Cylinder(frame, cylinders.PolytopeBase(
+    return cylinders.Cylinder(frame, geom.Polytope(
         np.array([[center - width / 2], [center + width / 2]])))
 
 

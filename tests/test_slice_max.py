@@ -18,12 +18,12 @@ CLOSED_FORMS = ("ellipsoid", "difference-body", "piecewise-polynomial")
 def _inside(base, z, tol: float = 0.0) -> bool:
     """Base membership of z, loosened by tol for the rounding of its ends."""
     z = np.asarray(z, dtype=float)
-    if isinstance(base, cylinders.DiskBase):
+    if isinstance(base, geom.Ball):
         return bool(np.linalg.norm(z - base.center) <= base.radius + tol)
     if isinstance(base, cylinders.CapBase):
         return bool(np.linalg.norm(z) <= 1.0 + tol
                     and z @ base.pole >= math.cos(base.delta) - tol)
-    return bool(geom.contains_points(base._poly, z, tol=tol)[0])
+    return bool(geom.contains_points(base, z, tol=tol)[0])
 
 
 def _check_bracket(body, slice_frame, offsets_frame, base, out, monkeypatch):
@@ -103,7 +103,7 @@ def test_unit_ball_off_centre_disk_base(m):
     rho = 0.25
     ball = geom.Ball(np.zeros(d), 1.0)
     out = bounds.max_translate_slice(ball, geom.complement(cyl_frame),
-                                     base=cylinders.DiskBase(centre, rho),
+                                     base=geom.Ball(centre, rho),
                                      offsets_frame=cyl_frame)
     near = np.linalg.norm(centre) - rho
     want = specfn.unit_ball_volume(m) * (1.0 - near**2) ** (m / 2.0)
@@ -116,7 +116,7 @@ def test_disk_outside_the_shadow_gives_empty_slices():
     ball = geom.Ball(np.zeros(3), 1.0)
     frame = geom.orthonormalize(np.eye(3)[:2])
     out = bounds.max_translate_slice(ball, geom.complement(frame),
-                                     base=cylinders.DiskBase(np.array([3.0, 0.0]), 0.5),
+                                     base=geom.Ball(np.array([3.0, 0.0]), 0.5),
                                      offsets_frame=frame)
     assert out.lo == out.hi == 0.0
 
