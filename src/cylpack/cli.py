@@ -53,10 +53,15 @@ def _thread_count() -> int:
 # ---------------------------------------------------------------------------
 # construct
 
+KINDS_READING_N = ("plank-partition", "packing", "polygon-strips", "ns-family")
+
 
 def cmd_construct(args) -> int:
     rng_meta = {"generator": args.kind, "seed": args.seed}
     try:
+        instances.check_multiplicity(args.r)
+        if args.n < 1 and args.kind in KINDS_READING_N:
+            raise DomainError(f"--n must be at least 1, got {args.n}")
         if args.kind == "cap":
             if args.dim <= 3:
                 raise CylpackError("cap construction needs --dim > 3")

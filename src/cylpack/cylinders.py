@@ -23,8 +23,7 @@ from .errors import (
 )
 
 INTERIOR_MARGIN = 1e-12  # strict-interior slack: tangent cylinders are a legal packing
-BOUNDARY_SAMPLES = 1024  # sampled boundary directions of cap bases
-CONTAINMENT_TOL = 1e-9   # slack of base-in-shadow containment checks
+CONTAINMENT_TOL = 1e-9   # slack of base-in-shadow and base-in-support-range checks
 MAX_PROPOSALS = 100_000  # body samples after which an empty restricted cylinder raises
 
 
@@ -147,61 +146,57 @@ def sum_crv(body: geom.ConvexBody, family) -> float:
 def base_contained(body: geom.ConvexBody, cyl: Cylinder) -> bool:
     """Whether the base lies inside the body's shadow on the base subspace.
 
-    Polytope bases check vertices exactly.  Disk bases are exact too: against
-    a polytope shadow every facet needs a_i . c + rho |a_i| <= b_i, against a
-    ball shadow |c - c0| + rho <= R, and against an ellipsoid shadow the
-    maximum of its quadratic over the disk (the S-lemma dual bound of
-    :func:`geom.quadratic_on_ball`) must be at most 1.  Cap bases inside the
-    unit ball of E are contained by construction when the body is the unit
-    ball; otherwise sampled boundary points of the cap are tested.
+    Exact for every base kind in polytope and ball shadows.  Polytope bases
+    check vertices.  Disk and cap bases use their support function h: a
+    polytope shadow needs h(a_i) + b_i <= 0 on every facet, a ball shadow
+    (c, R) the base within R of c (a cap's farthest points lie on the unit
+    sphere: 1 + |c|^2 + 2 h(-c) <= R^2), and an ellipsoid shadow the S-lemma
+    bound of :func:`geom.quadratic_on_ball` over a disk.  A cap in an
+    ellipsoid shadow raises ``DomainError``: a convex quadratic can peak on a
+    cap at a local, non-global maximizer on the sphere.
     """
     shadow = geom.project_body(body, cyl.frame)
     base = cyl.base
     if isinstance(base, geom.Polytope):
         return bool(np.all(geom.contains_points(shadow, base.vertices,
                                                 tol=CONTAINMENT_TOL)))
+    if isinstance(shadow, geom.Ellipsoid):
+        if isinstance(base, CapBase):
+            raise DomainError("cap-base containment in an ellipsoid shadow is "
+                              "not decided exactly")
+        _, top = geom.quadratic_on_ball(shadow.shape, shadow.center,
+                                        base.center, base.radius, maximize=True)
+        return top <= 1.0 + CONTAINMENT_TOL
+    if isinstance(shadow, geom.Ball):
+        c = shadow.center
+        if isinstance(base, geom.Ball):
+            reach = float(np.linalg.norm(base.center - c)) + base.radius
+        else:
+            with np.errstate(over="ignore"):  # a far shadow reaches inf: outside
+                reach = math.sqrt(1.0 + float(c @ c)
+                                  + 2.0 * float(cap_support(base, -c)[0]))
+        return reach <= shadow.radius + CONTAINMENT_TOL
+    eq = shadow.equations
     if isinstance(base, geom.Ball):
-        if isinstance(shadow, geom.Ball):
-            gap = float(np.linalg.norm(base.center - shadow.center))
-            return gap + base.radius <= shadow.radius + CONTAINMENT_TOL
-        if isinstance(shadow, geom.Ellipsoid):
-            _, top = geom.quadratic_on_ball(shadow.shape, shadow.center,
-                                            base.center, base.radius,
-                                            maximize=True)
-            return top <= 1.0 + CONTAINMENT_TOL
-        eq = shadow.equations
         reach = eq[:, :-1] @ base.center + eq[:, -1] \
             + base.radius * np.linalg.norm(eq[:, :-1], axis=1)
-        return bool(np.all(reach <= CONTAINMENT_TOL))
-    if geom.is_unit_ball(body):
-        return True
-    pts = _cap_boundary_points(base, _boundary_directions(base.dim,
-                                                          BOUNDARY_SAMPLES))
-    return bool(np.all(geom.contains_points(shadow, pts, tol=CONTAINMENT_TOL)))
+    else:
+        reach = cap_support(base, eq[:, :-1]) + eq[:, -1]
+    return bool(np.all(reach <= CONTAINMENT_TOL))
 
 
-def _boundary_directions(m: int, n: int) -> np.ndarray:
-    if m == 1:
-        return np.array([[1.0], [-1.0]])
-    rng = np.random.default_rng(1234)  # fixed stream: containment checks are deterministic
-    return geom.uniform_sphere_points(m, n, rng)
-
-
-def _cap_boundary_points(base: CapBase, dirs: np.ndarray) -> np.ndarray:
-    # extreme points of a solid cap all lie on its spherical surface
-    pole = base.pole
-    pts = [pole[None, :], math.cos(base.delta) * pole[None, :]]
-    tang = dirs - np.outer(dirs @ pole, pole)
-    norms = np.linalg.norm(tang, axis=1, keepdims=True)
-    keep = norms[:, 0] > 1e-12
-    if np.any(keep):
-        tang = tang[keep] / norms[keep]
-        for a in np.linspace(0.0, base.delta, 8)[1:]:
-            pts.append(math.cos(a) * pole + math.sin(a) * tang)
-    out = np.vstack(pts)
-    if base.antipodal:
-        out = np.vstack([out, -out])
-    return out
+def cap_support(base: CapBase, a) -> np.ndarray:
+    """Support function max <a, z> over the cap (with its mirror when
+    antipodal) at each row a: |a| when a lies within delta of the pole, else
+    the rim value cos(delta) a.p + sin(delta) |a - (a.p) p|."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    norms = np.linalg.norm(a, axis=1)
+    dots = a @ base.pole
+    tang = np.linalg.norm(a - np.outer(dots, base.pole), axis=1)
+    if base.antipodal:  # the mirror cap reaches further along -p
+        dots = np.abs(dots)
+    h = math.cos(base.delta)
+    return np.where(dots >= h * norms, norms, h * dots + math.sin(base.delta) * tang)
 
 
 @dataclass(frozen=True, eq=False)

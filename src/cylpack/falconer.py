@@ -31,7 +31,6 @@ from .errors import (
 UNIT_CHORD = "unit_chord"   # density (1/pi) (r^2 - rho^2)^(-1/2): every chord integrates to 1
 RADIUS_SCALED = "radius_scaled"  # 1/(pi r) scaling: a chord of disk j integrates to 1/r_j
 
-SUPPORT_TOL = 1e-9          # slack of a plank's base against the hull's support range
 ON_LINE = 1e-12             # relative gap and slope at which two boundary lines coincide
 SHUFFLE_SEED = 0            # disk order of the enclosing-circle pass
 SVG_SIZE = 480              # width and height of family_to_svg drawings, in pixels
@@ -504,10 +503,11 @@ class PlankVerdict:
 
 def verify_plank_packing(family: DiskFamily, planks, r: int) -> PlankVerdict:
     """Packing check for planks inside the hull, exact on arrangement cells."""
+    tol = cylinders.CONTAINMENT_TOL
     for i, (u, a, b) in enumerate(zip(*_plank_arrays(planks))):
         lo = -family.support(-u)
         hi = family.support(u)
-        if a < lo - SUPPORT_TOL or b > hi + SUPPORT_TOL:
+        if a < lo - tol or b > hi + tol:
             return PlankVerdict(False, None, None,
                                 f"plank {i} base leaves the support range")
     mult, witness = exact_plank_multiplicity(family, planks)

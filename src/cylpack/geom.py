@@ -122,10 +122,6 @@ class Frame:
         """Ambient point of subspace coordinates z."""
         return np.asarray(z, dtype=float) @ self.columns.T
 
-    def project(self, x) -> np.ndarray:
-        """Orthogonal projection of x, expressed in ambient coordinates."""
-        return self.embed(self.coords(x))
-
     def gram_defect(self) -> float:
         g = self.columns.T @ self.columns
         return float(np.max(np.abs(g - np.eye(self.subspace_dim))))
@@ -243,15 +239,11 @@ class Polytope:
                 raise DegenerateBody("vertex hull is not full-dimensional") from exc
             if hull.volume <= 0:
                 raise DegenerateBody("vertex hull has zero volume")
-            self.__dict__["_hull"] = hull
+            object.__setattr__(self, "_hull", hull)
 
     @property
     def dim(self) -> int:
         return self.vertices.shape[1]
-
-    @cached_property
-    def _hull(self):
-        return _geom.ConvexHull(self.vertices)
 
     @cached_property
     def equations(self) -> np.ndarray:

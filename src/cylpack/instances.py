@@ -26,6 +26,7 @@ POLYGON_POINTS = 9           # Gaussian points whose hull is a random polygon
 POLYTOPE_EXTRA_VERTICES = 4  # a random polytope in R^d hulls d + 4 points
 MIN_WIDTH_FRAC = 0.02        # narrowest random interval, relative to the range
 NS_TRIES = 500               # rejection draws of a non-separable disk family
+COVER_TILES = 3              # box tiles per axis in one random covering layer
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +165,8 @@ def random_base_packing(body: geom.ConvexBody, k: int, n_per_layer: int, r: int,
     return family
 
 
-def random_box_covering(body: geom.ConvexBody, k: int, r: int, seed: int,
-                        tiles_per_axis: int = 3) -> list[cylinders.Cylinder]:
+def random_box_covering(body: geom.ConvexBody, k: int, r: int,
+                        seed: int) -> list[cylinders.Cylinder]:
     """Redundant r-fold covering: r layers of box bases tiling the shadow box."""
     d = body.dim
     m = d - k
@@ -177,9 +178,9 @@ def random_box_covering(body: geom.ConvexBody, k: int, r: int, seed: int,
         lo, hi = geom.bounding_box(proj)
         lo = lo - 0.05 * (hi - lo)
         hi = hi + 0.05 * (hi - lo)
-        edges = [np.linspace(lo[j], hi[j], tiles_per_axis + 1) for j in range(m)]
+        edges = [np.linspace(lo[j], hi[j], COVER_TILES + 1) for j in range(m)]
         overlap = 0.06
-        for idx in np.ndindex(*([tiles_per_axis] * m)):
+        for idx in np.ndindex(*([COVER_TILES] * m)):
             cell_lo = np.array([edges[j][idx[j]] for j in range(m)])
             cell_hi = np.array([edges[j][idx[j] + 1] for j in range(m)])
             pad = overlap * (cell_hi - cell_lo)
@@ -295,6 +296,13 @@ def disk_planks_instance(family: falconer.DiskFamily, planks, r: int,
     }
 
 
+def check_multiplicity(r: int) -> int:
+    """r in [1, 2**53]; above 2**53 the bounds' float arithmetic is inexact."""
+    if not 1 <= r <= 2**53:
+        raise DomainError(f"multiplicity r must lie in [1, 2**53], got {r}")
+    return r
+
+
 def parse_instance(obj: dict) -> dict:
     """Validate and materialize an instance file into live objects."""
     if not isinstance(obj, dict):
@@ -305,23 +313,21 @@ def parse_instance(obj: dict) -> dict:
     kind = obj.get("kind")
     if kind not in (KIND_PACKING, KIND_COVERING, KIND_DISK_PLANKS):
         raise DomainError(f"unknown instance kind {kind!r}")
-    r = cylinders.json_typed(obj["r"], int, "multiplicity r")
-    if not 1 <= r <= 2**53:  # above 2**53 the bounds' float arithmetic is inexact
-        raise DomainError(f"multiplicity r must lie in [1, 2**53], got {r}")
+    r = check_multiplicity(cylinders.json_typed(obj["r"], int, "multiplicity r"))
     if kind == KIND_DISK_PLANKS:
         family = falconer.family_from_json({"disks": obj["disks"]})
         planks = [falconer.plank_from_json(p) for p in obj["planks"]]
-        return {"kind": kind, "disk_family": family, "planks": planks,
-                "r": r, "raw": obj}
+        return {"kind": kind, "disk_family": family, "planks": planks, "r": r}
     body = geom.body_from_json(obj["body"])
     family = [cylinders.cylinder_from_json(c) for c in obj["cylinders"]]
+    if not family:
+        raise DomainError(f"a {kind} instance needs at least one cylinder")
     k = cylinders.json_typed(obj["k"], int, "instance k")
     # the CLI picks the checker from k, so it must be every cylinder's codimension
     if any(c.k != k for c in family):
         raise DomainError(f"instance k={k} disagrees with the cylinder codimensions "
                           f"{sorted({c.k for c in family})}")
-    return {"kind": kind, "body": body, "family": family,
-            "r": r, "k": k, "raw": obj}
+    return {"kind": kind, "body": body, "family": family, "r": r, "k": k}
 
 
 def dump_json(obj, path) -> None:

@@ -14,6 +14,7 @@ from cylpack.errors import (
     DomainError,
     EmptyIntersection,
 )
+import cap_oracle
 from conftest import random_frame, random_spd
 
 
@@ -243,6 +244,87 @@ def test_base_contained_disks_exact(kind):
         out = cylinders.Cylinder(frame, geom.Ball(c, r + 5e-4))
         assert cylinders.base_contained(body, inset)
         assert not cylinders.base_contained(body, out)
+
+
+def _random_cap(m: int, gen, antipodal: bool) -> cylinders.CapBase:
+    pole = gen.standard_normal(m)
+    return cylinders.CapBase(pole / np.linalg.norm(pole), gen.uniform(0.1, 1.2),
+                             antipodal=antipodal)
+
+
+def _caps_at_the_shadow_boundary(kind, frame, gen, antipodal, n=40):
+    """n (cap, inset body, outset body, witness): the cap lies in the inset
+    body's shadow, and the witness, a point of the cap, leaves the outset
+    body's shadow by a margin of order 1e-3."""
+    out = []
+    while len(out) < n:
+        cap = _random_cap(3, gen, antipodal)
+        if kind == "ball":
+            # the cap point farthest from the shadow's centre c peaks <-c, .>
+            center = gen.uniform(-0.5, 0.5, 5)
+            c = frame.coords(center)
+            witness = cap_oracle.support_point(cap, -c)
+            reach = float(np.linalg.norm(witness - c))
+            inset, outset = (geom.Ball(center, reach + s) for s in (5e-4, -5e-4))
+        else:
+            # scaling a shadow about an interior origin scales its offsets b_i:
+            # the cap fits exactly from s* = max_i h(a_i) / -b_i on
+            verts = gen.standard_normal((12, 5))
+            verts -= verts.mean(axis=0)
+            eq = geom.project_body(geom.Polytope(verts), frame).equations
+            points = [cap_oracle.support_point(cap, a) for a in eq[:, :-1]]
+            ratios = [a @ z / -b for a, b, z in zip(eq[:, :-1], eq[:, -1], points)]
+            tight = int(np.argmax(ratios))
+            witness = points[tight]
+            inset, outset = (geom.Polytope(ratios[tight] * s * verts)
+                             for s in (1.001, 0.999))
+        out.append((cap, inset, outset, witness))
+    return out
+
+
+@pytest.mark.parametrize("antipodal", [False, True], ids=["one-sided", "antipodal"])
+@pytest.mark.parametrize("kind", ["ball", "polytope"])
+def test_base_contained_caps_exact(kind, antipodal):
+    gen = np.random.default_rng(56)
+    frame = random_frame(5, 3, gen)
+    for cap, inset, outset, witness in _caps_at_the_shadow_boundary(
+            kind, frame, gen, antipodal):
+        cyl = cylinders.Cylinder(frame, cap)
+        assert cap_oracle.in_cap(cap, witness)
+        assert not geom.contains_points(geom.project_body(outset, frame), witness)[0]
+        assert np.all(geom.contains_points(geom.project_body(inset, frame),
+                                           cap_oracle.boundary_sample(cap)))
+        assert cylinders.base_contained(inset, cyl)
+        assert not cylinders.base_contained(outset, cyl)
+
+
+def test_base_contained_cap_in_ellipsoid_raises():
+    ell = geom.Ellipsoid(np.zeros(3), np.diag([0.25, 0.5, 1.0]))
+    frame = geom.orthonormalize(np.eye(3)[:2])
+    cap = cylinders.CapBase(np.array([1.0, 0.0]), 0.3, antipodal=False)
+    with pytest.raises(DomainError):
+        cylinders.base_contained(ell, cylinders.Cylinder(frame, cap))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(m=st.integers(1, 5), antipodal=st.booleans(),
+       delta=st.floats(0.05, 1.5), seed=st.integers(0, 2**32 - 1))
+def test_cap_support_is_attained_and_tops_the_boundary_sample(m, antipodal,
+                                                              delta, seed):
+    gen = np.random.default_rng(seed)
+    pole = gen.standard_normal(m)
+    cap = cylinders.CapBase(pole / np.linalg.norm(pole), delta, antipodal)
+    dirs = np.vstack([gen.standard_normal((40, m)) * gen.uniform(0.1, 10.0, (40, 1)),
+                      cap.pole, -cap.pole])
+    top = cylinders.cap_support(cap, dirs)
+    scale = 1e-12 * np.linalg.norm(dirs, axis=1)
+    for a, t, eps in zip(dirs, top, scale):
+        z = cap_oracle.support_point(cap, a)
+        assert cap_oracle.in_cap(cap, z)
+        assert abs(t - a @ z) <= eps
+    # sample points nearly along the pole leave the cap by rounding
+    sampled = np.max(cap_oracle.boundary_sample(cap) @ dirs.T, axis=0)
+    assert np.all(sampled <= top + 1e3 * scale)
 
 
 def test_restrict_lens_area_against_segment_formula(rng):

@@ -218,6 +218,10 @@ def _one_sided_caps(tmp_path):
     return instances.packing_instance(ball, caps, 1, {"generator": "test", "seed": 0})
 
 
+def _drop_cylinders(obj):
+    obj["cylinders"] = []
+
+
 @pytest.mark.parametrize("build,mutate",
                          [(_ball_packing, _set_nan_center),
                           (_ball_packing, _set_inf_disk_radius),
@@ -234,12 +238,15 @@ def _one_sided_caps(tmp_path):
                           (_plank_partition, _set_base_vertices([[0.1], [0.1]])),
                           (_box_packing, _set_base_vertices(
                               [[0.0, 0.0], [0.1, 0.1], [0.2, 0.2], [0.3, 0.3]])),
-                          (_one_sided_caps, _set_antipodal("false"))],
+                          (_one_sided_caps, _set_antipodal("false")),
+                          (_ball_packing, _drop_cylinders),
+                          (_plank_partition, _drop_cylinders)],
                          ids=["nan-center", "inf-disk-radius", "r=0", "r=-3",
                               "r=inf", "r=1e300", "k=7", "r=1.9", "r=2.5",
                               "r=true", "r='2'", "k=1.5", "cylinder-k=1.0",
                               "zero-length-interval", "collinear-box",
-                              "antipodal='false'"])
+                              "antipodal='false'", "no-cylinders-ball",
+                              "no-cylinders-plank"])
 def test_cli_verify_invalid_fields_exit2(tmp_path, capsys, build, mutate):
     obj = build(tmp_path)
     mutate(obj)
@@ -397,6 +404,61 @@ def test_cli_construct_deterministic(tmp_path):
                        "--delta", "0.3", "--seed", "7", "--out", str(out)])
         assert rc == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+KINDS_READING_N = ("plank", "pack3", "strips", "ns")  # fixtures whose kind reads --n
+
+
+@pytest.mark.parametrize("name,flags",
+                         [(name, ["--r", "0"]) for name in sorted(CONSTRUCT_KINDS)]
+                         + [("plank", ["--r", str(2**53 + 1)])]
+                         + [(name, ["--n", "0"]) for name in KINDS_READING_N],
+                         ids=[f"{name}-r=0" for name in sorted(CONSTRUCT_KINDS)]
+                         + ["plank-r=2**53+1"]
+                         + [f"{name}-n=0" for name in KINDS_READING_N])
+def test_cli_construct_writes_no_unusable_file(tmp_path, capsys, name, flags):
+    # a file verify would reject (r outside [1, 2**53]) or an empty family
+    out = tmp_path / "x.json"
+    rc = cli.main(["construct", *CONSTRUCT_KINDS[name], *flags, "--out", str(out)])
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert rc == 2 and err["stage"] == "construct" and err["type"] == "DomainError"
+    assert not out.exists()
+
+
+def _cap_recipe(body: dict) -> dict:
+    """A one-sided delta = 0.3 cap in the x1x2-plane of R^3 (k = 1), pole e1."""
+    cap = {"k": 1, "frame": {"columns": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]},
+           "base": {"kind": "cap", "pole": [1.0, 0.0], "delta": 0.3,
+                    "antipodal": False}}
+    return {"schema_version": 1, "kind": instances.KIND_PACKING, "k": 1, "r": 1,
+            "body": body, "cylinders": [cap], "meta": {}}
+
+
+def test_cli_cap_poking_out_between_boundary_samples_fails(tmp_path, capsys):
+    # the prism over [-2, 2]^2 cut by a.z <= 1 - 5e-5, for the cap point a at
+    # delta/14 from the pole: between the sampled rim-ward angles 0 and delta/7
+    c, s = math.cos(0.3 / 14), math.sin(0.3 / 14)
+    b = 1.0 - 5e-5
+    polygon = [(-2.0, -2.0), ((b + 2 * s) / c, -2.0), ((b - 2 * s) / c, 2.0),
+               (-2.0, 2.0)]
+    prism = {"type": "polytope",
+             "vertices": [[x, y, z] for x, y in polygon for z in (-1.0, 1.0)]}
+    inst = tmp_path / "cap.json"
+    instances.dump_json(_cap_recipe(prism), inst)
+    assert cli.main(["verify", str(inst), "--samples", "2000"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert not out["passed"]
+    assert out["multiplicity"]["reason"] == "base 0 is not contained in the body shadow"
+
+
+def test_cli_cap_in_an_ellipsoid_shadow_exits_2(tmp_path, capsys):
+    ellipsoid = {"type": "ellipsoid", "center": [0.0, 0.0, 0.0],
+                 "shape": np.diag([1 / 1.5**2, 1 / 1.2**2, 1.0]).tolist()}
+    inst = tmp_path / "cap.json"
+    instances.dump_json(_cap_recipe(ellipsoid), inst)
+    assert cli.main(["verify", str(inst), "--samples", "2000"]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["stage"] == "verify" and err["type"] == "DomainError"
 
 
 def test_cli_construct_rejects_bad_params(tmp_path, capsys):
