@@ -66,20 +66,40 @@ def _filter(cands: np.ndarray, members: np.ndarray, cos_sep: float,
 
     A candidate is far when every level lies below cos_sep - _BAND and near
     when its largest level lies within _BAND of cos_sep; one with a level at
-    or above cos_sep + _BAND is neither.  Members are scanned in row blocks
-    and a candidate is dropped at the first block that rules it out.
+    or above cos_sep + _BAND is neither.  Members are scanned in row blocks of
+    members x candidates products, and a candidate is dropped at the first
+    block that rules it out.
+
+    A float32 screen runs first and drops a candidate only at a level of at
+    least cos_sep + _BAND + gamma, with gamma = ``geom.float32_dot_margin(d)``
+    = 8 (d + 2) 2**-24.  For unit vectors a float32 level is within
+    (d + 2) 2**-24 of the exact one (Higham 2002, section 3.1) and the float32
+    cut within 2 * 2**-24 of its float64 value, so the exact level, and the
+    float64 one, of a dropped candidate lies above cos_sep + _BAND: the float64
+    pass would drop it too.  The survivors go through that float64 pass, which
+    alone decides the masks, so they are those of the float64 pass alone.
     """
+    gamma = geom.float32_dot_margin(cands.shape[1])
     idx = np.arange(len(cands))
-    peak = np.full(len(cands), -np.inf)
+    c32 = cands.astype(np.float32)
+    m32 = members.astype(np.float32)
     for start in range(0, len(members), _ROW_BLOCK):
-        level = cands[idx] @ members[start:start + _ROW_BLOCK].T
+        level = m32[start:start + _ROW_BLOCK] @ c32[idx].T
         if metric == PROJECTIVE:
             np.abs(level, out=level)
-        peak = np.maximum(peak, np.max(level, axis=1))
-        alive = peak < cos_sep + _BAND
-        idx, peak = idx[alive], peak[alive]
+        idx = idx[np.max(level, axis=0) < np.float32(cos_sep + _BAND + gamma)]
         if len(idx) == 0:
             break
+    peak = np.full(len(idx), -np.inf)
+    for start in range(0, len(members), _ROW_BLOCK):
+        if len(idx) == 0:
+            break
+        level = members[start:start + _ROW_BLOCK] @ cands[idx].T
+        if metric == PROJECTIVE:
+            np.abs(level, out=level)
+        peak = np.maximum(peak, np.max(level, axis=0))
+        alive = peak < cos_sep + _BAND
+        idx, peak = idx[alive], peak[alive]
     far = np.zeros(len(cands), dtype=bool)
     near = np.zeros(len(cands), dtype=bool)
     far[idx[peak < cos_sep - _BAND]] = True
@@ -108,14 +128,18 @@ def build_separated_set(d: int, two_delta: float, metric: str = PROJECTIVE,
     is pure), since different codimensions reuse the same set.
 
     Each block of proposals or probes is first filtered against the members
-    by blocked matrix products.  A candidate is dropped there only when some
-    level is at least cos(two_delta) + 1e-9, far beyond any rounding
-    difference between products, so the exact per-candidate test
-    (``_pair_ok`` against all current members) would reject it too.  Every
-    other candidate is decided by that exact test, and a probe chunk holding
-    a candidate within 1e-9 of the threshold repeats the probe filter as one
-    full product.  Random draws are unchanged, so the points and the maximal
-    flag are bit-identical to testing every candidate one by one.
+    by blocked matrix products (``_filter``).  A float32 screen drops a
+    candidate only at a level of at least cos(two_delta) + 1e-9 + gamma, with
+    gamma = 8 (d + 2) 2**-24, eight times the float32 error of a unit-vector
+    dot product; a float64 pass over the survivors drops one only at a level
+    of at least cos(two_delta) + 1e-9.  Both margins lie far beyond any
+    rounding difference between products, so the exact per-candidate test
+    (``_pair_ok`` against all current members) would reject every dropped
+    candidate too.  Every other candidate is decided by that exact test, and
+    a probe chunk holding a candidate within 1e-9 of the threshold repeats
+    the probe filter as one full product.  Random draws are unchanged, so the
+    points and the maximal flag are bit-identical to testing every candidate
+    one by one.
     """
     return _cached_set(d, float(two_delta), metric, seed)
 
@@ -221,9 +245,12 @@ def build_cap_family(sep_set: SeparatedSet, delta: float, k: int,
 
     Each point gets a (d-k)-dimensional base subspace containing it as the
     first frame column, completed by deterministically seeded directions, and
-    a cap base of radius delta around it.  ``delta`` must be half the set's
-    separation.  Antipodal bases pair with the projective metric, one-sided
-    bases with the geodesic metric, keeping the family a packing in both modes.
+    a cap base of radius delta around it.  The directions of all points are
+    drawn at once and orthonormalized together (``geom.orthonormalize_stack``),
+    which gives the same bytes as one draw and one Gram-Schmidt per point.
+    ``delta`` must be half the set's separation.  Antipodal bases pair with
+    the projective metric, one-sided bases with the geodesic metric, keeping
+    the family a packing in both modes.
     """
     d = sep_set.points.shape[1]
     if abs(delta - sep_set.separation / 2.0) > 1e-12:
@@ -239,13 +266,16 @@ def build_cap_family(sep_set: SeparatedSet, delta: float, k: int,
     m = d - k
     antipodal = sep_set.metric == PROJECTIVE
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0x5EED)))
+    pts = sep_set.points
+    if m == 1:
+        frames = [geom.Frame(x[:, None]) for x in pts]
+    else:
+        # one draw is the same stream as one (d, m - 1) draw per point in turn
+        extra = rng.standard_normal((len(pts), d, m - 1))
+        frames = geom.orthonormalize_stack(
+            np.concatenate([pts[:, None, :], extra.transpose(0, 2, 1)], axis=1))
     cyls = []
-    for x in sep_set.points:
-        if m == 1:
-            frame = geom.Frame(x[:, None])
-        else:
-            extra = rng.standard_normal((d, m - 1))
-            frame = geom.orthonormalize(np.column_stack([x, extra]).T)
+    for x, frame in zip(pts, frames):
         pole = frame.coords(x)  # = e_1 in frame coordinates by construction
         base = cylinders.CapBase(pole, delta, antipodal=antipodal)
         cyls.append(cylinders.Cylinder(frame, base))

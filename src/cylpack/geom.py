@@ -132,22 +132,48 @@ def orthonormalize(vectors) -> Frame:
 
     The first column stays parallel to the first input vector.  Raises
     RankDeficient when a residual falls below the relative pivot threshold.
+    This is the one-list case of ``orthonormalize_stack``.
     """
-    vs = _as_points(vectors)
-    cols = []
-    for v in vs:
-        scale = np.linalg.norm(v)
-        w = v.copy()
-        for c in cols:
-            w -= (w @ c) * c
-        # second pass keeps cross products at the 1e-12 invariant
-        for c in cols:
-            w -= (w @ c) * c
-        norm = np.linalg.norm(w)
-        if scale == 0.0 or norm <= PIVOT_TOL * scale:
-            raise RankDeficient("input vectors are linearly dependent")
-        cols.append(w / norm)
-    return Frame(np.column_stack(cols))
+    return orthonormalize_stack(_as_points(vectors)[None])[0]
+
+
+def orthonormalize_stack(stack) -> list[Frame]:
+    """One Gram-Schmidt frame per vector list of an (N, m, d) stack.
+
+    The N lists run together, one input vector at a time.  Every dot product
+    and norm is a row of ``np.vecdot``, which numpy hands to the same BLAS dot
+    kernel as the 1-d ``w @ c`` and ``linalg.norm(w)`` of a single list, and
+    the updates are elementwise, so each frame is bit-identical to
+    orthonormalizing its list alone.  Raises RankDeficient when a residual of
+    any list falls below the relative pivot threshold.
+    """
+    vs = np.ascontiguousarray(stack, dtype=float)
+    if vs.ndim != 3:
+        raise DimensionMismatch(f"expected a stack of vector lists, got shape {vs.shape}")
+    scale = np.sqrt(np.vecdot(vs, vs))
+    norm = np.empty_like(scale)
+    cols = np.empty_like(vs)
+    # a dependent list divides by a vanishing norm here and raises below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(vs.shape[1]):
+            w = vs[:, j].copy()
+            # second pass keeps cross products at the 1e-12 invariant
+            for _ in range(2):
+                for i in range(j):
+                    c = cols[:, i]
+                    w -= np.vecdot(w, c)[:, None] * c
+            norm[:, j] = np.sqrt(np.vecdot(w, w))
+            cols[:, j] = w / norm[:, j, None]
+    if ((scale == 0.0) | (norm <= PIVOT_TOL * scale)).any():
+        raise RankDeficient("input vectors are linearly dependent")
+    return [Frame(c) for c in np.ascontiguousarray(cols.transpose(0, 2, 1))]
+
+
+def float32_dot_margin(d: int) -> float:
+    """8x the error bound (d + 2) * 2**-24 of a float32 dot product of two
+    float64 unit vectors of R^d: the two conversions plus the sum (Higham
+    2002, section 3.1)."""
+    return 8.0 * (d + 2) * 2.0 ** -24
 
 
 def complement(frame: Frame) -> Frame:

@@ -118,6 +118,14 @@ def plank_partition(body: geom.ConvexBody, n_planks: int, r: int = 1,
     return family
 
 
+def _base_dim(d: int, k: int) -> int:
+    """Base dimension d - k of a codimension-k cylinder of R^d; DomainError
+    unless it lies in 1..d-1."""
+    if not 1 <= k <= d - 1:
+        raise DomainError(f"codimension k={k} must lie in 1..{d - 1} for d={d}")
+    return d - k
+
+
 def random_base_packing(body: geom.ConvexBody, k: int, n_per_layer: int, r: int,
                         seed: int, base_kind: str = "disk",
                         ) -> list[cylinders.Cylinder]:
@@ -129,9 +137,7 @@ def random_base_packing(body: geom.ConvexBody, k: int, n_per_layer: int, r: int,
     so the union of r layers is an r-fold packing by construction.
     """
     d = body.dim
-    m = d - k
-    if m < 1:
-        raise DomainError("codimension too large for the ambient dimension")
+    m = _base_dim(d, k)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0xBA5E)))
     family = []
     for _ in range(r):
@@ -169,7 +175,7 @@ def random_box_covering(body: geom.ConvexBody, k: int, r: int,
                         seed: int) -> list[cylinders.Cylinder]:
     """Redundant r-fold covering: r layers of box bases tiling the shadow box."""
     d = body.dim
-    m = d - k
+    m = _base_dim(d, k)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0xC0B0)))
     family = []
     for _ in range(r):

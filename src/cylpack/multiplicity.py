@@ -18,6 +18,11 @@ from . import cylinders, geom
 from .errors import DimensionMismatch, DomainError
 
 BLOCK = 8192
+# one float32 screen product is CAP_BLOCK x CAP_POINT_TILE (512 KB); one over a
+# whole 8192-point sample block raised the peak memory of a verification pass
+CAP_BLOCK = 64         # cap cylinders per float32 screen product
+CAP_POINT_TILE = 2048  # points per float32 screen product
+CAP_LOOP_MAX = 3       # cap groups up to this size keep the per-cylinder loop
 
 
 @dataclass(frozen=True)
@@ -79,39 +84,137 @@ def multiplicity_counts(body: geom.ConvexBody, family, pts: np.ndarray,
 
     Each cylinder's base is evaluated once for both readings.  Cap-based
     cylinders inside the unit ball reduce to a dot product with the embedded
-    pole, which keeps large cap families affordable.
+    pole, which keeps large cap families affordable: see ``_add_cap_counts``,
+    whose counts equal those of the per-cylinder test ``_cap_membership``.
     """
     n = len(pts)
     strict = np.zeros(n, dtype=np.int32)
     closed = np.zeros(n, dtype=np.int32)
     unit_ball = geom.is_unit_ball(body)
-    margin = cylinders.INTERIOR_MARGIN
+    caps: dict[int, list] = {}  # unit-ball cap cylinders by base dimension
     with np.errstate(over="ignore"):  # a norm past ~1.3e154 is inf: outside
         for cyl in family:
             if pts.shape[1] != cyl.ambient_dim:
                 raise DimensionMismatch("family and samples disagree in dimension")
-            base = cyl.base
-            if isinstance(base, cylinders.CapBase) and unit_ball:
-                pole = cyl.frame.embed(base.pole)
-                dots = pts @ pole
-                level = np.abs(dots) if base.antipodal else dots
-                cos_d = math.cos(base.delta)
-                closed_in = level >= cos_d
-                strict_in = level > cos_d + margin
-                # |P_E x| <= 1 holds automatically inside the unit ball; the strict
-                # variant can only fail on a measure-zero set, checked cheaply here
-                if np.any(strict_in):
-                    proj = pts[strict_in] @ cyl.frame.columns
-                    strict_sub = np.einsum("ij,ij->i", proj, proj) < (1.0 - margin) ** 2
-                    idx = np.flatnonzero(strict_in)
-                    strict_in = np.zeros(n, dtype=bool)
-                    strict_in[idx[strict_sub]] = True
-            else:
-                closed_in, strict_in = cylinders.base_membership(
-                    base, pts @ cyl.frame.columns)
+            if isinstance(cyl.base, cylinders.CapBase) and unit_ball:
+                caps.setdefault(cyl.base.dim, []).append(cyl)
+                continue
+            closed_in, strict_in = cylinders.base_membership(
+                cyl.base, pts @ cyl.frame.columns)
             closed += closed_in
             strict += strict_in
+        for group in caps.values():
+            _add_cap_counts(group, pts, strict, closed)
     return strict, closed
+
+
+def _cap_membership(cyl: cylinders.Cylinder, pts: np.ndarray,
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """(closed, strict) masks of one cap cylinder over points of the unit ball."""
+    base = cyl.base
+    margin = cylinders.INTERIOR_MARGIN
+    pole = cyl.frame.embed(base.pole)
+    dots = pts @ pole
+    level = np.abs(dots) if base.antipodal else dots
+    cos_d = math.cos(base.delta)
+    closed_in = level >= cos_d
+    strict_in = level > cos_d + margin
+    # |P_E x| <= 1 holds automatically inside the unit ball; the strict
+    # variant can only fail on a measure-zero set, checked cheaply here
+    if np.any(strict_in):
+        proj = pts[strict_in] @ cyl.frame.columns
+        strict_sub = np.einsum("ij,ij->i", proj, proj) < (1.0 - margin) ** 2
+        idx = np.flatnonzero(strict_in)
+        strict_in = np.zeros(len(pts), dtype=bool)
+        strict_in[idx[strict_sub]] = True
+    return closed_in, strict_in
+
+
+def _add_cap_counts(cyls: list, pts: np.ndarray, strict: np.ndarray,
+                    closed: np.ndarray) -> None:
+    """Add the counts of unit-ball cap cylinders that share one base dimension.
+
+    Groups of more than CAP_LOOP_MAX cylinders, over points within radius 2
+    (every sample of the unit ball), run in blocks of CAP_BLOCK cylinders,
+    screened CAP_POINT_TILE points at a time:
+
+    - a float32 screen of poles x points keeps the pairs whose float32 level
+      reaches cos(delta) - gamma, with gamma = ``geom.float32_dot_margin(d)``.
+      For |x| <= 2 that is 4x the float32 error of the level (plus the
+      rounding of the cut), so every pair whose exact or float64 level
+      reaches cos(delta) is kept;
+    - float64 levels and |P_E x|^2 of the kept pairs, by einsum, decide both
+      readings;
+    - a cylinder with a pair whose level or |P_E x|^2 lies within
+      64 d^2 2**-53 of a threshold is redone by ``_cap_membership``.  For
+      |x| <= 2 two float64 evaluations of a level differ by at most
+      4 d 2**-53, and of |P_E x|^2 by at most (16 sqrt(m) d + 8 m) 2**-53,
+      both under a quarter of that width, so every other decision is the
+      one ``_cap_membership`` takes.
+
+    The counts are therefore those of the per-cylinder loop, bit for bit.
+    """
+    n, d = pts.shape
+    if len(cyls) <= CAP_LOOP_MAX or n == 0 \
+            or not np.all(np.einsum("ij,ij->i", pts, pts) <= 4.0):
+        for cyl in cyls:
+            closed_in, strict_in = _cap_membership(cyl, pts)
+            closed += closed_in
+            strict += strict_in
+        return
+    margin = cylinders.INTERIOR_MARGIN
+    lim = (1.0 - margin) ** 2
+    gamma = geom.float32_dot_margin(d)
+    tie = 64.0 * d * d * 2.0 ** -53
+    pts32 = pts.astype(np.float32)
+    for start in range(0, len(cyls), CAP_BLOCK):
+        block = cyls[start:start + CAP_BLOCK]
+        poles = np.array([cyl.frame.embed(cyl.base.pole) for cyl in block])
+        cos_d = np.array([math.cos(cyl.base.delta) for cyl in block])
+        anti = np.array([cyl.base.antipodal for cyl in block])
+        ci, pj = _screened_pairs(poles, cos_d - gamma, anti, pts32)
+        x = pts[pj]
+        level = np.einsum("ij,ij->i", x, poles[ci])
+        level = np.where(anti[ci], np.abs(level), level)
+        cut = cos_d[ci]
+        closed_in = level >= cut
+        strict_in = level > cut + margin
+        tied = (np.abs(level - cut) <= tie) | (np.abs(level - (cut + margin)) <= tie)
+        s = np.flatnonzero(strict_in)
+        frames = np.array([cyl.frame.columns for cyl in block])
+        proj = np.einsum("ij,ijk->ik", x[s], frames[ci[s]])
+        sq = np.einsum("ij,ij->i", proj, proj)
+        strict_in[s] = sq < lim
+        tied[s] |= np.abs(sq - lim) <= tie
+        redo = np.unique(ci[tied])
+        if len(redo):
+            decided = ~np.isin(ci, redo)
+            closed_in &= decided
+            strict_in &= decided
+        closed += np.bincount(pj[closed_in], minlength=n)
+        strict += np.bincount(pj[strict_in], minlength=n)
+        for i in redo.tolist():
+            closed_one, strict_one = _cap_membership(block[i], pts)
+            closed += closed_one
+            strict += strict_one
+
+
+def _screened_pairs(poles: np.ndarray, cuts: np.ndarray, anti: np.ndarray,
+                    pts32: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cylinder, point) index pairs whose float32 level reaches the
+    cylinder's cut, by float32 products of CAP_POINT_TILE points at a time."""
+    poles32 = poles.astype(np.float32)
+    cuts32 = cuts.astype(np.float32)[:, None]
+    ci, pj = [], []
+    for lo in range(0, len(pts32), CAP_POINT_TILE):
+        level = poles32 @ pts32[lo:lo + CAP_POINT_TILE].T
+        np.abs(level, out=level, where=anti[:, None])
+        level -= cuts32  # a float32 difference has the sign of the exact one
+        cols = np.flatnonzero(np.max(level, axis=0) >= 0.0)
+        c, p = np.nonzero(level[:, cols] >= 0.0)
+        ci.append(c)
+        pj.append(lo + cols[p])
+    return np.concatenate(ci), np.concatenate(pj)
 
 
 def estimate_multiplicity(body: geom.ConvexBody, family, n: int, seed: int,

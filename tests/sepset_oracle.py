@@ -1,10 +1,15 @@
-"""Reference oracle: the one-candidate-at-a-time separated-set construction.
+"""Reference oracles: the one-candidate-at-a-time separated-set construction,
+and the float64 blocked filter.
 
 ``build_separated_set`` below is the original implementation, kept verbatim
 (with its own unbounded cache and the ``_pair_ok`` it calls) so that tests can
 require the blocked construction in ``cylpack.cappack`` to reproduce it bit
 for bit.  Tests that patch ``REJECT_BUDGET`` patch it here too and clear
 ``_SET_CACHE``.
+
+``_filter`` is the blocked filter before its float32 screen, kept verbatim
+(candidates x members products, one float64 pass), so that tests can require
+the screened ``cylpack.cappack._filter`` to return the same masks.
 """
 
 import math
@@ -17,6 +22,8 @@ from cylpack.errors import DomainError
 
 REJECT_BUDGET = 10_000       # consecutive rejections that end the greedy phase
 MAXIMALITY_TRIALS = 100_000  # post-hoc probe points for the maximality flag
+_BAND = 1e-9                 # filter margin, far beyond product rounding
+_ROW_BLOCK = 256             # members per product in the blocked filter
 
 
 def _pair_ok(candidate: np.ndarray, points: np.ndarray, cos_sep: float,
@@ -27,6 +34,33 @@ def _pair_ok(candidate: np.ndarray, points: np.ndarray, cos_sep: float,
     level = np.abs(dots) if metric == PROJECTIVE else dots
     # distance > separation (strict)  <=>  cos(distance) < cos(separation)
     return bool(np.max(level) < cos_sep)
+
+
+def _filter(cands: np.ndarray, members: np.ndarray, cos_sep: float,
+            metric: str) -> tuple[np.ndarray, np.ndarray]:
+    """(far, near) masks of candidates against the members.
+
+    A candidate is far when every level lies below cos_sep - _BAND and near
+    when its largest level lies within _BAND of cos_sep; one with a level at
+    or above cos_sep + _BAND is neither.  Members are scanned in row blocks
+    and a candidate is dropped at the first block that rules it out.
+    """
+    idx = np.arange(len(cands))
+    peak = np.full(len(cands), -np.inf)
+    for start in range(0, len(members), _ROW_BLOCK):
+        level = cands[idx] @ members[start:start + _ROW_BLOCK].T
+        if metric == PROJECTIVE:
+            np.abs(level, out=level)
+        peak = np.maximum(peak, np.max(level, axis=1))
+        alive = peak < cos_sep + _BAND
+        idx, peak = idx[alive], peak[alive]
+        if len(idx) == 0:
+            break
+    far = np.zeros(len(cands), dtype=bool)
+    near = np.zeros(len(cands), dtype=bool)
+    far[idx[peak < cos_sep - _BAND]] = True
+    near[idx[peak >= cos_sep - _BAND]] = True
+    return far, near
 
 
 _SET_CACHE: dict = {}

@@ -1,0 +1,305 @@
+"""The cap pipeline kernels reproduce their one-at-a-time oracles bit for bit.
+
+- ``cappack._filter`` (float32 screen, then the float64 pass) returns the
+  masks of the float64 filter alone (``sepset_oracle._filter``);
+- ``geom.orthonormalize_stack`` and ``cappack.build_cap_family`` return the
+  frames of Gram-Schmidt run on one vector list at a time
+  (``frame_oracle.orthonormalize``);
+- ``multiplicity.multiplicity_counts`` returns the counts of the per-cylinder
+  cap loop (``cap_oracle.multiplicity_counts``).
+
+Candidates and samples are placed at the thresholds where a screen or a
+reordered sum could change a decision.
+"""
+
+import hashlib
+import math
+import warnings
+
+import numpy as np
+import pytest
+
+import cap_oracle
+import frame_oracle
+import sepset_oracle
+from cylpack import cappack, cylinders, geom, multiplicity
+from cylpack.errors import RankDeficient
+
+METRICS = (cappack.PROJECTIVE, cappack.GEODESIC)
+
+
+# --- separated-set filter --------------------------------------------------------
+
+def _unit(v):
+    return v / np.linalg.norm(v)
+
+
+def _placed_candidates(d, cos_sep, metric, rng):
+    """(members, candidates, levels): 300 members (two row blocks) with e_1 at
+    row 270, the others more than 2.5 * 2 delta away from +-e_1, and
+    candidates whose level against e_1 is set exactly (it is their first
+    coordinate, in every product order), so that e_1 gives their largest
+    level; ``levels`` holds those of the leading placed candidates."""
+    two_delta = math.acos(cos_sep)
+    far_cos = math.cos(2.5 * two_delta)
+    others = []
+    while len(others) < 299:
+        v = _unit(rng.standard_normal(d))
+        level = abs(v[0]) if metric == cappack.PROJECTIVE else v[0]
+        if level < far_cos:
+            others.append(v)
+    members = np.array(others[:270] + [np.eye(d)[0]] + others[270:])
+    band = cappack._BAND
+    gamma = geom.float32_dot_margin(d)
+    # at and 3e-12 off the band edges; inside float32 error of cos_sep and
+    # of the screen's cut; and clear of every threshold
+    levels = [cos_sep + edge + o for edge in (band, -band) for o in (0.0, 3e-12, -3e-12)]
+    levels += [cos_sep + o for o in (1e-7, -1e-7, 3e-8, -3e-8, 0.0)]
+    levels += [cos_sep + band + gamma + o for o in (1e-7, -1e-7, 0.0)]
+    levels += [cos_sep - 0.02, 0.99, 0.999]
+    cands = []
+    for t in levels:
+        u = rng.standard_normal(d)
+        u[0] = 0.0
+        c = math.sqrt(1.0 - t * t) * _unit(u)
+        c[0] = t
+        cands.append(c)
+    if metric == cappack.PROJECTIVE:
+        cands += [-c for c in cands]
+        levels = levels + levels
+    # and uniform candidates, dropped in either block or kept
+    cands = np.vstack([np.array(cands), geom.uniform_sphere_points(d, 500, rng)])
+    return members, cands, np.array(levels)
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("d", range(2, 9))
+def test_filter_matches_float64_oracle(d, metric):
+    assert (sepset_oracle._BAND, sepset_oracle._ROW_BLOCK) == \
+        (cappack._BAND, cappack._ROW_BLOCK)
+    rng = np.random.default_rng(100 + d)
+    cos_sep = math.cos(0.3)
+    members, cands, levels = _placed_candidates(d, cos_sep, metric, rng)
+    far, near = cappack._filter(cands, members, cos_sep, metric)
+    ref_far, ref_near = sepset_oracle._filter(cands, members, cos_sep, metric)
+    assert np.array_equal(far, ref_far) and np.array_equal(near, ref_near)
+    # each placed candidate lands where its level puts it, in all three classes
+    band = cappack._BAND
+    placed = slice(0, len(levels))
+    assert np.array_equal(far[placed], levels < cos_sep - band)
+    assert np.array_equal(near[placed], (levels >= cos_sep - band)
+                          & (levels < cos_sep + band))
+    assert far[placed].any() and near[placed].any() and not (far | near)[placed].all()
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_filter_matches_oracle_without_members_and_in_one_block(metric):
+    rng = np.random.default_rng(7)
+    cos_sep = math.cos(0.4)
+    cands = geom.uniform_sphere_points(5, 300, rng)
+    for members in (np.empty((0, 5)), geom.uniform_sphere_points(5, 40, rng)):
+        got = cappack._filter(cands, members, cos_sep, metric)
+        ref = sepset_oracle._filter(cands, members, cos_sep, metric)
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+
+# --- cap frames --------------------------------------------------------------------
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_orthonormalize_matches_loop_oracle(d):
+    rng = np.random.default_rng(200 + d)
+    for m in range(1, d + 1):
+        stack = rng.standard_normal((25, m, d))
+        stack[0] *= 1e-150  # tiny and huge inputs, too
+        stack[1] *= 1e150
+        frames = geom.orthonormalize_stack(stack)
+        for vs, frame in zip(stack, frames):
+            ref = frame_oracle.orthonormalize(vs).columns
+            assert frame.columns.tobytes() == ref.tobytes()
+            assert frame.columns.flags.c_contiguous == ref.flags.c_contiguous
+            # the single-list routine is the N = 1 stack
+            assert geom.orthonormalize(vs).columns.tobytes() == ref.tobytes()
+        # a strided view (a column_stack transpose) gives the same bytes
+        view = np.column_stack([stack[2][0], stack[2][1:].T]).T if m > 1 else stack[2]
+        assert geom.orthonormalize(view).columns.tobytes() == \
+            frame_oracle.orthonormalize(view).columns.tobytes()
+
+
+def test_orthonormalize_rank_deficient():
+    with pytest.raises(RankDeficient):
+        geom.orthonormalize([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]])
+    with pytest.raises(RankDeficient):
+        geom.orthonormalize([[0.0, 0.0]])
+    stack = np.random.default_rng(3).standard_normal((6, 3, 4))
+    stack[4, 2] = stack[4, 0] - 2.0 * stack[4, 1]  # one dependent list of six
+    with pytest.raises(RankDeficient):
+        geom.orthonormalize_stack(stack)
+    geom.orthonormalize_stack(np.delete(stack, 4, axis=0))
+
+
+def _loop_cap_family(sep_set, delta, k, seed):
+    """Frames of the one-member-at-a-time construction: one (d, m - 1) draw
+    and one Gram-Schmidt per member."""
+    d = sep_set.points.shape[1]
+    m = d - k
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0x5EED)))
+    out = []
+    for x in sep_set.points:
+        if m == 1:
+            out.append(geom.Frame(x[:, None]))
+        else:
+            extra = rng.standard_normal((d, m - 1))
+            out.append(frame_oracle.orthonormalize(np.column_stack([x, extra]).T))
+    return out
+
+
+@pytest.mark.parametrize("d,delta,metric", [(4, 0.3, cappack.PROJECTIVE),
+                                            (5, 0.3, cappack.GEODESIC),
+                                            (5, 0.2, cappack.PROJECTIVE)])
+def test_cap_family_frames_match_loop_oracle(d, delta, metric):
+    sep_set = cappack.build_separated_set(d, 2 * delta, metric, seed=2)
+    for k in range(1, d):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # k = d - 1 warns
+            family = cappack.build_cap_family(sep_set, delta, k, seed=5)
+        ref = _loop_cap_family(sep_set, delta, k, seed=5)
+        assert len(family) == len(ref)
+        for cyl, frame, x in zip(family.cylinders, ref, sep_set.points):
+            assert cyl.frame.columns.tobytes() == frame.columns.tobytes()
+            assert cyl.base.pole.tobytes() == \
+                cylinders.CapBase(frame.coords(x), delta).pole.tobytes()
+
+
+# sha256 of the d = 6 projective sets (seed 1) and of their k = 1, 2 cap-family
+# frames and poles, as the one-at-a-time frame construction wrote them (numpy
+# 2.4 with OpenBLAS on x86-64); the oracle grid above stops at d = 5
+SET_PINS = {
+    0.2: ("65704891c43fc5df6e44ed9234bcf23755dddaff97f701ae88c62ec7ce029260", 1252,
+          {1: "a2ca3e5e2125b6b2dc3825f6a765d355601266e5a7dd7a55f650dbc112c86655",
+           2: "7067bb5fd5151cd77a9b01dcb344cb7c8764093e6b8a4ff62afaee786694f85c"}),
+    0.3: ("1df82cd4964cebee5ecd9381bad7df502a8117747524214dcc91fa543a1fc958", 186,
+          {1: "d0580bb4081c629ccdcd13ddca291527f1b812ab8cd1f727d9bb17a1337a26e8",
+           2: "b1b10c4c42a7804c57a13a32a738fcd001e3c037258852de83adc8b4f20f2292"}),
+}
+
+
+@pytest.mark.parametrize("delta", sorted(SET_PINS))
+def test_d6_sets_and_frames_pinned(delta):
+    set_pin, size, frame_pins = SET_PINS[delta]
+    sep_set = cappack.build_separated_set(6, 2 * delta, cappack.PROJECTIVE, seed=1)
+    assert len(sep_set) == size
+    assert hashlib.sha256(sep_set.points.tobytes()).hexdigest() == set_pin
+    for k, pin in frame_pins.items():
+        h = hashlib.sha256()
+        for cyl in cappack.build_cap_family(sep_set, delta, k, seed=1).cylinders:
+            h.update(cyl.frame.columns.tobytes())
+            h.update(cyl.base.pole.tobytes())
+        assert h.hexdigest() == pin, k
+
+
+# --- cap multiplicity counts -------------------------------------------------------
+
+def _random_caps(d, m, n, delta, antipodal, rng):
+    """n overlapping cap cylinders with random frames and poles."""
+    out = []
+    for _ in range(n):
+        frame = geom.orthonormalize(rng.standard_normal((m, d)))
+        pole = _unit(rng.standard_normal(m))
+        out.append(cylinders.Cylinder(frame, cylinders.CapBase(pole, delta, antipodal)))
+    return out
+
+
+def _placed_samples(cyls, rng, per_cylinder=2):
+    """Unit-ball points at, within 1e-13 of and 1e-12 off each threshold of
+    some cylinders: level cos(delta) and cos(delta) + INTERIOR_MARGIN, and
+    |P_E x| = 1 - INTERIOR_MARGIN with the level above both.  Offsets 0 and
+    1e-13 fall inside the blocked path's tie band, 1e-12 outside it."""
+    margin = cylinders.INTERIOR_MARGIN
+    pts = []
+    for cyl in cyls[::max(1, len(cyls) // 40)][:40]:
+        cols = cyl.frame.columns
+        pole = cols @ cyl.base.pole
+        cos_d = math.cos(cyl.base.delta)
+        for _ in range(per_cylinder):
+            # a unit direction of E orthogonal to the pole
+            t = cols @ rng.standard_normal(cols.shape[1])
+            t = t - (t @ pole) * pole
+            if np.linalg.norm(t) < 1e-9:  # m = 1: leave E for the complement
+                t = rng.standard_normal(len(pole))
+                t = t - cols @ (cols.T @ t)
+            t = _unit(t)
+            for level in (cos_d, cos_d + margin):
+                for o in (0.0, 1e-13, -1e-13, 1e-12, -1e-12):
+                    a = level + o
+                    pts.append(a * pole + math.sqrt(1.0 - a * a) * 0.5 * t)
+            if cols.shape[1] > 1:
+                a = 0.5 * (1.0 + cos_d)
+                for o in (0.0, 1e-13, -1e-13, 1e-12, -1e-12):
+                    r = 1.0 - margin + o
+                    pts.append(a * pole + math.sqrt(r * r - a * a) * t)
+    pts = np.array(pts)
+    if cyls[0].base.antipodal:
+        pts = np.vstack([pts, -pts])
+    return pts
+
+
+def _assert_counts_match(body, family, pts):
+    got = multiplicity.multiplicity_counts(body, family, pts)
+    ref = cap_oracle.multiplicity_counts(body, family, pts)
+    for a, b in zip(got, ref):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    return got
+
+
+@pytest.mark.parametrize("antipodal", [True, False], ids=["antipodal", "one-sided"])
+@pytest.mark.parametrize("n_caps", [33, 310])
+def test_cap_counts_match_loop_oracle(monkeypatch, n_caps, antipodal):
+    d = 5
+    rng = np.random.default_rng(n_caps + antipodal)
+    ball = geom.Ball(np.zeros(d), 1.0)
+    # a packing of the separated set, and overlapping random caps
+    metric = cappack.PROJECTIVE if antipodal else cappack.GEODESIC
+    sep_set = cappack.build_separated_set(d, 0.4, metric, seed=3)
+    packing = list(cappack.build_cap_family(sep_set, 0.2, 2, seed=3).cylinders)
+    assert len(packing) >= n_caps
+    families = [packing[:n_caps], _random_caps(d, 3, n_caps, 0.4, antipodal, rng)]
+    calls = []
+    one = multiplicity._cap_membership
+
+    def counted(cyl, pts):
+        calls.append(cyl)
+        return one(cyl, pts)
+
+    monkeypatch.setattr(multiplicity, "_cap_membership", counted)
+    for family in families:
+        samples = geom.sample_in_body(ball, 8192, rng)
+        calls.clear()
+        _, closed = _assert_counts_match(ball, family, samples)
+        assert not calls  # the blocked path decided every pair
+        assert closed.max() >= 1
+        placed = _placed_samples(family, rng)
+        _assert_counts_match(ball, family, np.vstack([samples[:500], placed]))
+        assert calls  # the exact ties were redone cylinder by cylinder
+
+
+@pytest.mark.parametrize("antipodal", [True, False], ids=["antipodal", "one-sided"])
+def test_cap_counts_match_loop_oracle_across_codimensions(antipodal):
+    # one group per base dimension, a group small enough for the loop, and a
+    # non-cap cylinder, in one family
+    d = 4
+    rng = np.random.default_rng(11)
+    ball = geom.Ball(np.zeros(d), 1.0)
+    family = _random_caps(d, 3, 70, 0.3, antipodal, rng) \
+        + _random_caps(d, 1, 40, 0.5, antipodal, rng) \
+        + _random_caps(d, 2, multiplicity.CAP_LOOP_MAX, 0.3, antipodal, rng) \
+        + [cylinders.Cylinder(geom.orthonormalize(np.eye(d)[:2]),
+                              geom.Ball(np.zeros(2), 0.5))]
+    rng.shuffle(family)
+    pts = np.vstack([geom.sample_in_body(ball, 5000, rng),
+                     _placed_samples([c for c in family
+                                      if isinstance(c.base, cylinders.CapBase)], rng)])
+    _assert_counts_match(ball, family, pts)
+    # outside the unit ball, off the ball body and without points, the loop decides
+    _assert_counts_match(ball, family, 3.0 * pts)
+    _assert_counts_match(geom.Ball(np.zeros(d), 1.5), family, pts)
+    _assert_counts_match(ball, family, pts[:0])

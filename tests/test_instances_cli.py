@@ -425,6 +425,19 @@ def test_cli_construct_writes_no_unusable_file(tmp_path, capsys, name, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind,k", [("covering", 3), ("covering", 4),
+                                    ("covering", 0), ("packing", 3)])
+def test_cli_construct_codimension_without_base_exits_2(tmp_path, capsys, kind, k):
+    # d - k < 1 leaves no base dimension: a DomainError naming k, not numpy's
+    out = tmp_path / "x.json"
+    rc = cli.main(["construct", "--kind", kind, "--dim", "3", "--k", str(k),
+                   "--out", str(out)])
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert rc == 2 and err["stage"] == "construct" and err["type"] == "DomainError"
+    assert f"k={k}" in err["message"]
+    assert not out.exists()
+
+
 def _cap_recipe(body: dict) -> dict:
     """A one-sided delta = 0.3 cap in the x1x2-plane of R^3 (k = 1), pole e1."""
     cap = {"k": 1, "frame": {"columns": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]},
