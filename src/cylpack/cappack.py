@@ -60,15 +60,29 @@ def _pair_ok(candidate: np.ndarray, points: np.ndarray, cos_sep: float,
     return bool(np.max(level) < cos_sep)
 
 
+def _column_peak(rows: np.ndarray, cols: np.ndarray, metric: str) -> np.ndarray:
+    """Largest level of each column against the rows.  The rows x columns
+    level block is freed on return, before the caller's next product."""
+    level = rows @ cols
+    if metric == PROJECTIVE:
+        np.abs(level, out=level)
+    return np.max(level, axis=0)
+
+
 def _filter(cands: np.ndarray, members: np.ndarray, cos_sep: float,
             metric: str) -> tuple[np.ndarray, np.ndarray]:
     """(far, near) masks of candidates against the members.
 
     A candidate is far when every level lies below cos_sep - _BAND and near
     when its largest level lies within _BAND of cos_sep; one with a level at
-    or above cos_sep + _BAND is neither.  Members are scanned in row blocks of
+    or above cos_sep + _BAND is neither.  Every level of a far candidate lies
+    below cos_sep by more than any rounding difference, so the exact test
+    (``_pair_ok``) against these members would accept it and the greedy phase
+    skips that test; a near one takes it.  Members are scanned in row blocks of
     members x candidates products, and a candidate is dropped at the first
-    block that rules it out.
+    block that rules it out.  The candidates enter each product as one
+    C-contiguous (d x N) array, and after each block only the surviving
+    columns are carried on.
 
     A float32 screen runs first and drops a candidate only at a level of at
     least cos_sep + _BAND + gamma, with gamma = ``geom.float32_dot_margin(d)``
@@ -81,25 +95,23 @@ def _filter(cands: np.ndarray, members: np.ndarray, cos_sep: float,
     """
     gamma = geom.float32_dot_margin(cands.shape[1])
     idx = np.arange(len(cands))
-    c32 = cands.astype(np.float32)
+    cols = cands.T.astype(np.float32, order="C")
     m32 = members.astype(np.float32)
+    cut32 = np.float32(cos_sep + _BAND + gamma)
     for start in range(0, len(members), _ROW_BLOCK):
-        level = m32[start:start + _ROW_BLOCK] @ c32[idx].T
-        if metric == PROJECTIVE:
-            np.abs(level, out=level)
-        idx = idx[np.max(level, axis=0) < np.float32(cos_sep + _BAND + gamma)]
+        keep = _column_peak(m32[start:start + _ROW_BLOCK], cols, metric) < cut32
+        idx, cols = idx[keep], cols[:, keep]
         if len(idx) == 0:
             break
+    cols = cands[idx].T.copy()
     peak = np.full(len(idx), -np.inf)
     for start in range(0, len(members), _ROW_BLOCK):
         if len(idx) == 0:
             break
-        level = members[start:start + _ROW_BLOCK] @ cands[idx].T
-        if metric == PROJECTIVE:
-            np.abs(level, out=level)
-        peak = np.maximum(peak, np.max(level, axis=0))
-        alive = peak < cos_sep + _BAND
-        idx, peak = idx[alive], peak[alive]
+        peak = np.maximum(peak, _column_peak(members[start:start + _ROW_BLOCK],
+                                             cols, metric))
+        keep = peak < cos_sep + _BAND
+        idx, peak, cols = idx[keep], peak[keep], cols[:, keep]
     far = np.zeros(len(cands), dtype=bool)
     near = np.zeros(len(cands), dtype=bool)
     far[idx[peak < cos_sep - _BAND]] = True
@@ -135,11 +147,20 @@ def build_separated_set(d: int, two_delta: float, metric: str = PROJECTIVE,
     of at least cos(two_delta) + 1e-9.  Both margins lie far beyond any
     rounding difference between products, so the exact per-candidate test
     (``_pair_ok`` against all current members) would reject every dropped
-    candidate too.  Every other candidate is decided by that exact test, and
-    a probe chunk holding a candidate within 1e-9 of the threshold repeats
-    the probe filter as one full product.  Random draws are unchanged, so the
-    points and the maximal flag are bit-identical to testing every candidate
-    one by one.
+    candidate too.
+
+    A greedy block's survivors are then walked in order, and each insertion
+    takes one product of the later survivors with the new member, raising
+    their running peak level: a peak at or above cos(two_delta) + 1e-9
+    rejects a candidate, and one within 1e-9 of the threshold, or a filter
+    level within 1e-9 of it, sends it to the exact test.  Every other
+    survivor lies more than 1e-9 below the threshold against every member,
+    so the exact test would accept it, and it is inserted without one.
+    Rejections are counted by stream position, as one by one.  Probe-phase
+    insertions all take the exact test, and a probe chunk holding a
+    candidate within 1e-9 of the threshold repeats the probe filter as one
+    full product.  Random draws are unchanged, so the points and the maximal
+    flag are bit-identical to testing every candidate one by one.
     """
     return _cached_set(d, float(two_delta), metric, seed)
 
@@ -160,16 +181,28 @@ def _cached_set(d: int, two_delta: float, metric: str, seed: int) -> SeparatedSe
     while rejects < REJECT_BUDGET:
         block = geom.uniform_sphere_points(d, 512, rng)
         far, near = _filter(block, buf[:n], cos_sep, metric)
+        alive = np.flatnonzero(far | near)
+        surv = block[alive]
+        exact = near[alive]
+        # largest level of each survivor against the members inserted so far
+        # in this block, raised at each insertion
+        peak = np.full(len(alive), -np.inf)
         last = -1
-        for i in np.flatnonzero(far | near).tolist():
+        for j, i in enumerate(alive.tolist()):
             # the dropped run before i holds rejections only
             rejects += i - last - 1
             if rejects >= REJECT_BUDGET:
                 break
             last = i
-            if _pair_ok(block[i], buf[:n], cos_sep, metric):
-                buf, n = _push(buf, n, block[i])
+            if peak[j] < cos_sep + _BAND and (
+                    not exact[j] and peak[j] < cos_sep - _BAND
+                    or _pair_ok(surv[j], buf[:n], cos_sep, metric)):
+                buf, n = _push(buf, n, surv[j])
                 rejects = 0
+                level = surv[j + 1:] @ surv[j]
+                if metric == PROJECTIVE:
+                    np.abs(level, out=level)
+                np.maximum(peak[j + 1:], level, out=peak[j + 1:])
             else:
                 rejects += 1
                 if rejects >= REJECT_BUDGET:

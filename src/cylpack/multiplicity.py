@@ -78,6 +78,29 @@ def _sample_blocks(body: geom.ConvexBody, n: int, seed: int):
         remaining -= take
 
 
+class _PreparedFamily:
+    """A cylinder family prepared once for counting many sample blocks: its
+    cap cylinders grouped by base dimension, each group with its block
+    arrays for the unit-ball fast path (``_cap_blocks``)."""
+
+    def __init__(self, family):
+        self.cylinders = list(family)
+        self.dims = {cyl.ambient_dim for cyl in self.cylinders}
+        self.others = [cyl for cyl in self.cylinders
+                       if not isinstance(cyl.base, cylinders.CapBase)]
+        groups: dict[int, list] = {}
+        for cyl in self.cylinders:
+            if isinstance(cyl.base, cylinders.CapBase):
+                groups.setdefault(cyl.base.dim, []).append(cyl)
+        self.cap_groups = [(group, _cap_blocks(group)) for group in groups.values()]
+
+    def __len__(self) -> int:
+        return len(self.cylinders)
+
+    def __iter__(self):
+        return iter(self.cylinders)
+
+
 def multiplicity_counts(body: geom.ConvexBody, family, pts: np.ndarray,
                         ) -> tuple[np.ndarray, np.ndarray]:
     """(strict, closed) membership counts of each point across the family.
@@ -86,25 +109,26 @@ def multiplicity_counts(body: geom.ConvexBody, family, pts: np.ndarray,
     cylinders inside the unit ball reduce to a dot product with the embedded
     pole, which keeps large cap families affordable: see ``_add_cap_counts``,
     whose counts equal those of the per-cylinder test ``_cap_membership``.
+    ``estimate_multiplicity`` prepares the family once for all its sample
+    blocks; any other family is prepared here.
     """
+    if not isinstance(family, _PreparedFamily):
+        family = _PreparedFamily(family)
+    if any(dim != pts.shape[1] for dim in family.dims):
+        raise DimensionMismatch("family and samples disagree in dimension")
     n = len(pts)
     strict = np.zeros(n, dtype=np.int32)
     closed = np.zeros(n, dtype=np.int32)
     unit_ball = geom.is_unit_ball(body)
-    caps: dict[int, list] = {}  # unit-ball cap cylinders by base dimension
     with np.errstate(over="ignore"):  # a norm past ~1.3e154 is inf: outside
-        for cyl in family:
-            if pts.shape[1] != cyl.ambient_dim:
-                raise DimensionMismatch("family and samples disagree in dimension")
-            if isinstance(cyl.base, cylinders.CapBase) and unit_ball:
-                caps.setdefault(cyl.base.dim, []).append(cyl)
-                continue
+        for cyl in family.others if unit_ball else family.cylinders:
             closed_in, strict_in = cylinders.base_membership(
                 cyl.base, pts @ cyl.frame.columns)
             closed += closed_in
             strict += strict_in
-        for group in caps.values():
-            _add_cap_counts(group, pts, strict, closed)
+        if unit_ball:
+            for group, blocks in family.cap_groups:
+                _add_cap_counts(group, blocks, pts, strict, closed)
     return strict, closed
 
 
@@ -130,8 +154,38 @@ def _cap_membership(cyl: cylinders.Cylinder, pts: np.ndarray,
     return closed_in, strict_in
 
 
-def _add_cap_counts(cyls: list, pts: np.ndarray, strict: np.ndarray,
-                    closed: np.ndarray) -> None:
+@dataclass(frozen=True, eq=False)
+class _CapBlock:
+    """Up to CAP_BLOCK cap cylinders of one base dimension, as arrays."""
+
+    cyls: list
+    poles: np.ndarray    # embedded poles, one row per cylinder
+    poles32: np.ndarray
+    cos_d: np.ndarray
+    cuts32: np.ndarray   # float32 screen cuts cos(delta) - gamma
+    anti: np.ndarray
+    frames: np.ndarray   # (cylinders, d, m) frame columns
+
+
+def _cap_blocks(cyls: list) -> list[_CapBlock]:
+    """The CAP_BLOCK blocks of a group of cap cylinders that share a base
+    dimension; none for a group small enough for the per-cylinder loop."""
+    if len(cyls) <= CAP_LOOP_MAX:
+        return []
+    gamma = geom.float32_dot_margin(cyls[0].ambient_dim)
+    poles = np.array([cyl.frame.embed(cyl.base.pole) for cyl in cyls])
+    cos_d = np.array([math.cos(cyl.base.delta) for cyl in cyls])
+    poles32 = poles.astype(np.float32)
+    cuts32 = (cos_d - gamma).astype(np.float32)[:, None]
+    anti = np.array([cyl.base.antipodal for cyl in cyls])
+    frames = np.array([cyl.frame.columns for cyl in cyls])
+    return [_CapBlock(*(a[lo:lo + CAP_BLOCK] for a in (
+                cyls, poles, poles32, cos_d, cuts32, anti, frames)))
+            for lo in range(0, len(cyls), CAP_BLOCK)]
+
+
+def _add_cap_counts(cyls: list, blocks: list[_CapBlock], pts: np.ndarray,
+                    strict: np.ndarray, closed: np.ndarray) -> None:
     """Add the counts of unit-ball cap cylinders that share one base dimension.
 
     Groups of more than CAP_LOOP_MAX cylinders, over points within radius 2
@@ -153,9 +207,10 @@ def _add_cap_counts(cyls: list, pts: np.ndarray, strict: np.ndarray,
       one ``_cap_membership`` takes.
 
     The counts are therefore those of the per-cylinder loop, bit for bit.
+    ``blocks`` are the group's ``_cap_blocks``, built once per family.
     """
     n, d = pts.shape
-    if len(cyls) <= CAP_LOOP_MAX or n == 0 \
+    if not blocks or n == 0 \
             or not np.all(np.einsum("ij,ij->i", pts, pts) <= 4.0):
         for cyl in cyls:
             closed_in, strict_in = _cap_membership(cyl, pts)
@@ -164,25 +219,19 @@ def _add_cap_counts(cyls: list, pts: np.ndarray, strict: np.ndarray,
         return
     margin = cylinders.INTERIOR_MARGIN
     lim = (1.0 - margin) ** 2
-    gamma = geom.float32_dot_margin(d)
     tie = 64.0 * d * d * 2.0 ** -53
-    pts32 = pts.astype(np.float32)
-    for start in range(0, len(cyls), CAP_BLOCK):
-        block = cyls[start:start + CAP_BLOCK]
-        poles = np.array([cyl.frame.embed(cyl.base.pole) for cyl in block])
-        cos_d = np.array([math.cos(cyl.base.delta) for cyl in block])
-        anti = np.array([cyl.base.antipodal for cyl in block])
-        ci, pj = _screened_pairs(poles, cos_d - gamma, anti, pts32)
+    cols32 = pts.T.astype(np.float32, order="C")
+    for blk in blocks:
+        ci, pj = _screened_pairs(blk.poles32, blk.cuts32, blk.anti, cols32)
         x = pts[pj]
-        level = np.einsum("ij,ij->i", x, poles[ci])
-        level = np.where(anti[ci], np.abs(level), level)
-        cut = cos_d[ci]
+        level = np.einsum("ij,ij->i", x, blk.poles[ci])
+        level = np.where(blk.anti[ci], np.abs(level), level)
+        cut = blk.cos_d[ci]
         closed_in = level >= cut
         strict_in = level > cut + margin
         tied = (np.abs(level - cut) <= tie) | (np.abs(level - (cut + margin)) <= tie)
         s = np.flatnonzero(strict_in)
-        frames = np.array([cyl.frame.columns for cyl in block])
-        proj = np.einsum("ij,ijk->ik", x[s], frames[ci[s]])
+        proj = np.einsum("ij,ijk->ik", x[s], blk.frames[ci[s]])
         sq = np.einsum("ij,ij->i", proj, proj)
         strict_in[s] = sq < lim
         tied[s] |= np.abs(sq - lim) <= tie
@@ -194,26 +243,25 @@ def _add_cap_counts(cyls: list, pts: np.ndarray, strict: np.ndarray,
         closed += np.bincount(pj[closed_in], minlength=n)
         strict += np.bincount(pj[strict_in], minlength=n)
         for i in redo.tolist():
-            closed_one, strict_one = _cap_membership(block[i], pts)
+            closed_one, strict_one = _cap_membership(blk.cyls[i], pts)
             closed += closed_one
             strict += strict_one
 
 
-def _screened_pairs(poles: np.ndarray, cuts: np.ndarray, anti: np.ndarray,
-                    pts32: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _screened_pairs(poles32: np.ndarray, cuts32: np.ndarray, anti: np.ndarray,
+                    cols32: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(cylinder, point) index pairs whose float32 level reaches the
-    cylinder's cut, by float32 products of CAP_POINT_TILE points at a time."""
-    poles32 = poles.astype(np.float32)
-    cuts32 = cuts.astype(np.float32)[:, None]
+    cylinder's cut, by float32 products with CAP_POINT_TILE columns at a time
+    of the C-contiguous (d x N) float32 points."""
     ci, pj = [], []
-    for lo in range(0, len(pts32), CAP_POINT_TILE):
-        level = poles32 @ pts32[lo:lo + CAP_POINT_TILE].T
+    for lo in range(0, cols32.shape[1], CAP_POINT_TILE):
+        level = poles32 @ cols32[:, lo:lo + CAP_POINT_TILE]
         np.abs(level, out=level, where=anti[:, None])
         level -= cuts32  # a float32 difference has the sign of the exact one
-        cols = np.flatnonzero(np.max(level, axis=0) >= 0.0)
-        c, p = np.nonzero(level[:, cols] >= 0.0)
+        hit = np.flatnonzero(np.max(level, axis=0) >= 0.0)
+        c, p = np.nonzero(level[:, hit] >= 0.0)
         ci.append(c)
-        pj.append(lo + cols[p])
+        pj.append(lo + hit[p])
     return np.concatenate(ci), np.concatenate(pj)
 
 
@@ -222,7 +270,7 @@ def estimate_multiplicity(body: geom.ConvexBody, family, n: int, seed: int,
     """Sample n points of the body and report family multiplicity statistics."""
     if n < 1000:
         raise DomainError(f"need at least 1000 samples, got {n}")
-    family = list(family)
+    family = _PreparedFamily(family)
     best_max = -1
     best_min = None
     covered = 0

@@ -2,6 +2,10 @@
 
 - ``cappack._filter`` (float32 screen, then the float64 pass) returns the
   masks of the float64 filter alone (``sepset_oracle._filter``);
+- the greedy phase, which sends only candidates within ``_BAND`` of the
+  threshold to ``_pair_ok``, builds the sets of the one-at-a-time
+  construction (``sepset_oracle.build_separated_set``) with a band wide
+  enough to mix both insertion paths in one block;
 - ``geom.orthonormalize_stack`` and ``cappack.build_cap_family`` return the
   frames of Gram-Schmidt run on one vector list at a time
   (``frame_oracle.orthonormalize``);
@@ -101,6 +105,58 @@ def test_filter_matches_oracle_without_members_and_in_one_block(metric):
         got = cappack._filter(cands, members, cos_sep, metric)
         ref = sepset_oracle._filter(cands, members, cos_sep, metric)
         assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+
+def _instrumented_build(monkeypatch, d, delta, metric, seed):
+    """Build the set from an empty cache, logging per ``_filter`` call (one
+    per greedy block or probe chunk) [members at its start, ``_pair_ok``
+    calls that accepted, ``_pair_ok`` calls]."""
+    log = []
+    real_filter, real_pair_ok = cappack._filter, cappack._pair_ok
+
+    def logged_filter(cands, members, cos_sep, metric):
+        log.append([len(members), 0, 0])
+        return real_filter(cands, members, cos_sep, metric)
+
+    def logged_pair_ok(candidate, points, cos_sep, metric):
+        ok = real_pair_ok(candidate, points, cos_sep, metric)
+        log[-1][1] += ok
+        log[-1][2] += 1
+        return ok
+
+    monkeypatch.setattr(cappack, "_filter", logged_filter)
+    monkeypatch.setattr(cappack, "_pair_ok", logged_pair_ok)
+    cappack._cached_set.cache_clear()
+    try:
+        return cappack.build_separated_set(d, 2 * delta, metric, seed), log
+    finally:
+        cappack._cached_set.cache_clear()
+
+
+def test_greedy_insertions_skip_the_exact_test(monkeypatch):
+    # the README example: 33 points, of which only probe-phase insertions and
+    # candidates within _BAND of the threshold take the one-at-a-time test
+    sep_set, log = _instrumented_build(monkeypatch, 4, 0.3, cappack.PROJECTIVE, 7)
+    assert len(sep_set) == 33 and sep_set.maximal
+    assert sum(calls for _, _, calls in log) <= 5
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("delta", [0.2, 0.3])
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_mixed_insertion_paths_match_oracle(monkeypatch, d, delta, metric, seed):
+    # a 0.05 band puts many in-block levels inside it, so one greedy block
+    # inserts some candidates by the per-insertion rule and tests others with
+    # _pair_ok
+    monkeypatch.setattr(cappack, "_BAND", 0.05)
+    sep_set, log = _instrumented_build(monkeypatch, d, delta, metric, seed)
+    ref = sepset_oracle.build_separated_set(d, 2 * delta, metric, seed)
+    assert sep_set.points.tobytes() == ref.points.tobytes()
+    assert sep_set.maximal == ref.maximal
+    # some block inserted more candidates than _pair_ok accepted, and called it
+    assert any(now[0] - before[0] > before[1] and before[2] > 0
+               for before, now in zip(log, log[1:]))
 
 
 # --- cap frames --------------------------------------------------------------------
