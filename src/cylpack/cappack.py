@@ -12,6 +12,7 @@ one-sided bases; the report records which counting bounds hold under each
 reading of the cap measure.
 """
 
+import contextlib
 import functools
 import math
 import warnings
@@ -26,9 +27,12 @@ GEODESIC = "geodesic"
 PROJECTIVE = "projective"
 
 REJECT_BUDGET = 10_000       # consecutive rejections that end the greedy phase
-MAXIMALITY_TRIALS = 100_000  # post-hoc probe points for the maximality flag
+# greedy hull points completed per dimension (about 8000 facets, 4 MB of
+# qhull memory); sets over budget or in other dimensions stay uncertified
+HULL_MAX_POINTS = {2: 4000, 3: 4000, 4: 1000, 5: 300}
 SET_CACHE_SIZE = 8           # separated sets kept for reuse across codimensions
 _BAND = 1e-9                 # filter margin, far beyond product rounding
+_HULL_MARGIN = 1e-9          # facet level margin, far beyond qhull's rounding
 _ROW_BLOCK = 256             # members per product in the blocked filter
 
 
@@ -36,8 +40,10 @@ _ROW_BLOCK = 256             # members per product in the blocked filter
 class SeparatedSet:
     """Sphere points pairwise separated by more than ``separation``.
 
-    ``maximal`` is asserted by a probabilistic post-check: after saturation,
-    every probe point of the sphere lay within ``separation`` of some member.
+    ``maximal`` holds when ``covering_radius``, an upper bound on the distance
+    from any sphere point to its nearest member, is at most ``separation``; an
+    uncertified set has radius None.  ``completion_rounds`` counts the hull
+    rounds that inserted points.
     """
 
     points: np.ndarray
@@ -45,6 +51,8 @@ class SeparatedSet:
     metric: str
     maximal: bool
     seed: int
+    covering_radius: float | None = None
+    completion_rounds: int = 0
 
     def __len__(self) -> int:
         return len(self.points)
@@ -71,27 +79,17 @@ def _column_peak(rows: np.ndarray, cols: np.ndarray, metric: str) -> np.ndarray:
 
 def _filter(cands: np.ndarray, members: np.ndarray, cos_sep: float,
             metric: str) -> tuple[np.ndarray, np.ndarray]:
-    """(far, near) masks of candidates against the members.
+    """Indices of the candidates with every level against the members below
+    cos_sep + _BAND, and their largest levels.
 
-    A candidate is far when every level lies below cos_sep - _BAND and near
-    when its largest level lies within _BAND of cos_sep; one with a level at
-    or above cos_sep + _BAND is neither.  Every level of a far candidate lies
-    below cos_sep by more than any rounding difference, so the exact test
-    (``_pair_ok``) against these members would accept it and the greedy phase
-    skips that test; a near one takes it.  Members are scanned in row blocks of
-    members x candidates products, and a candidate is dropped at the first
-    block that rules it out.  The candidates enter each product as one
-    C-contiguous (d x N) array, and after each block only the surviving
-    columns are carried on.
-
-    A float32 screen runs first and drops a candidate only at a level of at
-    least cos_sep + _BAND + gamma, with gamma = ``geom.float32_dot_margin(d)``
-    = 8 (d + 2) 2**-24.  For unit vectors a float32 level is within
-    (d + 2) 2**-24 of the exact one (Higham 2002, section 3.1) and the float32
-    cut within 2 * 2**-24 of its float64 value, so the exact level, and the
-    float64 one, of a dropped candidate lies above cos_sep + _BAND: the float64
-    pass would drop it too.  The survivors go through that float64 pass, which
-    alone decides the masks, so they are those of the float64 pass alone.
+    Members are scanned in row blocks of members x (d x N) candidate
+    products, carrying only surviving columns on.  A float32 screen runs
+    first and drops a candidate only at a level of at least cos_sep + _BAND +
+    gamma, gamma = ``geom.float32_dot_margin(d)`` = 8 (d + 2) 2**-24: a
+    float32 unit-vector level is within (d + 2) 2**-24 of the exact one
+    (Higham 2002, section 3.1) and the float32 cut within 2 * 2**-24 of its
+    float64 value, so the float64 pass, which alone decides the survivors
+    and their levels, would drop it too.
     """
     gamma = geom.float32_dot_margin(cands.shape[1])
     idx = np.arange(len(cands))
@@ -112,55 +110,101 @@ def _filter(cands: np.ndarray, members: np.ndarray, cos_sep: float,
                                              cols, metric))
         keep = peak < cos_sep + _BAND
         idx, peak, cols = idx[keep], peak[keep], cols[:, keep]
-    far = np.zeros(len(cands), dtype=bool)
-    near = np.zeros(len(cands), dtype=bool)
-    far[idx[peak < cos_sep - _BAND]] = True
-    near[idx[peak >= cos_sep - _BAND]] = True
-    return far, near
+    return idx, peak
 
 
-def _push(buf: np.ndarray, n: int, point: np.ndarray) -> tuple[np.ndarray, int]:
-    """Store point as row n, doubling the buffer when it is full."""
-    if n == len(buf):
-        buf = np.concatenate([buf, np.empty_like(buf)])
-    buf[n] = point
-    return buf, n + 1
+def _insert(cands: np.ndarray, buf: np.ndarray, n: int, cos_sep: float,
+            metric: str, rejects: int = 0,
+            budget: float = math.inf) -> tuple[np.ndarray, int, int]:
+    """Insert, in order, each candidate that keeps the strict separation.
+
+    The ``_filter`` survivors are walked in order with their peak level,
+    raised at each insertion by one product of the later survivors with the
+    new member.  A peak at or above cos_sep + _BAND rejects, one within _BAND
+    of cos_sep takes the exact test (``_pair_ok``), and one more than _BAND
+    below cos_sep, which that test would accept, is inserted without it.
+    Rejections count by position in ``cands``, on top of ``rejects``, up to
+    ``budget``.  Returns (buf, n, rejections since the last insertion).
+    """
+    alive, peak = _filter(cands, buf[:n], cos_sep, metric)
+    surv = cands[alive]
+    last = -1
+    for j, i in enumerate(alive.tolist()):
+        # the dropped run before i holds rejections only
+        rejects += i - last - 1
+        if rejects >= budget:
+            break
+        last = i
+        if peak[j] < cos_sep + _BAND and (
+                peak[j] < cos_sep - _BAND
+                or _pair_ok(surv[j], buf[:n], cos_sep, metric)):
+            if n == len(buf):
+                buf = np.concatenate([buf, np.empty_like(buf)])
+            buf[n] = surv[j]
+            n, rejects = n + 1, 0
+            level = surv[j + 1:] @ surv[j]
+            if metric == PROJECTIVE:
+                np.abs(level, out=level)
+            np.maximum(peak[j + 1:], level, out=peak[j + 1:])
+        else:
+            rejects += 1
+            if rejects >= budget:
+                break
+    else:
+        rejects += len(cands) - last - 1
+    return buf, n, rejects
+
+
+def _complete(buf: np.ndarray, n: int, cos_sep: float,
+              metric: str) -> tuple[np.ndarray, int, float | None, int]:
+    """Insert empty-cap centres until no cap wider than the separation is left.
+
+    The facets of the hull of +-P (projective) or P (geodesic) are the
+    spherical Delaunay cells (Brown 1979): a facet n.x = t bounds an empty cap
+    of radius arccos(t) around n, and the covering radius is the largest one.
+    Normals of open facets, t < cos_sep + _HULL_MARGIN, go through ``_insert``
+    widest cap first, ties by the normal, until none is open.  Returns (buf,
+    n, radius arccos(min t - _HULL_MARGIN) or None for a degenerate cloud or
+    a round that inserts nothing, rounds that inserted).
+    """
+    def cloud(pts):
+        return np.vstack([pts, -pts]) if metric == PROJECTIVE else pts
+
+    try:
+        hull = geom.ConvexHull(cloud(buf[:n]), incremental=True)
+    except geom.QhullError:
+        return buf, n, None, 0
+    rounds = 0
+    with contextlib.closing(hull):
+        while True:
+            levels = -hull.equations[:, -1]
+            is_open = levels < cos_sep + _HULL_MARGIN
+            if not is_open.any():
+                return buf, n, math.acos(levels.min() - _HULL_MARGIN), rounds
+            normals = hull.equations[is_open, :-1]
+            normals = normals / np.linalg.norm(normals, axis=1)[:, None]
+            order = np.lexsort((*normals.T[::-1], levels[is_open]))
+            start = n
+            buf, n, _ = _insert(normals[order], buf, n, cos_sep, metric)
+            if n == start:
+                return buf, n, None, rounds
+            rounds += 1
+            hull.add_points(cloud(buf[start:n]))
 
 
 def build_separated_set(d: int, two_delta: float, metric: str = PROJECTIVE,
                         seed: int = 0) -> SeparatedSet:
-    """Greedy maximal (two_delta)-separated set on the unit sphere.
+    """Maximal (two_delta)-separated set on the unit sphere, certified by a hull.
 
-    Uniform proposals are inserted whenever they keep the strict separation;
-    the greedy phase ends after REJECT_BUDGET consecutive rejections.  Probe
-    passes then insert any of MAXIMALITY_TRIALS quasi-uniform points found
-    farther than two_delta from every member; the maximal flag records whether
-    a full probe pass finished with no insertion.  Results are deterministic
-    per seed, and the last SET_CACHE_SIZE sets are cached (the construction
-    is pure), since different codimensions reuse the same set.
-
-    Each block of proposals or probes is first filtered against the members
-    by blocked matrix products (``_filter``).  A float32 screen drops a
-    candidate only at a level of at least cos(two_delta) + 1e-9 + gamma, with
-    gamma = 8 (d + 2) 2**-24, eight times the float32 error of a unit-vector
-    dot product; a float64 pass over the survivors drops one only at a level
-    of at least cos(two_delta) + 1e-9.  Both margins lie far beyond any
-    rounding difference between products, so the exact per-candidate test
-    (``_pair_ok`` against all current members) would reject every dropped
-    candidate too.
-
-    A greedy block's survivors are then walked in order, and each insertion
-    takes one product of the later survivors with the new member, raising
-    their running peak level: a peak at or above cos(two_delta) + 1e-9
-    rejects a candidate, and one within 1e-9 of the threshold, or a filter
-    level within 1e-9 of it, sends it to the exact test.  Every other
-    survivor lies more than 1e-9 below the threshold against every member,
-    so the exact test would accept it, and it is inserted without one.
-    Rejections are counted by stream position, as one by one.  Probe-phase
-    insertions all take the exact test, and a probe chunk holding a
-    candidate within 1e-9 of the threshold repeats the probe filter as one
-    full product.  Random draws are unchanged, so the points and the maximal
-    flag are bit-identical to testing every candidate one by one.
+    Greedy phase: uniform proposals, in blocks of 512, go through ``_insert``
+    until REJECT_BUDGET consecutive rejections; the points are bit-identical
+    to testing each candidate one by one.  Completion (``_complete``) inserts
+    the centres of empty caps wider than two_delta, read off one spherical
+    hull, the same way.  The covering radius is rounded up by 1e-9 in cosine,
+    far beyond qhull's rounding of a facet offset.  Only sets of at most
+    HULL_MAX_POINTS[d] greedy hull points (twice the members when projective)
+    are completed; the others stay uncertified.  The last SET_CACHE_SIZE sets
+    are cached (the construction is pure), since codimensions share a set.
     """
     return _cached_set(d, float(two_delta), metric, seed)
 
@@ -180,62 +224,14 @@ def _cached_set(d: int, two_delta: float, metric: str, seed: int) -> SeparatedSe
     rejects = 0
     while rejects < REJECT_BUDGET:
         block = geom.uniform_sphere_points(d, 512, rng)
-        far, near = _filter(block, buf[:n], cos_sep, metric)
-        alive = np.flatnonzero(far | near)
-        surv = block[alive]
-        exact = near[alive]
-        # largest level of each survivor against the members inserted so far
-        # in this block, raised at each insertion
-        peak = np.full(len(alive), -np.inf)
-        last = -1
-        for j, i in enumerate(alive.tolist()):
-            # the dropped run before i holds rejections only
-            rejects += i - last - 1
-            if rejects >= REJECT_BUDGET:
-                break
-            last = i
-            if peak[j] < cos_sep + _BAND and (
-                    not exact[j] and peak[j] < cos_sep - _BAND
-                    or _pair_ok(surv[j], buf[:n], cos_sep, metric)):
-                buf, n = _push(buf, n, surv[j])
-                rejects = 0
-                level = surv[j + 1:] @ surv[j]
-                if metric == PROJECTIVE:
-                    np.abs(level, out=level)
-                np.maximum(peak[j + 1:], level, out=peak[j + 1:])
-            else:
-                rejects += 1
-                if rejects >= REJECT_BUDGET:
-                    break
-        else:
-            rejects += len(block) - last - 1
-    probe_rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0xF0)))
-    maximal = True
-    for _ in range(12):  # each pass rescans a fresh probe set after insertions
-        inserted = False
-        remaining = MAXIMALITY_TRIALS
-        while remaining > 0:
-            chunk = min(remaining, 4096)
-            probes = geom.uniform_sphere_points(d, chunk, probe_rng)
-            mat = buf[:n]
-            far, near = _filter(probes, mat, cos_sep, metric)
-            if near.any():
-                # reproduce the full-product filter bit for bit
-                level = probes @ mat.T
-                if metric == PROJECTIVE:
-                    np.abs(level, out=level)
-                far = np.max(level, axis=1) < cos_sep
-            for idx in np.flatnonzero(far):
-                if _pair_ok(probes[idx], buf[:n], cos_sep, metric):
-                    buf, n = _push(buf, n, probes[idx])
-                    inserted = True
-            remaining -= chunk
-        if not inserted:
-            break
-    else:
-        maximal = False
+        buf, n, rejects = _insert(block, buf, n, cos_sep, metric, rejects,
+                                  REJECT_BUDGET)
+    radius, rounds = None, 0
+    if (2 * n if metric == PROJECTIVE else n) <= HULL_MAX_POINTS.get(d, 0):
+        buf, n, radius, rounds = _complete(buf, n, cos_sep, metric)
     return SeparatedSet(points=geom._freeze(buf[:n]), separation=two_delta,
-                        metric=metric, maximal=maximal, seed=seed)
+                        metric=metric, maximal=radius is not None, seed=seed,
+                        covering_radius=radius, completion_rounds=rounds)
 
 
 def check_separation(sep_set: SeparatedSet, slack: float = 1e-12) -> bool:
@@ -332,6 +328,8 @@ class CapPackingReport:
     antipodal_bases: bool
     n_cylinders: int
     separated_set_maximal: bool
+    covering_radius: float | None
+    completion_rounds: int
     sum_crv: float
     count_lower_bound_antipodal: float
     count_lower_bound_onesided: float
@@ -405,6 +403,8 @@ def cap_packing_report(d: int, k: int, delta: float, seed: int = 0,
         antipodal_bases=family.antipodal,
         n_cylinders=n,
         separated_set_maximal=sep_set.maximal,
+        covering_radius=sep_set.covering_radius,
+        completion_rounds=sep_set.completion_rounds,
         sum_crv=sum_crv,
         count_lower_bound_antipodal=bound_anti,
         count_lower_bound_onesided=bound_one,

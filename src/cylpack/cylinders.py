@@ -239,23 +239,6 @@ def restrict(cyl: Cylinder, body: geom.ConvexBody) -> RestrictedCylinder:
     return RestrictedCylinder(cyl, body)
 
 
-def transform_cylinder(cyl: Cylinder, t: np.ndarray) -> Cylinder:
-    """Image cylinder under an invertible linear map (polytope bases only).
-
-    The complement subspace maps to T·H; the new base is the projection of the
-    transformed base points onto the new base subspace.
-    """
-    if not isinstance(cyl.base, geom.Polytope):
-        raise DomainError("only polytope-based cylinders transform exactly")
-    t = np.asarray(t, dtype=float)
-    h_cols = geom.complement(cyl.frame).columns
-    new_h = geom.orthonormalize((t @ h_cols).T)
-    new_e = geom.complement(new_h)
-    base_pts = cyl.base.vertices @ cyl.frame.columns.T  # ambient base points
-    new_base = (base_pts @ t.T) @ new_e.columns
-    return Cylinder(new_e, geom.Polytope(new_base))
-
-
 def cylinder_to_json(cyl: Cylinder) -> dict:
     base = cyl.base
     if isinstance(base, geom.Polytope):

@@ -23,7 +23,6 @@ from .bounds import GE, LE, BoundReport, instance_digest, make_report
 from .errors import (
     DimensionMismatch,
     DomainError,
-    LineMissesBody,
     NotAPacking,
     NotNS,
 )
@@ -518,34 +517,7 @@ def verify_plank_packing(family: DiskFamily, planks, r: int) -> PlankVerdict:
 
 
 # ---------------------------------------------------------------------------
-# sectional integrals of the disk densities
-
-
-def _chord_half_length(disk: Disk, s: float, u: np.ndarray) -> float:
-    dist = abs(float(disk.center @ u) - s)
-    if dist >= disk.radius:
-        return 0.0
-    return math.sqrt(disk.radius ** 2 - dist ** 2)
-
-
-def sectional_integral(family: DiskFamily, s: float, u,
-                       mode: str = UNIT_CHORD) -> float:
-    """Integral of the family density over the line <x, u> = s inside the hull.
-
-    In unit-chord mode every disk whose open interior the line crosses
-    contributes exactly 1 (the arcsine integral of the inverse-square-root
-    profile), so the value counts crossed disks; the radius-scaled normalization
-    contributes 1/radius instead.
-    """
-    u = np.asarray(u, dtype=float)
-    u = u / np.linalg.norm(u)
-    if not (-family.support(-u) + 1e-12 < s < family.support(u) - 1e-12):
-        raise LineMissesBody("section line misses the interior of the hull")
-    total = 0.0
-    for disk in family.disks:
-        if _chord_half_length(disk, s, u) > 0.0:
-            total += 1.0 if mode == UNIT_CHORD else 1.0 / disk.radius
-    return total
+# masses of the disk densities
 
 
 def disk_mass(disk: Disk, mode: str = UNIT_CHORD) -> float:
@@ -556,22 +528,6 @@ def disk_mass(disk: Disk, mode: str = UNIT_CHORD) -> float:
 def total_mass(family: DiskFamily, mode: str = UNIT_CHORD) -> float:
     """Mass of the summed disk densities; the NS-diameter in unit-chord mode."""
     return float(sum(disk_mass(d, mode) for d in family.disks))
-
-
-# ---------------------------------------------------------------------------
-# variational profile bound
-
-
-def minimal_profile_mass(moment: float, floor: float) -> float:
-    """Infimum of the total of a profile F >= floor with first moment >= moment.
-
-    The infimum over the cutoff A of integral_0^A F equals sqrt(2 * moment *
-    floor), attained by the constant profile F = floor on [0, sqrt(2 moment /
-    floor)].
-    """
-    if moment <= 0 or floor <= 0:
-        raise DomainError("moment and floor must be positive")
-    return math.sqrt(2.0 * moment * floor)
 
 
 # ---------------------------------------------------------------------------

@@ -257,16 +257,6 @@ def random_plank2d_packing(family: falconer.DiskFamily, n_per_layer: int,
     return planks
 
 
-def plank2d_partition(family: falconer.DiskFamily, n_planks: int, r: int = 1,
-                      direction=None) -> list[cylinders.Cylinder]:
-    u = np.array([1.0, 0.0]) if direction is None else np.asarray(direction, float)
-    u = u / np.linalg.norm(u)
-    lo, hi = -family.support(-u), family.support(u)
-    breaks = np.linspace(lo, hi, n_planks + 1)
-    return [falconer.plank(u, float(a), float(b))
-            for _ in range(r) for a, b in zip(breaks, breaks[1:])]
-
-
 # ---------------------------------------------------------------------------
 # instance files
 

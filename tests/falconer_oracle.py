@@ -1,8 +1,11 @@
-"""Independent numerical references for ``cylpack.falconer``.
+"""Independent numerical references for ``cylpack.falconer``, and the
+closed forms they check.
 
+The closed-form sectional integral and minimal profile mass (the ridge-function
+and variational ingredients of the width bound) and the evenly split plank
+partition have no caller in the package; they live here next to their tests.
 The discretized LP profile minimizer, the radial disk-mass quadrature and the
-per-chord quadrature of sectional integrals check the closed forms the
-package uses.  ``hull_grid`` with ``open_counts`` is a one-sided reference
+per-chord quadrature of sectional integrals check the closed forms.  ``hull_grid`` with ``open_counts`` is a one-sided reference
 for the exact plank-arrangement sweep: it counts open planks only at grid
 points that are certainly in the hull, so it can miss thin cells but never
 reports a count that does not occur.
@@ -17,9 +20,59 @@ from scipy.optimize import linprog
 from conftest import inscribed_hull
 from cylpack import geom
 from cylpack.errors import DomainError, LineMissesBody
-from cylpack.falconer import UNIT_CHORD, _chord_half_length
+from cylpack import falconer
+from cylpack.falconer import UNIT_CHORD
 
 ORACLE_ARC_POINTS = 4096
+
+
+def _chord_half_length(disk, s: float, u: np.ndarray) -> float:
+    dist = abs(float(disk.center @ u) - s)
+    if dist >= disk.radius:
+        return 0.0
+    return math.sqrt(disk.radius ** 2 - dist ** 2)
+
+
+def sectional_integral(family, s: float, u, mode: str = UNIT_CHORD) -> float:
+    """Integral of the family density over the line <x, u> = s inside the hull.
+
+    In unit-chord mode every disk whose open interior the line crosses
+    contributes exactly 1 (the arcsine integral of the inverse-square-root
+    profile), so the value counts crossed disks; the radius-scaled normalization
+    contributes 1/radius instead.
+    """
+    u = np.asarray(u, dtype=float)
+    u = u / np.linalg.norm(u)
+    if not (-family.support(-u) + 1e-12 < s < family.support(u) - 1e-12):
+        raise LineMissesBody("section line misses the interior of the hull")
+    total = 0.0
+    for disk in family.disks:
+        if _chord_half_length(disk, s, u) > 0.0:
+            total += 1.0 if mode == UNIT_CHORD else 1.0 / disk.radius
+    return total
+
+
+def minimal_profile_mass(moment: float, floor: float) -> float:
+    """Infimum of the total of a profile F >= floor with first moment >= moment.
+
+    The infimum over the cutoff A of integral_0^A F equals sqrt(2 * moment *
+    floor), attained by the constant profile F = floor on [0, sqrt(2 moment /
+    floor)].
+    """
+    if moment <= 0 or floor <= 0:
+        raise DomainError("moment and floor must be positive")
+    return math.sqrt(2.0 * moment * floor)
+
+
+def plank2d_partition(family, n_planks: int, r: int = 1, direction=None) -> list:
+    """r copies of the partition of the family's width along ``direction``
+    (default e_1) into n_planks equal planks."""
+    u = np.array([1.0, 0.0]) if direction is None else np.asarray(direction, float)
+    u = u / np.linalg.norm(u)
+    lo, hi = -family.support(-u), family.support(u)
+    breaks = np.linspace(lo, hi, n_planks + 1)
+    return [falconer.plank(u, float(a), float(b))
+            for _ in range(r) for a, b in zip(breaks, breaks[1:])]
 
 
 def lp_profile_minimum(moment: float, floor: float, n_cutoffs: int = 33,

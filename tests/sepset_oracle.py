@@ -1,11 +1,14 @@
-"""Reference oracles: the one-candidate-at-a-time separated-set construction,
-and the float64 blocked filter.
+"""Reference oracles: the one-candidate-at-a-time greedy phase, a sampled
+maximality probe, and the float64 blocked filter.
 
-``build_separated_set`` below is the original implementation, kept verbatim
-(with its own unbounded cache and the ``_pair_ok`` it calls) so that tests can
-require the blocked construction in ``cylpack.cappack`` to reproduce it bit
-for bit.  Tests that patch ``REJECT_BUDGET`` patch it here too and clear
-``_SET_CACHE``.
+``greedy_points`` is the original greedy phase, kept verbatim (with its own
+unbounded cache and the ``_pair_ok`` it calls) so that tests can require the
+blocked greedy phase in ``cylpack.cappack`` to reproduce it bit for bit.
+Tests that patch ``REJECT_BUDGET`` patch it here too and clear ``_SET_CACHE``.
+
+``far_probes`` is the probe pass that once set the maximal flag: uniform
+probes of the sphere, of which it returns those farther than the separation
+from every member.  A certified maximal set must leave none.
 
 ``_filter`` is the blocked filter before its float32 screen, kept verbatim
 (candidates x members products, one float64 pass), so that tests can require
@@ -66,17 +69,13 @@ def _filter(cands: np.ndarray, members: np.ndarray, cos_sep: float,
 _SET_CACHE: dict = {}
 
 
-def build_separated_set(d: int, two_delta: float, metric: str = PROJECTIVE,
-                        seed: int = 0) -> SeparatedSet:
-    """Greedy maximal (two_delta)-separated set on the unit sphere.
+def greedy_points(d: int, two_delta: float, metric: str = PROJECTIVE,
+                  seed: int = 0) -> np.ndarray:
+    """Greedy phase of a (two_delta)-separated set on the unit sphere.
 
     Uniform proposals are inserted whenever they keep the strict separation;
-    the greedy phase ends after REJECT_BUDGET consecutive rejections.  Probe
-    passes then insert any of MAXIMALITY_TRIALS quasi-uniform points found
-    farther than two_delta from every member; the maximal flag records whether
-    a full probe pass finished with no insertion.  Results are deterministic
-    per seed and cached (the construction is pure), since different
-    codimensions reuse the same set.
+    the phase ends after REJECT_BUDGET consecutive rejections.  Results are
+    deterministic per seed and cached.
     """
     key = (d, float(two_delta), metric, seed)
     cached = _SET_CACHE.get(key)
@@ -104,28 +103,23 @@ def build_separated_set(d: int, two_delta: float, metric: str = PROJECTIVE,
                 rejects += 1
                 if rejects >= REJECT_BUDGET:
                     break
-    probe_rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0xF0)))
-    maximal = True
-    for _ in range(12):  # each pass rescans a fresh probe set after insertions
-        inserted = False
-        remaining = MAXIMALITY_TRIALS
-        while remaining > 0:
-            chunk = min(remaining, 4096)
-            probes = geom.uniform_sphere_points(d, chunk, probe_rng)
-            level = probes @ mat.T
-            if metric == PROJECTIVE:
-                np.abs(level, out=level)
-            for idx in np.flatnonzero(np.max(level, axis=1) < cos_sep):
-                if _pair_ok(probes[idx], mat, cos_sep, metric):
-                    points.append(probes[idx])
-                    mat = np.asarray(points)
-                    inserted = True
-            remaining -= chunk
-        if not inserted:
-            break
-    else:
-        maximal = False
-    result = SeparatedSet(points=geom._freeze(mat), separation=two_delta,
-                          metric=metric, maximal=maximal, seed=seed)
-    _SET_CACHE[key] = result
-    return result
+    _SET_CACHE[key] = mat
+    return mat
+
+
+def far_probes(sep_set: SeparatedSet, trials: int = MAXIMALITY_TRIALS) -> np.ndarray:
+    """Probes, out of ``trials`` uniform ones, farther than the separation
+    from every member (the probe stream of the set's seed)."""
+    pts = sep_set.points
+    cos_sep = math.cos(sep_set.separation)
+    probe_rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=(sep_set.seed, 0xF0)))
+    far = []
+    for start in range(0, trials, 4096):
+        probes = geom.uniform_sphere_points(pts.shape[1], min(4096, trials - start),
+                                            probe_rng)
+        level = probes @ pts.T
+        if sep_set.metric == PROJECTIVE:
+            np.abs(level, out=level)
+        far.append(probes[np.max(level, axis=1) < cos_sep])
+    return np.vstack(far)

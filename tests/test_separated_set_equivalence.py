@@ -1,6 +1,9 @@
-"""The blocked separated-set construction reproduces the one-at-a-time oracle.
+"""The blocked greedy phase reproduces the one-at-a-time oracle, and the hull
+completion after it leaves no probe uncovered.
 
-Equality is byte equality of the points and equality of the maximal flag.
+Equality is byte equality of the greedy prefix: the first points of the set
+are those of the oracle's greedy phase, and with the hull budget at zero the
+set is exactly that greedy phase, uncertified.
 """
 
 import numpy as np
@@ -21,32 +24,51 @@ def fresh_set_cache():
     cappack._cached_set.cache_clear()
 
 
-def assert_same_set(d, delta, metric, seed):
-    ref = sepset_oracle.build_separated_set(d, 2 * delta, metric, seed)
+def assert_same_greedy_prefix(monkeypatch, d, delta, metric, seed):
+    ref = sepset_oracle.greedy_points(d, 2 * delta, metric, seed)
     out = cappack.build_separated_set(d, 2 * delta, metric, seed)
-    assert out.points.shape == ref.points.shape
-    assert out.points.tobytes() == ref.points.tobytes()
-    assert out.maximal == ref.maximal
+    assert out.points[:len(ref)].tobytes() == ref.tobytes()
+    with monkeypatch.context() as m:
+        m.setattr(cappack, "HULL_MAX_POINTS", {})
+        cappack._cached_set.cache_clear()
+        greedy = cappack.build_separated_set(d, 2 * delta, metric, seed)
+    cappack._cached_set.cache_clear()
+    assert greedy.points.tobytes() == ref.tobytes()
+    assert not greedy.maximal and greedy.covering_radius is None
+    return out
 
 
 @pytest.mark.parametrize("d,delta,metric,seed", GRID)
-def test_matches_oracle(d, delta, metric, seed):
-    assert_same_set(d, delta, metric, seed)
+def test_matches_oracle(monkeypatch, d, delta, metric, seed):
+    assert_same_greedy_prefix(monkeypatch, d, delta, metric, seed)
+
+
+@pytest.mark.parametrize("d,delta,metric,seed", GRID)
+def test_certified_sets_leave_no_probe_uncovered(d, delta, metric, seed):
+    out = cappack.build_separated_set(d, 2 * delta, metric, seed)
+    assert cappack.check_separation(out)
+    # (5, 0.2) sets have more greedy hull points than the d = 5 budget
+    assert out.maximal == ((d, delta) != (5, 0.2))
+    if out.maximal:
+        assert out.covering_radius <= 2 * delta
+        assert len(sepset_oracle.far_probes(out)) == 0
+    else:
+        assert out.covering_radius is None and out.completion_rounds == 0
 
 
 @pytest.mark.parametrize("d,delta,metric,seed",
                          [case for case in GRID if case[0] <= 4])
 def test_matches_oracle_on_exact_fallback(monkeypatch, d, delta, metric, seed):
-    # a band this wide drops nothing and flags every probe as near, so every
-    # decision goes through the exact per-candidate test and full-product filter
+    # a band this wide drops nothing and flags every candidate as near, so
+    # every greedy decision goes through the exact per-candidate test
     monkeypatch.setattr(cappack, "_BAND", 1.0)
-    assert_same_set(d, delta, metric, seed)
+    assert_same_greedy_prefix(monkeypatch, d, delta, metric, seed)
 
 
 def greedy_positions(d, two_delta, metric, seed):
     """Proposal-stream positions of the oracle's greedy-phase insertions."""
-    ref = sepset_oracle.build_separated_set(d, two_delta, metric, seed)
-    members = {p.tobytes() for p in ref.points}
+    ref = sepset_oracle.greedy_points(d, two_delta, metric, seed)
+    members = {p.tobytes() for p in ref}
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0x5E7)))
     positions, pos = [], 0
     while not positions or pos - positions[-1] <= sepset_oracle.REJECT_BUDGET:
@@ -81,4 +103,4 @@ def test_matches_oracle_when_budget_runs_out(monkeypatch, d, delta, metric, offs
     # the last greedy insertion plus the budget lands on the chosen offset
     last = greedy_positions(d, 2 * delta, metric, seed)[-1]
     assert (last + budget) % 512 == offset
-    assert_same_set(d, delta, metric, seed)
+    assert_same_greedy_prefix(monkeypatch, d, delta, metric, seed)
