@@ -1,12 +1,13 @@
 """Inequality checkers: both sides of every packing/covering bound, with slack.
 
-Each checker pre-verifies its hypothesis (packing or covering) once through the
-multiplicity sampler (raising NotAPacking / NotACovering with the failing
-verdict), evaluates both sides of the inequality, and emits a BoundReport
-carrying the sampled evidence.  Translated-slice maxima are brackets
-lo <= max <= hi, closed-form where the body and base allow it and a
-certified concave search elsewhere; each check takes the end that errs
-toward failing, and the report names the method.
+Each checker pre-verifies its hypothesis (packing or covering) once through
+``multiplicity``, certified or else sampled (raising NotAPacking / NotACovering
+with the failing verdict), evaluates both sides of the inequality, and emits a
+BoundReport carrying that evidence; only sampled evidence makes it
+probabilistic.  Translated-slice maxima are brackets lo <= max <= hi,
+closed-form where the body and base allow it and a certified concave search
+elsewhere; each check takes the end that errs toward failing, and the report
+names the method.
 """
 
 import csv
@@ -51,7 +52,8 @@ def _digest_family(body: geom.ConvexBody, family, extra=None) -> str:
 @dataclass(frozen=True)
 class BoundReport:
     """One evaluated inequality: lhs (direction) rhs, with slack and verdict.
-    ``evidence``, the sample that verified the hypothesis, stays out of JSON."""
+    ``evidence``, the certified or sampled report that verified the
+    hypothesis, stays out of JSON."""
 
     theorem_id: str
     lhs: float
@@ -84,11 +86,23 @@ def make_report(theorem_id: str, lhs: float, rhs: float, direction: str,
 
 def _evidence(verdict: multiplicity.VerificationResult, failure: type,
               ) -> multiplicity.MultiplicityReport:
-    """The sampled report of a passing hypothesis check; raises ``failure``
+    """The report of a passing hypothesis check; raises ``failure``
     carrying the verdict otherwise."""
     if not verdict.ok:
         raise failure(verdict.reason, verdict)
     return verdict.report
+
+
+def _hypothesis(evidence: multiplicity.MultiplicityReport, reading: str,
+                notes: str = "") -> dict:
+    """``make_report`` keywords of a report resting on the evidence: sampled
+    evidence makes it probabilistic, a certificate is named in the notes."""
+    if evidence.certificate is None:
+        return {"probabilistic": True, "evidence": evidence,
+                "notes": notes or f"{reading} verified on {evidence.samples} samples"}
+    named = f"{reading} certified by {evidence.certificate}"
+    return {"probabilistic": False, "evidence": evidence,
+            "notes": f"{notes}; {named}" if notes else named}
 
 
 def bound_reports_to_csv(reports) -> str:
@@ -130,9 +144,7 @@ def check_covering_lower(body: geom.ConvexBody, family, r: int,
     lhs = cylinders.sum_crv(body, family)
     digest = _digest_family(body, family, {"r": r, "mode": mode})
     return make_report("covering_lower", lhs, rhs, GE, digest,
-                       probabilistic=True,
-                       notes=f"covering verified on {n} samples",
-                       evidence=evidence)
+                       **_hypothesis(evidence, "covering"))
 
 
 def check_packing_upper_ellipsoid(body: geom.ConvexBody, family, r: int,
@@ -149,9 +161,7 @@ def check_packing_upper_ellipsoid(body: geom.ConvexBody, family, r: int,
     lhs = cylinders.sum_crv(body, family)
     digest = _digest_family(body, family, {"r": r})
     return make_report("packing_upper_ellipsoid", lhs, float(r), LE, digest,
-                       probabilistic=True,
-                       notes=f"packing verified on {n} samples",
-                       evidence=evidence)
+                       **_hypothesis(evidence, "packing"))
 
 
 def check_packing_scaled(body: geom.ConvexBody, family, r: int,
@@ -182,9 +192,8 @@ def check_packing_scaled(body: geom.ConvexBody, family, r: int,
     rhs = r * distance_bound ** (d - k)
     digest = _digest_family(body, family, {"r": r, "symmetric": symmetric})
     return make_report("packing_upper_scaled", lhs, rhs, LE, digest,
-                       probabilistic=True,
-                       notes=f"distance bound {distance_bound:g}",
-                       evidence=evidence)
+                       **_hypothesis(evidence, "packing",
+                                     f"distance bound {distance_bound:g}"))
 
 
 # ---------------------------------------------------------------------------
@@ -530,10 +539,9 @@ def check_packing_general(body: geom.ConvexBody, family, r: int,
     rhs = r * math.comb(d, k) * worst_ratio
     digest = _digest_family(body, family, {"r": r})
     return make_report("packing_upper_general", lhs, rhs, LE, digest,
-                       probabilistic=True,
-                       notes=f"worst slice ratio {worst_ratio:.6g} "
-                             f"(slice maxima: {methods})",
-                       evidence=evidence)
+                       **_hypothesis(evidence, "packing",
+                                     f"worst slice ratio {worst_ratio:.6g} "
+                                     f"(slice maxima: {methods})"))
 
 
 # ---------------------------------------------------------------------------
@@ -596,5 +604,5 @@ def check_base_volume_bound(body: geom.ConvexBody, family, r: int,
     rhs = surface_constant(d) * r * max_shadow
     digest = _digest_family(body, family, {"r": r})
     return make_report("plank_base_volume", lhs, rhs, LE, digest,
-                       probabilistic=True, notes=f"max shadow {max_shadow:.6g}",
-                       evidence=evidence)
+                       **_hypothesis(evidence, "packing",
+                                     f"max shadow {max_shadow:.6g}"))

@@ -234,14 +234,16 @@ def _cached_set(d: int, two_delta: float, metric: str, seed: int) -> SeparatedSe
                         covering_radius=radius, completion_rounds=rounds)
 
 
-def check_separation(sep_set: SeparatedSet, slack: float = 1e-12) -> bool:
-    """Exact pairwise-dot verification of the separation invariant."""
+def check_separation(sep_set: SeparatedSet) -> bool:
+    """Sound pairwise verification of the separation invariant: every pair
+    is certified farther apart than the separation by the cap certificate's
+    blocked test (``multiplicity.pole_conflicts``, half the separation per
+    point)."""
     pts = sep_set.points
-    dots = pts @ pts.T
-    level = np.abs(dots) if sep_set.metric == PROJECTIVE else dots
-    np.fill_diagonal(level, -2.0)
-    # distance > separation - slack
-    return bool(np.max(level) <= math.cos(sep_set.separation - slack))
+    half = np.full(len(pts), sep_set.separation / 2.0)
+    anti = np.full(len(pts), sep_set.metric == PROJECTIVE)
+    return not multiplicity.pole_conflicts(pts, np.cos(half), np.sin(half),
+                                           anti).any()
 
 
 @dataclass(frozen=True, eq=False)
@@ -374,8 +376,9 @@ def cap_packing_report(d: int, k: int, delta: float, seed: int = 0,
                        packing_samples: int = 0) -> CapPackingReport:
     """Build the cap family and evaluate the full inequality chain.
 
-    With ``packing_samples`` > 0 the family is also run through the
-    multiplicity sampler (strict interior counts must stay at 1).
+    With ``packing_samples`` > 0 the family is also checked as a 1-fold
+    packing (``multiplicity.decide``): certified by pole separation, or
+    sampled with that many points when the certificate leaves it open.
     """
     if d <= 3:
         raise DomainError(f"the construction is stated for d > 3, got {d}")
@@ -396,8 +399,8 @@ def cap_packing_report(d: int, k: int, delta: float, seed: int = 0,
     packing_report = None
     if packing_samples > 0:
         ball = geom.Ball(np.zeros(d), 1.0)
-        packing_report = multiplicity.estimate_multiplicity(
-            ball, family.cylinders, packing_samples, seed)
+        packing_report = multiplicity.decide(
+            ball, family.cylinders, 1, packing_samples, seed).report
     return CapPackingReport(
         d=d, k=k, delta=delta, metric=metric,
         antipodal_bases=family.antipodal,

@@ -131,8 +131,9 @@ def _failure_code(exc: CylpackError) -> int:
 def _reports_for(inst, samples: int, seed: int, **known) -> tuple[list, dict | None, bool]:
     """(bound reports, multiplicity json, all_ok) for one instance.
 
-    A packing or covering instance is sampled once, by its checker; a
-    disk-plank instance is decided exactly on its hull and samples nothing,
+    A packing or covering instance is decided once, by its checker
+    (certified, or sampled when no certificate settles it); a disk-plank
+    instance is decided exactly on its hull and samples nothing,
     reusing the separability or circumradius results in ``known`` (see
     ``falconer.check_disk_planks``).
     A failed hypothesis yields no report and a multiplicity json with its

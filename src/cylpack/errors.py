@@ -58,9 +58,9 @@ class PlaneMissesSphere(CylpackError):
 
 
 class HypothesisFailed(CylpackError):
-    """Pre-verification failed; ``verdict`` is the failing verdict (a sampled
-    VerificationResult or an exact PlankVerdict), whose ``to_json`` the CLI
-    reports."""
+    """Pre-verification failed; ``verdict`` is the failing verdict (a
+    certified or sampled VerificationResult, or an exact PlankVerdict), whose
+    ``to_json`` the CLI reports."""
 
     def __init__(self, reason: str, verdict=None):
         super().__init__(reason)
@@ -73,10 +73,6 @@ class NotAPacking(HypothesisFailed):
 
 class NotACovering(HypothesisFailed):
     """Pre-verification failed: the family is not an r-fold covering."""
-
-
-class LineMissesBody(CylpackError):
-    """The requested section line does not meet the interior of the body."""
 
 
 class NotNS(CylpackError):

@@ -9,10 +9,10 @@ rounding of order 1e-12 where a direction nearly meets the pole), so the
 largest <a, x> over the sample is a lower estimate of the support function
 ``cylpack.cylinders.cap_support`` computes exactly.
 
-``multiplicity_counts`` is the counting loop before cap cylinders were
-screened in blocks, kept verbatim: one pole product, and for the strict
-reading one frame product, per cylinder.  Tests require the blocked counts of
-``cylpack.multiplicity`` to equal its counts.
+``multiplicity_counts`` is the per-cylinder counting loop, kept verbatim: one
+pole product, and for the strict reading one frame product, per cylinder.
+Tests require the counts of ``cylpack.multiplicity.multiplicity_counts`` to
+equal its counts.
 """
 
 import math

@@ -19,11 +19,15 @@ from scipy.optimize import linprog
 
 from conftest import inscribed_hull
 from cylpack import geom
-from cylpack.errors import DomainError, LineMissesBody
+from cylpack.errors import CylpackError, DomainError
 from cylpack import falconer
 from cylpack.falconer import UNIT_CHORD
 
 ORACLE_ARC_POINTS = 4096
+
+
+class LineMissesBody(CylpackError):
+    """The requested section line does not meet the interior of the body."""
 
 
 def _chord_half_length(disk, s: float, u: np.ndarray) -> float:

@@ -11,7 +11,8 @@
   frames of Gram-Schmidt run on one vector list at a time
   (``frame_oracle.orthonormalize``);
 - ``multiplicity.multiplicity_counts`` returns the counts of the per-cylinder
-  cap loop (``cap_oracle.multiplicity_counts``).
+  cap loop (``cap_oracle.multiplicity_counts``), and its unit-ball cap test
+  ``_cap_membership`` decides uniform samples as ``base_membership`` does.
 
 Candidates and samples are placed at the thresholds where a screen or a
 reordered sum could change a decision.
@@ -341,7 +342,7 @@ def _assert_counts_match(body, family, pts):
 
 @pytest.mark.parametrize("antipodal", [True, False], ids=["antipodal", "one-sided"])
 @pytest.mark.parametrize("n_caps", [33, 310])
-def test_cap_counts_match_loop_oracle(monkeypatch, n_caps, antipodal):
+def test_cap_counts_match_loop_oracle(n_caps, antipodal):
     d = 5
     rng = np.random.default_rng(n_caps + antipodal)
     ball = geom.Ball(np.zeros(d), 1.0)
@@ -351,35 +352,23 @@ def test_cap_counts_match_loop_oracle(monkeypatch, n_caps, antipodal):
     packing = list(cappack.build_cap_family(sep_set, 0.2, 2, seed=3).cylinders)
     assert len(packing) >= n_caps
     families = [packing[:n_caps], _random_caps(d, 3, n_caps, 0.4, antipodal, rng)]
-    calls = []
-    one = multiplicity._cap_membership
-
-    def counted(cyl, pts):
-        calls.append(cyl)
-        return one(cyl, pts)
-
-    monkeypatch.setattr(multiplicity, "_cap_membership", counted)
     for family in families:
         samples = geom.sample_in_body(ball, 8192, rng)
-        calls.clear()
         _, closed = _assert_counts_match(ball, family, samples)
-        assert not calls  # the blocked path decided every pair
         assert closed.max() >= 1
         placed = _placed_samples(family, rng)
         _assert_counts_match(ball, family, np.vstack([samples[:500], placed]))
-        assert calls  # the exact ties were redone cylinder by cylinder
 
 
 @pytest.mark.parametrize("antipodal", [True, False], ids=["antipodal", "one-sided"])
 def test_cap_counts_match_loop_oracle_across_codimensions(antipodal):
-    # one group per base dimension, a group small enough for the loop, and a
-    # non-cap cylinder, in one family
+    # one cap group per base dimension and a non-cap cylinder, in one family
     d = 4
     rng = np.random.default_rng(11)
     ball = geom.Ball(np.zeros(d), 1.0)
     family = _random_caps(d, 3, 70, 0.3, antipodal, rng) \
         + _random_caps(d, 1, 40, 0.5, antipodal, rng) \
-        + _random_caps(d, 2, multiplicity.CAP_LOOP_MAX, 0.3, antipodal, rng) \
+        + _random_caps(d, 2, 3, 0.3, antipodal, rng) \
         + [cylinders.Cylinder(geom.orthonormalize(np.eye(d)[:2]),
                               geom.Ball(np.zeros(2), 0.5))]
     rng.shuffle(family)
@@ -387,7 +376,24 @@ def test_cap_counts_match_loop_oracle_across_codimensions(antipodal):
                      _placed_samples([c for c in family
                                       if isinstance(c.base, cylinders.CapBase)], rng)])
     _assert_counts_match(ball, family, pts)
-    # outside the unit ball, off the ball body and without points, the loop decides
+    # outside the unit ball, off the ball body and without points
     _assert_counts_match(ball, family, 3.0 * pts)
     _assert_counts_match(geom.Ball(np.zeros(d), 1.5), family, pts)
     _assert_counts_match(ball, family, pts[:0])
+
+
+@pytest.mark.parametrize("antipodal", [True, False], ids=["antipodal", "one-sided"])
+def test_cap_membership_matches_base_membership(antipodal):
+    # the unit-ball shortcut drops |P_E x| <= 1 from the closed reading and
+    # tests the strict one by level > cos(delta) + margin: off the thresholds,
+    # on uniform samples of the unit ball, both decide every point alike
+    d = 5
+    rng = np.random.default_rng(5 + antipodal)
+    ball = geom.Ball(np.zeros(d), 1.0)
+    pts = geom.sample_in_body(ball, 20_000, rng)
+    for m in (1, 2, 4):
+        for cyl in _random_caps(d, m, 10, 0.4, antipodal, rng):
+            closed, strict = multiplicity._cap_membership(cyl, pts)
+            ref = cylinders.base_membership(cyl.base, pts @ cyl.frame.columns)
+            assert np.array_equal(closed, ref[0]) and np.array_equal(strict, ref[1])
+            assert closed.any() and strict.any()

@@ -8,7 +8,6 @@ from conftest import inscribed_hull
 from cylpack import falconer, geom, instances
 from cylpack.errors import (
     DomainError,
-    LineMissesBody,
     NotAPacking,
     NotNS,
 )
@@ -353,7 +352,7 @@ def test_sectional_integral_radius_scaled_mode():
 
 
 def test_line_misses_body():
-    with pytest.raises(LineMissesBody):
+    with pytest.raises(falconer_oracle.LineMissesBody):
         falconer_oracle.sectional_integral(UNIT_DISK, 1.5, (1.0, 0.0))
 
 

@@ -628,31 +628,38 @@ def test_cli_plank_and_strip_files_are_byte_pinned(tmp_path, monkeypatch):
 
 
 def test_cli_samples_each_instance_once(tmp_path, monkeypatch, capsys):
+    # every construct kind is decided by one certificate pass and samples
+    # nothing; a family with 2-d box bases, which no certificate decides, is
+    # sampled once
     files = construct_all(tmp_path, seed=4)
     paths = [str(p) for p in files.values()]
     overpacked = tmp_path / "overpacked.json"
     obj = instances.load_json(files["plank"])
     obj["r"] = 1
     instances.dump_json(obj, overpacked)
-    calls = []
-    real = multiplicity.estimate_multiplicity
+    boxes = tmp_path / "boxes.json"
+    assert cli.main(["construct", "--kind", "covering", "--dim", "3", "--k", "1",
+                     "--seed", "4", "--out", str(boxes)]) == 0
+    calls = _count_calls(monkeypatch, multiplicity,
+                         ["certify", "estimate_multiplicity"])
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counts():
+        out = {name: len(c) for name, c in calls.items()}
+        for c in calls.values():
+            c.clear()
+        return out
 
-    monkeypatch.setattr(multiplicity, "estimate_multiplicity", counting)
-    sampled = [str(p) for name, p in files.items() if name != "ns"] + [str(overpacked)]
-    for path in sampled:
-        calls.clear()
+    certified = [str(p) for name, p in files.items() if name != "ns"] + [str(overpacked)]
+    for path in certified:
         cli.main(["verify", path, "--samples", "2000"])
-        assert len(calls) == 1, path
-    calls.clear()
-    assert cli.main(["bounds", *paths, str(overpacked), "--samples", "2000"]) == 1
-    assert len(calls) == len(sampled)
-    calls.clear()
+        assert counts() == {"certify": 1, "estimate_multiplicity": 0}, path
+    assert cli.main(["verify", str(boxes), "--samples", "2000"]) == 0
+    assert counts() == {"certify": 1, "estimate_multiplicity": 1}
+    assert cli.main(["bounds", *paths, str(overpacked), str(boxes),
+                     "--samples", "2000"]) == 1
+    assert counts() == {"certify": len(certified) + 1, "estimate_multiplicity": 1}
     cli.main(["verify", str(files["ns"]), "--samples", "2000"])
-    assert calls == []
+    assert counts() == {"certify": 0, "estimate_multiplicity": 0}
     capsys.readouterr()
 
 
@@ -683,14 +690,15 @@ def test_cli_verifies_disk_planks_in_one_pass(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_tests_each_base_once_per_sample_block(tmp_path, monkeypatch, capsys):
-    inst = tmp_path / "plank.json"
-    assert cli.main(["construct", *CONSTRUCT_KINDS["plank"], "--seed", "1",
-                     "--out", str(inst)]) == 0
+    # 2-d box bases leave the covering to the sampler
+    inst = tmp_path / "boxes.json"
+    assert cli.main(["construct", "--kind", "covering", "--dim", "3", "--k", "1",
+                     "--seed", "1", "--out", str(inst)]) == 0
     calls = _count_calls(monkeypatch, cylinders, ["base_membership"])
-    # 10 strip cylinders and 2 sample blocks: one call per cylinder and block
+    # 9 box cylinders and 2 sample blocks: one call per cylinder and block
     assert cli.main(["verify", str(inst), "--samples", "10000"]) == 0
-    assert len(instances.load_json(inst)["cylinders"]) == 10
-    assert len(calls["base_membership"]) == 20
+    assert len(instances.load_json(inst)["cylinders"]) == 9
+    assert len(calls["base_membership"]) == 18
     capsys.readouterr()
 
 
@@ -747,8 +755,9 @@ def test_cli_reports_leave_out_evidence(tmp_path, capsys):
         out = json.loads(capsys.readouterr().out)
         assert out["reports"]
         assert all("evidence" not in rep for rep in out["reports"])
-        if name != "ns":
-            assert out["multiplicity"]["samples"] == 2000
+        if name != "ns":  # certified: no sample drawn
+            assert out["multiplicity"]["samples"] == 0
+            assert out["multiplicity"]["certificate"] is not None
     assert cli.main(["bounds", *paths, "--samples", "2000"]) == 0
     reports = json.loads(capsys.readouterr().out)["reports"]
     assert len(reports) >= len(paths)
