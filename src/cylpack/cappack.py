@@ -390,7 +390,7 @@ def cap_packing_report(d: int, k: int, delta: float, seed: int = 0,
     family = build_cap_family(sep_set, delta, k, seed=seed)
     n = len(family)
     sum_crv = family.sum_crv_closed_form()
-    sigma_one = specfn.spherical_cap_fraction(d, 2.0 * delta, antipodal=False)
+    sigma_one = specfn.spherical_cap_fraction(d, 2.0 * delta)
     sigma_two = 2.0 * sigma_one
     bound_anti = 1.0 / sigma_two
     bound_one = 1.0 / sigma_one

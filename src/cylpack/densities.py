@@ -5,7 +5,8 @@ ball integrates to pi along every full chord, independent of the offset.  The
 sphere-surface measure (uniform surface measure of the unit sphere, viewed as
 a measure on R^d) assigns mass 2*pi to every 2-plane section meeting the open
 ball.  Both facts are exposed as quadrature routines so that the identities can
-be validated rather than assumed.
+be validated rather than assumed.  Masses are closed forms; their Monte Carlo
+cross-checks are test oracles (``tests/density_oracle.py``).
 """
 
 import math
@@ -44,16 +45,6 @@ def ball_chord_density(d: int) -> DensityMeasure:
 
 def sphere_surface_density(d: int) -> DensityMeasure:
     return DensityMeasure(SPHERE_SURFACE, d)
-
-
-@dataclass(frozen=True)
-class MCEstimate:
-    """A Monte Carlo value with its standard error and provenance."""
-
-    value: float
-    stderr: float
-    samples: int
-    seed: int
 
 
 def density_at(measure: DensityMeasure, x) -> float:
@@ -105,38 +96,17 @@ def line_integral(measure: DensityMeasure, z, direction) -> float:
     return value
 
 
-def mu_of_cylinder(measure: DensityMeasure, cyl: cylinders.Cylinder,
-                   mc_samples: int = 0, seed: int = 0,
-                   ) -> tuple[float, MCEstimate | None]:
-    """Chord-measure mass of a 1-codimensional cylinder clipped to the ball.
-
-    Returns pi times the base volume, the closed form obtained by integrating
-    the constant chord integrals over the base.  With ``mc_samples`` > 0 an
-    independent Monte Carlo estimate is attached: the measure is sampled
-    exactly by projecting uniform points of the sphere one dimension up, so the
-    estimate does not reuse the chord identity.
-    """
+def mu_of_cylinder(measure: DensityMeasure, cyl: cylinders.Cylinder) -> float:
+    """Chord-measure mass of a 1-codimensional cylinder clipped to the ball:
+    pi times the base volume, the closed form obtained by integrating the
+    constant chord integrals over the base."""
     if measure.kind != BALL_CHORD:
         raise DomainError("cylinder masses apply to the chord measure")
     if cyl.k != 1:
         raise DomainError(f"chord-measure masses need codimension 1, got k={cyl.k}")
-    d = measure.ambient_dim
-    if cyl.ambient_dim != d:
+    if cyl.ambient_dim != measure.ambient_dim:
         raise DimensionMismatch("cylinder dimension does not match the measure")
-    exact = math.pi * cylinders.base_volume(cyl.base)
-    estimate = None
-    if mc_samples > 0:
-        rng = np.random.default_rng(seed)
-        lifted = geom.uniform_sphere_points(d + 1, mc_samples, rng)
-        pts = lifted[:, :d]  # marginal density of uniform S^d is the chord density
-        hits = cylinders.contains_points(cyl, pts)
-        total = math.pi * specfn.unit_ball_volume(d - 1)
-        p = float(np.mean(hits))
-        estimate = MCEstimate(
-            value=total * p,
-            stderr=total * math.sqrt(max(p * (1.0 - p), 0.0) / mc_samples),
-            samples=mc_samples, seed=seed)
-    return exact, estimate
+    return math.pi * cylinders.base_volume(cyl.base)
 
 
 def mu_total_mass(d: int) -> float:

@@ -327,13 +327,6 @@ class EnclosingEllipsoid:
     containment_tolerance: float
 
 
-def is_unit_ball(body: ConvexBody) -> bool:
-    """Whether the body is the unit ball centred at the origin (within 1e-12),
-    where cap cylinders take closed-form shortcuts."""
-    return isinstance(body, Ball) and abs(body.radius - 1.0) <= 1e-12 \
-        and math.hypot(*body.center) <= 1e-12
-
-
 def body_to_json(body: ConvexBody) -> dict:
     if isinstance(body, Ball):
         return {"type": "ball", "center": body.center.tolist(),

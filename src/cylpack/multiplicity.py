@@ -5,7 +5,8 @@ multiplicity sampling for the families they leave undecided.
 direction: cap cylinders by the separation of their poles, other families
 layer by layer.  ``decide`` takes its verdict when it settles the r-fold
 reading, and else tests n seeded uniform samples of the body once against
-every base: strict-interior counts for packings, closed ones for coverings.
+every base, through ``cylinders.base_membership`` whatever the body:
+strict-interior counts for packings, closed ones for coverings.
 Sampling runs in fixed-size blocks with per-block derived seeds and a fixed
 reduction order, so identical seeds reproduce reports bit for bit.
 """
@@ -277,48 +278,23 @@ def multiplicity_counts(body: geom.ConvexBody, family, pts: np.ndarray,
                         ) -> tuple[np.ndarray, np.ndarray]:
     """(strict, closed) membership counts of each point across the family.
 
-    Each cylinder's base is evaluated once for both readings.  Cap-based
-    cylinders inside the unit ball reduce to a dot product with the embedded
-    pole (``_cap_membership``).
+    Each cylinder's base is evaluated once for both readings
+    (``cylinders.base_membership``), so a count does not depend on the body.
+    ``body`` stays the first argument: perfbench's tracer reads the family
+    and the points as the second and third.
     """
     family = list(family)
     if any(cyl.ambient_dim != pts.shape[1] for cyl in family):
         raise DimensionMismatch("family and samples disagree in dimension")
     strict = np.zeros(len(pts), dtype=np.int32)
     closed = np.zeros(len(pts), dtype=np.int32)
-    unit_ball = geom.is_unit_ball(body)
     with np.errstate(over="ignore"):  # a norm past ~1.3e154 is inf: outside
         for cyl in family:
-            if unit_ball and isinstance(cyl.base, cylinders.CapBase):
-                closed_in, strict_in = _cap_membership(cyl, pts)
-            else:
-                closed_in, strict_in = cylinders.base_membership(
-                    cyl.base, pts @ cyl.frame.columns)
+            closed_in, strict_in = cylinders.base_membership(
+                cyl.base, pts @ cyl.frame.columns)
             closed += closed_in
             strict += strict_in
     return strict, closed
-
-
-def _cap_membership(cyl: cylinders.Cylinder, pts: np.ndarray,
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """(closed, strict) masks of one cap cylinder over points of the unit ball."""
-    base = cyl.base
-    margin = cylinders.INTERIOR_MARGIN
-    pole = cyl.frame.embed(base.pole)
-    dots = pts @ pole
-    level = np.abs(dots) if base.antipodal else dots
-    cos_d = math.cos(base.delta)
-    closed_in = level >= cos_d
-    strict_in = level > cos_d + margin
-    # |P_E x| <= 1 holds automatically inside the unit ball; the strict
-    # variant can only fail on a measure-zero set, checked cheaply here
-    if np.any(strict_in):
-        proj = pts[strict_in] @ cyl.frame.columns
-        strict_sub = np.einsum("ij,ij->i", proj, proj) < (1.0 - margin) ** 2
-        idx = np.flatnonzero(strict_in)
-        strict_in = np.zeros(len(pts), dtype=bool)
-        strict_in[idx[strict_sub]] = True
-    return closed_in, strict_in
 
 
 def _check_samples(n: int) -> None:

@@ -1,10 +1,13 @@
-"""Closed forms and quadrature for cos-power integrals and cap measures.
+"""Closed forms for cos-power integrals and cap measures.
 
-Two independent evaluation paths are kept permanently for the cos-power
-integral: adaptive quadrature and an integration-by-parts recurrence.  The
-recurrence loses *relative* accuracy for tiny angles (the subtraction in the
-parts formula cancels), but its *absolute* error stays near machine precision,
-which is what the cross-checks assert.
+Every cap quantity is one regularized incomplete beta value (DLMF 8.17):
+
+    integral of sin^n over (0, delta) = 1/2 B((n+1)/2, 1/2) I_{sin^2 delta}((n+1)/2, 1/2)
+
+for delta in (0, pi/2].  The cos-power integral over the top delta-window,
+solid cap volumes and spherical cap fractions all come from that one
+evaluation (``_half_cap_ratio``).  Quadrature and the integration-by-parts
+recurrence are test oracles (``tests/specfn_oracle.py``).
 """
 
 import math
@@ -23,19 +26,6 @@ def unit_ball_volume(m: int) -> float:
     return math.pi ** (m / 2.0) / special.gamma(m / 2.0 + 1.0)
 
 
-def full_cos_power_integral(n: int) -> float:
-    """Integral of cos^n over a full half-period (-pi/2, pi/2).
-
-    Equals sqrt(pi) * Gamma((n+1)/2) / Gamma(n/2 + 1); for n >= 1 this is also
-    the ratio of consecutive unit-ball volumes.
-    """
-    if n < 0:
-        raise DomainError(f"power must be >= 0, got {n}")
-    from scipy import special
-
-    return math.sqrt(math.pi) * special.gamma((n + 1) / 2.0) / special.gamma(n / 2.0 + 1.0)
-
-
 def _check_angle(delta: float, closed_top: bool) -> None:
     top_ok = delta <= HALF_PI if closed_top else delta < HALF_PI
     if not (0.0 < delta and top_ok):
@@ -43,46 +33,23 @@ def _check_angle(delta: float, closed_top: bool) -> None:
         raise DomainError(f"angle must lie in {rng}, got {delta}")
 
 
+def _half_cap_ratio(n: int, delta: float) -> float:
+    """1/2 I_{sin^2 delta}((n+1)/2, 1/2): the share of the cos^n integral over
+    (-pi/2, pi/2) that falls in the top delta-window."""
+    from scipy import special
+
+    return 0.5 * float(special.betainc((n + 1) / 2.0, 0.5, math.sin(delta) ** 2))
+
+
 def cos_power_integral(n: int, delta: float) -> float:
-    """Integral of cos^n(t) for t from pi/2 - delta to pi/2, by quadrature.
-
-    Absolute error of the quadrature is kept below 1e-12; on this smooth
-    integrand the relative error is near machine precision as well.
-    """
+    """Integral of cos^n(t) for t from pi/2 - delta to pi/2, in closed form:
+    B((n+1)/2, 1/2) times ``_half_cap_ratio``."""
     if n < 0:
         raise DomainError(f"power must be >= 0, got {n}")
     _check_angle(delta, closed_top=True)
-    if n == 0:
-        return delta
-    from scipy import integrate
+    from scipy import special
 
-    value, _ = integrate.quad(
-        lambda t: math.cos(t) ** n, HALF_PI - delta, HALF_PI,
-        epsabs=1e-13, epsrel=1e-13, limit=200,
-    )
-    return value
-
-
-def cos_power_recurrence(n: int, delta: float) -> float:
-    """Same integral via the integration-by-parts recurrence (oracle path).
-
-    J_n = (n-1)/n * J_{n-2} - sin(delta)^(n-1) * cos(delta) / n,
-    J_0 = delta, J_1 = 1 - cos(delta).
-    """
-    if n < 0:
-        raise DomainError(f"power must be >= 0, got {n}")
-    _check_angle(delta, closed_top=True)
-    s, c = math.sin(delta), math.cos(delta)
-    j_even = delta          # J_0
-    j_odd = 1.0 - c         # J_1
-    if n == 0:
-        return j_even
-    if n == 1:
-        return j_odd
-    value = j_odd if n % 2 else j_even
-    for m in range(2 + (n % 2), n + 1, 2):
-        value = (m - 1) / m * value - (s ** (m - 1)) * c / m
-    return value
+    return float(special.beta((n + 1) / 2.0, 0.5)) * _half_cap_ratio(n, delta)
 
 
 def cos_power_bracket(n: int, delta: float) -> tuple[float, float]:
@@ -103,34 +70,19 @@ def cap_volume(m: int, delta: float) -> float:
     """Volume of a one-sided solid cap of the unit ball in R^m.
 
     The cap is {z in B^m : <z, pole> >= cos(delta)}; by Fubini in the pole
-    direction its volume is unit_ball_volume(m-1) * cos_power_integral(m, delta).
+    direction its volume is unit_ball_volume(m-1) * cos_power_integral(m, delta)
+    = unit_ball_volume(m) * ``_half_cap_ratio``(m, delta).
     """
     if m < 1:
         raise DomainError(f"cap dimension must be >= 1, got {m}")
     _check_angle(delta, closed_top=True)
-    return unit_ball_volume(m - 1) * cos_power_integral(m, delta)
+    return unit_ball_volume(m) * _half_cap_ratio(m, delta)
 
 
-def spherical_cap_fraction(d: int, delta: float, antipodal: bool = False,
-                           form: str = "sin_power") -> float:
-    """Normalized surface measure of a spherical cap of geodesic radius delta.
-
-    ``form="sin_power"`` works for every d >= 2 and normalizes by the full
-    cos-power integral.  ``form="ball_ratio"`` uses the ratio of unit-ball
-    volumes (valid for d >= 3) and must agree with the general form where both
-    apply.  With ``antipodal=True`` the antipodal pair of caps is measured,
-    doubling the one-sided value.
-    """
+def spherical_cap_fraction(d: int, delta: float) -> float:
+    """Normalized surface measure of a one-sided spherical cap of geodesic
+    radius delta on the unit sphere of R^d: 1/2 I_{sin^2 delta}((d-1)/2, 1/2)."""
     if d < 2:
         raise DomainError(f"sphere dimension parameter must be >= 2, got {d}")
     _check_angle(delta, closed_top=True)
-    top = cos_power_integral(d - 2, delta)
-    if form == "sin_power":
-        sigma = top / full_cos_power_integral(d - 2)
-    elif form == "ball_ratio":
-        if d < 3:
-            raise DomainError("ball_ratio form requires d >= 3")
-        sigma = top * unit_ball_volume(d - 3) / unit_ball_volume(d - 2)
-    else:
-        raise DomainError(f"unknown form {form!r}")
-    return 2.0 * sigma if antipodal else sigma
+    return _half_cap_ratio(d - 2, delta)

@@ -1,12 +1,23 @@
-"""Monte Carlo reference for ``cylpack.densities``: the total chord-measure
-mass of the unit ball, against the closed form ``mu_total_mass``."""
+"""Monte Carlo references for ``cylpack.densities``: the total chord-measure
+mass of the unit ball and the mass of a codimension-1 cylinder, against the
+closed forms ``mu_total_mass`` and ``mu_of_cylinder``."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from cylpack import geom, specfn
-from cylpack.densities import MCEstimate
+from cylpack import cylinders, geom, specfn
+
+
+@dataclass(frozen=True)
+class MCEstimate:
+    """A Monte Carlo value with its standard error and provenance."""
+
+    value: float
+    stderr: float
+    samples: int
+    seed: int
 
 
 def mu_total_mass_mc(d: int, samples: int, seed: int) -> MCEstimate:
@@ -24,3 +35,20 @@ def mu_total_mass_mc(d: int, samples: int, seed: int) -> MCEstimate:
     est = ball_vol * float(np.mean(w))
     stderr = ball_vol * float(np.std(w)) / math.sqrt(samples)
     return MCEstimate(est, stderr, samples, seed)
+
+
+def mu_of_cylinder_mc(measure, cyl: cylinders.Cylinder, samples: int,
+                      seed: int) -> MCEstimate:
+    """Chord-measure mass of a cylinder clipped to the ball, sampled exactly
+    by projecting uniform points of the sphere one dimension up, so the
+    estimate does not reuse the chord identity."""
+    d = measure.ambient_dim
+    rng = np.random.default_rng(seed)
+    lifted = geom.uniform_sphere_points(d + 1, samples, rng)
+    pts = lifted[:, :d]  # marginal density of uniform S^d is the chord density
+    hits = cylinders.contains_points(cyl, pts)
+    total = math.pi * specfn.unit_ball_volume(d - 1)
+    p = float(np.mean(hits))
+    return MCEstimate(total * p,
+                      total * math.sqrt(max(p * (1.0 - p), 0.0) / samples),
+                      samples, seed)

@@ -13,6 +13,7 @@ import pytest
 import density_oracle
 import falconer_oracle
 import shadow_oracle
+import specfn_oracle
 from conftest import inscribed_hull
 from cylpack import (
     bounds,
@@ -76,10 +77,12 @@ def test_criterion_2_integral_bracket_grid():
     for n in range(1, 31):
         for delta in deltas:
             lower, upper = specfn.cos_power_bracket(n, float(delta))
-            quad = specfn.cos_power_integral(n, float(delta))
-            recur = specfn.cos_power_recurrence(n, float(delta))
-            assert lower < quad < upper, (n, delta)
-            assert abs(quad - recur) <= 1e-10, (n, delta)
+            value = specfn.cos_power_integral(n, float(delta))
+            quad = specfn_oracle.cos_power_quad(n, float(delta))
+            recur = specfn_oracle.cos_power_recurrence(n, float(delta))
+            assert lower < value < upper, (n, delta)
+            assert abs(value - quad) <= 1e-10, (n, delta)
+            assert abs(value - recur) <= 1e-10, (n, delta)
     _report("criterion 2 (integral bracket grid)", time.time() - t0, 10,
             detail="4500 (n, delta) pairs")
 

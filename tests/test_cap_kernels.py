@@ -9,13 +9,10 @@
   mix both insertion paths in one block;
 - ``geom.orthonormalize_stack`` and ``cappack.build_cap_family`` return the
   frames of Gram-Schmidt run on one vector list at a time
-  (``frame_oracle.orthonormalize``);
-- ``multiplicity.multiplicity_counts`` returns the counts of the per-cylinder
-  cap loop (``cap_oracle.multiplicity_counts``), and its unit-ball cap test
-  ``_cap_membership`` decides uniform samples as ``base_membership`` does.
+  (``frame_oracle.orthonormalize``).
 
-Candidates and samples are placed at the thresholds where a screen or a
-reordered sum could change a decision.
+Candidates are placed at the thresholds where a screen or a reordered sum
+could change a decision.
 """
 
 import hashlib
@@ -25,10 +22,9 @@ import warnings
 import numpy as np
 import pytest
 
-import cap_oracle
 import frame_oracle
 import sepset_oracle
-from cylpack import cappack, cylinders, geom, multiplicity
+from cylpack import cappack, cylinders, geom
 from cylpack.errors import RankDeficient
 
 METRICS = (cappack.PROJECTIVE, cappack.GEODESIC)
@@ -285,115 +281,3 @@ def test_d6_sets_and_frames_pinned(delta):
 def test_d5_completed_set_and_frames_pinned():
     assert_set_pinned(5, 0.3)
 
-
-# --- cap multiplicity counts -------------------------------------------------------
-
-def _random_caps(d, m, n, delta, antipodal, rng):
-    """n overlapping cap cylinders with random frames and poles."""
-    out = []
-    for _ in range(n):
-        frame = geom.orthonormalize(rng.standard_normal((m, d)))
-        pole = _unit(rng.standard_normal(m))
-        out.append(cylinders.Cylinder(frame, cylinders.CapBase(pole, delta, antipodal)))
-    return out
-
-
-def _placed_samples(cyls, rng, per_cylinder=2):
-    """Unit-ball points at, within 1e-13 of and 1e-12 off each threshold of
-    some cylinders: level cos(delta) and cos(delta) + INTERIOR_MARGIN, and
-    |P_E x| = 1 - INTERIOR_MARGIN with the level above both.  Offsets 0 and
-    1e-13 fall inside the blocked path's tie band, 1e-12 outside it."""
-    margin = cylinders.INTERIOR_MARGIN
-    pts = []
-    for cyl in cyls[::max(1, len(cyls) // 40)][:40]:
-        cols = cyl.frame.columns
-        pole = cols @ cyl.base.pole
-        cos_d = math.cos(cyl.base.delta)
-        for _ in range(per_cylinder):
-            # a unit direction of E orthogonal to the pole
-            t = cols @ rng.standard_normal(cols.shape[1])
-            t = t - (t @ pole) * pole
-            if np.linalg.norm(t) < 1e-9:  # m = 1: leave E for the complement
-                t = rng.standard_normal(len(pole))
-                t = t - cols @ (cols.T @ t)
-            t = _unit(t)
-            for level in (cos_d, cos_d + margin):
-                for o in (0.0, 1e-13, -1e-13, 1e-12, -1e-12):
-                    a = level + o
-                    pts.append(a * pole + math.sqrt(1.0 - a * a) * 0.5 * t)
-            if cols.shape[1] > 1:
-                a = 0.5 * (1.0 + cos_d)
-                for o in (0.0, 1e-13, -1e-13, 1e-12, -1e-12):
-                    r = 1.0 - margin + o
-                    pts.append(a * pole + math.sqrt(r * r - a * a) * t)
-    pts = np.array(pts)
-    if cyls[0].base.antipodal:
-        pts = np.vstack([pts, -pts])
-    return pts
-
-
-def _assert_counts_match(body, family, pts):
-    got = multiplicity.multiplicity_counts(body, family, pts)
-    ref = cap_oracle.multiplicity_counts(body, family, pts)
-    for a, b in zip(got, ref):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
-    return got
-
-
-@pytest.mark.parametrize("antipodal", [True, False], ids=["antipodal", "one-sided"])
-@pytest.mark.parametrize("n_caps", [33, 310])
-def test_cap_counts_match_loop_oracle(n_caps, antipodal):
-    d = 5
-    rng = np.random.default_rng(n_caps + antipodal)
-    ball = geom.Ball(np.zeros(d), 1.0)
-    # a packing of the separated set, and overlapping random caps
-    metric = cappack.PROJECTIVE if antipodal else cappack.GEODESIC
-    sep_set = cappack.build_separated_set(d, 0.4, metric, seed=3)
-    packing = list(cappack.build_cap_family(sep_set, 0.2, 2, seed=3).cylinders)
-    assert len(packing) >= n_caps
-    families = [packing[:n_caps], _random_caps(d, 3, n_caps, 0.4, antipodal, rng)]
-    for family in families:
-        samples = geom.sample_in_body(ball, 8192, rng)
-        _, closed = _assert_counts_match(ball, family, samples)
-        assert closed.max() >= 1
-        placed = _placed_samples(family, rng)
-        _assert_counts_match(ball, family, np.vstack([samples[:500], placed]))
-
-
-@pytest.mark.parametrize("antipodal", [True, False], ids=["antipodal", "one-sided"])
-def test_cap_counts_match_loop_oracle_across_codimensions(antipodal):
-    # one cap group per base dimension and a non-cap cylinder, in one family
-    d = 4
-    rng = np.random.default_rng(11)
-    ball = geom.Ball(np.zeros(d), 1.0)
-    family = _random_caps(d, 3, 70, 0.3, antipodal, rng) \
-        + _random_caps(d, 1, 40, 0.5, antipodal, rng) \
-        + _random_caps(d, 2, 3, 0.3, antipodal, rng) \
-        + [cylinders.Cylinder(geom.orthonormalize(np.eye(d)[:2]),
-                              geom.Ball(np.zeros(2), 0.5))]
-    rng.shuffle(family)
-    pts = np.vstack([geom.sample_in_body(ball, 5000, rng),
-                     _placed_samples([c for c in family
-                                      if isinstance(c.base, cylinders.CapBase)], rng)])
-    _assert_counts_match(ball, family, pts)
-    # outside the unit ball, off the ball body and without points
-    _assert_counts_match(ball, family, 3.0 * pts)
-    _assert_counts_match(geom.Ball(np.zeros(d), 1.5), family, pts)
-    _assert_counts_match(ball, family, pts[:0])
-
-
-@pytest.mark.parametrize("antipodal", [True, False], ids=["antipodal", "one-sided"])
-def test_cap_membership_matches_base_membership(antipodal):
-    # the unit-ball shortcut drops |P_E x| <= 1 from the closed reading and
-    # tests the strict one by level > cos(delta) + margin: off the thresholds,
-    # on uniform samples of the unit ball, both decide every point alike
-    d = 5
-    rng = np.random.default_rng(5 + antipodal)
-    ball = geom.Ball(np.zeros(d), 1.0)
-    pts = geom.sample_in_body(ball, 20_000, rng)
-    for m in (1, 2, 4):
-        for cyl in _random_caps(d, m, 10, 0.4, antipodal, rng):
-            closed, strict = multiplicity._cap_membership(cyl, pts)
-            ref = cylinders.base_membership(cyl.base, pts @ cyl.frame.columns)
-            assert np.array_equal(closed, ref[0]) and np.array_equal(strict, ref[1])
-            assert closed.any() and strict.any()

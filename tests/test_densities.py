@@ -72,7 +72,7 @@ def test_mu_full_ball_cylinder():
     m = densities.ball_chord_density(d)
     frame = geom.orthonormalize(np.eye(d)[:2])
     full = cylinders.Cylinder(frame, geom.Ball(np.zeros(2), 1.0))
-    exact, _ = densities.mu_of_cylinder(m, full)
+    exact = densities.mu_of_cylinder(m, full)
     assert exact == pytest.approx(densities.mu_total_mass(d), rel=1e-14)
 
 
@@ -81,7 +81,7 @@ def test_mu_strip_in_disk():
     frame = geom.Frame(np.array([[1.0], [0.0]]))
     strip = cylinders.Cylinder(
         frame, geom.Polytope(np.array([[-0.5], [0.5]])))
-    exact, _ = densities.mu_of_cylinder(m, strip)
+    exact = densities.mu_of_cylinder(m, strip)
     assert exact == pytest.approx(math.pi, rel=1e-14)
 
 
@@ -90,7 +90,8 @@ def test_mu_disk_cylinder_mc_cross_check():
     m = densities.ball_chord_density(d)
     frame = geom.orthonormalize(np.eye(d)[:2])
     cyl = cylinders.Cylinder(frame, geom.Ball(np.zeros(2), 0.5))
-    exact, est = densities.mu_of_cylinder(m, cyl, mc_samples=300_000, seed=4)
+    exact = densities.mu_of_cylinder(m, cyl)
+    est = density_oracle.mu_of_cylinder_mc(m, cyl, samples=300_000, seed=4)
     assert exact == pytest.approx(math.pi * math.pi / 4, rel=1e-14)
     assert abs(est.value - exact) <= 3 * est.stderr
 
@@ -101,7 +102,7 @@ def test_mu_additivity_on_packings():
     ball = geom.Ball(np.zeros(d), 1.0)
     family = instances.random_base_packing(ball, 1, 5, 1, seed=13)
     m = densities.ball_chord_density(d)
-    total = sum(densities.mu_of_cylinder(m, c)[0] for c in family)
+    total = sum(densities.mu_of_cylinder(m, c) for c in family)
     assert total <= densities.mu_total_mass(d) + 1e-12
 
 

@@ -1,5 +1,7 @@
-"""scipy loads on first use: importing cylpack pulls in numpy only, and geom
-still serves the scipy names that callers and the benchmark tracer look up."""
+"""scipy loads on first use: importing cylpack pulls in numpy only, verifying
+an instance of any construct kind needs neither scipy.integrate nor
+scipy.optimize, and geom still serves the scipy names that callers and the
+benchmark tracer look up."""
 
 import importlib
 import os
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 import cylpack
+from conftest import construct_all
 from cylpack import geom
 
 SCIPY_SUBMODULES = ("scipy.spatial", "scipy.optimize", "scipy.integrate",
@@ -24,6 +27,24 @@ def test_import_loads_no_scipy_submodule():
                          capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src)).stdout
     assert out.strip() == "[]"
+
+
+def test_verify_loads_neither_integrate_nor_optimize(tmp_path):
+    # one fresh interpreter verifies one instance of every construct kind in
+    # turn and lists the scipy submodules loaded after each
+    paths = construct_all(tmp_path, seed=1)
+    src = os.path.dirname(os.path.dirname(cylpack.__file__))
+    code = ("import sys; from cylpack import cli\n"
+            f"for name, path in {[(k, str(p)) for k, p in paths.items()]!r}:\n"
+            "    cli.main(['verify', path, '--out', path + '.report'])\n"
+            f"    print(name, sorted(m for m in {SCIPY_SUBMODULES!r} if m in sys.modules))\n")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    lines = out.strip().splitlines()
+    assert [line.split()[0] for line in lines] == list(paths)
+    for line in lines:
+        assert "scipy.integrate" not in line and "scipy.optimize" not in line, line
 
 
 @pytest.mark.parametrize("module, name", [

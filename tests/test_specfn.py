@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import specfn_oracle
 from cylpack import geom, specfn
 from cylpack.errors import DomainError
 
@@ -21,10 +22,12 @@ def test_unit_ball_volumes():
 
 
 def test_full_cos_power_matches_ball_volume_ratio():
-    # omega_n = omega_{n-1} * integral of cos^n over the half-period
+    # omega_n = omega_{n-1} * integral of cos^n over the half-period, which is
+    # twice the top window at delta = pi/2
     for n in range(1, 12):
         ratio = specfn.unit_ball_volume(n) / specfn.unit_ball_volume(n - 1)
-        assert specfn.full_cos_power_integral(n) == pytest.approx(ratio, rel=1e-13)
+        assert 2.0 * specfn.cos_power_integral(n, HALF_PI) == pytest.approx(
+            ratio, rel=1e-13)
 
 
 def test_cos_power_integral_trivial_cases():
@@ -36,11 +39,24 @@ def test_cos_power_integral_trivial_cases():
 
 
 def test_quadrature_vs_recurrence_absolute_agreement():
+    # the closed form against both oracle paths
     for n in range(0, 61):
         for delta in (0.01, 0.2, 0.7, 1.2, 1.5):
-            q = specfn.cos_power_integral(n, delta)
-            r = specfn.cos_power_recurrence(n, delta)
-            assert abs(q - r) <= 1e-10, (n, delta, q, r)
+            c = specfn.cos_power_integral(n, delta)
+            q = specfn_oracle.cos_power_quad(n, delta)
+            r = specfn_oracle.cos_power_recurrence(n, delta)
+            assert abs(c - q) <= 1e-10 and abs(c - r) <= 1e-10, (n, delta, c, q, r)
+
+
+def test_closed_form_matches_decimal_oracle():
+    # relative error against the 60-digit beta series, down to delta = 1e-6
+    # where quadrature errs by ~4e-9 and the recurrence cancels
+    deltas = [1e-6, 1e-4, 1e-2] + [0.1 * i for i in range(1, 13)]
+    for delta in deltas:
+        for n in range(0, 40):
+            want = specfn_oracle.cos_power_exact(n, delta)
+            got = specfn.cos_power_integral(n, delta)
+            assert abs(got - want) <= 1e-13 * want, (n, delta, got, want)
 
 
 def test_cos_power_monotone_in_power():
@@ -113,16 +129,22 @@ def test_spherical_cap_fraction_hemisphere():
 
 
 def test_spherical_cap_fraction_antipodal_doubles():
-    v1 = specfn.spherical_cap_fraction(5, 0.4)
-    v2 = specfn.spherical_cap_fraction(5, 0.4, antipodal=True)
-    assert v2 == pytest.approx(2 * v1, rel=1e-14)
+    # an antipodal pair of caps measures twice the one-sided fraction
+    d, delta, n = 5, 0.4, 400_000
+    rng = np.random.default_rng(11)
+    pts = geom.uniform_sphere_points(d, n, rng)
+    p = float(np.mean(np.abs(pts[:, 0]) >= math.cos(delta)))
+    sigma = math.sqrt(p * (1 - p) / n)
+    assert abs(2.0 * specfn.spherical_cap_fraction(d, delta) - p) <= 3 * sigma
 
 
 def test_spherical_cap_fraction_forms_agree():
+    # the sphere's normalization omega_{d-2}/omega_{d-3} (valid for d >= 3)
     for d in range(4, 9):
         for delta in (0.2, 0.6, 1.1):
-            a = specfn.spherical_cap_fraction(d, delta, form="sin_power")
-            b = specfn.spherical_cap_fraction(d, delta, form="ball_ratio")
+            a = specfn.spherical_cap_fraction(d, delta)
+            b = specfn_oracle.cos_power_quad(d - 2, delta) \
+                * specfn.unit_ball_volume(d - 3) / specfn.unit_ball_volume(d - 2)
             assert a == pytest.approx(b, rel=1e-11)
 
 
@@ -157,4 +179,4 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         specfn.spherical_cap_fraction(1, 0.3)
     with pytest.raises(DomainError):
-        specfn.spherical_cap_fraction(2, 0.3, form="ball_ratio")
+        specfn.spherical_cap_fraction(3, HALF_PI + 0.1)
