@@ -5,6 +5,8 @@ twice the cap radius, fix one base subspace per point containing it, and take
 the cap around the point inside that subspace as the cylinder base.  Separated
 caps give disjoint restricted cylinders, and maximality gives a counting lower
 bound on the family size through the covering measure of doubled caps.
+``build_cap_packing`` alone checks the construction's domain, and the crv
+sum is N times one incomplete beta value (``cap_packing_report``).
 
 Two self-consistent conventions exist and both are available.  The projective
 metric pairs with two-sided (antipodal) cap bases, the geodesic metric with
@@ -246,33 +248,9 @@ def check_separation(sep_set: SeparatedSet) -> bool:
                                            anti).any()
 
 
-@dataclass(frozen=True, eq=False)
-class CapCylinderFamily:
-    """One cap cylinder per separated point, each with its fixed base subspace."""
-
-    delta: float
-    k: int
-    metric: str
-    antipodal: bool
-    cylinders: tuple
-    points: np.ndarray
-    seed: int
-
-    def __len__(self) -> int:
-        return len(self.cylinders)
-
-    def sum_crv_closed_form(self) -> float:
-        """N * (base volume) / omega_{d-k}; exact for cap bases."""
-        d = self.points.shape[1]
-        m = d - self.k
-        sides = 2.0 if self.antipodal else 1.0
-        return len(self) * sides * specfn.cap_volume(m, self.delta) \
-            / specfn.unit_ball_volume(m)
-
-
 def build_cap_family(sep_set: SeparatedSet, delta: float, k: int,
-                     seed: int = 0) -> CapCylinderFamily:
-    """Cap cylinders over a separated set.
+                     seed: int = 0) -> tuple[cylinders.Cylinder, ...]:
+    """Cap cylinders over a separated set, one per point, in the set's order.
 
     Each point gets a (d-k)-dimensional base subspace containing it as the
     first frame column, completed by deterministically seeded directions, and
@@ -305,14 +283,25 @@ def build_cap_family(sep_set: SeparatedSet, delta: float, k: int,
         extra = rng.standard_normal((len(pts), d, m - 1))
         frames = geom.orthonormalize_stack(
             np.concatenate([pts[:, None, :], extra.transpose(0, 2, 1)], axis=1))
-    cyls = []
-    for x, frame in zip(pts, frames):
-        pole = frame.coords(x)  # = e_1 in frame coordinates by construction
-        base = cylinders.CapBase(pole, delta, antipodal=antipodal)
-        cyls.append(cylinders.Cylinder(frame, base))
-    return CapCylinderFamily(
-        delta=delta, k=k, metric=sep_set.metric, antipodal=antipodal,
-        cylinders=tuple(cyls), points=sep_set.points, seed=seed)
+    # each pole, frame.coords(x), is e_1 in frame coordinates by construction
+    return tuple(cylinders.Cylinder(frame, cylinders.CapBase(
+                     frame.coords(x), delta, antipodal=antipodal))
+                 for x, frame in zip(pts, frames))
+
+
+def build_cap_packing(d: int, k: int, delta: float, seed: int = 0,
+                      metric: str = PROJECTIVE,
+                      ) -> tuple[SeparatedSet, tuple[cylinders.Cylinder, ...]]:
+    """(separated set, cap cylinders) of the construction, which is stated
+    for d > 3, delta in (0, pi/4) and 1 <= k < d; else ``DomainError``."""
+    if d <= 3:
+        raise DomainError(f"the construction is stated for d > 3, got {d}")
+    if not 0.0 < delta < math.pi / 4.0:
+        raise DomainError(f"cap radius must lie in (0, pi/4), got {delta}")
+    if not 1 <= k < d:
+        raise DomainError(f"codimension must lie in 1..{d - 1}, got {k}")
+    sep_set = build_separated_set(d, 2.0 * delta, metric=metric, seed=seed)
+    return sep_set, build_cap_family(sep_set, delta, k, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -374,22 +363,20 @@ def closed_threshold(d: int, k: int, delta: float) -> float:
 def cap_packing_report(d: int, k: int, delta: float, seed: int = 0,
                        metric: str = PROJECTIVE,
                        packing_samples: int = 0) -> CapPackingReport:
-    """Build the cap family and evaluate the full inequality chain.
+    """Build the cap packing and evaluate the full inequality chain.
 
-    With ``packing_samples`` > 0 the family is also checked as a 1-fold
-    packing (``multiplicity.decide``): certified by pole separation, or
-    sampled with that many points when the certificate leaves it open.
+    A cap fills 1/2 I_{sin^2 delta}((m+1)/2, 1/2) of its base ball B^m,
+    m = d - k (DLMF 8.17), the cap fraction of S^(m+1), so the crv sum is
+    N * sides * ``spherical_cap_fraction(m + 2, delta)``.  With
+    ``packing_samples`` > 0 the family is also checked as a 1-fold packing
+    (``multiplicity.decide``): certified by pole separation, or sampled with
+    that many points when the certificate leaves it open.
     """
-    if d <= 3:
-        raise DomainError(f"the construction is stated for d > 3, got {d}")
-    if not 0.0 < delta < math.pi / 4.0:
-        raise DomainError(f"cap radius must lie in (0, pi/4), got {delta}")
-    if not 1 <= k < d:
-        raise DomainError(f"codimension must lie in 1..{d - 1}, got {k}")
-    sep_set = build_separated_set(d, 2.0 * delta, metric=metric, seed=seed)
-    family = build_cap_family(sep_set, delta, k, seed=seed)
+    sep_set, family = build_cap_packing(d, k, delta, seed=seed, metric=metric)
     n = len(family)
-    sum_crv = family.sum_crv_closed_form()
+    antipodal = sep_set.metric == PROJECTIVE
+    sum_crv = n * (2.0 if antipodal else 1.0) \
+        * specfn.spherical_cap_fraction(d - k + 2, delta)
     sigma_one = specfn.spherical_cap_fraction(d, 2.0 * delta)
     sigma_two = 2.0 * sigma_one
     bound_anti = 1.0 / sigma_two
@@ -400,10 +387,10 @@ def cap_packing_report(d: int, k: int, delta: float, seed: int = 0,
     if packing_samples > 0:
         ball = geom.Ball(np.zeros(d), 1.0)
         packing_report = multiplicity.decide(
-            ball, family.cylinders, 1, packing_samples, seed).report
+            ball, family, 1, packing_samples, seed).report
     return CapPackingReport(
         d=d, k=k, delta=delta, metric=metric,
-        antipodal_bases=family.antipodal,
+        antipodal_bases=antipodal,
         n_cylinders=n,
         separated_set_maximal=sep_set.maximal,
         covering_radius=sep_set.covering_radius,

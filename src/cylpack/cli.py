@@ -2,7 +2,8 @@
 
 Exit codes: 0 all checks passed, 1 a verification or bound failed (the report
 carries a witness), 2 unusable input (parse error, unknown kind, bad
-parameters, an instance outside a check's domain); ``bounds`` exits 2 when
+parameters, an instance outside a check's domain or one too degenerate to
+evaluate: any ``DomainError``); ``bounds`` exits 2 when
 any instance is unusable, else 1 when any check failed.  Output files depend
 only on the instance content and the flags, so reruns are byte-identical.
 CYLPACK_THREADS caps the bounds work pool; results are ordered by instance
@@ -12,7 +13,6 @@ index regardless of completion order.
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -63,13 +63,9 @@ def cmd_construct(args) -> int:
         if args.n < 1 and args.kind in KINDS_READING_N:
             raise DomainError(f"--n must be at least 1, got {args.n}")
         if args.kind == "cap":
-            if args.dim <= 3:
-                raise CylpackError("cap construction needs --dim > 3")
-            if not 0.0 < args.delta < math.pi / 4.0:
-                raise CylpackError("cap construction needs --delta in (0, pi/4)")
+            _, family = cappack.build_cap_packing(args.dim, args.k, args.delta,
+                                                  seed=args.seed)
             body = instances.unit_ball(args.dim)
-            family = instances.cap_family_instance(
-                args.dim, args.k, args.delta, args.seed)
             rng_meta.update({"delta": args.delta, "k": args.k,
                              "metric": cappack.PROJECTIVE,
                              "n_cylinders": len(family)})

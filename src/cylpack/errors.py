@@ -25,7 +25,7 @@ class DegenerateBody(CylpackError):
     """A body's volume is numerically zero."""
 
 
-class DegenerateProjection(CylpackError):
+class DegenerateProjection(DomainError):
     """A projected body has numerically zero volume."""
 
 
@@ -37,7 +37,7 @@ class UnsupportedDimension(DomainError):
     """The operation is only implemented for a restricted dimension range."""
 
 
-class SamplingFailure(CylpackError):
+class SamplingFailure(DomainError):
     """Rejection sampling acceptance fell below the workable threshold."""
 
 

@@ -5,7 +5,9 @@ splits them into two nonempty groups.  For non-separable families the sum of
 widths of any r-fold plank packing of the hull is at most r times the sum of
 the disk diameters; the machinery here decides separability exactly, certifies
 the circumradius of the hull, and verifies the width bound together with its
-ridge-function and variational ingredients.  A plank is a k = 1
+ridge-function and variational ingredients.  Every chord of a disk carries
+unit mass under its density (1/pi) (r^2 - rho^2)^(-1/2), so the family's
+density mass is its NS-diameter, ``ns_diameter``.  A plank is a k = 1
 ``cylinders.Cylinder`` in the plane (:func:`plank`): its frame's one column is
 the normal u and its base, a 1-d ``geom.Polytope``, the interval [a, b] of
 <x, u>.  ``check_disk_planks`` decides all of one instance's checks in one
@@ -26,9 +28,6 @@ from .errors import (
     NotAPacking,
     NotNS,
 )
-
-UNIT_CHORD = "unit_chord"   # density (1/pi) (r^2 - rho^2)^(-1/2): every chord integrates to 1
-RADIUS_SCALED = "radius_scaled"  # 1/(pi r) scaling: a chord of disk j integrates to 1/r_j
 
 ON_LINE = 1e-12             # relative gap and slope at which two boundary lines coincide
 SHUFFLE_SEED = 0            # disk order of the enclosing-circle pass
@@ -517,20 +516,6 @@ def verify_plank_packing(family: DiskFamily, planks, r: int) -> PlankVerdict:
 
 
 # ---------------------------------------------------------------------------
-# masses of the disk densities
-
-
-def disk_mass(disk: Disk, mode: str = UNIT_CHORD) -> float:
-    """Total mass of one disk's density: the diameter in unit-chord mode."""
-    return 2.0 * disk.radius if mode == UNIT_CHORD else 2.0
-
-
-def total_mass(family: DiskFamily, mode: str = UNIT_CHORD) -> float:
-    """Mass of the summed disk densities; the NS-diameter in unit-chord mode."""
-    return float(sum(disk_mass(d, mode) for d in family.disks))
-
-
-# ---------------------------------------------------------------------------
 # the disk-plank checks
 
 
@@ -549,9 +534,10 @@ def check_disk_planks(family: DiskFamily, planks, r: int,
     to at most 1 almost everywhere on the hull) is the sweep's open-cell
     multiplicity bound, and whose strip integrals are bounded by the total
     mass of the family density; and the chain consistency check that this
-    mass (the NS-diameter) is at least twice the circumradius.  Raises
-    ``NotNS`` for a separable family and ``NotAPacking``, carrying the
-    ``PlankVerdict`` and its witness, when the planks are no r-fold packing.
+    mass is at least twice the circumradius.  The mass is the NS-diameter,
+    and one ``ns_diameter`` value serves all four reports.  Raises ``NotNS``
+    for a separable family and ``NotAPacking``, carrying the ``PlankVerdict``
+    and its witness, when the planks are no r-fold packing.
     """
     planks = list(planks)
     separable, line = is_separable(family) if separation is None else separation
@@ -561,7 +547,6 @@ def check_disk_planks(family: DiskFamily, planks, r: int,
     if not verdict.ok:
         raise NotAPacking(verdict.reason, verdict)
     diam_ns = ns_diameter(family)
-    mass = total_mass(family, UNIT_CHORD)
     if circ is None:
         circ = circumradius(family)
     digest = instance_digest({"family": family.to_json(),
@@ -575,13 +560,13 @@ def check_disk_planks(family: DiskFamily, planks, r: int,
         make_report("circumradius_vs_ns_diameter", 2.0 * circ.radius, diam_ns,
                     LE, digest),
         make_report("ridge_mass_bound",
-                    float(sum((1.0 / r) * w for w in widths)), mass,
+                    float(sum((1.0 / r) * w for w in widths)), diam_ns,
                     LE, digest,
                     notes="pointwise bound checked on arrangement cells"),
-        make_report("mass_circumradius", mass, 2.0 * circ.radius, GE,
+        make_report("mass_circumradius", diam_ns, 2.0 * circ.radius, GE,
                     instance_digest({"family": family.to_json()}),
                     notes=f"bracket [2R, ns_diameter] = "
-                          f"[{2.0 * circ.radius!r}, {mass!r}]"),
+                          f"[{2.0 * circ.radius!r}, {diam_ns!r}]"),
     ]
 
 

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from . import cappack, cylinders, falconer, geom
+from . import cylinders, falconer, geom
 from .errors import DomainError
 
 SCHEMA_VERSION = 1
@@ -94,20 +94,15 @@ def _partition_breaks(lo: float, hi: float, n: int,
 
 
 def plank_partition(body: geom.ConvexBody, n_planks: int, r: int = 1,
-                    direction=None, rng: np.random.Generator | None = None,
+                    rng: np.random.Generator | None = None,
                     ) -> list[cylinders.Cylinder]:
-    """Parallel planks (codimension d-1) partitioning the body, repeated r times.
+    """Parallel planks (codimension d-1) normal to e_1 partitioning the body,
+    repeated r times; evenly spaced unless ``rng`` draws the breaks.
 
     The base segments tile the exact projected range, so the partition is at
     once an r-fold packing and an r-fold covering with crv sum exactly r.
     """
-    d = body.dim
-    if direction is None:
-        u = np.zeros(d)
-        u[0] = 1.0
-    else:
-        u = np.asarray(direction, dtype=float)
-        u = u / np.linalg.norm(u)
+    u = np.eye(body.dim)[0]
     frame = geom.Frame(u[:, None])
     lo, hi = _projected_interval(body, u)
     breaks = _partition_breaks(lo, hi, n_planks, rng)
@@ -213,15 +208,6 @@ def random_strip_packing(body: geom.ConvexBody, n_per_layer: int, r: int,
         for a, b in _disjoint_intervals(lo, hi, n_per_layer, rng):
             family.append(cylinders.Cylinder(frame, geom.Polytope([[a], [b]])))
     return family
-
-
-def cap_family_instance(d: int, k: int, delta: float, seed: int,
-                        metric: str = cappack.PROJECTIVE) -> list[cylinders.Cylinder]:
-    """Cap-cylinder family over a fresh separated set (projective metric pairs
-    with antipodal bases, geodesic with one-sided convex ones)."""
-    sep = cappack.build_separated_set(d, 2.0 * delta, metric=metric, seed=seed)
-    fam = cappack.build_cap_family(sep, delta, k, seed=seed)
-    return list(fam.cylinders)
 
 
 # ---------------------------------------------------------------------------

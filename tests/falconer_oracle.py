@@ -21,9 +21,10 @@ from conftest import inscribed_hull
 from cylpack import geom
 from cylpack.errors import CylpackError, DomainError
 from cylpack import falconer
-from cylpack.falconer import UNIT_CHORD
 
 ORACLE_ARC_POINTS = 4096
+UNIT_CHORD = "unit_chord"   # density (1/pi) (r^2 - rho^2)^(-1/2): every chord integrates to 1
+RADIUS_SCALED = "radius_scaled"  # 1/(pi r) scaling: a chord of disk j integrates to 1/r_j
 
 
 class LineMissesBody(CylpackError):

@@ -80,7 +80,7 @@ def test_packing_partition_equality_codim2():
 
 def test_packing_cap_family_bounded_by_one():
     ball4 = geom.Ball(np.zeros(4), 1.0)
-    fam = instances.cap_family_instance(4, 1, 0.3, seed=4)
+    _, fam = cappack.build_cap_packing(4, 1, 0.3, seed=4)
     rep = bounds.check_packing_upper_ellipsoid(ball4, fam, 1, n=20_000, seed=1)
     assert rep.passed
     assert 0.0 < rep.lhs <= 1.0
@@ -149,8 +149,8 @@ def test_general_bound_full_cylinder():
 def test_general_bound_cap_family_matches_closed_form():
     # one-sided caps keep the restricted cylinders convex, as the bound needs
     d, k, delta = 4, 1, 0.3
-    fam = instances.cap_family_instance(d, k, delta, seed=2,
-                                        metric=cappack.GEODESIC)[:4]
+    fam = cappack.build_cap_packing(d, k, delta, seed=2,
+                                    metric=cappack.GEODESIC)[1][:4]
     ball = geom.Ball(np.zeros(d), 1.0)
     rep = bounds.check_packing_general(ball, fam, 1, n=4000, seed=2)
     want = math.comb(d, k) * math.sin(delta) ** (-k)
@@ -159,7 +159,7 @@ def test_general_bound_cap_family_matches_closed_form():
 
 
 def test_general_bound_rejects_antipodal_caps():
-    fam = instances.cap_family_instance(4, 1, 0.3, seed=2)[:2]
+    fam = cappack.build_cap_packing(4, 1, 0.3, seed=2)[1][:2]
     ball = geom.Ball(np.zeros(4), 1.0)
     with pytest.raises(DomainError):
         bounds.check_packing_general(ball, fam, 1, n=4000, seed=2)

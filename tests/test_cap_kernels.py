@@ -230,7 +230,7 @@ def test_cap_family_frames_match_loop_oracle(d, delta, metric):
             family = cappack.build_cap_family(sep_set, delta, k, seed=5)
         ref = _loop_cap_family(sep_set, delta, k, seed=5)
         assert len(family) == len(ref)
-        for cyl, frame, x in zip(family.cylinders, ref, sep_set.points):
+        for cyl, frame, x in zip(family, ref, sep_set.points):
             assert cyl.frame.columns.tobytes() == frame.columns.tobytes()
             assert cyl.base.pole.tobytes() == \
                 cylinders.CapBase(frame.coords(x), delta).pole.tobytes()
@@ -267,7 +267,7 @@ def assert_set_pinned(d, delta):
     assert hashlib.sha256(sep_set.points.tobytes()).hexdigest() == set_pin
     for k, pin in frame_pins.items():
         h = hashlib.sha256()
-        for cyl in cappack.build_cap_family(sep_set, delta, k, seed=1).cylinders:
+        for cyl in cappack.build_cap_family(sep_set, delta, k, seed=1):
             h.update(cyl.frame.columns.tobytes())
             h.update(cyl.base.pole.tobytes())
         assert h.hexdigest() == pin, k

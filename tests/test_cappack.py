@@ -74,7 +74,8 @@ def test_pairwise_caps_disjoint_exactly():
 def test_build_cap_family_frames_contain_pole():
     out = cappack.build_separated_set(4, 0.6, seed=1)
     fam = cappack.build_cap_family(out, 0.3, 2, seed=1)
-    for x, cyl in zip(out.points, fam.cylinders):
+    assert len(fam) == len(out)
+    for x, cyl in zip(out.points, fam):
         pole = cyl.frame.coords(x)
         assert pole[0] == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(pole[1:], 0.0, atol=1e-12)
@@ -90,7 +91,7 @@ def test_cap_cylinder_slice_maximum_value():
     out = cappack.SeparatedSet(points=np.array([x]), separation=2 * delta,
                                metric=cappack.PROJECTIVE, maximal=False, seed=0)
     fam = cappack.build_cap_family(out, delta, k, seed=0)
-    h_frame = geom.complement(fam.cylinders[0].frame)
+    h_frame = geom.complement(fam[0].frame)
     val = geom.affine_slice_volume(ball, h_frame, math.cos(delta) * x)
     want = math.sin(delta) ** k * specfn.unit_ball_volume(k)
     assert val == pytest.approx(want, rel=1e-12)
@@ -106,16 +107,31 @@ def test_two_point_family_packs():
                                metric=cappack.PROJECTIVE, maximal=False, seed=0)
     fam = cappack.build_cap_family(out, 0.3, 1, seed=0)
     ball = geom.Ball(np.zeros(4), 1.0)
-    rep = multiplicity.estimate_multiplicity(ball, fam.cylinders, 20_000, seed=1)
+    rep = multiplicity.estimate_multiplicity(ball, fam, 20_000, seed=1)
     assert rep.max_mult == 1
 
 
 def test_sum_crv_closed_form_matches_crv():
-    out = cappack.build_separated_set(5, 0.6, seed=3)
-    fam = cappack.build_cap_family(out, 0.3, 2, seed=3)
-    ball = geom.Ball(np.zeros(5), 1.0)
-    direct = sum(cylinders.crv(ball, c) for c in fam.cylinders)
-    assert direct == pytest.approx(fam.sum_crv_closed_form(), rel=1e-12)
+    # the report's one incomplete beta value against the crv of every cylinder
+    for metric in (cappack.PROJECTIVE, cappack.GEODESIC):
+        rep = cappack.cap_packing_report(5, 2, 0.3, seed=3, metric=metric)
+        _, fam = cappack.build_cap_packing(5, 2, 0.3, seed=3, metric=metric)
+        direct = cylinders.sum_crv(geom.Ball(np.zeros(5), 1.0), fam)
+        assert direct == pytest.approx(rep.sum_crv, rel=1e-12)
+
+
+@pytest.mark.parametrize("d,delta", [(4, 0.2), (4, 0.3), (5, 0.3), (6, 0.3)])
+def test_sum_crv_is_one_cap_fraction_per_cylinder(d, delta):
+    # bit for bit: N * sides * (1/2) I_{sin^2 delta}((m+1)/2, 1/2), m = d - k,
+    # which is the surface cap fraction of S^(m+1)
+    for k in range(1, d):
+        for metric, sides in ((cappack.PROJECTIVE, 2.0), (cappack.GEODESIC, 1.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # k = d - 1 warns
+                rep = cappack.cap_packing_report(d, k, delta, seed=1, metric=metric)
+            want = rep.n_cylinders * sides \
+                * specfn.spherical_cap_fraction(d - k + 2, delta)
+            assert rep.sum_crv == want, (k, metric)
 
 
 def test_report_chain_and_count_bound():
@@ -163,7 +179,7 @@ def test_degenerate_codimension_warns():
         warnings.simplefilter("always")
         fam = cappack.build_cap_family(out, 0.3, 3, seed=1)
     assert any("degenerates" in str(w.message) for w in caught)
-    assert fam.cylinders[0].frame.subspace_dim == 1
+    assert fam[0].frame.subspace_dim == 1
 
 
 def test_domain_errors():
@@ -175,6 +191,11 @@ def test_domain_errors():
         cappack.cap_packing_report(3, 1, 0.2)
     with pytest.raises(DomainError):
         cappack.cap_packing_report(4, 1, 1.0)
+    # one check of the construction's domain, before anything is built
+    for d, k, delta in [(3, 1, 0.2), (4, 1, 0.8), (4, 1, math.pi / 4), (4, 0, 0.3),
+                        (4, 4, 0.3), (4, 1, 0.0), (4, 1, math.nan)]:
+        with pytest.raises(DomainError):
+            cappack.build_cap_packing(d, k, delta)
     out = cappack.build_separated_set(4, 0.6, seed=0)
     with pytest.raises(DomainError):
         cappack.build_cap_family(out, 0.2, 1)  # delta not half the separation

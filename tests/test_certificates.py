@@ -129,11 +129,11 @@ def test_constructed_families_are_certified(tmp_path, name):
 
 def test_certificate_names():
     ball = geom.Ball(np.zeros(4), 1.0)
-    caps = instances.cap_family_instance(4, 1, 0.3, seed=1)
+    _, caps = cappack.build_cap_packing(4, 1, 0.3, seed=1)
     planks = instances.plank_partition(ball, 3)
     assert multiplicity.certify(ball, caps).certificate == "pole-separation"
     assert multiplicity.certify(ball, planks).certificate == "layer-depth"
-    assert multiplicity.certify(ball, caps + planks) is None  # mixed families sample
+    assert multiplicity.certify(ball, [*caps, *planks]) is None  # mixed families sample
 
 
 def test_cap_report_is_certified_whatever_the_sample_count():

@@ -151,6 +151,19 @@ def test_ns_diameter():
     assert falconer.ns_diameter(fam) == pytest.approx(3.5)
 
 
+@pytest.mark.parametrize("n", range(8, 13))
+def test_disk_plank_reports_share_one_ns_diameter(n):
+    # the density mass is the NS diameter: the chain's mass, the ridge bound
+    # and the circumradius bound read one float, the width bound r times it
+    for seed in range(10):
+        fam = instances.random_ns_family(n, seed)
+        planks = instances.random_plank2d_packing(fam, 3, 2, seed)
+        width, circ, ridge, chain = falconer.check_disk_planks(fam, planks, 2)
+        diam = falconer.ns_diameter(fam)
+        assert chain.lhs == ridge.rhs == circ.rhs == diam, seed
+        assert width.rhs == 2 * diam, seed
+
+
 # --- plank packings and the width bound ---------------------------------------
 
 def test_width_bound_unit_disk_partition_equality():
@@ -347,7 +360,7 @@ def test_sectional_integral_radius_scaled_mode():
     fam = disks(((0, 0), 2.0))
     assert falconer_oracle.sectional_integral(fam, 0.0, (1.0, 0.0)) == 1.0
     scaled = falconer_oracle.sectional_integral(fam, 0.0, (1.0, 0.0),
-                                         mode=falconer.RADIUS_SCALED)
+                                         mode=falconer_oracle.RADIUS_SCALED)
     assert scaled == pytest.approx(0.5)
 
 
@@ -357,11 +370,10 @@ def test_line_misses_body():
 
 
 def test_total_mass_is_ns_diameter():
-    assert falconer.total_mass(TANGENT_TRIO) == pytest.approx(6.0)
-    fam = disks(((0, 0), 1.5))
-    assert falconer.total_mass(fam) == pytest.approx(3.0)
-    assert falconer_oracle.disk_mass_quadrature(fam.disks[0]) == pytest.approx(
-        3.0, abs=1e-8)
+    # radial quadrature of the unit-chord density's mass, disk by disk
+    for fam in (TANGENT_TRIO, disks(((0, 0), 1.5))):
+        mass = sum(falconer_oracle.disk_mass_quadrature(d) for d in fam.disks)
+        assert mass == pytest.approx(falconer.ns_diameter(fam), abs=1e-8)
 
 
 # --- ridge functions -----------------------------------------------------------

@@ -475,10 +475,52 @@ def test_cli_cap_in_an_ellipsoid_shadow_exits_2(tmp_path, capsys):
 
 
 def test_cli_construct_rejects_bad_params(tmp_path, capsys):
-    rc = cli.main(["construct", "--kind", "cap", "--dim", "3", "--out",
-                   str(tmp_path / "x.json")])
-    out = json.loads(capsys.readouterr().out)
-    assert rc == 2 and "error" in out
+    # outside the cap construction's domain: d <= 3, delta >= pi/4, k = d
+    for bad in (["--dim", "3"], ["--dim", "4", "--delta", "0.8"],
+                ["--dim", "4", "--k", "4"]):
+        path = tmp_path / "x.json"
+        rc = cli.main(["construct", "--kind", "cap", *bad, "--out", str(path)])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 2 and out["error"]["type"] == "DomainError", bad
+        assert not path.exists()
+
+
+def _underflowing_covering(tmp_path) -> str:
+    """A sampled d = 3, k = 1 box covering whose ellipsoid shape is scaled by
+    1e300, so its 2-d shadow volume underflows to zero."""
+    path = str(tmp_path / "cov.json")
+    assert cli.main(["construct", "--kind", "covering", "--dim", "3", "--k", "1",
+                     "--seed", "3", "--out", path]) == 0
+    obj = instances.load_json(path)
+    obj["body"]["shape"] = (np.asarray(obj["body"]["shape"]) * 1e300).tolist()
+    instances.dump_json(obj, path)
+    return path
+
+
+def _thin_strip_packing(tmp_path) -> str:
+    """Two layers of strips, written with r = 1, in a 1 x 1e-5 box rotated by
+    45 degrees: the box fills too little of its bounding box to be sampled."""
+    c = math.cos(math.pi / 4)
+    rot = np.array([[c, -c], [c, c]])
+    body = geom.Polytope(np.array([[0, 0], [1, 0], [1, 1e-5], [0, 1e-5]]) @ rot.T)
+    family = instances.random_strip_packing(body, 3, 2, seed=1)
+    path = str(tmp_path / "thin.json")
+    instances.dump_json(instances.packing_instance(body, family, 1, {}), path)
+    return path
+
+
+@pytest.mark.parametrize("make,error", [(_underflowing_covering, "DegenerateProjection"),
+                                        (_thin_strip_packing, "SamplingFailure")])
+def test_cli_numerically_unusable_input_exits_2(tmp_path, capsys, make, error):
+    # no check can run, so there is no witness: unusable input, not a failure
+    path = make(tmp_path)
+    capsys.readouterr()
+    assert cli.main(["verify", path, "--samples", "2000"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == error
+    assert cli.main(["bounds", path, "--samples", "2000"]) == 2
+    # the error object comes first, then the (empty) table
+    err, _ = json.JSONDecoder().raw_decode(capsys.readouterr().out)
+    assert err["error"]["type"] == error
 
 
 def test_cli_bounds_table(tmp_path, capsys):
