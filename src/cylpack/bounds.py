@@ -4,10 +4,11 @@ Each checker pre-verifies its hypothesis (packing or covering) once through
 ``multiplicity``, certified or else sampled (raising NotAPacking / NotACovering
 with the failing verdict), evaluates both sides of the inequality, and emits a
 BoundReport carrying that evidence; only sampled evidence makes it
-probabilistic.  Translated-slice maxima are brackets lo <= max <= hi,
-closed-form where the body and base allow it and a certified concave search
-elsewhere; each check takes the end that errs toward failing, and the report
-names the method.
+probabilistic.  Every report passes within EXACT_TOL, and the covering bound
+takes its reading from k and the body.  Translated-slice maxima are brackets
+lo <= max <= hi, closed-form where the body and base allow it and a certified
+concave search elsewhere; each check takes the end that errs toward failing,
+and the report names the method.
 """
 
 import csv
@@ -72,16 +73,16 @@ class BoundReport:
 
 
 def make_report(theorem_id: str, lhs: float, rhs: float, direction: str,
-                digest: str, tolerance: float = EXACT_TOL,
-                probabilistic: bool = False, notes: str = "",
+                digest: str, probabilistic: bool = False, notes: str = "",
                 evidence: multiplicity.MultiplicityReport | None = None,
                 ) -> BoundReport:
+    """BoundReport of lhs (direction) rhs, passed within EXACT_TOL."""
     slack = rhs - lhs if direction == LE else lhs - rhs
     return BoundReport(
         theorem_id=theorem_id, lhs=float(lhs), rhs=float(rhs),
         direction=direction, slack=float(slack), instance_digest=digest,
-        passed=bool(slack >= -tolerance), tolerance=tolerance,
-        probabilistic=probabilistic, notes=notes, evidence=evidence)
+        passed=bool(slack >= -EXACT_TOL), probabilistic=probabilistic,
+        notes=notes, evidence=evidence)
 
 
 def _evidence(verdict: multiplicity.VerificationResult, failure: type,
@@ -121,10 +122,10 @@ def bound_reports_to_csv(reports) -> str:
 
 
 def check_covering_lower(body: geom.ConvexBody, family, r: int,
-                         mode: str = "general", n: int = 10_000,
-                         seed: int = 0) -> BoundReport:
-    """Covering bound: sum of crv >= r / binom(d, k), or >= r in the
-    ellipsoid codimension-1 mode."""
+                         n: int = 10_000, seed: int = 0) -> BoundReport:
+    """Covering bound: sum of crv >= r for codimension-1 cylinders and a ball
+    or ellipsoid body (the "ellipsoid" reading), else >= r / binom(d, k)
+    (the "general" one)."""
     family = list(family)
     evidence = _evidence(multiplicity.verify_covering(body, family, r, n, seed),
                          NotACovering)
@@ -133,14 +134,10 @@ def check_covering_lower(body: geom.ConvexBody, family, r: int,
     if len(ks) != 1:
         raise DimensionMismatch("mixed codimensions in one covering check")
     k = ks.pop()
-    if mode == "ellipsoid":
-        if k != 1 or isinstance(body, geom.Polytope):
-            raise DomainError("ellipsoid mode requires k = 1 and an ellipsoidal body")
-        rhs = float(r)
-    elif mode == "general":
-        rhs = r / math.comb(d, k)
+    if k == 1 and not isinstance(body, geom.Polytope):
+        mode, rhs = "ellipsoid", float(r)
     else:
-        raise DomainError(f"unknown mode {mode!r}")
+        mode, rhs = "general", r / math.comb(d, k)
     lhs = cylinders.sum_crv(body, family)
     digest = _digest_family(body, family, {"r": r, "mode": mode})
     return make_report("covering_lower", lhs, rhs, GE, digest,

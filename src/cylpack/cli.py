@@ -3,15 +3,16 @@
 Exit codes: 0 all checks passed, 1 a verification or bound failed (the report
 carries a witness), 2 unusable input (parse error, unknown kind, bad
 parameters, an instance outside a check's domain or one too degenerate to
-evaluate: any ``DomainError``); ``bounds`` exits 2 when
-any instance is unusable, else 1 when any check failed.  Output files depend
-only on the instance content and the flags, so reruns are byte-identical.
+evaluate: any ``DomainError``); ``bounds`` exits 2 when any instance is
+unusable, else 1 when any check failed, and lists the instances that parse
+but cannot be checked under its table's ``errors`` (stderr for CSV).  Output
+files depend only on the instance content and the flags, so reruns are
+byte-identical.
 CYLPACK_THREADS caps the bounds work pool; results are ordered by instance
 index regardless of completion order.
 """
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -27,13 +28,16 @@ EXIT_FAILED = 1
 EXIT_USAGE = 2
 
 
-def _emit(obj, out_path=None) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=1) + "\n"
+def _write(text: str, out_path=None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(obj, out_path=None) -> None:
+    _write(json.dumps(obj, sort_keys=True, indent=1) + "\n", out_path)
 
 
 def _error_object(stage: str, exc: Exception) -> dict:
@@ -141,11 +145,9 @@ def _reports_for(inst, samples: int, seed: int, **known) -> tuple[list, dict | N
                 inst["disk_family"], inst["planks"], inst["r"], **known)
             return reports, None, all(rep.passed for rep in reports)
         body, family, r, k = inst["body"], inst["family"], inst["r"], inst["k"]
-        round_body = not isinstance(body, geom.Polytope)
         if inst["kind"] == instances.KIND_COVERING:
-            mode = "ellipsoid" if k == 1 and round_body else "general"
-            check = functools.partial(bounds.check_covering_lower, mode=mode)
-        elif round_body and k <= 2:
+            check = bounds.check_covering_lower
+        elif not isinstance(body, geom.Polytope) and k <= 2:
             check = bounds.check_packing_upper_ellipsoid
         elif k == 1:
             check = bounds.check_base_volume_bound
@@ -199,11 +201,12 @@ def cmd_bounds(args) -> int:
 
     with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
         results = list(pool.map(run, jobs))
-    all_reports = []
+    all_reports, errors = [], []
     code = EXIT_OK
     for (reports, ok, exc), path in zip(results, args.instances):
         if exc is not None:
-            _emit(_error_object(f"bounds:{os.path.basename(path)}", exc))
+            errors.append(_error_object(f"bounds:{os.path.basename(path)}",
+                                        exc)["error"])
             code = max(code, _failure_code(exc))
             continue
         if args.theorem:
@@ -212,14 +215,14 @@ def cmd_bounds(args) -> int:
         if not ok:
             code = max(code, EXIT_FAILED)
     if args.format == "csv":
-        text = bounds.bound_reports_to_csv(all_reports)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(bounds.bound_reports_to_csv(all_reports), args.out)
+        if errors:  # a CSV table cannot hold them
+            sys.stderr.write(json.dumps({"errors": errors}, sort_keys=True) + "\n")
     else:
-        _emit({"reports": [r.to_json() for r in all_reports]}, args.out)
+        table: dict = {"reports": [r.to_json() for r in all_reports]}
+        if errors:
+            table["errors"] = errors
+        _emit(table, args.out)
     return code
 
 

@@ -15,16 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geom, specfn
-from .errors import (
-    DegenerateProjection,
-    DimensionMismatch,
-    DomainError,
-    EmptyIntersection,
-)
+from .errors import DegenerateProjection, DimensionMismatch, DomainError
 
 INTERIOR_MARGIN = 1e-12  # strict-interior slack: tangent cylinders are a legal packing
 CONTAINMENT_TOL = 1e-9   # slack of base-in-shadow and base-in-support-range checks
-MAX_PROPOSALS = 100_000  # body samples after which an empty restricted cylinder raises
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,46 +191,6 @@ def cap_support(base: CapBase, a) -> np.ndarray:
         dots = np.abs(dots)
     h = math.cos(base.delta)
     return np.where(dots >= h * norms, norms, h * dots + math.sin(base.delta) * tang)
-
-
-@dataclass(frozen=True, eq=False)
-class RestrictedCylinder:
-    """Membership and rejection sampling for the intersection cylinder ∩ body."""
-
-    cylinder: Cylinder
-    body: geom.ConvexBody
-
-    def contains(self, x, strict: bool = False) -> bool:
-        inside_body = bool(geom.contains_points(
-            self.body, np.atleast_2d(x),
-            tol=-INTERIOR_MARGIN if strict else 0.0)[0])
-        return inside_body and contains(self.cylinder, x, strict=strict)
-
-    def contains_points(self, pts, strict: bool = False) -> np.ndarray:
-        tol = -INTERIOR_MARGIN if strict else 0.0
-        return geom.contains_points(self.body, pts, tol=tol) & \
-            contains_points(self.cylinder, pts, strict=strict)
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        out = []
-        got = 0
-        proposed = 0
-        while got < n:
-            block = max(2 * (n - got), 2048)
-            pts = geom.sample_in_body(self.body, block, rng)
-            hits = pts[contains_points(self.cylinder, pts)]
-            proposed += block
-            out.append(hits[: n - got])
-            got += len(hits[: n - got])
-            if proposed >= MAX_PROPOSALS and got == 0:
-                raise EmptyIntersection(
-                    f"no intersection sample in {proposed} proposals")
-        return np.vstack(out)
-
-
-def restrict(cyl: Cylinder, body: geom.ConvexBody) -> RestrictedCylinder:
-    """Sampler for the part of the cylinder inside the body."""
-    return RestrictedCylinder(cyl, body)
 
 
 def cylinder_to_json(cyl: Cylinder) -> dict:

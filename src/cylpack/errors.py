@@ -41,10 +41,6 @@ class SamplingFailure(DomainError):
     """Rejection sampling acceptance fell below the workable threshold."""
 
 
-class EmptyIntersection(CylpackError):
-    """No sample of the intersection region could be produced."""
-
-
 class OnUnitSphere(CylpackError):
     """Pointwise density evaluation requested on the singular set."""
 
@@ -58,9 +54,8 @@ class PlaneMissesSphere(CylpackError):
 
 
 class HypothesisFailed(CylpackError):
-    """Pre-verification failed; ``verdict`` is the failing verdict (a
-    certified or sampled VerificationResult, or an exact PlankVerdict), whose
-    ``to_json`` the CLI reports."""
+    """Pre-verification failed; ``verdict`` is the failing
+    ``multiplicity.VerificationResult``, whose ``to_json`` the CLI reports."""
 
     def __init__(self, reason: str, verdict=None):
         super().__init__(reason)

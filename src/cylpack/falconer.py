@@ -12,7 +12,8 @@ density mass is its NS-diameter, ``ns_diameter``.  A plank is a k = 1
 the normal u and its base, a 1-d ``geom.Polytope``, the interval [a, b] of
 <x, u>.  ``check_disk_planks`` decides all of one instance's checks in one
 pass: one separability test, one exact arrangement sweep on the hull of the
-disks and one circumradius; nothing is sampled.
+disks and one circumradius; nothing is sampled, and the sweep's verdict is a
+``multiplicity.VerificationResult`` certified by ``SWEEP_CERTIFICATE``.
 """
 
 import math
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cylinders, geom
+from . import cylinders, geom, multiplicity
 from .bounds import GE, LE, BoundReport, instance_digest, make_report
 from .errors import (
     DimensionMismatch,
@@ -32,6 +33,7 @@ from .errors import (
 ON_LINE = 1e-12             # relative gap and slope at which two boundary lines coincide
 SHUFFLE_SEED = 0            # disk order of the enclosing-circle pass
 SVG_SIZE = 480              # width and height of family_to_svg drawings, in pixels
+SWEEP_CERTIFICATE = "arrangement-sweep"
 
 
 def _plane_vector(value, field: str) -> np.ndarray:
@@ -485,34 +487,20 @@ def exact_plank_multiplicity(family: DiskFamily, planks) -> tuple[int, tuple]:
     return best, tuple(map(float, mid + 0.5 * float(np.min(gaps)) * step))
 
 
-@dataclass(frozen=True)
-class PlankVerdict:
-    """Exact plank-packing verdict: the sweep's largest open multiplicity and
-    its witness, both None when a plank leaves the support range."""
-
-    ok: bool
-    max_mult: int | None
-    witness: tuple | None
-    reason: str = ""
-
-    def to_json(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if k != "ok"}
-
-
-def verify_plank_packing(family: DiskFamily, planks, r: int) -> PlankVerdict:
-    """Packing check for planks inside the hull, exact on arrangement cells."""
+def verify_plank_packing(family: DiskFamily, planks,
+                         r: int) -> multiplicity.VerificationResult:
+    """r-fold packing check of planks inside the hull, exact on arrangement
+    cells (``SWEEP_CERTIFICATE``); like ``multiplicity.verify_packing`` it
+    also fails, without a witness, when a plank leaves the support range."""
+    mult, witness = exact_plank_multiplicity(family, planks)
+    report = multiplicity.MultiplicityReport(0, mult, None, None, witness, None,
+                                             None, certificate=SWEEP_CERTIFICATE)
     tol = cylinders.CONTAINMENT_TOL
     for i, (u, a, b) in enumerate(zip(*_plank_arrays(planks))):
-        lo = -family.support(-u)
-        hi = family.support(u)
-        if a < lo - tol or b > hi + tol:
-            return PlankVerdict(False, None, None,
-                                f"plank {i} base leaves the support range")
-    mult, witness = exact_plank_multiplicity(family, planks)
-    if mult > r:
-        return PlankVerdict(False, mult, witness,
-                            f"multiplicity {mult} at {witness} exceeds r={r}")
-    return PlankVerdict(True, mult, witness)
+        if a < -family.support(-u) - tol or b > family.support(u) + tol:
+            return multiplicity.VerificationResult(
+                False, None, report, reason=f"plank {i} base leaves the support range")
+    return multiplicity.judge(report, r)
 
 
 # ---------------------------------------------------------------------------
@@ -536,8 +524,9 @@ def check_disk_planks(family: DiskFamily, planks, r: int,
     mass of the family density; and the chain consistency check that this
     mass is at least twice the circumradius.  The mass is the NS-diameter,
     and one ``ns_diameter`` value serves all four reports.  Raises ``NotNS``
-    for a separable family and ``NotAPacking``, carrying the ``PlankVerdict``
-    and its witness, when the planks are no r-fold packing.
+    for a separable family and ``NotAPacking``, carrying the sweep's
+    ``multiplicity.VerificationResult`` and its witness, when the planks are
+    no r-fold packing.
     """
     planks = list(planks)
     separable, line = is_separable(family) if separation is None else separation

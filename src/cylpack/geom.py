@@ -414,20 +414,17 @@ def project_body(body: ConvexBody, frame: Frame) -> ConvexBody:
     return Polytope(frame.coords(body.vertices))
 
 
-def transform_body(body: ConvexBody, t: np.ndarray, shift=None) -> ConvexBody:
-    """Image of the body under x -> T x + shift for invertible T."""
+def transform_body(body: ConvexBody, t: np.ndarray) -> ConvexBody:
+    """Image of the body under x -> T x for invertible T."""
     t = np.asarray(t, dtype=float)
-    d = body.dim
-    shift = np.zeros(d) if shift is None else np.asarray(shift, dtype=float)
     if isinstance(body, Polytope):
-        return Polytope(body.vertices @ t.T + shift)
+        return Polytope(body.vertices @ t.T)
     t_inv = np.linalg.inv(t)
     if isinstance(body, Ball):
-        q = np.eye(d) / body.radius**2
+        q = np.eye(body.dim) / body.radius**2
     else:
         q = body.shape
-    new_q = t_inv.T @ q @ t_inv
-    return Ellipsoid(t @ body.center + shift, new_q)
+    return Ellipsoid(t @ body.center, t_inv.T @ q @ t_inv)
 
 
 def volume(body: ConvexBody) -> float:

@@ -81,23 +81,14 @@ def _disjoint_intervals(lo: float, hi: float, n: int,
             for i in range(n)]
 
 
-def _partition_breaks(lo: float, hi: float, n: int,
-                      rng: np.random.Generator | None) -> np.ndarray:
-    if rng is None:
-        return np.linspace(lo, hi, n + 1)
-    inner = np.sort(rng.uniform(lo, hi, size=n - 1)) if n > 1 else np.empty(0)
-    return np.concatenate([[lo], inner, [hi]])
-
-
 # ---------------------------------------------------------------------------
 # cylinder-family generators
 
 
 def plank_partition(body: geom.ConvexBody, n_planks: int, r: int = 1,
-                    rng: np.random.Generator | None = None,
                     ) -> list[cylinders.Cylinder]:
-    """Parallel planks (codimension d-1) normal to e_1 partitioning the body,
-    repeated r times; evenly spaced unless ``rng`` draws the breaks.
+    """Evenly spaced parallel planks (codimension d-1) normal to e_1
+    partitioning the body, repeated r times.
 
     The base segments tile the exact projected range, so the partition is at
     once an r-fold packing and an r-fold covering with crv sum exactly r.
@@ -105,7 +96,7 @@ def plank_partition(body: geom.ConvexBody, n_planks: int, r: int = 1,
     u = np.eye(body.dim)[0]
     frame = geom.Frame(u[:, None])
     lo, hi = _projected_interval(body, u)
-    breaks = _partition_breaks(lo, hi, n_planks, rng)
+    breaks = np.linspace(lo, hi, n_planks + 1)
     family = []
     for _ in range(r):
         for a, b in zip(breaks, breaks[1:]):

@@ -6,7 +6,9 @@ direction: cap cylinders by the separation of their poles, other families
 layer by layer.  ``decide`` takes its verdict when it settles the r-fold
 reading, and else tests n seeded uniform samples of the body once against
 every base, through ``cylinders.base_membership`` whatever the body:
-strict-interior counts for packings, closed ones for coverings.
+strict-interior counts for packings, closed ones for coverings.  Every
+verdict, ``falconer``'s exact plank sweep included, is a
+``VerificationResult`` that ``judge`` draws from a ``MultiplicityReport``.
 Sampling runs in fixed-size blocks with per-block derived seeds and a fixed
 reduction order, so identical seeds reproduce reports bit for bit.
 """
@@ -345,6 +347,14 @@ def decide(body: geom.ConvexBody, family, r: int, n: int, seed: int,
     report = certify(body, family)
     if report is None or not _settles(report, r, covering):
         report = estimate_multiplicity(body, family, n, seed)
+    return judge(report, r, covering)
+
+
+def judge(report: MultiplicityReport, r: int, covering: bool = False,
+          ) -> VerificationResult:
+    """The r-fold packing (or covering) verdict a report gives: a failure
+    carries the report's witness of the reading, and a passed sampled report
+    its violation_fraction_ucb, ln(1/ALPHA) over its own samples."""
     if covering:
         ok, witness = report.min_mult >= r, report.witness_min
         reason = f"closed multiplicity {report.min_mult} falls below r={r}"
@@ -354,7 +364,8 @@ def decide(body: geom.ConvexBody, family, r: int, n: int, seed: int,
     if not ok:
         return VerificationResult(False, witness, report, reason=reason)
     if report.certificate is None:
-        report = replace(report, violation_fraction_ucb=math.log(1.0 / ALPHA) / n)
+        report = replace(report, violation_fraction_ucb=math.log(1.0 / ALPHA)
+                         / report.samples)
     return VerificationResult(True, None, report)
 
 

@@ -126,17 +126,15 @@ def test_criterion_3_packing_bounds():
 def test_criterion_4_covering_bounds():
     t0 = time.time()
     for r in (1, 2, 3):
-        # ellipse partitions: k = 1 ellipsoid mode with equality
+        # ellipse partitions: k = 1, the ellipsoid reading, with equality
         ell2 = instances.random_ellipsoid(2, np.random.default_rng(60 + r))
         fam = instances.plank_partition(ell2, 4, r=r)
-        rep = bounds.check_covering_lower(ell2, fam, r, mode="ellipsoid",
-                                          n=4000, seed=r)
+        rep = bounds.check_covering_lower(ell2, fam, r, n=4000, seed=r)
         assert rep.passed and abs(rep.lhs - r) <= 1e-9
-        # ellipsoid partitions: k = 2 general mode
+        # ellipsoid partitions: k = 2, the general reading
         ell3 = instances.random_ellipsoid(3, np.random.default_rng(70 + r))
         fam3 = instances.plank_partition(ell3, 5, r=r)
-        rep3 = bounds.check_covering_lower(ell3, fam3, r, mode="general",
-                                           n=4000, seed=r)
+        rep3 = bounds.check_covering_lower(ell3, fam3, r, n=4000, seed=r)
         assert rep3.passed and rep3.lhs >= r / math.comb(3, 2) - 1e-9
     violations = 0
     for seed in range(30):
@@ -145,9 +143,7 @@ def test_criterion_4_covering_bounds():
         k = d - 1 if d <= 3 else d - 2  # keep the base dimension small
         body = instances.random_ellipsoid(d, np.random.default_rng(80 + seed))
         fam = instances.random_box_covering(body, k, r, seed=seed)
-        mode = "ellipsoid" if k == 1 else "general"
-        rep = bounds.check_covering_lower(body, fam, r, mode=mode,
-                                          n=3000, seed=seed)
+        rep = bounds.check_covering_lower(body, fam, r, n=3000, seed=seed)
         if not rep.passed:
             violations += 1
     assert violations == 0

