@@ -520,10 +520,10 @@ def check_packing_general(body: geom.ConvexBody, family, r: int,
     if len(ks) != 1:
         raise DimensionMismatch("mixed codimensions in one packing check")
     k = ks.pop()
+    slices = cylinders._per_frame(family, lambda frame: (
+        h := geom.complement(frame), max_translate_slice(body, h)))
     worst_ratio, methods = 0.0, ""
-    for cyl in family:
-        h_frame = geom.complement(cyl.frame)
-        body_max = max_translate_slice(body, h_frame)
+    for cyl, (h_frame, body_max) in zip(family, slices):
         cyl_max = max_translate_slice(body, h_frame, base=cyl.base,
                                       offsets_frame=cyl.frame)
         if cyl_max.hi <= 0:

@@ -254,9 +254,9 @@ def build_cap_family(sep_set: SeparatedSet, delta: float, k: int,
 
     Each point gets a (d-k)-dimensional base subspace containing it as the
     first frame column, completed by deterministically seeded directions, and
-    a cap base of radius delta around it.  The directions of all points are
-    drawn at once and orthonormalized together (``geom.orthonormalize_stack``),
-    which gives the same bytes as one draw and one Gram-Schmidt per point.
+    a cap base of radius delta around it.  It is built as arrays: one draw,
+    Gram-Schmidt, Frame check, pole product and CapBase check for all points,
+    with the bytes of one of each per point.
     ``delta`` must be half the set's separation.  Antipodal bases pair with
     the projective metric, one-sided bases with the geodesic metric, keeping
     the family a packing in both modes.
@@ -274,19 +274,22 @@ def build_cap_family(sep_set: SeparatedSet, delta: float, k: int,
                       stacklevel=2)
     m = d - k
     antipodal = sep_set.metric == PROJECTIVE
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0x5EED)))
     pts = sep_set.points
     if m == 1:
-        frames = [geom.Frame(x[:, None]) for x in pts]
+        stack = pts[:, :, None]
     else:
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0x5EED)))
         # one draw is the same stream as one (d, m - 1) draw per point in turn
         extra = rng.standard_normal((len(pts), d, m - 1))
-        frames = geom.orthonormalize_stack(
+        stack = geom._gram_schmidt(
             np.concatenate([pts[:, None, :], extra.transpose(0, 2, 1)], axis=1))
-    # each pole, frame.coords(x), is e_1 in frame coordinates by construction
-    return tuple(cylinders.Cylinder(frame, cylinders.CapBase(
-                     frame.coords(x), delta, antipodal=antipodal))
-                 for x, frame in zip(pts, frames))
+    cols = geom._checked_frames(stack)
+    # each pole x @ F_x is e_1 in frame coordinates by construction
+    poles = cylinders._checked_caps(np.matmul(pts[:, None, :], cols)[:, 0, :], delta)
+    return tuple(cylinders.Cylinder(geom._unchecked(geom.Frame, columns=c),
+                                    geom._unchecked(cylinders.CapBase, pole=p,
+                                                    delta=delta, antipodal=antipodal))
+                 for c, p in zip(cols, poles))
 
 
 def build_cap_packing(d: int, k: int, delta: float, seed: int = 0,

@@ -35,17 +35,25 @@ class CapBase:
 
     def __post_init__(self):
         pole = np.atleast_1d(np.asarray(self.pole, dtype=float))
-        with np.errstate(over="ignore"):  # past ~1.3e154 the norm is inf and fails
-            norm = np.linalg.norm(pole)
-        if abs(norm - 1.0) > 1e-9:
-            raise DomainError("cap pole must be a unit vector")
-        object.__setattr__(self, "pole", geom._freeze(pole / norm))
-        if not 0.0 < self.delta < math.pi / 2.0:
-            raise DomainError(f"cap angle must lie in (0, pi/2), got {self.delta}")
+        object.__setattr__(self, "pole", _checked_caps(
+            pole.reshape(1, -1), self.delta).reshape(pole.shape))
 
     @property
     def dim(self) -> int:
         return self.pole.shape[0]
+
+
+def _checked_caps(poles: np.ndarray, delta: float) -> np.ndarray:
+    """The CapBase checks over an (N, m) pole stack in one pass; the rows
+    normalized by sqrt(vecdot(p, p)), bit-identical to ``linalg.norm(p)``."""
+    with np.errstate(over="ignore"):  # past ~1.3e154 the norm is inf and fails
+        norm = np.sqrt(np.vecdot(poles, poles))
+    if (np.abs(norm - 1.0) > 1e-9).any():
+        raise DomainError("cap pole must be a unit vector")
+    poles = geom._freeze(poles / norm[:, None])
+    if not 0.0 < delta < math.pi / 2.0:
+        raise DomainError(f"cap angle must lie in (0, pi/2), got {delta}")
+    return poles
 
 
 CylinderBase = geom.Polytope | geom.Ball | CapBase
@@ -93,15 +101,6 @@ def base_membership(base: CylinderBase, z) -> tuple[np.ndarray, np.ndarray]:
             (norm <= 1.0 - INTERIOR_MARGIN) & (level >= cos_d + INTERIOR_MARGIN))
 
 
-def contains(cyl: Cylinder, x, strict: bool = False) -> bool:
-    """Whether x lies in the cylinder (strict = open interior)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != cyl.ambient_dim:
-        raise DimensionMismatch("point dimension does not match the cylinder")
-    closed, interior = base_membership(cyl.base, cyl.frame.coords(x))
-    return bool((interior if strict else closed)[0])
-
-
 def contains_points(cyl: Cylinder, pts, strict: bool = False) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if pts.shape[1] != cyl.ambient_dim:
@@ -118,27 +117,50 @@ def base_volume(base: CylinderBase) -> float:
     return geom.volume(base)
 
 
-def crv(body: geom.ConvexBody, cyl: Cylinder) -> float:
-    """Cross-sectional volume of the cylinder relative to the body.
+def _frame_groups(family) -> list[list[int]]:
+    """Cylinder indices grouped by bit-equal frame columns (whose squares sum
+    to m, so equal bytes mean equal shapes), in order of first appearance."""
+    groups: dict = {}
+    for i, cyl in enumerate(family):
+        groups.setdefault(cyl.frame.columns.tobytes(), []).append(i)
+    return list(groups.values())
 
-    Ratio of the base volume to the volume of the body's shadow on the
-    cylinder's base subspace.
-    """
-    shadow = geom.project_body(body, cyl.frame)
-    denom = geom.volume(shadow)
-    if denom == math.inf:
-        raise DomainError("projected body volume overflows")
-    if not denom > 0.0:
-        raise DegenerateProjection("projected body has numerically zero volume")
-    return base_volume(cyl.base) / denom
+
+def _per_frame(family, value) -> list:
+    """``value(frame)`` for each cylinder, evaluated once per frame group."""
+    out = [None] * len(family)
+    for group in _frame_groups(family):
+        v = value(family[group[0]].frame)
+        for i in group:
+            out[i] = v
+    return out
+
+
+def crv(body: geom.ConvexBody, cyl: Cylinder) -> float:
+    """Cross-sectional volume of the cylinder relative to the body: the ratio
+    of the base volume to the volume of the body's shadow on the base
+    subspace (the one-cylinder ``sum_crv``)."""
+    return sum_crv(body, [cyl])
 
 
 def sum_crv(body: geom.ConvexBody, family) -> float:
-    return float(sum(crv(body, c) for c in family))
+    """Sum of ``crv`` over the family: one shadow volume per distinct frame,
+    the terms added in family order."""
+    def shadow_volume(frame):
+        denom = geom.volume(geom.project_body(body, frame))
+        if denom == math.inf:
+            raise DomainError("projected body volume overflows")
+        if not denom > 0.0:
+            raise DegenerateProjection("projected body has numerically zero volume")
+        return denom
+    family = list(family)
+    denom = _per_frame(family, shadow_volume)
+    return float(sum(base_volume(c.base) / v for c, v in zip(family, denom)))
 
 
-def base_contained(body: geom.ConvexBody, cyl: Cylinder) -> bool:
-    """Whether the base lies inside the body's shadow on the base subspace.
+def base_contained(shadow: geom.ConvexBody, base: CylinderBase) -> bool:
+    """Whether the base lies inside the body's shadow on its base subspace
+    (``geom.project_body``), both in base-subspace coordinates.
 
     Exact for every base kind in polytope and ball shadows.  Polytope bases
     check vertices.  Disk and cap bases use their support function h: a
@@ -149,8 +171,6 @@ def base_contained(body: geom.ConvexBody, cyl: Cylinder) -> bool:
     ellipsoid shadow raises ``DomainError``: a convex quadratic can peak on a
     cap at a local, non-global maximizer on the sphere.
     """
-    shadow = geom.project_body(body, cyl.frame)
-    base = cyl.base
     if isinstance(base, geom.Polytope):
         return bool(np.all(geom.contains_points(shadow, base.vertices,
                                                 tol=CONTAINMENT_TOL)))

@@ -83,28 +83,14 @@ class Frame:
     """Orthonormal basis of an m-dimensional linear subspace of R^d.
 
     ``columns`` has shape (d, m); each column is a unit vector and distinct
-    columns are orthogonal, both within 1e-12.
+    columns are orthogonal, both within 1e-12 (``_checked_frames``).
     """
 
     columns: np.ndarray
 
     def __post_init__(self):
-        cols = np.asarray(self.columns, dtype=float)
-        if cols.ndim != 2:
-            raise DimensionMismatch(f"frame columns must be a (d, m) matrix, got shape {cols.shape}")
-        cols = _freeze(cols)
-        object.__setattr__(self, "columns", cols)
-        d, m = cols.shape
-        if not (1 <= m <= d):
-            raise DimensionMismatch(f"frame needs 1 <= m <= d, got m={m}, d={d}")
-        with np.errstate(over="ignore"):  # past ~1.3e154 a norm is inf and fails
-            norms = np.linalg.norm(cols, axis=0)
-        if np.max(np.abs(norms - 1.0)) > ORTHO_TOL:
-            raise DimensionMismatch("frame columns must be unit vectors")
-        gram = cols.T @ cols
-        np.fill_diagonal(gram, 0.0)
-        if np.max(np.abs(gram)) > ORTHO_TOL:
-            raise DimensionMismatch("frame columns must be pairwise orthogonal")
+        cols = np.asarray(self.columns, dtype=float)[None]
+        object.__setattr__(self, "columns", _checked_frames(cols)[0])
 
     @property
     def ambient_dim(self) -> int:
@@ -122,10 +108,6 @@ class Frame:
         """Ambient point of subspace coordinates z."""
         return np.asarray(z, dtype=float) @ self.columns.T
 
-    def gram_defect(self) -> float:
-        g = self.columns.T @ self.columns
-        return float(np.max(np.abs(g - np.eye(self.subspace_dim))))
-
 
 def orthonormalize(vectors) -> Frame:
     """Gram-Schmidt frame spanning the same subspace as the input vectors.
@@ -138,7 +120,15 @@ def orthonormalize(vectors) -> Frame:
 
 
 def orthonormalize_stack(stack) -> list[Frame]:
-    """One Gram-Schmidt frame per vector list of an (N, m, d) stack.
+    """One Gram-Schmidt frame per vector list of an (N, m, d) stack
+    (``_gram_schmidt``), the Frame invariant checked once over the whole
+    output: each frame's columns are a read-only view of that frozen stack."""
+    return [_unchecked(Frame, columns=c)
+            for c in _checked_frames(_gram_schmidt(stack))]
+
+
+def _gram_schmidt(stack) -> np.ndarray:
+    """(N, d, m) Gram-Schmidt columns of an (N, m, d) stack of vector lists.
 
     The N lists run together, one input vector at a time.  Every dot product
     and norm is a row of ``np.vecdot``, which numpy hands to the same BLAS dot
@@ -166,7 +156,39 @@ def orthonormalize_stack(stack) -> list[Frame]:
             cols[:, j] = w / norm[:, j, None]
     if ((scale == 0.0) | (norm <= PIVOT_TOL * scale)).any():
         raise RankDeficient("input vectors are linearly dependent")
-    return [Frame(c) for c in np.ascontiguousarray(cols.transpose(0, 2, 1))]
+    return np.ascontiguousarray(cols.transpose(0, 2, 1))
+
+
+def _checked_frames(stack) -> np.ndarray:
+    """Frozen copy of an (N, d, m) stack of column matrices, each checked in
+    one pass to be finite (``DomainError``), then 1 <= m <= d with unit,
+    pairwise orthogonal columns within ORTHO_TOL (``DimensionMismatch``)."""
+    stack = np.asarray(stack, dtype=float)
+    if stack.ndim != 3:
+        raise DimensionMismatch("frame columns must be a (d, m) matrix, "
+                                f"got shape {stack.shape[1:]}")
+    stack = _freeze(stack)
+    _, d, m = stack.shape
+    if not (1 <= m <= d):
+        raise DimensionMismatch(f"frame needs 1 <= m <= d, got m={m}, d={d}")
+    with np.errstate(over="ignore"):  # past ~1.3e154 a norm is inf and fails
+        gram = np.matmul(stack.transpose(0, 2, 1), stack)
+    diag = gram.reshape(-1, m * m)[:, ::m + 1]  # squared column norms
+    if (np.abs(np.sqrt(diag) - 1.0) > ORTHO_TOL).any():
+        raise DimensionMismatch("frame columns must be unit vectors")
+    diag[:] = 0.0
+    if (np.abs(gram) > ORTHO_TOL).any():
+        raise DimensionMismatch("frame columns must be pairwise orthogonal")
+    return stack
+
+
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` from fields that already
+    meet its invariant, without running ``__post_init__`` again."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def float32_dot_margin(d: int) -> float:
@@ -412,19 +434,6 @@ def project_body(body: ConvexBody, frame: Frame) -> ConvexBody:
         gram = frame.columns.T @ body.shape_inv @ frame.columns
         return Ellipsoid(frame.coords(body.center), np.linalg.inv(gram))
     return Polytope(frame.coords(body.vertices))
-
-
-def transform_body(body: ConvexBody, t: np.ndarray) -> ConvexBody:
-    """Image of the body under x -> T x for invertible T."""
-    t = np.asarray(t, dtype=float)
-    if isinstance(body, Polytope):
-        return Polytope(body.vertices @ t.T)
-    t_inv = np.linalg.inv(t)
-    if isinstance(body, Ball):
-        q = np.eye(body.dim) / body.radius**2
-    else:
-        q = body.shape
-    return Ellipsoid(t @ body.center, t_inv.T @ q @ t_inv)
 
 
 def volume(body: ConvexBody) -> float:

@@ -124,7 +124,11 @@ def _cap_certificate(body, family) -> MultiplicityReport | None:
         return None
     d = body.dim
     reach = (float(np.linalg.norm(body.center)) + body.radius) * (1.0 + 4.0 * d * _U)
-    poles = np.array([cyl.frame.embed(cyl.base.pole) for cyl in family])
+    frames = [cyl.frame.columns for cyl in family]
+    if len({f.shape for f in frames}) > 1:  # mixed base dimensions: no stack
+        return None
+    qs = np.array([cyl.base.pole for cyl in family])
+    poles = np.matmul(np.stack(frames), qs[:, :, None])[:, :, 0]  # each F q
     # a computed pole errs from F q by less than eps, in norm and in angle
     eps = 8.0 * d * d * _U
     norms = np.linalg.norm(poles, axis=1) + eps
@@ -167,8 +171,9 @@ def _disk_depth(bases) -> int:
 
 
 def _layer_certificate(body, family) -> MultiplicityReport | None:
-    """Layer depths of cylinders grouped by bit-equal frames, in which
-    membership depends on the base coordinates alone.
+    """Layer depths of cylinders grouped by bit-equal frames
+    (``cylinders._frame_groups``), where membership depends on the base
+    coordinates alone.
 
     Disk bases give ``_disk_depth``.  Interval bases are exact: their
     largest open depth bounds the packing reading, and their smallest closed
@@ -177,12 +182,10 @@ def _layer_certificate(body, family) -> MultiplicityReport | None:
     Depths add over groups; a lone interval group also takes witnesses,
     inside the body, of both of its bounds.
     """
-    groups: dict = {}
-    for cyl in family:  # one ambient dimension: equal bytes, equal shapes
-        groups.setdefault(cyl.frame.columns.tobytes(), []).append(cyl)
+    groups = [[family[i] for i in idx] for idx in cylinders._frame_groups(family)]
     top, low = 0, 0
     witness_max = witness_min = None
-    for group in groups.values():
+    for group in groups:
         bases = [cyl.base for cyl in group]
         if all(isinstance(b, geom.Ball) for b in bases):
             top, low = top + _disk_depth(bases), None
@@ -383,11 +386,12 @@ def verify_packing(body: geom.ConvexBody, family, r: int, n: int, seed: int,
     """r-fold packing check (``decide``).
 
     Also fails, without a witness, when some base is not contained in the
-    body's shadow.
+    body's shadow, projected once per distinct frame.
     """
     family = list(family)
+    shadows = cylinders._per_frame(family, lambda f: geom.project_body(body, f))
     outside = next((i for i, cyl in enumerate(family)
-                    if not cylinders.base_contained(body, cyl)), None)
+                    if not cylinders.base_contained(shadows[i], cyl.base)), None)
     verdict = decide(body, family, r, n, seed)
     if outside is not None:
         return VerificationResult(

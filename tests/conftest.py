@@ -39,6 +39,19 @@ def random_frame(d: int, m: int, rng: np.random.Generator) -> geom.Frame:
     return geom.orthonormalize(rng.standard_normal((m, d)))
 
 
+def transform_body(body: geom.ConvexBody, t: np.ndarray) -> geom.ConvexBody:
+    """Image of the body under x -> T x for invertible T."""
+    t = np.asarray(t, dtype=float)
+    if isinstance(body, geom.Polytope):
+        return geom.Polytope(body.vertices @ t.T)
+    t_inv = np.linalg.inv(t)
+    if isinstance(body, geom.Ball):
+        q = np.eye(body.dim) / body.radius**2
+    else:
+        q = body.shape
+    return geom.Ellipsoid(t @ body.center, t_inv.T @ q @ t_inv)
+
+
 def random_spd(d: int, rng: np.random.Generator,
                axis_range=(0.5, 2.0)) -> np.ndarray:
     q, _ = np.linalg.qr(rng.standard_normal((d, d)))

@@ -9,14 +9,18 @@
   mix both insertion paths in one block;
 - ``geom.orthonormalize_stack`` and ``cappack.build_cap_family`` return the
   frames of Gram-Schmidt run on one vector list at a time
-  (``frame_oracle.orthonormalize``).
+  (``frame_oracle.orthonormalize``);
+- the Frame and CapBase checks, run once over a whole stack, raise what the
+  one-object checks raise on the offending member.
 
 Candidates are placed at the thresholds where a screen or a reordered sum
 could change a decision.
 """
 
+import dataclasses
 import hashlib
 import math
+import re
 import warnings
 
 import numpy as np
@@ -25,7 +29,7 @@ import pytest
 import frame_oracle
 import sepset_oracle
 from cylpack import cappack, cylinders, geom
-from cylpack.errors import RankDeficient
+from cylpack.errors import DimensionMismatch, DomainError, RankDeficient
 
 METRICS = (cappack.PROJECTIVE, cappack.GEODESIC)
 
@@ -234,6 +238,68 @@ def test_cap_family_frames_match_loop_oracle(d, delta, metric):
             assert cyl.frame.columns.tobytes() == frame.columns.tobytes()
             assert cyl.base.pole.tobytes() == \
                 cylinders.CapBase(frame.coords(x), delta).pole.tobytes()
+
+
+def _bad_slices():
+    """One frame matrix per broken invariant, named by it."""
+    frame = geom.orthonormalize(np.random.default_rng(8).standard_normal((2, 4))).columns
+    nan = frame.copy()
+    nan[1, 0] = math.nan
+    long = frame.copy()
+    long[:, 1] *= 1.0 + 1e-9
+    skew = frame.copy()
+    skew[:, 1] = (skew[:, 1] + 1e-9 * skew[:, 0]) / math.hypot(1.0, 1e-9)
+    return {"nan": nan, "non-unit": long, "non-orthogonal": skew,
+            "m > d": np.eye(3)[:2]}
+
+
+@pytest.mark.parametrize("name", ["nan", "non-unit", "non-orthogonal", "m > d"])
+def test_frame_stack_check_raises_as_frame(name):
+    bad = _bad_slices()[name]
+    with pytest.raises((DimensionMismatch, DomainError)) as one:
+        geom.Frame(bad)
+    # the other four slices are valid frames of bad's shape where one exists
+    good = np.eye(*bad.shape) if bad.shape[1] <= bad.shape[0] else np.zeros(bad.shape)
+    stack = np.stack([good, good, bad, good, good])
+    with pytest.raises(type(one.value), match=re.escape(str(one.value))):
+        geom._checked_frames(stack)
+
+
+def test_cap_pole_check_raises_as_capbase():
+    # a set point of norm 1 + 2e-9 gives a pole of that norm in its frame
+    sep_set = cappack.build_separated_set(4, 0.6, cappack.PROJECTIVE, seed=1)
+    bad = dataclasses.replace(sep_set, points=sep_set.points * (1.0 + 2e-9))
+    pole = np.array([1.0 + 2e-9, 0.0, 0.0])
+    with pytest.raises(DomainError, match="cap pole must be a unit vector"):
+        cylinders.CapBase(pole, 0.3)
+    with pytest.raises(DomainError, match="cap pole must be a unit vector"):
+        cappack.build_cap_family(bad, 0.3, 1, seed=1)
+    poles = np.tile([0.0, 1.0, 0.0], (5, 1))
+    poles[3] = pole
+    with pytest.raises(DomainError, match="cap pole must be a unit vector"):
+        cylinders._checked_caps(poles, 0.3)
+
+
+def test_cap_family_is_checked_once_per_family(monkeypatch):
+    sep_set = cappack.build_separated_set(4, 0.6, cappack.PROJECTIVE, seed=1)
+    assert len(sep_set) >= 30
+    calls = []
+
+    def counted(module, name):
+        check = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda stack, *a: calls.append((name, len(stack)))
+                            or check(stack, *a))
+
+    counted(geom, "_checked_frames")
+    counted(cylinders, "_checked_caps")
+    for k in (1, 2, 3):
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # k = d - 1 warns
+            family = cappack.build_cap_family(sep_set, 0.3, k, seed=1)
+        assert calls == [("_checked_frames", len(family)),
+                         ("_checked_caps", len(family))]
 
 
 # sha256 of projective sets (seed 1), of their greedy prefix (the first

@@ -51,8 +51,8 @@ def _verify(path, samples, seed, capsys):
 
 
 def _counts(family, x):
-    strict = sum(cylinders.contains(c, x, strict=True) for c in family)
-    closed = sum(cylinders.contains(c, x) for c in family)
+    strict = sum(cylinders.contains_points(c, x, strict=True)[0] for c in family)
+    closed = sum(cylinders.contains_points(c, x)[0] for c in family)
     return strict, closed
 
 

@@ -14,7 +14,11 @@ from cylpack.errors import (
     DomainError,
 )
 import cap_oracle
-from conftest import random_frame, random_spd
+from conftest import random_frame, random_spd, transform_body
+
+
+def contained(body, cyl) -> bool:
+    return cylinders.base_contained(geom.project_body(body, cyl.frame), cyl.base)
 
 
 def vertical_strip(width: float, center: float = 0.0) -> cylinders.Cylinder:
@@ -27,8 +31,8 @@ def vertical_strip(width: float, center: float = 0.0) -> cylinders.Cylinder:
 
 def test_contains_strip():
     strip = vertical_strip(1.0)
-    assert cylinders.contains(strip, [0.3, 7.0])
-    assert not cylinders.contains(strip, [0.6, 0.0])
+    assert cylinders.contains_points(strip, [0.3, 7.0])[0]
+    assert not cylinders.contains_points(strip, [0.6, 0.0])[0]
 
 
 def test_contains_is_invariant_along_complement():
@@ -36,7 +40,8 @@ def test_contains_is_invariant_along_complement():
     h = geom.complement(strip.frame).columns[:, 0]
     x = np.array([0.2, -0.4])
     for t in (-25.0, -1.0, 3.0, 1e4):
-        assert cylinders.contains(strip, x + t * h) == cylinders.contains(strip, x)
+        assert cylinders.contains_points(strip, x + t * h)[0] \
+            == cylinders.contains_points(strip, x)[0]
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -51,7 +56,8 @@ def test_contains_h_invariance_random(seed):
     comp = geom.complement(frame)
     x = rng.uniform(-1, 1, d)
     shift = comp.embed(rng.uniform(-5, 5, k))
-    assert cylinders.contains(cyl, x) == cylinders.contains(cyl, x + shift)
+    assert cylinders.contains_points(cyl, x)[0] \
+        == cylinders.contains_points(cyl, x + shift)[0]
 
 
 def test_cap_cylinder_membership():
@@ -62,7 +68,7 @@ def test_cap_cylinder_membership():
     x = 10.0 * np.eye(3)[2] + 0.9 * np.eye(3)[0]
     z = frame.coords(x)
     want = abs(z @ cap.pole) >= math.cos(math.pi / 6) and np.linalg.norm(z) <= 1
-    assert cylinders.contains(cyl, x) == want
+    assert cylinders.contains_points(cyl, x)[0] == want
     assert want  # 0.9 >= cos(pi/6) ~ 0.866
 
 
@@ -151,7 +157,7 @@ def test_crv_affine_invariance(rng):
             v1 = cylinders.crv(body, cyl)
         except Exception:
             continue
-        v2 = cylinders.crv(geom.transform_body(body, t),
+        v2 = cylinders.crv(transform_body(body, t),
                            transform_cylinder(cyl, t))
         assert v2 == pytest.approx(v1, rel=1e-9)
 
@@ -164,7 +170,7 @@ def test_crv_in_unit_interval_when_contained(rng):
         r_in = 1.0 / math.sqrt(float(np.linalg.eigvalsh(shadow.shape)[-1]))
         base = geom.Ball(shadow.center, 0.8 * r_in)
         cyl = cylinders.Cylinder(frame, base)
-        assert cylinders.base_contained(body, cyl)
+        assert contained(body, cyl)
         assert 0.0 < cylinders.crv(body, cyl) <= 1.0 + 1e-12
 
 
@@ -191,15 +197,15 @@ def test_base_volume_closed_forms():
 
 def test_base_contained_strips():
     ball = geom.Ball(np.zeros(2), 1.0)
-    assert cylinders.base_contained(ball, vertical_strip(1.0))
-    assert not cylinders.base_contained(ball, vertical_strip(3.0))
+    assert contained(ball, vertical_strip(1.0))
+    assert not contained(ball, vertical_strip(3.0))
 
 
 def test_base_contained_cap_in_unit_ball():
     ball = geom.Ball(np.zeros(4), 1.0)
     frame = geom.orthonormalize(np.eye(4)[:3])
     cap = cylinders.CapBase(np.array([0.0, 1.0, 0.0]), 0.7)
-    assert cylinders.base_contained(ball, cylinders.Cylinder(frame, cap))
+    assert contained(ball, cylinders.Cylinder(frame, cap))
 
 
 def test_base_contained_disk_in_ellipse(rng):
@@ -209,8 +215,8 @@ def test_base_contained_disk_in_ellipse(rng):
     r_in = 1.0 / math.sqrt(float(np.linalg.eigvalsh(shadow.shape)[-1]))
     ok = cylinders.Cylinder(frame, geom.Ball(np.zeros(2), 0.9 * r_in))
     too_big = cylinders.Cylinder(frame, geom.Ball(np.zeros(2), 1.4 * r_in))
-    assert cylinders.base_contained(ell, ok)
-    assert not cylinders.base_contained(ell, too_big)
+    assert contained(ell, ok)
+    assert not contained(ell, too_big)
 
 
 def _disks_at_the_shadow_boundary(body, frame, gen, n=200):
@@ -255,8 +261,8 @@ def test_base_contained_disks_exact(kind):
     for c, r in _disks_at_the_shadow_boundary(body, frame, gen):
         inset = cylinders.Cylinder(frame, geom.Ball(c, r - 5e-4))
         out = cylinders.Cylinder(frame, geom.Ball(c, r + 5e-4))
-        assert cylinders.base_contained(body, inset)
-        assert not cylinders.base_contained(body, out)
+        assert contained(body, inset)
+        assert not contained(body, out)
 
 
 def _random_cap(m: int, gen, antipodal: bool) -> cylinders.CapBase:
@@ -307,8 +313,8 @@ def test_base_contained_caps_exact(kind, antipodal):
         assert not geom.contains_points(geom.project_body(outset, frame), witness)[0]
         assert np.all(geom.contains_points(geom.project_body(inset, frame),
                                            cap_oracle.boundary_sample(cap)))
-        assert cylinders.base_contained(inset, cyl)
-        assert not cylinders.base_contained(outset, cyl)
+        assert contained(inset, cyl)
+        assert not contained(outset, cyl)
 
 
 def test_base_contained_cap_in_ellipsoid_raises():
@@ -316,7 +322,7 @@ def test_base_contained_cap_in_ellipsoid_raises():
     frame = geom.orthonormalize(np.eye(3)[:2])
     cap = cylinders.CapBase(np.array([1.0, 0.0]), 0.3, antipodal=False)
     with pytest.raises(DomainError):
-        cylinders.base_contained(ell, cylinders.Cylinder(frame, cap))
+        contained(ell, cylinders.Cylinder(frame, cap))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -400,4 +406,4 @@ def test_cylinder_validation():
     with pytest.raises(DegenerateBody):  # a disk base is a geom.Ball
         geom.Ball(np.zeros(2), -1.0)
     with pytest.raises(DimensionMismatch):
-        cylinders.contains(vertical_strip(1.0), [0.0, 0.0, 0.0])
+        cylinders.contains_points(vertical_strip(1.0), [0.0, 0.0, 0.0])

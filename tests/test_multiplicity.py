@@ -49,7 +49,7 @@ def test_verify_packing_doubled_partition():
     assert bad.witness is not None
     # the witness really does sit in more than one open cylinder
     w = np.asarray(bad.witness)
-    count = sum(cylinders.contains(c, w, strict=True) for c in fam)
+    count = sum(cylinders.contains_points(c, w, strict=True)[0] for c in fam)
     assert count > 1
 
 
@@ -78,7 +78,7 @@ def test_verify_covering_gap_witness():
     res = multiplicity.verify_covering(BALL2, fam, 1, 5000, seed=2)
     assert not res.ok
     w = np.asarray(res.witness)
-    assert not any(cylinders.contains(c, w) for c in fam)
+    assert not any(cylinders.contains_points(c, w)[0] for c in fam)
 
 
 def test_monotonicity_same_seed():

@@ -1,0 +1,53 @@
+"""Family work that depends on the frame alone runs once per distinct frame.
+
+The body's shadow (``geom.project_body``) is taken once per group of
+bit-equal frames in the packing containment pass and in ``sum_crv``, and
+the grouped ``sum_crv`` keeps the bytes of adding one ``crv`` per cylinder.
+"""
+
+import warnings
+
+import pytest
+
+from conftest import construct_all, inscribed_hull
+from cylpack import cylinders, geom, instances, multiplicity
+
+
+def _instances(tmp_path, seed: int) -> dict:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        paths = construct_all(tmp_path, seed)
+    return {name: instances.parse_instance(instances.load_json(path))
+            for name, path in paths.items()}
+
+
+def _body_family(inst):
+    if inst["kind"] == instances.KIND_DISK_PLANKS:
+        return inscribed_hull(inst["disk_family"]), inst["planks"]
+    return inst["body"], inst["family"]
+
+
+@pytest.mark.parametrize("name", ["pack3", "pack5"])
+def test_shadows_are_projected_once_per_frame(tmp_path, monkeypatch, name):
+    inst = _instances(tmp_path, 1)[name]
+    body, family = inst["body"], inst["family"]
+    frames = {cyl.frame.columns.tobytes() for cyl in family}
+    assert len(frames) < len(family)
+    calls = []
+    project = geom.project_body
+    monkeypatch.setattr(geom, "project_body",
+                        lambda b, frame: calls.append(frame) or project(b, frame))
+    assert multiplicity.verify_packing(body, family, inst["r"], 1000, 0).ok
+    assert len(calls) == len(frames)
+    calls.clear()
+    cylinders.sum_crv(body, family)
+    assert {f.columns.tobytes() for f in calls} == frames
+    assert len(calls) == len(frames)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sum_crv_is_the_sum_of_crv_bit_for_bit(tmp_path, seed):
+    for name, inst in _instances(tmp_path, seed).items():
+        body, family = _body_family(inst)
+        terms = float(sum(cylinders.crv(body, c) for c in family))
+        assert cylinders.sum_crv(body, family).hex() == terms.hex(), name
