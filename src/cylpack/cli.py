@@ -7,16 +7,15 @@ evaluate: any ``DomainError``); ``bounds`` exits 2 when any instance is
 unusable, else 1 when any check failed, and lists the instances that parse
 but cannot be checked under its table's ``errors`` (stderr for CSV).  Output
 files depend only on the instance content and the flags, so reruns are
-byte-identical.
-CYLPACK_THREADS caps the bounds work pool; results are ordered by instance
-index regardless of completion order.
+byte-identical.  An output path that cannot be written (a missing directory,
+say) exits 2 with an ``output`` error object.  ``bounds`` checks its instances
+one after another, in the order given.
 """
 
 import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -46,12 +45,8 @@ def _error_object(stage: str, exc: Exception) -> dict:
 
 
 def _thread_count() -> int:
-    env = os.environ.get("CYLPACK_THREADS", "")
-    try:
-        n = int(env)
-    except ValueError:
-        n = 0
-    return max(1, n) if n else max(1, min(4, os.cpu_count() or 1))
+    """Always 1; kept only for perfbench/worker.py's ``bounds_pool_threads``."""
+    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -184,27 +179,19 @@ def cmd_bounds(args) -> int:
     if not args.instances:
         _emit(_error_object("bounds", CylpackError("no instance files given")))
         return EXIT_USAGE
-    jobs = []
+    insts = []
     for path in args.instances:
         inst, err = _load_instance(path)
         if err is not None:
             _emit(err)
             return EXIT_USAGE
-        jobs.append(inst)
-
-    def run(inst):
-        try:
-            reports, _, ok = _reports_for(inst, args.samples, args.seed)
-            return reports, ok, None
-        except CylpackError as exc:
-            return [], False, exc
-
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        results = list(pool.map(run, jobs))
+        insts.append(inst)
     all_reports, errors = [], []
     code = EXIT_OK
-    for (reports, ok, exc), path in zip(results, args.instances):
-        if exc is not None:
+    for inst, path in zip(insts, args.instances):
+        try:
+            reports, _, ok = _reports_for(inst, args.samples, args.seed)
+        except CylpackError as exc:
             errors.append(_error_object(f"bounds:{os.path.basename(path)}",
                                         exc)["error"])
             code = max(code, _failure_code(exc))
@@ -324,7 +311,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # an output path that cannot be written
+        _emit(_error_object("output", exc))
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

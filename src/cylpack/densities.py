@@ -1,16 +1,18 @@
 """Density measures on the unit ball with constant chord and section integrals.
 
-Two measures are provided.  The chord density 1/sqrt(1-|x|^2) on the open unit
-ball integrates to pi along every full chord, independent of the offset.  The
-sphere-surface measure (uniform surface measure of the unit sphere, viewed as
-a measure on R^d) assigns mass 2*pi to every 2-plane section meeting the open
-ball.  Both facts are exposed as quadrature routines so that the identities can
-be validated rather than assumed.  Masses are closed forms; their Monte Carlo
-cross-checks are test oracles (``tests/density_oracle.py``).
+Each function belongs to one of two measures and takes the dimension from its
+input.  The chord density 1/sqrt(1-|x|^2) on the open unit ball (``density_at``,
+``line_integral``, ``mu_of_cylinder``, ``mu_total_mass``) integrates to pi along
+every full chord, independent of the offset.  The sphere-surface measure
+(uniform surface measure of the unit sphere, viewed as a measure on R^d;
+``plane_section_integral``, ``sphere_section_total``) assigns mass 2*pi to every
+2-plane section meeting the open ball.  Both facts are exposed as quadrature
+routines so that the identities can be validated rather than assumed.  Masses
+are closed forms; their Monte Carlo cross-checks are test oracles
+(``tests/density_oracle.py``).
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,37 +25,11 @@ from .errors import (
     PlaneMissesSphere,
 )
 
-BALL_CHORD = "ball_chord"
-SPHERE_SURFACE = "sphere_surface"
 
-
-@dataclass(frozen=True)
-class DensityMeasure:
-    kind: str
-    ambient_dim: int
-
-    def __post_init__(self):
-        if self.kind not in (BALL_CHORD, SPHERE_SURFACE):
-            raise DomainError(f"unknown density kind {self.kind!r}")
-        if self.ambient_dim < 2:
-            raise DomainError("density measures need ambient dimension >= 2")
-
-
-def ball_chord_density(d: int) -> DensityMeasure:
-    return DensityMeasure(BALL_CHORD, d)
-
-
-def sphere_surface_density(d: int) -> DensityMeasure:
-    return DensityMeasure(SPHERE_SURFACE, d)
-
-
-def density_at(measure: DensityMeasure, x) -> float:
-    """Pointwise density; defined off the unit sphere for the chord measure."""
-    if measure.kind != BALL_CHORD:
-        raise DomainError("the sphere-surface measure has no pointwise density")
+def density_at(x) -> float:
+    """Pointwise chord density 1/sqrt(1-|x|^2): 0 outside the unit ball,
+    undefined on the unit sphere."""
     x = np.asarray(x, dtype=float)
-    if x.shape[0] != measure.ambient_dim:
-        raise DimensionMismatch("point dimension does not match the measure")
     r2 = float(x @ x)
     if abs(r2 - 1.0) < 1e-12:
         raise OnUnitSphere("density is singular on the unit sphere; integrate instead")
@@ -62,7 +38,7 @@ def density_at(measure: DensityMeasure, x) -> float:
     return 1.0 / math.sqrt(1.0 - r2)
 
 
-def line_integral(measure: DensityMeasure, z, direction) -> float:
+def line_integral(z, direction) -> float:
     """Chord integral of the density along {z + t*direction}, z orthogonal to
     the direction and |z| < 1.
 
@@ -70,8 +46,6 @@ def line_integral(measure: DensityMeasure, z, direction) -> float:
     t = a*sin(theta) with a the chord half-length; plain quadrature in t is
     deliberately not used.  The exact value is pi for every admissible offset.
     """
-    if measure.kind != BALL_CHORD:
-        raise DomainError("line integrals apply to the chord measure")
     z = np.asarray(z, dtype=float)
     u = np.asarray(direction, dtype=float)
     u = u / np.linalg.norm(u)
@@ -96,16 +70,12 @@ def line_integral(measure: DensityMeasure, z, direction) -> float:
     return value
 
 
-def mu_of_cylinder(measure: DensityMeasure, cyl: cylinders.Cylinder) -> float:
+def mu_of_cylinder(cyl: cylinders.Cylinder) -> float:
     """Chord-measure mass of a 1-codimensional cylinder clipped to the ball:
     pi times the base volume, the closed form obtained by integrating the
     constant chord integrals over the base."""
-    if measure.kind != BALL_CHORD:
-        raise DomainError("cylinder masses apply to the chord measure")
     if cyl.k != 1:
         raise DomainError(f"chord-measure masses need codimension 1, got k={cyl.k}")
-    if cyl.ambient_dim != measure.ambient_dim:
-        raise DimensionMismatch("cylinder dimension does not match the measure")
     return math.pi * cylinders.base_volume(cyl.base)
 
 
@@ -114,7 +84,7 @@ def mu_total_mass(d: int) -> float:
     return math.pi * specfn.unit_ball_volume(d - 1)
 
 
-def plane_section_integral(measure: DensityMeasure, plane: geom.Frame, z) -> float:
+def plane_section_integral(plane: geom.Frame, z) -> float:
     """Mass the sphere-surface measure assigns to a 2-plane section.
 
     The plane is {embed-of-z + span(plane)} with z in the complement of the
@@ -123,13 +93,10 @@ def plane_section_integral(measure: DensityMeasure, plane: geom.Frame, z) -> flo
     quadrature below evaluates length times weight without assuming the
     closed-form answer 2*pi.
     """
-    if measure.kind != SPHERE_SURFACE:
-        raise DomainError("plane sections apply to the sphere-surface measure")
-    d = measure.ambient_dim
-    if plane.ambient_dim != d or plane.subspace_dim != 2:
-        raise DimensionMismatch("plane must be a 2-frame in the measure's dimension")
+    if plane.subspace_dim != 2:
+        raise DimensionMismatch("plane must be a 2-frame")
     z = np.asarray(z, dtype=float)
-    offset = z if z.shape[0] == d else geom.complement(plane).embed(z)
+    offset = z if z.shape[0] == plane.ambient_dim else geom.complement(plane).embed(z)
     if np.max(np.abs(plane.coords(offset))) > 1e-9:
         raise DomainError("offset must lie in the complement of the plane")
     zn2 = float(offset @ offset)

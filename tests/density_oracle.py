@@ -37,12 +37,12 @@ def mu_total_mass_mc(d: int, samples: int, seed: int) -> MCEstimate:
     return MCEstimate(est, stderr, samples, seed)
 
 
-def mu_of_cylinder_mc(measure, cyl: cylinders.Cylinder, samples: int,
+def mu_of_cylinder_mc(cyl: cylinders.Cylinder, samples: int,
                       seed: int) -> MCEstimate:
     """Chord-measure mass of a cylinder clipped to the ball, sampled exactly
     by projecting uniform points of the sphere one dimension up, so the
     estimate does not reuse the chord identity."""
-    d = measure.ambient_dim
+    d = cyl.ambient_dim
     rng = np.random.default_rng(seed)
     lifted = geom.uniform_sphere_points(d + 1, samples, rng)
     pts = lifted[:, :d]  # marginal density of uniform S^d is the chord density

@@ -43,24 +43,22 @@ def test_criterion_1_density_identities():
     checked_lines = 0
     while checked_lines < 100:
         d = 2 + checked_lines % 4
-        m = densities.ball_chord_density(d)
         u = rng.standard_normal(d)
         u /= np.linalg.norm(u)
         comp = geom.complement(geom.Frame(u[:, None]))
         z = comp.embed(rng.uniform(-0.7, 0.7, d - 1))
         if np.linalg.norm(z) > 0.99:
             continue
-        assert abs(densities.line_integral(m, z, u) - math.pi) <= 1e-6
+        assert abs(densities.line_integral(z, u) - math.pi) <= 1e-6
         checked_lines += 1
     checked_planes = 0
     while checked_planes < 100:
         d = 3 + checked_planes % 3
-        m = densities.sphere_surface_density(d)
         plane = geom.orthonormalize(rng.standard_normal((2, d)))
         z = geom.complement(plane).embed(rng.uniform(-0.6, 0.6, d - 2))
         if np.linalg.norm(z) > 0.99:
             continue
-        val = densities.plane_section_integral(m, plane, z)
+        val = densities.plane_section_integral(plane, z)
         assert abs(val - 2 * math.pi) <= 1e-6
         checked_planes += 1
     for d in (2, 3, 4, 5):

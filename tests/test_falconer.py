@@ -68,6 +68,18 @@ def test_tangent_pair_not_separable():
     assert not sep
 
 
+def test_concentric_pair_has_no_pair_angle():
+    # a shared centre gives the pair no normal direction: _pair_angles skips
+    # it, and the third disk alone supplies the separating line
+    fam = disks(((0, 0), 1.0), ((0, 0), 0.5))
+    assert falconer.is_separable(fam) == (False, None)
+    fam = disks(((0, 0), 1.0), ((0, 0), 0.5), ((5, 0), 1.0))
+    sep, line = falconer.is_separable(fam)
+    assert sep
+    clear = np.abs(fam.centers @ np.asarray(line.u) - line.offset) - fam.radii
+    assert np.all(clear > 0)
+
+
 def test_separability_knife_edge():
     # two unit disks: separable exactly when the center gap exceeds 2
     for eps, want in ((1e-9, True), (-1e-9, False), (0.0, False)):

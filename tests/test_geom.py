@@ -359,6 +359,19 @@ def test_box_slice_exact():
     assert v == pytest.approx(6.0, abs=1e-9)
 
 
+def test_ellipsoid_slice_missing_the_body_is_empty():
+    ell = geom.Ellipsoid(np.zeros(3), np.diag([1.0, 2.0, 3.0]))
+    frame = geom.orthonormalize(np.eye(3)[:2])
+    assert geom.affine_slice_volume(ell, frame, np.array([0, 0, 5.0])) == 0.0
+
+
+def test_polytope_line_parallel_to_a_facet_outside_is_empty():
+    square = geom.Polytope(np.array([[0, 0], [1, 0], [0, 1], [1, 1]], float))
+    frame = geom.Frame(np.array([[1.0], [0.0]]))
+    assert geom.affine_slice_volume(square, frame, np.array([0.5, 2.0])) == 0.0
+    assert geom.affine_slice_volume(square, frame, np.array([0.5, 0.5])) == 1.0
+
+
 def test_ellipsoid_slice_matches_ball_after_transform(rng):
     q = random_spd(3, rng)
     ell = geom.Ellipsoid(np.zeros(3), q)

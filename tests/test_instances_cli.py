@@ -608,22 +608,46 @@ def test_cli_bounds_table(tmp_path, capsys):
     assert rc == 0 and len(text.strip().splitlines()) == 2
 
 
-def test_cli_bounds_thread_count_does_not_change_output(tmp_path, monkeypatch):
-    paths = []
-    for i, kind in enumerate(["plank-partition", "covering"]):
-        path = tmp_path / f"i{i}.json"
-        cli.main(["construct", "--kind", kind, "--dim", "2", "--k", "1",
-                  "--n", "4", "--seed", str(i), "--out", str(path)])
-        paths.append(str(path))
-    outs = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("CYLPACK_THREADS", threads)
-        out = tmp_path / f"t{threads}.csv"
-        rc = cli.main(["bounds", *paths, "--samples", "3000",
-                       "--format", "csv", "--out", str(out)])
-        assert rc == 0
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
+def test_cli_bounds_lists_instances_in_the_order_given(tmp_path, capsys):
+    (tmp_path / "kinds").mkdir()
+    files = list(construct_all(tmp_path / "kinds", seed=1).values())
+    single = []
+    for path in files:
+        capsys.readouterr()
+        assert cli.main(["bounds", str(path), "--samples", "2000"]) == 0
+        single += json.loads(capsys.readouterr().out)["reports"]
+    capsys.readouterr()
+    assert cli.main(["bounds", *map(str, files), "--samples", "2000"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"reports": single} and len(single) == 11
+    # unusable instances between good ones are listed under errors in their order
+    first, second = _antipodal_caps_k3(tmp_path), tmp_path / "cap2.json"
+    second.write_bytes(first.read_bytes())
+    order = [files[0], first, *files[1:5], second, *files[5:]]
+    capsys.readouterr()
+    assert cli.main(["bounds", *map(str, order), "--samples", "2000"]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["reports"] == single
+    assert [e["stage"] for e in out["errors"]] == ["bounds:cap.json",
+                                                   "bounds:cap2.json"]
+
+
+@pytest.mark.parametrize("command", ["construct", "verify", "bounds", "falconer"])
+def test_cli_unwritable_output_path_exits_2(tmp_path, capsys, command):
+    ns = tmp_path / "ns.json"
+    assert cli.main(["construct", *CONSTRUCT_KINDS["ns"], "--out", str(ns)]) == 0
+    missing = str(tmp_path / "missing" / "out")
+    argv = {"construct": ["construct", *CONSTRUCT_KINDS["plank"], "--out", missing],
+            "verify": ["verify", str(ns), "--out", missing],
+            "bounds": ["bounds", str(ns), "--out", missing],
+            "falconer": ["falconer", str(ns), "--svg", missing]}[command]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    err = json.loads(captured.out)["error"]
+    assert err["stage"] == "output" and err["type"] == "FileNotFoundError"
+    assert not (tmp_path / "missing").exists()
 
 
 def test_cli_bounds_no_instances_exit2(capsys):

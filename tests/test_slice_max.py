@@ -121,6 +121,15 @@ def test_disk_outside_the_shadow_gives_empty_slices():
     assert out.lo == out.hi == 0.0
 
 
+def test_concave_search_with_no_offset_in_the_shadow_raises():
+    poly = geom.Polytope(np.array(
+        [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], float))
+    with pytest.raises(DomainError, match="no searched offset"):
+        bounds.max_translate_slice(poly, geom.Frame(np.eye(3)[:, 2:]),
+                                   base=geom.Ball(np.array([5.0, 5.0]), 0.5),
+                                   offsets_frame=geom.Frame(np.eye(3)[:, :2]))
+
+
 def test_quadratic_on_ball_brackets(rng):
     for _ in range(50):
         m = int(rng.integers(1, 5))
