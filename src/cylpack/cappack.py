@@ -5,8 +5,9 @@ twice the cap radius, fix one base subspace per point containing it, and take
 the cap around the point inside that subspace as the cylinder base.  Separated
 caps give disjoint restricted cylinders, and maximality gives a counting lower
 bound on the family size through the covering measure of doubled caps.
-``build_cap_packing`` alone checks the construction's domain, and the crv
-sum is N times one incomplete beta value (``cap_packing_report``).
+``build_cap_packing`` alone checks the construction's domain; a family is
+fixed by its separated set and k (``build_cap_family``), and its crv sum is
+N times one incomplete beta value (``cap_packing_report``).
 
 Two self-consistent conventions exist and both are available.  The projective
 metric pairs with two-sided (antipodal) cap bases, the geodesic metric with
@@ -248,24 +249,19 @@ def check_separation(sep_set: SeparatedSet) -> bool:
                                            anti).any()
 
 
-def build_cap_family(sep_set: SeparatedSet, delta: float, k: int,
-                     seed: int = 0) -> tuple[cylinders.Cylinder, ...]:
+def build_cap_family(sep_set: SeparatedSet, k: int) -> tuple[cylinders.Cylinder, ...]:
     """Cap cylinders over a separated set, one per point, in the set's order.
 
-    Each point gets a (d-k)-dimensional base subspace containing it as the
-    first frame column, completed by deterministically seeded directions, and
-    a cap base of radius delta around it.  It is built as arrays: one draw,
-    Gram-Schmidt, Frame check, pole product and CapBase check for all points,
-    with the bytes of one of each per point.
-    ``delta`` must be half the set's separation.  Antipodal bases pair with
-    the projective metric, one-sided bases with the geodesic metric, keeping
-    the family a packing in both modes.
+    The set and k fix the family.  Each point gets a (d-k)-dimensional base
+    subspace containing it as the first frame column, completed by directions
+    drawn with the set's seed, and a cap base of radius delta = separation / 2
+    around it.  It is built as arrays: one draw, Gram-Schmidt, Frame check,
+    pole product and CapBase check for all points, with the bytes of one of
+    each per point.  Antipodal bases pair with the projective metric,
+    one-sided bases with the geodesic metric, keeping the family a packing in
+    both modes.
     """
     d = sep_set.points.shape[1]
-    if abs(delta - sep_set.separation / 2.0) > 1e-12:
-        raise DomainError("cap radius must be half the separation")
-    if not 0.0 < delta < math.pi / 2.0:
-        raise DomainError(f"cap radius must lie in (0, pi/2), got {delta}")
     if not 1 <= k <= d - 1:
         raise DomainError(f"codimension must lie in 1..{d - 1}, got {k}")
     if k > d - 2:
@@ -273,12 +269,13 @@ def build_cap_family(sep_set: SeparatedSet, delta: float, k: int,
                       "the construction degenerates to antipodal plank pairs",
                       stacklevel=2)
     m = d - k
+    delta = sep_set.separation / 2.0
     antipodal = sep_set.metric == PROJECTIVE
     pts = sep_set.points
     if m == 1:
         stack = pts[:, :, None]
     else:
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0x5EED)))
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(sep_set.seed, 0x5EED)))
         # one draw is the same stream as one (d, m - 1) draw per point in turn
         extra = rng.standard_normal((len(pts), d, m - 1))
         stack = geom._gram_schmidt(
@@ -304,7 +301,7 @@ def build_cap_packing(d: int, k: int, delta: float, seed: int = 0,
     if not 1 <= k < d:
         raise DomainError(f"codimension must lie in 1..{d - 1}, got {k}")
     sep_set = build_separated_set(d, 2.0 * delta, metric=metric, seed=seed)
-    return sep_set, build_cap_family(sep_set, delta, k, seed=seed)
+    return sep_set, build_cap_family(sep_set, k)
 
 
 @dataclass(frozen=True)

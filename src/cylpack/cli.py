@@ -8,8 +8,9 @@ unusable, else 1 when any check failed, and lists the instances that parse
 but cannot be checked under its table's ``errors`` (stderr for CSV).  Output
 files depend only on the instance content and the flags, so reruns are
 byte-identical.  An output path that cannot be written (a missing directory,
-say) exits 2 with an ``output`` error object.  ``bounds`` checks its instances
-one after another, in the order given.
+say) exits 2 with an ``output`` error object, and ``falconer`` then writes
+neither its drawing nor its report.  ``bounds`` checks its instances one after
+another, in the order given.
 """
 
 import argparse
@@ -27,16 +28,28 @@ EXIT_FAILED = 1
 EXIT_USAGE = 2
 
 
-def _write(text: str, out_path=None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _write(*outputs) -> None:
+    """Write (text, path) pairs in order, a pair without a path to stdout.  A
+    write that fails removes the files written before it, so a run that
+    writes stdout last leaves all of its outputs or none."""
+    written = []
+    try:
+        for text, path in outputs:
+            if path:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+                written.append(path)
+            else:
+                sys.stdout.write(text)
+    except OSError:
+        for path in written:
+            os.remove(path)
+        raise
 
 
-def _emit(obj, out_path=None) -> None:
-    _write(json.dumps(obj, sort_keys=True, indent=1) + "\n", out_path)
+def _emit(obj, out_path=None, *first) -> None:
+    """Write obj as JSON, after the (text, path) outputs ``first``."""
+    _write(*first, (json.dumps(obj, sort_keys=True, indent=1) + "\n", out_path))
 
 
 def _error_object(stage: str, exc: Exception) -> dict:
@@ -123,21 +136,19 @@ def _failure_code(exc: CylpackError) -> int:
     return EXIT_USAGE if isinstance(exc, DomainError) else EXIT_FAILED
 
 
-def _reports_for(inst, samples: int, seed: int, **known) -> tuple[list, dict | None, bool]:
+def _reports_for(inst, samples: int, seed: int) -> tuple[list, dict | None, bool]:
     """(bound reports, multiplicity json, all_ok) for one instance.
 
     A packing or covering instance is decided once, by its checker
     (certified, or sampled when no certificate settles it); a disk-plank
-    instance is decided exactly on its hull and samples nothing,
-    reusing the separability or circumradius results in ``known`` (see
-    ``falconer.check_disk_planks``).
+    instance is decided exactly on its hull and samples nothing.
     A failed hypothesis yields no report and a multiplicity json with its
     witness and reason.
     """
     try:
         if inst["kind"] == instances.KIND_DISK_PLANKS:
             reports = falconer.check_disk_planks(
-                inst["disk_family"], inst["planks"], inst["r"], **known)
+                inst["disk_family"], inst["planks"], inst["r"])
             return reports, None, all(rep.passed for rep in reports)
         body, family, r, k = inst["body"], inst["family"], inst["r"], inst["k"]
         if inst["kind"] == instances.KIND_COVERING:
@@ -202,7 +213,7 @@ def cmd_bounds(args) -> int:
         if not ok:
             code = max(code, EXIT_FAILED)
     if args.format == "csv":
-        _write(bounds.bound_reports_to_csv(all_reports), args.out)
+        _write((bounds.bound_reports_to_csv(all_reports), args.out))
         if errors:  # a CSV table cannot hold them
             sys.stderr.write(json.dumps({"errors": errors}, sort_keys=True) + "\n")
     else:
@@ -227,8 +238,14 @@ def cmd_falconer(args) -> int:
             f"expected a {instances.KIND_DISK_PLANKS} instance")), args.out)
         return EXIT_USAGE
     family = inst["disk_family"]
-    separable, line = falconer.is_separable(family)
-    circ = falconer.circumradius(family)
+    try:
+        (separable, line), circ = family.separation, family.circle
+        # a disk-plank instance reads no sample count or seed
+        reports, mult_json, ok = ([], None, True) if separable else \
+            _reports_for(inst, 0, 0)
+    except CylpackError as exc:
+        _emit(_error_object("falconer", exc), args.out)
+        return _failure_code(exc)
     payload: dict = {
         "schema_version": instances.SCHEMA_VERSION,
         "separable": separable,
@@ -238,25 +255,15 @@ def cmd_falconer(args) -> int:
         "circumcenter": list(circ.center),
         "ns_diameter": falconer.ns_diameter(family),
     }
-    ok = True
     if not separable:
-        try:
-            # a disk-plank instance reads no sample count or seed
-            reports, mult_json, ok = _reports_for(
-                inst, 0, 0, separation=(separable, line), circ=circ)
-        except CylpackError as exc:
-            _emit(_error_object("falconer", exc), args.out)
-            return _failure_code(exc)
         payload["reports"] = [r.to_json() for r in reports]
         if mult_json is not None:  # a failed packing: its witness and reason
             payload["multiplicity"] = mult_json
+    svg = []
     if args.svg:
-        svg = falconer.family_to_svg(family, planks=inst["planks"], line=line,
-                                     circ=circ)
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(svg)
+        svg = [(falconer.family_to_svg(family, planks=inst["planks"]), args.svg)]
         payload["svg"] = os.path.basename(args.svg)
-    _emit(payload, args.out)
+    _emit(payload, args.out, *svg)
     return EXIT_OK if ok else EXIT_FAILED
 
 

@@ -10,14 +10,17 @@ unit mass under its density (1/pi) (r^2 - rho^2)^(-1/2), so the family's
 density mass is its NS-diameter, ``ns_diameter``.  A plank is a k = 1
 ``cylinders.Cylinder`` in the plane (:func:`plank`): its frame's one column is
 the normal u and its base, a 1-d ``geom.Polytope``, the interval [a, b] of
-<x, u>.  ``check_disk_planks`` decides all of one instance's checks in one
-pass: one separability test, one exact arrangement sweep on the hull of the
-disks and one circumradius; nothing is sampled, and the sweep's verdict is a
+<x, u>.  A ``DiskFamily`` holds checked, frozen (n, 2) centres and n radii
+and decides its separation (``is_separable``) and enclosing circle
+(``circumradius``) once each.  ``check_disk_planks`` decides all of one
+instance's checks from these and one exact arrangement sweep on the hull of
+the disks; nothing is sampled, and the sweep's verdict is a
 ``multiplicity.VerificationResult`` certified by ``SWEEP_CERTIFICATE``.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,54 +47,52 @@ def _plane_vector(value, field: str) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class Disk:
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        c = _plane_vector(self.center, "disk center")
-        object.__setattr__(self, "center", geom._freeze(c))
-        if not 0 <= self.radius < math.inf:
-            raise DomainError("disk radius must be nonnegative and finite")
-
-
-@dataclass(frozen=True, eq=False)
 class DiskFamily:
-    """Closed disks plus the convex hull of their union."""
+    """Closed disks, as (n, 2) centres and n radii, plus the convex hull of
+    their union.  ``separation`` (``is_separable``) and ``circle``
+    (``circumradius``) are computed once, on first use."""
 
-    disks: tuple
+    centers: np.ndarray
+    radii: np.ndarray
 
     def __post_init__(self):
-        disks = tuple(self.disks)
-        if not disks:
+        centers = np.asarray(self.centers, dtype=float)
+        radii = np.asarray(self.radii, dtype=float)
+        if not radii.size:
             raise DomainError("a disk family needs at least one disk")
-        object.__setattr__(self, "disks", disks)
+        if radii.ndim != 1 or centers.shape != (len(radii), 2):
+            raise DimensionMismatch(f"a disk family needs (n, 2) centers and n radii, "
+                                    f"got {centers.shape} and {radii.shape}")
+        object.__setattr__(self, "centers", geom._freeze(centers))
+        if not np.all((radii >= 0) & (radii < math.inf)):
+            raise DomainError("disk radius must be nonnegative and finite")
+        object.__setattr__(self, "radii", geom._freeze(radii))
 
     def __len__(self) -> int:
-        return len(self.disks)
-
-    @property
-    def centers(self) -> np.ndarray:
-        return np.asarray([d.center for d in self.disks])
-
-    @property
-    def radii(self) -> np.ndarray:
-        return np.asarray([d.radius for d in self.disks])
+        return len(self.radii)
 
     def support(self, u) -> float:
         """Exact support function of the hull of the union."""
         u = np.asarray(u, dtype=float)
         return float(np.max(self.centers @ u + self.radii))
 
+    @cached_property
+    def separation(self) -> tuple[bool, "SeparatingLine | None"]:
+        return is_separable(self)
+
+    @cached_property
+    def circle(self) -> "EnclosingCircle":
+        return circumradius(self)
+
     def to_json(self) -> dict:
-        return {"disks": [{"center": d.center.tolist(), "radius": d.radius}
-                          for d in self.disks]}
+        return {"disks": [{"center": c, "radius": r}
+                          for c, r in zip(self.centers.tolist(), self.radii.tolist())]}
 
 
 def family_from_json(obj: dict) -> DiskFamily:
-    return DiskFamily(tuple(Disk(np.asarray(d["center"], dtype=float),
-                                 float(d["radius"]))
-                            for d in obj["disks"]))
+    disks = obj["disks"]
+    return DiskFamily([_plane_vector(d["center"], "disk center") for d in disks],
+                      [float(d["radius"]) for d in disks])
 
 
 def ns_diameter(family: DiskFamily) -> float:
@@ -168,8 +169,7 @@ def is_separable(family: DiskFamily) -> tuple[bool, SeparatingLine | None]:
     """
     if len(family) < 2:
         return False, None
-    centers, radii = family.centers, family.radii
-    crit = _critical_angles(centers, radii)
+    crit = _critical_angles(family.centers, family.radii)
     candidates = []
     if crit:
         # cell midpoints first: they witness fat gaps; critical angles only
@@ -181,7 +181,7 @@ def is_separable(family: DiskFamily) -> tuple[bool, SeparatingLine | None]:
         candidates.extend([0.0, math.pi / 2.0])
     for theta in candidates:
         u = np.array([math.cos(theta), math.sin(theta)])
-        offset = _gap_offset(centers, radii, u)
+        offset = _gap_offset(family.centers, family.radii, u)
         if offset is not None:
             return True, SeparatingLine(u=(float(u[0]), float(u[1])),
                                         offset=offset)
@@ -200,33 +200,34 @@ class EnclosingCircle:
 
     def tangency_residuals(self, family: DiskFamily) -> list[float]:
         c = np.asarray(self.center)
-        return [abs(self.radius - (float(np.linalg.norm(family.disks[i].center - c))
-                                   + family.disks[i].radius))
+        return [abs(self.radius - (float(np.linalg.norm(family.centers[i] - c))
+                                   + float(family.radii[i])))
                 for i in self.support]
 
 
-def _disk_in_circle(d: Disk, center: np.ndarray, radius: float,
+def _disk_in_circle(disk, center: np.ndarray, radius: float,
                     tol: float = 1e-12) -> bool:
+    c, r = disk
     scale = max(1.0, radius)
-    return float(np.linalg.norm(d.center - center)) + d.radius <= radius + tol * scale
+    return float(np.linalg.norm(c - center)) + r <= radius + tol * scale
 
 
-def _circle_two(d1: Disk, d2: Disk) -> tuple[np.ndarray, float]:
-    gap = float(np.linalg.norm(d2.center - d1.center))
-    if gap + d2.radius <= d1.radius:
-        return d1.center.copy(), d1.radius
-    if gap + d1.radius <= d2.radius:
-        return d2.center.copy(), d2.radius
-    radius = (gap + d1.radius + d2.radius) / 2.0
-    direction = (d2.center - d1.center) / gap
-    return d1.center + (radius - d1.radius) * direction, radius
+def _circle_two(d1, d2) -> tuple[np.ndarray, float]:
+    (c1, r1), (c2, r2) = d1, d2
+    gap = float(np.linalg.norm(c2 - c1))
+    if gap + r2 <= r1:
+        return c1.copy(), r1
+    if gap + r1 <= r2:
+        return c2.copy(), r2
+    radius = (gap + r1 + r2) / 2.0
+    direction = (c2 - c1) / gap
+    return c1 + (radius - r1) * direction, radius
 
 
-def _circle_three(d1: Disk, d2: Disk, d3: Disk) -> tuple[np.ndarray, float] | None:
+def _circle_three(d1, d2, d3) -> tuple[np.ndarray, float] | None:
     # internally tangent circle: |x - c_i| = R - r_i; pair differences are
     # linear in (x, R), leaving one quadratic in R
-    c = [d.center for d in (d1, d2, d3)]
-    r = [d.radius for d in (d1, d2, d3)]
+    c, r = zip(d1, d2, d3)
     a = 2.0 * np.array([c[0] - c[1], c[0] - c[2]])
     dvec = 2.0 * np.array([r[0] - r[1], r[0] - r[2]])
     rhs = np.array([
@@ -260,12 +261,12 @@ def _circle_three(d1: Disk, d2: Disk, d3: Disk) -> tuple[np.ndarray, float] | No
     return best
 
 
-def _smallest_circle_of(support: list[tuple[int, Disk]]) -> tuple[np.ndarray, float]:
+def _smallest_circle_of(support: list[tuple[int, tuple]]) -> tuple[np.ndarray, float]:
     disks = [d for _, d in support]
     if not disks:
         return np.zeros(2), -1.0
     if len(disks) == 1:
-        return disks[0].center.copy(), disks[0].radius
+        return disks[0][0].copy(), disks[0][1]
     if len(disks) == 2:
         return _circle_two(*disks)
     cands = [_circle_three(*disks)]
@@ -289,13 +290,15 @@ def circumradius(family: DiskFamily) -> EnclosingCircle:
     Incremental Welzl-style pass over disks shuffled with the fixed seed
     ``SHUFFLE_SEED``: whenever a disk falls outside the current circle it joins
     the boundary basis and the prefix is re-solved, so the output is determined
-    by at most three internally tangent support disks.  A containment
-    post-check raises ``DomainError`` if the result still leaves a disk
-    outside.
+    by at most three internally tangent support disks; the helpers take disks
+    as (centre, radius) rows.  Raises ``DomainError`` when the circle is not
+    finite in double precision or a containment post-check finds a disk
+    outside it.
     """
     import random as _random
 
-    order = list(enumerate(family.disks))
+    rows = list(zip(family.centers, family.radii.tolist()))
+    order = list(enumerate(rows))
     _random.Random(SHUFFLE_SEED).shuffle(order)
 
     def solve(items: list, support: list) -> tuple[np.ndarray, float, list]:
@@ -307,9 +310,12 @@ def circumradius(family: DiskFamily) -> EnclosingCircle:
                 x, radius, basis = solve(items[:pos], support + [item])
         return x, radius, basis
 
-    x, radius, basis = solve(order, [])
-    if not all(_disk_in_circle(d, x, radius, tol=1e-10) for d in family.disks):
-        raise DomainError("the enclosing circle leaves a disk outside")
+    with np.errstate(over="ignore", invalid="ignore"):  # the checks below decide
+        x, radius, basis = solve(order, [])
+        if not (np.all(np.isfinite(x)) and math.isfinite(radius)):
+            raise DomainError("the enclosing circle is not finite in double precision")
+        if not all(_disk_in_circle(d, x, radius, tol=1e-10) for d in rows):
+            raise DomainError("the enclosing circle leaves a disk outside")
     return EnclosingCircle(center=(float(x[0]), float(x[1])),
                            radius=float(radius),
                            support=tuple(sorted(i for i, _ in basis)))
@@ -507,13 +513,9 @@ def verify_plank_packing(family: DiskFamily, planks,
 # the disk-plank checks
 
 
-def check_disk_planks(family: DiskFamily, planks, r: int,
-                      separation: tuple[bool, SeparatingLine | None] | None = None,
-                      circ: EnclosingCircle | None = None) -> list[BoundReport]:
-    """Every disk-plank check of one instance, from one separability test,
-    one arrangement sweep and one circumradius.  A caller that already has
-    ``is_separable(family)`` or ``circumradius(family)`` passes it as
-    ``separation`` or ``circ``, and it is not computed again.
+def check_disk_planks(family: DiskFamily, planks, r: int) -> list[BoundReport]:
+    """Every disk-plank check of one instance, from the family's separation
+    and enclosing circle and one arrangement sweep.
 
     Reports, in order: the width bound for plank packings of a non-separable
     family's hull (sum of widths <= r * sum of diameters); the circumradius
@@ -529,15 +531,14 @@ def check_disk_planks(family: DiskFamily, planks, r: int,
     no r-fold packing.
     """
     planks = list(planks)
-    separable, line = is_separable(family) if separation is None else separation
+    separable, line = family.separation
     if separable:
         raise NotNS(f"family is separable by the line {line}")
     verdict = verify_plank_packing(family, planks, r)
     if not verdict.ok:
         raise NotAPacking(verdict.reason, verdict)
     diam_ns = ns_diameter(family)
-    if circ is None:
-        circ = circumradius(family)
+    circ = family.circle
     digest = instance_digest({"family": family.to_json(),
                               "planks": [plank_to_json(p) for p in planks], "r": r})
     _, lows, highs = _plank_arrays(planks)
@@ -563,15 +564,11 @@ def check_disk_planks(family: DiskFamily, planks, r: int,
 # SVG rendering
 
 
-def family_to_svg(family: DiskFamily, planks=(), line: SeparatingLine | None = None,
-                  circ: EnclosingCircle | None = None) -> str:
-    """Static ``SVG_SIZE``-pixel SVG drawing of disks, optional planks, and a
-    separating line, framed by the enclosing circle ``circ`` (computed when
-    not given)."""
-    if circ is None:
-        circ = circumradius(family)
-    cx, cy = circ.center
-    half = circ.radius * 1.25
+def family_to_svg(family: DiskFamily, planks=()) -> str:
+    """Static ``SVG_SIZE``-pixel SVG drawing of the disks, optional planks
+    and, for a separable family, its separating line, framed by the family's
+    enclosing circle."""
+    (cx, cy), half = family.circle.center, family.circle.radius * 1.25
     scale = SVG_SIZE / (2.0 * half)
 
     def sx(x: float) -> float:
@@ -589,10 +586,11 @@ def family_to_svg(family: DiskFamily, planks=(), line: SeparatingLine | None = N
         pts = " ".join(f"{sx(c[0]):.2f},{sy(c[1]):.2f}" for c in corners)
         parts.append(f'<polygon points="{pts}" fill="#44a" fill-opacity="0.15" '
                      f'stroke="#44a" stroke-width="1"/>')
-    for d in family.disks:
-        parts.append(f'<circle cx="{sx(d.center[0]):.2f}" cy="{sy(d.center[1]):.2f}" '
-                     f'r="{d.radius * scale:.2f}" fill="#c33" fill-opacity="0.35" '
+    for (x, y), radius in zip(family.centers, family.radii):
+        parts.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" '
+                     f'r="{radius * scale:.2f}" fill="#c33" fill-opacity="0.35" '
                      f'stroke="#c33" stroke-width="1.5"/>')
+    _, line = family.separation
     if line is not None:
         u = np.asarray(line.u)
         d = np.array([-u[1], u[0]])

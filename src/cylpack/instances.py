@@ -209,12 +209,9 @@ def random_ns_family(n_disks: int, seed: int) -> falconer.DiskFamily:
     """Non-separable disk family by rejection on the exact separability test."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0xD15C)))
     for _ in range(NS_TRIES):
-        centers = rng.uniform(-1.4, 1.4, size=(n_disks, 2))
-        radii = rng.uniform(0.5, 1.1, size=n_disks)
-        family = falconer.DiskFamily(tuple(
-            falconer.Disk(c, float(rad)) for c, rad in zip(centers, radii)))
-        separable, _ = falconer.is_separable(family)
-        if not separable:
+        family = falconer.DiskFamily(rng.uniform(-1.4, 1.4, size=(n_disks, 2)),
+                                     rng.uniform(0.5, 1.1, size=n_disks))
+        if not family.separation[0]:
             return family
     raise DomainError(f"no NS family found in {NS_TRIES} tries")
 

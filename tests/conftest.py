@@ -64,7 +64,6 @@ def inscribed_hull(family, arc_points: int = 256) -> geom.Polytope:
     circle and the disk centers; it lies inside the hull of the disks."""
     theta = np.linspace(0.0, 2.0 * math.pi, arc_points, endpoint=False)
     ring = np.column_stack([np.cos(theta), np.sin(theta)])
-    pts = np.vstack([d.center + d.radius * ring for d in family.disks
-                     if d.radius > 0] +
-                    [d.center[None, :] for d in family.disks])
+    pts = np.vstack([c + r * ring for c, r in zip(family.centers, family.radii)
+                     if r > 0] + [family.centers])
     return geom.Polytope(pts[ConvexHull(pts).vertices])

@@ -31,11 +31,11 @@ class LineMissesBody(CylpackError):
     """The requested section line does not meet the interior of the body."""
 
 
-def _chord_half_length(disk, s: float, u: np.ndarray) -> float:
-    dist = abs(float(disk.center @ u) - s)
-    if dist >= disk.radius:
+def _chord_half_length(center, radius: float, s: float, u: np.ndarray) -> float:
+    dist = abs(float(center @ u) - s)
+    if dist >= radius:
         return 0.0
-    return math.sqrt(disk.radius ** 2 - dist ** 2)
+    return math.sqrt(radius ** 2 - dist ** 2)
 
 
 def sectional_integral(family, s: float, u, mode: str = UNIT_CHORD) -> float:
@@ -51,9 +51,9 @@ def sectional_integral(family, s: float, u, mode: str = UNIT_CHORD) -> float:
     if not (-family.support(-u) + 1e-12 < s < family.support(u) - 1e-12):
         raise LineMissesBody("section line misses the interior of the hull")
     total = 0.0
-    for disk in family.disks:
-        if _chord_half_length(disk, s, u) > 0.0:
-            total += 1.0 if mode == UNIT_CHORD else 1.0 / disk.radius
+    for center, radius in zip(family.centers, family.radii):
+        if _chord_half_length(center, radius, s, u) > 0.0:
+            total += 1.0 if mode == UNIT_CHORD else 1.0 / radius
     return total
 
 
@@ -102,9 +102,9 @@ def lp_profile_minimum(moment: float, floor: float, n_cutoffs: int = 33,
     return best
 
 
-def disk_mass_quadrature(disk, mode: str = UNIT_CHORD) -> float:
-    """Radial quadrature of the same mass, via the sine substitution."""
-    r = disk.radius
+def disk_mass_quadrature(r: float, mode: str = UNIT_CHORD) -> float:
+    """Radial quadrature of the same mass for a disk of radius r, via the
+    sine substitution."""
     norm = 1.0 / math.pi if mode == UNIT_CHORD else 1.0 / (math.pi * r)
 
     def integrand(psi: float) -> float:
@@ -126,11 +126,11 @@ def sectional_integral_quadrature(family, s: float, u,
     if not (-family.support(-u) + 1e-12 < s < family.support(u) - 1e-12):
         raise LineMissesBody("section line misses the interior of the hull")
     total = 0.0
-    for disk in family.disks:
-        h = _chord_half_length(disk, s, u)
+    for center, radius in zip(family.centers, family.radii):
+        h = _chord_half_length(center, radius, s, u)
         if h <= 0.0:
             continue
-        weight = 1.0 if mode == UNIT_CHORD else 1.0 / disk.radius
+        weight = 1.0 if mode == UNIT_CHORD else 1.0 / radius
         val, _ = integrate.quad(
             lambda th, hh=h: (1.0 / math.pi) * hh * math.cos(th)
             / math.sqrt(max(hh * hh * (1.0 - math.sin(th) ** 2), 1e-300)),

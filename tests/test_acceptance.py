@@ -253,9 +253,8 @@ def test_criterion_8_disk_family_suite():
     for seed in range(200):
         gen = np.random.default_rng(2000 + seed)
         n = int(gen.integers(2, 7))
-        fam = falconer.DiskFamily(tuple(
-            falconer.Disk(gen.uniform(-2, 2, 2), float(gen.uniform(0.2, 1.0)))
-            for _ in range(n)))
+        fam = falconer.DiskFamily(*zip(*[(gen.uniform(-2, 2, 2), gen.uniform(0.2, 1.0))
+                                         for _ in range(n)]))
         exact, line = falconer.is_separable(fam)
         if _oracle_finds_separating_line(fam, rng):
             assert exact, seed

@@ -207,12 +207,12 @@ def test_orthonormalize_rank_deficient():
     geom.orthonormalize_stack(np.delete(stack, 4, axis=0))
 
 
-def _loop_cap_family(sep_set, delta, k, seed):
+def _loop_cap_family(sep_set, k):
     """Frames of the one-member-at-a-time construction: one (d, m - 1) draw
-    and one Gram-Schmidt per member."""
+    and one Gram-Schmidt per member, seeded with the set's seed."""
     d = sep_set.points.shape[1]
     m = d - k
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0x5EED)))
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(sep_set.seed, 0x5EED)))
     out = []
     for x in sep_set.points:
         if m == 1:
@@ -231,8 +231,8 @@ def test_cap_family_frames_match_loop_oracle(d, delta, metric):
     for k in range(1, d):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # k = d - 1 warns
-            family = cappack.build_cap_family(sep_set, delta, k, seed=5)
-        ref = _loop_cap_family(sep_set, delta, k, seed=5)
+            family = cappack.build_cap_family(sep_set, k)
+        ref = _loop_cap_family(sep_set, k)
         assert len(family) == len(ref)
         for cyl, frame, x in zip(family, ref, sep_set.points):
             assert cyl.frame.columns.tobytes() == frame.columns.tobytes()
@@ -273,7 +273,7 @@ def test_cap_pole_check_raises_as_capbase():
     with pytest.raises(DomainError, match="cap pole must be a unit vector"):
         cylinders.CapBase(pole, 0.3)
     with pytest.raises(DomainError, match="cap pole must be a unit vector"):
-        cappack.build_cap_family(bad, 0.3, 1, seed=1)
+        cappack.build_cap_family(bad, 1)
     poles = np.tile([0.0, 1.0, 0.0], (5, 1))
     poles[3] = pole
     with pytest.raises(DomainError, match="cap pole must be a unit vector"):
@@ -297,7 +297,7 @@ def test_cap_family_is_checked_once_per_family(monkeypatch):
         calls.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # k = d - 1 warns
-            family = cappack.build_cap_family(sep_set, 0.3, k, seed=1)
+            family = cappack.build_cap_family(sep_set, k)
         assert calls == [("_checked_frames", len(family)),
                          ("_checked_caps", len(family))]
 
@@ -333,7 +333,7 @@ def assert_set_pinned(d, delta):
     assert hashlib.sha256(sep_set.points.tobytes()).hexdigest() == set_pin
     for k, pin in frame_pins.items():
         h = hashlib.sha256()
-        for cyl in cappack.build_cap_family(sep_set, delta, k, seed=1):
+        for cyl in cappack.build_cap_family(sep_set, k):
             h.update(cyl.frame.columns.tobytes())
             h.update(cyl.base.pole.tobytes())
         assert h.hexdigest() == pin, k

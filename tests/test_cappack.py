@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -73,8 +74,10 @@ def test_pairwise_caps_disjoint_exactly():
 
 def test_build_cap_family_frames_contain_pole():
     out = cappack.build_separated_set(4, 0.6, seed=1)
-    fam = cappack.build_cap_family(out, 0.3, 2, seed=1)
+    fam = cappack.build_cap_family(out, 2)
     assert len(fam) == len(out)
+    # the cap radius is half the set's separation, bit for bit
+    assert {cyl.base.delta for cyl in fam} == {out.separation / 2} == {0.3}
     for x, cyl in zip(out.points, fam):
         pole = cyl.frame.coords(x)
         assert pole[0] == pytest.approx(1.0, abs=1e-12)
@@ -90,7 +93,7 @@ def test_cap_cylinder_slice_maximum_value():
     x = np.eye(d)[0]
     out = cappack.SeparatedSet(points=np.array([x]), separation=2 * delta,
                                metric=cappack.PROJECTIVE, maximal=False, seed=0)
-    fam = cappack.build_cap_family(out, delta, k, seed=0)
+    fam = cappack.build_cap_family(out, k)
     h_frame = geom.complement(fam[0].frame)
     val = geom.affine_slice_volume(ball, h_frame, math.cos(delta) * x)
     want = math.sin(delta) ** k * specfn.unit_ball_volume(k)
@@ -105,7 +108,7 @@ def test_two_point_family_packs():
     pts = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]])
     out = cappack.SeparatedSet(points=pts, separation=0.6,
                                metric=cappack.PROJECTIVE, maximal=False, seed=0)
-    fam = cappack.build_cap_family(out, 0.3, 1, seed=0)
+    fam = cappack.build_cap_family(out, 1)
     ball = geom.Ball(np.zeros(4), 1.0)
     rep = multiplicity.estimate_multiplicity(ball, fam, 20_000, seed=1)
     assert rep.max_mult == 1
@@ -177,7 +180,7 @@ def test_degenerate_codimension_warns():
     out = cappack.build_separated_set(4, 0.6, seed=1)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        fam = cappack.build_cap_family(out, 0.3, 3, seed=1)
+        fam = cappack.build_cap_family(out, 3)
     assert any("degenerates" in str(w.message) for w in caught)
     assert fam[0].frame.subspace_dim == 1
 
@@ -196,6 +199,11 @@ def test_domain_errors():
                         (4, 4, 0.3), (4, 1, 0.0), (4, 1, math.nan)]:
         with pytest.raises(DomainError):
             cappack.build_cap_packing(d, k, delta)
+    # a family reads its cap radius from the set, and the cap check bounds it
     out = cappack.build_separated_set(4, 0.6, seed=0)
-    with pytest.raises(DomainError):
-        cappack.build_cap_family(out, 0.2, 1)  # delta not half the separation
+    for k in (0, 4):
+        with pytest.raises(DomainError, match="codimension"):
+            cappack.build_cap_family(out, k)
+    wide = dataclasses.replace(out, separation=math.pi)
+    with pytest.raises(DomainError, match="cap angle must lie in"):
+        cappack.build_cap_family(wide, 1)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import falconer_oracle
 from conftest import inscribed_hull
 from cylpack import falconer, geom, instances
 from cylpack.errors import (
+    DimensionMismatch,
     DomainError,
     NotAPacking,
     NotNS,
@@ -14,8 +16,8 @@ from cylpack.errors import (
 
 
 def disks(*specs) -> falconer.DiskFamily:
-    return falconer.DiskFamily(tuple(
-        falconer.Disk(np.asarray(c, dtype=float), float(r)) for c, r in specs))
+    """The family of the (centre, radius) pairs ``specs``."""
+    return falconer.DiskFamily(*zip(*specs))
 
 
 TANGENT_TRIO = disks(((0, 0), 1.0), ((2, 0), 1.0), ((1, math.sqrt(3)), 1.0))
@@ -94,8 +96,7 @@ def test_separability_agrees_with_oracle(rng):
         n = int(rng.integers(2, 6))
         centers = rng.uniform(-2, 2, size=(n, 2))
         radii = rng.uniform(0.2, 1.0, size=n)
-        fam = falconer.DiskFamily(tuple(
-            falconer.Disk(c, float(r)) for c, r in zip(centers, radii)))
+        fam = falconer.DiskFamily(centers, radii)
         exact, line = falconer.is_separable(fam)
         oracle = random_line_separability_oracle(fam, rng, trials=4000)
         if oracle:
@@ -146,14 +147,65 @@ def test_circumradius_contains_and_is_tight(rng):
     for seed in range(25):
         gen = np.random.default_rng(seed)
         n = int(gen.integers(1, 9))
-        fam = falconer.DiskFamily(tuple(
-            falconer.Disk(gen.uniform(-3, 3, 2), float(gen.uniform(0.1, 1.5)))
-            for _ in range(n)))
+        fam = disks(*[(gen.uniform(-3, 3, 2), gen.uniform(0.1, 1.5))
+                      for _ in range(n)])
         out = falconer.circumradius(fam)
         c = np.asarray(out.center)
         reach = np.linalg.norm(fam.centers - c, axis=1) + fam.radii
         assert np.max(reach) <= out.radius + 1e-10
         assert np.max(reach) > out.radius - 1e-6  # shrinking violates support
+
+
+def test_circumradius_raises_when_the_circle_is_not_finite():
+    # centres at +-1e300 put the circle's centre and radius past double range
+    fam = disks(((1e300, 1e300), 1.0), ((-1e300, -1e300), 1.0), ((0, 0), 1.0))
+    with pytest.raises(DomainError, match="not finite"):
+        falconer.circumradius(fam)
+    with pytest.raises(DomainError, match="not finite"):
+        fam.circle
+
+
+@pytest.mark.parametrize("centers,radii,error,message", [
+    ([[0.0, 0.0, 1.0]], [1.0], DimensionMismatch, "(n, 2) centers"),
+    ([[0.0, 0.0]], [1.0, 2.0], DimensionMismatch, "(n, 2) centers"),
+    ([[math.nan, 0.0]], [1.0], DomainError, "must be finite"),
+    ([[0.0, 0.0]], [-1.0], DomainError, "nonnegative and finite"),
+    ([[0.0, 0.0]], [math.inf], DomainError, "nonnegative and finite"),
+    (np.empty((0, 2)), [], DomainError, "at least one disk"),
+], ids=["3-component", "count", "nan-center", "negative-radius", "inf-radius",
+        "empty"])
+def test_disk_family_checks_its_arrays(centers, radii, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        falconer.DiskFamily(centers, radii)
+
+
+def test_disk_family_is_a_frozen_value():
+    centers = np.array([[0.0, 0.0], [1.5, 0.0]])
+    fam = falconer.DiskFamily(centers, [1.0, 0.5])
+    centers[0, 0] = 9.0  # the family holds its own copy
+    assert fam.centers[0, 0] == 0.0 and len(fam) == 2
+    for arr in (fam.centers, fam.radii):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
+def test_family_decides_separation_and_circle_once(monkeypatch):
+    calls = []
+    for name in ("is_separable", "circumradius"):
+        def counted(fam, _name=name, _real=getattr(falconer, name)):
+            calls.append(_name)
+            return _real(fam)
+
+        monkeypatch.setattr(falconer, name, counted)
+    fam = instances.random_ns_family(5, seed=2)
+    assert calls[-1] == "is_separable"  # the generator's test of its last draw
+    calls.clear()
+    planks = instances.random_plank2d_packing(fam, 3, 2, seed=2)
+    falconer.check_disk_planks(fam, planks, 2)
+    falconer.check_disk_planks(fam, planks, 3)
+    falconer.family_to_svg(fam, planks=planks)
+    assert calls == ["circumradius"]
+    assert fam.separation == (False, None)
 
 
 def test_ns_diameter():
@@ -302,8 +354,7 @@ def test_parallel_planks_stay_apart_in_a_huge_hull():
     # one disk of radius 1e154 holds the others; the packing's parallel
     # planks are 1e-154 of the hull's size apart and must not coincide
     fam = instances.random_ns_family(4, 1)
-    huge = falconer.DiskFamily(
-        (falconer.Disk(fam.disks[0].center, 1e154),) + fam.disks[1:])
+    huge = falconer.DiskFamily(fam.centers, np.concatenate([[1e154], fam.radii[1:]]))
     planks = instances.random_plank2d_packing(fam, 3, 2, seed=1)
     mult, witness = falconer.exact_plank_multiplicity(huge, planks)
     assert mult == 2
@@ -325,8 +376,7 @@ def test_hull_chords_end_on_the_hull_boundary(rng):
     theta = np.linspace(0.0, 2.0 * math.pi, 100_000, endpoint=False)
     for n in range(1, 8):
         radii = [0.5] + list(rng.uniform(0.0, 1.2, n - 1))
-        fam = falconer.DiskFamily(tuple(
-            falconer.Disk(rng.uniform(-2, 2, 2), float(r)) for r in radii))
+        fam = falconer.DiskFamily([rng.uniform(-2, 2, 2) for _ in radii], radii)
         kinks = falconer._pair_angles(fam.centers, fam.radii,
                                       lambda ri, rj: (rj - ri,))
         angles = np.concatenate([theta, kinks])
@@ -400,7 +450,7 @@ def test_line_misses_body():
 def test_total_mass_is_ns_diameter():
     # radial quadrature of the unit-chord density's mass, disk by disk
     for fam in (TANGENT_TRIO, disks(((0, 0), 1.5))):
-        mass = sum(falconer_oracle.disk_mass_quadrature(d) for d in fam.disks)
+        mass = sum(falconer_oracle.disk_mass_quadrature(r) for r in fam.radii)
         assert mass == pytest.approx(falconer.ns_diameter(fam), abs=1e-8)
 
 

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -684,8 +686,7 @@ def test_cli_bounds_full_fixture_suite(tmp_path, capsys):
 
 def test_cli_falconer_separable_family_draws_its_line(tmp_path, capsys):
     # two far disks: separable, so no plank check runs and no reports are kept
-    family = falconer.DiskFamily((falconer.Disk(np.array([0.0, 0.0]), 1.0),
-                                  falconer.Disk(np.array([4.0, 0.0]), 1.0)))
+    family = falconer.DiskFamily([[0.0, 0.0], [4.0, 0.0]], [1.0, 1.0])
     planks = [falconer.plank(np.array([1.0, 0.0]), 0.0, 0.5)]
     inst = tmp_path / "sep.json"
     instances.dump_json(instances.disk_planks_instance(family, planks, 1, {}), inst)
@@ -839,14 +840,21 @@ def _count_calls(monkeypatch, module, names) -> dict:
 
 
 def test_cli_verifies_disk_planks_in_one_pass(tmp_path, monkeypatch, capsys):
+    # verify, bounds and falconer --svg each decide the family's separation
+    # and enclosing circle once and sweep its planks once
     inst = tmp_path / "ns.json"
     assert cli.main(["construct", *CONSTRUCT_KINDS["ns"], "--seed", "1",
                      "--out", str(inst)]) == 0
     calls = _count_calls(monkeypatch, falconer,
                          ["exact_plank_multiplicity", "_hull_polygon",
                           "circumradius", "is_separable"])
-    assert cli.main(["verify", str(inst)]) == 0
-    assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, 1)
+    for argv in (["verify", str(inst)], ["bounds", str(inst)],
+                 ["falconer", str(inst), "--svg", str(tmp_path / "ns.svg")]):
+        for c in calls.values():
+            c.clear()
+        assert cli.main(argv) == 0
+        assert {name: len(c) for name, c in calls.items()} == \
+            dict.fromkeys(calls, 1), argv[0]
     capsys.readouterr()
 
 
@@ -954,3 +962,142 @@ def test_cli_falconer_decides_separability_and_circumradius_once(
         "rep.json": "d4d6ae619f8f971f6b78a490d73ef5ab002784015859e1a8c8a0a75f3648a6d1",
         "fam.svg": "eb6536a39b7fed1c20b94d6513a939b91422ca3deaf4dc2ad67ec7c4693413b5",
     }
+
+
+@pytest.mark.parametrize("svg,out", [("f.svg", "missing/x.json"),
+                                     ("missing/f.svg", "x.json"),
+                                     ("missing/f.svg", None)],
+                         ids=["report-unwritable", "svg-unwritable",
+                              "svg-unwritable-stdout"])
+def test_cli_falconer_writes_both_outputs_or_neither(tmp_path, monkeypatch,
+                                                     capsys, svg, out):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["construct", *CONSTRUCT_KINDS["ns"], "--out", "ns.json"]) == 0
+    capsys.readouterr()
+    argv = ["falconer", "ns.json", "--svg", svg] + (["--out", out] if out else [])
+    assert cli.main(argv) == 2
+    err = json.loads(capsys.readouterr().out)["error"]  # one object, nothing else
+    assert err["stage"] == "output" and err["type"] == "FileNotFoundError"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ns.json"]
+
+
+def _far_disk(obj):
+    obj["disks"][0]["center"] = [1e300, 0.0]
+
+
+def _far_pair(obj):
+    obj["disks"][0]["center"] = [1e300, 1e300]
+    obj["disks"][1]["center"] = [-1e300, -1e300]
+
+
+@pytest.mark.parametrize("mutate,message",
+                         [(_far_disk, "leaves a disk outside"),
+                          (_far_pair, "not finite in double precision")],
+                         ids=["far-disk", "far-pair"])
+def test_cli_falconer_unusable_enclosing_circle_exits_2(tmp_path, capsys, mutate,
+                                                       message):
+    # the circle of a far disk leaves it outside, and that of a far pair is
+    # not finite: an error object, not a traceback or a JSON Infinity
+    inst = tmp_path / "ns.json"
+    assert cli.main(["construct", "--kind", "ns-family", "--n", "4", "--r", "2",
+                     "--seed", "5", "--out", str(inst)]) == 0
+    obj = instances.load_json(inst)
+    mutate(obj)
+    instances.dump_json(obj, inst)
+    capsys.readouterr()
+    assert cli.main(["falconer", str(inst), "--svg", str(tmp_path / "f.svg")]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["stage"] == "falconer" and err["type"] == "DomainError"
+    assert message in err["message"]
+    assert not (tmp_path / "f.svg").exists()
+
+
+@pytest.mark.parametrize("mutate,error,message", [
+    (lambda o: o["disks"][1]["center"].append(1.0), "DimensionMismatch",
+     "disk center needs 2 components, got 3"),
+    (lambda o: o["disks"][1].update(center=[math.nan, 0.0]), "DomainError",
+     "array fields must be finite"),
+    (lambda o: o["disks"][1].update(center=[0.0, math.inf]), "DomainError",
+     "array fields must be finite"),
+    (lambda o: o["disks"][2].update(radius=-0.5), "DomainError",
+     "disk radius must be nonnegative and finite"),
+    (lambda o: o["disks"][2].update(radius=math.nan), "DomainError",
+     "disk radius must be nonnegative and finite"),
+    (lambda o: o["disks"][2].update(radius=math.inf), "DomainError",
+     "disk radius must be nonnegative and finite"),
+    (lambda o: o.update(disks=[]), "DomainError",
+     "a disk family needs at least one disk"),
+], ids=["3-component-center", "nan-center", "inf-center", "negative-radius",
+        "nan-radius", "inf-radius", "no-disks"])
+def test_cli_single_fault_disk_file_keeps_its_error(tmp_path, capsys, mutate,
+                                                    error, message):
+    # the exit code, error type and message of each disk field fault, as
+    # recorded when a family was a tuple of per-disk objects
+    inst = tmp_path / "ns.json"
+    assert cli.main(["construct", "--kind", "ns-family", "--n", "4", "--r", "2",
+                     "--seed", "5", "--out", str(inst)]) == 0
+    obj = instances.load_json(inst)
+    mutate(obj)
+    instances.dump_json(obj, inst)
+    capsys.readouterr()
+    for command in ("verify", "bounds", "falconer"):
+        assert cli.main([command, str(inst)]) == 2, command
+        assert json.loads(capsys.readouterr().out)["error"] == {
+            "stage": "validate", "type": error, "message": message}, command
+
+
+# arguments of the construct runs whose outputs are pinned per seed
+PINNED_CONSTRUCTS = {
+    "ns-4-2": ["--kind", "ns-family", "--n", "4", "--r", "2"],
+    "ns-6-1": ["--kind", "ns-family", "--n", "6", "--r", "1"],
+    "cap-4-1-0.3": ["--kind", "cap", "--dim", "4", "--k", "1", "--delta", "0.3"],
+    "cap-5-2-0.25": ["--kind", "cap", "--dim", "5", "--k", "2", "--delta", "0.25"],
+}
+# sha256 over the exit code and stdout of construct, verify, bounds and
+# falconer --svg and the files they write, seeds 1-3, recorded while a disk
+# family was a tuple of per-disk objects and a cap family took its radius
+# and seed as arguments
+OUTPUT_PINS = {
+    "cap-4-1-0.3": [
+        "ae23ddbd06ad2a7ee176ee9c5e2a55e7c672be16909049e2e06199909fc62b04",
+        "b16b507f324debef355d6faab01e992fa85914703d5e85c8736b1008665435a9",
+        "dbc745d851fe3d54eb2b807a5a894bc85b1423433378b498fa66b60bca83fcd0",
+    ],
+    "cap-5-2-0.25": [
+        "b5a6dc59bec1b40dc7dc7c3030e210c93abe35c34ec7cb2c01eb5295ca4f30c3",
+        "54b98a69fe9ae4a842da345164eb616cd494281bbbddb8240210e7798f6fe833",
+        "cec7a203684858a996f38f5692cd64dea30031012cc25c8050290b56d8cb3698",
+    ],
+    "ns-4-2": [
+        "5119a400422376f7303d9efe58657421428edea9789943db7d8df9c741c68100",
+        "4126bfde43fff94386991cde5248b0e9d72d1d66626de5553120d017b124c9b6",
+        "4e9901308b9c61c07ff2f3cef6e2932b0c42c3ea45c98633a9f165a8e521cdeb",
+    ],
+    "ns-6-1": [
+        "4125b2346e3345be9757d42ed3cb81e5abbe1ca3c632e2d2d8aaf45f8651e8f7",
+        "dd7e86cd73d978e3e4b0ee485091a4866fe358e5517eb0ccfff13c57eca5195a",
+        "f64d5301c32f31eea1afc7f165a7d117c4ce5526c2e708bc38a492ed13567826",
+    ],
+}
+
+
+def _pinned_outputs_digest(directory, args, seed: int) -> str:
+    h = hashlib.sha256()
+    inst, svg = directory / f"{seed}.json", directory / f"{seed}.svg"
+    for argv in (["construct", *args, "--seed", str(seed), "--out", str(inst)],
+                 ["verify", str(inst)], ["bounds", str(inst)],
+                 ["falconer", str(inst), "--svg", str(svg)]):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = cli.main(argv)
+        h.update(f"{argv[0]} {code}\n{stdout.getvalue()}".encode())
+    for path in (inst, svg):
+        h.update(path.read_bytes() if path.exists() else b"absent")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CONSTRUCTS))
+def test_cli_outputs_are_byte_pinned_per_seed(tmp_path, name):
+    digests = [_pinned_outputs_digest(tmp_path, PINNED_CONSTRUCTS[name], seed)
+               for seed in (1, 2, 3)]
+    assert digests == OUTPUT_PINS[name]

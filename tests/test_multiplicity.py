@@ -30,7 +30,7 @@ def test_duplicate_strip_doubles_multiplicity():
 def test_cap_family_multiplicity_one():
     ball4 = geom.Ball(np.zeros(4), 1.0)
     sep = cappack.build_separated_set(4, 0.6, seed=3)
-    fam = cappack.build_cap_family(sep, 0.3, 1, seed=3)
+    fam = cappack.build_cap_family(sep, 1)
     rep = multiplicity.estimate_multiplicity(ball4, fam, 20_000, seed=3)
     assert rep.max_mult == 1
 
