@@ -3,8 +3,8 @@
 Exit codes: 0 all checks passed, 1 a verification or bound failed (the report
 carries a witness), 2 unusable input (parse error, unknown kind, bad
 parameters, an instance outside a check's domain or one too degenerate to
-evaluate: any ``DomainError``); ``bounds`` exits 2 when any instance is
-unusable, else 1 when any check failed, and lists the instances that parse
+evaluate): every error object exits 2; ``bounds`` exits 2 when any instance
+is unusable, else 1 when any check failed, and lists the instances that parse
 but cannot be checked under its table's ``errors`` (stderr for CSV).  Output
 files depend only on the instance content and the flags, so reruns are
 byte-identical.  An output path that cannot be written (a missing directory,
@@ -131,11 +131,6 @@ def _load_instance(path):
         return None, _error_object("validate", exc)
 
 
-def _failure_code(exc: CylpackError) -> int:
-    """Exit code of a check that raised: input outside its domain is unusable."""
-    return EXIT_USAGE if isinstance(exc, DomainError) else EXIT_FAILED
-
-
 def _reports_for(inst, samples: int, seed: int) -> tuple[list, dict | None, bool]:
     """(bound reports, multiplicity json, all_ok) for one instance.
 
@@ -174,7 +169,7 @@ def cmd_verify(args) -> int:
         reports, mult_json, ok = _reports_for(inst, args.samples, args.seed)
     except CylpackError as exc:
         _emit(_error_object("verify", exc), args.out)
-        return _failure_code(exc)
+        return EXIT_USAGE
     payload = {
         "schema_version": instances.SCHEMA_VERSION,
         "kind": inst["kind"],
@@ -205,7 +200,7 @@ def cmd_bounds(args) -> int:
         except CylpackError as exc:
             errors.append(_error_object(f"bounds:{os.path.basename(path)}",
                                         exc)["error"])
-            code = max(code, _failure_code(exc))
+            code = EXIT_USAGE
             continue
         if args.theorem:
             reports = [r for r in reports if args.theorem in r.theorem_id]
@@ -245,7 +240,7 @@ def cmd_falconer(args) -> int:
             _reports_for(inst, 0, 0)
     except CylpackError as exc:
         _emit(_error_object("falconer", exc), args.out)
-        return _failure_code(exc)
+        return EXIT_USAGE
     payload: dict = {
         "schema_version": instances.SCHEMA_VERSION,
         "separable": separable,

@@ -43,16 +43,18 @@ class CapBase:
         return self.pole.shape[0]
 
 
-def _checked_caps(poles: np.ndarray, delta: float) -> np.ndarray:
-    """The CapBase checks over an (N, m) pole stack in one pass; the rows
-    normalized by sqrt(vecdot(p, p)), bit-identical to ``linalg.norm(p)``."""
+def _checked_caps(poles: np.ndarray, delta) -> np.ndarray:
+    """The CapBase checks over an (N, m) pole stack and one angle or N angles
+    in one pass; the rows normalized by sqrt(vecdot(p, p)), bit-identical to
+    ``linalg.norm(p)``."""
     with np.errstate(over="ignore"):  # past ~1.3e154 the norm is inf and fails
         norm = np.sqrt(np.vecdot(poles, poles))
     if (np.abs(norm - 1.0) > 1e-9).any():
         raise DomainError("cap pole must be a unit vector")
     poles = geom._freeze(poles / norm[:, None])
-    if not 0.0 < delta < math.pi / 2.0:
-        raise DomainError(f"cap angle must lie in (0, pi/2), got {delta}")
+    deltas = np.asarray(delta)
+    if (bad := deltas[~((0.0 < deltas) & (deltas < math.pi / 2.0))]).size:
+        raise DomainError(f"cap angle must lie in (0, pi/2), got {bad[0]}")
     return poles
 
 
@@ -238,21 +240,39 @@ def json_typed(value, kind: type, field: str):
     return value
 
 
-def cylinder_from_json(obj: dict) -> Cylinder:
-    cols = np.asarray(obj["frame"]["columns"], dtype=float).T
-    frame = geom.Frame(cols)
-    b = obj["base"]
-    kind = b["kind"]
-    if kind == "polytope":
-        base: CylinderBase = geom.Polytope(np.asarray(b["vertices"], dtype=float))
-    elif kind == "disk":
-        base = geom.Ball(np.asarray(b["center"], dtype=float), float(b["radius"]))
-    elif kind == "cap":
-        base = CapBase(np.asarray(b["pole"], dtype=float), float(b["delta"]),
-                       json_typed(b.get("antipodal", True), bool, "cap antipodal"))
-    else:
-        raise DomainError(f"unknown base kind {kind!r}")
-    cyl = Cylinder(frame, base)
-    if cyl.k != json_typed(obj["k"], int, "cylinder k"):
-        raise DimensionMismatch("codimension field disagrees with the frame shape")
-    return cyl
+# per base kind, the JSON array that fixes its dimension and that array's rank
+_BASE_ARRAY = {"polytope": ("vertices", 2), "disk": ("center", 1), "cap": ("pole", 1)}
+
+
+def family_from_json(objs, d: int, k: int) -> list[Cylinder]:
+    """An instance file's cylinders around a body of R^d, checked like a built
+    cap family: each one's k field, (d - k, d) frame rows and base dimension
+    d - k (``DimensionMismatch``), then all frames (F-contiguous, the rows'
+    transpose) in one ``geom._checked_frames`` pass, all caps in one ``_checked_caps``."""
+    m = d - k
+    for i, obj in enumerate(objs):
+        b = obj["base"]
+        if b["kind"] not in _BASE_ARRAY:
+            raise DomainError(f"unknown base kind {b['kind']!r}")
+        field, rank = _BASE_ARRAY[b["kind"]]
+        rows, shape = np.shape(obj["frame"]["columns"]), np.shape(b[field])
+        if json_typed(obj["k"], int, "cylinder k") != k or rows != (m, d) \
+                or len(shape) != rank or shape[-1] != m:
+            raise DimensionMismatch(f"cylinder {i} is not of codimension {k} in R^{d}: k="
+                                    f"{obj['k']}, frame rows {rows}, base {field} {shape}")
+    cols = geom._checked_frames(np.array(
+        [obj["frame"]["columns"] for obj in objs], dtype=float).transpose(0, 2, 1))
+    caps = [obj["base"] for obj in objs if obj["base"]["kind"] == "cap"]
+    poles = iter(_checked_caps(np.array([b["pole"] for b in caps], dtype=float),
+                               [float(b["delta"]) for b in caps]) if caps else ())
+
+    def base(b):
+        if b["kind"] == "polytope":
+            return geom.Polytope(np.asarray(b["vertices"], dtype=float))
+        if b["kind"] == "disk":
+            return geom.Ball(np.asarray(b["center"], dtype=float), float(b["radius"]))
+        return geom._unchecked(CapBase, pole=next(poles), delta=float(b["delta"]),
+                               antipodal=json_typed(b.get("antipodal", True),
+                                                    bool, "cap antipodal"))
+    return [Cylinder(geom._unchecked(geom.Frame, columns=c), base(obj["base"]))
+            for obj, c in zip(objs, cols)]

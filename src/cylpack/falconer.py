@@ -297,7 +297,7 @@ def circumradius(family: DiskFamily) -> EnclosingCircle:
     """
     import random as _random
 
-    rows = list(zip(family.centers, family.radii.tolist()))
+    rows = list(zip(family.centers, family.radii))  # float64: a square overflows to inf
     order = list(enumerate(rows))
     _random.Random(SHUFFLE_SEED).shuffle(order)
 

@@ -110,21 +110,9 @@ class Frame:
 
 
 def orthonormalize(vectors) -> Frame:
-    """Gram-Schmidt frame spanning the same subspace as the input vectors.
-
-    The first column stays parallel to the first input vector.  Raises
-    RankDeficient when a residual falls below the relative pivot threshold.
-    This is the one-list case of ``orthonormalize_stack``.
-    """
-    return orthonormalize_stack(_as_points(vectors)[None])[0]
-
-
-def orthonormalize_stack(stack) -> list[Frame]:
-    """One Gram-Schmidt frame per vector list of an (N, m, d) stack
-    (``_gram_schmidt``), the Frame invariant checked once over the whole
-    output: each frame's columns are a read-only view of that frozen stack."""
-    return [_unchecked(Frame, columns=c)
-            for c in _checked_frames(_gram_schmidt(stack))]
+    """Gram-Schmidt frame (``_gram_schmidt``) of the vectors' span, its first
+    column parallel to the first vector; RankDeficient below the pivot threshold."""
+    return Frame(_gram_schmidt(_as_points(vectors)[None])[0])
 
 
 def _gram_schmidt(stack) -> np.ndarray:

@@ -289,14 +289,11 @@ def parse_instance(obj: dict) -> dict:
         planks = [falconer.plank_from_json(p) for p in obj["planks"]]
         return {"kind": kind, "disk_family": family, "planks": planks, "r": r}
     body = geom.body_from_json(obj["body"])
-    family = [cylinders.cylinder_from_json(c) for c in obj["cylinders"]]
-    if not family:
+    if not obj["cylinders"]:
         raise DomainError(f"a {kind} instance needs at least one cylinder")
-    k = cylinders.json_typed(obj["k"], int, "instance k")
     # the CLI picks the checker from k, so it must be every cylinder's codimension
-    if any(c.k != k for c in family):
-        raise DomainError(f"instance k={k} disagrees with the cylinder codimensions "
-                          f"{sorted({c.k for c in family})}")
+    k = cylinders.json_typed(obj["k"], int, "instance k")
+    family = cylinders.family_from_json(obj["cylinders"], body.dim, k)
     return {"kind": kind, "body": body, "family": family, "r": r, "k": k}
 
 

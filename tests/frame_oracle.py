@@ -1,7 +1,7 @@
 """Reference oracle: Gram-Schmidt one vector list at a time.
 
-``orthonormalize`` is the loop before ``cylpack.geom.orthonormalize_stack``
-ran many lists together, kept verbatim, so that tests can require the stacked
+``orthonormalize`` is the loop before ``cylpack.geom._gram_schmidt`` ran
+many lists together, kept verbatim, so that tests can require the stacked
 routine to reproduce it bit for bit.
 """
 

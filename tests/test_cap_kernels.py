@@ -7,7 +7,7 @@
   threshold to ``_pair_ok``, builds the greedy points of the one-at-a-time
   construction (``sepset_oracle.greedy_points``) with a band wide enough to
   mix both insertion paths in one block;
-- ``geom.orthonormalize_stack`` and ``cappack.build_cap_family`` return the
+- ``geom._gram_schmidt`` and ``cappack.build_cap_family`` return the
   frames of Gram-Schmidt run on one vector list at a time
   (``frame_oracle.orthonormalize``);
 - the Frame and CapBase checks, run once over a whole stack, raise what the
@@ -182,11 +182,11 @@ def test_orthonormalize_matches_loop_oracle(d):
         stack = rng.standard_normal((25, m, d))
         stack[0] *= 1e-150  # tiny and huge inputs, too
         stack[1] *= 1e150
-        frames = geom.orthonormalize_stack(stack)
-        for vs, frame in zip(stack, frames):
+        frames = geom._checked_frames(geom._gram_schmidt(stack))
+        for vs, columns in zip(stack, frames):
             ref = frame_oracle.orthonormalize(vs).columns
-            assert frame.columns.tobytes() == ref.tobytes()
-            assert frame.columns.flags.c_contiguous == ref.flags.c_contiguous
+            assert columns.tobytes() == ref.tobytes()
+            assert columns.flags.c_contiguous == ref.flags.c_contiguous
             # the single-list routine is the N = 1 stack
             assert geom.orthonormalize(vs).columns.tobytes() == ref.tobytes()
         # a strided view (a column_stack transpose) gives the same bytes
@@ -203,8 +203,8 @@ def test_orthonormalize_rank_deficient():
     stack = np.random.default_rng(3).standard_normal((6, 3, 4))
     stack[4, 2] = stack[4, 0] - 2.0 * stack[4, 1]  # one dependent list of six
     with pytest.raises(RankDeficient):
-        geom.orthonormalize_stack(stack)
-    geom.orthonormalize_stack(np.delete(stack, 4, axis=0))
+        geom._gram_schmidt(stack)
+    geom._gram_schmidt(np.delete(stack, 4, axis=0))
 
 
 def _loop_cap_family(sep_set, k):

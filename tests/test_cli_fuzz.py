@@ -2,9 +2,10 @@
 
 One number of a valid instance file is replaced: a non-finite value must be
 rejected as unusable input (exit 2); any finite value must end in one of the
-documented exit codes, never in an uncaught exception; the far ends of the
-doubles (1.34e154, whose square overflows, the largest double and the least
-subnormal) also without a warning.
+documented exit codes, never in an uncaught exception, with exit 2 exactly
+when stdout is an error object and exit 1 a report with "passed": false; the
+far ends of the doubles (1.34e154, whose square overflows, the largest double
+and the least subnormal) also without a warning.
 The ``meta`` block is provenance that verification never reads, so its
 numbers are left alone.
 """
@@ -58,14 +59,17 @@ def _replaced(obj, path, value):
     return obj
 
 
-def _verify(root, obj) -> int:
+def _verify(root, obj) -> tuple[int, dict]:
+    """(exit code, stdout document) of one verify run."""
     inst = root / "fuzzed.json"
     inst.write_text(json.dumps(obj))
-    with contextlib.redirect_stdout(io.StringIO()):
-        return cli.main(["verify", str(inst), "--samples", "1000"])
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(["verify", str(inst), "--samples", "1000"])
+    return code, json.loads(stdout.getvalue())
 
 
-def _verify_with(fixtures, data, value) -> int:
+def _verify_with(fixtures, data, value) -> tuple[int, dict]:
     root, objs = fixtures
     name = data.draw(st.sampled_from(sorted(objs)), label="kind")
     path = data.draw(st.sampled_from(list(_numeric_leaves(objs[name]))),
@@ -76,14 +80,19 @@ def _verify_with(fixtures, data, value) -> int:
 @FUZZ
 @given(data=st.data(), value=st.sampled_from([math.nan, math.inf, -math.inf]))
 def test_nonfinite_field_exits_2(fixtures, data, value):
-    assert _verify_with(fixtures, data, value) == 2
+    assert _verify_with(fixtures, data, value)[0] == 2
 
 
 @FUZZ
 @given(data=st.data(),
        value=st.floats(allow_nan=False, allow_infinity=False))
 def test_finite_perturbation_exits_with_a_documented_code(fixtures, data, value):
-    assert _verify_with(fixtures, data, value) in (0, 1, 2)
+    # exit 2 exactly when stdout is an error object; exit 1 is a failed verdict
+    code, out = _verify_with(fixtures, data, value)
+    assert code in (0, 1, 2)
+    assert (code == 2) == (list(out) == ["error"])
+    if code != 2:
+        assert out["passed"] is (code == 0)
 
 
 # the far ends of the doubles: the least double whose square overflows, the
@@ -105,5 +114,5 @@ def test_overflow_edge_exits_quietly_with_a_documented_code(fixtures, name,
             continue
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = _verify(root, _replaced(objs[name], path, value))
+            code, _ = _verify(root, _replaced(objs[name], path, value))
         assert code in (0, 1, 2), path

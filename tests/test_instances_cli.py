@@ -454,13 +454,53 @@ def test_cli_ns_family_far_disk_is_separable_without_overflow(tmp_path, capsys):
         rc = cli.main(["verify", str(inst)])
         family = instances.parse_instance(instances.load_json(inst))["disk_family"]
         separable, line = falconer.is_separable(family)
-    assert rc == 1
+    assert rc == 2  # an error object, like every instance outside a check's domain
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "NotNS"
+    assert cli.main(["bounds", str(inst)]) == 2
+    table = json.loads(capsys.readouterr().out)
+    assert table["reports"] == [] and table["errors"][0]["type"] == "NotNS"
     assert separable
     u = np.asarray(line.u)
     clear = np.abs(family.centers @ u - line.offset) - family.radii
     side = family.centers @ u - line.offset > 0
     assert np.all(clear > 0) and side.any() and (~side).any()
+
+
+def _pack4_cylinders_around_pack3_body(tmp_path):
+    # cylinders of R^4 (k = 2) around a body of R^3
+    paths = {}
+    for name in ("pack3", "pack4"):
+        paths[name] = tmp_path / f"{name}.json"
+        assert cli.main(["construct", *CONSTRUCT_KINDS[name], "--seed", "1",
+                         "--out", str(paths[name])]) == 0
+    obj = instances.load_json(paths["pack4"])
+    obj["body"] = instances.load_json(paths["pack3"])["body"]
+    mixed = tmp_path / "mixed.json"
+    instances.dump_json(obj, mixed)
+    return mixed, paths["pack3"]
+
+
+MIXED_DIMENSION_ERROR = {
+    "stage": "validate", "type": "DimensionMismatch",
+    "message": "cylinder 0 is not of codimension 2 in R^3: k=2, frame rows (2, 4), "
+               "base center (2,)"}
+
+
+def test_cli_verify_cylinders_and_body_in_different_dimensions_exit_2(tmp_path,
+                                                                      capsys):
+    mixed, _ = _pack4_cylinders_around_pack3_body(tmp_path)
+    capsys.readouterr()
+    assert cli.main(["verify", str(mixed)]) == 2
+    assert json.loads(capsys.readouterr().out) == {"error": MIXED_DIMENSION_ERROR}
+
+
+def test_cli_bounds_cylinders_and_body_in_different_dimensions_exit_2(tmp_path,
+                                                                      capsys):
+    # a file that fails to validate ends the run with its error object alone
+    mixed, pack3 = _pack4_cylinders_around_pack3_body(tmp_path)
+    capsys.readouterr()
+    assert cli.main(["bounds", str(pack3), str(mixed)]) == 2
+    assert json.loads(capsys.readouterr().out) == {"error": MIXED_DIMENSION_ERROR}
 
 
 def test_cli_construct_deterministic(tmp_path):
@@ -990,10 +1030,17 @@ def _far_pair(obj):
     obj["disks"][1]["center"] = [-1e300, -1e300]
 
 
+def _huge_disks(obj):
+    # the squares of these radii overflow double precision
+    obj["disks"] = [{"center": c, "radius": 1e200}
+                    for c in ([0.0, 0.0], [3e200, 0.0], [1.5e200, 2.6e200])]
+
+
 @pytest.mark.parametrize("mutate,message",
                          [(_far_disk, "leaves a disk outside"),
-                          (_far_pair, "not finite in double precision")],
-                         ids=["far-disk", "far-pair"])
+                          (_far_pair, "not finite in double precision"),
+                          (_huge_disks, "not finite in double precision")],
+                         ids=["far-disk", "far-pair", "huge-disks"])
 def test_cli_falconer_unusable_enclosing_circle_exits_2(tmp_path, capsys, mutate,
                                                        message):
     # the circle of a far disk leaves it outside, and that of a far pair is
