@@ -14,6 +14,7 @@ another, in the order given.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -66,6 +67,7 @@ def _thread_count() -> int:
 # construct
 
 KINDS_READING_N = ("plank-partition", "packing", "polygon-strips", "ns-family")
+KINDS_READING_DIM = ("plank-partition", "packing", "covering")  # cap checks its own
 
 
 def cmd_construct(args) -> int:
@@ -74,6 +76,8 @@ def cmd_construct(args) -> int:
         instances.check_multiplicity(args.r)
         if args.n < 1 and args.kind in KINDS_READING_N:
             raise DomainError(f"--n must be at least 1, got {args.n}")
+        if args.dim < 2 and args.kind in KINDS_READING_DIM:
+            raise DomainError(f"--dim must be at least 2, got {args.dim}")
         if args.kind == "cap":
             _, family = cappack.build_cap_packing(args.dim, args.k, args.delta,
                                                   seed=args.seed)
@@ -266,7 +270,9 @@ def cmd_falconer(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call (not at import)."""
     parser = argparse.ArgumentParser(
         prog="cylpack",
         description="construct, verify, and report on cylinder packings and coverings")
@@ -311,8 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except OSError as exc:  # an output path that cannot be written

@@ -260,18 +260,21 @@ def family_from_json(objs, d: int, k: int) -> list[Cylinder]:
                 or len(shape) != rank or shape[-1] != m:
             raise DimensionMismatch(f"cylinder {i} is not of codimension {k} in R^{d}: k="
                                     f"{obj['k']}, frame rows {rows}, base {field} {shape}")
-    cols = geom._checked_frames(np.array(
-        [obj["frame"]["columns"] for obj in objs], dtype=float).transpose(0, 2, 1))
+    cols = geom._checked_frames(geom.json_numbers(
+        [obj["frame"]["columns"] for obj in objs], "frame columns").transpose(0, 2, 1))
     caps = [obj["base"] for obj in objs if obj["base"]["kind"] == "cap"]
-    poles = iter(_checked_caps(np.array([b["pole"] for b in caps], dtype=float),
-                               [float(b["delta"]) for b in caps]) if caps else ())
+    poles = geom.json_numbers([b["pole"] for b in caps], "cap pole")
+    deltas = [geom.json_number(b["delta"], "cap delta") for b in caps]
+    checked = iter(zip(_checked_caps(poles, deltas), deltas) if caps else ())
 
     def base(b):
         if b["kind"] == "polytope":
-            return geom.Polytope(np.asarray(b["vertices"], dtype=float))
+            return geom.Polytope(geom.json_numbers(b["vertices"], "base vertices"))
         if b["kind"] == "disk":
-            return geom.Ball(np.asarray(b["center"], dtype=float), float(b["radius"]))
-        return geom._unchecked(CapBase, pole=next(poles), delta=float(b["delta"]),
+            return geom.Ball(geom.json_numbers(b["center"], "disk center"),
+                             geom.json_number(b["radius"], "disk radius"))
+        pole, delta = next(checked)
+        return geom._unchecked(CapBase, pole=pole, delta=delta,
                                antipodal=json_typed(b.get("antipodal", True),
                                                     bool, "cap antipodal"))
     return [Cylinder(geom._unchecked(geom.Frame, columns=c), base(obj["base"]))

@@ -40,7 +40,7 @@ SWEEP_CERTIFICATE = "arrangement-sweep"
 
 
 def _plane_vector(value, field: str) -> np.ndarray:
-    vec = np.asarray(value, dtype=float)
+    vec = geom.json_numbers(value, field)
     if vec.size != 2:
         raise DimensionMismatch(f"{field} needs 2 components, got {vec.size}")
     return vec.reshape(2)
@@ -92,7 +92,7 @@ class DiskFamily:
 def family_from_json(obj: dict) -> DiskFamily:
     disks = obj["disks"]
     return DiskFamily([_plane_vector(d["center"], "disk center") for d in disks],
-                      [float(d["radius"]) for d in disks])
+                      [geom.json_number(d["radius"], "disk radius") for d in disks])
 
 
 def ns_diameter(family: DiskFamily) -> float:
@@ -437,7 +437,8 @@ def plank_to_json(p: cylinders.Cylinder) -> dict:
 
 def plank_from_json(obj: dict) -> cylinders.Cylinder:
     a, b = obj["interval"]
-    return plank(np.asarray(obj["u"], dtype=float), float(a), float(b))
+    return plank(obj["u"], geom.json_number(a, "plank interval"),
+                 geom.json_number(b, "plank interval"))
 
 
 def exact_plank_multiplicity(family: DiskFamily, planks) -> tuple[int, tuple]:

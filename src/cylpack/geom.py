@@ -347,15 +347,35 @@ def body_to_json(body: ConvexBody) -> dict:
     return {"type": "polytope", "vertices": body.vertices.tolist()}
 
 
+def json_numbers(value, field: str) -> np.ndarray:
+    """An instance file's number or array of numbers as float64.  numpy's
+    inferred dtype must be integer or float, so a string, boolean or null,
+    which a float conversion would accept, raises DomainError; a boolean
+    among numbers is coerced by numpy and passes."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        raise DomainError(f"{field} takes JSON numbers, got {value!r:.60}")
+    return arr.astype(float, copy=False)
+
+
+def json_number(value, field: str) -> float:
+    """An instance file's number, checked by :func:`json_numbers`."""
+    arr = json_numbers(value, field)
+    if arr.ndim:
+        raise DomainError(f"{field} takes one JSON number, got {value!r:.60}")
+    return float(arr)
+
+
 def body_from_json(obj: dict) -> ConvexBody:
     t = obj["type"]
     if t == "ball":
-        return Ball(np.asarray(obj["center"], dtype=float), float(obj["radius"]))
+        return Ball(json_numbers(obj["center"], "body center"),
+                    json_number(obj["radius"], "body radius"))
     if t == "ellipsoid":
-        return Ellipsoid(np.asarray(obj["center"], dtype=float),
-                         np.asarray(obj["shape"], dtype=float))
+        return Ellipsoid(json_numbers(obj["center"], "body center"),
+                         json_numbers(obj["shape"], "body shape"))
     if t == "polytope":
-        return Polytope(np.asarray(obj["vertices"], dtype=float))
+        return Polytope(json_numbers(obj["vertices"], "body vertices"))
     raise DomainError(f"unknown body type {t!r}")
 
 
@@ -787,19 +807,23 @@ def quadratic_on_ball(shape, center, ball_center, radius: float,
         g = vecs.T @ (center - ball_center)
         pg = p * g
         gap = math.hypot(*g) / radius
+        top = float(p[-1])
         if maximize:
             # strictly below -max p, so a start with no top-eigenvector
             # component (the hard case) still has finite terms
-            inside, outside = -p[-1] * (1.0 + gap) * (1.0 + 1e-12), -p[-1]
+            inside, outside = -top * (1.0 + gap) * (1.0 + 1e-12), -top
         elif gap <= 1.0:
             return center, 0.0
         else:
-            inside, outside = p[-1] * gap, 0.0
+            inside, outside = top * gap, 0.0
+        # the bisection runs on Python floats, each step the IEEE operations
+        # of pg / (p + mid), where p + mid != 0 (p > 0 < mid, or mid < -max p)
+        terms = list(zip(pg.tolist(), p.tolist()))
         for _ in range(SECULAR_ITERS):
             mid = 0.5 * (inside + outside)
             if mid == inside or mid == outside:
                 break
-            if math.hypot(*(pg / (p + mid))) <= radius:
+            if math.hypot(*[a / (b + mid) for a, b in terms]) <= radius:
                 inside = mid
             else:
                 outside = mid

@@ -418,3 +418,27 @@ def test_dimension_mismatch():
         geom.support(ball, [1.0, 0.0])
     with pytest.raises(DimensionMismatch):
         geom.project_body(ball, geom.orthonormalize(np.eye(2)))
+
+
+@pytest.mark.parametrize("value", ["1", True, None, ["1", "2"], [None, 1.0],
+                                   [[1.0], ["2"]], 10**20],
+                         ids=["string", "true", "null", "strings", "null-in-array",
+                              "string-in-rows", "beyond-int64"])
+def test_json_numbers_rejects_what_is_not_a_json_number(value):
+    with pytest.raises(DomainError, match="x takes JSON numbers"):
+        geom.json_numbers(value, "x")
+    with pytest.raises(DomainError, match="x takes"):
+        geom.json_number(value, "x")
+
+
+def test_json_numbers_reads_numbers_as_float64():
+    assert geom.json_number(2, "x") == 2.0 and type(geom.json_number(2, "x")) is float
+    with pytest.raises(DomainError, match="x takes one JSON number"):
+        geom.json_number([1.0], "x")
+    rows = geom.json_numbers([[1, 2.5], [3, 4]], "x")
+    assert rows.dtype == float and rows.flags.c_contiguous
+    assert rows.tolist() == [[1.0, 2.5], [3.0, 4.0]]
+    # numpy coerces a boolean among numbers, and it passes
+    assert geom.json_numbers([0.5, True], "x").tolist() == [0.5, 1.0]
+    floats = np.array([0.1, 0.2])
+    assert geom.json_numbers(floats, "x") is floats

@@ -513,17 +513,24 @@ def test_cli_construct_deterministic(tmp_path):
 
 
 KINDS_READING_N = ("plank", "pack3", "strips", "ns")  # fixtures whose kind reads --n
+KINDS_READING_DIM = ("plank", "pack3", "cover")  # the cap kind checks its own
+BELOW_2 = ("0", "-1", "1")
 
 
 @pytest.mark.parametrize("name,flags",
                          [(name, ["--r", "0"]) for name in sorted(CONSTRUCT_KINDS)]
                          + [("plank", ["--r", str(2**53 + 1)])]
-                         + [(name, ["--n", "0"]) for name in KINDS_READING_N],
+                         + [(name, ["--n", "0"]) for name in KINDS_READING_N]
+                         + [(name, ["--dim", d]) for name in KINDS_READING_DIM
+                            for d in BELOW_2],
                          ids=[f"{name}-r=0" for name in sorted(CONSTRUCT_KINDS)]
                          + ["plank-r=2**53+1"]
-                         + [f"{name}-n=0" for name in KINDS_READING_N])
+                         + [f"{name}-n=0" for name in KINDS_READING_N]
+                         + [f"{name}-dim={d}" for name in KINDS_READING_DIM
+                            for d in BELOW_2])
 def test_cli_construct_writes_no_unusable_file(tmp_path, capsys, name, flags):
-    # a file verify would reject (r outside [1, 2**53]) or an empty family
+    # a file verify would reject (r outside [1, 2**53]), an empty family or
+    # no body (a --dim below 2)
     out = tmp_path / "x.json"
     rc = cli.main(["construct", *CONSTRUCT_KINDS[name], *flags, "--out", str(out)])
     err = json.loads(capsys.readouterr().out)["error"]
@@ -1148,3 +1155,81 @@ def test_cli_outputs_are_byte_pinned_per_seed(tmp_path, name):
     digests = [_pinned_outputs_digest(tmp_path, PINNED_CONSTRUCTS[name], seed)
                for seed in (1, 2, 3)]
     assert digests == OUTPUT_PINS[name]
+
+
+def _constructed(name):
+    def build(tmp_path):
+        path = tmp_path / f"{name}.json"
+        assert cli.main(["construct", *CONSTRUCT_KINDS[name], "--seed", "1",
+                         "--out", str(path)]) == 0
+        return instances.load_json(path)
+    return build
+
+
+def _as_strings(value):
+    return [_as_strings(v) for v in value] if isinstance(value, list) else str(value)
+
+
+def _replace(*keys, by):
+    """A mutation that replaces the field at ``keys`` by ``by(old value)``."""
+    def mutate(obj):
+        target = obj
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = by(target[keys[-1]])
+    return mutate
+
+
+# one field each, a JSON string, boolean or null where a number belongs; a
+# float conversion reads the strings and booleans, which therefore ran, and
+# fails on the null with a TypeError
+NOT_NUMBERS = {
+    "body-radius-string": (_constructed("plank"), ("body", "radius"), str, "body radius"),
+    "body-radius-true": (_constructed("plank"), ("body", "radius"),
+                         lambda _: True, "body radius"),
+    "body-radius-null": (_constructed("plank"), ("body", "radius"),
+                         lambda _: None, "body radius"),
+    "body-center-strings": (_constructed("plank"), ("body", "center"), _as_strings,
+                            "body center"),
+    "body-shape-strings": (_constructed("pack4"), ("body", "shape"), _as_strings,
+                           "body shape"),
+    "base-vertices-strings": (_constructed("plank"),
+                              ("cylinders", 0, "base", "vertices"), _as_strings,
+                              "base vertices"),
+    "frame-columns-strings": (_constructed("pack3"),
+                              ("cylinders", 0, "frame", "columns"), _as_strings,
+                              "frame columns"),
+    "cap-delta-string": (_constructed("cap"), ("cylinders", 0, "base", "delta"), str,
+                         "cap delta"),
+    "cap-pole-strings": (_constructed("cap"), ("cylinders", 0, "base", "pole"),
+                         _as_strings, "cap pole"),
+    "disk-base-radius-string": (_ball_packing, ("cylinders", 0, "base", "radius"), str,
+                                "disk radius"),
+    "disk-base-center-strings": (_ball_packing, ("cylinders", 0, "base", "center"),
+                                 _as_strings, "disk center"),
+    "ns-disk-radius-string": (_constructed("ns"), ("disks", 0, "radius"), str,
+                              "disk radius"),
+    "ns-disk-center-strings": (_constructed("ns"), ("disks", 0, "center"), _as_strings,
+                               "disk center"),
+    "plank-interval-low-string": (_constructed("ns"), ("planks", 0, "interval", 0), str,
+                                  "plank interval"),
+    "plank-interval-high-string": (_constructed("ns"), ("planks", 0, "interval", 1),
+                                   str, "plank interval"),
+    "plank-normal-strings": (_constructed("ns"), ("planks", 0, "u"), _as_strings,
+                             "plank normal"),
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "bounds"])
+@pytest.mark.parametrize("case", sorted(NOT_NUMBERS))
+def test_cli_numbers_must_be_json_numbers(tmp_path, capsys, command, case):
+    build, keys, by, field = NOT_NUMBERS[case]
+    obj = build(tmp_path)
+    _replace(*keys, by=by)(obj)
+    inst = tmp_path / "bad.json"
+    instances.dump_json(obj, inst)
+    capsys.readouterr()
+    rc = cli.main([command, str(inst)])
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert rc == 2 and err["stage"] == "validate" and err["type"] == "DomainError"
+    assert err["message"].startswith(field)
