@@ -11,6 +11,7 @@ concave search elsewhere; each check takes the end that errs toward failing,
 and the report names the method.
 """
 
+import bisect
 import csv
 import hashlib
 import io
@@ -206,13 +207,15 @@ class SliceMax:
     to the relative rounding margin SLICE_MARGIN.  ``method`` names the route:
     "ellipsoid", "difference-body" and "piecewise-polynomial" are closed forms;
     "concave-search" certifies hi from its probes and stops at
-    hi - lo <= SLICE_GAP * hi.
+    hi - lo <= SLICE_GAP * hi.  ``probes`` counts the slice volumes the call
+    evaluated; it stays out of reports.
     """
 
     lo: float
     hi: float
     offset: tuple
     method: str
+    probes: int = 0
 
 
 def max_translate_slice(body: geom.ConvexBody, slice_frame: geom.Frame,
@@ -238,35 +241,48 @@ def max_translate_slice(body: geom.ConvexBody, slice_frame: geom.Frame,
       derivative and the piece ends.
     Everything else takes the concave search (:func:`_concave_search`).
     Antipodal cap bases raise DomainError: their restricted bodies are not
-    convex, so no route applies.
+    convex, so no route applies.  Every route evaluates slices through one
+    :func:`geom.slice_kernel`, built once per call.
     """
     if offsets_frame is None:
         offsets_frame = geom.complement(slice_frame)
     if isinstance(base, cylinders.CapBase) and base.antipodal:
         raise DomainError("antipodal cap bases make the restricted body "
                           "non-convex; slice maxima need one-sided caps")
+    slice_at = _SliceProbes(geom.slice_kernel(body, slice_frame), offsets_frame)
+    m = slice_frame.subspace_dim
     if not isinstance(body, geom.Polytope):
         if not isinstance(base, geom.Polytope):
-            return _ellipsoid_max(body, slice_frame, offsets_frame, base)
-    elif base is None and slice_frame.subspace_dim == 1:
+            return _ellipsoid_max(slice_at, body, slice_frame, offsets_frame, base)
+    elif base is None and m == 1:
         t, q = geom.longest_chord(body, slice_frame.columns[:, 0])
-        return _bracket(body, slice_frame, offsets_frame,
-                        offsets_frame.coords(q), t, "difference-body")
+        return _bracket(slice_at, offsets_frame.coords(q), t, "difference-body")
     elif base is None and offsets_frame.subspace_dim == 1:
-        return _piecewise_max(body, slice_frame, offsets_frame)
-    return _concave_search(body, slice_frame, offsets_frame, base)
+        return _piecewise_max(slice_at, m, body, offsets_frame)
+    return _concave_search(slice_at, m, body, offsets_frame, base)
 
 
-def _bracket(body, slice_frame, offsets_frame, z, upper: float,
-             method: str) -> SliceMax:
+class _SliceProbes:
+    """Slice volumes at offsets-frame coordinates through one kernel, counted."""
+
+    def __init__(self, kernel, offsets_frame: geom.Frame):
+        self.kernel, self.embed, self.count = kernel, offsets_frame.embed, 0
+
+    def __call__(self, z) -> float:
+        self.count += 1
+        return self.kernel(self.embed(z))
+
+
+def _bracket(slice_at: _SliceProbes, z, upper: float, method: str) -> SliceMax:
     """SliceMax with lo the slice at offset z and hi the upper value,
     widened by the rounding margin (and never below lo)."""
-    lo = geom.affine_slice_volume(body, slice_frame, offsets_frame.embed(z))
+    lo = slice_at(z)
     hi = max(upper, lo) * (1.0 + SLICE_MARGIN)
-    return SliceMax(lo=lo, hi=hi, offset=tuple(map(float, z)), method=method)
+    return SliceMax(lo=lo, hi=hi, offset=tuple(map(float, z)), method=method,
+                    probes=slice_at.count)
 
 
-def _ellipsoid_max(body, slice_frame, offsets_frame, base) -> SliceMax:
+def _ellipsoid_max(slice_at, body, slice_frame, offsets_frame, base) -> SliceMax:
     m = slice_frame.subspace_dim
     s = slice_frame.columns
     shadow = geom.project_body(body, offsets_frame)
@@ -287,7 +303,7 @@ def _ellipsoid_max(body, slice_frame, offsets_frame, base) -> SliceMax:
     else:
         z, dual = _quadratic_on_cap(shape, shadow.center, base)
     upper = central * max(1.0 - dual, 0.0) ** (m / 2.0)
-    return _bracket(body, slice_frame, offsets_frame, z, upper, "ellipsoid")
+    return _bracket(slice_at, z, upper, "ellipsoid")
 
 
 def _quadratic_on_cap(shape, center, cap) -> tuple[np.ndarray, float]:
@@ -318,8 +334,7 @@ def _quadratic_on_cap(shape, center, cap) -> tuple[np.ndarray, float]:
     return h * pole + basis @ y, float(gap @ shape @ gap) + dual
 
 
-def _piecewise_max(body, slice_frame, offsets_frame) -> SliceMax:
-    m = slice_frame.subspace_dim
+def _piecewise_max(slice_at, m, body, offsets_frame) -> SliceMax:
     knots = np.unique(body.vertices @ offsets_frame.columns[:, 0])
     first, last = knots[0], knots[-1]
     nodes = np.cos((2 * np.arange(m + 1) + 1) * math.pi / (2 * (m + 1)))
@@ -328,9 +343,7 @@ def _piecewise_max(body, slice_frame, offsets_frame) -> SliceMax:
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         if half <= PIECE_MIN * (last - first):
             continue  # the neighbouring pieces' ends cover it
-        vals = [geom.affine_slice_volume(body, slice_frame,
-                                         offsets_frame.embed([mid + half * x]))
-                for x in nodes]
+        vals = [slice_at([mid + half * x]) for x in nodes]
         coef = chebyshev.chebfit(nodes, vals, m)
         # every real critical point is among the real parts of the roots;
         # extra candidates inside [-1, 1] cannot raise the maximum
@@ -341,11 +354,10 @@ def _piecewise_max(body, slice_frame, offsets_frame) -> SliceMax:
         if ys[i] > best_v:
             best_v = float(ys[i])
             best_t = min(max(mid + half * float(xs[i]), a), b)
-    return _bracket(body, slice_frame, offsets_frame, [best_t], best_v,
-                    "piecewise-polynomial")
+    return _bracket(slice_at, [best_t], best_v, "piecewise-polynomial")
 
 
-def _concave_search(body, slice_frame, offsets_frame, base) -> SliceMax:
+def _concave_search(slice_at, m, body, offsets_frame, base) -> SliceMax:
     """Nested golden-section search over the offsets in D = shadow ∩ base.
 
     f = V^(1/m) is concave on D (Brunn), and so is its maximum over each
@@ -357,9 +369,12 @@ def _concave_search(body, slice_frame, offsets_frame, base) -> SliceMax:
     the first j + 1 coordinates, which is the exact range of D's sections
     when the base lies in the shadow.  The coordinates are rotated to put a
     cap's pole first, so that the cap is the unit ball cut by y_0 >= cos(delta)
-    and projects exactly too.
+    and projects exactly too.  A search of a level starts from a bracket
+    around the maximizer of the finished search of that level whose leading
+    coordinates lie nearest: its half-width is twice their distance plus a
+    thousandth of the chord, and the envelope still spans the whole chord.
     """
-    m, n = slice_frame.subspace_dim, offsets_frame.subspace_dim
+    n = offsets_frame.subspace_dim
     rot = np.eye(n)
     if isinstance(base, cylinders.CapBase):
         rot = np.linalg.qr(np.column_stack([base.pole, np.eye(n)]))[0]
@@ -383,25 +398,35 @@ def _concave_search(body, slice_frame, offsets_frame, base) -> SliceMax:
             rows.append([np.append(cut[:j], cut[-1])])
         levels.append(([(np.linalg.inv(np.linalg.inv(q)[:j, :j]), c[:j])
                         for q, c in quads], np.vstack(rows)))
+    finished = [([], []) for _ in range(n)]  # (prefixes, maximizers) per level
 
     def level(prefix, tol):
         def probe(x):
             y = np.append(prefix, x)
             if len(y) < n:
                 return level(y, tol / 16.0)
-            f = geom.affine_slice_volume(body, slice_frame,
-                                         offsets_frame.embed(rot @ y)) ** (1.0 / m)
+            f = slice_at(rot @ y) ** (1.0 / m)
             return f, f, y
-        ends = _chord(prefix, *levels[len(prefix)])
+        j = len(prefix)
+        ends = _chord(prefix, *levels[j])
         if ends is None:
             return -math.inf, math.inf, None
-        return _golden_search(probe, *ends, tol)
+        (a, b), (prefixes, maximizers), start = ends, finished[j], None
+        if prefixes:  # around the maximizer of the nearest finished search
+            dist = np.linalg.norm(np.asarray(prefixes) - prefix, axis=1)
+            i = int(np.argmin(dist))
+            x, half = maximizers[i], 2.0 * float(dist[i]) + 1e-3 * (b - a)
+            start = (max(min(x, b) - half, a), min(max(x, a) + half, b))
+        lo, hi, y = _golden_search(probe, a, b, tol, start)
+        if y is not None:
+            prefixes.append(prefix)
+            maximizers.append(float(y[j]))
+        return lo, hi, y
 
     _, hi, y = level(np.zeros(0), SLICE_GAP / (2.0 * m))
     if y is None:
         raise DomainError("no searched offset of the base meets the body's shadow")
-    return _bracket(body, slice_frame, offsets_frame, rot @ y, hi ** m,
-                    "concave-search")
+    return _bracket(slice_at, rot @ y, hi ** m, "concave-search")
 
 
 def _chord(prefix, quads, planes) -> tuple[float, float] | None:
@@ -429,28 +454,38 @@ def _chord(prefix, quads, planes) -> tuple[float, float] | None:
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_search(probe, a: float, b: float, tol: float):
+def _golden_search(probe, a: float, b: float, tol: float, start=None):
     """(lo, hi, z) for the maximum over [a, b] of a concave g whose probe at
     x gives (lo, hi, z): lo <= g(x) <= hi and z the point achieving lo, or
     (-inf, inf, None) where it found no point of the domain.  Golden-section
     steps shrink a bracket around the larger lo of its inner probes, and
-    :func:`_concave_envelope` bounds g from all probes.  Stops at
-    hi - lo <= tol * hi or once the bracket has shrunk to adjacent doubles.
+    :class:`_Envelope` bounds g on all of [a, b] from all probes.  The
+    bracket starts as ``start`` (by default [a, b]) and widens by golden
+    steps while one of its ends short of a or b has a larger lo than the
+    inner probe next to it.  Stops at hi - lo <= tol * hi or once the
+    bracket has shrunk to adjacent doubles.
     """
     if not a < b:
         return probe(a)
-    seen, ends = {}, (a, b)
+    seen, ends, envelope = {}, (a, b), _Envelope(a, b)
 
     def take(x):
-        seen[x] = probe(x)
-        return _concave_envelope(sorted((x, *v) for x, v in seen.items()
-                                        if v[2] is not None), *ends)
+        seen[x] = found = probe(x)
+        return envelope.add(x, *found)
 
+    if start is not None:
+        a, b = start
     c, d = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
     for x in dict.fromkeys((a, c, d, b)):  # c or d can round onto an end
         lo, hi, z = take(x)
     while lo < (1.0 - tol) * hi:
-        if seen[c][0] >= seen[d][0]:
+        if a > ends[0] and seen[a][0] > seen[c][0]:
+            a, c, d = max(b - (b - a) / GOLDEN, ends[0]), a, c
+            x = a
+        elif b < ends[1] and seen[b][0] > seen[d][0]:
+            c, d, b = d, b, min(a + (b - a) / GOLDEN, ends[1])
+            x = b
+        elif seen[c][0] >= seen[d][0]:
             b, d = d, c
             x = c = b - GOLDEN * (b - a)
         else:
@@ -462,38 +497,58 @@ def _golden_search(probe, a: float, b: float, tol: float):
     return lo, hi, z
 
 
-def _concave_envelope(found: list, a: float, b: float):
-    """(lo, hi, z): the best of the probes (x, lo, hi, z), sorted by x, and
-    an upper bound of the concave g on [a, b].  Between two probes g stays
-    below the chords through the probe pairs next to the gap, extended into
-    it; a chord takes hi at its end next to the gap and lo at its far end,
-    so brackets keep the bound sound (hi = inf ends no chord).  One chord
-    reaches past the outer probes to a and b, none the gap of two probes.
+class _Envelope:
+    """(lo, hi, z) of the probes (x, lo, hi, z) taken so far over [a, b]:
+    the first best probe in x and an upper bound of the concave g on [a, b].
+    Between two probes g stays below the chords through the probe pairs next
+    to the gap, extended into it; a chord takes hi at its end next to the gap
+    and lo at its far end, so brackets keep the bound sound (hi = inf ends no
+    chord).  One chord reaches past the outer probes to a and b, none the
+    gap of two probes.  Each gap keeps its bound, so a probe recomputes only
+    the at most four gaps whose chords it touches; hi is the first largest
+    gap or end bound in x order, as a rescan of all probes takes it.
     """
-    if not found:
-        return -math.inf, math.inf, None
-    xs, lo, hi, zs = zip(*found)
-    k, best = len(xs), int(np.argmax(lo))
-    if k < 3:
-        return lo[best], math.inf, zs[best]
-    top = -math.inf
-    for i in range(k - 1):
-        width, left, right = xs[i + 1] - xs[i], (math.inf,) * 2, (math.inf,) * 2
+
+    def __init__(self, a: float, b: float):
+        self.ends, self.found, self.gaps = (a, b), [], []
+
+    def add(self, x: float, lo: float, hi: float, z):
+        """The envelope after the probe at x; one with z None adds nothing."""
+        found = self.found
+        if z is not None:
+            j = bisect.bisect(found, (x,))
+            found.insert(j, (x, lo, hi, z))
+            if len(found) > 1:
+                self.gaps.insert(j, None)
+            for i in range(max(j - 2, 0), min(j + 2, len(self.gaps))):
+                self.gaps[i] = self._gap(i)
+        if not found:
+            return -math.inf, math.inf, None
+        _, lo, _, z = max(found, key=lambda probe: probe[1])
+        if len(found) < 3:
+            return lo, math.inf, z
+        tops = list(self.gaps)
+        for end, near, far in ((self.ends[0], 0, 1), (self.ends[1], -1, -2)):
+            (x0, _, h0, _), (x1, l1, _, _) = found[near], found[far]
+            if end != x0:
+                tops += [h0, h0 + (h0 - l1) / (x0 - x1) * (end - x0)]
+        return lo, max(tops), z
+
+    def _gap(self, i: int) -> float:
+        found = self.found
+        (x0, _, h0, _), (x1, _, h1, _) = found[i], found[i + 1]
+        width, left, right = x1 - x0, (math.inf,) * 2, (math.inf,) * 2
         if i > 0:
-            rise = (hi[i] - lo[i - 1]) / (xs[i] - xs[i - 1])
-            left = (hi[i], hi[i] + rise * width)
-        if i + 2 < k:
-            rise = (hi[i + 1] - lo[i + 2]) / (xs[i + 2] - xs[i + 1])
-            right = (hi[i + 1] + rise * width, hi[i + 1])
-        top = max(top, min(left[0], right[0]), min(left[1], right[1]))
+            xp, lp = found[i - 1][:2]
+            left = (h0, h0 + (h0 - lp) / (x0 - xp) * width)
+        if i + 2 < len(found):
+            xn, ln = found[i + 2][:2]
+            right = (h1 + (h1 - ln) / (xn - x1) * width, h1)
+        top = max(min(left[0], right[0]), min(left[1], right[1]))
         d0, d1 = left[0] - right[0], left[1] - right[1]  # nan or inf without two chords
         if d0 * d1 < 0.0:
             top = max(top, left[0] + d0 / (d0 - d1) * (left[1] - left[0]))
-    for end, near, far in ((a, 0, 1), (b, k - 1, k - 2)):
-        if end != xs[near]:
-            rise = (hi[near] - lo[far]) / (xs[near] - xs[far])
-            top = max(top, hi[near], hi[near] + rise * (end - xs[near]))
-    return lo[best], top, zs[best]
+        return top
 
 
 def check_packing_general(body: geom.ConvexBody, family, r: int,

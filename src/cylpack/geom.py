@@ -14,7 +14,7 @@ import importlib
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations
 
 import numpy as np
@@ -683,13 +683,15 @@ def affine_slice_volume(body: ConvexBody, slice_frame: Frame, point) -> float:
     generic nearby flat meets faces of lower dimension nowhere).  Each c-face
     is a union of c-simplices of the triangulated facets, so the slice is the
     convex hull of the points where the flat crosses those simplices: the
-    solutions of [N^T V; 1^T] lam = [N^T point; 1] with lam >= 0, N a frame
-    of the complement and V the simplex vertices.  Simplices parallel to the
-    flat (singular systems) are skipped: their crossing points are also
-    crossings of transversal ones.  A nearly parallel simplex is kept, since a
-    backward-stable solve with bounded lam still puts its point in the
-    simplex and on the flat up to rounding.  Returns 0 for empty or
-    lower-dimensional slices.
+    solutions of [N^T (V - o); 1^T] lam = [N^T (point - o); 1] with lam >= 0,
+    N a frame of the complement, V the simplex vertices and o the centroid.
+    These systems depend on the frame alone, and :func:`slice_kernel` builds
+    them once.  Simplices parallel to the flat (singular systems) are
+    skipped: their crossing points are also crossings of transversal ones.
+    A nearly parallel simplex is kept, since a backward-stable solve with
+    bounded lam still puts its point in the simplex and on the flat up to
+    rounding.  A 2-d slice's area is :func:`_polygon_area`'s, a larger
+    slice's volume qhull's.  Returns 0 for empty or lower-dimensional slices.
     """
     x0 = np.asarray(point, dtype=float)
     s = slice_frame.columns
@@ -722,25 +724,68 @@ def affine_slice_volume(body: ConvexBody, slice_frame: Frame, point) -> float:
         if np.any((np.abs(col) <= 1e-14) & (b < 0)):
             return 0.0
         return float(max(hi - lo, 0.0)) if np.isfinite(hi - lo) else 0.0
-    c = body.dim - k
+    return slice_kernel(body, slice_frame)(x0)
+
+
+def slice_kernel(body: ConvexBody, slice_frame: Frame):
+    """point -> :func:`affine_slice_volume` (body, slice_frame, point), with
+    a polytope's face systems for k >= 2 built and filtered once, so that a
+    point costs one batched solve."""
+    k = slice_frame.subspace_dim
+    if not isinstance(body, Polytope) or k == 1 or slice_frame.ambient_dim != body.dim:
+        return partial(affine_slice_volume, body, slice_frame)
+    s, c = slice_frame.columns, body.dim - k
     idx = body._face_simplices(c)
-    rel = body.vertices - x0
-    across = (rel @ _complement_columns(s))[idx]            # (M, c+1, c)
+    origin, normal = body.centroid, _complement_columns(s)
+    rel = body.vertices - origin
+    across = (rel @ normal)[idx]                            # (M, c+1, c)
     system = np.concatenate([across.transpose(0, 2, 1),
                              np.ones((len(idx), 1, c + 1))], axis=1)
     transversal = np.linalg.det(system) != 0.0
-    rhs = np.zeros((int(transversal.sum()), c + 1, 1))
-    rhs[:, c] = 1.0
-    lam = np.linalg.solve(system[transversal], rhs)[:, :, 0]
-    hit = np.all(lam >= -FACE_LAMBDA_TOL, axis=1)
-    along = (rel @ s)[idx[transversal][hit]]                 # (H, c+1, k)
-    t = np.einsum("hi,hik->hk", lam[hit], along)
-    if len(t) < k + 1:
+    system, along = system[transversal], (rel @ s)[idx[transversal]]  # (T, c+1, k)
+    scale = float(np.max(np.abs(along), initial=0.0))
+
+    def volume(point) -> float:
+        rhs = np.concatenate([(np.asarray(point, dtype=float) - origin) @ normal, [1.0]])
+        lam = np.linalg.solve(system, rhs)
+        hit = (lam >= -FACE_LAMBDA_TOL).all(axis=1)
+        t = np.einsum("hi,hik->hk", lam[hit], along[hit])
+        if len(t) < k + 1:
+            return 0.0
+        if k == 2:
+            return _polygon_area(t, scale)
+        try:
+            return float(_geom.ConvexHull(t).volume)
+        except _geom.QhullError:
+            return 0.0
+
+    return volume
+
+
+def _polygon_area(t: np.ndarray, scale: float) -> float:
+    """Area of the convex hull of the planar points t; 0.0 when it is within
+    FACE_LAMBDA_TOL * scale of a point or a segment, which qhull rejects.
+    Sorted by angle about their mean, the points make a star-shaped polygon.
+    Points within that slack of their predecessor go (their turns are
+    rounding noise); a reflex corner lies in the triangle of the mean and its
+    neighbours, so dropping reflex corners until none is left keeps the hull.
+    """
+    tol = FACE_LAMBDA_TOL * scale
+    p = t - t.sum(axis=0) / len(t)
+    p = p[np.arctan2(p[:, 1], p[:, 0]).argsort(kind="stable")]
+    p = p[np.abs(p - p[np.arange(-1, len(p) - 1)]).max(axis=1) > tol]
+    while True:
+        ring = np.concatenate([p[-1:], p, p[:1]])
+        edge = ring[1:] - ring[:-1]         # edges into and out of each corner
+        turn = edge[:-1, 0] * edge[1:, 1] - edge[:-1, 1] * edge[1:, 0]
+        if len(p) < 3 or not (turn < 0.0).any():
+            break
+        p = p[turn >= 0.0]
+    x, y = ring[1:-1].T
+    area = 0.5 * float((x * ring[2:, 1] - ring[2:, 0] * y).sum())
+    if len(p) < 3 or not area > tol * float(np.abs(p).max()):
         return 0.0
-    try:
-        return float(_geom.ConvexHull(t).volume)
-    except _geom.QhullError:
-        return 0.0
+    return area
 
 
 def longest_chord(body: Polytope, u) -> tuple[float, np.ndarray]:

@@ -4,6 +4,7 @@ scipy.optimize, and geom still serves the scipy names that callers and the
 benchmark tracer look up."""
 
 import importlib
+import itertools
 import os
 import subprocess
 import sys
@@ -69,11 +70,14 @@ def test_replaced_convex_hull_is_the_one_called(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(geom, "ConvexHull", counting)
-    cube = geom.Polytope(np.array([[x, y, z] for x in (0.0, 1.0)
-                                   for y in (0.0, 1.0) for z in (0.0, 1.0)]))
+    cube = geom.Polytope(np.array(list(itertools.product((0.0, 1.0), repeat=4))))
     assert len(calls) == 1
-    length, _ = geom.longest_chord(cube, np.array([1.0, 0.0, 0.0]))
+    length, _ = geom.longest_chord(cube, np.array([1.0, 0.0, 0.0, 0.0]))
     assert length == pytest.approx(1.0) and len(calls) == 2
-    plane = geom.orthonormalize([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    area = geom.affine_slice_volume(cube, plane, np.array([0.5, 0.5, 0.5]))
+    # a 3-d slice takes its volume from qhull; a 2-d one is a polygon area
+    flat = geom.orthonormalize(np.eye(4)[:3])
+    volume = geom.affine_slice_volume(cube, flat, np.full(4, 0.5))
+    assert volume == pytest.approx(1.0) and len(calls) == 3
+    plane = geom.orthonormalize(np.eye(4)[:2])
+    area = geom.affine_slice_volume(cube, plane, np.full(4, 0.5))
     assert area == pytest.approx(1.0) and len(calls) == 3

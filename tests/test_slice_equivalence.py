@@ -6,13 +6,15 @@ on zero versus non-zero wherever either value exceeds 1e-20, at offsets on a
 grid over the shadow's bounding box widened past the shadow.  Boundary cases
 (flats on facets, just outside, through a single vertex) pin the barycentric
 tolerance of the face-flat path and its handling of simplices parallel to
-the flat.
+the flat.  A slice kernel built once per frame gives the bits of a fresh
+call at every offset, and its qhull-free polygon area is qhull's.
 """
 
 import itertools
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 import slice_oracle
 from cylpack import geom
@@ -106,3 +108,75 @@ def test_face_simplices_cached_per_codimension():
     assert body._face_simplices(1) is idx1
     # every edge of the triangulated boundary, each once
     assert len(np.unique(idx1, axis=0)) == len(idx1)
+
+
+@pytest.mark.parametrize("d,k", [(3, 2), (4, 2), (4, 3), (5, 2), (5, 3)])
+def test_kernel_reuse_matches_fresh_calls_and_the_oracle(d, k):
+    rng = np.random.default_rng([d, k, 26])
+    body = geom.Polytope(rng.standard_normal((d + 4, d)))
+    frame = geom.orthonormalize(rng.standard_normal((k, d)))
+    comp = geom.complement(frame)
+    kernel = geom.slice_kernel(body, frame)
+    shadow = comp.coords(body.vertices)
+    lo, hi = np.min(shadow, axis=0), np.max(shadow, axis=0)
+    offsets = np.vstack([rng.dirichlet(np.ones(len(shadow)), 150) @ shadow,
+                         rng.uniform(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo),
+                                     (100, d - k))])
+    positives = 0
+    for z in offsets:
+        x = comp.embed(z)
+        got = kernel(x)
+        assert got.hex() == geom.affine_slice_volume(body, frame, x).hex()
+        want = slice_oracle.affine_slice_volume(body, frame, x)
+        if max(got, want) > ZERO_FLOOR:
+            assert abs(got - want) <= REL_TOL * want, (z, got, want)
+            positives += 1
+    assert positives >= 150
+
+
+def _planar_sets(rng):
+    """Random planar point sets with interior points, repeated points, points
+    a few ulps from others and collinear runs along hull edges and through
+    the interior."""
+    for _ in range(300):
+        pts = rng.standard_normal((int(rng.integers(3, 30)), 2)) * rng.uniform(0.1, 10.0, 2)
+        pts += rng.standard_normal(2) * rng.choice([0.0, 1.0, 100.0])
+        a, b = pts[rng.integers(len(pts), size=2)]
+        run = a + np.linspace(0.0, 1.0, int(rng.integers(2, 6)))[:, None] * (b - a)
+        hull = ConvexHull(pts)
+        p, q = pts[hull.vertices[:2]]
+        edge = p + np.linspace(0.0, 1.0, int(rng.integers(2, 6)))[:, None] * (q - p)
+        dup = pts[rng.integers(len(pts), size=int(rng.integers(1, 4)))]
+        near = pts[rng.integers(len(pts), size=int(rng.integers(1, 4)))]
+        near = near + near * rng.integers(-4, 5, near.shape) * 2.0 ** -52
+        yield rng.permutation(np.vstack([pts, run, edge, dup, near]))
+
+
+def test_polygon_area_is_the_hull_area(rng):
+    for t in _planar_sets(rng):
+        got = geom._polygon_area(t, float(np.max(np.abs(t))))
+        want = ConvexHull(t).volume
+        # relative to the bounding box: a thin sliver's area is only that
+        # accurate from its coordinates, in the shoelace sum as in qhull
+        box = float(np.prod(np.ptp(t, axis=0)))
+        assert abs(got - want) <= 1e-12 * max(want, box), (got, want)
+
+
+CUBE3 = geom.Polytope(np.array(list(itertools.product((0.0, 1.0), repeat=3))))
+
+
+@pytest.mark.parametrize("body,directions,point", [
+    # the plane through a cube edge, the flat and the cube meet in that edge
+    (CUBE3, [[1, 0, 0], [0, 1, -1]], [0.3, 0.0, 0.0]),
+    # the plane normal to (1, 1, 1) through the corner at the origin
+    (CUBE3, [[1, -1, 0], [1, 1, -2]], [0.0, 0.0, 0.0]),
+    (BOX4, [[1, 0, 0, 0], [0, 1, -1, 0]], [1.0, 0.0, 0.0, 0.0]),
+    (BOX4, [[1, -1, 0, 0], [0, 0, 1, -1]], [0.0, 0.0, 0.0, 0.0]),
+    (BOX4, [[1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1]], [2.0, 3.0, 5.0, 7.0]),
+], ids=["cube-edge", "cube-corner", "box4-edge", "box4-corner", "box4-corner-3flat"])
+def test_point_and_segment_slices_are_exactly_zero(body, directions, point):
+    frame = geom.orthonormalize(np.array(directions, float))
+    assert geom.affine_slice_volume(body, frame, np.array(point, float)) == 0.0
+    # the flat moved into the body cuts a slice of positive volume
+    inward = geom.body_center(body) - np.array(point, float)
+    assert geom.affine_slice_volume(body, frame, np.array(point) + 0.01 * inward) > 0.0
