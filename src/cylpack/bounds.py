@@ -31,8 +31,9 @@ GE = ">="
 EXACT_TOL = 1e-9
 
 SLICE_GAP = 1e-6             # relative gap hi - lo at which a concave search stops
-SLICE_MARGIN = 1e-12         # relative rounding margin on the upper end of slice maxima
+SLICE_MARGIN = 1e-12         # relative rounding margin on computed upper ends
 PIECE_MIN = 1e-12            # shortest polynomial piece, relative to the offset range
+KNOT_TIE = 1e-9              # relative margin within which a knot value ties the top one
 MVEE_TOL = 1e-5              # enclosing-ellipsoid volume tolerance
 
 
@@ -163,14 +164,14 @@ def check_packing_upper_ellipsoid(body: geom.ConvexBody, family, r: int,
 
 
 def check_packing_scaled(body: geom.ConvexBody, family, r: int,
-                         symmetric: bool = False, n: int = 10_000,
-                         seed: int = 0) -> BoundReport:
+                         n: int = 10_000, seed: int = 0) -> BoundReport:
     """Packing bound carried to a general body through its enclosing ellipsoid.
 
-    The family must pack the minimum-volume enclosing ellipsoid of the body;
-    the crv sum relative to the body is bounded by r times the ball-distance
-    bound (dimension, or sqrt(dimension) for symmetric bodies) to the power
-    d - k.
+    The family must pack the minimum-volume enclosing ellipsoid E (centre c)
+    of the body; the crv sum relative to the body is bounded by r t^(d - k),
+    t the ball-distance factor with c + (E - c) / t inside the body.  John's
+    theorem gives t <= d (sqrt(d) for symmetric bodies) for the exact E; the
+    check measures t for the E in use (:func:`_distance_factor`).
     """
     family = list(family)
     d = body.dim
@@ -183,15 +184,26 @@ def check_packing_scaled(body: geom.ConvexBody, family, r: int,
         distance_bound = 1.0
     else:
         outer = geom.mvee(body.vertices, tol=MVEE_TOL).ellipsoid
-        distance_bound = math.sqrt(d) if symmetric else float(d)
+        distance_bound = _distance_factor(body, outer)
     evidence = _evidence(multiplicity.verify_packing(outer, family, r, n, seed),
                          NotAPacking)
     lhs = cylinders.sum_crv(body, family)
     rhs = r * distance_bound ** (d - k)
-    digest = _digest_family(body, family, {"r": r, "symmetric": symmetric})
+    digest = _digest_family(body, family, {"r": r})
     return make_report("packing_upper_scaled", lhs, rhs, LE, digest,
                        **_hypothesis(evidence, "packing",
                                      f"distance bound {distance_bound:g}"))
+
+
+def _distance_factor(body: geom.Polytope, ell: geom.Ellipsoid) -> float:
+    """Smallest t with c + (E - c) / t inside the polytope, rounded up: the
+    largest ratio over the facets a.x <= b of the support sqrt(a^T Q^-1 a)
+    of E - c to the facet's distance b - a.c from the centre."""
+    normals, offsets = body.equations[:, :-1], body.equations[:, -1]
+    support = np.sqrt(np.einsum("ij,ij->i", normals @ np.linalg.inv(ell.shape),
+                                normals))
+    t = float(np.max(support / (-offsets - normals @ ell.center)))
+    return t * (1.0 + SLICE_MARGIN)
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +247,11 @@ def max_translate_slice(body: geom.ConvexBody, slice_frame: geom.Frame,
     - difference-body: a polytope with 1-d slices and no base; the maximal
       chord is the radial function of P - P (:func:`geom.longest_chord`).
     - piecewise-polynomial: a polytope with 1-d offsets and no base.
-      Between consecutive vertex projections the slice volume is a
-      polynomial of degree m (the slice dimension); it is interpolated at
-      m + 1 Chebyshev nodes per piece and maximized over the roots of its
-      derivative and the piece ends.
+      Between consecutive vertex projections (the knots) the slice volume
+      is a polynomial of degree m (the slice dimension).  Every knot is
+      probed; a piece beside a top knot is interpolated at its m + 1
+      Chebyshev-Lobatto nodes, the ends being its knots, and maximized over
+      the roots of its derivative and the piece ends.
     Everything else takes the concave search (:func:`_concave_search`).
     Antipodal cap bases raise DomainError: their restricted bodies are not
     convex, so no route applies.  Every route evaluates slices through one
@@ -337,28 +350,36 @@ def _quadratic_on_cap(shape, center, cap) -> tuple[np.ndarray, float]:
 def _piecewise_max(slice_at, m, body, offsets_frame) -> SliceMax:
     knots = np.unique(body.vertices @ offsets_frame.columns[:, 0])
     first, last = knots[0], knots[-1]
-    nodes = np.cos((2 * np.arange(m + 1) + 1) * math.pi / (2 * (m + 1)))
-    best_t, best_v = first, -math.inf
-    for a, b in zip(knots[:-1], knots[1:]):
+    at_knots = [slice_at([t]) for t in knots]
+    best_v = max(at_knots)
+    best_t = knots[at_knots.index(best_v)]
+    # V is unimodal (Brunn), so only a piece beside a top knot holds its
+    # maximum; a knot within KNOT_TIE of the top counts as one
+    top = np.asarray(at_knots) >= best_v * (1.0 - KNOT_TIE)
+    nodes = np.cos(np.arange(m, -1, -1) * math.pi / m)  # Lobatto, -1 to 1
+    for i in np.flatnonzero(top[:-1] | top[1:]):
+        a, b = knots[i], knots[i + 1]
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         if half <= PIECE_MIN * (last - first):
             continue  # the neighbouring pieces' ends cover it
-        vals = [slice_at([mid + half * x]) for x in nodes]
+        vals = [at_knots[i], *(slice_at([mid + half * x]) for x in nodes[1:-1]),
+                at_knots[i + 1]]
         coef = chebyshev.chebfit(nodes, vals, m)
         # every real critical point is among the real parts of the roots;
         # extra candidates inside [-1, 1] cannot raise the maximum
         roots = chebyshev.chebroots(chebyshev.chebder(coef)).real
         xs = np.concatenate([[-1.0, 1.0], np.clip(roots, -1.0, 1.0)])
         ys = chebyshev.chebval(xs, coef)
-        i = int(np.argmax(ys))
-        if ys[i] > best_v:
-            best_v = float(ys[i])
-            best_t = min(max(mid + half * float(xs[i]), a), b)
+        j = int(np.argmax(ys))
+        if ys[j] > best_v:
+            best_v = float(ys[j])
+            best_t = min(max(mid + half * float(xs[j]), a), b)
     return _bracket(slice_at, [best_t], best_v, "piecewise-polynomial")
 
 
 def _concave_search(slice_at, m, body, offsets_frame, base) -> SliceMax:
-    """Nested golden-section search over the offsets in D = shadow ∩ base.
+    """Nested parabolic and golden-section search over the offsets in
+    D = shadow ∩ base.
 
     f = V^(1/m) is concave on D (Brunn), and so is its maximum over each
     section of D at fixed leading offset coordinates.  Each coordinate gets
@@ -452,49 +473,84 @@ def _chord(prefix, quads, planes) -> tuple[float, float] | None:
 
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+PARABOLA_SPACING = 0.1       # parabolic-step floor, in units of sqrt(tol g / curvature)
+PARABOLA_RATIO = 0.05        # parabolic-step floor over bracketed probes, per bracket side
 
 
 def _golden_search(probe, a: float, b: float, tol: float, start=None):
     """(lo, hi, z) for the maximum over [a, b] of a concave g whose probe at
     x gives (lo, hi, z): lo <= g(x) <= hi and z the point achieving lo, or
-    (-inf, inf, None) where it found no point of the domain.  Golden-section
-    steps shrink a bracket around the larger lo of its inner probes, and
-    :class:`_Envelope` bounds g on all of [a, b] from all probes.  The
-    bracket starts as ``start`` (by default [a, b]) and widens by golden
-    steps while one of its ends short of a or b has a larger lo than the
-    inner probe next to it.  Stops at hi - lo <= tol * hi or once the
-    bracket has shrunk to adjacent doubles.
+    (-inf, inf, None) where it found no point of the domain.  The first
+    probes are the ends of ``start`` (by default [a, b]) and its golden
+    points.  While the best probe (by lo, the first in x on ties) is an end
+    short of a or b, the next probe widens past it by a golden step.
+    Otherwise the maximum lies between the best probe's neighbours, and the
+    next probe is :func:`_parabolic_step`'s, or the golden point of the
+    larger side when it declines, when a neighbour is a chord end (g may
+    drop there) or when this bracket is wider than half the one two steps
+    before.  :class:`_Envelope` bounds g on all of [a, b] from all probes.
+    Stops at hi - lo <= tol * hi or once the bracket has shrunk to adjacent
+    doubles.
     """
     if not a < b:
         return probe(a)
-    seen, ends, envelope = {}, (a, b), _Envelope(a, b)
+    ends, seen, xs, envelope = (a, b), {}, [], _Envelope(a, b)
 
     def take(x):
         seen[x] = found = probe(x)
+        bisect.insort(xs, x)
         return envelope.add(x, *found)
 
     if start is not None:
         a, b = start
-    c, d = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
-    for x in dict.fromkeys((a, c, d, b)):  # c or d can round onto an end
-        lo, hi, z = take(x)
+    for x in dict.fromkeys((a, b - GOLDEN * (b - a), a + GOLDEN * (b - a), b)):
+        lo, hi, z = take(x)  # a golden point can round onto an end
+    widths = []
     while lo < (1.0 - tol) * hi:
-        if a > ends[0] and seen[a][0] > seen[c][0]:
-            a, c, d = max(b - (b - a) / GOLDEN, ends[0]), a, c
-            x = a
-        elif b < ends[1] and seen[b][0] > seen[d][0]:
-            c, d, b = d, b, min(a + (b - a) / GOLDEN, ends[1])
-            x = b
-        elif seen[c][0] >= seen[d][0]:
-            b, d = d, c
-            x = c = b - GOLDEN * (b - a)
+        i = max(range(len(xs)), key=lambda j: seen[xs[j]][0])
+        x = xs[i]
+        if i == 0 and x > ends[0]:
+            u = max(x - (xs[1] - x) / GOLDEN, ends[0])
+        elif i == len(xs) - 1 and x < ends[1]:
+            u = min(x + (x - xs[-2]) / GOLDEN, ends[1])
         else:
-            a, c = c, d
-            x = d = a + GOLDEN * (b - a)
-        if x in seen:
+            a, b = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
+            widths.append(b - a)
+            u = None
+            if ends[0] < a and b < ends[1] and not (
+                    len(widths) > 2 and widths[-1] > 0.5 * widths[-3]):
+                u = _parabolic_step(seen, a, x, b, tol)
+            if u is None:
+                u = x + (1.0 - GOLDEN) * ((a - x) if x - a > b - x else (b - x))
+        if u in seen:
             break
-        lo, hi, z = take(x)
+        lo, hi, z = take(u)
     return lo, hi, z
+
+
+def _parabolic_step(seen, a: float, x: float, b: float, tol: float) -> float | None:
+    """Vertex of the parabola through the lo values of the probes ``seen``
+    at a < x < b, x the best, kept a floor away from every probe: a vertex
+    nearer x moves out to the floor on its side, one nearer a or b is
+    declined (None).  The floor is PARABOLA_SPACING sqrt(tol g / c) for the
+    parabola g - c (t - vertex)^2, a tenth of the distance over which it
+    falls by tol g.  Where the probes are brackets (lo < hi) it is at least
+    PARABOLA_RATIO of the larger side: an envelope chord through two probes
+    much closer than the gaps it extends into would carry their bracket
+    widths across those gaps.
+    """
+    (ya, ha, _), (yx, hx, _), (yb, hb, _) = seen[a], seen[x], seen[b]
+    left, right = (yx - ya) / (x - a), (yb - yx) / (b - x)
+    curv = (left - right) / (b - a)
+    if not curv > 0.0:
+        return None
+    u = 0.5 * (a + x) + left / (2.0 * curv)
+    floor = PARABOLA_SPACING * math.sqrt(tol * abs(yx) / curv)
+    if max(ha - ya, hx - yx, hb - yb) > 0.0:
+        floor = max(floor, PARABOLA_RATIO * max(x - a, b - x))
+    if abs(u - x) < floor:
+        u = x + math.copysign(floor, u - x)
+    return u if a + floor <= u <= b - floor else None
 
 
 class _Envelope:

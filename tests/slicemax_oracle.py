@@ -1,4 +1,4 @@
-"""Reference oracle: the refined grid search for translated-slice maxima.
+"""Reference oracles for translated-slice maxima.
 
 ``_grid_search`` below is the search that ``bounds.max_translate_slice`` used
 for every case without a closed form, kept verbatim with its constants and
@@ -6,14 +6,21 @@ its instability exception: a coarse-to-fine grid over the shadow's bounding
 box, seeded with informed base points and followed by compass moves.  Its
 value is an achieved slice, so a lower estimate of the maximum; tests check
 that no bracket's ``hi`` falls below it.
+
+``_golden_search`` and ``_piecewise_max`` are the concave search's level
+search and the piecewise route as they were before parabolic steps and
+best-knot pieces, kept verbatim: golden-section steps only, and every piece
+between consecutive knots interpolated at m + 1 Chebyshev nodes.  Tests
+require the brackets of ``cylpack.bounds`` to overlap theirs.
 """
 
 import math
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
 from cylpack import cylinders, geom
-from cylpack.bounds import SliceMax
+from cylpack.bounds import GOLDEN, PIECE_MIN, SliceMax, _bracket, _Envelope
 from cylpack.errors import CylpackError
 
 SLICE_COARSE = 7             # grid points per axis of a 1- or 2-d slice search
@@ -112,3 +119,69 @@ def _base_offsets(base: cylinders.CylinderBase) -> np.ndarray:
         return np.asarray(pts)
     verts = base.vertices
     return np.vstack([np.mean(verts, axis=0)[None, :], verts])
+
+
+def _piecewise_max(slice_at, m, body, offsets_frame) -> SliceMax:
+    knots = np.unique(body.vertices @ offsets_frame.columns[:, 0])
+    first, last = knots[0], knots[-1]
+    nodes = np.cos((2 * np.arange(m + 1) + 1) * math.pi / (2 * (m + 1)))
+    best_t, best_v = first, -math.inf
+    for a, b in zip(knots[:-1], knots[1:]):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        if half <= PIECE_MIN * (last - first):
+            continue  # the neighbouring pieces' ends cover it
+        vals = [slice_at([mid + half * x]) for x in nodes]
+        coef = chebyshev.chebfit(nodes, vals, m)
+        # every real critical point is among the real parts of the roots;
+        # extra candidates inside [-1, 1] cannot raise the maximum
+        roots = chebyshev.chebroots(chebyshev.chebder(coef)).real
+        xs = np.concatenate([[-1.0, 1.0], np.clip(roots, -1.0, 1.0)])
+        ys = chebyshev.chebval(xs, coef)
+        i = int(np.argmax(ys))
+        if ys[i] > best_v:
+            best_v = float(ys[i])
+            best_t = min(max(mid + half * float(xs[i]), a), b)
+    return _bracket(slice_at, [best_t], best_v, "piecewise-polynomial")
+
+
+def _golden_search(probe, a: float, b: float, tol: float, start=None):
+    """(lo, hi, z) for the maximum over [a, b] of a concave g whose probe at
+    x gives (lo, hi, z): lo <= g(x) <= hi and z the point achieving lo, or
+    (-inf, inf, None) where it found no point of the domain.  Golden-section
+    steps shrink a bracket around the larger lo of its inner probes, and
+    :class:`_Envelope` bounds g on all of [a, b] from all probes.  The
+    bracket starts as ``start`` (by default [a, b]) and widens by golden
+    steps while one of its ends short of a or b has a larger lo than the
+    inner probe next to it.  Stops at hi - lo <= tol * hi or once the
+    bracket has shrunk to adjacent doubles.
+    """
+    if not a < b:
+        return probe(a)
+    seen, ends, envelope = {}, (a, b), _Envelope(a, b)
+
+    def take(x):
+        seen[x] = found = probe(x)
+        return envelope.add(x, *found)
+
+    if start is not None:
+        a, b = start
+    c, d = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
+    for x in dict.fromkeys((a, c, d, b)):  # c or d can round onto an end
+        lo, hi, z = take(x)
+    while lo < (1.0 - tol) * hi:
+        if a > ends[0] and seen[a][0] > seen[c][0]:
+            a, c, d = max(b - (b - a) / GOLDEN, ends[0]), a, c
+            x = a
+        elif b < ends[1] and seen[b][0] > seen[d][0]:
+            c, d, b = d, b, min(a + (b - a) / GOLDEN, ends[1])
+            x = b
+        elif seen[c][0] >= seen[d][0]:
+            b, d = d, c
+            x = c = b - GOLDEN * (b - a)
+        else:
+            a, c = c, d
+            x = d = a + GOLDEN * (b - a)
+        if x in seen:
+            break
+        lo, hi, z = take(x)
+    return lo, hi, z

@@ -119,13 +119,23 @@ def test_scaled_ellipsoid_reduces_to_unit_bound(rng):
     assert rep.rhs == 1.0 and rep.passed
 
 
+def _distance_factor(poly: geom.Polytope) -> float:
+    """max over facets a.x <= b of sqrt(a^T Q^-1 a) / (b - a.c) for the
+    enclosing ellipsoid (c, Q) that the scaled check builds; the check
+    rounds it up by the relative margin SLICE_MARGIN."""
+    ell = geom.mvee(poly.vertices, tol=bounds.MVEE_TOL).ellipsoid
+    return max(math.sqrt(row[:-1] @ np.linalg.solve(ell.shape, row[:-1]))
+               / (-row[-1] - row[:-1] @ ell.center) for row in poly.equations)
+
+
 def test_scaled_square_sqrt2_factor():
     square = geom.Polytope(np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], float))
     outer = geom.mvee(square.vertices, tol=1e-6).ellipsoid
     fam = instances.plank_partition(outer, 3)
-    rep = bounds.check_packing_scaled(square, fam, 1, symmetric=True,
-                                      n=4000, seed=3)
-    assert rep.rhs == pytest.approx(math.sqrt(2), rel=1e-12)
+    rep = bounds.check_packing_scaled(square, fam, 1, n=4000, seed=3)
+    t = _distance_factor(square)
+    assert rep.rhs == pytest.approx(t * (1 + bounds.SLICE_MARGIN), rel=1e-12)
+    assert rep.rhs >= t
     assert rep.passed
 
 
@@ -133,10 +143,24 @@ def test_scaled_triangle_john_factor():
     tri = geom.Polytope(np.array([[0, 0], [2.2, 0], [0.4, 1.9]], float))
     outer = geom.mvee(tri.vertices, tol=1e-6).ellipsoid
     fam = instances.plank_partition(outer, 3)
-    rep = bounds.check_packing_scaled(tri, fam, 1, symmetric=False,
-                                      n=4000, seed=3)
-    assert rep.rhs == pytest.approx(2.0, rel=1e-12)
+    rep = bounds.check_packing_scaled(tri, fam, 1, n=4000, seed=3)
+    t = _distance_factor(tri)
+    assert rep.rhs == pytest.approx(t * (1 + bounds.SLICE_MARGIN), rel=1e-12)
+    assert rep.rhs >= t
     assert rep.passed
+
+
+def test_scaled_factor_keeps_the_shrunk_ellipsoid_inside():
+    # c + (E - c) / t lies in the body for the measured t, where John's d
+    # can leave the approximate ellipsoid sticking out
+    for seed in range(40):
+        for d in (2, 3, 4):
+            poly = instances.random_polytope(d, np.random.default_rng(seed))
+            ell = geom.mvee(poly.vertices, tol=bounds.MVEE_TOL).ellipsoid
+            t = bounds._distance_factor(poly, ell)
+            a, b = poly.equations[:, :-1], poly.equations[:, -1]
+            reach = np.sqrt(np.einsum("ij,ij->i", a @ np.linalg.inv(ell.shape), a))
+            assert np.all(a @ ell.center + reach / t + b <= 0.0)
 
 
 # --- general convex-cylinder bound --------------------------------------------

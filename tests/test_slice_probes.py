@@ -14,7 +14,7 @@ import numpy as np
 
 from cylpack import bounds, geom
 
-MEAN_PROBES = 320  # mean slice evaluations per call, over the 18 inputs
+MEAN_PROBES = 125  # mean slice evaluations per call, over the 18 inputs
 
 
 def _criterion6_inputs():
