@@ -112,79 +112,66 @@ class SeparatingLine:
     offset: float
 
 
-def _gap_offset(centers: np.ndarray, radii: np.ndarray, u: np.ndarray,
-                ) -> float | None:
-    proj = centers @ u
-    order = np.argsort(proj - radii)
-    lefts = (proj - radii)[order]
-    rights = (proj + radii)[order]
-    max_right = rights[0]
-    for i in range(1, len(order)):
-        if lefts[i] > max_right:  # strict: a tangent line is not disjoint
-            return float((max_right + lefts[i]) / 2.0)
-        max_right = max(max_right, rights[i])
-    return None
-
-
-def _pair_angles(centers: np.ndarray, radii: np.ndarray, offsets) -> list[float]:
-    """Angles of the unit normals v with (c_i - c_j).v = w, over the pairs
-    i < j and each w in ``offsets(r_i, r_j)``."""
-    out = []
-    n = len(radii)
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = centers[i] - centers[j]
-            rho = math.hypot(v[0], v[1])  # no overflow in squares near 1e154
-            if rho < 1e-15:
-                continue
-            psi = math.atan2(v[1], v[0])
-            for w in offsets(radii[i], radii[j]):
-                val = float(w) / rho  # a Python float: inf, not a warning
-                if abs(val) <= 1.0:
-                    a = math.acos(val)
-                    out += [psi + a, psi - a]
-    return out
-
-
-def _critical_angles(centers: np.ndarray, radii: np.ndarray) -> list[float]:
-    out = {a % math.pi for a in _pair_angles(
-        centers, radii, lambda ri, rj: (ri + rj, -(ri + rj), ri - rj, rj - ri))}
-    merged: list[float] = []
-    for angle in sorted(out):
-        if not merged or angle - merged[-1] > 1e-9:
-            merged.append(angle)
-    return merged
+def _tangent_gaps(c: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, middle angle) of each open gap, ordered by i and then by angle,
+    among the closed arcs of normal angles theta at which disk i's tangent
+    line (disk i behind it) meets a disk j: cos(theta - psi) in
+    [r_i - r_j, r_i + r_j] / rho, where c_j - c_i = rho (cos psi, sin psi).
+    A pair's arcs [psi + a, psi + b] and [psi - b, psi - a] are joined before
+    the modulo 2 pi when they meet at psi (a == 0: j reaches past i's
+    tangent point), lest rounding part them; when they also meet at psi + pi
+    (b == pi: j holds i), they are the whole circle.  A concentric disk
+    (rho == 0) meets every tangent line of a smaller one and none of an
+    equal or larger one.  One sort per disk: O(n^2 log n)."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        dx, dy = np.moveaxis(c[None, :, :] - c[:, None, :], 2, 0)  # row i: c_j - c_i
+        rho, psi = np.hypot(dx, dy), np.arctan2(dy, dx)
+        lo = (r[:, None] - r[None, :]) / rho  # rho == 0: -inf, +inf or nan, exactly
+        a = np.arccos(np.minimum((r[:, None] + r[None, :]) / rho, 1.0))
+        b = np.arccos(np.maximum(lo, -1.0))
+    meets = np.tile(lo <= 1.0, 2)  # nan (disk i itself, an equal concentric disk): never
+    joined = a == 0.0
+    start = np.concatenate([np.where(joined, psi - b, psi + a), psi - b], axis=1)
+    start = np.where(meets, np.mod(start, 2.0 * math.pi), np.inf)
+    end = np.where(meets, start + np.tile(np.where(joined, 2.0 * b, b - a), 2), -np.inf)
+    order = np.argsort(start, axis=1, kind="stable")
+    start = np.take_along_axis(start, order, axis=1)
+    reach = np.maximum.accumulate(np.take_along_axis(end, order, axis=1), axis=1)
+    wrapped = reach[:, -1:] - 2.0 * math.pi  # how far arcs past 2 pi cover the start
+    left = np.concatenate([np.maximum(reach[:, :-1], wrapped), reach[:, -1:]], axis=1)
+    right = np.concatenate([start[:, 1:], start[:, :1] + 2.0 * math.pi], axis=1)
+    gap = (right > left) & (right < math.inf) & ~np.any(lo <= -1.0, axis=1)[:, None]
+    rows, cols = np.nonzero(gap)
+    return rows, (left[rows, cols] + right[rows, cols]) / 2.0
 
 
 def is_separable(family: DiskFamily) -> tuple[bool, SeparatingLine | None]:
-    """Exact separability decision.
+    """Exact separability decision from one sweep of tangent arcs per disk.
 
-    Projected onto a direction, the disks become intervals, and a separating
-    line perpendicular to the direction exists exactly when the sorted
-    intervals leave a strict gap with disks on both sides.  The interval
-    overlap pattern only changes at finitely many critical directions (where
-    projected endpoints coincide), so testing every critical direction plus
-    one direction per cell in between decides separability exactly.  A single
-    disk is non-separable by convention.
+    Slid back until it first touches a disk i, a strictly separating line is
+    a tangent line beyond i that meets no other disk (turned a little if it
+    touches two), with a disk j strictly beyond: cos(theta - psi) > (r_i +
+    r_j) / rho.  Moved a little on, such a line separates.  So the witness is
+    the middle of the first gap of ``_tangent_gaps`` with a disk beyond,
+    offset midway between i's tangent line and the nearest near edge beyond;
+    it must separate strictly in float arithmetic, since rounding may part
+    two arcs that meet where a line touches three disks.  A single disk has
+    no gap with a disk beyond, so it is non-separable.
     """
-    if len(family) < 2:
-        return False, None
-    crit = _critical_angles(family.centers, family.radii)
-    candidates = []
-    if crit:
-        # cell midpoints first: they witness fat gaps; critical angles only
-        # matter for tangency-boundary cells and are appended after
-        wrapped = crit + [crit[0] + math.pi]
-        candidates.extend((a + b) / 2.0 for a, b in zip(wrapped, wrapped[1:]))
-        candidates.extend(crit)
-    else:
-        candidates.extend([0.0, math.pi / 2.0])
-    for theta in candidates:
-        u = np.array([math.cos(theta), math.sin(theta)])
-        offset = _gap_offset(family.centers, family.radii, u)
-        if offset is not None:
-            return True, SeparatingLine(u=(float(u[0]), float(u[1])),
-                                        offset=offset)
+    n, c, r = len(family), family.centers, family.radii
+    rows, theta = _tangent_gaps(c, r)
+    for k in range(0, len(rows), n):  # n gaps at a time: O(n^2) memory
+        i, ux, uy = rows[k:k + n], np.cos(theta[k:k + n]), np.sin(theta[k:k + n])
+        proj = ux[:, None] * c[:, 0] + uy[:, None] * c[:, 1]
+        tangent = proj[np.arange(len(i)), i] + r[i]
+        beyond = np.where(proj - r > tangent[:, None], proj - r, np.inf)  # near edges
+        offset = (tangent + np.min(beyond, axis=1)) / 2.0
+        hit = np.flatnonzero(np.all(np.abs(proj - offset[:, None]) > r, axis=1)
+                             & (offset < math.inf))  # inf: no disk beyond
+        if hit.size:
+            g = hit[0]
+            return True, SeparatingLine(u=(float(ux[g]), float(uy[g])),
+                                        offset=float(offset[g]))
     return False, None
 
 
@@ -197,12 +184,6 @@ class EnclosingCircle:
     center: tuple
     radius: float
     support: tuple  # indices of the determining disks
-
-    def tangency_residuals(self, family: DiskFamily) -> list[float]:
-        c = np.asarray(self.center)
-        return [abs(self.radius - (float(np.linalg.norm(family.centers[i] - c))
-                                   + float(family.radii[i])))
-                for i in self.support]
 
 
 def _disk_in_circle(disk, center: np.ndarray, radius: float,
@@ -329,6 +310,25 @@ def _unit(theta: float) -> np.ndarray:
     return np.array([math.cos(theta), math.sin(theta)])
 
 
+def _pair_angles(centers: np.ndarray, radii: np.ndarray) -> list[float]:
+    """Angles of the outer-bitangent normals v, (c_i - c_j).v = r_j - r_i,
+    over the pairs i < j of distinct centres."""
+    out = []
+    n = len(radii)
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = centers[i] - centers[j]
+            rho = math.hypot(v[0], v[1])  # no overflow in squares near 1e154
+            if rho == 0.0:
+                continue
+            psi = math.atan2(v[1], v[0])
+            val = float(radii[j] - radii[i]) / rho  # a Python float: inf, not a warning
+            if abs(val) <= 1.0:
+                a = math.acos(val)
+                out += [psi + a, psi - a]
+    return out
+
+
 def _hull_polygon(family: DiskFamily) -> np.ndarray:
     """Rows (n_x, n_y, offset) of halfplanes n.x <= offset.
 
@@ -341,8 +341,7 @@ def _hull_polygon(family: DiskFamily) -> np.ndarray:
     single arc remains, that is, when one disk holds all the others.
     """
     centers, radii = family.centers, family.radii
-    angles = sorted({a % (2.0 * math.pi) for a in _pair_angles(
-        centers, radii, lambda ri, rj: (rj - ri,))})
+    angles = sorted({a % (2.0 * math.pi) for a in _pair_angles(centers, radii)})
     arcs: list[list] = []  # [extreme disk, start angle, end angle]
     for lo, hi in zip(angles, angles[1:] + [a + 2.0 * math.pi for a in angles[:1]]):
         disk = int(np.argmax(centers @ _unit((lo + hi) / 2.0) + radii))

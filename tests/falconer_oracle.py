@@ -2,13 +2,19 @@
 closed forms they check.
 
 The closed-form sectional integral and minimal profile mass (the ridge-function
-and variational ingredients of the width bound) and the evenly split plank
-partition have no caller in the package; they live here next to their tests.
+and variational ingredients of the width bound), the evenly split plank
+partition and the enclosing circle's tangency residuals have no caller in the
+package; they live here next to their tests.
 The discretized LP profile minimizer, the radial disk-mass quadrature and the
 per-chord quadrature of sectional integrals check the closed forms.  ``hull_grid`` with ``open_counts`` is a one-sided reference
 for the exact plank-arrangement sweep: it counts open planks only at grid
 points that are certainly in the hull, so it can miss thin cells but never
-reports a count that does not occur.
+reports a count that does not occur.  ``is_separable`` is the earlier exact
+separability test, an O(n^3) scan of the cell midpoints and critical angles
+of every pair's critical directions, each with an interval sweep
+(``_gap_offset``); it is the reference for the tangent-arc rule of
+``falconer.is_separable``.  It skips pairs whose centres lie closer than
+1e-15, so it is wrong for families at that scale.
 """
 
 import math
@@ -78,6 +84,15 @@ def plank2d_partition(family, n_planks: int, r: int = 1, direction=None) -> list
     breaks = np.linspace(lo, hi, n_planks + 1)
     return [falconer.plank(u, float(a), float(b))
             for _ in range(r) for a, b in zip(breaks, breaks[1:])]
+
+
+def tangency_residuals(circle, family) -> list[float]:
+    """|R - (|c_i - x| + r_i)| for each support disk i of an enclosing circle
+    (x, R): zero for disks that touch it from inside."""
+    c = np.asarray(circle.center)
+    return [abs(circle.radius - (float(np.linalg.norm(family.centers[i] - c))
+                                 + float(family.radii[i])))
+            for i in circle.support]
 
 
 def lp_profile_minimum(moment: float, floor: float, n_cutoffs: int = 33,
@@ -180,3 +195,84 @@ def open_counts(planks, pts) -> np.ndarray:
         (a,), (b,) = geom.bounding_box(p.base)
         counts += (t > a) & (t < b)
     return counts
+
+
+# ---------------------------------------------------------------------------
+# separability by critical directions
+
+
+def _gap_offset(centers: np.ndarray, radii: np.ndarray, u: np.ndarray,
+                ) -> float | None:
+    proj = centers @ u
+    order = np.argsort(proj - radii)
+    lefts = (proj - radii)[order]
+    rights = (proj + radii)[order]
+    max_right = rights[0]
+    for i in range(1, len(order)):
+        if lefts[i] > max_right:  # strict: a tangent line is not disjoint
+            return float((max_right + lefts[i]) / 2.0)
+        max_right = max(max_right, rights[i])
+    return None
+
+
+def _pair_angles(centers: np.ndarray, radii: np.ndarray, offsets) -> list[float]:
+    """Angles of the unit normals v with (c_i - c_j).v = w, over the pairs
+    i < j and each w in ``offsets(r_i, r_j)``."""
+    out = []
+    n = len(radii)
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = centers[i] - centers[j]
+            rho = math.hypot(v[0], v[1])  # no overflow in squares near 1e154
+            if rho < 1e-15:
+                continue
+            psi = math.atan2(v[1], v[0])
+            for w in offsets(radii[i], radii[j]):
+                val = float(w) / rho  # a Python float: inf, not a warning
+                if abs(val) <= 1.0:
+                    a = math.acos(val)
+                    out += [psi + a, psi - a]
+    return out
+
+
+def _critical_angles(centers: np.ndarray, radii: np.ndarray) -> list[float]:
+    out = {a % math.pi for a in _pair_angles(
+        centers, radii, lambda ri, rj: (ri + rj, -(ri + rj), ri - rj, rj - ri))}
+    merged: list[float] = []
+    for angle in sorted(out):
+        if not merged or angle - merged[-1] > 1e-9:
+            merged.append(angle)
+    return merged
+
+
+def is_separable(family) -> tuple[bool, falconer.SeparatingLine | None]:
+    """Exact separability decision.
+
+    Projected onto a direction, the disks become intervals, and a separating
+    line perpendicular to the direction exists exactly when the sorted
+    intervals leave a strict gap with disks on both sides.  The interval
+    overlap pattern only changes at finitely many critical directions (where
+    projected endpoints coincide), so testing every critical direction plus
+    one direction per cell in between decides separability exactly.  A single
+    disk is non-separable by convention.
+    """
+    if len(family) < 2:
+        return False, None
+    crit = _critical_angles(family.centers, family.radii)
+    candidates = []
+    if crit:
+        # cell midpoints first: they witness fat gaps; critical angles only
+        # matter for tangency-boundary cells and are appended after
+        wrapped = crit + [crit[0] + math.pi]
+        candidates.extend((a + b) / 2.0 for a, b in zip(wrapped, wrapped[1:]))
+        candidates.extend(crit)
+    else:
+        candidates.extend([0.0, math.pi / 2.0])
+    for theta in candidates:
+        u = np.array([math.cos(theta), math.sin(theta)])
+        offset = _gap_offset(family.centers, family.radii, u)
+        if offset is not None:
+            return True, falconer.SeparatingLine(u=(float(u[0]), float(u[1])),
+                                                 offset=offset)
+    return False, None
+

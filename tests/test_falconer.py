@@ -71,8 +71,9 @@ def test_tangent_pair_not_separable():
 
 
 def test_concentric_pair_has_no_pair_angle():
-    # a shared centre gives the pair no normal direction: _pair_angles skips
-    # it, and the third disk alone supplies the separating line
+    # a shared centre gives the pair no normal direction: the larger disk
+    # meets every tangent line of the smaller, and the third disk alone
+    # supplies the separating line
     fam = disks(((0, 0), 1.0), ((0, 0), 0.5))
     assert falconer.is_separable(fam) == (False, None)
     fam = disks(((0, 0), 1.0), ((0, 0), 0.5), ((5, 0), 1.0))
@@ -88,6 +89,26 @@ def test_separability_knife_edge():
         fam = disks(((0, 0), 1.0), ((2.0 + eps, 0), 1.0))
         sep, _ = falconer.is_separable(fam)
         assert sep is want, eps
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-16, 1.0, 1e150])
+def test_separable_pair_is_separable_at_every_scale(scale):
+    # radius 0.6 s at (0, 0) and (s, s): a gap of (sqrt(2) - 1.2) s
+    fam = disks(((0, 0), 0.6 * scale), ((scale, scale), 0.6 * scale))
+    sep, line = falconer.is_separable(fam)
+    assert sep
+    signed = fam.centers @ np.asarray(line.u) - line.offset
+    assert np.all(np.abs(signed) - fam.radii > 0) and (signed[0] > 0) != (signed[1] > 0)
+
+
+def test_line_tangent_to_three_disks_does_not_separate():
+    # the line x = 23 touches disks 1 and 2 (tangent at (23, 0)) and disk 4,
+    # so two of disk 4's arcs meet at theta = pi; every distance and sum is
+    # exact, and the family is not separable
+    fam = disks(((0, 0), 9.0), ((16, 0), 7.0), ((24, 0), 1.0), ((32, 0), 7.0),
+                ((32, 16), 9.0))
+    assert falconer.is_separable(fam) == (False, None)
+    assert falconer_oracle.is_separable(fam) == (False, None)
 
 
 def test_separability_agrees_with_oracle(rng):
@@ -131,7 +152,7 @@ def test_circumradius_collinear_tangency():
 def test_circumradius_tangent_trio():
     out = falconer.circumradius(TANGENT_TRIO)
     assert out.radius == pytest.approx(2 / math.sqrt(3) + 1, abs=1e-10)
-    assert max(out.tangency_residuals(TANGENT_TRIO)) <= 1e-10
+    assert max(falconer_oracle.tangency_residuals(out, TANGENT_TRIO)) <= 1e-10
 
 
 def test_circumradius_raises_when_a_disk_stays_outside(monkeypatch):
@@ -377,8 +398,7 @@ def test_hull_chords_end_on_the_hull_boundary(rng):
     for n in range(1, 8):
         radii = [0.5] + list(rng.uniform(0.0, 1.2, n - 1))
         fam = falconer.DiskFamily([rng.uniform(-2, 2, 2) for _ in radii], radii)
-        kinks = falconer._pair_angles(fam.centers, fam.radii,
-                                      lambda ri, rj: (rj - ri,))
+        kinks = falconer._pair_angles(fam.centers, fam.radii)
         angles = np.concatenate([theta, kinks])
         normals = np.column_stack([np.cos(angles), np.sin(angles)])
         support = np.max(normals @ fam.centers.T + fam.radii, axis=1)
@@ -391,6 +411,19 @@ def test_hull_chords_end_on_the_hull_boundary(rng):
             for t in (lo, hi):
                 excess = np.max(normals @ (point + t * direction) - support)
                 assert -1e-8 <= excess <= 1e-12, n
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-16, 1e150])
+def test_hull_polygon_scales_with_the_family(scale):
+    # only a shared centre drops a pair, so a scaled NS trio keeps its six
+    # rows: the unit normals and the offsets over the scale
+    trio = disks(((0, 0), 1.0), ((1.5, 0), 1.0), ((0.75, 1.3), 1.0))
+    unit = falconer._hull_polygon(trio)
+    rows = falconer._hull_polygon(falconer.DiskFamily(trio.centers * scale,
+                                                      trio.radii * scale))
+    assert unit.shape == rows.shape == (6, 3)
+    assert np.allclose(rows[:, :2], unit[:, :2], rtol=0.0, atol=1e-12)
+    assert np.allclose(rows[:, 2] / scale, unit[:, 2], rtol=1e-12, atol=0.0)
 
 
 def test_exact_multiplicity_detects_overlap():

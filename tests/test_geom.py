@@ -11,6 +11,7 @@ from cylpack.errors import (
     DimensionMismatch,
     DomainError,
     FullDimensional,
+    NoConvergence,
     RankDeficient,
     SamplingFailure,
     UnsupportedDimension,
@@ -237,6 +238,12 @@ def test_mvee_simplex_circumcircle():
     pts = np.array([[math.cos(a), math.sin(a)] for a in angles])
     out = geom.mvee(pts, tol=1e-6)
     assert np.allclose(out.ellipsoid.shape, np.eye(2), atol=1e-5)
+
+
+def test_mvee_raises_when_the_ascent_runs_out(monkeypatch, rng):
+    monkeypatch.setattr(geom, "MVEE_MAX_ITER", 1)
+    with pytest.raises(NoConvergence):
+        geom.mvee(rng.standard_normal((40, 3)), tol=1e-6)
 
 
 def test_mvee_contains_and_is_tight(rng):

@@ -746,6 +746,24 @@ def test_cli_falconer_separable_family_draws_its_line(tmp_path, capsys):
     assert svg.read_text().count('stroke-dasharray="6 4"') == 1
 
 
+def test_cli_tiny_separable_pair_is_not_ns(tmp_path, capsys):
+    # radius 0.6 s at (0, 0) and (s, s) with s = 1e-200: separable at every
+    # scale, so falconer draws a strictly separating line and verify refuses
+    s = 1e-200
+    family = falconer.DiskFamily([[0.0, 0.0], [s, s]], [0.6 * s, 0.6 * s])
+    planks = [falconer.plank(np.array([1.0, 0.0]), 0.0, 0.5 * s)]
+    inst = tmp_path / "tiny.json"
+    instances.dump_json(instances.disk_planks_instance(family, planks, 1, {}), inst)
+    assert cli.main(["falconer", str(inst)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["separable"] is True
+    u, offset = out["separating_line"]["u"], out["separating_line"]["offset"]
+    signed = [u[0] * x + u[1] * y - offset for x, y in family.centers.tolist()]
+    assert all(abs(d) > 0.6 * s for d in signed) and (signed[0] > 0) != (signed[1] > 0)
+    assert cli.main(["verify", str(inst)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "NotNS"
+
+
 def test_cli_polygon_strips_fall_back_to_even_intervals(tmp_path, capsys):
     # 60 random intervals per layer never all reach the minimum width, so
     # each layer is the even partition with gaps: equal widths
