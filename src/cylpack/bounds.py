@@ -155,9 +155,10 @@ def check_packing_upper_ellipsoid(body: geom.ConvexBody, family, r: int,
     ks = {c.k for c in family}
     if not ks <= {1, 2}:
         raise DomainError(f"codimension must be 1 or 2, got {sorted(ks)}")
-    evidence = _evidence(multiplicity.verify_packing(body, family, r, n, seed),
-                         NotAPacking)
-    lhs = cylinders.sum_crv(body, family)
+    shadows = cylinders.family_shadows(body, family)
+    evidence = _evidence(multiplicity.verify_packing(body, family, r, n, seed,
+                                                     shadows=shadows), NotAPacking)
+    lhs = cylinders.sum_crv(body, family, shadows=shadows)
     digest = _digest_family(body, family, {"r": r})
     return make_report("packing_upper_ellipsoid", lhs, float(r), LE, digest,
                        **_hypothesis(evidence, "packing"))
@@ -232,10 +233,13 @@ class SliceMax:
 
 def max_translate_slice(body: geom.ConvexBody, slice_frame: geom.Frame,
                         base: cylinders.CylinderBase | None = None,
-                        offsets_frame: geom.Frame | None = None) -> SliceMax:
+                        offsets_frame: geom.Frame | None = None,
+                        shadow: geom.ConvexBody | None = None) -> SliceMax:
     """max over offsets z of the slice volume body ∩ (N z + span(slice_frame)),
     N the ``offsets_frame`` (by default an orthonormal complement of the
     slice subspace), over the offsets in ``base`` when one is given.
+    ``shadow`` is ``geom.project_body(body, offsets_frame)`` when the caller
+    has it already.
 
     Closed forms:
     - ellipsoid: a ball or ellipsoid with no base, a disk base or a
@@ -264,15 +268,17 @@ def max_translate_slice(body: geom.ConvexBody, slice_frame: geom.Frame,
                           "non-convex; slice maxima need one-sided caps")
     slice_at = _SliceProbes(geom.slice_kernel(body, slice_frame), offsets_frame)
     m = slice_frame.subspace_dim
-    if not isinstance(body, geom.Polytope):
-        if not isinstance(base, geom.Polytope):
-            return _ellipsoid_max(slice_at, body, slice_frame, offsets_frame, base)
-    elif base is None and m == 1:
-        t, q = geom.longest_chord(body, slice_frame.columns[:, 0])
-        return _bracket(slice_at, offsets_frame.coords(q), t, "difference-body")
-    elif base is None and offsets_frame.subspace_dim == 1:
-        return _piecewise_max(slice_at, m, body, offsets_frame)
-    return _concave_search(slice_at, m, body, offsets_frame, base)
+    if isinstance(body, geom.Polytope) and base is None:
+        if m == 1:
+            t, q = geom.longest_chord(body, slice_frame.columns[:, 0])
+            return _bracket(slice_at, offsets_frame.coords(q), t, "difference-body")
+        if offsets_frame.subspace_dim == 1:
+            return _piecewise_max(slice_at, m, body, offsets_frame)
+    if shadow is None:
+        shadow = geom.project_body(body, offsets_frame)
+    if not isinstance(body, geom.Polytope) and not isinstance(base, geom.Polytope):
+        return _ellipsoid_max(slice_at, body, slice_frame, shadow, base)
+    return _concave_search(slice_at, m, shadow, offsets_frame, base)
 
 
 class _SliceProbes:
@@ -295,13 +301,12 @@ def _bracket(slice_at: _SliceProbes, z, upper: float, method: str) -> SliceMax:
                     probes=slice_at.count)
 
 
-def _ellipsoid_max(slice_at, body, slice_frame, offsets_frame, base) -> SliceMax:
+def _ellipsoid_max(slice_at, body, slice_frame, shadow, base) -> SliceMax:
     m = slice_frame.subspace_dim
     s = slice_frame.columns
-    shadow = geom.project_body(body, offsets_frame)
     if isinstance(body, geom.Ball):
         central = specfn.unit_ball_volume(m) * body.radius**m
-        shape = np.eye(offsets_frame.subspace_dim) / shadow.radius**2
+        shape = np.eye(shadow.dim) / shadow.radius**2
     else:
         det = np.linalg.det(s.T @ body.shape @ s)
         if not det > 0:  # positive in exact arithmetic; rounding can zero it
@@ -377,9 +382,9 @@ def _piecewise_max(slice_at, m, body, offsets_frame) -> SliceMax:
     return _bracket(slice_at, [best_t], best_v, "piecewise-polynomial")
 
 
-def _concave_search(slice_at, m, body, offsets_frame, base) -> SliceMax:
+def _concave_search(slice_at, m, shadow, offsets_frame, base) -> SliceMax:
     """Nested parabolic and golden-section search over the offsets in
-    D = shadow ∩ base.
+    D = shadow ∩ base, the shadow being the body's on the offsets frame.
 
     f = V^(1/m) is concave on D (Brunn), and so is its maximum over each
     section of D at fixed leading offset coordinates.  Each coordinate gets
@@ -400,7 +405,7 @@ def _concave_search(slice_at, m, body, offsets_frame, base) -> SliceMax:
     if isinstance(base, cylinders.CapBase):
         rot = np.linalg.qr(np.column_stack([base.pole, np.eye(n)]))[0]
     quads, polys, cut = [], [], None  # regions in the rotated coordinates y
-    for region in [geom.project_body(body, offsets_frame), base]:
+    for region in [shadow, base]:
         if isinstance(region, geom.Ball):
             quads.append((np.eye(n) / (region.radius * region.radius),
                           region.center @ rot))
@@ -624,26 +629,27 @@ def check_packing_general(body: geom.ConvexBody, family, r: int,
             raise DomainError(
                 "antipodal cap bases make the restricted cylinder non-convex; "
                 "this bound needs one-sided caps")
-    evidence = _evidence(multiplicity.verify_packing(body, family, r, n, seed),
-                         NotAPacking)
+    shadows = cylinders.family_shadows(body, family)
+    evidence = _evidence(multiplicity.verify_packing(body, family, r, n, seed,
+                                                     shadows=shadows), NotAPacking)
     d = body.dim
     ks = {c.k for c in family}
     if len(ks) != 1:
         raise DimensionMismatch("mixed codimensions in one packing check")
     k = ks.pop()
-    slices = cylinders._per_frame(family, lambda frame: (
-        h := geom.complement(frame), max_translate_slice(body, h)))
+    slices = cylinders._per_frame(family, lambda i: (
+        h := geom.complement(family[i].frame), max_translate_slice(body, h)))
     worst_ratio, methods = 0.0, ""
-    for cyl, (h_frame, body_max) in zip(family, slices):
+    for cyl, (h_frame, body_max), shadow in zip(family, slices, shadows):
         cyl_max = max_translate_slice(body, h_frame, base=cyl.base,
-                                      offsets_frame=cyl.frame)
+                                      offsets_frame=cyl.frame, shadow=shadow)
         if cyl_max.hi <= 0:
             raise DomainError("restricted cylinder has numerically empty slices")
         ratio = body_max.lo / cyl_max.hi
         if ratio >= worst_ratio:
             worst_ratio = ratio
             methods = f"body {body_max.method}, restricted {cyl_max.method}"
-    lhs = cylinders.sum_crv(body, family)
+    lhs = cylinders.sum_crv(body, family, shadows=shadows)
     rhs = r * math.comb(d, k) * worst_ratio
     digest = _digest_family(body, family, {"r": r})
     return make_report("packing_upper_general", lhs, rhs, LE, digest,

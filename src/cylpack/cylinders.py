@@ -19,6 +19,7 @@ from .errors import DegenerateProjection, DimensionMismatch, DomainError
 
 INTERIOR_MARGIN = 1e-12  # strict-interior slack: tangent cylinders are a legal packing
 CONTAINMENT_TOL = 1e-9   # slack of base-in-shadow and base-in-support-range checks
+REACH_ROUNDING = 1e-12   # relative round-up of the closed-form disk-in-ellipsoid bound
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,13 +130,21 @@ def _frame_groups(family) -> list[list[int]]:
 
 
 def _per_frame(family, value) -> list:
-    """``value(frame)`` for each cylinder, evaluated once per frame group."""
+    """``value(i)`` for each cylinder, evaluated once per frame group at the
+    group's first index i."""
     out = [None] * len(family)
     for group in _frame_groups(family):
-        v = value(family[group[0]].frame)
+        v = value(group[0])
         for i in group:
             out[i] = v
     return out
+
+
+def family_shadows(body: geom.ConvexBody, family) -> list:
+    """The body's shadow on each cylinder's base subspace
+    (``geom.project_body``), projected once per frame group."""
+    family = list(family)
+    return _per_frame(family, lambda i: geom.project_body(body, family[i].frame))
 
 
 def crv(body: geom.ConvexBody, cyl: Cylinder) -> float:
@@ -145,17 +154,20 @@ def crv(body: geom.ConvexBody, cyl: Cylinder) -> float:
     return sum_crv(body, [cyl])
 
 
-def sum_crv(body: geom.ConvexBody, family) -> float:
+def sum_crv(body: geom.ConvexBody, family, shadows=None) -> float:
     """Sum of ``crv`` over the family: one shadow volume per distinct frame,
-    the terms added in family order."""
-    def shadow_volume(frame):
-        denom = geom.volume(geom.project_body(body, frame))
+    the terms added in family order.  ``shadows`` is the family's
+    ``family_shadows(body, family)`` when the caller has them already."""
+    def shadow_volume(i):
+        denom = geom.volume(shadows[i])
         if denom == math.inf:
             raise DomainError("projected body volume overflows")
         if not denom > 0.0:
             raise DegenerateProjection("projected body has numerically zero volume")
         return denom
     family = list(family)
+    if shadows is None:
+        shadows = family_shadows(body, family)
     denom = _per_frame(family, shadow_volume)
     return float(sum(base_volume(c.base) / v for c, v in zip(family, denom)))
 
@@ -169,7 +181,11 @@ def base_contained(shadow: geom.ConvexBody, base: CylinderBase) -> bool:
     polytope shadow needs h(a_i) + b_i <= 0 on every facet, a ball shadow
     (c, R) the base within R of c (a cap's farthest points lie on the unit
     sphere: 1 + |c|^2 + 2 h(-c) <= R^2), and an ellipsoid shadow the S-lemma
-    bound of :func:`geom.quadratic_on_ball` over a disk.  A cap in an
+    bound of :func:`geom.quadratic_on_ball` over a disk.  A disk (b, rho) in
+    an ellipsoid shadow (c, S) is first tried in closed form: the triangle
+    inequality in the S-norm bounds the quadratic on the disk by
+    (|b - c|_S + rho sqrt(lambda_max(S)))^2, and when that bound, rounded up
+    by ``REACH_ROUNDING``, passes, so does the exact test.  A cap in an
     ellipsoid shadow raises ``DomainError``: a convex quadratic can peak on a
     cap at a local, non-global maximizer on the sphere.
     """
@@ -180,6 +196,12 @@ def base_contained(shadow: geom.ConvexBody, base: CylinderBase) -> bool:
         if isinstance(base, CapBase):
             raise DomainError("cap-base containment in an ellipsoid shadow is "
                               "not decided exactly")
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: exact test
+            g = base.center - shadow.center
+            reach = (math.sqrt(max(float(g @ shadow.shape @ g), 0.0)) + base.radius
+                     * math.sqrt(float(shadow.eigenvalues[-1])))
+        if reach * reach * (1.0 + REACH_ROUNDING) <= 1.0 + CONTAINMENT_TOL:
+            return True
         _, top = geom.quadratic_on_ball(shadow.shape, shadow.center,
                                         base.center, base.radius, maximize=True)
         return top <= 1.0 + CONTAINMENT_TOL

@@ -18,6 +18,7 @@ the disks; nothing is sampled, and the sweep's verdict is a
 ``multiplicity.VerificationResult`` certified by ``SWEEP_CERTIFICATE``.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -35,6 +36,8 @@ from .errors import (
 
 ON_LINE = 1e-12             # relative gap and slope at which two boundary lines coincide
 SHUFFLE_SEED = 0            # disk order of the enclosing-circle pass
+TIE_ANGLE = 1e-8            # hull normals this close may hide a rounded tie of disks
+SWEEP_BLOCK = 1 << 20       # midpoint-plank pairs counted per batch of the sweep
 SVG_SIZE = 480              # width and height of family_to_svg drawings, in pixels
 SWEEP_CERTIFICATE = "arrangement-sweep"
 
@@ -272,13 +275,19 @@ def circumradius(family: DiskFamily) -> EnclosingCircle:
     ``SHUFFLE_SEED``: whenever a disk falls outside the current circle it joins
     the boundary basis and the prefix is re-solved, so the output is determined
     by at most three internally tangent support disks; the helpers take disks
-    as (centre, radius) rows.  Raises ``DomainError`` when the circle is not
-    finite in double precision or a containment post-check finds a disk
-    outside it.
+    as (centre, radius) rows.  The pass runs in units of the family's size,
+    the largest centre coordinate or radius, when that is below 1: the family
+    is scaled by a power of two, exactly, so no square underflows and the
+    helpers' thresholds and tolerances are relative to the family.  Raises
+    ``DomainError`` when the circle is not finite in double precision or a
+    containment post-check finds a disk outside it.
     """
     import random as _random
 
-    rows = list(zip(family.centers, family.radii))  # float64: a square overflows to inf
+    size = max(float(np.max(np.abs(family.centers))), float(np.max(family.radii)))
+    unit = math.ldexp(1.0, min(math.frexp(size)[1], 0))  # size / unit in [0.5, 1)
+    # float64: a square overflows to inf
+    rows = list(zip(family.centers / unit, family.radii / unit))
     order = list(enumerate(rows))
     _random.Random(SHUFFLE_SEED).shuffle(order)
 
@@ -297,8 +306,8 @@ def circumradius(family: DiskFamily) -> EnclosingCircle:
             raise DomainError("the enclosing circle is not finite in double precision")
         if not all(_disk_in_circle(d, x, radius, tol=1e-10) for d in rows):
             raise DomainError("the enclosing circle leaves a disk outside")
-    return EnclosingCircle(center=(float(x[0]), float(x[1])),
-                           radius=float(radius),
+    return EnclosingCircle(center=(float(x[0] * unit), float(x[1] * unit)),
+                           radius=float(radius * unit),
                            support=tuple(sorted(i for i, _ in basis)))
 
 
@@ -310,23 +319,23 @@ def _unit(theta: float) -> np.ndarray:
     return np.array([math.cos(theta), math.sin(theta)])
 
 
-def _pair_angles(centers: np.ndarray, radii: np.ndarray) -> list[float]:
+def _pair_angles(centers: np.ndarray, radii: np.ndarray,
+                 ) -> tuple[list[float], np.ndarray]:
     """Angles of the outer-bitangent normals v, (c_i - c_j).v = r_j - r_i,
-    over the pairs i < j of distinct centres."""
-    out = []
-    n = len(radii)
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = centers[i] - centers[j]
-            rho = math.hypot(v[0], v[1])  # no overflow in squares near 1e154
-            if rho == 0.0:
-                continue
-            psi = math.atan2(v[1], v[0])
-            val = float(radii[j] - radii[i]) / rho  # a Python float: inf, not a warning
-            if abs(val) <= 1.0:
-                a = math.acos(val)
-                out += [psi + a, psi - a]
-    return out
+    over the pairs i < j of distinct centres, two per pair, and the pair
+    (i, j) of each angle as a row.  The trigonometry is ``math``'s, one call
+    per angle, so the bits do not depend on numpy's vector kernels."""
+    i, j = np.nonzero(np.arange(len(radii))[:, None] < np.arange(len(radii)))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        v = centers[i] - centers[j]
+        # no overflow in squares near 1e154
+        rho = np.array(list(map(math.hypot, v[:, 0].tolist(), v[:, 1].tolist())))
+        val = (radii[j] - radii[i]) / rho
+    keep = (rho != 0.0) & (np.abs(val) <= 1.0)
+    psi = map(math.atan2, v[keep, 1].tolist(), v[keep, 0].tolist())
+    half = map(math.acos, val[keep].tolist())
+    angles = [x for p, a in zip(psi, half) for x in (p + a, p - a)]
+    return angles, np.repeat(np.column_stack([i[keep], j[keep]]), 2, axis=0)
 
 
 def _hull_polygon(family: DiskFamily) -> np.ndarray:
@@ -339,16 +348,47 @@ def _hull_polygon(family: DiskFamily) -> np.ndarray:
     the polygon of the arc endpoints.  That polygon is cut out by each
     bitangent line and each arc's chord line; it is empty (no rows) when a
     single arc remains, that is, when one disk holds all the others.
+
+    The normals are sorted once.  The extreme disk, the ``argmax`` at the
+    middle of an interval between consecutive normals, can only change past
+    a normal of a pair that holds it, so it is evaluated again only there:
+    O(n^2 log n) in all.  Normals at most ``TIE_ANGLE`` apart form a run,
+    and every interval of a run holding such a normal is evaluated: near a
+    tie of several disks (a regular polygon of equal disks, say) rounding
+    may put the change of extreme disk anywhere in the run.
     """
     centers, radii = family.centers, family.radii
-    angles = sorted({a % (2.0 * math.pi) for a in _pair_angles(centers, radii)})
+    angles, pairs = _pair_angles(centers, radii)
+    # the distinct normals, sorted, and which of them each angle is
+    ends, normal = np.unique([a % (2.0 * math.pi) for a in angles], return_inverse=True)
+    run = np.cumsum(np.diff(ends, prepend=-np.inf) > TIE_ANGLE) - 1
+    runs = int(run[-1]) + 1 if len(run) else 0
+    start = np.searchsorted(run, np.arange(runs))  # first and last normal of each run
+    stop = np.append(start[1:], len(ends)) - 1
+    # for each disk, the runs holding a normal of one of its pairs, sorted
+    keys = pairs * runs + run[normal][:, None]  # disk * runs + run
+    if runs > 1 and ends[0] + 2.0 * math.pi - ends[-1] <= TIE_ANGLE:
+        # the last run wraps onto the first
+        wraps = keys[(keys % runs == 0) | (keys % runs == runs - 1)]
+        keys = np.concatenate([keys.ravel(), wraps - wraps % runs,
+                               wraps - wraps % runs + runs - 1])
+    keys = np.sort(keys, axis=None)
+    disks, held = np.divmod(keys[np.diff(keys, prepend=-1) != 0], max(runs, 1))
+    first = np.searchsorted(disks, np.arange(len(radii) + 1)).tolist()
+    start, stop = start[held].tolist(), stop[held].tolist()
+    ends = ends.tolist()
+    ends += [a + 2.0 * math.pi for a in ends[:1]]
     arcs: list[list] = []  # [extreme disk, start angle, end angle]
-    for lo, hi in zip(angles, angles[1:] + [a + 2.0 * math.pi for a in angles[:1]]):
+    k = 0
+    while k < len(ends) - 1:
+        lo, hi = ends[k], ends[k + 1]
         disk = int(np.argmax(centers @ _unit((lo + hi) / 2.0) + radii))
-        if arcs and arcs[-1][0] == disk:
-            arcs[-1][2] = hi
-        else:
+        if not arcs or arcs[-1][0] != disk:
             arcs.append([disk, lo, hi])
+        # the next interval in a run of this disk's normals
+        pos = bisect.bisect_right(stop, k, first[disk], first[disk + 1])
+        k = max(start[pos], k + 1) if pos < first[disk + 1] else len(ends) - 1
+        arcs[-1][2] = ends[k]
     if len(arcs) > 1 and arcs[0][0] == arcs[-1][0]:
         arcs[0][1] = arcs.pop()[1] - 2.0 * math.pi
     rows = []
@@ -364,34 +404,52 @@ def _hull_polygon(family: DiskFamily) -> np.ndarray:
     return rows
 
 
-def _chord(family: DiskFamily, polygon: np.ndarray, point: np.ndarray,
-           direction: np.ndarray) -> tuple[float, float] | None:
-    """Range of t with point + t * direction in the hull (direction a unit
-    vector), or None when the line meets the hull in at most one point.
+def _chords(family: DiskFamily, polygon: np.ndarray, points: np.ndarray,
+            directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ends (lo, hi) of the ranges of t with points + t * directions in the
+    hull, one row per line (unit directions); lo >= hi where a line meets the
+    hull in at most one point.
 
     The hull is the union of the disks and the polygon, and that union is
     convex, so its chord runs from the lowest to the highest end of theirs.
+    Each line's products have the shapes of a lone line's, (n, 2) @ (2,)
+    stacked over the lines, so a line gets the same bits in any batch.
     """
-    normal = np.array([-direction[1], direction[0]])
-    rel = family.centers - point
-    with np.errstate(over="ignore", invalid="ignore"):
-        room2 = family.radii ** 2 - (rel @ normal) ** 2
+    normals = np.column_stack([-directions[:, 1], directions[:, 0]])
+    rel = family.centers - points[:, None, :]
+    corners = polygon[:, :2]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        room2 = family.radii ** 2 - (rel @ normals[:, :, None])[..., 0] ** 2
         hit = room2 >= 0
-        half, mid = np.sqrt(room2[hit]), (rel @ direction)[hit]
-        ends = [mid - half, mid + half]
-        slope = polygon[:, :2] @ direction
-        room = polygon[:, 2] - polygon[:, :2] @ point
-        if len(polygon) and np.all(room[slope == 0] >= 0):
-            lo = np.max(room[slope < 0] / slope[slope < 0])
-            hi = np.min(room[slope > 0] / slope[slope > 0])
-            if lo <= hi:
-                ends += [[lo], [hi]]
-    ends = np.concatenate(ends)
-    if not (np.all(np.isfinite(room2)) and np.all(np.isfinite(ends))):
+        half = np.sqrt(np.where(hit, room2, 0.0))
+        mid = (rel @ directions[:, :, None])[..., 0]
+        near, far = mid - half, mid + half
+        lo = np.min(np.where(hit, near, np.inf), axis=1)
+        hi = np.max(np.where(hit, far, -np.inf), axis=1)
+        finite = np.all(np.isfinite(room2)
+                        & (~hit | (np.isfinite(near) & np.isfinite(far))), axis=1)
+        slope = (corners @ directions[:, :, None])[..., 0]
+        room = polygon[:, 2] - (corners @ points[:, :, None])[..., 0]
+        ratio = room / slope
+        enter = np.max(np.where(slope < 0, ratio, -np.inf), axis=1, initial=-np.inf)
+        leave = np.min(np.where(slope > 0, ratio, np.inf), axis=1, initial=np.inf)
+    cut = (len(polygon) > 0) & np.all((slope != 0) | (room >= 0), axis=1) \
+        & (enter <= leave)
+    finite &= ~cut | (np.isfinite(enter) & np.isfinite(leave))
+    if not np.all(finite):
         raise DomainError("disk family hull chord is not finite in double precision")
-    if not len(ends) or np.min(ends) >= np.max(ends):
-        return None
-    return float(np.min(ends)), float(np.max(ends))
+    return (np.where(cut, np.minimum(lo, enter), lo),
+            np.where(cut, np.maximum(hi, leave), hi))
+
+
+def _chord(family: DiskFamily, polygon: np.ndarray, point: np.ndarray,
+           direction: np.ndarray) -> tuple[float, float] | None:
+    """Range of t with point + t * direction in the hull (direction a unit
+    vector), or None when the line meets the hull in at most one point: the
+    one-line ``_chords``."""
+    (lo,), (hi,) = _chords(family, polygon, np.reshape(point, (1, 2)),
+                           np.reshape(direction, (1, 2)))
+    return (float(lo), float(hi)) if lo < hi else None
 
 
 # ---------------------------------------------------------------------------
@@ -429,9 +487,13 @@ def _plank_arrays(planks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return normals, lows, highs
 
 
+def _planks_json(normals: np.ndarray, lows: np.ndarray, highs: np.ndarray) -> list[dict]:
+    return [{"u": u, "interval": [a, b]}
+            for u, a, b in zip(normals.tolist(), lows.tolist(), highs.tolist())]
+
+
 def plank_to_json(p: cylinders.Cylinder) -> dict:
-    (u,), (lo,), (hi,) = _plank_arrays([p])
-    return {"u": u.tolist(), "interval": [float(lo), float(hi)]}
+    return _planks_json(*_plank_arrays([p]))[0]
 
 
 def plank_from_json(obj: dict) -> cylinders.Cylinder:
@@ -440,8 +502,20 @@ def plank_from_json(obj: dict) -> cylinders.Cylinder:
                  geom.json_number(b, "plank interval"))
 
 
-def exact_plank_multiplicity(family: DiskFamily, planks) -> tuple[int, tuple]:
-    """Largest open-plank multiplicity over the hull, with a witness point.
+def _support_range(family: DiskFamily, normals: np.ndarray,
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """(-h(-u), h(u)) of the hull for each row u of normals: ``support``'s
+    (n, 2) @ (2,) products, stacked over the rows."""
+    proj = (family.centers @ normals[:, :, None])[..., 0]
+    return (-np.max(family.radii - proj, axis=1, initial=-np.inf),
+            np.max(proj + family.radii, axis=1, initial=-np.inf))
+
+
+def exact_plank_multiplicity(family: DiskFamily, normals: np.ndarray,
+                             lows: np.ndarray, highs: np.ndarray) -> tuple[int, tuple]:
+    """Largest open-plank multiplicity over the hull, with a witness point,
+    for the planks {x : lows < <x, u> < highs}, u the rows of normals
+    (``_plank_arrays``).
 
     The plank boundary lines cut the hull into arrangement cells of constant
     multiplicity.  When some line crosses the hull interior, every cell that
@@ -452,60 +526,85 @@ def exact_plank_multiplicity(family: DiskFamily, planks) -> tuple[int, tuple]:
     the chord's own line (within ``ON_LINE``, as shared plank boundaries do)
     is decided by the side, not by comparing offsets.  The witness lies in
     the hull and in exactly the returned number of open planks.
+
+    All 2P boundary lines (each plank's low line, then its high line) are
+    swept at once: their chords, crossings, sorted sub-segment ends and
+    midpoint counts are arrays over the lines.  The cell is the first
+    maximum in (line, side, midpoint) order, taken when it beats the
+    interior point.  Every product has the shapes of a lone line's: the
+    midpoint counts of the lines with M midpoints are one (M, 2) @ (2, P)
+    product per line, stacked.
     """
-    normals, lows, highs = _plank_arrays(planks)
     polygon = _hull_polygon(family)
     inner = np.mean(family.centers, axis=0)  # interior: a mix of disk centers
     t = normals @ inner
-    best, cell = int(np.sum((t > lows) & (t < highs))), None
-    for u, s in [(u, s) for u, a, b in zip(normals, lows, highs) for s in (a, b)]:
-        d = np.array([-u[1], u[0]])
-        chord = _chord(family, polygon, s * u, d)
-        if chord is None or not -family.support(-u) < s < family.support(u):
-            continue  # the line misses the hull interior
-        slope, along = normals @ d, normals @ u
-        crossing = np.abs(slope) > ON_LINE
-        cuts = ((np.concatenate([lows[crossing], highs[crossing]])
-                 - s * np.tile(along[crossing], 2)) / np.tile(slope[crossing], 2))
-        cuts = cuts[(cuts > chord[0]) & (cuts < chord[1])]
-        ts = np.unique(np.concatenate([chord, cuts]))
-        mids = s * u + ((ts[:-1] + ts[1:]) / 2.0)[:, None] * d
-        t = mids @ normals.T
-        on_line = ON_LINE * max(1.0, abs(s))
-        on_low = ~crossing & (np.abs(lows - s * along) <= on_line)
-        on_high = ~crossing & (np.abs(highs - s * along) <= on_line)
-        for side in (1.0, -1.0):
-            inside = (np.where(on_low, side * along > 0, t > lows)
-                      & np.where(on_high, side * along < 0, t < highs))
-            counts = inside.sum(axis=1)
-            k = int(np.argmax(counts))
-            if counts[k] > best:
-                best = int(counts[k])
-                cell = (mids[k], side * u, on_low, on_high)
-    if cell is None:
+    best = int(np.sum((t > lows) & (t < highs)))
+    u = np.repeat(normals, 2, axis=0)  # the lines <x, u> = s
+    s = np.column_stack([lows, highs]).ravel()
+    d = np.column_stack([-u[:, 1], u[:, 0]])
+    lo, hi = _chords(family, polygon, s[:, None] * u, d)
+    bottom, top = np.repeat(_support_range(family, normals), 2, axis=1)
+    meets = (lo < hi) & (bottom < s) & (s < top)  # the line crosses the hull interior
+    slope = (normals @ d[:, :, None])[..., 0]
+    along = (normals @ u[:, :, None])[..., 0]
+    crossing = np.abs(slope) > ON_LINE
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        cuts = ((np.concatenate([lows, highs]) - s[:, None] * np.tile(along, 2))
+                / np.tile(slope, 2))
+        cuts = np.where(np.tile(crossing, 2) & (cuts > lo[:, None]) & (cuts < hi[:, None]),
+                        cuts, np.inf)
+        ts = np.sort(np.column_stack([lo, hi, cuts]), axis=1)
+        ts[:, 1:][ts[:, 1:] == ts[:, :-1]] = np.inf  # no zero-length pieces
+        ts = np.sort(ts, axis=1)
+        mids = (s[:, None] * u)[:, None, :] \
+            + ((ts[:, :-1] + ts[:, 1:]) / 2.0)[:, :, None] * d[:, None, :]
+    pieces = np.where(meets, np.sum(ts < np.inf, axis=1) - 1, 0)
+    on_line = ON_LINE * np.maximum(1.0, np.abs(s))
+    on_low = ~crossing & (np.abs(lows - s[:, None] * along) <= on_line[:, None])
+    on_high = ~crossing & (np.abs(highs - s[:, None] * along) <= on_line[:, None])
+    counts = np.empty((len(s), 2, mids.shape[1]), dtype=int)
+    block = max(1, SWEEP_BLOCK // max(1, mids.shape[1] * len(lows)))
+    for begin in range(0, len(s), block):
+        lines = slice(begin, begin + block)
+        here = pieces[lines]
+        t = np.zeros(mids[lines].shape[:2] + (len(lows),))  # (lines, M, P)
+        for m in np.unique(here[here > 0]).tolist():
+            rows = np.flatnonzero(here == m)
+            t[rows, :m] = mids[begin + rows, :m] @ normals.T
+        ahead = np.array([1.0, -1.0])[:, None, None] * along[lines, None, None, :]
+        inside = (np.where(on_low[lines, None, None], ahead > 0, t[:, None] > lows)
+                  & np.where(on_high[lines, None, None], ahead < 0, t[:, None] < highs))
+        counts[lines] = np.where(np.arange(mids.shape[1]) < here[:, None, None],
+                                 inside.sum(axis=3), -1)
+    if not counts.size or counts.max() <= best:
         return best, tuple(map(float, inner))
+    line, side, k = np.unravel_index(int(np.argmax(counts)), counts.shape)  # the first
+    best = int(counts[line, side, k])
     # step off the midpoint into its cell: half way to the nearest other
     # boundary line or to the hull boundary
-    mid, step, on_low, on_high = cell
+    mid, step = mids[line, k], (1.0, -1.0)[side] * u[line]
     t = normals @ mid
-    gaps = np.concatenate([np.abs(t - lows)[~on_low], np.abs(t - highs)[~on_high],
+    gaps = np.concatenate([np.abs(t - lows)[~on_low[line]],
+                           np.abs(t - highs)[~on_high[line]],
                            [_chord(family, polygon, mid, step)[1]]])
     return best, tuple(map(float, mid + 0.5 * float(np.min(gaps)) * step))
 
 
-def verify_plank_packing(family: DiskFamily, planks,
-                         r: int) -> multiplicity.VerificationResult:
-    """r-fold packing check of planks inside the hull, exact on arrangement
-    cells (``SWEEP_CERTIFICATE``); like ``multiplicity.verify_packing`` it
-    also fails, without a witness, when a plank leaves the support range."""
-    mult, witness = exact_plank_multiplicity(family, planks)
+def verify_plank_packing(family: DiskFamily, normals: np.ndarray, lows: np.ndarray,
+                         highs: np.ndarray, r: int) -> multiplicity.VerificationResult:
+    """r-fold packing check of planks (``_plank_arrays``) inside the hull,
+    exact on arrangement cells (``SWEEP_CERTIFICATE``); like
+    ``multiplicity.verify_packing`` it also fails, without a witness, when a
+    plank leaves the support range."""
+    mult, witness = exact_plank_multiplicity(family, normals, lows, highs)
     report = multiplicity.MultiplicityReport(0, mult, None, None, witness, None,
                                              None, certificate=SWEEP_CERTIFICATE)
     tol = cylinders.CONTAINMENT_TOL
-    for i, (u, a, b) in enumerate(zip(*_plank_arrays(planks))):
-        if a < -family.support(-u) - tol or b > family.support(u) + tol:
-            return multiplicity.VerificationResult(
-                False, None, report, reason=f"plank {i} base leaves the support range")
+    bottom, top = _support_range(family, normals)
+    outside = np.flatnonzero((lows < bottom - tol) | (highs > top + tol))
+    if outside.size:
+        return multiplicity.VerificationResult(
+            False, None, report, reason=f"plank {outside[0]} base leaves the support range")
     return multiplicity.judge(report, r)
 
 
@@ -530,18 +629,17 @@ def check_disk_planks(family: DiskFamily, planks, r: int) -> list[BoundReport]:
     ``multiplicity.VerificationResult`` and its witness, when the planks are
     no r-fold packing.
     """
-    planks = list(planks)
     separable, line = family.separation
     if separable:
         raise NotNS(f"family is separable by the line {line}")
-    verdict = verify_plank_packing(family, planks, r)
+    normals, lows, highs = _plank_arrays(planks)
+    verdict = verify_plank_packing(family, normals, lows, highs, r)
     if not verdict.ok:
         raise NotAPacking(verdict.reason, verdict)
     diam_ns = ns_diameter(family)
     circ = family.circle
     digest = instance_digest({"family": family.to_json(),
-                              "planks": [plank_to_json(p) for p in planks], "r": r})
-    _, lows, highs = _plank_arrays(planks)
+                              "planks": _planks_json(normals, lows, highs), "r": r})
     widths = (highs - lows).tolist()  # Python floats: sum() rounds as it always has
     return [
         make_report("plank_width_sum", float(sum(widths)),

@@ -235,13 +235,19 @@ class Ellipsoid:
         object.__setattr__(self, "shape", q)
         if q.shape != (c.shape[0], c.shape[0]):
             raise DimensionMismatch("shape form does not match the center dimension")
-        eigvals = np.linalg.eigvalsh(q)
-        if eigvals[0] <= 0:
+        if self.eigenvalues[0] <= 0:
             raise DegenerateBody("shape form must be positive definite")
 
     @property
     def dim(self) -> int:
         return self.center.shape[0]
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of the shape form, ascending."""
+        vals = np.linalg.eigvalsh(self.shape)
+        vals.setflags(write=False)
+        return vals
 
     @cached_property
     def shape_inv(self) -> np.ndarray:

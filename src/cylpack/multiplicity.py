@@ -382,14 +382,16 @@ def _settles(report: MultiplicityReport, r: int, covering: bool) -> bool:
 
 
 def verify_packing(body: geom.ConvexBody, family, r: int, n: int, seed: int,
-                   ) -> VerificationResult:
+                   shadows=None) -> VerificationResult:
     """r-fold packing check (``decide``).
 
     Also fails, without a witness, when some base is not contained in the
-    body's shadow, projected once per distinct frame.
+    body's shadow, projected once per distinct frame
+    (``cylinders.family_shadows``, unless the caller passes them).
     """
     family = list(family)
-    shadows = cylinders._per_frame(family, lambda f: geom.project_body(body, f))
+    if shadows is None:
+        shadows = cylinders.family_shadows(body, family)
     outside = next((i for i, cyl in enumerate(family)
                     if not cylinders.base_contained(shadows[i], cyl.base)), None)
     verdict = decide(body, family, r, n, seed)

@@ -15,6 +15,11 @@ of every pair's critical directions, each with an interval sweep
 (``_gap_offset``); it is the reference for the tangent-arc rule of
 ``falconer.is_separable``.  It skips pairs whose centres lie closer than
 1e-15, so it is wrong for families at that scale.
+``hull_polygon`` (one ``argmax`` over all disks per interval between
+consecutive bitangent normals, O(n^3)), ``hull_chord`` and the per-line loop
+``exact_plank_multiplicity`` are the earlier hull and arrangement sweep, the
+byte references of ``falconer._hull_polygon`` and
+``falconer.exact_plank_multiplicity``.
 """
 
 import math
@@ -276,3 +281,143 @@ def is_separable(family) -> tuple[bool, falconer.SeparatingLine | None]:
                                                  offset=offset)
     return False, None
 
+
+# ---------------------------------------------------------------------------
+# the per-interval hull and the per-line arrangement sweep
+
+
+def _hull_pair_angles(centers: np.ndarray, radii: np.ndarray) -> list[float]:
+    """Angles of the outer-bitangent normals v, (c_i - c_j).v = r_j - r_i,
+    over the pairs i < j of distinct centres."""
+    out = []
+    n = len(radii)
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = centers[i] - centers[j]
+            rho = math.hypot(v[0], v[1])  # no overflow in squares near 1e154
+            if rho == 0.0:
+                continue
+            psi = math.atan2(v[1], v[0])
+            val = float(radii[j] - radii[i]) / rho  # a Python float: inf, not a warning
+            if abs(val) <= 1.0:
+                a = math.acos(val)
+                out += [psi + a, psi - a]
+    return out
+
+
+def hull_polygon(family) -> np.ndarray:
+    """Rows (n_x, n_y, offset) of halfplanes n.x <= offset.
+
+    The support function h(v) = max_i(c_i.v + r_i) changes its extreme disk
+    only at outer-bitangent normals, where c_i.v + r_i = c_j.v + r_j.  So the
+    hull boundary is the extreme disk's arc between consecutive such normals,
+    joined by bitangent segments, and the hull is the union of the disks and
+    the polygon of the arc endpoints.  That polygon is cut out by each
+    bitangent line and each arc's chord line; it is empty (no rows) when a
+    single arc remains, that is, when one disk holds all the others.
+    """
+    centers, radii = family.centers, family.radii
+    angles = sorted({a % (2.0 * math.pi) for a in _hull_pair_angles(centers, radii)})
+    arcs: list[list] = []  # [extreme disk, start angle, end angle]
+    for lo, hi in zip(angles, angles[1:] + [a + 2.0 * math.pi for a in angles[:1]]):
+        disk = int(np.argmax(centers @ falconer._unit((lo + hi) / 2.0) + radii))
+        if arcs and arcs[-1][0] == disk:
+            arcs[-1][2] = hi
+        else:
+            arcs.append([disk, lo, hi])
+    if len(arcs) > 1 and arcs[0][0] == arcs[-1][0]:
+        arcs[0][1] = arcs.pop()[1] - 2.0 * math.pi
+    rows = []
+    if len(arcs) > 1:
+        for disk, lo, hi in arcs:
+            v = falconer._unit((lo + hi) / 2.0)
+            rows.append([*v, centers[disk] @ v + radii[disk] * math.cos((hi - lo) / 2.0)])
+            v = falconer._unit(hi)
+            rows.append([*v, family.support(v)])
+    rows = np.asarray(rows, dtype=float).reshape(-1, 3)
+    if not np.all(np.isfinite(rows)):
+        raise DomainError("disk family hull is not finite in double precision")
+    return rows
+
+
+def hull_chord(family, polygon: np.ndarray, point: np.ndarray,
+               direction: np.ndarray) -> tuple[float, float] | None:
+    """Range of t with point + t * direction in the hull (direction a unit
+    vector), or None when the line meets the hull in at most one point.
+
+    The hull is the union of the disks and the polygon, and that union is
+    convex, so its chord runs from the lowest to the highest end of theirs.
+    """
+    normal = np.array([-direction[1], direction[0]])
+    rel = family.centers - point
+    with np.errstate(over="ignore", invalid="ignore"):
+        room2 = family.radii ** 2 - (rel @ normal) ** 2
+        hit = room2 >= 0
+        half, mid = np.sqrt(room2[hit]), (rel @ direction)[hit]
+        ends = [mid - half, mid + half]
+        slope = polygon[:, :2] @ direction
+        room = polygon[:, 2] - polygon[:, :2] @ point
+        if len(polygon) and np.all(room[slope == 0] >= 0):
+            lo = np.max(room[slope < 0] / slope[slope < 0])
+            hi = np.min(room[slope > 0] / slope[slope > 0])
+            if lo <= hi:
+                ends += [[lo], [hi]]
+    ends = np.concatenate(ends)
+    if not (np.all(np.isfinite(room2)) and np.all(np.isfinite(ends))):
+        raise DomainError("disk family hull chord is not finite in double precision")
+    if not len(ends) or np.min(ends) >= np.max(ends):
+        return None
+    return float(np.min(ends)), float(np.max(ends))
+
+
+def exact_plank_multiplicity(family, planks) -> tuple[int, tuple]:
+    """Largest open-plank multiplicity over the hull, with a witness point.
+
+    The plank boundary lines cut the hull into arrangement cells of constant
+    multiplicity.  When some line crosses the hull interior, every cell that
+    meets the interior borders such a line's chord between two consecutive
+    crossings with the other lines; otherwise the hull is one cell.  So the
+    count on both sides of every sub-segment midpoint, plus the count at one
+    interior point, visits every cell.  A boundary line that coincides with
+    the chord's own line (within ``falconer.ON_LINE``, as shared plank
+    boundaries do) is decided by the side, not by comparing offsets.  The witness lies in
+    the hull and in exactly the returned number of open planks.
+    """
+    normals, lows, highs = falconer._plank_arrays(planks)
+    polygon = hull_polygon(family)
+    inner = np.mean(family.centers, axis=0)  # interior: a mix of disk centers
+    t = normals @ inner
+    best, cell = int(np.sum((t > lows) & (t < highs))), None
+    for u, s in [(u, s) for u, a, b in zip(normals, lows, highs) for s in (a, b)]:
+        d = np.array([-u[1], u[0]])
+        chord = hull_chord(family, polygon, s * u, d)
+        if chord is None or not -family.support(-u) < s < family.support(u):
+            continue  # the line misses the hull interior
+        slope, along = normals @ d, normals @ u
+        crossing = np.abs(slope) > falconer.ON_LINE
+        cuts = ((np.concatenate([lows[crossing], highs[crossing]])
+                 - s * np.tile(along[crossing], 2)) / np.tile(slope[crossing], 2))
+        cuts = cuts[(cuts > chord[0]) & (cuts < chord[1])]
+        ts = np.unique(np.concatenate([chord, cuts]))
+        mids = s * u + ((ts[:-1] + ts[1:]) / 2.0)[:, None] * d
+        t = mids @ normals.T
+        on_line = falconer.ON_LINE * max(1.0, abs(s))
+        on_low = ~crossing & (np.abs(lows - s * along) <= on_line)
+        on_high = ~crossing & (np.abs(highs - s * along) <= on_line)
+        for side in (1.0, -1.0):
+            inside = (np.where(on_low, side * along > 0, t > lows)
+                      & np.where(on_high, side * along < 0, t < highs))
+            counts = inside.sum(axis=1)
+            k = int(np.argmax(counts))
+            if counts[k] > best:
+                best = int(counts[k])
+                cell = (mids[k], side * u, on_low, on_high)
+    if cell is None:
+        return best, tuple(map(float, inner))
+    # step off the midpoint into its cell: half way to the nearest other
+    # boundary line or to the hull boundary
+    mid, step, on_low, on_high = cell
+    t = normals @ mid
+    gaps = np.concatenate([np.abs(t - lows)[~on_low], np.abs(t - highs)[~on_high],
+                           [hull_chord(family, polygon, mid, step)[1]]])
+    return best, tuple(map(float, mid + 0.5 * float(np.min(gaps)) * step))

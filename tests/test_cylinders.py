@@ -317,6 +317,47 @@ def test_base_contained_caps_exact(kind, antipodal):
         assert not contained(outset, cyl)
 
 
+def _exact_calls(monkeypatch) -> list:
+    calls = []
+    exact = geom.quadratic_on_ball
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(geom, "quadratic_on_ball", counted)
+    return calls
+
+
+@pytest.mark.parametrize("radius,inside", [(0.06, True), (0.12, False)])
+def test_disk_the_bound_cannot_accept_takes_the_exact_test(monkeypatch, radius, inside):
+    # semi-axes 1 and 0.1, rotated; the disk sits off the axes, where the
+    # triangle-inequality bound (0.5 + 10 rho)^2 exceeds 1 for both radii
+    rot = np.array([[math.cos(0.4), -math.sin(0.4)], [math.sin(0.4), math.cos(0.4)]])
+    shadow = geom.Ellipsoid(np.array([0.2, -0.1]), rot @ np.diag([1.0, 100.0]) @ rot.T)
+    disk = geom.Ball(shadow.center + rot @ np.array([0.5, 0.0]), radius)
+    calls = _exact_calls(monkeypatch)
+    assert cylinders.base_contained(shadow, disk) is inside
+    assert len(calls) == 1
+
+
+def test_disks_the_bound_accepts_are_contained(monkeypatch):
+    gen = np.random.default_rng(29)
+    calls = _exact_calls(monkeypatch)
+    accepted = 0
+    for _ in range(400):
+        m = int(gen.integers(1, 5))
+        shadow = geom.Ellipsoid(gen.uniform(-1, 1, m), random_spd(m, gen, (0.3, 2.0)))
+        disk = geom.Ball(shadow.center + gen.uniform(-0.6, 0.6, m), gen.uniform(0.01, 0.6))
+        calls.clear()
+        if cylinders.base_contained(shadow, disk) and not calls:
+            accepted += 1
+            _, top = geom.quadratic_on_ball(shadow.shape, shadow.center, disk.center,
+                                            disk.radius, maximize=True)
+            assert top <= 1.0 + cylinders.CONTAINMENT_TOL
+    assert accepted > 40
+
+
 def test_base_contained_cap_in_ellipsoid_raises():
     ell = geom.Ellipsoid(np.zeros(3), np.diag([0.25, 0.5, 1.0]))
     frame = geom.orthonormalize(np.eye(3)[:2])

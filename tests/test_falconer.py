@@ -6,7 +6,7 @@ import pytest
 
 import falconer_oracle
 from conftest import inscribed_hull
-from cylpack import falconer, geom, instances
+from cylpack import cli, falconer, geom, instances
 from cylpack.errors import (
     DimensionMismatch,
     DomainError,
@@ -155,6 +155,27 @@ def test_circumradius_tangent_trio():
     assert max(falconer_oracle.tangency_residuals(out, TANGENT_TRIO)) <= 1e-10
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e-8, 1e150])
+def test_circumradius_of_the_tangent_trio_at_every_scale(scale):
+    # below unit size the pass runs on the family scaled by a power of two:
+    # at 1e-8 an absolute determinant threshold once dropped the trio's circle
+    trio = falconer.DiskFamily(TANGENT_TRIO.centers * scale, TANGENT_TRIO.radii * scale)
+    out = falconer.circumradius(trio)
+    assert out.radius / scale == pytest.approx(1.0 + 2.0 / math.sqrt(3.0),
+                                               rel=1e-12, abs=0.0)
+    assert out.support == (0, 1, 2)
+
+
+def test_verify_of_a_small_tangent_trio_file_passes(tmp_path, capsys):
+    scale = 1e-8
+    trio = falconer.DiskFamily(TANGENT_TRIO.centers * scale, TANGENT_TRIO.radii * scale)
+    path = tmp_path / "trio.json"
+    planks = falconer_oracle.plank2d_partition(trio, 3)
+    instances.dump_json(instances.disk_planks_instance(trio, planks, 1, {}), path)
+    assert cli.main(["verify", str(path)]) == 0
+    capsys.readouterr()
+
+
 def test_circumradius_raises_when_a_disk_stays_outside(monkeypatch):
     def too_small(support):
         return np.zeros(2), 0.5
@@ -287,7 +308,8 @@ def test_plank_outside_the_support_range_fails_with_the_sweep_report():
     # the plank reaches past the disk's support 1 along u; the sweep still
     # runs, so its exact maximum comes with the failure
     planks = [falconer.plank(np.array([1.0, 0.0]), 0.5, 1.5)]
-    verdict = falconer.verify_plank_packing(UNIT_DISK, planks, 1)
+    verdict = falconer.verify_plank_packing(
+        UNIT_DISK, *falconer._plank_arrays(planks), 1)
     assert not verdict.ok and verdict.witness is None
     assert verdict.reason == "plank 0 base leaves the support range"
     report = verdict.report
@@ -297,6 +319,11 @@ def test_plank_outside_the_support_range_fails_with_the_sweep_report():
     with pytest.raises(NotAPacking) as info:
         falconer.check_disk_planks(UNIT_DISK, planks, 1)
     assert info.value.verdict.to_json() == verdict.to_json()
+
+
+def sweep(family, planks):
+    """``exact_plank_multiplicity`` of plank cylinders."""
+    return falconer.exact_plank_multiplicity(family, *falconer._plank_arrays(planks))
 
 
 def _random_planks(family, gen, n):
@@ -319,7 +346,7 @@ def test_exact_multiplicity_matches_grid_oracle():
                  for r in (1, 2, 3)]
         cases.append((_random_planks(fam, np.random.default_rng(seed), 5), None))
         for planks, r in cases:
-            mult, witness = falconer.exact_plank_multiplicity(fam, planks)
+            mult, witness = sweep(fam, planks)
             assert mult >= np.max(falconer_oracle.open_counts(planks, grid)), (seed, r)
             if r is not None:
                 assert mult <= r, (seed, r)
@@ -335,7 +362,7 @@ def test_thin_plank_at_the_hull_top_overlaps():
     top = fam.support(u)
     planks = [falconer.plank(u, -fam.support(-u), top),
               falconer.plank(u, top - 1e-5, top)]
-    mult, witness = falconer.exact_plank_multiplicity(fam, planks)
+    mult, witness = sweep(fam, planks)
     assert mult == 2
     assert falconer_oracle.open_counts(planks, witness)[0] == 2
     assert falconer_oracle.certainly_in_hull(fam, witness)[0]
@@ -351,7 +378,7 @@ def test_partition_multiplicity_is_exactly_r(family, r):
     # the partition's planks share boundary lines, r copies of each
     for direction in ((1.0, 0.0), (0.6, 0.8), (-0.28, 0.96)):
         planks = falconer_oracle.plank2d_partition(family, 4, r=r, direction=direction)
-        mult, witness = falconer.exact_plank_multiplicity(family, planks)
+        mult, witness = sweep(family, planks)
         assert mult == r
         assert falconer_oracle.open_counts(planks, witness)[0] == r
 
@@ -366,7 +393,7 @@ def test_cell_on_the_low_side_of_all_its_lines_is_found():
         planks.append(falconer.plank(u, -UNIT_DISK.support(-u),
                                      0.5 * u[0] + 0.2))
     assert falconer_oracle.open_counts(planks, [0.0, 0.0])[0] == 1
-    mult, witness = falconer.exact_plank_multiplicity(UNIT_DISK, planks)
+    mult, witness = sweep(UNIT_DISK, planks)
     assert mult == 3
     assert falconer_oracle.open_counts(planks, witness)[0] == 3
 
@@ -377,7 +404,7 @@ def test_parallel_planks_stay_apart_in_a_huge_hull():
     fam = instances.random_ns_family(4, 1)
     huge = falconer.DiskFamily(fam.centers, np.concatenate([[1e154], fam.radii[1:]]))
     planks = instances.random_plank2d_packing(fam, 3, 2, seed=1)
-    mult, witness = falconer.exact_plank_multiplicity(huge, planks)
+    mult, witness = sweep(huge, planks)
     assert mult == 2
     assert falconer_oracle.open_counts(planks, witness)[0] == 2
 
@@ -385,7 +412,7 @@ def test_parallel_planks_stay_apart_in_a_huge_hull():
 def test_plank_around_the_whole_hull_counts_once():
     # no boundary line meets the hull: the interior point decides
     planks = [falconer.plank(np.array([0.0, 1.0]), -5.0, 5.0)]
-    mult, witness = falconer.exact_plank_multiplicity(TANGENT_TRIO, planks)
+    mult, witness = sweep(TANGENT_TRIO, planks)
     assert mult == 1
     assert falconer_oracle.certainly_in_hull(TANGENT_TRIO, witness)[0]
 
@@ -398,7 +425,7 @@ def test_hull_chords_end_on_the_hull_boundary(rng):
     for n in range(1, 8):
         radii = [0.5] + list(rng.uniform(0.0, 1.2, n - 1))
         fam = falconer.DiskFamily([rng.uniform(-2, 2, 2) for _ in radii], radii)
-        kinks = falconer._pair_angles(fam.centers, fam.radii)
+        kinks, _ = falconer._pair_angles(fam.centers, fam.radii)
         angles = np.concatenate([theta, kinks])
         normals = np.column_stack([np.cos(angles), np.sin(angles)])
         support = np.max(normals @ fam.centers.T + fam.radii, axis=1)
@@ -429,7 +456,7 @@ def test_hull_polygon_scales_with_the_family(scale):
 def test_exact_multiplicity_detects_overlap():
     planks = [falconer.plank(np.array([1.0, 0.0]), -0.5, 0.1),
               falconer.plank(np.array([1.0, 0.0]), -0.1, 0.5)]
-    mult, witness = falconer.exact_plank_multiplicity(UNIT_DISK, planks)
+    mult, witness = sweep(UNIT_DISK, planks)
     assert mult == 2
     w = np.asarray(witness)
     assert -0.1 < w[0] < 0.1

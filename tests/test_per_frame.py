@@ -3,14 +3,16 @@
 The body's shadow (``geom.project_body``) is taken once per group of
 bit-equal frames in the packing containment pass and in ``sum_crv``, and
 the grouped ``sum_crv`` keeps the bytes of adding one ``crv`` per cylinder.
+One check shares one shadow per frame group between its containment pass,
+its ``sum_crv`` and the restricted slice maxima of the general bound.
 """
 
 import warnings
 
 import pytest
 
-from conftest import construct_all, inscribed_hull
-from cylpack import cylinders, geom, instances, multiplicity
+from conftest import CONSTRUCT_KINDS, construct_all, inscribed_hull
+from cylpack import cli, cylinders, geom, instances, multiplicity
 
 
 def _instances(tmp_path, seed: int) -> dict:
@@ -51,3 +53,28 @@ def test_sum_crv_is_the_sum_of_crv_bit_for_bit(tmp_path, seed):
         body, family = _body_family(inst)
         terms = float(sum(cylinders.crv(body, c) for c in family))
         assert cylinders.sum_crv(body, family).hex() == terms.hex(), name
+
+
+@pytest.mark.parametrize("name,shadows,exact", [
+    ("pack5", 2, 5),   # the shared shadow and the body's own slice maximum
+    ("pack3", 2, 0),   # two frame groups; every disk base accepted in closed form
+    ("pack4", 1, 0),
+    ("cap", 34, 0),    # one frame per cap
+])
+def test_verify_shares_one_shadow_per_frame_group(tmp_path, monkeypatch, capsys,
+                                                  name, shadows, exact):
+    path = tmp_path / f"{name}.json"
+    assert cli.main(["construct", *CONSTRUCT_KINDS[name], "--seed", "1",
+                     "--out", str(path)]) == 0
+    calls = {"project_body": 0, "quadratic_on_ball": 0}
+    for attr in calls:
+        real = getattr(geom, attr)
+
+        def counted(*args, _attr=attr, _real=real, **kwargs):
+            calls[_attr] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(geom, attr, counted)
+    assert cli.main(["verify", str(path)]) == 0
+    assert calls == {"project_body": shadows, "quadratic_on_ball": exact}
+    capsys.readouterr()
