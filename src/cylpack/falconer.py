@@ -12,13 +12,14 @@ density mass is its NS-diameter, ``ns_diameter``.  A plank is a k = 1
 the normal u and its base, a 1-d ``geom.Polytope``, the interval [a, b] of
 <x, u>.  A ``DiskFamily`` holds checked, frozen (n, 2) centres and n radii
 and decides its separation (``is_separable``) and enclosing circle
-(``circumradius``) once each.  ``check_disk_planks`` decides all of one
-instance's checks from these and one exact arrangement sweep on the hull of
-the disks; nothing is sampled, and the sweep's verdict is a
-``multiplicity.VerificationResult`` certified by ``SWEEP_CERTIFICATE``.
+(``circumradius``) once each.  Both separability and the hull, the disks
+and the segments that join their extreme arcs (``_hull_segments``), come
+from one rule of tangent arcs per disk.  ``check_disk_planks`` decides all
+of one instance's checks from these and one exact arrangement sweep on the
+hull, in the family's ``unit``; nothing is sampled, and the sweep's verdict
+is a ``multiplicity.VerificationResult`` certified by ``SWEEP_CERTIFICATE``.
 """
 
-import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -34,9 +35,8 @@ from .errors import (
     NotNS,
 )
 
-ON_LINE = 1e-12             # relative gap and slope at which two boundary lines coincide
+ON_LINE = 1e-12             # gap, in family units, and slope at which two boundary lines coincide
 SHUFFLE_SEED = 0            # disk order of the enclosing-circle pass
-TIE_ANGLE = 1e-8            # hull normals this close may hide a rounded tie of disks
 SWEEP_BLOCK = 1 << 20       # midpoint-plank pairs counted per batch of the sweep
 SVG_SIZE = 480              # width and height of family_to_svg drawings, in pixels
 SWEEP_CERTIFICATE = "arrangement-sweep"
@@ -52,8 +52,8 @@ def _plane_vector(value, field: str) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class DiskFamily:
     """Closed disks, as (n, 2) centres and n radii, plus the convex hull of
-    their union.  ``separation`` (``is_separable``) and ``circle``
-    (``circumradius``) are computed once, on first use."""
+    their union.  ``separation`` (``is_separable``), ``circle``
+    (``circumradius``) and ``unit`` are computed once, on first use."""
 
     centers: np.ndarray
     radii: np.ndarray
@@ -87,6 +87,13 @@ class DiskFamily:
     def circle(self) -> "EnclosingCircle":
         return circumradius(self)
 
+    @cached_property
+    def unit(self) -> float:
+        """1 when the family's size (largest |centre coordinate| or radius) is
+        at least 0.5, else the power of two over which it lies in [0.5, 1)."""
+        size = max(float(np.max(np.abs(self.centers))), float(np.max(self.radii)))
+        return math.ldexp(1.0, min(math.frexp(size)[1], 0))
+
     def to_json(self) -> dict:
         return {"disks": [{"center": c, "radius": r}
                           for c, r in zip(self.centers.tolist(), self.radii.tolist())]}
@@ -115,28 +122,17 @@ class SeparatingLine:
     offset: float
 
 
-def _tangent_gaps(c: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(i, middle angle) of each open gap, ordered by i and then by angle,
-    among the closed arcs of normal angles theta at which disk i's tangent
-    line (disk i behind it) meets a disk j: cos(theta - psi) in
-    [r_i - r_j, r_i + r_j] / rho, where c_j - c_i = rho (cos psi, sin psi).
-    A pair's arcs [psi + a, psi + b] and [psi - b, psi - a] are joined before
-    the modulo 2 pi when they meet at psi (a == 0: j reaches past i's
-    tangent point), lest rounding part them; when they also meet at psi + pi
-    (b == pi: j holds i), they are the whole circle.  A concentric disk
-    (rho == 0) meets every tangent line of a smaller one and none of an
-    equal or larger one.  One sort per disk: O(n^2 log n)."""
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        dx, dy = np.moveaxis(c[None, :, :] - c[:, None, :], 2, 0)  # row i: c_j - c_i
-        rho, psi = np.hypot(dx, dy), np.arctan2(dy, dx)
-        lo = (r[:, None] - r[None, :]) / rho  # rho == 0: -inf, +inf or nan, exactly
-        a = np.arccos(np.minimum((r[:, None] + r[None, :]) / rho, 1.0))
-        b = np.arccos(np.maximum(lo, -1.0))
-    meets = np.tile(lo <= 1.0, 2)  # nan (disk i itself, an equal concentric disk): never
-    joined = a == 0.0
-    start = np.concatenate([np.where(joined, psi - b, psi + a), psi - b], axis=1)
+def _arc_gaps(start: np.ndarray, length: np.ndarray, lo: np.ndarray,
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, left, right) of each open gap, ordered by i and then by angle,
+    between the closed arcs [start, start + length] of normal angles in row
+    i, whose columns are the disks j, once or repeated.  With lo = (r_i -
+    r_j) / rho, where rho = |c_j - c_i|, disk j has no arc when lo > 1 or
+    nan (disk i itself, an equal concentric disk), and row i has no gap when
+    lo <= -1 (j holds i).  One sort per row: O(n^2 log n)."""
+    meets = np.tile(lo <= 1.0, start.shape[1] // lo.shape[1])
     start = np.where(meets, np.mod(start, 2.0 * math.pi), np.inf)
-    end = np.where(meets, start + np.tile(np.where(joined, 2.0 * b, b - a), 2), -np.inf)
+    end = np.where(meets, start + length, -np.inf)
     order = np.argsort(start, axis=1, kind="stable")
     start = np.take_along_axis(start, order, axis=1)
     reach = np.maximum.accumulate(np.take_along_axis(end, order, axis=1), axis=1)
@@ -145,7 +141,40 @@ def _tangent_gaps(c: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     right = np.concatenate([start[:, 1:], start[:, :1] + 2.0 * math.pi], axis=1)
     gap = (right > left) & (right < math.inf) & ~np.any(lo <= -1.0, axis=1)[:, None]
     rows, cols = np.nonzero(gap)
-    return rows, (left[rows, cols] + right[rows, cols]) / 2.0
+    return rows, left[rows, cols], right[rows, cols]
+
+
+def _pair_arcs(c: np.ndarray, r: np.ndarray,
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(psi, lo, a, b) of each pair, row i and column j: c_j - c_i = rho
+    (cos psi, sin psi), lo = (r_i - r_j) / rho, a = arccos((r_i + r_j) /
+    rho) and b = arccos(lo), clipped to [0, pi].  A concentric disk (rho ==
+    0) has lo = -inf, +inf or nan, exactly."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        dx, dy = np.moveaxis(c[None, :, :] - c[:, None, :], 2, 0)  # row i: c_j - c_i
+        rho, psi = np.hypot(dx, dy), np.arctan2(dy, dx)
+        lo = (r[:, None] - r[None, :]) / rho
+        a = np.arccos(np.minimum((r[:, None] + r[None, :]) / rho, 1.0))
+        b = np.arccos(np.maximum(lo, -1.0))
+    return psi, lo, a, b
+
+
+def _tangent_gaps(c: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, middle angle) of each open gap, ordered by i and then by angle,
+    among the closed arcs of normal angles theta at which disk i's tangent
+    line (disk i behind it) meets a disk j: cos(theta - psi) in
+    [r_i - r_j, r_i + r_j] / rho (``_pair_arcs``).  A pair's arcs [psi + a,
+    psi + b] and [psi - b, psi - a] are joined before the modulo 2 pi when
+    they meet at psi (a == 0: j reaches past i's tangent point), lest
+    rounding part them; when they also meet at psi + pi (b == pi: j holds
+    i), they are the whole circle.  A concentric disk meets every tangent
+    line of a smaller one and none of an equal or larger one."""
+    psi, lo, a, b = _pair_arcs(c, r)
+    joined = a == 0.0
+    rows, left, right = _arc_gaps(
+        np.concatenate([np.where(joined, psi - b, psi + a), psi - b], axis=1),
+        np.tile(np.where(joined, 2.0 * b, b - a), 2), lo)
+    return rows, (left + right) / 2.0
 
 
 def is_separable(family: DiskFamily) -> tuple[bool, SeparatingLine | None]:
@@ -275,17 +304,15 @@ def circumradius(family: DiskFamily) -> EnclosingCircle:
     ``SHUFFLE_SEED``: whenever a disk falls outside the current circle it joins
     the boundary basis and the prefix is re-solved, so the output is determined
     by at most three internally tangent support disks; the helpers take disks
-    as (centre, radius) rows.  The pass runs in units of the family's size,
-    the largest centre coordinate or radius, when that is below 1: the family
-    is scaled by a power of two, exactly, so no square underflows and the
-    helpers' thresholds and tolerances are relative to the family.  Raises
+    as (centre, radius) rows.  The pass runs in the family's ``unit``, so no
+    square underflows and the helpers' thresholds and tolerances are
+    relative to the family.  Raises
     ``DomainError`` when the circle is not finite in double precision or a
     containment post-check finds a disk outside it.
     """
     import random as _random
 
-    size = max(float(np.max(np.abs(family.centers))), float(np.max(family.radii)))
-    unit = math.ldexp(1.0, min(math.frexp(size)[1], 0))  # size / unit in [0.5, 1)
+    unit = family.unit
     # float64: a square overflows to inf
     rows = list(zip(family.centers / unit, family.radii / unit))
     order = list(enumerate(rows))
@@ -315,141 +342,63 @@ def circumradius(family: DiskFamily) -> EnclosingCircle:
 # exact hull of the disks
 
 
-def _unit(theta: float) -> np.ndarray:
-    return np.array([math.cos(theta), math.sin(theta)])
+def _hull_segments(family: DiskFamily) -> np.ndarray:
+    """(m, 2, 2) ends of the segments that join the hull's boundary arcs.
 
-
-def _pair_angles(centers: np.ndarray, radii: np.ndarray,
-                 ) -> tuple[list[float], np.ndarray]:
-    """Angles of the outer-bitangent normals v, (c_i - c_j).v = r_j - r_i,
-    over the pairs i < j of distinct centres, two per pair, and the pair
-    (i, j) of each angle as a row.  The trigonometry is ``math``'s, one call
-    per angle, so the bits do not depend on numpy's vector kernels."""
-    i, j = np.nonzero(np.arange(len(radii))[:, None] < np.arange(len(radii)))
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        v = centers[i] - centers[j]
-        # no overflow in squares near 1e154
-        rho = np.array(list(map(math.hypot, v[:, 0].tolist(), v[:, 1].tolist())))
-        val = (radii[j] - radii[i]) / rho
-    keep = (rho != 0.0) & (np.abs(val) <= 1.0)
-    psi = map(math.atan2, v[keep, 1].tolist(), v[keep, 0].tolist())
-    half = map(math.acos, val[keep].tolist())
-    angles = [x for p, a in zip(psi, half) for x in (p + a, p - a)]
-    return angles, np.repeat(np.column_stack([i[keep], j[keep]]), 2, axis=0)
-
-
-def _hull_polygon(family: DiskFamily) -> np.ndarray:
-    """Rows (n_x, n_y, offset) of halfplanes n.x <= offset.
-
-    The support function h(v) = max_i(c_i.v + r_i) changes its extreme disk
-    only at outer-bitangent normals, where c_i.v + r_i = c_j.v + r_j.  So the
-    hull boundary is the extreme disk's arc between consecutive such normals,
-    joined by bitangent segments, and the hull is the union of the disks and
-    the polygon of the arc endpoints.  That polygon is cut out by each
-    bitangent line and each arc's chord line; it is empty (no rows) when a
-    single arc remains, that is, when one disk holds all the others.
-
-    The normals are sorted once.  The extreme disk, the ``argmax`` at the
-    middle of an interval between consecutive normals, can only change past
-    a normal of a pair that holds it, so it is evaluated again only there:
-    O(n^2 log n) in all.  Normals at most ``TIE_ANGLE`` apart form a run,
-    and every interval of a run holding such a normal is evaluated: near a
-    tie of several disks (a regular polygon of equal disks, say) rounding
-    may put the change of extreme disk anywhere in the run.
+    Disk i is extreme at the normal angle theta (c_i.v + r_i >= c_j.v + r_j
+    for every j) exactly when theta lies outside every open arc (psi - b,
+    psi + b) of ``_pair_arcs``, where a disk j reaches past i's tangent line.
+    So the gaps ``_arc_gaps`` leaves are the extreme arcs, and the hull
+    boundary runs along them in angle order, each arc's last tangent point
+    joined by a segment to the next arc's first.  Both ends of a segment are
+    points of disks, so it lies in the hull however rounding splits a tie.
     """
-    centers, radii = family.centers, family.radii
-    angles, pairs = _pair_angles(centers, radii)
-    # the distinct normals, sorted, and which of them each angle is
-    ends, normal = np.unique([a % (2.0 * math.pi) for a in angles], return_inverse=True)
-    run = np.cumsum(np.diff(ends, prepend=-np.inf) > TIE_ANGLE) - 1
-    runs = int(run[-1]) + 1 if len(run) else 0
-    start = np.searchsorted(run, np.arange(runs))  # first and last normal of each run
-    stop = np.append(start[1:], len(ends)) - 1
-    # for each disk, the runs holding a normal of one of its pairs, sorted
-    keys = pairs * runs + run[normal][:, None]  # disk * runs + run
-    if runs > 1 and ends[0] + 2.0 * math.pi - ends[-1] <= TIE_ANGLE:
-        # the last run wraps onto the first
-        wraps = keys[(keys % runs == 0) | (keys % runs == runs - 1)]
-        keys = np.concatenate([keys.ravel(), wraps - wraps % runs,
-                               wraps - wraps % runs + runs - 1])
-    keys = np.sort(keys, axis=None)
-    disks, held = np.divmod(keys[np.diff(keys, prepend=-1) != 0], max(runs, 1))
-    first = np.searchsorted(disks, np.arange(len(radii) + 1)).tolist()
-    start, stop = start[held].tolist(), stop[held].tolist()
-    ends = ends.tolist()
-    ends += [a + 2.0 * math.pi for a in ends[:1]]
-    arcs: list[list] = []  # [extreme disk, start angle, end angle]
-    k = 0
-    while k < len(ends) - 1:
-        lo, hi = ends[k], ends[k + 1]
-        disk = int(np.argmax(centers @ _unit((lo + hi) / 2.0) + radii))
-        if not arcs or arcs[-1][0] != disk:
-            arcs.append([disk, lo, hi])
-        # the next interval in a run of this disk's normals
-        pos = bisect.bisect_right(stop, k, first[disk], first[disk + 1])
-        k = max(start[pos], k + 1) if pos < first[disk + 1] else len(ends) - 1
-        arcs[-1][2] = ends[k]
-    if len(arcs) > 1 and arcs[0][0] == arcs[-1][0]:
-        arcs[0][1] = arcs.pop()[1] - 2.0 * math.pi
-    rows = []
-    if len(arcs) > 1:
-        for disk, lo, hi in arcs:
-            v = _unit((lo + hi) / 2.0)
-            rows.append([*v, centers[disk] @ v + radii[disk] * math.cos((hi - lo) / 2.0)])
-            v = _unit(hi)
-            rows.append([*v, family.support(v)])
-    rows = np.asarray(rows, dtype=float).reshape(-1, 3)
-    if not np.all(np.isfinite(rows)):
+    c, r = family.centers, family.radii
+    psi, lo, _, b = _pair_arcs(c, r)
+    disk, left, right = _arc_gaps(psi - b, 2.0 * b, lo)
+    order = np.argsort(np.mod(left, 2.0 * math.pi), kind="stable")
+    disks = np.column_stack([disk[order], np.roll(disk[order], -1)])
+    angles = np.column_stack([right[order], np.roll(left[order], -1)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        segments = c[disks] + r[disks, None] * np.stack([np.cos(angles), np.sin(angles)], axis=2)
+    if not np.all(np.isfinite(segments)):
         raise DomainError("disk family hull is not finite in double precision")
-    return rows
+    return segments
 
 
-def _chords(family: DiskFamily, polygon: np.ndarray, points: np.ndarray,
+def _chords(family: DiskFamily, segments: np.ndarray, points: np.ndarray,
             directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ends (lo, hi) of the ranges of t with points + t * directions in the
     hull, one row per line (unit directions); lo >= hi where a line meets the
-    hull in at most one point.
+    hull in at most one point, and possibly where it runs along a segment.
 
-    The hull is the union of the disks and the polygon, and that union is
-    convex, so its chord runs from the lowest to the highest end of theirs.
-    Each line's products have the shapes of a lone line's, (n, 2) @ (2,)
-    stacked over the lines, so a line gets the same bits in any batch.
+    The hull boundary is made of disk arcs and ``_hull_segments``, so its
+    chord runs from the lowest to the highest point at which the line meets
+    a disk or a segment.  Each line's products have the shapes of a lone
+    line's, (n + 2m, 2) @ (2,) stacked over the lines, so a line gets the
+    same bits in any batch.
     """
+    n = len(family)
     normals = np.column_stack([-directions[:, 1], directions[:, 0]])
-    rel = family.centers - points[:, None, :]
-    corners = polygon[:, :2]
+    rel = np.concatenate([family.centers, segments.reshape(-1, 2)]) - points[:, None, :]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        room2 = family.radii ** 2 - (rel @ normals[:, :, None])[..., 0] ** 2
+        side = (rel @ normals[:, :, None])[..., 0]
+        mid = (rel @ directions[:, :, None])[..., 0]
+        room2 = family.radii ** 2 - side[:, :n] ** 2
         hit = room2 >= 0
         half = np.sqrt(np.where(hit, room2, 0.0))
-        mid = (rel @ directions[:, :, None])[..., 0]
-        near, far = mid - half, mid + half
-        lo = np.min(np.where(hit, near, np.inf), axis=1)
-        hi = np.max(np.where(hit, far, -np.inf), axis=1)
+        near, far = mid[:, :n] - half, mid[:, :n] + half
         finite = np.all(np.isfinite(room2)
                         & (~hit | (np.isfinite(near) & np.isfinite(far))), axis=1)
-        slope = (corners @ directions[:, :, None])[..., 0]
-        room = polygon[:, 2] - (corners @ points[:, :, None])[..., 0]
-        ratio = room / slope
-        enter = np.max(np.where(slope < 0, ratio, -np.inf), axis=1, initial=-np.inf)
-        leave = np.min(np.where(slope > 0, ratio, np.inf), axis=1, initial=np.inf)
-    cut = (len(polygon) > 0) & np.all((slope != 0) | (room >= 0), axis=1) \
-        & (enter <= leave)
-    finite &= ~cut | (np.isfinite(enter) & np.isfinite(leave))
+        p, q, tp, tq = side[:, n::2], side[:, n + 1::2], mid[:, n::2], mid[:, n + 1::2]
+        cross = (p <= 0) != (q <= 0)  # the segment's ends lie on both sides of the line
+        t = tp + (tq - tp) * (p / (p - q))
     if not np.all(finite):
         raise DomainError("disk family hull chord is not finite in double precision")
-    return (np.where(cut, np.minimum(lo, enter), lo),
-            np.where(cut, np.maximum(hi, leave), hi))
-
-
-def _chord(family: DiskFamily, polygon: np.ndarray, point: np.ndarray,
-           direction: np.ndarray) -> tuple[float, float] | None:
-    """Range of t with point + t * direction in the hull (direction a unit
-    vector), or None when the line meets the hull in at most one point: the
-    one-line ``_chords``."""
-    (lo,), (hi,) = _chords(family, polygon, np.reshape(point, (1, 2)),
-                           np.reshape(direction, (1, 2)))
-    return (float(lo), float(hi)) if lo < hi else None
+    return (np.min(np.concatenate([np.where(hit, near, np.inf),
+                                   np.where(cross, t, np.inf)], axis=1), axis=1),
+            np.max(np.concatenate([np.where(hit, far, -np.inf),
+                                   np.where(cross, t, -np.inf)], axis=1), axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -525,26 +474,35 @@ def exact_plank_multiplicity(family: DiskFamily, normals: np.ndarray,
     interior point, visits every cell.  A boundary line that coincides with
     the chord's own line (within ``ON_LINE``, as shared plank boundaries do)
     is decided by the side, not by comparing offsets.  The witness lies in
-    the hull and in exactly the returned number of open planks.
+    the hull and in exactly the returned number of open planks.  The sweep
+    runs in the family's ``unit``, exactly, so its thresholds are relative
+    to the family's size: a family scaled by a power of two gets the same
+    count, and its witness scaled by that power.
 
     All 2P boundary lines (each plank's low line, then its high line) are
-    swept at once: their chords, crossings, sorted sub-segment ends and
+    swept at once: their chords (``_chords`` through the disks and
+    ``_hull_segments``), crossings, sorted sub-segment ends and
     midpoint counts are arrays over the lines.  The cell is the first
     maximum in (line, side, midpoint) order, taken when it beats the
     interior point.  Every product has the shapes of a lone line's: the
     midpoint counts of the lines with M midpoints are one (M, 2) @ (2, P)
     product per line, stacked.
     """
-    polygon = _hull_polygon(family)
+    unit = family.unit  # a power of two: the scaling is exact
+    family = DiskFamily(family.centers / unit, family.radii / unit)
+    with np.errstate(over="ignore"):  # past the hull: inf is as good
+        lows, highs = lows / unit, highs / unit
+    segments = _hull_segments(family)
     inner = np.mean(family.centers, axis=0)  # interior: a mix of disk centers
     t = normals @ inner
     best = int(np.sum((t > lows) & (t < highs)))
     u = np.repeat(normals, 2, axis=0)  # the lines <x, u> = s
     s = np.column_stack([lows, highs]).ravel()
     d = np.column_stack([-u[:, 1], u[:, 0]])
-    lo, hi = _chords(family, polygon, s[:, None] * u, d)
     bottom, top = np.repeat(_support_range(family, normals), 2, axis=1)
-    meets = (lo < hi) & (bottom < s) & (s < top)  # the line crosses the hull interior
+    meets = (bottom < s) & (s < top)  # no chord outside the support range, where s may be huge
+    lo, hi = _chords(family, segments, np.where(meets, s, 0.0)[:, None] * u, d)
+    meets &= lo < hi  # the line crosses the hull interior
     slope = (normals @ d[:, :, None])[..., 0]
     along = (normals @ u[:, :, None])[..., 0]
     crossing = np.abs(slope) > ON_LINE
@@ -558,10 +516,10 @@ def exact_plank_multiplicity(family: DiskFamily, normals: np.ndarray,
         ts = np.sort(ts, axis=1)
         mids = (s[:, None] * u)[:, None, :] \
             + ((ts[:, :-1] + ts[:, 1:]) / 2.0)[:, :, None] * d[:, None, :]
+        on_line = ON_LINE * np.maximum(1.0, np.abs(s))
+        on_low = ~crossing & (np.abs(lows - s[:, None] * along) <= on_line[:, None])
+        on_high = ~crossing & (np.abs(highs - s[:, None] * along) <= on_line[:, None])
     pieces = np.where(meets, np.sum(ts < np.inf, axis=1) - 1, 0)
-    on_line = ON_LINE * np.maximum(1.0, np.abs(s))
-    on_low = ~crossing & (np.abs(lows - s[:, None] * along) <= on_line[:, None])
-    on_high = ~crossing & (np.abs(highs - s[:, None] * along) <= on_line[:, None])
     counts = np.empty((len(s), 2, mids.shape[1]), dtype=int)
     block = max(1, SWEEP_BLOCK // max(1, mids.shape[1] * len(lows)))
     for begin in range(0, len(s), block):
@@ -577,7 +535,7 @@ def exact_plank_multiplicity(family: DiskFamily, normals: np.ndarray,
         counts[lines] = np.where(np.arange(mids.shape[1]) < here[:, None, None],
                                  inside.sum(axis=3), -1)
     if not counts.size or counts.max() <= best:
-        return best, tuple(map(float, inner))
+        return best, tuple(map(float, inner * unit))
     line, side, k = np.unravel_index(int(np.argmax(counts)), counts.shape)  # the first
     best = int(counts[line, side, k])
     # step off the midpoint into its cell: half way to the nearest other
@@ -586,8 +544,8 @@ def exact_plank_multiplicity(family: DiskFamily, normals: np.ndarray,
     t = normals @ mid
     gaps = np.concatenate([np.abs(t - lows)[~on_low[line]],
                            np.abs(t - highs)[~on_high[line]],
-                           [_chord(family, polygon, mid, step)[1]]])
-    return best, tuple(map(float, mid + 0.5 * float(np.min(gaps)) * step))
+                           _chords(family, segments, mid[None], step[None])[1]])
+    return best, tuple(map(float, (mid + 0.5 * float(np.min(gaps)) * step) * unit))
 
 
 def verify_plank_packing(family: DiskFamily, normals: np.ndarray, lows: np.ndarray,
@@ -595,11 +553,12 @@ def verify_plank_packing(family: DiskFamily, normals: np.ndarray, lows: np.ndarr
     """r-fold packing check of planks (``_plank_arrays``) inside the hull,
     exact on arrangement cells (``SWEEP_CERTIFICATE``); like
     ``multiplicity.verify_packing`` it also fails, without a witness, when a
-    plank leaves the support range."""
+    plank leaves the support range by more than ``cylinders.CONTAINMENT_TOL``
+    times the family's ``unit``."""
     mult, witness = exact_plank_multiplicity(family, normals, lows, highs)
     report = multiplicity.MultiplicityReport(0, mult, None, None, witness, None,
                                              None, certificate=SWEEP_CERTIFICATE)
-    tol = cylinders.CONTAINMENT_TOL
+    tol = cylinders.CONTAINMENT_TOL * family.unit
     bottom, top = _support_range(family, normals)
     outside = np.flatnonzero((lows < bottom - tol) | (highs > top + tol))
     if outside.size:

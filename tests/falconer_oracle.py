@@ -6,7 +6,8 @@ and variational ingredients of the width bound), the evenly split plank
 partition and the enclosing circle's tangency residuals have no caller in the
 package; they live here next to their tests.
 The discretized LP profile minimizer, the radial disk-mass quadrature and the
-per-chord quadrature of sectional integrals check the closed forms.  ``hull_grid`` with ``open_counts`` is a one-sided reference
+per-chord quadrature of sectional integrals check the closed forms.
+``hull_grid`` with ``open_counts`` is a one-sided reference
 for the exact plank-arrangement sweep: it counts open planks only at grid
 points that are certainly in the hull, so it can miss thin cells but never
 reports a count that does not occur.  ``is_separable`` is the earlier exact
@@ -17,9 +18,12 @@ of every pair's critical directions, each with an interval sweep
 1e-15, so it is wrong for families at that scale.
 ``hull_polygon`` (one ``argmax`` over all disks per interval between
 consecutive bitangent normals, O(n^3)), ``hull_chord`` and the per-line loop
-``exact_plank_multiplicity`` are the earlier hull and arrangement sweep, the
-byte references of ``falconer._hull_polygon`` and
-``falconer.exact_plank_multiplicity``.
+``exact_plank_multiplicity`` are the earlier hull and arrangement sweep.
+``hull_chord`` through ``hull_polygon``'s halfplanes is the chord reference
+of ``falconer._chords`` on the disks and ``falconer._hull_segments``, within
+1e-12 of the family's size, and the loop is the count reference of
+``falconer.exact_plank_multiplicity``, whose witnesses ``certainly_in_hull``
+and ``open_counts`` check.
 """
 
 import math
@@ -176,8 +180,9 @@ def certainly_in_hull(family, pts) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     dist = np.linalg.norm(pts[:, None, :] - family.centers[None], axis=2)
     inside = np.any(dist <= family.radii, axis=1)
-    polygon = inscribed_hull(family, ORACLE_ARC_POINTS).vertices
-    inside[~inside] = _in_convex_polygon(polygon, pts[~inside])
+    if not np.all(inside):
+        polygon = inscribed_hull(family, ORACLE_ARC_POINTS).vertices
+        inside[~inside] = _in_convex_polygon(polygon, pts[~inside])
     return inside
 
 
@@ -286,6 +291,10 @@ def is_separable(family) -> tuple[bool, falconer.SeparatingLine | None]:
 # the per-interval hull and the per-line arrangement sweep
 
 
+def _unit(theta: float) -> np.ndarray:
+    return np.array([math.cos(theta), math.sin(theta)])
+
+
 def _hull_pair_angles(centers: np.ndarray, radii: np.ndarray) -> list[float]:
     """Angles of the outer-bitangent normals v, (c_i - c_j).v = r_j - r_i,
     over the pairs i < j of distinct centres."""
@@ -320,7 +329,7 @@ def hull_polygon(family) -> np.ndarray:
     angles = sorted({a % (2.0 * math.pi) for a in _hull_pair_angles(centers, radii)})
     arcs: list[list] = []  # [extreme disk, start angle, end angle]
     for lo, hi in zip(angles, angles[1:] + [a + 2.0 * math.pi for a in angles[:1]]):
-        disk = int(np.argmax(centers @ falconer._unit((lo + hi) / 2.0) + radii))
+        disk = int(np.argmax(centers @ _unit((lo + hi) / 2.0) + radii))
         if arcs and arcs[-1][0] == disk:
             arcs[-1][2] = hi
         else:
@@ -330,9 +339,9 @@ def hull_polygon(family) -> np.ndarray:
     rows = []
     if len(arcs) > 1:
         for disk, lo, hi in arcs:
-            v = falconer._unit((lo + hi) / 2.0)
+            v = _unit((lo + hi) / 2.0)
             rows.append([*v, centers[disk] @ v + radii[disk] * math.cos((hi - lo) / 2.0)])
-            v = falconer._unit(hi)
+            v = _unit(hi)
             rows.append([*v, family.support(v)])
     rows = np.asarray(rows, dtype=float).reshape(-1, 3)
     if not np.all(np.isfinite(rows)):

@@ -409,6 +409,55 @@ def test_parallel_planks_stay_apart_in_a_huge_hull():
     assert falconer_oracle.open_counts(planks, witness)[0] == 2
 
 
+@pytest.mark.parametrize("scale", [1e-13, 1e-100, 1e-200, 1e-300])
+def test_sweep_counts_do_not_depend_on_the_scale(scale):
+    # the sweep runs in the family's unit: boundary lines of a tiny family
+    # stay apart, and no square underflows
+    for seed in range(40):
+        family = instances.random_ns_family(3 + seed % 5, seed=seed)
+        scaled = falconer.DiskFamily(family.centers * scale, family.radii * scale)
+        for r in (1, 2, 3):
+            planks = instances.random_plank2d_packing(family, 3 + seed % 3, r, seed=seed)
+            normals, lows, highs = falconer._plank_arrays(planks)
+            mult, _ = falconer.exact_plank_multiplicity(family, normals, lows, highs)
+            got, witness = falconer.exact_plank_multiplicity(
+                scaled, normals, lows * scale, highs * scale)
+            assert got == mult, (seed, r)
+            assert falconer_oracle.open_counts(planks, np.divide(witness, scale))[0] == mult
+            assert falconer_oracle.certainly_in_hull(family, np.divide(witness, scale))[0]
+            verdict = falconer.verify_plank_packing(scaled, normals, lows * scale,
+                                                    highs * scale, r)
+            assert verdict.ok, (seed, r, verdict.reason)
+
+
+def test_sweep_scaled_by_a_power_of_two_keeps_its_bits():
+    # over the unit, a family scaled by 2^-500 is the same family
+    scale = math.ldexp(1.0, -500)
+    for seed in range(20):
+        family = instances.random_ns_family(3 + seed % 5, seed=seed)
+        planks = instances.random_plank2d_packing(family, 3, 2, seed=seed)
+        normals, lows, highs = falconer._plank_arrays(planks)
+        mult, witness = falconer.exact_plank_multiplicity(family, normals, lows, highs)
+        scaled = falconer.DiskFamily(family.centers * scale, family.radii * scale)
+        assert falconer.exact_plank_multiplicity(scaled, normals, lows * scale,
+                                                 highs * scale) == \
+            (mult, tuple(x * scale for x in witness))
+
+
+@pytest.mark.parametrize("scale,far", [(1.0, 1e200), (1e-300, 1e10), (1e-13, 3e-13)])
+def test_far_plank_leaves_the_support_range(scale, far):
+    # a boundary line far past the hull gets no chord, so neither its square
+    # nor its offset in the family's unit overflows into a DomainError; the
+    # support-range tolerance is relative to the family's size
+    family = instances.random_ns_family(4, 1)
+    family = falconer.DiskFamily(family.centers * scale, family.radii * scale)
+    planks = [falconer.plank([1.0, 0.0], far, 2.0 * far),
+              falconer.plank([0.6, 0.8], -0.1 * scale, 0.1 * scale)]
+    verdict = falconer.verify_plank_packing(family, *falconer._plank_arrays(planks), 1)
+    assert not verdict.ok and verdict.report.max_mult == 1
+    assert verdict.reason == "plank 0 base leaves the support range"
+
+
 def test_plank_around_the_whole_hull_counts_once():
     # no boundary line meets the hull: the interior point decides
     planks = [falconer.plank(np.array([0.0, 1.0]), -5.0, 5.0)]
@@ -425,32 +474,43 @@ def test_hull_chords_end_on_the_hull_boundary(rng):
     for n in range(1, 8):
         radii = [0.5] + list(rng.uniform(0.0, 1.2, n - 1))
         fam = falconer.DiskFamily([rng.uniform(-2, 2, 2) for _ in radii], radii)
-        kinks, _ = falconer._pair_angles(fam.centers, fam.radii)
+        kinks = falconer_oracle._hull_pair_angles(fam.centers, fam.radii)
         angles = np.concatenate([theta, kinks])
         normals = np.column_stack([np.cos(angles), np.sin(angles)])
         support = np.max(normals @ fam.centers.T + fam.radii, axis=1)
-        polygon = falconer._hull_polygon(fam)
-        for _ in range(20):
-            phi = rng.uniform(0.0, 2.0 * math.pi)
-            direction = np.array([math.cos(phi), math.sin(phi)])
-            point = fam.centers[0]  # inside the first disk, of radius 0.5
-            lo, hi = falconer._chord(fam, polygon, point, direction)
-            for t in (lo, hi):
-                excess = np.max(normals @ (point + t * direction) - support)
+        segments = falconer._hull_segments(fam)
+        phi = rng.uniform(0.0, 2.0 * math.pi, 20)
+        directions = np.column_stack([np.cos(phi), np.sin(phi)])
+        points = np.tile(fam.centers[0], (20, 1))  # inside the first disk, of radius 0.5
+        ends = falconer._chords(fam, segments, points, directions)
+        for t in ends:
+            for point in points + t[:, None] * directions:
+                excess = np.max(normals @ point - support)
                 assert -1e-8 <= excess <= 1e-12, n
 
 
 @pytest.mark.parametrize("scale", [1e-200, 1e-16, 1e150])
-def test_hull_polygon_scales_with_the_family(scale):
-    # only a shared centre drops a pair, so a scaled NS trio keeps its six
-    # rows: the unit normals and the offsets over the scale
+def test_hull_chords_scale_with_the_family(scale):
+    # a scaled NS trio keeps its three segments, over the scale, and in the
+    # family's unit, where the sweep takes them, its chords over the scale
     trio = disks(((0, 0), 1.0), ((1.5, 0), 1.0), ((0.75, 1.3), 1.0))
-    unit = falconer._hull_polygon(trio)
-    rows = falconer._hull_polygon(falconer.DiskFamily(trio.centers * scale,
-                                                      trio.radii * scale))
-    assert unit.shape == rows.shape == (6, 3)
-    assert np.allclose(rows[:, :2], unit[:, :2], rtol=0.0, atol=1e-12)
-    assert np.allclose(rows[:, 2] / scale, unit[:, 2], rtol=1e-12, atol=0.0)
+    scaled = falconer.DiskFamily(trio.centers * scale, trio.radii * scale)
+    segments = falconer._hull_segments(trio)
+    assert segments.shape == (3, 2, 2)
+    assert np.allclose(falconer._hull_segments(scaled) / scale, segments,
+                       rtol=0.0, atol=1e-12)
+    theta = np.linspace(0.0, 2.0 * math.pi, 50)
+    directions = np.column_stack([np.cos(theta), np.sin(theta)])
+    points = np.random.default_rng(3).uniform(-1.0, 2.5, (50, 2))
+    lo, hi = falconer._chords(trio, segments, points, directions)
+    assert np.sum(lo < hi) > 25
+    unit = scaled.unit
+    in_units = falconer.DiskFamily(scaled.centers / unit, scaled.radii / unit)
+    got = falconer._chords(in_units, falconer._hull_segments(in_units),
+                           points * scale / unit, directions)
+    for want, ends in zip((lo, hi), got):
+        assert np.allclose(ends[lo < hi] * unit / scale, want[lo < hi],
+                           rtol=0.0, atol=1e-12)
 
 
 def test_exact_multiplicity_detects_overlap():

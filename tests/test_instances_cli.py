@@ -911,7 +911,7 @@ def test_cli_verifies_disk_planks_in_one_pass(tmp_path, monkeypatch, capsys):
     assert cli.main(["construct", *CONSTRUCT_KINDS["ns"], "--seed", "1",
                      "--out", str(inst)]) == 0
     calls = _count_calls(monkeypatch, falconer,
-                         ["exact_plank_multiplicity", "_hull_polygon",
+                         ["exact_plank_multiplicity", "_hull_segments",
                           "circumradius", "is_separable"])
     for argv in (["verify", str(inst)], ["bounds", str(inst)],
                  ["falconer", str(inst), "--svg", str(tmp_path / "ns.svg")]):
@@ -1044,6 +1044,29 @@ def test_cli_falconer_writes_both_outputs_or_neither(tmp_path, monkeypatch,
     err = json.loads(capsys.readouterr().out)["error"]  # one object, nothing else
     assert err["stage"] == "output" and err["type"] == "FileNotFoundError"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ns.json"]
+
+
+def test_cli_verify_of_a_tiny_ns_file_keeps_its_verdict(tmp_path, capsys):
+    # the seed-1 ns file scaled by 1e-13 and checked at r = 1 fails as the
+    # unscaled one does: its parallel boundary lines, 1e-13 apart, stay apart
+    verdicts = []
+    for scale in (1.0, 1e-13):
+        inst = tmp_path / f"ns{scale}.json"
+        assert cli.main(["construct", *CONSTRUCT_KINDS["ns"], "--seed", "1",
+                         "--out", str(inst)]) == 0
+        obj = instances.load_json(inst)
+        for disk in obj["disks"]:
+            disk["center"] = [x * scale for x in disk["center"]]
+            disk["radius"] *= scale
+        for p in obj["planks"]:
+            p["interval"] = [x * scale for x in p["interval"]]
+        obj["r"] = 1
+        instances.dump_json(obj, inst)
+        capsys.readouterr()
+        assert cli.main(["verify", str(inst)]) == 1
+        mult = json.loads(capsys.readouterr().out)["multiplicity"]
+        verdicts.append((mult["max_mult"], mult["reason"]))
+    assert verdicts == [(2, "interior multiplicity 2 exceeds r=1")] * 2
 
 
 def _far_disk(obj):

@@ -1,13 +1,18 @@
-"""The array sweep of ``falconer.exact_plank_multiplicity`` and the sorted
-hull of ``falconer._hull_polygon`` keep the bytes of the per-line loop and
-the per-interval hull they replace (``falconer_oracle``).
+"""The array sweep of ``falconer.exact_plank_multiplicity`` keeps the counts
+of the per-line loop it replaced, and the hull chords of ``falconer._chords``
+(disks and ``falconer._hull_segments``) those of the per-interval hull
+polygon (``falconer_oracle``).
 
-The count and the witness of every sweep, and every row of every hull, are
-compared as bits: on thousands of seeded packings and overlapping plank
-sets, on partitions whose planks share boundary lines, on failing r - 1
-checks, on planks that miss the hull or run parallel, on the unit disk, the
-tangent trio and a huge hull, and on hulls of 100 and 300 disks and of
-symmetric families whose bitangent normals tie in their last bits.
+Every sweep's count equals the loop's, and its witness is certainly in the
+hull and in exactly that many open planks; every chord's ends agree with the
+polygon's within ``CHORD_TOL`` times the family's size.  The names keep
+their earlier ids: the loop and the per-interval hull are still the
+references, of counts and chords now rather than of bits.  The instances:
+thousands of seeded packings and overlapping plank sets, partitions whose
+planks share boundary lines, failing r - 1 checks, planks that miss the hull
+or run parallel, the unit disk, the tangent trio and a huge hull, and hulls
+of 100 and 300 disks and of symmetric families whose bitangent normals tie
+in their last bits.
 """
 
 import math
@@ -24,24 +29,45 @@ TANGENT_TRIO = falconer.DiskFamily([[0.0, 0.0], [2.0, 0.0], [1.0, math.sqrt(3.0)
                                    [1.0, 1.0, 1.0])
 
 
-def _bits(witness) -> list[str]:
-    return [float(x).hex() for x in witness]
+CHORD_TOL = 1e-12  # chord ends agree within this times the family's size
+
+
+def assert_witness(family, planks, mult, witness):
+    assert falconer_oracle.certainly_in_hull(family, witness)[0]
+    assert falconer_oracle.open_counts(planks, witness)[0] == mult
 
 
 def assert_same_sweep(family, planks) -> tuple[int, tuple]:
     got = falconer.exact_plank_multiplicity(family, *falconer._plank_arrays(planks))
-    want = falconer_oracle.exact_plank_multiplicity(family, planks)
-    assert got[0] == want[0]
-    assert _bits(got[1]) == _bits(want[1])
+    assert got[0] == falconer_oracle.exact_plank_multiplicity(family, planks)[0]
+    assert_witness(family, planks, *got)
     return got
 
 
-def assert_same_hull(family) -> np.ndarray:
-    got = falconer._hull_polygon(family)
-    want = falconer_oracle.hull_polygon(family)
-    assert got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
-    return got
+def assert_same_chords(family, lines: int = 20, seed: int = 0) -> np.ndarray:
+    """``lines`` seeded lines through the disks' bounding box, plus one
+    through the middle of each hull segment at 30 to 150 degrees to it, get
+    the polygon's chords; returns the segments."""
+    segments = falconer._hull_segments(family)
+    polygon = falconer_oracle.hull_polygon(family)
+    size = max(np.max(np.abs(family.centers)), np.max(family.radii))
+    gen = np.random.default_rng(seed)
+    box_lo = np.min(family.centers - family.radii[:, None], axis=0)
+    box_hi = np.max(family.centers + family.radii[:, None], axis=0)
+    points = np.vstack([gen.uniform(box_lo, box_hi, (lines, 2)), np.mean(segments, axis=1)])
+    along = np.arctan2(*(segments[:, 1] - segments[:, 0]).T[::-1])
+    theta = np.concatenate([gen.uniform(0.0, 2.0 * math.pi, lines),
+                            along + gen.uniform(math.pi / 6.0, 5.0 * math.pi / 6.0, len(along))])
+    directions = np.column_stack([np.cos(theta), np.sin(theta)])
+    lo, hi = falconer._chords(family, segments, points, directions)
+    for k, (point, direction) in enumerate(zip(points, directions)):
+        want = falconer_oracle.hull_chord(family, polygon, point, direction)
+        if want is None:
+            assert not hi[k] - lo[k] > CHORD_TOL * size, k
+        else:
+            assert abs(lo[k] - want[0]) <= CHORD_TOL * size, k
+            assert abs(hi[k] - want[1]) <= CHORD_TOL * size, k
+    return segments
 
 
 def _random_planks(family, gen, n):
@@ -61,7 +87,7 @@ def test_seeded_instances_keep_the_loop_bytes(block):
     # 5 blocks of 250 families, 4 plank sets each: 5000 instances
     for seed in range(250 * block, 250 * (block + 1)):
         family = instances.random_ns_family(3 + seed % 6, seed=seed)
-        assert_same_hull(family)
+        assert_same_chords(family, seed=seed)
         for r in (1, 2, 3):
             planks = instances.random_plank2d_packing(family, 3 + seed % 3, r, seed=seed)
             mult, _ = assert_same_sweep(family, planks)
@@ -85,18 +111,20 @@ def test_partitions_sharing_boundary_lines_keep_the_loop_bytes(r):
 
 
 def test_failing_checks_report_the_loop_witness():
-    # an r-fold packing checked at r - 1 fails with the sweep's witness
+    # an r-fold packing checked at r - 1 fails with the loop's count and a
+    # witness in that many open planks
     failures = 0
     for seed in range(60):
         family = instances.random_ns_family(3 + seed % 5, seed=seed + 8000)
         for r in (2, 3):
             planks = instances.random_plank2d_packing(family, 3, r, seed=seed)
-            _, witness = falconer_oracle.exact_plank_multiplicity(family, planks)
+            mult, _ = falconer_oracle.exact_plank_multiplicity(family, planks)
             try:
                 falconer.check_disk_planks(family, planks, r - 1)
             except NotAPacking as exc:
                 failures += 1
-                assert _bits(exc.verdict.witness) == _bits(witness)
+                assert exc.verdict.report.max_mult == mult
+                assert_witness(family, planks, mult, exc.verdict.witness)
     assert failures > 100
 
 
@@ -120,7 +148,7 @@ def test_planks_missing_the_hull_or_parallel_keep_the_loop_bytes():
 
 def test_unit_disk_trio_and_huge_hull_keep_the_loop_bytes():
     for family in (UNIT_DISK, TANGENT_TRIO):
-        assert_same_hull(family)
+        assert_same_chords(family)
         for direction in ((1.0, 0.0), (0.6, 0.8), (-0.28, 0.96)):
             for r in (1, 2):
                 assert_same_sweep(family, falconer_oracle.plank2d_partition(
@@ -128,7 +156,7 @@ def test_unit_disk_trio_and_huge_hull_keep_the_loop_bytes():
         assert_same_sweep(family, instances.random_plank2d_packing(family, 3, 2, seed=5))
     fam = instances.random_ns_family(4, 1)
     huge = falconer.DiskFamily(fam.centers, np.concatenate([[1e154], fam.radii[1:]]))
-    assert_same_hull(huge)
+    assert_same_chords(huge)
     mult, _ = assert_same_sweep(huge, instances.random_plank2d_packing(fam, 3, 2, seed=1))
     assert mult == 2
 
@@ -136,7 +164,7 @@ def test_unit_disk_trio_and_huge_hull_keep_the_loop_bytes():
 @pytest.mark.parametrize("n", [100, 300])
 def test_large_family_hulls_keep_the_interval_bytes(n):
     for seed in (1, 2):
-        assert len(assert_same_hull(instances.random_ns_family(n, seed=seed)))
+        assert len(assert_same_chords(instances.random_ns_family(n, seed=seed), 200))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 8, 12])
@@ -150,5 +178,5 @@ def test_tied_normals_keep_the_interval_bytes(n):
                    falconer.DiskFamily(3.0 * ring, [1.0 + i % 2 for i in range(n)]),
                    falconer.DiskFamily([[i, 0.0] for i in range(n)], [1.0] * n),
                    falconer.DiskFamily(grid, [0.5] * len(grid))):
-        assert_same_hull(family)
+        assert_same_chords(family, 100)
         assert_same_sweep(family, falconer_oracle.plank2d_partition(family, 3, r=2))
