@@ -348,15 +348,15 @@ def _hull_segments(family: DiskFamily) -> np.ndarray:
     Disk i is extreme at the normal angle theta (c_i.v + r_i >= c_j.v + r_j
     for every j) exactly when theta lies outside every open arc (psi - b,
     psi + b) of ``_pair_arcs``, where a disk j reaches past i's tangent line.
-    So the gaps ``_arc_gaps`` leaves are the extreme arcs, and the hull
-    boundary runs along them in angle order, each arc's last tangent point
-    joined by a segment to the next arc's first.  Both ends of a segment are
-    points of disks, so it lies in the hull however rounding splits a tie.
+    So the gaps ``_arc_gaps`` leaves are the extreme arcs.  Taken in the
+    order of their middles, each one's last tangent point is joined to the
+    next one's first: a segment of two disk points, in the hull.  A sliver
+    of arc that rounding leaves a disk on an edge sorts between its ends.
     """
     c, r = family.centers, family.radii
     psi, lo, _, b = _pair_arcs(c, r)
     disk, left, right = _arc_gaps(psi - b, 2.0 * b, lo)
-    order = np.argsort(np.mod(left, 2.0 * math.pi), kind="stable")
+    order = np.argsort(np.mod((left + right) / 2.0, 2.0 * math.pi), kind="stable")
     disks = np.column_stack([disk[order], np.roll(disk[order], -1)])
     angles = np.column_stack([right[order], np.roll(left[order], -1)])
     with np.errstate(over="ignore", invalid="ignore"):

@@ -409,39 +409,28 @@ def test_parallel_planks_stay_apart_in_a_huge_hull():
     assert falconer_oracle.open_counts(planks, witness)[0] == 2
 
 
-@pytest.mark.parametrize("scale", [1e-13, 1e-100, 1e-200, 1e-300])
+@pytest.mark.parametrize("scale", [1e-13, 1e-100, 1e-200, 1e-300, math.ldexp(1.0, -500)])
 def test_sweep_counts_do_not_depend_on_the_scale(scale):
     # the sweep runs in the family's unit: boundary lines of a tiny family
-    # stay apart, and no square underflows
+    # stay apart, and no square underflows; over the unit, a family scaled
+    # by a power of two is the same family, witness bits and all
     for seed in range(40):
         family = instances.random_ns_family(3 + seed % 5, seed=seed)
         scaled = falconer.DiskFamily(family.centers * scale, family.radii * scale)
         for r in (1, 2, 3):
             planks = instances.random_plank2d_packing(family, 3 + seed % 3, r, seed=seed)
             normals, lows, highs = falconer._plank_arrays(planks)
-            mult, _ = falconer.exact_plank_multiplicity(family, normals, lows, highs)
+            mult, unscaled = falconer.exact_plank_multiplicity(family, normals, lows, highs)
             got, witness = falconer.exact_plank_multiplicity(
                 scaled, normals, lows * scale, highs * scale)
             assert got == mult, (seed, r)
+            if math.frexp(scale)[0] == 0.5:
+                assert witness == tuple(x * scale for x in unscaled), (seed, r)
             assert falconer_oracle.open_counts(planks, np.divide(witness, scale))[0] == mult
             assert falconer_oracle.certainly_in_hull(family, np.divide(witness, scale))[0]
             verdict = falconer.verify_plank_packing(scaled, normals, lows * scale,
                                                     highs * scale, r)
             assert verdict.ok, (seed, r, verdict.reason)
-
-
-def test_sweep_scaled_by_a_power_of_two_keeps_its_bits():
-    # over the unit, a family scaled by 2^-500 is the same family
-    scale = math.ldexp(1.0, -500)
-    for seed in range(20):
-        family = instances.random_ns_family(3 + seed % 5, seed=seed)
-        planks = instances.random_plank2d_packing(family, 3, 2, seed=seed)
-        normals, lows, highs = falconer._plank_arrays(planks)
-        mult, witness = falconer.exact_plank_multiplicity(family, normals, lows, highs)
-        scaled = falconer.DiskFamily(family.centers * scale, family.radii * scale)
-        assert falconer.exact_plank_multiplicity(scaled, normals, lows * scale,
-                                                 highs * scale) == \
-            (mult, tuple(x * scale for x in witness))
 
 
 @pytest.mark.parametrize("scale,far", [(1.0, 1e200), (1e-300, 1e10), (1e-13, 3e-13)])

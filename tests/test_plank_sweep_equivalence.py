@@ -12,7 +12,9 @@ thousands of seeded packings and overlapping plank sets, partitions whose
 planks share boundary lines, failing r - 1 checks, planks that miss the hull
 or run parallel, the unit disk, the tangent trio and a huge hull, and hulls
 of 100 and 300 disks and of symmetric families whose bitangent normals tie
-in their last bits.
+in their last bits, among them chains of touching disks turned through 48
+angles, with plank pairs that overlap only in a cusp between two disks and
+the edge they touch.
 """
 
 import math
@@ -167,10 +169,36 @@ def test_large_family_hulls_keep_the_interval_bytes(n):
         assert len(assert_same_chords(instances.random_ns_family(n, seed=seed), 200))
 
 
+def assert_rotated_chain_keeps_its_cusps(n, phi):
+    """A chain of n touching unit disks along the direction phi: rounding may
+    leave the inner disks a few ulps of extreme arc at the normals of the two
+    edges the chain's disks all touch.  Chords perpendicular to the chain
+    must still end on those edges, and two planks whose only overlap in the
+    hull is a cusp between two disks and an edge overlap there."""
+    u = np.array([math.cos(phi), math.sin(phi)])
+    v = np.array([-u[1], u[0]])
+    family = falconer.DiskFamily([0.3, -0.7] + np.outer(2.0 * np.arange(n), u), [1.0] * n)
+    segments = falconer._hull_segments(family)
+    points = family.centers[0] + np.outer(np.linspace(0.0, 2.0 * n - 2.0, 4 * n), u)
+    lo, hi = falconer._chords(family, segments, points, np.tile(v, (len(points), 1)))
+    assert np.allclose(lo, -1.0, rtol=0.0, atol=CHORD_TOL * 2.0 * n)
+    assert np.allclose(hi, 1.0, rtol=0.0, atol=CHORD_TOL * 2.0 * n)
+    base = family.centers[0] @ np.column_stack([u, v])
+    for side in (1.0, -1.0):
+        edge = base[1] * side + 1.0
+        for k in range(n - 1):
+            cusp = base[0] + 2.0 * k + 1.0
+            planks = [falconer.plank(side * v, edge - 0.05, edge + 1.0),
+                      falconer.plank(u, cusp - 0.1, cusp + 0.1)]
+            mult, _ = assert_same_sweep(family, planks)
+            assert mult == 2, (n, phi, side, k)
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 8, 12])
 def test_tied_normals_keep_the_interval_bytes(n):
     # symmetric families put several bitangent normals within a few ulps of
-    # one another, where rounding decides the extreme disk
+    # one another, where rounding decides the extreme disk; so do rotated
+    # chains of touching disks
     theta = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
     ring = np.column_stack([np.cos(theta), np.sin(theta)])
     grid = [[x, y] for x in range(n) for y in range(n)]
@@ -180,3 +208,7 @@ def test_tied_normals_keep_the_interval_bytes(n):
                    falconer.DiskFamily(grid, [0.5] * len(grid))):
         assert_same_chords(family, 100)
         assert_same_sweep(family, falconer_oracle.plank2d_partition(family, 3, r=2))
+    if n <= 6:
+        for k in range(48):
+            assert_rotated_chain_keeps_its_cusps(n, 2.0 * math.pi * k / 48.0 + 0.01 * n)
+
