@@ -30,8 +30,10 @@ GEODESIC = "geodesic"
 PROJECTIVE = "projective"
 
 REJECT_BUDGET = 10_000       # consecutive rejections that end the greedy phase
-# greedy hull points completed per dimension (about 8000 facets, 4 MB of
-# qhull memory); sets over budget or in other dimensions stay uncertified
+SHORT_STREAK = 512           # ... first, in dimensions with a hull budget
+# greedy hull points completed per dimension (a completed 5-d hull of 373
+# points raised peak RSS by 8 MB); sets over budget at both greedy stops, or
+# in other dimensions, stay uncertified
 HULL_MAX_POINTS = {2: 4000, 3: 4000, 4: 1000, 5: 300}
 SET_CACHE_SIZE = 8           # separated sets kept for reuse across codimensions
 _BAND = 1e-9                 # filter margin, far beyond product rounding
@@ -118,7 +120,7 @@ def _filter(cands: np.ndarray, members: np.ndarray, cos_sep: float,
 
 def _insert(cands: np.ndarray, buf: np.ndarray, n: int, cos_sep: float,
             metric: str, rejects: int = 0,
-            budget: float = math.inf) -> tuple[np.ndarray, int, int]:
+            budget: float = math.inf) -> tuple[np.ndarray, int, int, int]:
     """Insert, in order, each candidate that keeps the strict separation.
 
     The ``_filter`` survivors are walked in order with their peak level,
@@ -127,15 +129,18 @@ def _insert(cands: np.ndarray, buf: np.ndarray, n: int, cos_sep: float,
     of cos_sep takes the exact test (``_pair_ok``), and one more than _BAND
     below cos_sep, which that test would accept, is inserted without it.
     Rejections count by position in ``cands``, on top of ``rejects``, up to
-    ``budget``.  Returns (buf, n, rejections since the last insertion).
+    ``budget``.  Returns (buf, n, rejections since the last insertion,
+    candidates read); a call on the unread rest goes on exactly.
     """
     alive, peak = _filter(cands, buf[:n], cos_sep, metric)
     surv = cands[alive]
     last = -1
+    read = len(cands)
     for j, i in enumerate(alive.tolist()):
         # the dropped run before i holds rejections only
         rejects += i - last - 1
         if rejects >= budget:
+            read = i
             break
         last = i
         if peak[j] < cos_sep + _BAND and (
@@ -152,10 +157,11 @@ def _insert(cands: np.ndarray, buf: np.ndarray, n: int, cos_sep: float,
         else:
             rejects += 1
             if rejects >= budget:
+                read = i + 1
                 break
     else:
         rejects += len(cands) - last - 1
-    return buf, n, rejects
+    return buf, n, rejects, read
 
 
 def _complete(buf: np.ndarray, n: int, cos_sep: float,
@@ -168,7 +174,9 @@ def _complete(buf: np.ndarray, n: int, cos_sep: float,
     Normals of open facets, t < cos_sep + _HULL_MARGIN, go through ``_insert``
     widest cap first, ties by the normal, until none is open.  Returns (buf,
     n, radius arccos(min t - _HULL_MARGIN) or None for a degenerate cloud or
-    a round that inserts nothing, rounds that inserted).
+    a round that inserts nothing, rounds that inserted).  The hull is not
+    capped: a set that fits the budget when completion starts may end past
+    it.
     """
     def cloud(pts):
         return np.vstack([pts, -pts]) if metric == PROJECTIVE else pts
@@ -188,11 +196,33 @@ def _complete(buf: np.ndarray, n: int, cos_sep: float,
             normals = normals / np.linalg.norm(normals, axis=1)[:, None]
             order = np.lexsort((*normals.T[::-1], levels[is_open]))
             start = n
-            buf, n, _ = _insert(normals[order], buf, n, cos_sep, metric)
+            buf, n, _, _ = _insert(normals[order], buf, n, cos_sep, metric)
             if n == start:
                 return buf, n, None, rounds
             rounds += 1
             hull.add_points(cloud(buf[start:n]))
+
+
+def _greedy(d: int, cos_sep: float, metric: str, seed: int,
+            budgets: tuple[int, ...]):
+    """Yield (buf, n) of the greedy phase over the seed's proposal stream
+    where it first reaches each of ``budgets`` consecutive rejections, in
+    increasing order; the phase goes on from the exact candidate it stopped
+    at, so every stop is a prefix of the last.  Rows of ``buf`` past n may be
+    overwritten between stops."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0x5E7)))
+    buf = np.empty((64, d))
+    n = 0
+    rejects = 0
+    block = np.empty((0, d))
+    for budget in budgets:
+        while rejects < budget:
+            if not len(block):
+                block = geom.uniform_sphere_points(d, 512, rng)
+            buf, n, rejects, read = _insert(block, buf, n, cos_sep, metric,
+                                            rejects, budget)
+            block = block[read:]
+        yield buf, n
 
 
 def build_separated_set(d: int, two_delta: float, metric: str = PROJECTIVE,
@@ -200,14 +230,22 @@ def build_separated_set(d: int, two_delta: float, metric: str = PROJECTIVE,
     """Maximal (two_delta)-separated set on the unit sphere, certified by a hull.
 
     Greedy phase: uniform proposals, in blocks of 512, go through ``_insert``
-    until REJECT_BUDGET consecutive rejections; the points are bit-identical
-    to testing each candidate one by one.  Completion (``_complete``) inserts
-    the centres of empty caps wider than two_delta, read off one spherical
-    hull, the same way.  The covering radius is rounded up by 1e-9 in cosine,
-    far beyond qhull's rounding of a facet offset.  Only sets of at most
-    HULL_MAX_POINTS[d] greedy hull points (twice the members when projective)
-    are completed; the others stay uncertified.  The last SET_CACHE_SIZE sets
-    are cached (the construction is pure), since codimensions share a set.
+    until a run of consecutive rejections; the points are bit-identical to
+    testing each candidate one by one.  Completion (``_complete``) inserts the
+    centres of empty caps wider than two_delta, read off one spherical hull,
+    the same way; the covering radius is rounded up by 1e-9 in cosine, far
+    beyond qhull's rounding of a facet offset.
+
+    Maximality, not the greedy run, carries the counting bound, so where d
+    has a hull budget the greedy phase first stops at SHORT_STREAK
+    rejections, and a set of at most HULL_MAX_POINTS[d] hull points (twice
+    the members when projective) is completed there; its hull may end past
+    the budget.  If that set is over budget, its hull degenerate or a round
+    inserts nothing, the greedy phase goes on from where it stopped to
+    REJECT_BUDGET rejections and the set within budget is completed again, so
+    it gets the bytes of the whole greedy phase; larger sets, and every d
+    without a budget, stay uncertified.  The last SET_CACHE_SIZE sets are
+    cached (the construction is pure), since codimensions share a set.
     """
     return _cached_set(d, float(two_delta), metric, seed)
 
@@ -221,32 +259,18 @@ def _cached_set(d: int, two_delta: float, metric: str, seed: int) -> SeparatedSe
     if metric not in (GEODESIC, PROJECTIVE):
         raise DomainError(f"unknown metric {metric!r}")
     cos_sep = math.cos(two_delta)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0x5E7)))
-    buf = np.empty((64, d))
-    n = 0
-    rejects = 0
-    while rejects < REJECT_BUDGET:
-        block = geom.uniform_sphere_points(d, 512, rng)
-        buf, n, rejects = _insert(block, buf, n, cos_sep, metric, rejects,
-                                  REJECT_BUDGET)
-    radius, rounds = None, 0
-    if (2 * n if metric == PROJECTIVE else n) <= HULL_MAX_POINTS.get(d, 0):
-        buf, n, radius, rounds = _complete(buf, n, cos_sep, metric)
+    members = HULL_MAX_POINTS.get(d, 0) // (2 if metric == PROJECTIVE else 1)
+    budgets = ((min(SHORT_STREAK, REJECT_BUDGET), REJECT_BUDGET) if members
+               else (REJECT_BUDGET,))
+    for buf, n in _greedy(d, cos_sep, metric, seed, budgets):
+        radius, rounds = None, 0
+        if n <= members:
+            buf, n, radius, rounds = _complete(buf, n, cos_sep, metric)
+            if radius is not None:
+                break
     return SeparatedSet(points=geom._freeze(buf[:n]), separation=two_delta,
                         metric=metric, maximal=radius is not None, seed=seed,
                         covering_radius=radius, completion_rounds=rounds)
-
-
-def check_separation(sep_set: SeparatedSet) -> bool:
-    """Sound pairwise verification of the separation invariant: every pair
-    is certified farther apart than the separation by the cap certificate's
-    blocked test (``multiplicity.pole_conflicts``, half the separation per
-    point)."""
-    pts = sep_set.points
-    half = np.full(len(pts), sep_set.separation / 2.0)
-    anti = np.full(len(pts), sep_set.metric == PROJECTIVE)
-    return not multiplicity.pole_conflicts(pts, np.cos(half), np.sin(half),
-                                           anti).any()
 
 
 def build_cap_family(sep_set: SeparatedSet, k: int) -> tuple[cylinders.Cylinder, ...]:

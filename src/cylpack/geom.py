@@ -35,7 +35,7 @@ ORTHO_TOL = 1e-12   # frame invariant: unit columns, vanishing cross products
 PIVOT_TOL = 1e-10   # relative dependence threshold in orthonormalization
 FACE_LAMBDA_TOL = 1e-12  # barycentric slack for a flat meeting a face simplex
 CHORD_TIE_TOL = 1e-9     # relative spread of difference-body facets tied on one ray
-SAMPLE_CHUNK = 1024      # proposal rows per polytope membership test in sample_in_body
+SAMPLE_CHUNK = 1024      # point rows per polytope membership product
 SECULAR_ITERS = 200      # bisection cap of quadratic_on_ball; doubles run out first
 PARALLEL_TOL = 1e-12     # 1 - |cos| under which facet normals share a line
 MIN_ACCEPTANCE = 1e-4    # rejection acceptance rate below which sample_in_body gives up
@@ -400,7 +400,10 @@ def support(body: ConvexBody, u) -> float:
 
 
 def contains_points(body: ConvexBody, points, tol: float = 0.0) -> np.ndarray:
-    """Vectorized membership test; ``tol`` loosens (or, negative, tightens)."""
+    """Vectorized membership test; ``tol`` loosens (or, negative, tightens).
+
+    Polytopes test ``SAMPLE_CHUNK`` points per facet product, so memory
+    stays flat in the number of points."""
     pts = _as_points(points)
     if pts.shape[1] != body.dim:
         raise DimensionMismatch("point dimension does not match the body")
@@ -411,9 +414,12 @@ def contains_points(body: ConvexBody, points, tol: float = 0.0) -> np.ndarray:
         diff = pts - body.center
         q = np.einsum("ij,jk,ik->i", diff, body.shape, diff)
         return q <= 1.0 + tol
-    eq = body.equations
-    vals = pts @ eq[:, :-1].T + eq[:, -1]
-    return np.all(vals <= tol, axis=1)
+    normals, offsets = body.equations[:, :-1].T, body.equations[:, -1]
+    inside = np.empty(len(pts), dtype=bool)
+    for start in range(0, len(pts), SAMPLE_CHUNK):
+        vals = pts[start:start + SAMPLE_CHUNK] @ normals + offsets
+        np.all(vals <= tol, axis=1, out=inside[start:start + SAMPLE_CHUNK])
+    return inside
 
 
 def bounding_box(body: ConvexBody) -> tuple[np.ndarray, np.ndarray]:

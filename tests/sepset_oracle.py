@@ -1,10 +1,14 @@
 """Reference oracles: the one-candidate-at-a-time greedy phase, a sampled
-maximality probe, and the float64 blocked filter.
+maximality probe, the float64 blocked filter, and the set checks.
 
 ``greedy_points`` is the original greedy phase, kept verbatim (with its own
 unbounded cache and the ``_pair_ok`` it calls) so that tests can require the
 blocked greedy phase in ``cylpack.cappack`` to reproduce it bit for bit.
 Tests that patch ``REJECT_BUDGET`` patch it here too and clear ``_SET_CACHE``.
+``streak_points`` is that phase stopped at ``cappack.SHORT_STREAK``
+rejections, the prefix of every set the short path certifies, and
+``full_greedy_set`` the set built from the whole greedy phase, which every
+other set must equal.
 
 ``far_probes`` is the probe pass that once set the maximal flag: uniform
 probes of the sphere, of which it returns those farther than the separation
@@ -13,13 +17,17 @@ from every member.  A certified maximal set must leave none.
 ``_filter`` is the blocked filter before its float32 screen, kept verbatim
 (candidates x members products, one float64 pass), so that tests can require
 the screened ``cylpack.cappack._filter`` to return the same masks.
+
+``check_separation`` verifies every pair of a set through the pole
+certificate, and ``widest_empty_cap`` measures a set's covering radius on a
+fresh hull.
 """
 
 import math
 
 import numpy as np
 
-from cylpack import geom
+from cylpack import cappack, geom, multiplicity
 from cylpack.cappack import GEODESIC, PROJECTIVE, SeparatedSet
 from cylpack.errors import DomainError
 
@@ -105,6 +113,53 @@ def greedy_points(d: int, two_delta: float, metric: str = PROJECTIVE,
                     break
     _SET_CACHE[key] = mat
     return mat
+
+
+def streak_points(d: int, two_delta: float, metric: str = PROJECTIVE,
+                  seed: int = 0) -> np.ndarray:
+    """``greedy_points`` with REJECT_BUDGET lowered to ``cappack.SHORT_STREAK``
+    (when that is fewer) and a fresh cache."""
+    global REJECT_BUDGET, _SET_CACHE
+    saved = REJECT_BUDGET, _SET_CACHE
+    REJECT_BUDGET, _SET_CACHE = min(cappack.SHORT_STREAK, REJECT_BUDGET), {}
+    try:
+        return greedy_points(d, two_delta, metric, seed)
+    finally:
+        REJECT_BUDGET, _SET_CACHE = saved
+
+
+def full_greedy_set(d: int, two_delta: float, metric: str = PROJECTIVE,
+                    seed: int = 0) -> SeparatedSet:
+    """The set of the whole greedy phase: ``greedy_points``, completed by
+    ``cappack._complete`` when its hull fits HULL_MAX_POINTS[d]."""
+    pts = greedy_points(d, two_delta, metric, seed)
+    radius, rounds = None, 0
+    sides = 2 if metric == PROJECTIVE else 1
+    if sides * len(pts) <= cappack.HULL_MAX_POINTS.get(d, 0):
+        buf, n, radius, rounds = cappack._complete(pts.copy(), len(pts),
+                                                   math.cos(two_delta), metric)
+        pts = buf[:n]
+    return SeparatedSet(pts, two_delta, metric, radius is not None, seed,
+                        radius, rounds)
+
+
+def check_separation(sep_set: SeparatedSet) -> bool:
+    """Sound pairwise verification of the separation invariant: every pair
+    is certified farther apart than the separation by the cap certificate's
+    blocked test (``multiplicity.pole_conflicts``, half the separation per
+    point)."""
+    pts = sep_set.points
+    half = np.full(len(pts), sep_set.separation / 2.0)
+    anti = np.full(len(pts), sep_set.metric == PROJECTIVE)
+    return not multiplicity.pole_conflicts(pts, np.cos(half), np.sin(half),
+                                           anti).any()
+
+
+def widest_empty_cap(points: np.ndarray, metric: str) -> float:
+    """Angular radius of the widest empty cap, from a fresh hull."""
+    cloud = np.vstack([points, -points]) if metric == PROJECTIVE else points
+    levels = -geom.ConvexHull(cloud).equations[:, -1]
+    return math.acos(min(1.0, levels.min()))
 
 
 def far_probes(sep_set: SeparatedSet, trials: int = MAXIMALITY_TRIALS) -> np.ndarray:

@@ -5,8 +5,9 @@
   on the same side of the band;
 - the greedy phase, which sends only candidates within ``_BAND`` of the
   threshold to ``_pair_ok``, builds the greedy points of the one-at-a-time
-  construction (``sepset_oracle.greedy_points``) with a band wide enough to
-  mix both insertion paths in one block;
+  construction (``sepset_oracle.greedy_points``, stopped at the short streak
+  for a certified set) with a band wide enough to mix both insertion paths in
+  one block;
 - ``geom._gram_schmidt`` and ``cappack.build_cap_family`` return the
   frames of Gram-Schmidt run on one vector list at a time
   (``frame_oracle.orthonormalize``);
@@ -164,7 +165,10 @@ def test_mixed_insertion_paths_match_oracle(monkeypatch, d, delta, metric, seed)
     # _pair_ok
     monkeypatch.setattr(cappack, "_BAND", 0.05)
     sep_set, log = _instrumented_build(monkeypatch, d, delta, metric, seed)
-    ref = sepset_oracle.greedy_points(d, 2 * delta, metric, seed)
+    # a certified set starts with the short greedy phase, any other with the
+    # whole one
+    ref = (sepset_oracle.streak_points if sep_set.maximal
+           else sepset_oracle.greedy_points)(d, 2 * delta, metric, seed)
     assert sep_set.points[:len(ref)].tobytes() == ref.tobytes()
     # (5, 0.2) sets have more greedy hull points than the d = 5 budget
     assert sep_set.maximal == ((d, delta) != (5, 0.2))
@@ -307,7 +311,8 @@ def test_cap_family_is_checked_once_per_family(monkeypatch):
 # their k = 1, 2 cap-family frames and poles, as the one-at-a-time frame
 # construction wrote them (numpy 2.4 with OpenBLAS on x86-64).  The oracle
 # grid above stops at d = 5; the d = 6 sets are over the hull budget, so they
-# are their greedy phase alone, and the d = 5 set pins hull-inserted points.
+# are their greedy phase alone, and the d = 5 set pins hull-inserted points
+# after a greedy phase stopped at SHORT_STREAK rejections.
 SET_PINS = {
     (6, 0.2): ("c20aa7159cbf8c209175543012a1ea98b326594b706c76b76608c6128ad227f1", 1115,
                ("c20aa7159cbf8c209175543012a1ea98b326594b706c76b76608c6128ad227f1", 1115),
@@ -317,10 +322,10 @@ SET_PINS = {
                ("2abfb911923d17bccd33812761c4f706db003cb1f8e0938672829c0da85e65d4", 168),
                {1: "dce9b41c8b58c7bacdd3a576f4a496fb5e63ea215809006290ba7306a0aeea40",
                 2: "72ef234f7c04bb16953293e8f0bc1f530a6f1fb1fdfb81b1c600f14540e1c4dd"}),
-    (5, 0.3): ("f134c9de996a50a7325b3db4d3ee410ed62165ab5eeb7eb5128162e707c02c8c", 90,
-               ("d03516adeba29560a9d82344da09831912a8f19115333376ff752d47e4acf93b", 76),
-               {1: "1ec9230bf61f7c044b33124bcf5a5d8e189c65ceac1e44d00a3e589bdafac741",
-                2: "32a5fe2beceee93d8f118080e7d6a72cd722f8f2a14a939025737124f6e043f7"}),
+    (5, 0.3): ("79b537ecb740a1a65334640140a280e67d293c6c8814cb1afeac360f637e472c", 91,
+               ("e129d86a4217db283445e66b6011ff38f539fe0c5693eed5f6647220efda3132", 61),
+               {1: "9791e3c9ad91ffbe2a8e4c65a0897e40e5d4365f653488076c2bb8b7949e1d47",
+                2: "38b10bfe5530c094ef4bfabc27221075d44ca96a75f7d39146318e9dde08698a"}),
 }
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,6 +203,34 @@ def test_polytope_volume_mc_matches_triangulation_oracle(rng):
     exact = ConvexHull(poly.vertices).volume  # triangulation oracle
     est, se = geom.polytope_volume_mc(poly, 400_000, seed=5)
     assert abs(est - exact) <= 3 * se
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_polytope_membership_chunks_match_one_product(d):
+    # a row count that is no multiple of SAMPLE_CHUNK, points on both sides of
+    # every facet, and tolerances that loosen and tighten
+    rng = np.random.default_rng(70 + d)
+    poly = geom.Polytope(rng.standard_normal((d + 4, d)))
+    lo, hi = geom.bounding_box(poly)
+    pts = rng.uniform(lo - 0.1, hi + 0.1, size=(2 * geom.SAMPLE_CHUNK + 37, d))
+    eq = poly.equations
+    for tol in (0.0, 0.05, -0.05):
+        whole = np.all(pts @ eq[:, :-1].T + eq[:, -1] <= tol, axis=1)
+        assert 0 < whole.sum() < len(pts)
+        assert np.array_equal(geom.contains_points(poly, pts, tol=tol), whole)
+
+
+def test_polytope_membership_memory_is_flat():
+    # 200 000 points against 18 facets: one whole product took about 61 MB
+    poly = geom.Polytope(np.random.default_rng(1).standard_normal((8, 4)))
+    assert len(poly.equations) == 18
+    tracemalloc.start()
+    try:
+        geom.polytope_volume_mc(poly, 200_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_degenerate_polytope_rejected():

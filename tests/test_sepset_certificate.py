@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+import sepset_oracle
 from cylpack import cappack, geom
 
 P, G = cappack.PROJECTIVE, cappack.GEODESIC
@@ -21,13 +22,6 @@ def fresh_set_cache():
     cappack._cached_set.cache_clear()
     yield
     cappack._cached_set.cache_clear()
-
-
-def widest_empty_cap(points, metric):
-    """Angular radius of the widest empty cap, from a fresh hull."""
-    cloud = np.vstack([points, -points]) if metric == P else points
-    levels = -geom.ConvexHull(cloud).equations[:, -1]
-    return math.acos(min(1.0, levels.min()))
 
 
 def certified_radius(points, metric):
@@ -51,7 +45,7 @@ OVER_BUDGET = ((5, 0.2), (6, 0.3))
 @pytest.mark.parametrize("metric,d,delta,seed", DEFECT_ROWS)
 def test_flagged_sets_are_certified_or_uncertified(metric, d, delta, seed):
     out = cappack.build_separated_set(d, 2 * delta, metric, seed)
-    assert cappack.check_separation(out)
+    assert sepset_oracle.check_separation(out)
     if (d, delta) in OVER_BUDGET:
         assert not out.maximal and out.covering_radius is None
         assert out.completion_rounds == 0
@@ -60,7 +54,7 @@ def test_flagged_sets_are_certified_or_uncertified(metric, d, delta, seed):
     assert out.covering_radius <= 2 * delta
     # exact: a fresh hull finds no facet wider than the separation, and the
     # certified radius is an upper estimate within its margin
-    widest = widest_empty_cap(out.points, metric)
+    widest = sepset_oracle.widest_empty_cap(out.points, metric)
     assert widest <= out.covering_radius <= widest + 1e-7
 
 
