@@ -34,7 +34,6 @@ SLICE_GAP = 1e-6             # relative gap hi - lo at which a concave search st
 SLICE_MARGIN = 1e-12         # relative rounding margin on computed upper ends
 PIECE_MIN = 1e-12            # shortest polynomial piece, relative to the offset range
 KNOT_TIE = 1e-9              # relative margin within which a knot value ties the top one
-MVEE_TOL = 1e-5              # enclosing-ellipsoid volume tolerance
 
 
 def instance_digest(obj) -> str:
@@ -162,49 +161,6 @@ def check_packing_upper_ellipsoid(body: geom.ConvexBody, family, r: int,
     digest = _digest_family(body, family, {"r": r})
     return make_report("packing_upper_ellipsoid", lhs, float(r), LE, digest,
                        **_hypothesis(evidence, "packing"))
-
-
-def check_packing_scaled(body: geom.ConvexBody, family, r: int,
-                         n: int = 10_000, seed: int = 0) -> BoundReport:
-    """Packing bound carried to a general body through its enclosing ellipsoid.
-
-    The family must pack the minimum-volume enclosing ellipsoid E (centre c)
-    of the body; the crv sum relative to the body is bounded by r t^(d - k),
-    t the ball-distance factor with c + (E - c) / t inside the body.  John's
-    theorem gives t <= d (sqrt(d) for symmetric bodies) for the exact E; the
-    check measures t for the E in use (:func:`_distance_factor`).
-    """
-    family = list(family)
-    d = body.dim
-    ks = {c.k for c in family}
-    if not ks <= {1, 2}:
-        raise DomainError(f"codimension must be 1 or 2, got {sorted(ks)}")
-    k = max(ks)
-    if isinstance(body, (geom.Ball, geom.Ellipsoid)):
-        outer: geom.ConvexBody = body
-        distance_bound = 1.0
-    else:
-        outer = geom.mvee(body.vertices, tol=MVEE_TOL).ellipsoid
-        distance_bound = _distance_factor(body, outer)
-    evidence = _evidence(multiplicity.verify_packing(outer, family, r, n, seed),
-                         NotAPacking)
-    lhs = cylinders.sum_crv(body, family)
-    rhs = r * distance_bound ** (d - k)
-    digest = _digest_family(body, family, {"r": r})
-    return make_report("packing_upper_scaled", lhs, rhs, LE, digest,
-                       **_hypothesis(evidence, "packing",
-                                     f"distance bound {distance_bound:g}"))
-
-
-def _distance_factor(body: geom.Polytope, ell: geom.Ellipsoid) -> float:
-    """Smallest t with c + (E - c) / t inside the polytope, rounded up: the
-    largest ratio over the facets a.x <= b of the support sqrt(a^T Q^-1 a)
-    of E - c to the facet's distance b - a.c from the centre."""
-    normals, offsets = body.equations[:, :-1], body.equations[:, -1]
-    support = np.sqrt(np.einsum("ij,ij->i", normals @ np.linalg.inv(ell.shape),
-                                normals))
-    t = float(np.max(support / (-offsets - normals @ ell.center)))
-    return t * (1.0 + SLICE_MARGIN)
 
 
 # ---------------------------------------------------------------------------

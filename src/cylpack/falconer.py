@@ -14,7 +14,7 @@ the normal u and its base, a 1-d ``geom.Polytope``, the interval [a, b] of
 and decides its separation (``is_separable``) and enclosing circle
 (``circumradius``) once each.  Both separability and the hull, the disks
 and the segments that join their extreme arcs (``_hull_segments``), come
-from one rule of tangent arcs per disk.  ``check_disk_planks`` decides all
+from one pass of tangent arcs per disk.  ``check_disk_planks`` decides all
 of one instance's checks from these and one exact arrangement sweep on the
 hull, in the family's ``unit``; nothing is sampled, and the sweep's verdict
 is a ``multiplicity.VerificationResult`` certified by ``SWEEP_CERTIFICATE``.
@@ -53,7 +53,7 @@ def _plane_vector(value, field: str) -> np.ndarray:
 class DiskFamily:
     """Closed disks, as (n, 2) centres and n radii, plus the convex hull of
     their union.  ``separation`` (``is_separable``), ``circle``
-    (``circumradius``) and ``unit`` are computed once, on first use."""
+    (``circumradius``), ``hull_segments`` and ``unit`` are computed once."""
 
     centers: np.ndarray
     radii: np.ndarray
@@ -86,6 +86,12 @@ class DiskFamily:
     @cached_property
     def circle(self) -> "EnclosingCircle":
         return circumradius(self)
+
+    @cached_property
+    def hull_segments(self) -> np.ndarray:
+        """``_hull_segments``; a non-separable family has them from the pair
+        arcs of ``is_separable``."""
+        return _hull_segments(self, _pair_arcs(self.centers, self.radii))
 
     @cached_property
     def unit(self) -> float:
@@ -159,7 +165,7 @@ def _pair_arcs(c: np.ndarray, r: np.ndarray,
     return psi, lo, a, b
 
 
-def _tangent_gaps(c: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _tangent_gaps(arcs: tuple) -> tuple[np.ndarray, np.ndarray]:
     """(i, middle angle) of each open gap, ordered by i and then by angle,
     among the closed arcs of normal angles theta at which disk i's tangent
     line (disk i behind it) meets a disk j: cos(theta - psi) in
@@ -169,7 +175,7 @@ def _tangent_gaps(c: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     rounding part them; when they also meet at psi + pi (b == pi: j holds
     i), they are the whole circle.  A concentric disk meets every tangent
     line of a smaller one and none of an equal or larger one."""
-    psi, lo, a, b = _pair_arcs(c, r)
+    psi, lo, a, b = arcs
     joined = a == 0.0
     rows, left, right = _arc_gaps(
         np.concatenate([np.where(joined, psi - b, psi + a), psi - b], axis=1),
@@ -188,10 +194,12 @@ def is_separable(family: DiskFamily) -> tuple[bool, SeparatingLine | None]:
     offset midway between i's tangent line and the nearest near edge beyond;
     it must separate strictly in float arithmetic, since rounding may part
     two arcs that meet where a line touches three disks.  A single disk has
-    no gap with a disk beyond, so it is non-separable.
+    no gap with a disk beyond, so it is non-separable.  A non-separable
+    family keeps the O(hull) ``hull_segments`` of the same O(n^2) pair arcs.
     """
     n, c, r = len(family), family.centers, family.radii
-    rows, theta = _tangent_gaps(c, r)
+    arcs = _pair_arcs(c, r)
+    rows, theta = _tangent_gaps(arcs)
     for k in range(0, len(rows), n):  # n gaps at a time: O(n^2) memory
         i, ux, uy = rows[k:k + n], np.cos(theta[k:k + n]), np.sin(theta[k:k + n])
         proj = ux[:, None] * c[:, 0] + uy[:, None] * c[:, 1]
@@ -204,6 +212,7 @@ def is_separable(family: DiskFamily) -> tuple[bool, SeparatingLine | None]:
             g = hit[0]
             return True, SeparatingLine(u=(float(ux[g]), float(uy[g])),
                                         offset=float(offset[g]))
+    vars(family)["hull_segments"] = _hull_segments(family, arcs)
     return False, None
 
 
@@ -342,8 +351,9 @@ def circumradius(family: DiskFamily) -> EnclosingCircle:
 # exact hull of the disks
 
 
-def _hull_segments(family: DiskFamily) -> np.ndarray:
-    """(m, 2, 2) ends of the segments that join the hull's boundary arcs.
+def _hull_segments(family: DiskFamily, arcs: tuple) -> np.ndarray:
+    """(m, 2, 2) ends of the segments that join the hull's boundary arcs,
+    from the family's pair ``arcs``; not finite where the hull is not.
 
     Disk i is extreme at the normal angle theta (c_i.v + r_i >= c_j.v + r_j
     for every j) exactly when theta lies outside every open arc (psi - b,
@@ -354,16 +364,13 @@ def _hull_segments(family: DiskFamily) -> np.ndarray:
     of arc that rounding leaves a disk on an edge sorts between its ends.
     """
     c, r = family.centers, family.radii
-    psi, lo, _, b = _pair_arcs(c, r)
+    psi, lo, _, b = arcs
     disk, left, right = _arc_gaps(psi - b, 2.0 * b, lo)
     order = np.argsort(np.mod((left + right) / 2.0, 2.0 * math.pi), kind="stable")
     disks = np.column_stack([disk[order], np.roll(disk[order], -1)])
     angles = np.column_stack([right[order], np.roll(left[order], -1)])
     with np.errstate(over="ignore", invalid="ignore"):
-        segments = c[disks] + r[disks, None] * np.stack([np.cos(angles), np.sin(angles)], axis=2)
-    if not np.all(np.isfinite(segments)):
-        raise DomainError("disk family hull is not finite in double precision")
-    return segments
+        return c[disks] + r[disks, None] * np.stack([np.cos(angles), np.sin(angles)], axis=2)
 
 
 def _chords(family: DiskFamily, segments: np.ndarray, points: np.ndarray,
@@ -372,7 +379,7 @@ def _chords(family: DiskFamily, segments: np.ndarray, points: np.ndarray,
     hull, one row per line (unit directions); lo >= hi where a line meets the
     hull in at most one point, and possibly where it runs along a segment.
 
-    The hull boundary is made of disk arcs and ``_hull_segments``, so its
+    The hull boundary is made of disk arcs and ``hull_segments``, so its
     chord runs from the lowest to the highest point at which the line meets
     a disk or a segment.  Each line's products have the shapes of a lone
     line's, (n + 2m, 2) @ (2,) stacked over the lines, so a line gets the
@@ -481,7 +488,7 @@ def exact_plank_multiplicity(family: DiskFamily, normals: np.ndarray,
 
     All 2P boundary lines (each plank's low line, then its high line) are
     swept at once: their chords (``_chords`` through the disks and
-    ``_hull_segments``), crossings, sorted sub-segment ends and
+    ``hull_segments``), crossings, sorted sub-segment ends and
     midpoint counts are arrays over the lines.  The cell is the first
     maximum in (line, side, midpoint) order, taken when it beats the
     interior point.  Every product has the shapes of a lone line's: the
@@ -489,10 +496,12 @@ def exact_plank_multiplicity(family: DiskFamily, normals: np.ndarray,
     product per line, stacked.
     """
     unit = family.unit  # a power of two: the scaling is exact
+    segments = family.hull_segments / unit  # the copy's, unless subnormal
     family = DiskFamily(family.centers / unit, family.radii / unit)
     with np.errstate(over="ignore"):  # past the hull: inf is as good
         lows, highs = lows / unit, highs / unit
-    segments = _hull_segments(family)
+    if not np.all(np.isfinite(segments)):
+        raise DomainError("disk family hull is not finite in double precision")
     inner = np.mean(family.centers, axis=0)  # interior: a mix of disk centers
     t = normals @ inner
     best = int(np.sum((t > lows) & (t < highs)))
@@ -597,7 +606,8 @@ def check_disk_planks(family: DiskFamily, planks, r: int) -> list[BoundReport]:
         raise NotAPacking(verdict.reason, verdict)
     diam_ns = ns_diameter(family)
     circ = family.circle
-    digest = instance_digest({"family": family.to_json(),
+    family_json = family.to_json()
+    digest = instance_digest({"family": family_json,
                               "planks": _planks_json(normals, lows, highs), "r": r})
     widths = (highs - lows).tolist()  # Python floats: sum() rounds as it always has
     return [
@@ -611,7 +621,7 @@ def check_disk_planks(family: DiskFamily, planks, r: int) -> list[BoundReport]:
                     LE, digest,
                     notes="pointwise bound checked on arrangement cells"),
         make_report("mass_circumradius", diam_ns, 2.0 * circ.radius, GE,
-                    instance_digest({"family": family.to_json()}),
+                    instance_digest({"family": family_json}),
                     notes=f"bracket [2R, ns_diameter] = "
                           f"[{2.0 * circ.radius!r}, {diam_ns!r}]"),
     ]

@@ -25,7 +25,6 @@ from .errors import (
     DimensionMismatch,
     DomainError,
     FullDimensional,
-    NoConvergence,
     RankDeficient,
     SamplingFailure,
     UnsupportedDimension,
@@ -39,7 +38,6 @@ SAMPLE_CHUNK = 1024      # point rows per polytope membership product
 SECULAR_ITERS = 200      # bisection cap of quadratic_on_ball; doubles run out first
 PARALLEL_TOL = 1e-12     # 1 - |cos| under which facet normals share a line
 MIN_ACCEPTANCE = 1e-4    # rejection acceptance rate below which sample_in_body gives up
-MVEE_MAX_ITER = 200_000  # iteration cap of the enclosing-ellipsoid ascent
 
 # scipy names served as module attributes, loaded on first access: importing
 # scipy.spatial or scipy.optimize costs more than numpy itself
@@ -335,14 +333,6 @@ class Polytope:
 ConvexBody = Ball | Ellipsoid | Polytope
 
 
-@dataclass(frozen=True, eq=False)
-class EnclosingEllipsoid:
-    """An ellipsoid covering a point set, with the worst containment residual."""
-
-    ellipsoid: Ellipsoid
-    containment_tolerance: float
-
-
 def body_to_json(body: ConvexBody) -> dict:
     if isinstance(body, Ball):
         return {"type": "ball", "center": body.center.tolist(),
@@ -541,69 +531,6 @@ def uniform_sphere_points(d: int, n: int, rng: np.random.Generator) -> np.ndarra
     x = rng.standard_normal((n, d))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     return x
-
-
-def mvee(points, tol: float = 1e-6) -> EnclosingEllipsoid:
-    """Minimum-volume enclosing ellipsoid via multiplicative-weight ascent.
-
-    The returned ellipsoid contains every input point up to the recorded
-    containment residual and its volume is within a (1 + tol) factor of the
-    optimum.  Raises RankDeficient when the points do not span, NoConvergence
-    after ``MVEE_MAX_ITER`` iterations.
-    """
-    pts = _as_points(points)
-    d = pts.shape[1]
-    u = _mvee_weights(pts, tol)
-    center = pts.T @ u
-    cov = pts.T @ (u[:, None] * pts) - np.outer(center, center)
-    shape = np.linalg.inv(cov) / d
-    ell = Ellipsoid(center, shape)
-    diff = pts - center
-    residual = float(np.max(np.einsum("ij,jk,ik->i", diff, shape, diff)) - 1.0)
-    return EnclosingEllipsoid(ell, max(residual, 0.0))
-
-
-def _mvee_weights(pts: np.ndarray, tol: float) -> np.ndarray:
-    """Todd-Yildirim weights u of the enclosing-ellipsoid ascent.
-
-    With lifted points q_i = (p_i, 1) and X = sum u_i q_i q_i^T, it stops once
-    every q_i^T X^-1 q_i is at most (d+1)(1 + eps) and every one on the
-    support of u at least (d+1)(1 - eps), eps = tol / (2(d+1)).
-    """
-    n, d = pts.shape
-    if not (0.0 < tol <= 1e-3):
-        raise DimensionMismatch(f"tol must lie in (0, 1e-3], got {tol}")
-    if n < d + 1 or np.linalg.matrix_rank(pts - pts[0], tol=1e-10) < d:
-        raise RankDeficient("points do not span the ambient space")
-    lifted = np.column_stack([pts, np.ones(n)])  # (n, d+1)
-    u = np.full(n, 1.0 / n)
-    dd = d + 1.0
-    eps_stop = tol / (2.0 * dd)
-    for _ in range(MVEE_MAX_ITER):
-        x = lifted.T @ (u[:, None] * lifted)
-        m_vals = np.einsum("ij,jk,ik->i", lifted, np.linalg.inv(x), lifted)
-        j_add = int(np.argmax(m_vals))
-        eps_add = m_vals[j_add] / dd - 1.0
-        on_support = u > 1e-12
-        m_sup = np.where(on_support, m_vals, np.inf)
-        j_away = int(np.argmin(m_sup))
-        eps_away = 1.0 - m_vals[j_away] / dd
-        if max(eps_add, eps_away) <= eps_stop:
-            break
-        # add steps push weight toward the worst outlier; away steps drain
-        # weight from interior support points (both first-order optimal moves)
-        if eps_add >= eps_away:
-            j, m = j_add, m_vals[j_add]
-            step = (m - dd) / (dd * (m - 1.0))
-        else:
-            j, m = j_away, m_vals[j_away]
-            step = max((m - dd) / (dd * (m - 1.0)), -u[j] / (1.0 - u[j]))
-        u *= 1.0 - step
-        u[j] += step
-        u = np.maximum(u, 0.0)
-    else:
-        raise NoConvergence("ellipsoid ascent did not reach tolerance")
-    return u
 
 
 def hyperplane_shadow_volume(body: ConvexBody, u) -> float:

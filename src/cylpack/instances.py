@@ -23,7 +23,6 @@ KIND_DISK_PLANKS = "disk_planks"
 
 AXIS_RANGE = (0.6, 1.8)      # semi-axis range of random ellipsoids
 POLYGON_POINTS = 9           # Gaussian points whose hull is a random polygon
-POLYTOPE_EXTRA_VERTICES = 4  # a random polytope in R^d hulls d + 4 points
 MIN_WIDTH_FRAC = 0.02        # narrowest random interval, relative to the range
 NS_TRIES = 500               # rejection draws of a non-separable disk family
 COVER_TILES = 3              # box tiles per axis in one random covering layer
@@ -50,11 +49,6 @@ def random_polygon(rng: np.random.Generator) -> geom.Polytope:
     """Random convex polygon: hull of a Gaussian cloud in the plane."""
     pts = rng.standard_normal((POLYGON_POINTS, 2))
     return geom.Polytope(pts[geom.ConvexHull(pts).vertices])
-
-
-def random_polytope(d: int, rng: np.random.Generator) -> geom.Polytope:
-    """Hull of d + POLYTOPE_EXTRA_VERTICES Gaussian points in R^d."""
-    return geom.Polytope(rng.standard_normal((d + POLYTOPE_EXTRA_VERTICES, d)))
 
 
 # ---------------------------------------------------------------------------
@@ -113,12 +107,11 @@ def _base_dim(d: int, k: int) -> int:
 
 
 def random_base_packing(body: geom.ConvexBody, k: int, n_per_layer: int, r: int,
-                        seed: int, base_kind: str = "disk",
-                        ) -> list[cylinders.Cylinder]:
+                        seed: int) -> list[cylinders.Cylinder]:
     """Random r-fold packing: r layers of cylinders with disjoint bases.
 
-    Each layer fixes a random base subspace, then places disjoint disk or box
-    bases inside the inscribed ball of the projected body, separated along a
+    Each layer fixes a random base subspace, then places disjoint disk bases
+    inside the inscribed ball of the projected body, separated along a
     common axis.  Disjoint bases make restricted-cylinder interiors disjoint,
     so the union of r layers is an r-fold packing by construction.
     """
@@ -143,17 +136,7 @@ def random_base_packing(body: geom.ConvexBody, k: int, n_per_layer: int, r: int,
         intervals = _disjoint_intervals(-reach, reach, n_per_layer, rng)
         for a, b in intervals:
             mid, half = (a + b) / 2.0, (b - a) / 2.0
-            base_center = center + mid * axis
-            if base_kind == "disk":
-                base: cylinders.CylinderBase = geom.Ball(base_center, half)
-            elif base_kind == "box":
-                corners = np.stack(np.meshgrid(*[[-1.0, 1.0]] * m,
-                                               indexing="ij"), axis=-1).reshape(-1, m)
-                side = half / math.sqrt(m)
-                base = geom.Polytope(base_center + side * corners)
-            else:
-                raise DomainError(f"unknown base kind {base_kind!r}")
-            family.append(cylinders.Cylinder(frame, base))
+            family.append(cylinders.Cylinder(frame, geom.Ball(center + mid * axis, half)))
     return family
 
 

@@ -26,11 +26,9 @@ def unit_ball_volume(m: int) -> float:
     return math.pi ** (m / 2.0) / special.gamma(m / 2.0 + 1.0)
 
 
-def _check_angle(delta: float, closed_top: bool) -> None:
-    top_ok = delta <= HALF_PI if closed_top else delta < HALF_PI
-    if not (0.0 < delta and top_ok):
-        rng = "(0, pi/2]" if closed_top else "(0, pi/2)"
-        raise DomainError(f"angle must lie in {rng}, got {delta}")
+def _check_angle(delta: float) -> None:
+    if not 0.0 < delta <= HALF_PI:
+        raise DomainError(f"angle must lie in (0, pi/2], got {delta}")
 
 
 def _half_cap_ratio(n: int, delta: float) -> float:
@@ -46,24 +44,10 @@ def cos_power_integral(n: int, delta: float) -> float:
     B((n+1)/2, 1/2) times ``_half_cap_ratio``."""
     if n < 0:
         raise DomainError(f"power must be >= 0, got {n}")
-    _check_angle(delta, closed_top=True)
+    _check_angle(delta)
     from scipy import special
 
     return float(special.beta((n + 1) / 2.0, 0.5)) * _half_cap_ratio(n, delta)
-
-
-def cos_power_bracket(n: int, delta: float) -> tuple[float, float]:
-    """Two-sided bracket for the cos-power integral over the top delta-window.
-
-    Returns (delta*sin(delta)^n / (e*(n+1)),  delta*sin(delta)^n); the integral
-    itself always lies between the two.
-    """
-    if n < 1:
-        raise DomainError(f"bracket requires power >= 1, got {n}")
-    _check_angle(delta, closed_top=False)
-    upper = delta * math.sin(delta) ** n
-    lower = upper / (math.e * (n + 1))
-    return lower, upper
 
 
 def cap_volume(m: int, delta: float) -> float:
@@ -75,7 +59,7 @@ def cap_volume(m: int, delta: float) -> float:
     """
     if m < 1:
         raise DomainError(f"cap dimension must be >= 1, got {m}")
-    _check_angle(delta, closed_top=True)
+    _check_angle(delta)
     return unit_ball_volume(m) * _half_cap_ratio(m, delta)
 
 
@@ -84,5 +68,5 @@ def spherical_cap_fraction(d: int, delta: float) -> float:
     radius delta on the unit sphere of R^d: 1/2 I_{sin^2 delta}((d-1)/2, 1/2)."""
     if d < 2:
         raise DomainError(f"sphere dimension parameter must be >= 2, got {d}")
-    _check_angle(delta, closed_top=True)
+    _check_angle(delta)
     return _half_cap_ratio(d - 2, delta)

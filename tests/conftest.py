@@ -1,10 +1,11 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-from cylpack import cli, geom
+from cylpack import cli, cylinders, geom
 
 # arguments of one small instance file per `cylpack construct` kind
 CONSTRUCT_KINDS = {
@@ -33,6 +34,28 @@ def construct_all(directory, seed: int) -> dict:
                          "--out", str(path)]) == 0
         paths[name] = path
     return paths
+
+
+POLYTOPE_EXTRA_VERTICES = 4  # a random polytope in R^d hulls d + 4 points
+
+
+def random_polytope(d: int, rng: np.random.Generator) -> geom.Polytope:
+    """Hull of d + POLYTOPE_EXTRA_VERTICES Gaussian points in R^d."""
+    return geom.Polytope(rng.standard_normal((d + POLYTOPE_EXTRA_VERTICES, d)))
+
+
+def box_bases(family) -> list[cylinders.Cylinder]:
+    """The family with each disk base (centre c, radius h) of base dimension m
+    swapped for the box c + (h / sqrt(m)) {-1, 1}^m inscribed in it, vertices
+    in lexicographic sign order."""
+    boxes = []
+    for cyl in family:
+        m = cyl.base.dim
+        corners = np.array(list(product((-1.0, 1.0), repeat=m)))
+        side = cyl.base.radius / math.sqrt(m)
+        boxes.append(cylinders.Cylinder(cyl.frame,
+                                        geom.Polytope(cyl.base.center + side * corners)))
+    return boxes
 
 
 def random_frame(d: int, m: int, rng: np.random.Generator) -> geom.Frame:

@@ -7,13 +7,16 @@ form from the incomplete beta function.
   subtraction cancels at tiny angles (its absolute error stays near machine
   precision, its relative error does not);
 - ``cos_power_exact``: the beta series in 60-digit decimal arithmetic, from
-  the exact binary value of delta.
+  the exact binary value of delta;
+- ``cos_power_bracket``: the elementary two-sided bracket of J_n(delta).
 """
 
 import math
 from decimal import Decimal, localcontext
 
 from scipy import integrate
+
+from cylpack.errors import DomainError
 
 HALF_PI = math.pi / 2.0
 DIGITS = 60
@@ -77,3 +80,18 @@ def cos_power_exact(n: int, delta: float) -> float:
             coef = coef * (Decimal(k) + Decimal("0.5")) / (k + 1) * x
             k += 1
         return float(s ** (n + 1) * total / 2)
+
+
+def cos_power_bracket(n: int, delta: float) -> tuple[float, float]:
+    """Two-sided bracket for the cos-power integral over the top delta-window.
+
+    Returns (delta*sin(delta)^n / (e*(n+1)),  delta*sin(delta)^n); the integral
+    itself always lies between the two.
+    """
+    if n < 1:
+        raise DomainError(f"bracket requires power >= 1, got {n}")
+    if not 0.0 < delta < HALF_PI:
+        raise DomainError(f"angle must lie in (0, pi/2), got {delta}")
+    upper = delta * math.sin(delta) ** n
+    lower = upper / (math.e * (n + 1))
+    return lower, upper

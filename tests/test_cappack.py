@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import sepset_oracle
+import specfn_oracle
 from cylpack import cappack, cylinders, geom, multiplicity, specfn
 from cylpack.errors import DomainError
 
@@ -169,8 +170,8 @@ def test_chain_respects_bracket_substitution():
     # the stated direction, so the weakened bound must still hold
     d, k, delta = 5, 2, 0.25
     rep = cappack.cap_packing_report(d, k, delta, seed=5)
-    lo_top, _ = specfn.cos_power_bracket(d - k, delta)
-    _, hi_bottom = specfn.cos_power_bracket(d - 2, 2 * delta)
+    lo_top, _ = specfn_oracle.cos_power_bracket(d - k, delta)
+    _, hi_bottom = specfn_oracle.cos_power_bracket(d - 2, 2 * delta)
     weakened = rep.chain_rhs * lo_top / specfn.cos_power_integral(d - k, delta) \
         * specfn.cos_power_integral(d - 2, 2 * delta) / hi_bottom
     assert weakened <= rep.chain_rhs + 1e-15

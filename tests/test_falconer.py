@@ -409,11 +409,13 @@ def test_parallel_planks_stay_apart_in_a_huge_hull():
     assert falconer_oracle.open_counts(planks, witness)[0] == 2
 
 
-@pytest.mark.parametrize("scale", [1e-13, 1e-100, 1e-200, 1e-300, math.ldexp(1.0, -500)])
+@pytest.mark.parametrize("scale", [1e-13, 1e-100, 1e-200, 1e-300, math.ldexp(1.0, -500),
+                                   math.ldexp(1.0, -1060)])
 def test_sweep_counts_do_not_depend_on_the_scale(scale):
     # the sweep runs in the family's unit: boundary lines of a tiny family
     # stay apart, and no square underflows; over the unit, a family scaled
-    # by a power of two is the same family, witness bits and all
+    # by a power of two is the same family, witness bits and all, unless its
+    # coordinates are subnormal (2^-1060), which round its hull segments
     for seed in range(40):
         family = instances.random_ns_family(3 + seed % 5, seed=seed)
         scaled = falconer.DiskFamily(family.centers * scale, family.radii * scale)
@@ -424,7 +426,7 @@ def test_sweep_counts_do_not_depend_on_the_scale(scale):
             got, witness = falconer.exact_plank_multiplicity(
                 scaled, normals, lows * scale, highs * scale)
             assert got == mult, (seed, r)
-            if math.frexp(scale)[0] == 0.5:
+            if math.frexp(scale)[0] == 0.5 and scale > 1e-300:
                 assert witness == tuple(x * scale for x in unscaled), (seed, r)
             assert falconer_oracle.open_counts(planks, np.divide(witness, scale))[0] == mult
             assert falconer_oracle.certainly_in_hull(family, np.divide(witness, scale))[0]
@@ -467,7 +469,7 @@ def test_hull_chords_end_on_the_hull_boundary(rng):
         angles = np.concatenate([theta, kinks])
         normals = np.column_stack([np.cos(angles), np.sin(angles)])
         support = np.max(normals @ fam.centers.T + fam.radii, axis=1)
-        segments = falconer._hull_segments(fam)
+        segments = fam.hull_segments
         phi = rng.uniform(0.0, 2.0 * math.pi, 20)
         directions = np.column_stack([np.cos(phi), np.sin(phi)])
         points = np.tile(fam.centers[0], (20, 1))  # inside the first disk, of radius 0.5
@@ -484,9 +486,9 @@ def test_hull_chords_scale_with_the_family(scale):
     # family's unit, where the sweep takes them, its chords over the scale
     trio = disks(((0, 0), 1.0), ((1.5, 0), 1.0), ((0.75, 1.3), 1.0))
     scaled = falconer.DiskFamily(trio.centers * scale, trio.radii * scale)
-    segments = falconer._hull_segments(trio)
+    segments = trio.hull_segments
     assert segments.shape == (3, 2, 2)
-    assert np.allclose(falconer._hull_segments(scaled) / scale, segments,
+    assert np.allclose(scaled.hull_segments / scale, segments,
                        rtol=0.0, atol=1e-12)
     theta = np.linspace(0.0, 2.0 * math.pi, 50)
     directions = np.column_stack([np.cos(theta), np.sin(theta)])
@@ -495,7 +497,7 @@ def test_hull_chords_scale_with_the_family(scale):
     assert np.sum(lo < hi) > 25
     unit = scaled.unit
     in_units = falconer.DiskFamily(scaled.centers / unit, scaled.radii / unit)
-    got = falconer._chords(in_units, falconer._hull_segments(in_units),
+    got = falconer._chords(in_units, in_units.hull_segments,
                            points * scale / unit, directions)
     for want, ends in zip((lo, hi), got):
         assert np.allclose(ends[lo < hi] * unit / scale, want[lo < hi],

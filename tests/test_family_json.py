@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 import cylinder_oracle
-from conftest import construct_all
+from conftest import box_bases, construct_all
 from cylpack import cli, cylinders, geom, instances
 
 
@@ -60,7 +60,7 @@ def _one_sided_caps_k3():
 
 def _polytope_bases():
     ball = instances.unit_ball(3)
-    family = instances.random_base_packing(ball, 1, 3, 2, seed=4, base_kind="box")
+    family = box_bases(instances.random_base_packing(ball, 1, 3, 2, seed=4))
     return instances.packing_instance(ball, family, 2, {})
 
 

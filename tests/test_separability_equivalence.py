@@ -55,7 +55,7 @@ def _gap_lines(family):
     """The line of the middle of each gap that ``falconer._tangent_gaps``
     finds with a disk beyond it, offset as ``is_separable`` offsets it."""
     c, r = family.centers, family.radii
-    for i, theta in zip(*falconer._tangent_gaps(c, r)):
+    for i, theta in zip(*falconer._tangent_gaps(falconer._pair_arcs(c, r))):
         u = (math.cos(theta), math.sin(theta))
         proj = c @ np.array(u)
         tangent, near = proj[i] + r[i], proj - r

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import slicemax_oracle
+from conftest import box_bases, random_polytope
 from cylpack import bounds, cli, cylinders, geom, instances, specfn
 from cylpack.errors import DomainError
 
@@ -48,7 +49,7 @@ def _check_bracket(body, slice_frame, offsets_frame, base, out, monkeypatch):
 def test_polytope_bracket_every_k(d, monkeypatch):
     gen = np.random.default_rng(700 + d)
     for _ in range(4):
-        poly = instances.random_polytope(d, gen)
+        poly = random_polytope(d, gen)
         for k in range(1, d):
             frame = geom.orthonormalize(gen.standard_normal((k, d)))
             comp = geom.complement(frame)
@@ -210,9 +211,9 @@ def _cases(body, gen, kinds):
                 frame = geom.orthonormalize(gen.standard_normal((d - k, d)))
                 yield geom.complement(frame), frame, _one_sided_cap(d - k, gen)
             else:
-                cyl = instances.random_base_packing(
-                    body, k, 1, 1, seed=int(gen.integers(1 << 20)),
-                    base_kind=kind)[0]
+                family = instances.random_base_packing(
+                    body, k, 1, 1, seed=int(gen.integers(1 << 20)))
+                cyl = (family if kind == "disk" else box_bases(family))[0]
                 yield geom.complement(cyl.frame), cyl.frame, cyl.base
 
 
@@ -220,7 +221,7 @@ def _cases(body, gen, kinds):
 def test_polytope_brackets_hold_over_every_base(d, monkeypatch):
     gen = np.random.default_rng(740 + d)
     # doubled, the shadows hold most of the unit ball, where cap bases live
-    poly = geom.Polytope(2.0 * instances.random_polytope(d, gen).vertices)
+    poly = geom.Polytope(2.0 * random_polytope(d, gen).vertices)
     for slice_frame, offsets_frame, base in _cases(
             poly, gen, (None, "disk", "box", "cap")):
         out = bounds.max_translate_slice(poly, slice_frame, base=base,
@@ -247,7 +248,7 @@ def test_ellipsoid_brackets_hold_over_box_and_cap_bases(d, monkeypatch):
 def test_restricted_polytope_maximum_inside_a_disk_base():
     # the grid search reported 0.891160 here, below a slice at an offset
     # strictly inside the disk (0.902475)
-    poly = instances.random_polytope(4, np.random.default_rng(10))
+    poly = random_polytope(4, np.random.default_rng(10))
     cyl = instances.random_base_packing(poly, 2, 2, 1, seed=10)[1]
     out = bounds.max_translate_slice(poly, geom.complement(cyl.frame),
                                      base=cyl.base, offsets_frame=cyl.frame)

@@ -14,6 +14,7 @@ import pytest
 
 import slicemax_oracle
 import test_slice_max
+from conftest import random_polytope
 from cylpack import bounds, geom, instances
 
 
@@ -88,7 +89,7 @@ def test_base_cases_overlap_the_golden_search(d, monkeypatch):
     # the restricted cases of test_slice_max: polytopes over every base kind,
     # ellipsoids over box bases
     gen = np.random.default_rng(740 + d)
-    poly = geom.Polytope(2.0 * instances.random_polytope(d, gen).vertices)
+    poly = geom.Polytope(2.0 * random_polytope(d, gen).vertices)
     cases = [(poly, *case) for case in test_slice_max._cases(
         poly, gen, (None, "disk", "box", "cap"))]
     gen = np.random.default_rng(760 + d)
