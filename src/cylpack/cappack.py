@@ -5,9 +5,11 @@ twice the cap radius, fix one base subspace per point containing it, and take
 the cap around the point inside that subspace as the cylinder base.  Separated
 caps give disjoint restricted cylinders, and maximality gives a counting lower
 bound on the family size through the covering measure of doubled caps.
-``build_cap_packing`` alone checks the construction's domain; a family is
-fixed by its separated set and k (``build_cap_family``), and its crv sum is
-N times one incomplete beta value (``cap_packing_report``).
+One check of the construction's domain serves ``build_cap_packing`` and
+``cap_packing_report``; a family is fixed by its separated set and k
+(``build_cap_family``), and its crv sum is N times one incomplete beta value
+(``cap_packing_report``).  The report reads the family as frame and pole
+stacks and builds cylinders only to sample.
 
 Two self-consistent conventions exist and both are available.  The projective
 metric pairs with two-sided (antipodal) cap bases, the geodesic metric with
@@ -279,22 +281,27 @@ def build_cap_family(sep_set: SeparatedSet, k: int) -> tuple[cylinders.Cylinder,
     The set and k fix the family.  Each point gets a (d-k)-dimensional base
     subspace containing it as the first frame column, completed by directions
     drawn with the set's seed, and a cap base of radius delta = separation / 2
-    around it.  It is built as arrays: one draw, Gram-Schmidt, Frame check,
-    pole product and CapBase check for all points, with the bytes of one of
-    each per point.  Antipodal bases pair with the projective metric,
-    one-sided bases with the geodesic metric, keeping the family a packing in
-    both modes.
+    around it.  It is built as arrays (``_family_stacks``) and wrapped, with
+    the bytes of one Frame and one CapBase per point.  Antipodal bases pair
+    with the projective metric, one-sided bases with the geodesic metric,
+    keeping the family a packing in both modes.
     """
+    return _cap_cylinders(*_family_stacks(sep_set, k))
+
+
+def _family_stacks(sep_set: SeparatedSet, k: int):
+    """(frames, poles, delta, antipodal) of ``build_cap_family``: one draw,
+    Gram-Schmidt, Frame check, pole product and CapBase check for all points,
+    giving the (N, d, m) frame stack and the (N, m) pole stack."""
     d = sep_set.points.shape[1]
     if not 1 <= k <= d - 1:
         raise DomainError(f"codimension must lie in 1..{d - 1}, got {k}")
     if k > d - 2:
         warnings.warn("k = d-1 cap cylinders have one-dimensional bases; "
                       "the construction degenerates to antipodal plank pairs",
-                      stacklevel=2)
+                      stacklevel=3)
     m = d - k
     delta = sep_set.separation / 2.0
-    antipodal = sep_set.metric == PROJECTIVE
     pts = sep_set.points
     if m == 1:
         stack = pts[:, :, None]
@@ -307,10 +314,16 @@ def build_cap_family(sep_set: SeparatedSet, k: int) -> tuple[cylinders.Cylinder,
     cols = geom._checked_frames(stack)
     # each pole x @ F_x is e_1 in frame coordinates by construction
     poles = cylinders._checked_caps(np.matmul(pts[:, None, :], cols)[:, 0, :], delta)
+    return cols, poles, delta, sep_set.metric == PROJECTIVE
+
+
+def _cap_cylinders(frames, poles, delta: float,
+                   antipodal: bool) -> tuple[cylinders.Cylinder, ...]:
+    """One Cylinder per row of checked frame and pole stacks."""
     return tuple(cylinders.Cylinder(geom._unchecked(geom.Frame, columns=c),
                                     geom._unchecked(cylinders.CapBase, pole=p,
                                                     delta=delta, antipodal=antipodal))
-                 for c, p in zip(cols, poles))
+                 for c, p in zip(frames, poles))
 
 
 def build_cap_packing(d: int, k: int, delta: float, seed: int = 0,
@@ -318,14 +331,20 @@ def build_cap_packing(d: int, k: int, delta: float, seed: int = 0,
                       ) -> tuple[SeparatedSet, tuple[cylinders.Cylinder, ...]]:
     """(separated set, cap cylinders) of the construction, which is stated
     for d > 3, delta in (0, pi/4) and 1 <= k < d; else ``DomainError``."""
+    sep_set = _packing_set(d, k, delta, seed, metric)
+    return sep_set, build_cap_family(sep_set, k)
+
+
+def _packing_set(d: int, k: int, delta: float, seed: int, metric: str) -> SeparatedSet:
+    """The separated set of the construction, after the one check of its
+    domain."""
     if d <= 3:
         raise DomainError(f"the construction is stated for d > 3, got {d}")
     if not 0.0 < delta < math.pi / 4.0:
         raise DomainError(f"cap radius must lie in (0, pi/4), got {delta}")
     if not 1 <= k < d:
         raise DomainError(f"codimension must lie in 1..{d - 1}, got {k}")
-    sep_set = build_separated_set(d, 2.0 * delta, metric=metric, seed=seed)
-    return sep_set, build_cap_family(sep_set, k)
+    return build_separated_set(d, 2.0 * delta, metric=metric, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -392,13 +411,14 @@ def cap_packing_report(d: int, k: int, delta: float, seed: int = 0,
     A cap fills 1/2 I_{sin^2 delta}((m+1)/2, 1/2) of its base ball B^m,
     m = d - k (DLMF 8.17), the cap fraction of S^(m+1), so the crv sum is
     N * sides * ``spherical_cap_fraction(m + 2, delta)``.  With
-    ``packing_samples`` > 0 the family is also checked as a 1-fold packing
-    (``multiplicity.decide``): certified by pole separation, or sampled with
-    that many points when the certificate leaves it open.
+    ``packing_samples`` > 0 the family is also checked as a 1-fold packing,
+    as ``multiplicity.decide`` would check it: certified by pole separation
+    straight from the frame and pole stacks, or, when the certificate leaves
+    it open, built as cylinders and sampled with that many points.
     """
-    sep_set, family = build_cap_packing(d, k, delta, seed=seed, metric=metric)
-    n = len(family)
-    antipodal = sep_set.metric == PROJECTIVE
+    sep_set = _packing_set(d, k, delta, seed, metric)
+    frames, poles, cap_delta, antipodal = _family_stacks(sep_set, k)
+    n = len(frames)
     sum_crv = n * (2.0 if antipodal else 1.0) \
         * specfn.spherical_cap_fraction(d - k + 2, delta)
     sigma_one = specfn.spherical_cap_fraction(d, 2.0 * delta)
@@ -409,9 +429,17 @@ def cap_packing_report(d: int, k: int, delta: float, seed: int = 0,
     threshold = closed_threshold(d, k, delta)
     packing_report = None
     if packing_samples > 0:
+        multiplicity._check_samples(packing_samples)
         ball = geom.Ball(np.zeros(d), 1.0)
-        packing_report = multiplicity.decide(
-            ball, family, 1, packing_samples, seed).report
+        packing_report = multiplicity.pole_certificate(
+            ball, frames, poles, np.full(n, math.cos(cap_delta)),
+            np.full(n, antipodal),
+            lambda: _cap_cylinders(frames[:1], poles[:1], cap_delta, antipodal)[0])
+        if packing_report is None or not multiplicity._settles(packing_report, 1, False):
+            family = _cap_cylinders(frames, poles, cap_delta, antipodal)
+            packing_report = multiplicity.estimate_multiplicity(
+                ball, family, packing_samples, seed)
+        packing_report = multiplicity.judge(packing_report, 1).report
     return CapPackingReport(
         d=d, k=k, delta=delta, metric=metric,
         antipodal_bases=antipodal,

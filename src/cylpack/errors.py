@@ -29,10 +29,6 @@ class DegenerateProjection(DomainError):
     """A projected body has numerically zero volume."""
 
 
-class NoConvergence(CylpackError):
-    """An iterative solve hit its iteration cap before reaching tolerance."""
-
-
 class UnsupportedDimension(DomainError):
     """The operation is only implemented for a restricted dimension range."""
 

@@ -109,7 +109,27 @@ def pole_conflicts(poles: np.ndarray, cos_a: np.ndarray, sin_a: np.ndarray,
 
 
 def _cap_certificate(body, family) -> MultiplicityReport | None:
-    """Pole separation of cap cylinders in a ball body of reach R = |c| + r.
+    """``pole_certificate`` of an object family in a ball body, stacked once;
+    None for another body or mixed base dimensions."""
+    if not isinstance(body, geom.Ball):
+        return None
+    frames = [cyl.frame.columns for cyl in family]
+    if len({f.shape for f in frames}) > 1:  # mixed base dimensions: no stack
+        return None
+    return pole_certificate(
+        body, np.stack(frames), np.array([cyl.base.pole for cyl in family]),
+        np.array([math.cos(cyl.base.delta) for cyl in family]),
+        np.array([cyl.base.antipodal for cyl in family]), lambda: family[0])
+
+
+@np.errstate(all="ignore")  # an overflow or nan counts as a conflict
+def pole_certificate(ball: geom.Ball, frames: np.ndarray, qs: np.ndarray,
+                     cos_d: np.ndarray, antipodal: np.ndarray,
+                     first) -> MultiplicityReport | None:
+    """Pole separation of N cap cylinders in a ball of reach R = |c| + r,
+    from their (N, d, m) frame stack, (N, m) poles, cos(delta_i) and
+    antipodal flags; ``first()`` builds cylinder 0, the one a witness is
+    checked against.
 
     A point x of cap cylinder i has |x.p_i| = |(F_i^T x).q_i| >= cos(delta_i)
     for the embedded pole p_i = F_i q_i, so inside the body its angle to p_i
@@ -120,29 +140,21 @@ def _cap_certificate(body, family) -> MultiplicityReport | None:
     with a_i widened by eps = 8 d^2 2**-53, more than a computed pole errs in
     norm and in angle; a half-angle reaching pi/2 leaves the family open.
     """
-    if not isinstance(body, geom.Ball):
-        return None
-    d = body.dim
-    reach = (float(np.linalg.norm(body.center)) + body.radius) * (1.0 + 4.0 * d * _U)
-    frames = [cyl.frame.columns for cyl in family]
-    if len({f.shape for f in frames}) > 1:  # mixed base dimensions: no stack
-        return None
-    qs = np.array([cyl.base.pole for cyl in family])
-    poles = np.matmul(np.stack(frames), qs[:, :, None])[:, :, 0]  # each F q
+    d = ball.dim
+    reach = (float(np.linalg.norm(ball.center)) + ball.radius) * (1.0 + 4.0 * d * _U)
+    poles = np.matmul(frames, qs[:, :, None])[:, :, 0]  # each F q
     # a computed pole errs from F q by less than eps, in norm and in angle
     eps = 8.0 * d * d * _U
     norms = np.linalg.norm(poles, axis=1) + eps
-    cos_d = np.array([math.cos(cyl.base.delta) for cyl in family])
     # a body within cos(delta) of the origin meets no cylinder: cos a = 1
     cos_a = np.minimum(cos_d / (reach * norms) * (1.0 - 4.0 * _U), 1.0) - eps
     if not np.all(cos_a > 0.0):  # a half-angle past pi/2: no separation argument
         return None
     sin_a = np.sqrt((1.0 - cos_a) * (1.0 + cos_a)) * (1.0 + 4.0 * _U) + eps
-    anti = np.array([cyl.base.antipodal for cyl in family])
-    top = int(pole_conflicts(poles, cos_a, sin_a, anti).max()) + 1
+    top = int(pole_conflicts(poles, cos_a, sin_a, antipodal).max()) + 1
     # with no conflict, a point of the body inside one cylinder attains the bound
     x = poles[0] / np.linalg.norm(poles[0]) * (1.0 + cos_d[0]) / 2.0
-    witness = _confirmed(body, family[:1], x, 1, closed=False) if top == 1 else None
+    witness = _confirmed(ball, [first()], x, 1, closed=False) if top == 1 else None
     return MultiplicityReport(0, top, None, None, witness, None, None,
                               certificate=CAP_CERTIFICATE)
 

@@ -1,5 +1,6 @@
-"""Reference oracles for cap bases: an explicit support point and the
-sampled boundary that cap-base containment used to test.
+"""Reference oracles for cap bases and cap packings: an explicit support
+point, the sampled boundary that cap-base containment used to test, and the
+cap packing report as it was built from cylinder objects.
 
 ``boundary_sample`` is the original sample, kept verbatim: 1024 directions
 from a fixed stream, each giving seven rim-ward points on the cap's sphere,
@@ -7,12 +8,17 @@ plus the pole and the rim's centre.  Every point lies in the cap (up to
 rounding of order 1e-12 where a direction nearly meets the pole), so the
 largest <a, x> over the sample is a lower estimate of the support function
 ``cylpack.cylinders.cap_support`` computes exactly.
+
+``packing_report`` is ``cappack.cap_packing_report`` on the object path:
+the family built by ``cappack.build_cap_packing`` and its packing verdict
+taken by ``multiplicity.decide``.
 """
 
 import math
 
 import numpy as np
 
+from cylpack import cappack, geom, multiplicity, specfn
 from cylpack.geom import uniform_sphere_points
 
 BOUNDARY_SAMPLES = 1024
@@ -65,3 +71,33 @@ def in_cap(base, z, tol: float = 1e-12) -> bool:
     level = abs(z @ base.pole) if base.antipodal else z @ base.pole
     return bool(np.linalg.norm(z) <= 1.0 + tol and level >= math.cos(base.delta) - tol)
 
+
+def packing_report(d: int, k: int, delta: float, seed: int = 0,
+                   metric: str = cappack.PROJECTIVE,
+                   packing_samples: int = 0) -> cappack.CapPackingReport:
+    sep_set, family = cappack.build_cap_packing(d, k, delta, seed=seed, metric=metric)
+    n = len(family)
+    antipodal = sep_set.metric == cappack.PROJECTIVE
+    sum_crv = n * (2.0 if antipodal else 1.0) \
+        * specfn.spherical_cap_fraction(d - k + 2, delta)
+    sigma_one = specfn.spherical_cap_fraction(d, 2.0 * delta)
+    bound_anti = 1.0 / (2.0 * sigma_one)
+    bound_one = 1.0 / sigma_one
+    chain = cappack.chain_lower_bound(d, k, delta)
+    threshold = cappack.closed_threshold(d, k, delta)
+    packing = None
+    if packing_samples > 0:
+        ball = geom.Ball(np.zeros(d), 1.0)
+        packing = multiplicity.decide(ball, family, 1, packing_samples, seed).report
+    return cappack.CapPackingReport(
+        d=d, k=k, delta=delta, metric=metric, antipodal_bases=antipodal,
+        n_cylinders=n, separated_set_maximal=sep_set.maximal,
+        covering_radius=sep_set.covering_radius,
+        completion_rounds=sep_set.completion_rounds, sum_crv=sum_crv,
+        count_lower_bound_antipodal=bound_anti,
+        count_lower_bound_onesided=bound_one,
+        count_bound_holds_antipodal=n >= bound_anti,
+        count_bound_holds_onesided=n >= bound_one,
+        chain_rhs=chain, chain_holds=sum_crv >= chain,
+        threshold_without_constant=threshold,
+        empirical_constant_ratio=sum_crv / threshold, seed=seed, packing=packing)

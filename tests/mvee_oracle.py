@@ -15,15 +15,19 @@ import numpy as np
 
 from cylpack import bounds, cylinders, geom, multiplicity
 from cylpack.errors import (
+    CylpackError,
     DimensionMismatch,
     DomainError,
-    NoConvergence,
     NotAPacking,
     RankDeficient,
 )
 
 MVEE_TOL = 1e-5              # enclosing-ellipsoid volume tolerance
 MVEE_MAX_ITER = 200_000      # iteration cap of the enclosing-ellipsoid ascent
+
+
+class NoConvergence(CylpackError):
+    """The ellipsoid ascent hit its iteration cap before reaching tolerance."""
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,7 +13,6 @@ from cylpack.errors import (
     DimensionMismatch,
     DomainError,
     FullDimensional,
-    NoConvergence,
     RankDeficient,
     SamplingFailure,
     UnsupportedDimension,
@@ -272,7 +271,7 @@ def test_mvee_simplex_circumcircle():
 
 def test_mvee_raises_when_the_ascent_runs_out(monkeypatch, rng):
     monkeypatch.setattr(mvee_oracle, "MVEE_MAX_ITER", 1)
-    with pytest.raises(NoConvergence):
+    with pytest.raises(mvee_oracle.NoConvergence):
         mvee_oracle.mvee(rng.standard_normal((40, 3)), tol=1e-6)
 
 
