@@ -41,6 +41,17 @@ SET_CACHE_SIZE = 8           # separated sets kept for reuse across codimensions
 _BAND = 1e-9                 # filter margin, far beyond product rounding
 _HULL_MARGIN = 1e-9          # facet level margin, far beyond qhull's rounding
 _ROW_BLOCK = 256             # members per product in the blocked filter
+# candidates per product: one draw.  256 x 512 x d products with d <= 8 stay
+# below OpenBLAS's 2**20 threading size when the candidate columns are
+# C-ordered (surviving columns are carried on with ``compress``, since a
+# boolean column index gives F order, which threads from about 342
+# columns); a threaded product with K = d can wait about 16 ms for its
+# second thread on a shared 2-vCPU host
+_COL_BLOCK = 512
+_CELL_MEMBERS = 512          # members and candidates from which the filter
+_CELL_CANDIDATES = 2048      # screens each candidate's own cell first
+_CELL_BITS = 5               # coordinate signs that name a cell
+_BATCH_INSERTIONS = 64       # insertions a greedy batch of draws expects
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,17 +108,31 @@ def _filter(cands: np.ndarray, members: np.ndarray, cos_sep: float,
     (Higham 2002, section 3.1) and the float32 cut within 2 * 2**-24 of its
     float64 value, so the float64 pass, which alone decides the survivors
     and their levels, would drop it too.
+
+    From _CELL_MEMBERS members and _CELL_CANDIDATES candidates on, a cell
+    screen (``_cell_screen``) runs before both: each candidate against the
+    members of its own cell only, with the same float32 cut, so it too drops
+    only what the float64 pass would drop.  The candidates it keeps take both
+    passes unchanged; the cells move speed, never bytes.  The float32 screen
+    takes at most _COL_BLOCK candidates per product, and the float64 pass
+    runs as before over all the candidates the screens keep, so that its
+    levels keep their bytes.
     """
     gamma = geom.float32_dot_margin(cands.shape[1])
-    idx = np.arange(len(cands))
-    cols = cands.T.astype(np.float32, order="C")
-    m32 = members.astype(np.float32)
     cut32 = np.float32(cos_sep + _BAND + gamma)
-    for start in range(0, len(members), _ROW_BLOCK):
-        keep = _column_peak(m32[start:start + _ROW_BLOCK], cols, metric) < cut32
-        idx, cols = idx[keep], cols[:, keep]
-        if len(idx) == 0:
-            break
+    idx, screened = np.arange(len(cands)), cands
+    if len(members) >= _CELL_MEMBERS and len(cands) >= _CELL_CANDIDATES:
+        idx = _cell_screen(cands, members, cut32, metric)
+        screened = cands[idx]
+    cols = screened.T.astype(np.float32, order="C")
+    m32 = members.astype(np.float32)
+    if len(idx) <= _COL_BLOCK:
+        idx = _screen32(cols, idx, m32, cut32, metric)
+    else:
+        idx = np.concatenate([_screen32(cols[:, start:start + _COL_BLOCK],
+                                        idx[start:start + _COL_BLOCK], m32, cut32,
+                                        metric)
+                              for start in range(0, len(idx), _COL_BLOCK)])
     cols = cands[idx].T.copy()
     peak = np.full(len(idx), -np.inf)
     for start in range(0, len(members), _ROW_BLOCK):
@@ -118,6 +143,58 @@ def _filter(cands: np.ndarray, members: np.ndarray, cos_sep: float,
         keep = peak < cos_sep + _BAND
         idx, peak, cols = idx[keep], peak[keep], cols[:, keep]
     return idx, peak
+
+
+def _screen32(cols: np.ndarray, idx: np.ndarray, m32: np.ndarray,
+              cut32: np.float32, metric: str) -> np.ndarray:
+    """The indices, one per float32 candidate column, of the columns whose
+    levels against the float32 members, in row blocks, stay below cut32."""
+    for start in range(0, len(m32), _ROW_BLOCK):
+        keep = _column_peak(m32[start:start + _ROW_BLOCK], cols, metric) < cut32
+        idx, cols = idx[keep], cols.compress(keep, axis=1)
+        if len(idx) == 0:
+            break
+    return idx
+
+
+def _cells(rows: np.ndarray, metric: str) -> tuple[np.ndarray, np.ndarray]:
+    """(order, bounds) of the columns of (d, N) coordinates by cell: cell c
+    holds columns order[bounds[c]:bounds[c + 1]].  A column's cell is the
+    signs of its coordinates x_0 .. x_4, or when projective those of x_1 ..
+    x_5 relative to the sign of x_0, so that +-x share a cell.  Where these
+    fixed planes cut moves the screen's speed, never the filter's bytes."""
+    lead = metric == PROJECTIVE
+    flip = np.signbit(rows[0]) if lead else False
+    keys = np.zeros(rows.shape[1], np.uint8)
+    for bit, row in enumerate(rows[lead:lead + _CELL_BITS]):
+        keys |= (np.signbit(row) ^ flip).view(np.uint8) << bit
+    bounds = np.zeros((1 << _CELL_BITS) + 1, np.intp)
+    np.cumsum(np.bincount(keys, minlength=1 << _CELL_BITS), out=bounds[1:])
+    return np.argsort(keys, kind="stable"), bounds
+
+
+def _cell_screen(cands: np.ndarray, members: np.ndarray, cut32: np.float32,
+                 metric: str) -> np.ndarray:
+    """Indices, in increasing order, of the candidates whose float32 levels
+    against the members of their own cell all lie below cut32, in products
+    of at most _ROW_BLOCK members and _COL_BLOCK candidates."""
+    morder, mbounds = _cells(members.T, metric)
+    order, bounds = _cells(cands.T, metric)
+    m32 = members[morder].astype(np.float32)
+    cols = cands[order].T.astype(np.float32, order="C")
+    peak = np.full(len(cands), -np.inf, np.float32)
+    bounds, mbounds = bounds.tolist(), mbounds.tolist()
+    for cell in range(1 << _CELL_BITS):
+        rows = m32[mbounds[cell]:mbounds[cell + 1]]
+        if len(rows) == 0:
+            continue
+        for start in range(bounds[cell], bounds[cell + 1], _COL_BLOCK):
+            span = slice(start, min(start + _COL_BLOCK, bounds[cell + 1]))
+            for row in range(0, len(rows), _ROW_BLOCK):
+                np.maximum(peak[span], _column_peak(rows[row:row + _ROW_BLOCK],
+                                                    cols[:, span], metric),
+                           out=peak[span])
+    return np.sort(order[peak < cut32])
 
 
 def _insert(cands: np.ndarray, buf: np.ndarray, n: int, cos_sep: float,
@@ -211,19 +288,35 @@ def _greedy(d: int, cos_sep: float, metric: str, seed: int,
     where it first reaches each of ``budgets`` consecutive rejections, in
     increasing order; the phase goes on from the exact candidate it stopped
     at, so every stop is a prefix of the last.  Rows of ``buf`` past n may be
-    overwritten between stops."""
+    overwritten between stops.
+
+    Proposals come in draws of 512.  Once the set has _CELL_MEMBERS members,
+    ``_insert`` takes a batch of draws, as many as held _BATCH_INSERTIONS
+    insertions at the last call's rate but never one past the draw that
+    holds the stop, so the stream, the stops and the number of draws are
+    those of one draw per call.  The cell screen reads the whole batch, while
+    the float64 pass and the walk see about as few candidates as with one
+    draw, so no product grows to a size BLAS would thread."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0x5E7)))
     buf = np.empty((64, d))
     n = 0
     rejects = 0
     block = np.empty((0, d))
+    draws = 1
     for budget in budgets:
         while rejects < budget:
             if not len(block):
-                block = geom.uniform_sphere_points(d, 512, rng)
+                # a proposal adds at most one rejection, so the stop lies
+                # at least budget - rejects proposals ahead
+                draws = min(draws, -(-(budget - rejects) // 512))
+                block = np.concatenate([geom.uniform_sphere_points(d, 512, rng)
+                                        for _ in range(draws)])
+            start = n
             buf, n, rejects, read = _insert(block, buf, n, cos_sep, metric,
                                             rejects, budget)
             block = block[read:]
+            if n >= _CELL_MEMBERS:
+                draws = max(1, _BATCH_INSERTIONS * read // (512 * max(n - start, 1)))
         yield buf, n
 
 
@@ -231,12 +324,16 @@ def build_separated_set(d: int, two_delta: float, metric: str = PROJECTIVE,
                         seed: int = 0) -> SeparatedSet:
     """Maximal (two_delta)-separated set on the unit sphere, certified by a hull.
 
-    Greedy phase: uniform proposals, in blocks of 512, go through ``_insert``
+    Greedy phase: uniform proposals, in draws of 512, go through ``_insert``
     until a run of consecutive rejections; the points are bit-identical to
-    testing each candidate one by one.  Completion (``_complete``) inserts the
-    centres of empty caps wider than two_delta, read off one spherical hull,
-    the same way; the covering radius is rounded up by 1e-9 in cosine, far
-    beyond qhull's rounding of a facet offset.
+    testing each candidate one by one.  From _CELL_MEMBERS members on, where
+    ``_filter`` screens cells, one call takes a batch of draws (``_greedy``),
+    never one past the draw that holds the stop, so the proposal stream and
+    the number of draws are those of one draw per call.  Completion
+    (``_complete``) inserts the centres of empty caps wider than two_delta,
+    read off one spherical hull, the same way; the covering radius is
+    rounded up by 1e-9 in cosine, far beyond qhull's rounding of a facet
+    offset.
 
     Maximality, not the greedy run, carries the counting bound, so where d
     has a hull budget the greedy phase first stops at SHORT_STREAK

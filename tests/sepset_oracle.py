@@ -17,6 +17,10 @@ from every member.  A certified maximal set must leave none.
 ``_filter`` is the blocked filter before its float32 screen, kept verbatim
 (candidates x members products, one float64 pass), so that tests can require
 the screened ``cylpack.cappack._filter`` to return the same masks.
+``screened_filter`` is that screened filter before its cell screen, kept
+verbatim (a float32 screen over all members, then the float64 pass), so
+that tests can require ``cylpack.cappack._filter`` to return its
+``(idx, peak)`` bytes on both sides of the cell-screen threshold.
 
 ``check_separation`` verifies every pair of a set through the pole
 certificate, and ``widest_empty_cap`` measures a set's covering radius on a
@@ -72,6 +76,51 @@ def _filter(cands: np.ndarray, members: np.ndarray, cos_sep: float,
     far[idx[peak < cos_sep - _BAND]] = True
     near[idx[peak >= cos_sep - _BAND]] = True
     return far, near
+
+
+def _column_peak(rows: np.ndarray, cols: np.ndarray, metric: str) -> np.ndarray:
+    """Largest level of each column against the rows.  The rows x columns
+    level block is freed on return, before the caller's next product."""
+    level = rows @ cols
+    if metric == PROJECTIVE:
+        np.abs(level, out=level)
+    return np.max(level, axis=0)
+
+
+def screened_filter(cands: np.ndarray, members: np.ndarray, cos_sep: float,
+                    metric: str) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the candidates with every level against the members below
+    cos_sep + _BAND, and their largest levels.
+
+    Members are scanned in row blocks of members x (d x N) candidate
+    products, carrying only surviving columns on.  A float32 screen runs
+    first and drops a candidate only at a level of at least cos_sep + _BAND +
+    gamma, gamma = ``geom.float32_dot_margin(d)`` = 8 (d + 2) 2**-24: a
+    float32 unit-vector level is within (d + 2) 2**-24 of the exact one
+    (Higham 2002, section 3.1) and the float32 cut within 2 * 2**-24 of its
+    float64 value, so the float64 pass, which alone decides the survivors
+    and their levels, would drop it too.
+    """
+    gamma = geom.float32_dot_margin(cands.shape[1])
+    idx = np.arange(len(cands))
+    cols = cands.T.astype(np.float32, order="C")
+    m32 = members.astype(np.float32)
+    cut32 = np.float32(cos_sep + _BAND + gamma)
+    for start in range(0, len(members), _ROW_BLOCK):
+        keep = _column_peak(m32[start:start + _ROW_BLOCK], cols, metric) < cut32
+        idx, cols = idx[keep], cols[:, keep]
+        if len(idx) == 0:
+            break
+    cols = cands[idx].T.copy()
+    peak = np.full(len(idx), -np.inf)
+    for start in range(0, len(members), _ROW_BLOCK):
+        if len(idx) == 0:
+            break
+        peak = np.maximum(peak, _column_peak(members[start:start + _ROW_BLOCK],
+                                             cols, metric))
+        keep = peak < cos_sep + _BAND
+        idx, peak, cols = idx[keep], peak[keep], cols[:, keep]
+    return idx, peak
 
 
 _SET_CACHE: dict = {}

@@ -2,7 +2,12 @@
 
 - ``cappack._filter`` (float32 screen, then the float64 pass) keeps the same
   candidates as the float64 filter alone (``sepset_oracle._filter``), each
-  on the same side of the band;
+  on the same side of the band, and with its cell screen it returns the
+  ``(idx, peak)`` bytes of the screened filter before the cells
+  (``sepset_oracle.screened_filter``) on both sides of the cell threshold;
+- the batched greedy phase makes the one-draw-at-a-time phase's 512-row
+  draws, the last one holding the stop, and the sets that run the cell
+  screen keep their pins;
 - the greedy phase, which sends only candidates within ``_BAND`` of the
   threshold to ``_pair_ok``, builds the greedy points of the one-at-a-time
   construction (``sepset_oracle.greedy_points``, stopped at the short streak
@@ -119,6 +124,106 @@ def test_filter_matches_oracle_without_members_and_in_one_block(metric):
         got = _filter_masks(cands, members, cos_sep, metric)
         ref = sepset_oracle._filter(cands, members, cos_sep, metric)
         assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+
+def _cell_of(points, metric):
+    """Cell index of each point, as ``cappack._cells`` sorts them."""
+    order, bounds = cappack._cells(points.T, metric)
+    cell = np.empty(len(points), dtype=int)
+    for c in range(len(bounds) - 1):
+        cell[order[bounds[c]:bounds[c + 1]]] = c
+    return cell
+
+
+def _level(a, b, metric):
+    dots = a @ b.T
+    return np.abs(dots) if metric == cappack.PROJECTIVE else dots
+
+
+def _cell_case(d, metric, count, size, rng):
+    """(members, candidates, cos_sep, placed) for the cell screen.
+
+    ``count`` members: uniform points and, per coordinate a cell plane may
+    use, an anchor at angle theta / 2 from that plane (theta = arccos
+    cos_sep).  ``size`` candidates: points at levels cos_sep +- _BAND / 2
+    against each anchor, moved away from the plane (placed[0]) and across it
+    (placed[1]), with no other member near them; every seventh member and
+    its antipode; points with a zero and a negative zero coordinate on each
+    plane; and uniform points.  cos_sep is the median largest level of
+    uniform probes, so about half the uniform candidates are dropped."""
+    members = geom.uniform_sphere_points(d, count + 200, rng)
+    probes = geom.uniform_sphere_points(d, 1000, rng)
+    cos_sep = float(np.median(_level(probes, members[:count], metric).max(axis=1)))
+    theta = math.acos(cos_sep)
+    planes = range(min(d, cappack._CELL_BITS + 1))
+    anchors, placed = [], ([], [])
+    for j in planes:
+        while True:
+            a = _unit(rng.standard_normal(d))
+            a[j] = 0.0
+            a = math.cos(theta / 2) * _unit(a)
+            a[j] = math.sin(theta / 2)
+            e = np.eye(d)[j]
+            pts = [t * a + math.sqrt(1.0 - t * t) * _unit(v - (v @ a) * a)
+                   for v in (e, -e)
+                   for t in (cos_sep + cappack._BAND / 2, cos_sep - cappack._BAND / 2)]
+            # no anchor near another anchor's points
+            if not anchors or max(_level(np.array(pts), np.array(anchors), metric).max(),
+                                  _level(np.vstack(placed), a[None], metric).max()) \
+                    < cos_sep - 1e-3:
+                break
+        anchors.append(a)
+        placed[0].extend(pts[:2])
+        placed[1].extend(pts[2:])
+    placed = tuple(np.array(p) for p in placed)
+    near = np.vstack(placed)
+    far = _level(members, near, metric).max(axis=1) < cos_sep - 1e-3
+    members = np.vstack([members[far][:count - len(anchors)], anchors])
+    zeros = []
+    for j in planes:
+        for zero in (0.0, -0.0):
+            z = _unit(rng.standard_normal(d))
+            z[j] = zero
+            zeros.append(_unit(z))
+    fixed = np.vstack([near, members[::7], -members[::7], zeros])
+    cands = np.vstack([fixed, geom.uniform_sphere_points(d, size - len(fixed), rng)])
+    return members, cands[rng.permutation(size)], cos_sep, placed
+
+
+@pytest.mark.parametrize("count,size", [(511, 16384), (512, 2047), (512, 2048),
+                                        (1500, 16384)])
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("d", range(2, 8))
+def test_cell_screen_keeps_the_screened_filter_bytes(monkeypatch, d, metric,
+                                                      count, size):
+    assert (sepset_oracle._BAND, sepset_oracle._ROW_BLOCK) == \
+        (cappack._BAND, cappack._ROW_BLOCK)
+    assert (cappack._CELL_MEMBERS, cappack._CELL_CANDIDATES) == (512, 2048)
+    rng = np.random.default_rng(300 + 10 * d + count + size)
+    members, cands, cos_sep, placed = _cell_case(d, metric, count, size, rng)
+    assert len(members) == count and len(cands) == size
+    screens = []
+    real = cappack._cell_screen
+    monkeypatch.setattr(cappack, "_cell_screen",
+                        lambda *args: screens.append(1) or real(*args))
+    idx, peak = cappack._filter(cands, members, cos_sep, metric)
+    ref_idx, ref_peak = sepset_oracle.screened_filter(cands, members, cos_sep, metric)
+    assert idx.dtype == ref_idx.dtype and peak.dtype == ref_peak.dtype
+    assert idx.tobytes() == ref_idx.tobytes() and peak.tobytes() == ref_peak.tobytes()
+    assert len(screens) == (count >= 512 and size >= 2048)
+    # the placed candidates lie in the band, each held by its anchor in its
+    # own cell or across a cell plane, and both sides occur
+    anchors = members[len(members) - len(placed[0]) // 2:]
+    for side, pts in enumerate(placed):
+        owner = np.repeat(anchors, 2, axis=0)
+        assert np.all(np.abs(np.sum(pts * owner, axis=1) - cos_sep) < cappack._BAND)
+        crossed = _cell_of(pts, metric) != _cell_of(owner, metric)
+        assert crossed.any() if side else not crossed.all()
+    kept = cands[idx]
+    for pts in placed:
+        assert all((kept == p).all(axis=1).any() for p in pts)
+    # the uniform candidates are dropped and kept in about equal numbers
+    assert 0.2 < len(idx) / size < 0.8
 
 
 def _instrumented_build(monkeypatch, d, delta, metric, seed):
@@ -306,32 +411,54 @@ def test_cap_family_is_checked_once_per_family(monkeypatch):
                          ("_checked_caps", len(family))]
 
 
-# sha256 of projective sets (seed 1), of their greedy prefix (the first
-# n_greedy points, the bytes the one-at-a-time greedy phase writes) and of
-# their k = 1, 2 cap-family frames and poles, as the one-at-a-time frame
-# construction wrote them (numpy 2.4 with OpenBLAS on x86-64).  The oracle
-# grid above stops at d = 5; the d = 6 sets are over the hull budget, so they
-# are their greedy phase alone, and the d = 5 set pins hull-inserted points
-# after a greedy phase stopped at SHORT_STREAK rejections.
+# sha256 of sets (seed 1), of their greedy prefix (the first n_greedy
+# points, the bytes the one-at-a-time greedy phase writes) and of their k =
+# 1, 2 cap-family frames and poles, as the one-at-a-time frame construction
+# wrote them (numpy 2.4 with OpenBLAS on x86-64).  The oracle grid above stops
+# at d = 5; the d = 6 sets are over the hull budget, so they are their greedy
+# phase alone, and the d = 5 projective (5, 0.3) set pins hull-inserted
+# points after a greedy phase stopped at SHORT_STREAK rejections.  The
+# geodesic (6, 0.2) and (5, 0.2) sets and the projective (4, 0.1) set are
+# uncertified greedy phases that pass _CELL_MEMBERS members early and run
+# the cell screen for most of their proposals; their pins were recorded
+# before it came in.
 SET_PINS = {
-    (6, 0.2): ("c20aa7159cbf8c209175543012a1ea98b326594b706c76b76608c6128ad227f1", 1115,
-               ("c20aa7159cbf8c209175543012a1ea98b326594b706c76b76608c6128ad227f1", 1115),
-               {1: "fe915ff176755af508938a6ec6c3b841750db9ddc9c0d0419eb4414581adafb9",
-                2: "312691d901684a9732ef964fe55ee994d89245e1d70ac8a5cb13ac7480f80fb3"}),
-    (6, 0.3): ("2abfb911923d17bccd33812761c4f706db003cb1f8e0938672829c0da85e65d4", 168,
-               ("2abfb911923d17bccd33812761c4f706db003cb1f8e0938672829c0da85e65d4", 168),
-               {1: "dce9b41c8b58c7bacdd3a576f4a496fb5e63ea215809006290ba7306a0aeea40",
-                2: "72ef234f7c04bb16953293e8f0bc1f530a6f1fb1fdfb81b1c600f14540e1c4dd"}),
-    (5, 0.3): ("79b537ecb740a1a65334640140a280e67d293c6c8814cb1afeac360f637e472c", 91,
-               ("e129d86a4217db283445e66b6011ff38f539fe0c5693eed5f6647220efda3132", 61),
-               {1: "9791e3c9ad91ffbe2a8e4c65a0897e40e5d4365f653488076c2bb8b7949e1d47",
-                2: "38b10bfe5530c094ef4bfabc27221075d44ca96a75f7d39146318e9dde08698a"}),
+    (6, 0.2, cappack.PROJECTIVE): (
+        "c20aa7159cbf8c209175543012a1ea98b326594b706c76b76608c6128ad227f1", 1115,
+        ("c20aa7159cbf8c209175543012a1ea98b326594b706c76b76608c6128ad227f1", 1115),
+        {1: "fe915ff176755af508938a6ec6c3b841750db9ddc9c0d0419eb4414581adafb9",
+         2: "312691d901684a9732ef964fe55ee994d89245e1d70ac8a5cb13ac7480f80fb3"}),
+    (6, 0.3, cappack.PROJECTIVE): (
+        "2abfb911923d17bccd33812761c4f706db003cb1f8e0938672829c0da85e65d4", 168,
+        ("2abfb911923d17bccd33812761c4f706db003cb1f8e0938672829c0da85e65d4", 168),
+        {1: "dce9b41c8b58c7bacdd3a576f4a496fb5e63ea215809006290ba7306a0aeea40",
+         2: "72ef234f7c04bb16953293e8f0bc1f530a6f1fb1fdfb81b1c600f14540e1c4dd"}),
+    (5, 0.3, cappack.PROJECTIVE): (
+        "79b537ecb740a1a65334640140a280e67d293c6c8814cb1afeac360f637e472c", 91,
+        ("e129d86a4217db283445e66b6011ff38f539fe0c5693eed5f6647220efda3132", 61),
+        {1: "9791e3c9ad91ffbe2a8e4c65a0897e40e5d4365f653488076c2bb8b7949e1d47",
+         2: "38b10bfe5530c094ef4bfabc27221075d44ca96a75f7d39146318e9dde08698a"}),
+    (6, 0.2, cappack.GEODESIC): (
+        "5e0dccfa07462a12a29c5971cc8f655a3c7921488b201ccb98f8270d0160a117", 2263,
+        ("5e0dccfa07462a12a29c5971cc8f655a3c7921488b201ccb98f8270d0160a117", 2263),
+        {1: "d3476d3206b8cef5c39b6c20625be2f2552a8fd71a6a4e1576b6f2cb947b267a",
+         2: "fe9d051149129c1e14023fa93ada70a791eb86cc739e90c67376975b057b655d"}),
+    (5, 0.2, cappack.GEODESIC): (
+        "27dc350192183e78cd24a3be220ed986538b7b623f647cecc4fd0280839b4a2c", 706,
+        ("27dc350192183e78cd24a3be220ed986538b7b623f647cecc4fd0280839b4a2c", 706),
+        {1: "3e75b1c1c7ec1495c0c41a6b57b6ae4a86fa601c18d59bfc048f386ec0b253f5",
+         2: "0bbba3e0573e0d4c0561d1549ef5742360f7c62fe5c0a198a12cf10e9f235ad5"}),
+    (4, 0.1, cappack.PROJECTIVE): (
+        "8535868a0ea2feed4c52876b286c14316e376be6e1b4a564d4a542235504e338", 787,
+        ("8535868a0ea2feed4c52876b286c14316e376be6e1b4a564d4a542235504e338", 787),
+        {1: "262d9d05a39242ecf87bbca17abee6156c96d3c61a1906f7415f679d2fed1231",
+         2: "cf9aad44f9e5c31d35baf7f537f91d8c7f9aac361095e935a4cbeaedc4fd71be"}),
 }
 
 
-def assert_set_pinned(d, delta):
-    set_pin, size, (greedy_pin, n_greedy), frame_pins = SET_PINS[d, delta]
-    sep_set = cappack.build_separated_set(d, 2 * delta, cappack.PROJECTIVE, seed=1)
+def assert_set_pinned(d, delta, metric=cappack.PROJECTIVE):
+    set_pin, size, (greedy_pin, n_greedy), frame_pins = SET_PINS[d, delta, metric]
+    sep_set = cappack.build_separated_set(d, 2 * delta, metric, seed=1)
     assert len(sep_set) == size
     assert sep_set.maximal == (size > n_greedy)
     assert hashlib.sha256(sep_set.points[:n_greedy].tobytes()).hexdigest() == greedy_pin
@@ -352,3 +479,52 @@ def test_d6_sets_and_frames_pinned(delta):
 def test_d5_completed_set_and_frames_pinned():
     assert_set_pinned(5, 0.3)
 
+
+@pytest.mark.parametrize("d,delta,metric", [(6, 0.2, cappack.GEODESIC),
+                                            (5, 0.2, cappack.GEODESIC),
+                                            (4, 0.1, cappack.PROJECTIVE)])
+def test_cell_screened_sets_and_frames_pinned(d, delta, metric):
+    assert_set_pinned(d, delta, metric)
+
+
+# proposal draws of the seed-1 sets before batched draws came in: 512 rows
+# each, the last one holding the greedy phase's stop
+SET_DRAWS = {(6, 0.2, cappack.PROJECTIVE): 394, (6, 0.2, cappack.GEODESIC): 876,
+             (5, 0.2, cappack.GEODESIC): 351, (4, 0.1, cappack.PROJECTIVE): 255,
+             (4, 0.3, cappack.PROJECTIVE): 3}
+
+
+@pytest.mark.parametrize("d,delta,metric", list(SET_DRAWS))
+def test_batched_draws_stop_in_the_block_of_the_stop(monkeypatch, d, delta, metric):
+    draws, read = [], []
+    real_draw, real_insert = geom.uniform_sphere_points, cappack._insert
+
+    def draw(dim, n, rng):
+        draws.append((dim, n, rng))
+        return real_draw(dim, n, rng)
+
+    def insert(cands, buf, n, cos_sep, metric, rejects=0, budget=math.inf):
+        out = real_insert(cands, buf, n, cos_sep, metric, rejects, budget)
+        if budget < math.inf:  # a greedy call, not a completion round
+            read.append(out[3])
+        return out
+
+    monkeypatch.setattr(geom, "uniform_sphere_points", draw)
+    monkeypatch.setattr(cappack, "_insert", insert)
+    cappack._cached_set.cache_clear()
+    try:
+        cappack.build_separated_set(d, 2 * delta, metric, seed=1)
+    finally:
+        cappack._cached_set.cache_clear()
+    assert len(draws) == SET_DRAWS[d, delta, metric]
+    assert all(dim == d and n == 512 for dim, n, _ in draws)
+    # the rows left unread at the last stop lie in the block that holds it
+    assert 0 <= 512 * len(draws) - sum(read) < 512
+    # every draw is from the proposal stream, and nothing else reads it: the
+    # stream stands where as many fresh draws leave it
+    rng = draws[0][2]
+    assert all(r is rng for _, _, r in draws)
+    fresh = np.random.default_rng(np.random.SeedSequence(entropy=(1, 0x5E7)))
+    for _ in draws:
+        real_draw(d, 512, fresh)
+    assert fresh.bit_generator.state == rng.bit_generator.state
