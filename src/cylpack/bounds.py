@@ -442,57 +442,56 @@ def _golden_search(probe, a: float, b: float, tol: float, start=None):
     """(lo, hi, z) for the maximum over [a, b] of a concave g whose probe at
     x gives (lo, hi, z): lo <= g(x) <= hi and z the point achieving lo, or
     (-inf, inf, None) where it found no point of the domain.  The first
-    probes are the ends of ``start`` (by default [a, b]) and its golden
-    points.  While the best probe (by lo, the first in x on ties) is an end
-    short of a or b, the next probe widens past it by a golden step.
-    Otherwise the maximum lies between the best probe's neighbours, and the
-    next probe is :func:`_parabolic_step`'s, or the golden point of the
-    larger side when it declines, when a neighbour is a chord end (g may
-    drop there) or when this bracket is wider than half the one two steps
-    before.  :class:`_Envelope` bounds g on all of [a, b] from all probes.
-    Stops at hi - lo <= tol * hi or once the bracket has shrunk to adjacent
-    doubles.
+    probes are the ends of ``start`` and its golden points; ``start`` is
+    [a, b] when it is not given or its ends are equal.  While the best probe
+    (by lo, the first in x on ties) is an end short of a or b, the next
+    probe widens past it by a golden step.  Otherwise the maximum lies
+    between the best probe's neighbours, and the next probe is
+    :func:`_parabolic_step`'s, or the golden point of the larger side when
+    it declines, when a neighbour is a chord end (g may drop there) or when
+    this bracket is wider than half the one two steps before.  From the
+    first probes on, :func:`_concave_envelope` bounds g on all of [a, b]
+    from all probes.  Stops at hi - lo <= tol * hi or once the bracket has
+    shrunk to adjacent doubles.
     """
     if not a < b:
         return probe(a)
-    ends, seen, xs, envelope = (a, b), {}, [], _Envelope(a, b)
-
-    def take(x):
-        seen[x] = found = probe(x)
-        bisect.insort(xs, x)
-        return envelope.add(x, *found)
-
-    if start is not None:
+    ends, found = (a, b), []  # probes (x, lo, hi, z) in x order
+    if start is not None and start[0] < start[1]:
         a, b = start
     for x in dict.fromkeys((a, b - GOLDEN * (b - a), a + GOLDEN * (b - a), b)):
-        lo, hi, z = take(x)  # a golden point can round onto an end
+        bisect.insort(found, (x, *probe(x)))  # a golden point can round onto an end
+    lo, hi, z = _concave_envelope(found, *ends)
     widths = []
     while lo < (1.0 - tol) * hi:
-        i = max(range(len(xs)), key=lambda j: seen[xs[j]][0])
-        x = xs[i]
+        i = max(range(len(found)), key=lambda j: found[j][1])
+        x = found[i][0]
         if i == 0 and x > ends[0]:
-            u = max(x - (xs[1] - x) / GOLDEN, ends[0])
-        elif i == len(xs) - 1 and x < ends[1]:
-            u = min(x + (x - xs[-2]) / GOLDEN, ends[1])
+            u = max(x - (found[1][0] - x) / GOLDEN, ends[0])
+        elif i == len(found) - 1 and x < ends[1]:
+            u = min(x + (x - found[-2][0]) / GOLDEN, ends[1])
         else:
-            a, b = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
+            left, right = found[max(i - 1, 0)], found[min(i + 1, len(found) - 1)]
+            a, b = left[0], right[0]
             widths.append(b - a)
             u = None
             if ends[0] < a and b < ends[1] and not (
                     len(widths) > 2 and widths[-1] > 0.5 * widths[-3]):
-                u = _parabolic_step(seen, a, x, b, tol)
+                u = _parabolic_step(left, found[i], right, tol)
             if u is None:
                 u = x + (1.0 - GOLDEN) * ((a - x) if x - a > b - x else (b - x))
-        if u in seen:
+        j = bisect.bisect_left(found, (u,))
+        if j < len(found) and found[j][0] == u:
             break
-        lo, hi, z = take(u)
+        found.insert(j, (u, *probe(u)))
+        lo, hi, z = _concave_envelope(found, *ends)
     return lo, hi, z
 
 
-def _parabolic_step(seen, a: float, x: float, b: float, tol: float) -> float | None:
-    """Vertex of the parabola through the lo values of the probes ``seen``
-    at a < x < b, x the best, kept a floor away from every probe: a vertex
-    nearer x moves out to the floor on its side, one nearer a or b is
+def _parabolic_step(at_a, at_x, at_b, tol: float) -> float | None:
+    """Vertex of the parabola through the lo values of the probes (x, lo,
+    hi, z) at a < x < b, x the best, kept a floor away from every probe: a
+    vertex nearer x moves out to the floor on its side, one nearer a or b is
     declined (None).  The floor is PARABOLA_SPACING sqrt(tol g / c) for the
     parabola g - c (t - vertex)^2, a tenth of the distance over which it
     falls by tol g.  Where the probes are brackets (lo < hi) it is at least
@@ -500,7 +499,7 @@ def _parabolic_step(seen, a: float, x: float, b: float, tol: float) -> float | N
     much closer than the gaps it extends into would carry their bracket
     widths across those gaps.
     """
-    (ya, ha, _), (yx, hx, _), (yb, hb, _) = seen[a], seen[x], seen[b]
+    (a, ya, ha, _), (x, yx, hx, _), (b, yb, hb, _) = at_a, at_x, at_b
     left, right = (yx - ya) / (x - a), (yb - yx) / (b - x)
     curv = (left - right) / (b - a)
     if not curv > 0.0:
@@ -514,58 +513,41 @@ def _parabolic_step(seen, a: float, x: float, b: float, tol: float) -> float | N
     return u if a + floor <= u <= b - floor else None
 
 
-class _Envelope:
-    """(lo, hi, z) of the probes (x, lo, hi, z) taken so far over [a, b]:
-    the first best probe in x and an upper bound of the concave g on [a, b].
-    Between two probes g stays below the chords through the probe pairs next
-    to the gap, extended into it; a chord takes hi at its end next to the gap
-    and lo at its far end, so brackets keep the bound sound (hi = inf ends no
-    chord).  One chord reaches past the outer probes to a and b, none the
-    gap of two probes.  Each gap keeps its bound, so a probe recomputes only
-    the at most four gaps whose chords it touches; hi is the first largest
-    gap or end bound in x order, as a rescan of all probes takes it.
+def _concave_envelope(found: list, a: float, b: float):
+    """(lo, hi, z) of the probes (x, lo, hi, z), sorted by x, that found a
+    point of the domain (z not None): the first best and an upper bound of
+    the concave g on [a, b].  Between two probes g stays below the chords
+    through the probe pairs next to the gap, extended into it; a chord takes
+    hi at its end next to the gap and lo at its far end, so brackets keep
+    the bound sound (hi = inf ends no chord).  One chord reaches past the
+    outer probes to a and b, none the gap of two probes.
     """
-
-    def __init__(self, a: float, b: float):
-        self.ends, self.found, self.gaps = (a, b), [], []
-
-    def add(self, x: float, lo: float, hi: float, z):
-        """The envelope after the probe at x; one with z None adds nothing."""
-        found = self.found
-        if z is not None:
-            j = bisect.bisect(found, (x,))
-            found.insert(j, (x, lo, hi, z))
-            if len(found) > 1:
-                self.gaps.insert(j, None)
-            for i in range(max(j - 2, 0), min(j + 2, len(self.gaps))):
-                self.gaps[i] = self._gap(i)
-        if not found:
-            return -math.inf, math.inf, None
-        _, lo, _, z = max(found, key=lambda probe: probe[1])
-        if len(found) < 3:
-            return lo, math.inf, z
-        tops = list(self.gaps)
-        for end, near, far in ((self.ends[0], 0, 1), (self.ends[1], -1, -2)):
-            (x0, _, h0, _), (x1, l1, _, _) = found[near], found[far]
-            if end != x0:
-                tops += [h0, h0 + (h0 - l1) / (x0 - x1) * (end - x0)]
-        return lo, max(tops), z
-
-    def _gap(self, i: int) -> float:
-        found = self.found
-        (x0, _, h0, _), (x1, _, h1, _) = found[i], found[i + 1]
-        width, left, right = x1 - x0, (math.inf,) * 2, (math.inf,) * 2
+    found = [p for p in found if p[3] is not None]
+    if not found:
+        return -math.inf, math.inf, None
+    xs, lo, hi, zs = zip(*found)
+    k = len(xs)
+    best = max(range(k), key=lo.__getitem__)
+    if k < 3:
+        return lo[best], math.inf, zs[best]
+    top = -math.inf
+    for i in range(k - 1):  # chord values (l0, l1) and (r0, r1) at the gap's ends
+        l0 = l1 = r0 = r1 = math.inf
         if i > 0:
-            xp, lp = found[i - 1][:2]
-            left = (h0, h0 + (h0 - lp) / (x0 - xp) * width)
-        if i + 2 < len(found):
-            xn, ln = found[i + 2][:2]
-            right = (h1 + (h1 - ln) / (xn - x1) * width, h1)
-        top = max(min(left[0], right[0]), min(left[1], right[1]))
-        d0, d1 = left[0] - right[0], left[1] - right[1]  # nan or inf without two chords
+            rise = (hi[i] - lo[i - 1]) / (xs[i] - xs[i - 1])
+            l0, l1 = hi[i], hi[i] + rise * (xs[i + 1] - xs[i])
+        if i + 2 < k:
+            rise = (hi[i + 1] - lo[i + 2]) / (xs[i + 2] - xs[i + 1])
+            r0, r1 = hi[i + 1] + rise * (xs[i + 1] - xs[i]), hi[i + 1]
+        top = max(top, min(l0, r0), min(l1, r1))
+        d0, d1 = l0 - r0, l1 - r1  # nan or inf without two chords
         if d0 * d1 < 0.0:
-            top = max(top, left[0] + d0 / (d0 - d1) * (left[1] - left[0]))
-        return top
+            top = max(top, l0 + d0 / (d0 - d1) * (l1 - l0))
+    for end, near, far in ((a, 0, 1), (b, k - 1, k - 2)):
+        if end != xs[near]:
+            rise = (hi[near] - lo[far]) / (xs[near] - xs[far])
+            top = max(top, hi[near], hi[near] + rise * (end - xs[near]))
+    return lo[best], top, zs[best]
 
 
 def check_packing_general(body: geom.ConvexBody, family, r: int,

@@ -149,11 +149,14 @@ def _screen32(cols: np.ndarray, idx: np.ndarray, m32: np.ndarray,
               cut32: np.float32, metric: str) -> np.ndarray:
     """The indices, one per float32 candidate column, of the columns whose
     levels against the float32 members, in row blocks, stay below cut32."""
-    for start in range(0, len(m32), _ROW_BLOCK):
-        keep = _column_peak(m32[start:start + _ROW_BLOCK], cols, metric) < cut32
-        idx, cols = idx[keep], cols.compress(keep, axis=1)
-        if len(idx) == 0:
-            break
+    # OpenBLAS's float32 kernels can set the invalid flag from lanes they do
+    # not return, so finite inputs would warn spuriously
+    with np.errstate(invalid="ignore"):
+        for start in range(0, len(m32), _ROW_BLOCK):
+            keep = _column_peak(m32[start:start + _ROW_BLOCK], cols, metric) < cut32
+            idx, cols = idx[keep], cols.compress(keep, axis=1)
+            if len(idx) == 0:
+                break
     return idx
 
 
@@ -184,16 +187,17 @@ def _cell_screen(cands: np.ndarray, members: np.ndarray, cut32: np.float32,
     cols = cands[order].T.astype(np.float32, order="C")
     peak = np.full(len(cands), -np.inf, np.float32)
     bounds, mbounds = bounds.tolist(), mbounds.tolist()
-    for cell in range(1 << _CELL_BITS):
-        rows = m32[mbounds[cell]:mbounds[cell + 1]]
-        if len(rows) == 0:
-            continue
-        for start in range(bounds[cell], bounds[cell + 1], _COL_BLOCK):
-            span = slice(start, min(start + _COL_BLOCK, bounds[cell + 1]))
-            for row in range(0, len(rows), _ROW_BLOCK):
-                np.maximum(peak[span], _column_peak(rows[row:row + _ROW_BLOCK],
-                                                    cols[:, span], metric),
-                           out=peak[span])
+    with np.errstate(invalid="ignore"):  # as in _screen32
+        for cell in range(1 << _CELL_BITS):
+            rows = m32[mbounds[cell]:mbounds[cell + 1]]
+            if len(rows) == 0:
+                continue
+            for start in range(bounds[cell], bounds[cell + 1], _COL_BLOCK):
+                span = slice(start, min(start + _COL_BLOCK, bounds[cell + 1]))
+                for row in range(0, len(rows), _ROW_BLOCK):
+                    np.maximum(peak[span], _column_peak(rows[row:row + _ROW_BLOCK],
+                                                        cols[:, span], metric),
+                               out=peak[span])
     return np.sort(order[peak < cut32])
 
 

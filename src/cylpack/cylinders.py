@@ -104,14 +104,6 @@ def base_membership(base: CylinderBase, z) -> tuple[np.ndarray, np.ndarray]:
             (norm <= 1.0 - INTERIOR_MARGIN) & (level >= cos_d + INTERIOR_MARGIN))
 
 
-def contains_points(cyl: Cylinder, pts, strict: bool = False) -> np.ndarray:
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    if pts.shape[1] != cyl.ambient_dim:
-        raise DimensionMismatch("point dimension does not match the cylinder")
-    closed, interior = base_membership(cyl.base, pts @ cyl.frame.columns)
-    return interior if strict else closed
-
-
 def base_volume(base: CylinderBase) -> float:
     """m-volume of the base region; cap bases use the closed form."""
     if isinstance(base, CapBase):

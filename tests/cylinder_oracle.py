@@ -1,15 +1,19 @@
-"""Reference oracle: an instance file's cylinders read one object at a time.
+"""Reference oracle: an instance file's cylinders read one object at a time,
+and the point membership of one cylinder.
 
 ``cylinder_from_json`` is the per-cylinder reader that came before
 ``cylpack.cylinders.family_from_json`` checked a file's family as one stack,
 kept verbatim (one ``Frame`` and one base check per cylinder), so that tests
 can require the stacked reader to build the same cylinders bit for bit.
+``contains_points`` tests points against one cylinder through
+``cylinders.base_membership``; no command reads it.
 """
 
 import numpy as np
 
 from cylpack import geom
-from cylpack.cylinders import CapBase, Cylinder, CylinderBase, json_typed
+from cylpack.cylinders import (CapBase, Cylinder, CylinderBase, base_membership,
+                               json_typed)
 from cylpack.errors import DimensionMismatch, DomainError
 
 
@@ -31,3 +35,11 @@ def cylinder_from_json(obj: dict) -> Cylinder:
     if cyl.k != json_typed(obj["k"], int, "cylinder k"):
         raise DimensionMismatch("codimension field disagrees with the frame shape")
     return cyl
+
+
+def contains_points(cyl: Cylinder, pts, strict: bool = False) -> np.ndarray:
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    if pts.shape[1] != cyl.ambient_dim:
+        raise DimensionMismatch("point dimension does not match the cylinder")
+    closed, interior = base_membership(cyl.base, pts @ cyl.frame.columns)
+    return interior if strict else closed

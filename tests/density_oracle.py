@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+import cylinder_oracle
 from cylpack import cylinders, geom, specfn
 
 
@@ -46,7 +47,7 @@ def mu_of_cylinder_mc(cyl: cylinders.Cylinder, samples: int,
     rng = np.random.default_rng(seed)
     lifted = geom.uniform_sphere_points(d + 1, samples, rng)
     pts = lifted[:, :d]  # marginal density of uniform S^d is the chord density
-    hits = cylinders.contains_points(cyl, pts)
+    hits = cylinder_oracle.contains_points(cyl, pts)
     total = math.pi * specfn.unit_ball_volume(d - 1)
     p = float(np.mean(hits))
     return MCEstimate(total * p,

@@ -1,11 +1,11 @@
 """Reference oracle: the concave envelope of a golden-section search's probes,
 recomputed from every probe.
 
-``_concave_envelope`` below is the bound that ``bounds._golden_search`` took
-after each probe, kept verbatim: it rescans all probes, sorted by x, for the
-chords next to each gap and past the outer probes.  Tests require the
-incremental envelope in ``cylpack.bounds`` to return its ``lo`` and ``hi``
-bit for bit and the same ``z`` object.
+``_concave_envelope`` below rescans the probes with a point of the domain,
+sorted by x, for the chords next to each gap and past the outer probes.
+Tests require ``cylpack.bounds._concave_envelope``, which
+``bounds._golden_search`` takes after its probes, to return over all probes
+this one's ``lo`` and ``hi`` bit for bit and the same ``z`` object.
 """
 
 import math

@@ -19,8 +19,9 @@ import math
 import numpy as np
 from numpy.polynomial import chebyshev
 
+from envelope_oracle import _concave_envelope
 from cylpack import cylinders, geom
-from cylpack.bounds import GOLDEN, PIECE_MIN, SliceMax, _bracket, _Envelope
+from cylpack.bounds import GOLDEN, PIECE_MIN, SliceMax, _bracket
 from cylpack.errors import CylpackError
 
 SLICE_COARSE = 7             # grid points per axis of a 1- or 2-d slice search
@@ -149,19 +150,20 @@ def _golden_search(probe, a: float, b: float, tol: float, start=None):
     x gives (lo, hi, z): lo <= g(x) <= hi and z the point achieving lo, or
     (-inf, inf, None) where it found no point of the domain.  Golden-section
     steps shrink a bracket around the larger lo of its inner probes, and
-    :class:`_Envelope` bounds g on all of [a, b] from all probes.  The
-    bracket starts as ``start`` (by default [a, b]) and widens by golden
-    steps while one of its ends short of a or b has a larger lo than the
-    inner probe next to it.  Stops at hi - lo <= tol * hi or once the
-    bracket has shrunk to adjacent doubles.
+    :func:`envelope_oracle._concave_envelope` bounds g on all of [a, b]
+    from all probes.  The bracket starts as ``start`` (by default [a, b])
+    and widens by golden steps while one of its ends short of a or b has a
+    larger lo than the inner probe next to it.  Stops at hi - lo <= tol * hi
+    or once the bracket has shrunk to adjacent doubles.
     """
     if not a < b:
         return probe(a)
-    seen, ends, envelope = {}, (a, b), _Envelope(a, b)
+    seen, ends = {}, (a, b)
 
     def take(x):
-        seen[x] = found = probe(x)
-        return envelope.add(x, *found)
+        seen[x] = probe(x)
+        return _concave_envelope(sorted((x, *v) for x, v in seen.items()
+                                        if v[2] is not None), *ends)
 
     if start is not None:
         a, b = start

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cylinder_oracle
 import sepset_oracle
 from cylpack import cappack, cli, cylinders, geom, instances, multiplicity
 
@@ -52,8 +53,8 @@ def _verify(path, samples, seed, capsys):
 
 
 def _counts(family, x):
-    strict = sum(cylinders.contains_points(c, x, strict=True)[0] for c in family)
-    closed = sum(cylinders.contains_points(c, x)[0] for c in family)
+    strict = sum(cylinder_oracle.contains_points(c, x, strict=True)[0] for c in family)
+    closed = sum(cylinder_oracle.contains_points(c, x)[0] for c in family)
     return strict, closed
 
 
@@ -94,7 +95,7 @@ def test_cap_cylinder_points_lie_near_the_pole(seed, d, delta, antipodal, data):
                                                       delta, antipodal))
     pts = np.vstack([geom.sample_in_body(geom.Ball(np.zeros(d), 1.0), 2000, rng),
                      _points_of_cap_cylinder(cyl, 2000, rng)])
-    inside = pts[cylinders.contains_points(cyl, pts)]
+    inside = pts[cylinder_oracle.contains_points(cyl, pts)]
     assert len(inside) >= 1000
     level = inside @ frame.embed(cyl.base.pole)
     if antipodal:

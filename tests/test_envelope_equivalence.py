@@ -1,9 +1,10 @@
-"""The incremental envelope of ``bounds._golden_search`` against the rescan
-oracle (``envelope_oracle``): after every probe of 20 000 seeded random probe
-sequences, ``lo`` and ``hi`` equal the oracle's bit for bit and ``z`` is the
-same object.  The sequences mix probes outside the domain (-inf, inf, None),
-brackets with hi = inf, probes on both chord ends, near-duplicate offsets,
-tied and signed-zero values."""
+"""The envelope rescan of ``bounds._golden_search`` against the oracle
+(``envelope_oracle``): after every probe of 20 000 seeded random probe
+sequences, ``lo`` and ``hi`` of ``bounds._concave_envelope`` over all the
+probes equal the oracle's over those that found a point of the domain bit
+for bit, and ``z`` is the same object.  The sequences mix probes outside the
+domain (-inf, inf, None), brackets with hi = inf, probes on both chord ends,
+near-duplicate offsets, tied and signed-zero values."""
 
 import math
 
@@ -43,19 +44,20 @@ def _value(rng) -> tuple:
     return lo, hi, object()
 
 
-def test_incremental_envelope_is_the_rescan_bit_for_bit():
+def test_envelope_rescan_is_the_oracle_bit_for_bit():
     rng = np.random.default_rng(2604)
     for _ in range(SEQUENCES):
         a = float(rng.uniform(-2.0, 2.0))
         b = a + float(rng.choice([1e-12, 1e-3, 1.0, 10.0]))
-        envelope, seen = bounds._Envelope(a, b), {}
+        seen = {}
         for _ in range(int(rng.integers(1, 13))):
             x = _offset(rng, a, b, list(seen))
             if x in seen:  # a search stops instead of probing twice
                 continue
-            seen[x] = value = _value(rng)
-            lo, hi, z = envelope.add(x, *value)
+            seen[x] = _value(rng)
+            found = sorted((x, *v) for x, v in seen.items())
+            lo, hi, z = bounds._concave_envelope(found, a, b)
             want = envelope_oracle._concave_envelope(
-                sorted((x, *v) for x, v in seen.items() if v[2] is not None), a, b)
+                [p for p in found if p[3] is not None], a, b)
             assert (lo.hex(), hi.hex()) == (want[0].hex(), want[1].hex()), (seen, a, b)
             assert z is want[2]
