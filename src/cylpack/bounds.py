@@ -1,9 +1,10 @@
 """Inequality checkers: both sides of every packing/covering bound, with slack.
 
 Each checker pre-verifies its hypothesis (packing or covering) once through
-``multiplicity``, certified or else sampled (raising NotAPacking / NotACovering
-with the failing verdict), evaluates both sides of the inequality, and emits a
-BoundReport carrying that evidence; only sampled evidence makes it
+``multiplicity``, certified or else sampled (``evidence`` raises NotAPacking /
+NotACovering with the failing verdict), evaluates both sides of the inequality,
+and emits a BoundReport carrying that evidence (``hypothesis``), as
+``falconer``'s disk-plank checks do; only sampled evidence makes it
 probabilistic.  Every report passes within EXACT_TOL, and the covering bound
 takes its reading from k and the body.  Translated-slice maxima are brackets
 lo <= max <= hi, closed-form where the body and base allow it and a certified
@@ -86,8 +87,8 @@ def make_report(theorem_id: str, lhs: float, rhs: float, direction: str,
         notes=notes, evidence=evidence)
 
 
-def _evidence(verdict: multiplicity.VerificationResult, failure: type,
-              ) -> multiplicity.MultiplicityReport:
+def evidence(verdict: multiplicity.VerificationResult, failure: type,
+             ) -> multiplicity.MultiplicityReport:
     """The report of a passing hypothesis check; raises ``failure``
     carrying the verdict otherwise."""
     if not verdict.ok:
@@ -95,15 +96,15 @@ def _evidence(verdict: multiplicity.VerificationResult, failure: type,
     return verdict.report
 
 
-def _hypothesis(evidence: multiplicity.MultiplicityReport, reading: str,
-                notes: str = "") -> dict:
-    """``make_report`` keywords of a report resting on the evidence: sampled
+def hypothesis(report: multiplicity.MultiplicityReport, reading: str,
+               notes: str = "") -> dict:
+    """``make_report`` keywords of a bound whose evidence is the report: sampled
     evidence makes it probabilistic, a certificate is named in the notes."""
-    if evidence.certificate is None:
-        return {"probabilistic": True, "evidence": evidence,
-                "notes": notes or f"{reading} verified on {evidence.samples} samples"}
-    named = f"{reading} certified by {evidence.certificate}"
-    return {"probabilistic": False, "evidence": evidence,
+    if report.certificate is None:
+        return {"probabilistic": True, "evidence": report,
+                "notes": notes or f"{reading} verified on {report.samples} samples"}
+    named = f"{reading} certified by {report.certificate}"
+    return {"probabilistic": False, "evidence": report,
             "notes": f"{notes}; {named}" if notes else named}
 
 
@@ -128,8 +129,8 @@ def check_covering_lower(body: geom.ConvexBody, family, r: int,
     or ellipsoid body (the "ellipsoid" reading), else >= r / binom(d, k)
     (the "general" one)."""
     family = list(family)
-    evidence = _evidence(multiplicity.verify_covering(body, family, r, n, seed),
-                         NotACovering)
+    ev = evidence(multiplicity.verify_covering(body, family, r, n, seed),
+                  NotACovering)
     d = body.dim
     ks = {c.k for c in family}
     if len(ks) != 1:
@@ -142,7 +143,7 @@ def check_covering_lower(body: geom.ConvexBody, family, r: int,
     lhs = cylinders.sum_crv(body, family)
     digest = _digest_family(body, family, {"r": r, "mode": mode})
     return make_report("covering_lower", lhs, rhs, GE, digest,
-                       **_hypothesis(evidence, "covering"))
+                       **hypothesis(ev, "covering"))
 
 
 def check_packing_upper_ellipsoid(body: geom.ConvexBody, family, r: int,
@@ -155,12 +156,12 @@ def check_packing_upper_ellipsoid(body: geom.ConvexBody, family, r: int,
     if not ks <= {1, 2}:
         raise DomainError(f"codimension must be 1 or 2, got {sorted(ks)}")
     shadows = cylinders.family_shadows(body, family)
-    evidence = _evidence(multiplicity.verify_packing(body, family, r, n, seed,
-                                                     shadows=shadows), NotAPacking)
+    ev = evidence(multiplicity.verify_packing(body, family, r, n, seed,
+                                              shadows=shadows), NotAPacking)
     lhs = cylinders.sum_crv(body, family, shadows=shadows)
     digest = _digest_family(body, family, {"r": r})
     return make_report("packing_upper_ellipsoid", lhs, float(r), LE, digest,
-                       **_hypothesis(evidence, "packing"))
+                       **hypothesis(ev, "packing"))
 
 
 # ---------------------------------------------------------------------------
@@ -568,8 +569,8 @@ def check_packing_general(body: geom.ConvexBody, family, r: int,
                 "antipodal cap bases make the restricted cylinder non-convex; "
                 "this bound needs one-sided caps")
     shadows = cylinders.family_shadows(body, family)
-    evidence = _evidence(multiplicity.verify_packing(body, family, r, n, seed,
-                                                     shadows=shadows), NotAPacking)
+    ev = evidence(multiplicity.verify_packing(body, family, r, n, seed,
+                                              shadows=shadows), NotAPacking)
     d = body.dim
     ks = {c.k for c in family}
     if len(ks) != 1:
@@ -591,9 +592,9 @@ def check_packing_general(body: geom.ConvexBody, family, r: int,
     rhs = r * math.comb(d, k) * worst_ratio
     digest = _digest_family(body, family, {"r": r})
     return make_report("packing_upper_general", lhs, rhs, LE, digest,
-                       **_hypothesis(evidence, "packing",
-                                     f"worst slice ratio {worst_ratio:.6g} "
-                                     f"(slice maxima: {methods})"))
+                       **hypothesis(ev, "packing",
+                                    f"worst slice ratio {worst_ratio:.6g} "
+                                    f"(slice maxima: {methods})"))
 
 
 # ---------------------------------------------------------------------------
@@ -648,13 +649,12 @@ def check_base_volume_bound(body: geom.ConvexBody, family, r: int,
     family = list(family)
     if any(c.k != 1 for c in family):
         raise DomainError("the base-volume bound is for codimension-1 cylinders")
-    evidence = _evidence(multiplicity.verify_packing(body, family, r, n, seed),
-                         NotAPacking)
+    ev = evidence(multiplicity.verify_packing(body, family, r, n, seed),
+                  NotAPacking)
     d = body.dim
     lhs = float(sum(cylinders.base_volume(c.base) for c in family))
     _, max_shadow = geom.max_hyperplane_projection(body)
     rhs = surface_constant(d) * r * max_shadow
     digest = _digest_family(body, family, {"r": r})
     return make_report("plank_base_volume", lhs, rhs, LE, digest,
-                       **_hypothesis(evidence, "packing",
-                                     f"max shadow {max_shadow:.6g}"))
+                       **hypothesis(ev, "packing", f"max shadow {max_shadow:.6g}"))

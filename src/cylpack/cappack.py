@@ -512,10 +512,10 @@ def cap_packing_report(d: int, k: int, delta: float, seed: int = 0,
     A cap fills 1/2 I_{sin^2 delta}((m+1)/2, 1/2) of its base ball B^m,
     m = d - k (DLMF 8.17), the cap fraction of S^(m+1), so the crv sum is
     N * sides * ``spherical_cap_fraction(m + 2, delta)``.  With
-    ``packing_samples`` > 0 the family is also checked as a 1-fold packing,
-    as ``multiplicity.decide`` would check it: certified by pole separation
-    straight from the frame and pole stacks, or, when the certificate leaves
-    it open, built as cylinders and sampled with that many points.
+    ``packing_samples`` > 0, ``multiplicity.judge`` checks the family as a
+    1-fold packing: certified by pole separation straight from the frame and
+    pole stacks, or, when the certificate leaves it open, built as cylinders
+    and sampled with that many points.
     """
     sep_set = _packing_set(d, k, delta, seed, metric)
     frames, poles, cap_delta, antipodal = _family_stacks(sep_set, k)
@@ -530,17 +530,16 @@ def cap_packing_report(d: int, k: int, delta: float, seed: int = 0,
     threshold = closed_threshold(d, k, delta)
     packing_report = None
     if packing_samples > 0:
-        multiplicity._check_samples(packing_samples)
+        multiplicity.check_samples(packing_samples)
         ball = geom.Ball(np.zeros(d), 1.0)
-        packing_report = multiplicity.pole_certificate(
+        certified = multiplicity.pole_certificate(
             ball, frames, poles, np.full(n, math.cos(cap_delta)),
             np.full(n, antipodal),
             lambda: _cap_cylinders(frames[:1], poles[:1], cap_delta, antipodal)[0])
-        if packing_report is None or not multiplicity._settles(packing_report, 1, False):
-            family = _cap_cylinders(frames, poles, cap_delta, antipodal)
-            packing_report = multiplicity.estimate_multiplicity(
-                ball, family, packing_samples, seed)
-        packing_report = multiplicity.judge(packing_report, 1).report
+        packing_report = multiplicity.judge(
+            certified, 1, sample=lambda: multiplicity.estimate_multiplicity(
+                ball, _cap_cylinders(frames, poles, cap_delta, antipodal),
+                packing_samples, seed)).report
     return CapPackingReport(
         d=d, k=k, delta=delta, metric=metric,
         antipodal_bases=antipodal,

@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from . import bounds, cappack, falconer, geom, instances
+from . import bounds, cappack, falconer, geom, instances, multiplicity
 from .errors import CylpackError, DomainError, HypothesisFailed
 
 EXIT_OK = 0
@@ -136,32 +136,29 @@ def _load_instance(path):
 
 
 def _reports_for(inst, samples: int, seed: int) -> tuple[list, dict | None, bool]:
-    """(bound reports, multiplicity json, all_ok) for one instance.
-
-    A packing or covering instance is decided once, by its checker
-    (certified, or sampled when no certificate settles it); a disk-plank
-    instance is decided exactly on its hull and samples nothing.
-    A failed hypothesis yields no report and a multiplicity json with its
-    witness and reason.
-    """
+    """(bound reports, multiplicity json, all_ok) for one instance, whatever
+    its kind: ``samples`` must reach ``multiplicity.MIN_SAMPLES``, the
+    checker decides the hypothesis once, and the json is the first report's
+    evidence, or, when the hypothesis fails, its verdict, with no report."""
+    multiplicity.check_samples(samples)
     try:
         if inst["kind"] == instances.KIND_DISK_PLANKS:
             reports = falconer.check_disk_planks(
                 inst["disk_family"], inst["planks"], inst["r"])
-            return reports, None, all(rep.passed for rep in reports)
-        body, family, r, k = inst["body"], inst["family"], inst["r"], inst["k"]
-        if inst["kind"] == instances.KIND_COVERING:
-            check = bounds.check_covering_lower
-        elif not isinstance(body, geom.Polytope) and k <= 2:
-            check = bounds.check_packing_upper_ellipsoid
-        elif k == 1:
-            check = bounds.check_base_volume_bound
         else:
-            check = bounds.check_packing_general
-        rep = check(body, family, r, n=samples, seed=seed)
+            body, family, r, k = inst["body"], inst["family"], inst["r"], inst["k"]
+            if inst["kind"] == instances.KIND_COVERING:
+                check = bounds.check_covering_lower
+            elif not isinstance(body, geom.Polytope) and k <= 2:
+                check = bounds.check_packing_upper_ellipsoid
+            elif k == 1:
+                check = bounds.check_base_volume_bound
+            else:
+                check = bounds.check_packing_general
+            reports = [check(body, family, r, n=samples, seed=seed)]
     except HypothesisFailed as exc:
         return [], exc.verdict.to_json(), False
-    return [rep], rep.evidence.to_json(), rep.passed
+    return reports, reports[0].evidence.to_json(), all(rep.passed for rep in reports)
 
 
 def cmd_verify(args) -> int:
@@ -241,7 +238,7 @@ def cmd_falconer(args) -> int:
         (separable, line), circ = family.separation, family.circle
         # a disk-plank instance reads no sample count or seed
         reports, mult_json, ok = ([], None, True) if separable else \
-            _reports_for(inst, 0, 0)
+            _reports_for(inst, multiplicity.MIN_SAMPLES, 0)
     except CylpackError as exc:
         _emit(_error_object("falconer", exc), args.out)
         return EXIT_USAGE
@@ -256,8 +253,7 @@ def cmd_falconer(args) -> int:
     }
     if not separable:
         payload["reports"] = [r.to_json() for r in reports]
-        if mult_json is not None:  # a failed packing: its witness and reason
-            payload["multiplicity"] = mult_json
+        payload["multiplicity"] = mult_json
     svg = []
     if args.svg:
         svg = [(falconer.family_to_svg(family, planks=inst["planks"]), args.svg)]

@@ -84,18 +84,18 @@ class Cylinder:
         return self.frame.ambient_dim - self.frame.subspace_dim
 
 
-def base_membership(base: CylinderBase, z) -> tuple[np.ndarray, np.ndarray]:
+def base_membership(base: CylinderBase, z, unit: float) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (closed, strict) base membership in E-coordinates, from one
     evaluation per base; the strict reading keeps ``INTERIOR_MARGIN`` off the
-    boundary."""
+    boundary, times the body's ``unit`` but for cap bases (in the unit ball)."""
     z = np.atleast_2d(np.asarray(z, dtype=float))
     if isinstance(base, geom.Ball):
         dist = np.linalg.norm(z - base.center, axis=1)
-        return dist <= base.radius, dist <= base.radius - INTERIOR_MARGIN
+        return dist <= base.radius, dist <= base.radius - INTERIOR_MARGIN * unit
     if isinstance(base, geom.Polytope):
         eq = base.equations
         top = np.max(z @ eq[:, :-1].T + eq[:, -1], axis=1)
-        return top <= 0.0, top <= -INTERIOR_MARGIN
+        return top <= 0.0, top <= -INTERIOR_MARGIN * unit
     dots = z @ base.pole
     level = np.abs(dots) if base.antipodal else dots
     norm = np.linalg.norm(z, axis=1)
@@ -164,9 +164,10 @@ def sum_crv(body: geom.ConvexBody, family, shadows=None) -> float:
     return float(sum(base_volume(c.base) / v for c, v in zip(family, denom)))
 
 
-def base_contained(shadow: geom.ConvexBody, base: CylinderBase) -> bool:
+def base_contained(shadow: geom.ConvexBody, base: CylinderBase, unit: float) -> bool:
     """Whether the base lies inside the body's shadow on its base subspace
-    (``geom.project_body``), both in base-subspace coordinates.
+    (``geom.project_body``), both in base-subspace coordinates, within
+    ``CONTAINMENT_TOL`` (times the body's ``unit`` where lengths compare).
 
     Exact for every base kind in polytope and ball shadows.  Polytope bases
     check vertices.  Disk and cap bases use their support function h: a
@@ -181,9 +182,9 @@ def base_contained(shadow: geom.ConvexBody, base: CylinderBase) -> bool:
     ellipsoid shadow raises ``DomainError``: a convex quadratic can peak on a
     cap at a local, non-global maximizer on the sphere.
     """
+    tol = CONTAINMENT_TOL * (1.0 if isinstance(shadow, geom.Ellipsoid) else unit)
     if isinstance(base, geom.Polytope):
-        return bool(np.all(geom.contains_points(shadow, base.vertices,
-                                                tol=CONTAINMENT_TOL)))
+        return bool(np.all(geom.contains_points(shadow, base.vertices, tol=tol)))
     if isinstance(shadow, geom.Ellipsoid):
         if isinstance(base, CapBase):
             raise DomainError("cap-base containment in an ellipsoid shadow is "
@@ -192,11 +193,11 @@ def base_contained(shadow: geom.ConvexBody, base: CylinderBase) -> bool:
             g = base.center - shadow.center
             reach = (math.sqrt(max(float(g @ shadow.shape @ g), 0.0)) + base.radius
                      * math.sqrt(float(shadow.eigenvalues[-1])))
-        if reach * reach * (1.0 + REACH_ROUNDING) <= 1.0 + CONTAINMENT_TOL:
+        if reach * reach * (1.0 + REACH_ROUNDING) <= 1.0 + tol:
             return True
         _, top = geom.quadratic_on_ball(shadow.shape, shadow.center,
                                         base.center, base.radius, maximize=True)
-        return top <= 1.0 + CONTAINMENT_TOL
+        return top <= 1.0 + tol
     if isinstance(shadow, geom.Ball):
         c = shadow.center
         if isinstance(base, geom.Ball):
@@ -205,14 +206,14 @@ def base_contained(shadow: geom.ConvexBody, base: CylinderBase) -> bool:
             with np.errstate(over="ignore"):  # a far shadow reaches inf: outside
                 reach = math.sqrt(1.0 + float(c @ c)
                                   + 2.0 * float(cap_support(base, -c)[0]))
-        return reach <= shadow.radius + CONTAINMENT_TOL
+        return reach <= shadow.radius + tol
     eq = shadow.equations
     if isinstance(base, geom.Ball):
         reach = eq[:, :-1] @ base.center + eq[:, -1] \
             + base.radius * np.linalg.norm(eq[:, :-1], axis=1)
     else:
         reach = cap_support(base, eq[:, :-1]) + eq[:, -1]
-    return bool(np.all(reach <= CONTAINMENT_TOL))
+    return bool(np.all(reach <= tol))
 
 
 def cap_support(base: CapBase, a) -> np.ndarray:

@@ -17,7 +17,8 @@ and the segments that join their extreme arcs (``_hull_segments``), come
 from one pass of tangent arcs per disk.  ``check_disk_planks`` decides all
 of one instance's checks from these and one exact arrangement sweep on the
 hull, in the family's ``unit``; nothing is sampled, and the sweep's verdict
-is a ``multiplicity.VerificationResult`` certified by ``SWEEP_CERTIFICATE``.
+is a ``multiplicity.VerificationResult`` certified by ``SWEEP_CERTIFICATE``,
+the evidence of the reports that rest on it.
 """
 
 import math
@@ -27,7 +28,8 @@ from functools import cached_property
 import numpy as np
 
 from . import cylinders, geom, multiplicity
-from .bounds import GE, LE, BoundReport, instance_digest, make_report
+from .bounds import (GE, LE, BoundReport, evidence, hypothesis, instance_digest,
+                     make_report)
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -95,10 +97,9 @@ class DiskFamily:
 
     @cached_property
     def unit(self) -> float:
-        """1 when the family's size (largest |centre coordinate| or radius) is
-        at least 0.5, else the power of two over which it lies in [0.5, 1)."""
-        size = max(float(np.max(np.abs(self.centers))), float(np.max(self.radii)))
-        return math.ldexp(1.0, min(math.frexp(size)[1], 0))
+        """``geom.length_unit`` of the largest |centre coordinate| or radius."""
+        return geom.length_unit(max(float(np.max(np.abs(self.centers))),
+                                    float(np.max(self.radii))))
 
     def to_json(self) -> dict:
         return {"disks": [{"center": c, "radius": r}
@@ -593,17 +594,14 @@ def check_disk_planks(family: DiskFamily, planks, r: int) -> list[BoundReport]:
     mass of the family density; and the chain consistency check that this
     mass is at least twice the circumradius.  The mass is the NS-diameter,
     and one ``ns_diameter`` value serves all four reports.  Raises ``NotNS``
-    for a separable family and ``NotAPacking``, carrying the sweep's
-    ``multiplicity.VerificationResult`` and its witness, when the planks are
-    no r-fold packing.
+    for a separable family and ``NotAPacking`` (``bounds.evidence``), with
+    the sweep's verdict and witness, when the planks are no r-fold packing.
     """
     separable, line = family.separation
     if separable:
         raise NotNS(f"family is separable by the line {line}")
     normals, lows, highs = _plank_arrays(planks)
-    verdict = verify_plank_packing(family, normals, lows, highs, r)
-    if not verdict.ok:
-        raise NotAPacking(verdict.reason, verdict)
+    ev = evidence(verify_plank_packing(family, normals, lows, highs, r), NotAPacking)
     diam_ns = ns_diameter(family)
     circ = family.circle
     family_json = family.to_json()
@@ -611,15 +609,14 @@ def check_disk_planks(family: DiskFamily, planks, r: int) -> list[BoundReport]:
                               "planks": _planks_json(normals, lows, highs), "r": r})
     widths = (highs - lows).tolist()  # Python floats: sum() rounds as it always has
     return [
-        make_report("plank_width_sum", float(sum(widths)),
-                    r * diam_ns, LE, digest,
-                    notes="packing checked on arrangement cells"),
+        make_report("plank_width_sum", float(sum(widths)), r * diam_ns, LE, digest,
+                    **hypothesis(ev, "packing")),
         make_report("circumradius_vs_ns_diameter", 2.0 * circ.radius, diam_ns,
                     LE, digest),
         make_report("ridge_mass_bound",
-                    float(sum((1.0 / r) * w for w in widths)), diam_ns,
-                    LE, digest,
-                    notes="pointwise bound checked on arrangement cells"),
+                    float(sum((1.0 / r) * w for w in widths)), diam_ns, LE, digest,
+                    **hypothesis(ev, "packing",
+                                 "pointwise bound checked on arrangement cells")),
         make_report("mass_circumradius", diam_ns, 2.0 * circ.radius, GE,
                     instance_digest({"family": family_json}),
                     notes=f"bracket [2R, ns_diameter] = "

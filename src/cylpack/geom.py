@@ -197,8 +197,20 @@ def _complement_columns(cols: np.ndarray) -> np.ndarray:
     return u[:, cols.shape[1]:]
 
 
+def length_unit(size: float) -> float:
+    """1 for a size of at least 0.5, else the power of two taking it into [0.5, 1)."""
+    return math.ldexp(1.0, min(math.frexp(size)[1], 0))
+
+
+class _Body:
+    @cached_property
+    def unit(self) -> float:
+        """``length_unit`` of the body's largest |coordinate|."""
+        return length_unit(float(np.max(np.abs(bounding_box(self)))))
+
+
 @dataclass(frozen=True, eq=False)
-class Ball:
+class Ball(_Body):
     """Euclidean ball {x : |x - center| <= radius}."""
 
     center: np.ndarray
@@ -218,7 +230,7 @@ class Ball:
 
 
 @dataclass(frozen=True, eq=False)
-class Ellipsoid:
+class Ellipsoid(_Body):
     """Ellipsoid {x : (x-c)^T Q (x-c) <= 1} with symmetric positive-definite Q."""
 
     center: np.ndarray
@@ -258,7 +270,7 @@ class Ellipsoid:
 
 
 @dataclass(frozen=True, eq=False)
-class Polytope:
+class Polytope(_Body):
     """Convex hull of a vertex list; must be full-dimensional."""
 
     vertices: np.ndarray

@@ -3,11 +3,11 @@ multiplicity sampling for the families they leave undecided.
 
 ``certify`` bounds multiplicities from the family's structure, in the sound
 direction: cap cylinders by the separation of their poles, other families
-layer by layer.  ``decide`` takes its verdict when it settles the r-fold
-reading, and else tests n seeded uniform samples of the body once against
-every base, through ``cylinders.base_membership`` whatever the body:
-strict-interior counts for packings, closed ones for coverings.  Every
-verdict, ``falconer``'s exact plank sweep included, is a
+layer by layer.  ``judge`` keeps a certified report that settles the r-fold
+reading, and else its sampler tests n seeded uniform samples of the body
+once against every base, through ``cylinders.base_membership`` whatever
+the body: strict-interior counts for packings, closed ones for coverings.
+Every verdict, ``cappack``'s and ``falconer``'s included, is a
 ``VerificationResult`` that ``judge`` draws from a ``MultiplicityReport``.
 Sampling runs in fixed-size blocks with per-block derived seeds and a fixed
 reduction order, so identical seeds reproduce reports bit for bit.
@@ -190,9 +190,9 @@ def _layer_certificate(body, family) -> MultiplicityReport | None:
     Disk bases give ``_disk_depth``.  Interval bases are exact: their
     largest open depth bounds the packing reading, and their smallest closed
     depth over the body's shadow [-h(-u), h(u)], widened outward by
-    SHADOW_MARGIN, the covering one.  Other groups leave the family open.
-    Depths add over groups; a lone interval group also takes witnesses,
-    inside the body, of both of its bounds.
+    SHADOW_MARGIN of the body's ``unit`` and extent, the covering one.  Other
+    groups leave the family open.  Depths add over groups; a lone interval
+    group also takes witnesses, inside the body, of both of its bounds.
     """
     groups = [[family[i] for i in idx] for idx in cylinders._frame_groups(family)]
     top, low = 0, 0
@@ -211,7 +211,7 @@ def _layer_certificate(body, family) -> MultiplicityReport | None:
         k = int(np.argmax(depth))
         top += int(depth[k])
         shadow = (-geom.support(body, -u), geom.support(body, u))
-        pad = SHADOW_MARGIN * (1.0 + max(map(abs, shadow)))
+        pad = SHADOW_MARGIN * (body.unit + max(map(abs, shadow)))
         # pieces meeting the widened shadow; none when the shadow overflowed
         on = np.flatnonzero((x[:-1] < shadow[1] + pad) & (x[1:] > shadow[0] - pad))
         j = on[np.argmin(depth[on])] if len(on) else None
@@ -296,7 +296,7 @@ def multiplicity_counts(body: geom.ConvexBody, family, pts: np.ndarray,
     """(strict, closed) membership counts of each point across the family.
 
     Each cylinder's base is evaluated once for both readings
-    (``cylinders.base_membership``), so a count does not depend on the body.
+    (``cylinders.base_membership``, in the body's ``unit``).
     ``body`` stays the first argument: perfbench's tracer reads the family
     and the points as the second and third.
     """
@@ -308,13 +308,13 @@ def multiplicity_counts(body: geom.ConvexBody, family, pts: np.ndarray,
     with np.errstate(over="ignore"):  # a norm past ~1.3e154 is inf: outside
         for cyl in family:
             closed_in, strict_in = cylinders.base_membership(
-                cyl.base, pts @ cyl.frame.columns)
+                cyl.base, pts @ cyl.frame.columns, body.unit)
             closed += closed_in
             strict += strict_in
     return strict, closed
 
 
-def _check_samples(n: int) -> None:
+def check_samples(n: int) -> None:
     if n < MIN_SAMPLES:
         raise DomainError(f"need at least {MIN_SAMPLES} samples, got {n}")
 
@@ -322,7 +322,7 @@ def _check_samples(n: int) -> None:
 def estimate_multiplicity(body: geom.ConvexBody, family, n: int, seed: int,
                           ) -> MultiplicityReport:
     """Sample n points of the body and report family multiplicity statistics."""
-    _check_samples(n)
+    check_samples(n)
     family = list(family)
     best_max = -1
     best_min = None
@@ -351,46 +351,41 @@ def estimate_multiplicity(body: geom.ConvexBody, family, n: int, seed: int,
 
 def decide(body: geom.ConvexBody, family, r: int, n: int, seed: int,
            covering: bool = False) -> VerificationResult:
-    """r-fold packing (or, with ``covering``, covering) verdict.
-
-    The certificate settles the reading when its bound meets r, or when a
-    witness inside the body attains a bound that misses r; otherwise n
-    samples decide it.  n must reach MIN_SAMPLES either way.
-    """
-    _check_samples(n)
+    """r-fold packing (or, with ``covering``, covering) verdict: the
+    family's certificate, or n samples where it does not settle the
+    reading (``judge``).  n must reach MIN_SAMPLES either way."""
+    check_samples(n)
     family = list(family)
-    report = certify(body, family)
-    if report is None or not _settles(report, r, covering):
-        report = estimate_multiplicity(body, family, n, seed)
-    return judge(report, r, covering)
+    return judge(certify(body, family), r, covering,
+                 lambda: estimate_multiplicity(body, family, n, seed))
 
 
-def judge(report: MultiplicityReport, r: int, covering: bool = False,
-          ) -> VerificationResult:
-    """The r-fold packing (or covering) verdict a report gives: a failure
-    carries the report's witness of the reading, and a passed sampled report
-    its violation_fraction_ucb, ln(1/ALPHA) over its own samples."""
-    if covering:
-        ok, witness = report.min_mult >= r, report.witness_min
-        reason = f"closed multiplicity {report.min_mult} falls below r={r}"
-    else:
-        ok, witness = report.max_mult <= r, report.witness_max
-        reason = f"interior multiplicity {report.max_mult} exceeds r={r}"
+def judge(report: MultiplicityReport | None, r: int, covering: bool = False,
+          sample=None) -> VerificationResult:
+    """The r-fold packing (or covering) verdict of a report.
+
+    A certified report stands when its bound meets r, or when a witness
+    attains a bound that misses r; otherwise, or with no report,
+    ``sample()`` gives the report that decides.  A failure carries the
+    report's witness of the reading, and a passed sampled report its
+    violation_fraction_ucb, ln(1/ALPHA) over its own samples.
+    """
+    def reading(rep):
+        if covering:
+            return rep.min_mult is not None and rep.min_mult >= r, rep.witness_min
+        return rep.max_mult <= r, rep.witness_max
+    ok, witness = (False, None) if report is None else reading(report)
+    if sample is not None and not ok and witness is None:
+        report = sample()
+        ok, witness = reading(report)
     if not ok:
+        reason = (f"closed multiplicity {report.min_mult} falls below r={r}" if covering
+                  else f"interior multiplicity {report.max_mult} exceeds r={r}")
         return VerificationResult(False, witness, report, reason=reason)
     if report.certificate is None:
         report = replace(report, violation_fraction_ucb=math.log(1.0 / ALPHA)
                          / report.samples)
     return VerificationResult(True, None, report)
-
-
-def _settles(report: MultiplicityReport, r: int, covering: bool) -> bool:
-    """Whether a certified report decides the r-fold reading: its bound
-    meets r, or a witness attains a bound that misses r."""
-    if covering:
-        return report.min_mult is not None and (
-            report.min_mult >= r or report.witness_min is not None)
-    return report.max_mult <= r or report.witness_max is not None
 
 
 def verify_packing(body: geom.ConvexBody, family, r: int, n: int, seed: int,
@@ -404,8 +399,8 @@ def verify_packing(body: geom.ConvexBody, family, r: int, n: int, seed: int,
     family = list(family)
     if shadows is None:
         shadows = cylinders.family_shadows(body, family)
-    outside = next((i for i, cyl in enumerate(family)
-                    if not cylinders.base_contained(shadows[i], cyl.base)), None)
+    outside = next((i for i, cyl in enumerate(family) if not
+                    cylinders.base_contained(shadows[i], cyl.base, body.unit)), None)
     verdict = decide(body, family, r, n, seed)
     if outside is not None:
         return VerificationResult(

@@ -41,5 +41,5 @@ def contains_points(cyl: Cylinder, pts, strict: bool = False) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if pts.shape[1] != cyl.ambient_dim:
         raise DimensionMismatch("point dimension does not match the cylinder")
-    closed, interior = base_membership(cyl.base, pts @ cyl.frame.columns)
+    closed, interior = base_membership(cyl.base, pts @ cyl.frame.columns, 1.0)
     return interior if strict else closed

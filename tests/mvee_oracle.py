@@ -123,14 +123,14 @@ def check_packing_scaled(body: geom.ConvexBody, family, r: int,
     else:
         outer = mvee(body.vertices, tol=MVEE_TOL).ellipsoid
         distance_bound = _distance_factor(body, outer)
-    evidence = bounds._evidence(multiplicity.verify_packing(outer, family, r, n, seed),
-                                NotAPacking)
+    ev = bounds.evidence(multiplicity.verify_packing(outer, family, r, n, seed),
+                         NotAPacking)
     lhs = cylinders.sum_crv(body, family)
     rhs = r * distance_bound ** (d - k)
     digest = bounds._digest_family(body, family, {"r": r})
     return bounds.make_report("packing_upper_scaled", lhs, rhs, bounds.LE, digest,
-                              **bounds._hypothesis(evidence, "packing",
-                                                   f"distance bound {distance_bound:g}"))
+                              **bounds.hypothesis(ev, "packing",
+                                                  f"distance bound {distance_bound:g}"))
 
 
 def _distance_factor(body: geom.Polytope, ell: geom.Ellipsoid) -> float:

@@ -45,7 +45,7 @@ def _grid_search(body, slice_frame, offsets_frame, base) -> SliceMax:
     lo, hi = geom.bounding_box(shadow)
 
     def slice_at(z: np.ndarray) -> float:
-        if base is not None and not cylinders.base_membership(base, z[None, :])[0][0]:
+        if base is not None and not cylinders.base_membership(base, z[None, :], 1.0)[0][0]:
             return 0.0
         return geom.affine_slice_volume(body, slice_frame, offsets_frame.embed(z))
 

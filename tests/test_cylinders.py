@@ -19,7 +19,7 @@ from conftest import random_frame, random_spd, transform_body
 
 
 def contained(body, cyl) -> bool:
-    return cylinders.base_contained(geom.project_body(body, cyl.frame), cyl.base)
+    return cylinders.base_contained(geom.project_body(body, cyl.frame), cyl.base, body.unit)
 
 
 def vertical_strip(width: float, center: float = 0.0) -> cylinders.Cylinder:
@@ -107,7 +107,7 @@ def test_base_membership_pair_is_both_readings(rng):
     }
     for name, (base, edge) in bases.items():
         z = np.vstack([edge, rng.uniform(-1.2, 1.2, (500, 2))])
-        closed, strict = cylinders.base_membership(base, z)
+        closed, strict = cylinders.base_membership(base, z, 1.0)
         assert np.array_equal(closed, _membership_by_reading(base, z, 0.0)), name
         assert np.array_equal(strict, _membership_by_reading(base, z, -eps)), name
         # the edge points sit on the boundary or one margin inside it, where
@@ -338,7 +338,7 @@ def test_disk_the_bound_cannot_accept_takes_the_exact_test(monkeypatch, radius, 
     shadow = geom.Ellipsoid(np.array([0.2, -0.1]), rot @ np.diag([1.0, 100.0]) @ rot.T)
     disk = geom.Ball(shadow.center + rot @ np.array([0.5, 0.0]), radius)
     calls = _exact_calls(monkeypatch)
-    assert cylinders.base_contained(shadow, disk) is inside
+    assert cylinders.base_contained(shadow, disk, 1.0) is inside
     assert len(calls) == 1
 
 
@@ -351,7 +351,7 @@ def test_disks_the_bound_accepts_are_contained(monkeypatch):
         shadow = geom.Ellipsoid(gen.uniform(-1, 1, m), random_spd(m, gen, (0.3, 2.0)))
         disk = geom.Ball(shadow.center + gen.uniform(-0.6, 0.6, m), gen.uniform(0.01, 0.6))
         calls.clear()
-        if cylinders.base_contained(shadow, disk) and not calls:
+        if cylinders.base_contained(shadow, disk, 1.0) and not calls:
             accepted += 1
             _, top = geom.quadratic_on_ball(shadow.shape, shadow.center, disk.center,
                                             disk.radius, maximize=True)

@@ -818,6 +818,22 @@ def test_cli_verify_cap_family(tmp_path, capsys):
     assert rc == 2  # below the sampler's documented minimum: usage error
 
 
+def test_cli_samples_floor_holds_for_every_kind(tmp_path, capsys):
+    # --samples below MIN_SAMPLES is a usage error for every instance kind,
+    # the exact disk-plank checks included; falconer reads no sample count
+    files = construct_all(tmp_path, seed=1)
+    message = f"need at least {multiplicity.MIN_SAMPLES} samples, got 10"
+    for name, path in files.items():
+        capsys.readouterr()
+        assert cli.main(["verify", str(path), "--samples", "10"]) == 2, name
+        assert json.loads(capsys.readouterr().out) == {"error": {
+            "stage": "verify", "type": "DomainError", "message": message}}, name
+        assert cli.main(["bounds", str(path), "--samples", "10"]) == 2, name
+        assert json.loads(capsys.readouterr().out) == {"reports": [], "errors": [{
+            "stage": f"bounds:{name}.json", "type": "DomainError", "message": message}]}
+    assert cli.main(["falconer", str(files["ns"])]) == 0
+
+
 def test_cli_verify_deterministic_output(tmp_path):
     inst = tmp_path / "part.json"
     cli.main(["construct", "--kind", "plank-partition", "--dim", "2", "--n",
@@ -831,7 +847,8 @@ def test_cli_verify_deterministic_output(tmp_path):
 def test_cli_plank_and_strip_files_are_byte_pinned(tmp_path, monkeypatch):
     # sha256 of the files these commands write, recorded while bases and
     # planks had types of their own: holding them as geom bodies and k = 1
-    # cylinders must not move a byte
+    # cylinders must not move a byte (ns.report.json re-recorded when
+    # disk-plank reports began to carry the sweep's multiplicity block)
     monkeypatch.chdir(tmp_path)
     for args in (
             ["construct", "--kind", "ns-family", "--n", "4", "--seed", "3", "--r", "2",
@@ -847,7 +864,7 @@ def test_cli_plank_and_strip_files_are_byte_pinned(tmp_path, monkeypatch):
                for path in sorted(tmp_path.iterdir())}
     assert digests == {
         "ns.json": "779702d0f20f01060d7c23c8459787bdfbdac77a8e24377164325843defd7fdb",
-        "ns.report.json": "cc4821e53afecd3ad925f1e5814f25ad4d5cda81da91b0a31fb4627a4a60f965",
+        "ns.report.json": "b5bb3d83de2d4cc92e7ec4e18ae68cdac7f544c00f42ab83c3312f989904822c",
         "ns.table.csv": "530e3cba5c8b3ee722ebff3df6d5e289ea66d37400777f04b20f9fc88d394a77",
         "part.json": "c92c1369abaa9893111d3f096693bf6ec8c1facc47d1c4a0ff3986898de20a9d",
         "strips.json": "30caf7f3b2be95ecacc1c800a076ceba26bd9ff25402f5e98d83941e9cd0045a",
@@ -977,7 +994,7 @@ def test_cli_ns_family_draws_no_sample(tmp_path, monkeypatch, capsys):
     for argv in (["verify", paths[0]], ["bounds", *paths]):
         assert cli.main(argv) == 0
         want = capsys.readouterr().out
-        assert cli.main([*argv, "--samples", "50", "--seed", "9"]) == 0
+        assert cli.main([*argv, "--samples", "5000", "--seed", "9"]) == 0
         assert capsys.readouterr().out == want
     assert calls == []
 
@@ -985,14 +1002,14 @@ def test_cli_ns_family_draws_no_sample(tmp_path, monkeypatch, capsys):
 def test_cli_reports_leave_out_evidence(tmp_path, capsys):
     files = construct_all(tmp_path, seed=4)
     paths = [str(p) for p in files.values()]
-    for name, path in files.items():
-        assert cli.main(["verify", str(path), "--samples", "2000"]) == 0
+    for path in paths:
+        assert cli.main(["verify", path, "--samples", "2000"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["reports"]
         assert all("evidence" not in rep for rep in out["reports"])
-        if name != "ns":  # certified: no sample drawn
-            assert out["multiplicity"]["samples"] == 0
-            assert out["multiplicity"]["certificate"] is not None
+        # certified, ns included: no sample drawn
+        assert out["multiplicity"]["samples"] == 0
+        assert out["multiplicity"]["certificate"] is not None
     assert cli.main(["bounds", *paths, "--samples", "2000"]) == 0
     reports = json.loads(capsys.readouterr().out)["reports"]
     assert len(reports) >= len(paths)
@@ -1021,11 +1038,12 @@ def test_cli_falconer_decides_separability_and_circumradius_once(
                      "--out", "rep.json"]) == 0
     assert calls == {"is_separable": 1, "circumradius": 1}
     # the bytes written when each check recomputed its own separability test
-    # and enclosing circle
+    # and enclosing circle (rep.json re-recorded when it gained the sweep's
+    # multiplicity block)
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in ("rep.json", "fam.svg")}
     assert digests == {
-        "rep.json": "d4d6ae619f8f971f6b78a490d73ef5ab002784015859e1a8c8a0a75f3648a6d1",
+        "rep.json": "00e9d1dc1bdf9c64ef508f61d628197e411617c7795627e2238b471822075b06",
         "fam.svg": "eb6536a39b7fed1c20b94d6513a939b91422ca3deaf4dc2ad67ec7c4693413b5",
     }
 
@@ -1154,7 +1172,9 @@ PINNED_CONSTRUCTS = {
 # family was a tuple of per-disk objects and a cap family took its radius
 # and seed as arguments; the cap pins were re-recorded when hull-completed
 # sets began to stop their greedy phase at SHORT_STREAK rejections (the set
-# of cap-4-1-0.3 seed 2 is the same either way)
+# of cap-4-1-0.3 seed 2 is the same either way); the ns pins were re-recorded
+# when passed verify and falconer reports began to carry the sweep's
+# multiplicity block and the sweep-backed notes to name its certificate
 OUTPUT_PINS = {
     "cap-4-1-0.3": [
         "41754b142f89af187a0d9dd6de5454004aac803175364a4b95cade9e0208110d",
@@ -1167,14 +1187,14 @@ OUTPUT_PINS = {
         "85ede766da55291dd4c3791d481b14d33666dbcf3e9256c8d1a41f1e7819683f",
     ],
     "ns-4-2": [
-        "5119a400422376f7303d9efe58657421428edea9789943db7d8df9c741c68100",
-        "4126bfde43fff94386991cde5248b0e9d72d1d66626de5553120d017b124c9b6",
-        "4e9901308b9c61c07ff2f3cef6e2932b0c42c3ea45c98633a9f165a8e521cdeb",
+        "bcf8dc7af356280baff6723c4bf9f7c56a853ce224a4e77ba6582ad6c2682495",
+        "ec3171c925459d82cadf25107fa2bfba45660553ea332972e544ac552181d993",
+        "bb9b472c06f917935c56c5a2cbf050055af8e86cb959daa0998cb10ddcbfe910",
     ],
     "ns-6-1": [
-        "4125b2346e3345be9757d42ed3cb81e5abbe1ca3c632e2d2d8aaf45f8651e8f7",
-        "dd7e86cd73d978e3e4b0ee485091a4866fe358e5517eb0ccfff13c57eca5195a",
-        "f64d5301c32f31eea1afc7f165a7d117c4ce5526c2e708bc38a492ed13567826",
+        "33f74befe12ebce4e95a7b031f1dab3acdf1352b8d33356915375bf46dfff97f",
+        "47fdfe88a6a423d8bdad8d4050e97c158e991e7e0b6579614cef2603681b2d37",
+        "69b0e3054e27c9dad44be28520a2f44d7c9a83284e78f52bcf1836f8c6a4be6e",
     ],
 }
 

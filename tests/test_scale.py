@@ -1,0 +1,113 @@
+"""Verdicts do not depend on the scale of an instance.
+
+Every non-cap construct kind of ``CONSTRUCT_KINDS`` at seed 1, and its
+r - 1 and r + 1 mutations, is scaled by 2**e for e in (-40, -20, 20, 40).
+A power of two scales every coordinate exactly, so each scaled file must give
+the unscaled run's exit code, certificate and per-report verdicts.  Cap
+bases live in the unit ball and do not scale.  The lhs and rhs themselves are
+not compared: crv sums of ellipsoid files differ in their last bits.
+"""
+
+import contextlib
+import io
+import json
+
+import numpy as np
+import pytest
+
+from cylpack import cli, geom, instances
+from conftest import CONSTRUCT_KINDS
+
+SCALES = [2.0 ** e for e in (-40, -20, 20, 40)]
+SCALED_KINDS = [name for name in CONSTRUCT_KINDS if name != "cap"]
+
+
+def _scaled(obj: dict, s: float) -> dict:
+    """The instance object with every length multiplied by s."""
+    obj = json.loads(json.dumps(obj))
+    if obj["kind"] == instances.KIND_DISK_PLANKS:
+        for disk in obj["disks"]:
+            disk["center"] = [x * s for x in disk["center"]]
+            disk["radius"] *= s
+        for p in obj["planks"]:
+            p["interval"] = [x * s for x in p["interval"]]
+        return obj
+    body = obj["body"]
+    if body["type"] == "polytope":
+        body["vertices"] = (np.array(body["vertices"]) * s).tolist()
+    else:
+        body["center"] = [x * s for x in body["center"]]
+        if body["type"] == "ball":
+            body["radius"] *= s
+        else:
+            body["shape"] = (np.array(body["shape"]) / (s * s)).tolist()
+    for cyl in obj["cylinders"]:
+        base = cyl["base"]
+        if base["kind"] == "polytope":
+            base["vertices"] = (np.array(base["vertices"]) * s).tolist()
+        else:
+            base["center"] = [x * s for x in base["center"]]
+            base["radius"] *= s
+    return obj
+
+
+def test_unit_is_one_from_one_half_on_and_else_the_size_power_of_two():
+    for size, unit in ((0.0, 1.0), (0.5, 1.0), (3.0, 1.0), (2.0 ** 40, 1.0),
+                       (0.49, 0.5), (0.7 * 2.0 ** -40, 2.0 ** -40)):
+        assert geom.length_unit(size) == unit, size
+    # a body's unit reads its largest |coordinate|, through its bounding box
+    square = np.array([[-0.6, -0.6], [0.6, -0.6], [0.6, 0.6], [-0.6, 0.6]])
+    for s in SCALES:
+        assert geom.Polytope(square * s).unit == geom.length_unit(0.6 * s)
+        assert geom.Ball(np.array([0.5 * s, 0.0]), 0.1 * s).unit == geom.length_unit(0.6 * s)
+        assert geom.Ellipsoid(np.zeros(2), np.diag([1.0, 4.0]) / (0.36 * s * s)).unit \
+            == geom.length_unit(0.6 * s)
+
+
+def _verify(path) -> tuple[int, dict]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(["verify", str(path)])
+    return code, json.loads(buf.getvalue())
+
+
+def _verdict(obj: dict, path) -> tuple:
+    """(exit code, certificate, per-report passed) of ``verify`` on obj."""
+    instances.dump_json(obj, path)
+    code, out = _verify(path)
+    mult = out["multiplicity"]
+    return (code, None if mult is None else mult["certificate"],
+            [rep["passed"] for rep in out["reports"]])
+
+
+@pytest.mark.parametrize("name", SCALED_KINDS)
+def test_scaled_files_keep_their_verdicts(tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    assert cli.main(["construct", *CONSTRUCT_KINDS[name], "--seed", "1",
+                     "--out", str(path)]) == 0
+    original = instances.load_json(path)
+    for shift in (-1, 0, 1):
+        obj = dict(original, r=original["r"] + shift)
+        if obj["r"] < 1:
+            continue
+        want = _verdict(obj, tmp_path / "unscaled.json")
+        assert want[0] == (0 if shift == 0 or shift == 1 and name != "cover" else 1)
+        for s in SCALES:
+            assert _verdict(_scaled(obj, s), tmp_path / "scaled.json") == want, (shift, s)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-10, 2.0 ** -40])
+def test_strip_outside_the_body_fails_at_every_scale(tmp_path, scale):
+    # strip 0 moved out by four body diameters lies outside the body's shadow
+    path = tmp_path / "strips.json"
+    assert cli.main(["construct", *CONSTRUCT_KINDS["strips"], "--seed", "1",
+                     "--out", str(path)]) == 0
+    obj = _scaled(instances.load_json(path), scale)
+    vertices = np.array(obj["body"]["vertices"])
+    diameter = np.max(np.linalg.norm(vertices[:, None] - vertices[None, :], axis=2))
+    base = obj["cylinders"][0]["base"]
+    base["vertices"] = (np.array(base["vertices"]) + 4.0 * diameter).tolist()
+    instances.dump_json(obj, path)
+    code, out = _verify(path)
+    assert code == 1 and out["reports"] == []
+    assert out["multiplicity"]["reason"] == "base 0 is not contained in the body shadow"

@@ -189,7 +189,7 @@ def _scan(body, slice_frame, offsets_frame, base, centre) -> float:
     pts = np.vstack([grid, np.asarray(centre) + 1e-3 * (hi - lo) * stencil])
     keep = geom.contains_points(shadow, pts)
     if base is not None:
-        keep &= cylinders.base_membership(base, pts)[0]
+        keep &= cylinders.base_membership(base, pts, 1.0)[0]
     return max((geom.affine_slice_volume(body, slice_frame, offsets_frame.embed(z))
                 for z in pts[keep]), default=0.0)
 
