@@ -5,7 +5,8 @@ Each checker pre-verifies its hypothesis (packing or covering) once through
 NotACovering with the failing verdict), evaluates both sides of the inequality,
 and emits a BoundReport carrying that evidence (``hypothesis``), as
 ``falconer``'s disk-plank checks do; only sampled evidence makes it
-probabilistic.  Every report passes within EXACT_TOL, and the covering bound
+probabilistic.  Every report passes within its ``tolerance``: EXACT_TOL, times
+unit^p where the sides are p-dimensional.  The covering bound
 takes its reading from k and the body.  Translated-slice maxima are brackets
 lo <= max <= hi, closed-form where the body and base allow it and a certified
 concave search elsewhere; each check takes the end that errs toward failing,
@@ -77,14 +78,14 @@ class BoundReport:
 def make_report(theorem_id: str, lhs: float, rhs: float, direction: str,
                 digest: str, probabilistic: bool = False, notes: str = "",
                 evidence: multiplicity.MultiplicityReport | None = None,
-                ) -> BoundReport:
-    """BoundReport of lhs (direction) rhs, passed within EXACT_TOL."""
+                tolerance: float = EXACT_TOL) -> BoundReport:
+    """BoundReport of lhs (direction) rhs, passed within the tolerance."""
     slack = rhs - lhs if direction == LE else lhs - rhs
     return BoundReport(
         theorem_id=theorem_id, lhs=float(lhs), rhs=float(rhs),
         direction=direction, slack=float(slack), instance_digest=digest,
-        passed=bool(slack >= -EXACT_TOL), probabilistic=probabilistic,
-        notes=notes, evidence=evidence)
+        passed=bool(slack >= -tolerance), tolerance=tolerance,
+        probabilistic=probabilistic, notes=notes, evidence=evidence)
 
 
 def evidence(verdict: multiplicity.VerificationResult, failure: type,
@@ -129,7 +130,7 @@ def check_covering_lower(body: geom.ConvexBody, family, r: int,
     or ellipsoid body (the "ellipsoid" reading), else >= r / binom(d, k)
     (the "general" one)."""
     family = list(family)
-    ev = evidence(multiplicity.verify_covering(body, family, r, n, seed),
+    ev = evidence(multiplicity.decide(body, family, r, n, seed, covering=True),
                   NotACovering)
     d = body.dim
     ks = {c.k for c in family}
@@ -155,10 +156,8 @@ def check_packing_upper_ellipsoid(body: geom.ConvexBody, family, r: int,
     ks = {c.k for c in family}
     if not ks <= {1, 2}:
         raise DomainError(f"codimension must be 1 or 2, got {sorted(ks)}")
-    shadows = cylinders.family_shadows(body, family)
-    ev = evidence(multiplicity.verify_packing(body, family, r, n, seed,
-                                              shadows=shadows), NotAPacking)
-    lhs = cylinders.sum_crv(body, family, shadows=shadows)
+    ev = evidence(multiplicity.decide(body, family, r, n, seed), NotAPacking)
+    lhs = cylinders.sum_crv(body, family)
     digest = _digest_family(body, family, {"r": r})
     return make_report("packing_upper_ellipsoid", lhs, float(r), LE, digest,
                        **hypothesis(ev, "packing"))
@@ -190,13 +189,10 @@ class SliceMax:
 
 def max_translate_slice(body: geom.ConvexBody, slice_frame: geom.Frame,
                         base: cylinders.CylinderBase | None = None,
-                        offsets_frame: geom.Frame | None = None,
-                        shadow: geom.ConvexBody | None = None) -> SliceMax:
+                        offsets_frame: geom.Frame | None = None) -> SliceMax:
     """max over offsets z of the slice volume body ∩ (N z + span(slice_frame)),
     N the ``offsets_frame`` (by default an orthonormal complement of the
     slice subspace), over the offsets in ``base`` when one is given.
-    ``shadow`` is ``geom.project_body(body, offsets_frame)`` when the caller
-    has it already.
 
     Closed forms:
     - ellipsoid: a ball or ellipsoid with no base, a disk base or a
@@ -231,8 +227,7 @@ def max_translate_slice(body: geom.ConvexBody, slice_frame: geom.Frame,
             return _bracket(slice_at, offsets_frame.coords(q), t, "difference-body")
         if offsets_frame.subspace_dim == 1:
             return _piecewise_max(slice_at, m, body, offsets_frame)
-    if shadow is None:
-        shadow = geom.project_body(body, offsets_frame)
+    shadow = geom.project_body(body, offsets_frame)
     if not isinstance(body, geom.Polytope) and not isinstance(base, geom.Polytope):
         return _ellipsoid_max(slice_at, body, slice_frame, shadow, base)
     return _concave_search(slice_at, m, shadow, offsets_frame, base)
@@ -568,9 +563,7 @@ def check_packing_general(body: geom.ConvexBody, family, r: int,
             raise DomainError(
                 "antipodal cap bases make the restricted cylinder non-convex; "
                 "this bound needs one-sided caps")
-    shadows = cylinders.family_shadows(body, family)
-    ev = evidence(multiplicity.verify_packing(body, family, r, n, seed,
-                                              shadows=shadows), NotAPacking)
+    ev = evidence(multiplicity.decide(body, family, r, n, seed), NotAPacking)
     d = body.dim
     ks = {c.k for c in family}
     if len(ks) != 1:
@@ -579,16 +572,16 @@ def check_packing_general(body: geom.ConvexBody, family, r: int,
     slices = cylinders._per_frame(family, lambda i: (
         h := geom.complement(family[i].frame), max_translate_slice(body, h)))
     worst_ratio, methods = 0.0, ""
-    for cyl, (h_frame, body_max), shadow in zip(family, slices, shadows):
+    for cyl, (h_frame, body_max) in zip(family, slices):
         cyl_max = max_translate_slice(body, h_frame, base=cyl.base,
-                                      offsets_frame=cyl.frame, shadow=shadow)
+                                      offsets_frame=cyl.frame)
         if cyl_max.hi <= 0:
             raise DomainError("restricted cylinder has numerically empty slices")
         ratio = body_max.lo / cyl_max.hi
         if ratio >= worst_ratio:
             worst_ratio = ratio
             methods = f"body {body_max.method}, restricted {cyl_max.method}"
-    lhs = cylinders.sum_crv(body, family, shadows=shadows)
+    lhs = cylinders.sum_crv(body, family)
     rhs = r * math.comb(d, k) * worst_ratio
     digest = _digest_family(body, family, {"r": r})
     return make_report("packing_upper_general", lhs, rhs, LE, digest,
@@ -621,10 +614,12 @@ def check_rogers_shephard(body: geom.ConvexBody, frame: geom.Frame,
     digest = instance_digest({"body": geom.body_to_json(body),
                               "frame": frame.columns.tolist()})
     notes = f"{max_slice.method} max slice at offset {max_slice.offset}"
+    tolerance = EXACT_TOL * body.unit ** d  # the sides are d-volumes
     upper = make_report("rogers_shephard_upper", max_slice.hi * shadow_vol,
-                        math.comb(d, k) * vol, LE, digest, notes=notes)
+                        math.comb(d, k) * vol, LE, digest, notes=notes,
+                        tolerance=tolerance)
     lower = make_report("fubini_lower", max_slice.lo * shadow_vol, vol, GE,
-                        digest, notes=notes)
+                        digest, notes=notes, tolerance=tolerance)
     return upper, lower
 
 
@@ -649,12 +644,12 @@ def check_base_volume_bound(body: geom.ConvexBody, family, r: int,
     family = list(family)
     if any(c.k != 1 for c in family):
         raise DomainError("the base-volume bound is for codimension-1 cylinders")
-    ev = evidence(multiplicity.verify_packing(body, family, r, n, seed),
-                  NotAPacking)
+    ev = evidence(multiplicity.decide(body, family, r, n, seed), NotAPacking)
     d = body.dim
     lhs = float(sum(cylinders.base_volume(c.base) for c in family))
     _, max_shadow = geom.max_hyperplane_projection(body)
     rhs = surface_constant(d) * r * max_shadow
     digest = _digest_family(body, family, {"r": r})
     return make_report("plank_base_volume", lhs, rhs, LE, digest,
-                       **hypothesis(ev, "packing", f"max shadow {max_shadow:.6g}"))
+                       **hypothesis(ev, "packing", f"max shadow {max_shadow:.6g}"),
+                       tolerance=EXACT_TOL * body.unit ** (d - 1))

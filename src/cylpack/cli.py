@@ -70,10 +70,16 @@ KINDS_READING_N = ("plank-partition", "packing", "polygon-strips", "ns-family")
 KINDS_READING_DIM = ("plank-partition", "packing", "covering")  # cap checks its own
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise DomainError(f"--seed must be at least 0, got {seed}")
+
+
 def cmd_construct(args) -> int:
     rng_meta = {"generator": args.kind, "seed": args.seed}
     try:
         instances.check_multiplicity(args.r)
+        _check_seed(args.seed)
         if args.n < 1 and args.kind in KINDS_READING_N:
             raise DomainError(f"--n must be at least 1, got {args.n}")
         if args.dim < 2 and args.kind in KINDS_READING_DIM:
@@ -137,10 +143,11 @@ def _load_instance(path):
 
 def _reports_for(inst, samples: int, seed: int) -> tuple[list, dict | None, bool]:
     """(bound reports, multiplicity json, all_ok) for one instance, whatever
-    its kind: ``samples`` must reach ``multiplicity.MIN_SAMPLES``, the
+    its kind (``samples`` >= ``multiplicity.MIN_SAMPLES``, ``seed`` >= 0): the
     checker decides the hypothesis once, and the json is the first report's
     evidence, or, when the hypothesis fails, its verdict, with no report."""
     multiplicity.check_samples(samples)
+    _check_seed(seed)
     try:
         if inst["kind"] == instances.KIND_DISK_PLANKS:
             reports = falconer.check_disk_planks(

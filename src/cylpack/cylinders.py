@@ -132,13 +132,6 @@ def _per_frame(family, value) -> list:
     return out
 
 
-def family_shadows(body: geom.ConvexBody, family) -> list:
-    """The body's shadow on each cylinder's base subspace
-    (``geom.project_body``), projected once per frame group."""
-    family = list(family)
-    return _per_frame(family, lambda i: geom.project_body(body, family[i].frame))
-
-
 def crv(body: geom.ConvexBody, cyl: Cylinder) -> float:
     """Cross-sectional volume of the cylinder relative to the body: the ratio
     of the base volume to the volume of the body's shadow on the base
@@ -146,20 +139,17 @@ def crv(body: geom.ConvexBody, cyl: Cylinder) -> float:
     return sum_crv(body, [cyl])
 
 
-def sum_crv(body: geom.ConvexBody, family, shadows=None) -> float:
+def sum_crv(body: geom.ConvexBody, family) -> float:
     """Sum of ``crv`` over the family: one shadow volume per distinct frame,
-    the terms added in family order.  ``shadows`` is the family's
-    ``family_shadows(body, family)`` when the caller has them already."""
+    the terms added in family order."""
     def shadow_volume(i):
-        denom = geom.volume(shadows[i])
+        denom = geom.volume(geom.project_body(body, family[i].frame))
         if denom == math.inf:
             raise DomainError("projected body volume overflows")
         if not denom > 0.0:
             raise DegenerateProjection("projected body has numerically zero volume")
         return denom
     family = list(family)
-    if shadows is None:
-        shadows = family_shadows(body, family)
     denom = _per_frame(family, shadow_volume)
     return float(sum(base_volume(c.base) / v for c, v in zip(family, denom)))
 

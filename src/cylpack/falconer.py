@@ -28,8 +28,8 @@ from functools import cached_property
 import numpy as np
 
 from . import cylinders, geom, multiplicity
-from .bounds import (GE, LE, BoundReport, evidence, hypothesis, instance_digest,
-                     make_report)
+from .bounds import (EXACT_TOL, GE, LE, BoundReport, evidence, hypothesis,
+                     instance_digest, make_report)
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -561,8 +561,8 @@ def exact_plank_multiplicity(family: DiskFamily, normals: np.ndarray,
 def verify_plank_packing(family: DiskFamily, normals: np.ndarray, lows: np.ndarray,
                          highs: np.ndarray, r: int) -> multiplicity.VerificationResult:
     """r-fold packing check of planks (``_plank_arrays``) inside the hull,
-    exact on arrangement cells (``SWEEP_CERTIFICATE``); like
-    ``multiplicity.verify_packing`` it also fails, without a witness, when a
+    exact on arrangement cells (``SWEEP_CERTIFICATE``); like a packing's
+    ``multiplicity.decide`` it also fails, without a witness, when a
     plank leaves the support range by more than ``cylinders.CONTAINMENT_TOL``
     times the family's ``unit``."""
     mult, witness = exact_plank_multiplicity(family, normals, lows, highs)
@@ -608,19 +608,21 @@ def check_disk_planks(family: DiskFamily, planks, r: int) -> list[BoundReport]:
     digest = instance_digest({"family": family_json,
                               "planks": _planks_json(normals, lows, highs), "r": r})
     widths = (highs - lows).tolist()  # Python floats: sum() rounds as it always has
+    tol = EXACT_TOL * family.unit  # every side is a length
     return [
         make_report("plank_width_sum", float(sum(widths)), r * diam_ns, LE, digest,
-                    **hypothesis(ev, "packing")),
+                    **hypothesis(ev, "packing"), tolerance=tol),
         make_report("circumradius_vs_ns_diameter", 2.0 * circ.radius, diam_ns,
-                    LE, digest),
+                    LE, digest, tolerance=tol),
         make_report("ridge_mass_bound",
                     float(sum((1.0 / r) * w for w in widths)), diam_ns, LE, digest,
                     **hypothesis(ev, "packing",
-                                 "pointwise bound checked on arrangement cells")),
+                                 "pointwise bound checked on arrangement cells"),
+                    tolerance=tol),
         make_report("mass_circumradius", diam_ns, 2.0 * circ.radius, GE,
                     instance_digest({"family": family_json}),
                     notes=f"bracket [2R, ns_diameter] = "
-                          f"[{2.0 * circ.radius!r}, {diam_ns!r}]"),
+                          f"[{2.0 * circ.radius!r}, {diam_ns!r}]", tolerance=tol),
     ]
 
 

@@ -2,7 +2,8 @@
 
 Bodies are carried in closed form (balls, ellipsoids) or as vertex lists;
 subspaces are orthonormal frames.  All types are immutable values and all
-functions are pure, so objects can be shared freely between threads.  Volumes
+functions are pure but for bodies memoizing their shadows (a race computes
+one twice), so objects can be shared freely between threads.  Volumes
 are exact in every dimension (closed forms, qhull for polytopes); the Monte
 Carlo :func:`polytope_volume_mc` is kept only as an oracle.  Random paths take
 explicit seeds; bodies round-trip through JSON bit for bit.  Balls and
@@ -207,6 +208,10 @@ class _Body:
     def unit(self) -> float:
         """``length_unit`` of the body's largest |coordinate|."""
         return length_unit(float(np.max(np.abs(bounding_box(self)))))
+
+    @cached_property
+    def _shadow_cache(self) -> dict:
+        return {}
 
 
 @dataclass(frozen=True, eq=False)
@@ -442,14 +447,21 @@ def body_center(body: ConvexBody) -> np.ndarray:
 
 
 def project_body(body: ConvexBody, frame: Frame) -> ConvexBody:
-    """Shadow of the body under orthogonal projection, in frame coordinates.
+    """Shadow of the body under orthogonal projection, in frame coordinates,
+    projected once per body and bit-equal frame columns.
 
     Balls project to balls, ellipsoids to ellipsoids (the inverse shape form
     restricts as the Gram matrix of Q^-1 on the frame columns), polytopes to
-    the hull of the projected vertices.
-    """
+    the hull of the projected vertices."""
     if frame.ambient_dim != body.dim:
         raise DimensionMismatch("frame ambient dimension does not match the body")
+    cache, key = body._shadow_cache, frame.columns.tobytes()
+    if key not in cache:
+        cache[key] = _project(body, frame)
+    return cache[key]
+
+
+def _project(body: ConvexBody, frame: Frame) -> ConvexBody:
     if isinstance(body, Ball):
         return Ball(frame.coords(body.center), body.radius)
     if isinstance(body, Ellipsoid):

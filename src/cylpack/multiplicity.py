@@ -24,7 +24,7 @@ from .errors import DimensionMismatch, DomainError
 BLOCK = 8192
 MIN_SAMPLES = 1000
 ALPHA = 0.05          # a sampled pass bounds its violating fraction at confidence 1 - ALPHA
-POLE_PAIRS = 1 << 15  # pole pairs per block of the level product (256 KB)
+POLE_PAIRS = 1 << 15  # pairs per row block of pole levels and disk distances
 SHADOW_MARGIN = 1e-9  # relative outward widening of a layer's shadow, far beyond rounding
 _U = 2.0 ** -53       # unit roundoff of float64
 CAP_CERTIFICATE = "pole-separation"
@@ -172,14 +172,20 @@ def _interval_depths(lo: np.ndarray, hi: np.ndarray) -> tuple:
 def _disk_depth(bases) -> int:
     """Largest conflict degree + 1 of disk bases in one frame: a pair is
     cleared when |c_i - c_j| >= r_i + r_j beyond 8 (m + 2) 2**-53 of the
-    terms, the rounding of the distance and the sum."""
+    terms, the rounding of the distance and the sum; pairs are formed in
+    row blocks of about POLE_PAIRS, so memory stays flat in n."""
     c = np.array([b.center for b in bases])
     rad = np.array([b.radius for b in bases])
-    dist = np.linalg.norm(c[:, None, :] - c[None, :, :], axis=2)
-    reach = rad[:, None] + rad[None, :]
-    hit = ~(dist - reach >= 8.0 * (c.shape[1] + 2) * _U * (dist + reach))
-    np.fill_diagonal(hit, False)
-    return int(np.count_nonzero(hit, axis=1).max()) + 1
+    degree = 0
+    step = max(1, POLE_PAIRS // len(c))
+    for lo in range(0, len(c), step):
+        rows = slice(lo, lo + step)
+        dist = np.linalg.norm(c[rows, None, :] - c[None, :, :], axis=2)
+        reach = rad[rows, None] + rad[None, :]
+        hit = ~(dist - reach >= 8.0 * (c.shape[1] + 2) * _U * (dist + reach))
+        np.fill_diagonal(hit[:, lo:], False)
+        degree = max(degree, int(np.count_nonzero(hit, axis=1).max()))
+    return degree + 1
 
 
 def _layer_certificate(body, family) -> MultiplicityReport | None:
@@ -353,11 +359,21 @@ def decide(body: geom.ConvexBody, family, r: int, n: int, seed: int,
            covering: bool = False) -> VerificationResult:
     """r-fold packing (or, with ``covering``, covering) verdict: the
     family's certificate, or n samples where it does not settle the
-    reading (``judge``).  n must reach MIN_SAMPLES either way."""
+    reading (``judge``); a packing with a base outside the body's shadow
+    (``geom.project_body``) fails without a witness.  n must reach
+    MIN_SAMPLES either way."""
     check_samples(n)
     family = list(family)
-    return judge(certify(body, family), r, covering,
-                 lambda: estimate_multiplicity(body, family, n, seed))
+    shadows = [] if covering else [geom.project_body(body, c.frame) for c in family]
+    outside = next((i for i, (cyl, shadow) in enumerate(zip(family, shadows))
+                    if not cylinders.base_contained(shadow, cyl.base, body.unit)), None)
+    verdict = judge(certify(body, family), r, covering,
+                    lambda: estimate_multiplicity(body, family, n, seed))
+    if outside is not None:
+        return VerificationResult(
+            False, None, verdict.report,
+            reason=f"base {outside} is not contained in the body shadow")
+    return verdict
 
 
 def judge(report: MultiplicityReport | None, r: int, covering: bool = False,
@@ -386,30 +402,3 @@ def judge(report: MultiplicityReport | None, r: int, covering: bool = False,
         report = replace(report, violation_fraction_ucb=math.log(1.0 / ALPHA)
                          / report.samples)
     return VerificationResult(True, None, report)
-
-
-def verify_packing(body: geom.ConvexBody, family, r: int, n: int, seed: int,
-                   shadows=None) -> VerificationResult:
-    """r-fold packing check (``decide``).
-
-    Also fails, without a witness, when some base is not contained in the
-    body's shadow, projected once per distinct frame
-    (``cylinders.family_shadows``, unless the caller passes them).
-    """
-    family = list(family)
-    if shadows is None:
-        shadows = cylinders.family_shadows(body, family)
-    outside = next((i for i, cyl in enumerate(family) if not
-                    cylinders.base_contained(shadows[i], cyl.base, body.unit)), None)
-    verdict = decide(body, family, r, n, seed)
-    if outside is not None:
-        return VerificationResult(
-            False, None, verdict.report,
-            reason=f"base {outside} is not contained in the body shadow")
-    return verdict
-
-
-def verify_covering(body: geom.ConvexBody, family, r: int, n: int, seed: int,
-                    ) -> VerificationResult:
-    """r-fold covering check (``decide``); the witness is an undercovered point."""
-    return decide(body, family, r, n, seed, covering=True)

@@ -123,7 +123,7 @@ def check_packing_scaled(body: geom.ConvexBody, family, r: int,
     else:
         outer = mvee(body.vertices, tol=MVEE_TOL).ellipsoid
         distance_bound = _distance_factor(body, outer)
-    ev = bounds.evidence(multiplicity.verify_packing(outer, family, r, n, seed),
+    ev = bounds.evidence(multiplicity.decide(outer, family, r, n, seed),
                          NotAPacking)
     lhs = cylinders.sum_crv(body, family)
     rhs = r * distance_bound ** (d - k)

@@ -100,7 +100,7 @@ def test_criterion_3_packing_bounds():
         fam = instances.random_base_packing(body, k, 3, r, seed=seed)
         if seed % 3 == 0:
             fam = box_bases(fam)
-        res = multiplicity.verify_packing(body, fam, r, 1500, seed=seed)
+        res = multiplicity.decide(body, fam, r, 1500, seed=seed)
         assert res.ok, (seed, res.reason)
         assert cylinders.sum_crv(body, fam) <= r + 1e-12, seed
         count += 1

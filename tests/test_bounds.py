@@ -107,7 +107,7 @@ def test_packing_precondition():
 def test_sampling_checkers_carry_their_evidence():
     fam = instances.plank_partition(BALL2, 4)
     rep = bounds.check_packing_upper_ellipsoid(BALL2, fam, 1, n=4000, seed=1)
-    assert rep.evidence == multiplicity.verify_packing(BALL2, fam, 1, 4000, 1).report
+    assert rep.evidence == multiplicity.decide(BALL2, fam, 1, 4000, 1).report
     assert "evidence" not in rep.to_json()
     assert "evidence" not in bounds.bound_reports_to_csv([rep])
 
@@ -336,8 +336,8 @@ def test_partition_duality_crv_sums_to_one():
         frame = geom.Frame(np.eye(d)[:, :1])
         fam = [cylinders.Cylinder(frame, geom.Polytope([[a], [b]]))
                for a, b in zip(breaks, breaks[1:])]
-        assert multiplicity.verify_packing(ball, fam, 1, 4000, seed=3).ok
-        assert multiplicity.verify_covering(ball, fam, 1, 4000, seed=3).ok
+        assert multiplicity.decide(ball, fam, 1, 4000, seed=3).ok
+        assert multiplicity.decide(ball, fam, 1, 4000, seed=3, covering=True).ok
         assert cylinders.sum_crv(ball, fam) == pytest.approx(1.0, abs=1e-9)
 
 

@@ -11,6 +11,7 @@ certified reports do not depend on the sample count or seed.
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -228,13 +229,13 @@ def test_polytope_base_covering_is_sampled_unchanged(tmp_path):
     inst = instances.parse_instance(instances.load_json(path))
     body, family = inst["body"], inst["family"]
     assert multiplicity.certify(body, family) is None
-    verdict = multiplicity.verify_covering(body, family, 1, 5000, seed=4)
+    verdict = multiplicity.decide(body, family, 1, 5000, seed=4, covering=True)
     sampled = multiplicity.estimate_multiplicity(body, family, 5000, seed=4)
     assert verdict.ok and verdict.report.certificate is None
     ucb = verdict.report.violation_fraction_ucb
     assert ucb == math.log(1 / 0.05) / 5000  # about 3 / n
     assert verdict.report == dataclasses.replace(sampled, violation_fraction_ucb=ucb)
-    failed = multiplicity.verify_covering(body, family, 2, 5000, seed=4)
+    failed = multiplicity.decide(body, family, 2, 5000, seed=4, covering=True)
     assert not failed.ok and failed.report.violation_fraction_ucb is None
 
 
@@ -247,5 +248,27 @@ def test_disk_bases_that_overlap_are_bounded_not_refuted():
               for c in (-0.2, 0.2)]
     cert = multiplicity.certify(ball, family)
     assert cert.max_mult == 2 and cert.min_mult is None and cert.witness_max is None
-    verdict = multiplicity.verify_packing(ball, family, 1, 4000, seed=1)
+    verdict = multiplicity.decide(ball, family, 1, 4000, seed=1)
     assert not verdict.ok and verdict.report.samples == 4000
+
+
+def test_layer_depth_of_many_disks_keeps_memory_flat():
+    # 4000 disjoint disks in one frame, and one more over a grid point: the
+    # depth pairs are formed in row blocks, not as one n x n x m array
+    # (a peak of about 770 MB at n = 4000)
+    ball = geom.Ball(np.zeros(3), 1.0)
+    frame = geom.orthonormalize(np.eye(3)[:2])
+    grid = np.linspace(-0.6, 0.6, 64)
+    centers = np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2)[:4000]
+    radius = 0.4 * (grid[1] - grid[0])
+    family = [cylinders.Cylinder(frame, geom.Ball(c, radius)) for c in centers]
+    tracemalloc.start()
+    try:
+        cert = multiplicity.certify(ball, family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.certificate == multiplicity.LAYER_CERTIFICATE and cert.max_mult == 1
+    assert peak < 16 << 20, peak
+    overlap = cylinders.Cylinder(frame, geom.Ball(centers[-1], radius))
+    assert multiplicity.certify(ball, family + [overlap]).max_mult == 2

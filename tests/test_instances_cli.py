@@ -19,8 +19,8 @@ from conftest import CONSTRUCT_KINDS, box_bases, construct_all
 def test_plank_partition_is_packing_and_covering():
     ball = geom.Ball(np.zeros(2), 1.0)
     fam = instances.plank_partition(ball, 5, r=2)
-    assert multiplicity.verify_packing(ball, fam, 2, 4000, seed=1).ok
-    assert multiplicity.verify_covering(ball, fam, 2, 4000, seed=1).ok
+    assert multiplicity.decide(ball, fam, 2, 4000, seed=1).ok
+    assert multiplicity.decide(ball, fam, 2, 4000, seed=1, covering=True).ok
     assert cylinders.sum_crv(ball, fam) == pytest.approx(2.0, abs=1e-12)
 
 
@@ -32,7 +32,7 @@ def test_random_base_packing_valid(rng):
         r = int(rng.integers(1, 4))
         fam = instances.random_base_packing(body, k, 3, r, seed=seed)
         assert len(fam) == 3 * r
-        res = multiplicity.verify_packing(body, fam, r, 3000, seed=seed)
+        res = multiplicity.decide(body, fam, r, 3000, seed=seed)
         assert res.ok, res.reason
         assert cylinders.sum_crv(body, fam) <= r + 1e-12
 
@@ -43,14 +43,14 @@ def test_random_box_covering_valid(rng):
         k = d - 1 if d <= 3 else int(rng.integers(d - 2, d))
         body = instances.random_ellipsoid(d, np.random.default_rng(seed + 7))
         fam = instances.random_box_covering(body, k, 2, seed=seed)
-        res = multiplicity.verify_covering(body, fam, 2, 3000, seed=seed)
+        res = multiplicity.decide(body, fam, 2, 3000, seed=seed, covering=True)
         assert res.ok, res.reason
 
 
 def test_random_strip_packing_valid():
     poly = instances.random_polygon(np.random.default_rng(5))
     fam = instances.random_strip_packing(poly, 4, 2, seed=5)
-    assert multiplicity.verify_packing(poly, fam, 2, 3000, seed=5).ok
+    assert multiplicity.decide(poly, fam, 2, 3000, seed=5).ok
 
 
 def test_random_ns_family_is_ns():
@@ -819,18 +819,31 @@ def test_cli_verify_cap_family(tmp_path, capsys):
 
 
 def test_cli_samples_floor_holds_for_every_kind(tmp_path, capsys):
-    # --samples below MIN_SAMPLES is a usage error for every instance kind,
-    # the exact disk-plank checks included; falconer reads no sample count
+    # --samples below MIN_SAMPLES and --seed below 0 are usage errors for
+    # every instance kind, certified ones and the exact disk-plank checks
+    # included, and a negative seed for every construct kind, seeded or not;
+    # falconer reads neither
     files = construct_all(tmp_path, seed=1)
-    message = f"need at least {multiplicity.MIN_SAMPLES} samples, got 10"
-    for name, path in files.items():
+    for flag, message in (
+            (["--samples", "10"], f"need at least {multiplicity.MIN_SAMPLES} samples, got 10"),
+            (["--seed", "-1"], "--seed must be at least 0, got -1")):
+        for name, path in files.items():
+            capsys.readouterr()
+            assert cli.main(["verify", str(path), *flag]) == 2, name
+            assert json.loads(capsys.readouterr().out) == {"error": {
+                "stage": "verify", "type": "DomainError", "message": message}}, name
+            assert cli.main(["bounds", str(path), *flag]) == 2, name
+            assert json.loads(capsys.readouterr().out) == {"reports": [], "errors": [{
+                "stage": f"bounds:{name}.json", "type": "DomainError",
+                "message": message}]}
+    for name, args in CONSTRUCT_KINDS.items():
         capsys.readouterr()
-        assert cli.main(["verify", str(path), "--samples", "10"]) == 2, name
+        assert cli.main(["construct", *args, "--seed", "-1",
+                         "--out", str(tmp_path / "neg.json")]) == 2, name
         assert json.loads(capsys.readouterr().out) == {"error": {
-            "stage": "verify", "type": "DomainError", "message": message}}, name
-        assert cli.main(["bounds", str(path), "--samples", "10"]) == 2, name
-        assert json.loads(capsys.readouterr().out) == {"reports": [], "errors": [{
-            "stage": f"bounds:{name}.json", "type": "DomainError", "message": message}]}
+            "stage": "construct", "type": "DomainError",
+            "message": "--seed must be at least 0, got -1"}}, name
+    assert not (tmp_path / "neg.json").exists()
     assert cli.main(["falconer", str(files["ns"])]) == 0
 
 

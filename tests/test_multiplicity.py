@@ -38,14 +38,14 @@ def test_cap_family_multiplicity_one():
 
 def test_verify_packing_partition():
     fam = instances.plank_partition(BALL2, 5)
-    res = multiplicity.verify_packing(BALL2, fam, 1, 5000, seed=2)
+    res = multiplicity.decide(BALL2, fam, 1, 5000, seed=2)
     assert res.ok and res.witness is None
 
 
 def test_verify_packing_doubled_partition():
     fam = instances.plank_partition(BALL2, 4, r=2)
-    assert multiplicity.verify_packing(BALL2, fam, 2, 5000, seed=2).ok
-    bad = multiplicity.verify_packing(BALL2, fam, 1, 5000, seed=2)
+    assert multiplicity.decide(BALL2, fam, 2, 5000, seed=2).ok
+    bad = multiplicity.decide(BALL2, fam, 1, 5000, seed=2)
     assert not bad.ok
     assert bad.witness is not None
     # the witness really does sit in more than one open cylinder
@@ -56,13 +56,13 @@ def test_verify_packing_doubled_partition():
 
 def test_verify_packing_rejects_uncontained_base():
     fam = [strip(3.0)]
-    res = multiplicity.verify_packing(BALL2, fam, 1, 2000, seed=2)
+    res = multiplicity.decide(BALL2, fam, 1, 2000, seed=2)
     assert not res.ok and "base" in res.reason
 
 
 def test_verify_covering_partition():
     fam = instances.plank_partition(BALL2, 5)
-    res = multiplicity.verify_covering(BALL2, fam, 1, 5000, seed=2)
+    res = multiplicity.decide(BALL2, fam, 1, 5000, seed=2, covering=True)
     assert res.ok
     rep = res.report
     assert rep.coverage_fraction == 1.0 and rep.min_mult >= 1
@@ -70,13 +70,13 @@ def test_verify_covering_partition():
 
 def test_verify_covering_repeated_partition():
     fam = instances.plank_partition(BALL2, 5, r=3)
-    assert multiplicity.verify_covering(BALL2, fam, 3, 5000, seed=2).ok
+    assert multiplicity.decide(BALL2, fam, 3, 5000, seed=2, covering=True).ok
 
 
 def test_verify_covering_gap_witness():
     fam = instances.plank_partition(BALL2, 5)
     del fam[2]
-    res = multiplicity.verify_covering(BALL2, fam, 1, 5000, seed=2)
+    res = multiplicity.decide(BALL2, fam, 1, 5000, seed=2, covering=True)
     assert not res.ok
     w = np.asarray(res.witness)
     assert not any(cylinder_oracle.contains_points(c, w)[0] for c in fam)

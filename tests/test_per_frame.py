@@ -1,10 +1,11 @@
 """Family work that depends on the frame alone runs once per distinct frame.
 
-The body's shadow (``geom.project_body``) is taken once per group of
-bit-equal frames in the packing containment pass and in ``sum_crv``, and
-the grouped ``sum_crv`` keeps the bytes of adding one ``crv`` per cylinder.
-One check shares one shadow per frame group between its containment pass,
-its ``sum_crv`` and the restricted slice maxima of the general bound.
+A body projects its shadow (``geom.project_body``) once per group of
+bit-equal frames, whoever asks: the packing containment pass of
+``multiplicity.decide``, ``sum_crv`` and the restricted slice maxima of the
+general bound share it.  The counts below are of shadows actually computed
+(``geom._project``, the cache miss), not of ``project_body`` calls.  The
+grouped ``sum_crv`` keeps the bytes of adding one ``crv`` per cylinder.
 """
 
 import warnings
@@ -36,13 +37,17 @@ def test_shadows_are_projected_once_per_frame(tmp_path, monkeypatch, name):
     frames = {cyl.frame.columns.tobytes() for cyl in family}
     assert len(frames) < len(family)
     calls = []
-    project = geom.project_body
-    monkeypatch.setattr(geom, "project_body",
+    project = geom._project
+    monkeypatch.setattr(geom, "_project",
                         lambda b, frame: calls.append(frame) or project(b, frame))
-    assert multiplicity.verify_packing(body, family, inst["r"], 1000, 0).ok
+    assert multiplicity.decide(body, family, inst["r"], 1000, 0).ok
+    assert {f.columns.tobytes() for f in calls} == frames
     assert len(calls) == len(frames)
     calls.clear()
     cylinders.sum_crv(body, family)
+    assert calls == []  # the body kept the shadows decide projected
+    fresh = geom.body_from_json(geom.body_to_json(body))
+    cylinders.sum_crv(fresh, family)
     assert {f.columns.tobytes() for f in calls} == frames
     assert len(calls) == len(frames)
 
@@ -66,7 +71,7 @@ def test_verify_shares_one_shadow_per_frame_group(tmp_path, monkeypatch, capsys,
     path = tmp_path / f"{name}.json"
     assert cli.main(["construct", *CONSTRUCT_KINDS[name], "--seed", "1",
                      "--out", str(path)]) == 0
-    calls = {"project_body": 0, "quadratic_on_ball": 0}
+    calls = {"_project": 0, "quadratic_on_ball": 0}
     for attr in calls:
         real = getattr(geom, attr)
 
@@ -76,5 +81,5 @@ def test_verify_shares_one_shadow_per_frame_group(tmp_path, monkeypatch, capsys,
 
         monkeypatch.setattr(geom, attr, counted)
     assert cli.main(["verify", str(path)]) == 0
-    assert calls == {"project_body": shadows, "quadratic_on_ball": exact}
+    assert calls == {"_project": shadows, "quadratic_on_ball": exact}
     capsys.readouterr()

@@ -9,13 +9,15 @@ not compared: crv sums of ellipsoid files differ in their last bits.
 """
 
 import contextlib
+import dataclasses
 import io
+import itertools
 import json
 
 import numpy as np
 import pytest
 
-from cylpack import cli, geom, instances
+from cylpack import bounds, cli, geom, instances
 from conftest import CONSTRUCT_KINDS
 
 SCALES = [2.0 ** e for e in (-40, -20, 20, 40)]
@@ -111,3 +113,20 @@ def test_strip_outside_the_body_fails_at_every_scale(tmp_path, scale):
     code, out = _verify(path)
     assert code == 1 and out["reports"] == []
     assert out["multiplicity"]["reason"] == "base 0 is not contained in the body shadow"
+
+
+def test_fubini_on_a_halved_slice_fails_at_every_scale(monkeypatch):
+    # on a box and an axis frame Fubini's lower bound is an equality, so a
+    # slice estimate half the true maximum misses it by half the volume: the
+    # tolerance scales with the body's unit^d, so a box shrunk by 2^-40
+    # cannot pass on an absolute slack
+    real = bounds.max_translate_slice
+    monkeypatch.setattr(bounds, "max_translate_slice", lambda *args, **kwargs: (
+        dataclasses.replace(top := real(*args, **kwargs), lo=top.lo / 2.0)))
+    vertices = np.array(list(itertools.product((-1.0, 1.0), repeat=3))) * [1.0, 0.7, 0.6]
+    frame = geom.orthonormalize(np.eye(3)[:1])
+    for scale in (1.0, 2.0 ** -40):
+        poly = geom.Polytope(vertices * scale)
+        upper, lower = bounds.check_rogers_shephard(poly, frame)
+        assert upper.passed and not lower.passed, scale
+        assert lower.tolerance == bounds.EXACT_TOL * poly.unit ** 3, scale
