@@ -4,8 +4,9 @@ Bodies are carried in closed form (balls, ellipsoids) or as vertex lists;
 subspaces are orthonormal frames.  All types are immutable values and all
 functions are pure but for bodies memoizing their shadows (a race computes
 one twice), so objects can be shared freely between threads.  Volumes
-are exact in every dimension (closed forms, qhull for polytopes); the Monte
-Carlo :func:`polytope_volume_mc` is kept only as an oracle.  Random paths take
+are exact in every dimension (closed forms; for polytopes a monotone chain
+in the plane and qhull above); the Monte Carlo :func:`polytope_volume_mc`
+is kept only as an oracle.  Random paths take
 explicit seeds; bodies round-trip through JSON bit for bit.  Balls and
 polytopes also serve as cylinder bases, in base-subspace coordinates (see
 ``cylinders``).
@@ -17,6 +18,7 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +41,7 @@ SAMPLE_CHUNK = 1024      # point rows per polytope membership product
 SECULAR_ITERS = 200      # bisection cap of quadratic_on_ball; doubles run out first
 PARALLEL_TOL = 1e-12     # 1 - |cos| under which facet normals share a line
 MIN_ACCEPTANCE = 1e-4    # rejection acceptance rate below which sample_in_body gives up
+HULL_FLAT_TOL = 1e-12    # distance to a hull edge, relative to the extent, that is no corner
 
 # scipy names served as module attributes, loaded on first access: importing
 # scipy.spatial or scipy.optimize costs more than numpy itself
@@ -276,7 +279,8 @@ class Ellipsoid(_Body):
 
 @dataclass(frozen=True, eq=False)
 class Polytope(_Body):
-    """Convex hull of a vertex list; must be full-dimensional."""
+    """Convex hull of a vertex list; must be full-dimensional.  Its hull is
+    :func:`planar_hull`'s in the plane and qhull's from d = 3 on."""
 
     vertices: np.ndarray
 
@@ -290,10 +294,13 @@ class Polytope(_Body):
             if np.ptp(vs[:, 0]) <= 0:
                 raise DegenerateBody("1-d polytope has zero length")
         else:
-            try:
-                hull = _geom.ConvexHull(vs)
-            except _geom.QhullError as exc:
-                raise DegenerateBody("vertex hull is not full-dimensional") from exc
+            if d == 2:
+                hull = planar_hull(vs)
+            else:
+                try:
+                    hull = _geom.ConvexHull(vs)
+                except _geom.QhullError as exc:
+                    raise DegenerateBody("vertex hull is not full-dimensional") from exc
             if hull.volume <= 0:
                 raise DegenerateBody("vertex hull has zero volume")
             object.__setattr__(self, "_hull", hull)
@@ -348,6 +355,80 @@ class Polytope(_Body):
 
 
 ConvexBody = Ball | Ellipsoid | Polytope
+
+
+class PlanarHull(NamedTuple):
+    """The hull of a planar point list, with the fields of a qhull hull that
+    :class:`Polytope` reads."""
+
+    vertices: np.ndarray   # point indices of the hull vertices, counterclockwise
+    simplices: np.ndarray  # (V, 2) edges: each vertex and the next one
+    equations: np.ndarray  # (V, 3) rows (n, b) of n . x + b <= 0, n the outward unit normal
+    volume: float          # area
+
+
+def planar_hull(points) -> PlanarHull:
+    """Convex hull of planar points by Andrew's monotone chain (1979).
+
+    The turn tests run on the points scaled by the power of two that brings
+    their extent into [0.5, 1), exactly, so they neither overflow nor
+    underflow.  The chain pops on turns of at most 0.0 as computed, and then
+    a vertex within HULL_FLAT_TOL of the extent from the line through its
+    hull neighbours (a duplicate, a point on an edge, in any sort order) is
+    dropped, one at a time.  Edge normals come from the scaled edges too
+    (the same bits), and the area is the shoelace sum of the scaled vertices
+    about the first one, scaled back.  Raises DegenerateBody when fewer than
+    three vertices remain and DomainError when the area overflows.
+    """
+    pts = _as_points(points)
+    xs, ys = pts.T.tolist()
+    ext = max(max(xs) - min(xs), max(ys) - min(ys))
+    if not 0.0 < ext < math.inf:
+        raise DegenerateBody("vertex hull is not full-dimensional")
+    exp = math.frexp(ext)[1]
+    sx, sy = np.ldexp(pts, -exp).T.tolist()
+    tol = HULL_FLAT_TOL * math.ldexp(ext, -exp)
+
+    def turn(o, a, b) -> float:
+        """Cross product of a - o and b - o."""
+        return (sx[a] - sx[o]) * (sy[b] - sy[o]) - (sy[a] - sy[o]) * (sx[b] - sx[o])
+
+    def chain(order):
+        out = []
+        for i in order:
+            while len(out) > 1 and turn(out[-2], out[-1], i) <= 0.0:
+                out.pop()
+            out.append(i)
+        return out[:-1]
+
+    order = np.lexsort(pts.T[::-1]).tolist()
+    idx = chain(order) + chain(order[::-1])
+    # one at a time, drop a vertex within tol of the line through its
+    # neighbours, until every vertex turns by more than that
+    i = kept = 0
+    while len(idx) > 2 and kept < len(idx):
+        i %= len(idx)
+        o, p = idx[i - 1], idx[(i + 1) % len(idx)]
+        if turn(o, idx[i], p) > tol * math.hypot(sx[p] - sx[o], sy[p] - sy[o]):
+            kept, i = kept + 1, i + 1
+        else:
+            del idx[i]
+            kept, i = 0, i - 1
+    if len(idx) < 3:
+        raise DegenerateBody("vertex hull is not full-dimensional")
+    edges = list(zip(idx, idx[1:] + idx[:1]))
+    rows, area = [], 0.0
+    for a, b in edges:
+        dx, dy = sx[b] - sx[a], sy[b] - sy[a]
+        length = math.hypot(dx, dy)
+        nx, ny = dy / length, -dx / length
+        rows.append((nx, ny, -(nx * xs[a] + ny * ys[a])))
+        area += turn(idx[0], a, b)
+    try:
+        area = math.ldexp(0.5 * area, 2 * exp)
+    except OverflowError:
+        raise DomainError("the vertex hull's area overflows double precision") from None
+    return PlanarHull(np.array(idx), np.array(edges), np.array(rows), area)
 
 
 def body_to_json(body: ConvexBody) -> dict:
@@ -473,8 +554,9 @@ def _project(body: ConvexBody, frame: Frame) -> ConvexBody:
 def volume(body: ConvexBody) -> float:
     """Exact m-dimensional volume of a body living in R^m.
 
-    Balls and ellipsoids are closed-form; polytope volume is the qhull hull
-    triangulation's, in every dimension.
+    Balls and ellipsoids are closed-form; a polygon's area is its
+    :func:`planar_hull`'s shoelace sum, a larger polytope's volume the qhull
+    hull triangulation's.
     """
     d = body.dim
     if isinstance(body, Ball):
@@ -584,8 +666,11 @@ def max_hyperplane_projection(body: ConvexBody) -> tuple[np.ndarray, float]:
     top eigenvector of Q.  A polytope's, 1/2 sum_F a_F |n_F . u|, is the
     support function of the projection body, the zonotope sum_F [-w_F, w_F]
     with w_F = a_F n_F / 2 (Cauchy's projection formula; Bolker 1969), so
-    it is largest along the longest vertex of that zonotope.  The zonotope
-    has O(F^(d-1)) vertices, so polytopes are supported for d in 2..4; round
+    it is largest along the longest vertex of that zonotope.  In the plane
+    that zonotope is the difference body turned by a right angle, so the
+    largest shadow is the polygon's diameter, the longest gap between two
+    hull vertices, and u is normal to that gap.  The zonotope has
+    O(F^(d-1)) vertices, so polytopes are supported for d in 2..4; round
     bodies in every d >= 2.
     """
     d = body.dim
@@ -597,6 +682,11 @@ def max_hyperplane_projection(body: ConvexBody) -> tuple[np.ndarray, float]:
         u = np.eye(d)[0]
     elif isinstance(body, Ellipsoid):
         u = np.linalg.eigh(body.shape)[1][:, -1]
+    elif d == 2:
+        corners = body.vertices[body._hull.vertices]
+        gaps = (corners[:, None] - corners[None]).reshape(-1, 2)
+        z = gaps[np.argmax(np.einsum("ij,ij->i", gaps, gaps))]
+        u = np.array([-z[1], z[0]]) / np.linalg.norm(z)
     else:
         verts = _projection_zonotope_vertices(body)
         z = verts[np.argmax(np.einsum("ij,ij->i", verts, verts))]
@@ -763,9 +853,11 @@ def longest_chord(body: Polytope, u) -> tuple[float, np.ndarray]:
     weights w of t u in the facet simplex with corners v_i - v_j give the
     endpoints q = sum w v_j and q + t u = sum w v_i.  Triangulated coplanar
     facets tie on the ray; the one whose weights are the least negative holds
-    the point.
+    the point.  A polygon takes :func:`_planar_chord` instead.
     """
     u = np.asarray(u, dtype=float)
+    if body.dim == 2:
+        return _planar_chord(body, u)
     n = len(body.vertices)
     first, second = np.nonzero(~np.eye(n, dtype=bool))
     hull = _geom.ConvexHull(body.vertices[first] - body.vertices[second])
@@ -789,6 +881,31 @@ def longest_chord(body: Polytope, u) -> tuple[float, np.ndarray]:
     w /= np.sum(w)
     q = w @ body.vertices[second[hull.simplices[tied[best]]]]
     return t, q
+
+
+def _planar_chord(body: Polytope, u: np.ndarray) -> tuple[float, np.ndarray]:
+    """:func:`longest_chord` of a polygon, through a hull vertex.
+
+    Along the offset s = <x, w>, w normal to u, the chord parallel to u is
+    the upper minus the lower boundary height <x, u>, concave and piecewise
+    linear with its kinks at vertex offsets, so a longest chord passes
+    through a vertex.  Each edge not parallel to u gives the height at every
+    vertex offset it spans, as the convex combination of its end heights
+    (exact at the ends); a chord is the spread of the heights at its offset.
+    """
+    ends = body.vertices[body._hull.simplices]               # (edge, end, xy)
+    s, h = np.moveaxis(ends @ np.array([[-u[1], u[0]], u]).T, -1, 0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # edges parallel to u span nothing
+        lam = (s[:, :1] - s[:, 0]) / (s[:, 1] - s[:, 0])  # (vertex, edge)
+        heights = (1.0 - lam) * h[:, 0] + lam * h[:, 1]
+    spans = (lam >= 0.0) & (lam <= 1.0)
+    top = np.where(spans, heights, -np.inf).max(axis=1)
+    low = np.where(spans, heights, np.inf)
+    bottom = low.min(axis=1)
+    i = int(np.argmax(top - bottom))
+    e = int(np.argmin(low[i]))
+    q = (1.0 - lam[i, e]) * ends[e, 0] + lam[i, e] * ends[e, 1]
+    return float(top[i] - bottom[i]), q
 
 
 def quadratic_on_ball(shape, center, ball_center, radius: float,

@@ -48,7 +48,7 @@ def random_ellipsoid(d: int, rng: np.random.Generator) -> geom.Ellipsoid:
 def random_polygon(rng: np.random.Generator) -> geom.Polytope:
     """Random convex polygon: hull of a Gaussian cloud in the plane."""
     pts = rng.standard_normal((POLYGON_POINTS, 2))
-    return geom.Polytope(pts[geom.ConvexHull(pts).vertices])
+    return geom.Polytope(pts[geom.planar_hull(pts).vertices])
 
 
 # ---------------------------------------------------------------------------

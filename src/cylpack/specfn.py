@@ -15,15 +15,39 @@ import math
 from .errors import DomainError
 
 HALF_PI = math.pi / 2.0
+TABLE_DIM = 40  # largest dimension whose ball volume keeps scipy.special's bits
+
+# pi^(m/2) / scipy.special.gamma(m/2 + 1) for odd m = 1, 3, ..., 39
+_ODD_BALL_VOLUMES = (
+    2.0, 4.188790204786391, 5.263789013914324, 4.724765970331401,
+    3.2985089027387064, 1.8841038793898999, 0.9106287547832829,
+    0.38144328082330436, 0.140981106917139, 0.04662160103008853,
+    0.013949150409020993, 0.003810656386852123, 0.0009577224088231723,
+    0.000222872124721274, 4.8287822738917413e-05, 9.787139946737361e-06,
+    1.8634670882621386e-06, 3.345288294108971e-07, 5.6808287183311744e-08,
+    9.152230650159558e-09,
+)
 
 
 def unit_ball_volume(m: int) -> float:
-    """Volume of the unit ball in R^m; the 0-dimensional ball has volume 1."""
+    """Volume omega_m of the unit ball in R^m; the 0-dimensional ball has
+    volume 1.
+
+    Up to m = TABLE_DIM the value has the bits of pi^(m/2) / Gamma(m/2 + 1)
+    from scipy.special: pi^(m/2) / (m/2)! for even m, a table for odd m.
+    Past it, omega_m = omega_(m-2) 2 pi / m, which underflows to 0.0 from
+    m = 453 on instead of overflowing pi^(m/2).
+    """
     if m < 0:
         raise DomainError(f"ball dimension must be >= 0, got {m}")
-    from scipy import special
-
-    return math.pi ** (m / 2.0) / special.gamma(m / 2.0 + 1.0)
+    top = min(m, TABLE_DIM - (m % 2))
+    if top % 2:
+        value = _ODD_BALL_VOLUMES[top // 2]
+    else:
+        value = math.pi ** (top / 2.0) / math.factorial(top // 2)
+    for j in range(top + 2, m + 1, 2):
+        value = value * math.tau / j
+    return value
 
 
 def _check_angle(delta: float) -> None:

@@ -861,7 +861,9 @@ def test_cli_plank_and_strip_files_are_byte_pinned(tmp_path, monkeypatch):
     # sha256 of the files these commands write, recorded while bases and
     # planks had types of their own: holding them as geom bodies and k = 1
     # cylinders must not move a byte (ns.report.json re-recorded when
-    # disk-plank reports began to carry the sweep's multiplicity block)
+    # disk-plank reports began to carry the sweep's multiplicity block, and
+    # strips.json when random polygons took the monotone chain's vertex
+    # order: the same hexagon, its vertex list turned by one)
     monkeypatch.chdir(tmp_path)
     for args in (
             ["construct", "--kind", "ns-family", "--n", "4", "--seed", "3", "--r", "2",
@@ -880,7 +882,7 @@ def test_cli_plank_and_strip_files_are_byte_pinned(tmp_path, monkeypatch):
         "ns.report.json": "b5bb3d83de2d4cc92e7ec4e18ae68cdac7f544c00f42ab83c3312f989904822c",
         "ns.table.csv": "530e3cba5c8b3ee722ebff3df6d5e289ea66d37400777f04b20f9fc88d394a77",
         "part.json": "c92c1369abaa9893111d3f096693bf6ec8c1facc47d1c4a0ff3986898de20a9d",
-        "strips.json": "30caf7f3b2be95ecacc1c800a076ceba26bd9ff25402f5e98d83941e9cd0045a",
+        "strips.json": "dcfd30f209d1b8fd3f6c78bb647b954e438c3f8827150be53f3f961b1b0c08c3",
     }
 
 
@@ -1310,3 +1312,21 @@ def test_cli_numbers_must_be_json_numbers(tmp_path, capsys, command, case):
     err = json.loads(capsys.readouterr().out)["error"]
     assert rc == 2 and err["stage"] == "validate" and err["type"] == "DomainError"
     assert err["message"].startswith(field)
+
+
+@pytest.mark.parametrize("command", ["verify", "bounds"])
+def test_cli_ball_of_dimension_1300_exits_2_with_empty_slices(tmp_path, capsys, command):
+    # one disk cylinder of codimension 1298 in the unit ball of R^1300: the
+    # ball volume of its 1298-d slices underflows to 0.0 (it is 0.0 from
+    # m = 453 on), the error object of d = 400 before; pi^(m/2) overflowed
+    d = 1300
+    ball = geom.Ball(np.zeros(d), 1.0)
+    disk = cylinders.Cylinder(geom.Frame(np.eye(d)[:, :2]), geom.Ball(np.zeros(2), 0.5))
+    inst = tmp_path / "ball1300.json"
+    instances.dump_json(instances.packing_instance(
+        ball, [disk], 1, {"generator": "test", "seed": 0}), inst)
+    rc = cli.main([command, str(inst)])
+    out = json.loads(capsys.readouterr().out)
+    err = out["error"] if command == "verify" else out["errors"][0]
+    assert rc == 2 and err["type"] == "DomainError"
+    assert err["message"] == "restricted cylinder has numerically empty slices"

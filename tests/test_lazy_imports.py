@@ -1,7 +1,8 @@
 """scipy loads on first use: importing cylpack pulls in numpy only, verifying
 an instance of any construct kind needs neither scipy.integrate nor
-scipy.optimize, and geom still serves the scipy names that callers and the
-benchmark tracer look up."""
+scipy.optimize, verifying one of any kind but cap loads no scipy submodule
+at all (cap loads scipy.special, for betainc), and geom still serves the
+scipy names that callers and the benchmark tracer look up."""
 
 import importlib
 import itertools
@@ -14,7 +15,7 @@ import pytest
 
 import cylpack
 from conftest import construct_all
-from cylpack import geom
+from cylpack import cli, geom
 
 SCIPY_SUBMODULES = ("scipy.spatial", "scipy.optimize", "scipy.integrate",
                     "scipy.special", "scipy.linalg")
@@ -30,22 +31,39 @@ def test_import_loads_no_scipy_submodule():
     assert out.strip() == "[]"
 
 
-def test_verify_loads_neither_integrate_nor_optimize(tmp_path):
-    # one fresh interpreter verifies one instance of every construct kind in
-    # turn and lists the scipy submodules loaded after each
-    paths = construct_all(tmp_path, seed=1)
+def _verify_in_turn(paths: dict) -> dict:
+    """{name: scipy submodules loaded} after each ``verify`` of one fresh
+    interpreter that verifies the files in order."""
     src = os.path.dirname(os.path.dirname(cylpack.__file__))
     code = ("import sys; from cylpack import cli\n"
             f"for name, path in {[(k, str(p)) for k, p in paths.items()]!r}:\n"
             "    cli.main(['verify', path, '--out', path + '.report'])\n"
-            f"    print(name, sorted(m for m in {SCIPY_SUBMODULES!r} if m in sys.modules))\n")
+            f"    print(name, *sorted(m for m in {SCIPY_SUBMODULES!r} if m in sys.modules))\n")
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src)).stdout
-    lines = out.strip().splitlines()
-    assert [line.split()[0] for line in lines] == list(paths)
-    for line in lines:
-        assert "scipy.integrate" not in line and "scipy.optimize" not in line, line
+    loaded = {line.split()[0]: line.split()[1:] for line in out.strip().splitlines()}
+    assert list(loaded) == list(paths)
+    return loaded
+
+
+def test_verify_loads_neither_integrate_nor_optimize(tmp_path):
+    for name, mods in _verify_in_turn(construct_all(tmp_path, seed=1)).items():
+        assert "scipy.integrate" not in mods and "scipy.optimize" not in mods, name
+
+
+def test_verify_of_every_kind_but_cap_loads_no_scipy_submodule(tmp_path):
+    # ball volumes are closed forms and planar hulls a monotone chain, so
+    # only cap's betainc loads scipy.special; cap runs last
+    paths = construct_all(tmp_path, seed=1)
+    cover1 = tmp_path / "cover1.json"
+    assert cli.main(["construct", "--kind", "covering", "--dim", "3", "--k", "1",
+                     "--seed", "1", "--out", str(cover1)]) == 0
+    paths["cover1"] = cover1
+    paths["cap"] = paths.pop("cap")
+    loaded = _verify_in_turn(paths)
+    assert loaded.pop("cap") == ["scipy.special"]
+    assert loaded == {name: [] for name in loaded}
 
 
 @pytest.mark.parametrize("module, name", [
