@@ -249,6 +249,8 @@ def _bracket(slice_at: _SliceProbes, z, upper: float, method: str) -> SliceMax:
     widened by the rounding margin (and never below lo)."""
     lo = slice_at(z)
     hi = max(upper, lo) * (1.0 + SLICE_MARGIN)
+    if not hi < math.inf:
+        raise DomainError("slice volume overflows")
     return SliceMax(lo=lo, hi=hi, offset=tuple(map(float, z)), method=method,
                     probes=slice_at.count)
 
@@ -257,11 +259,12 @@ def _ellipsoid_max(slice_at, body, slice_frame, shadow, base) -> SliceMax:
     m = slice_frame.subspace_dim
     s = slice_frame.columns
     if isinstance(body, geom.Ball):
-        central = specfn.unit_ball_volume(m) * body.radius**m
+        central = geom._ball_volume(m, body.radius, m)
         shape = np.eye(shadow.dim) / shadow.radius**2
     else:
-        det = np.linalg.det(s.T @ body.shape @ s)
-        if not det > 0:  # positive in exact arithmetic; rounding can zero it
+        with np.errstate(over="ignore"):  # an overflow to inf fails below, like a 0
+            det = np.linalg.det(s.T @ body.shape @ s)
+        if not 0 < det < math.inf:  # positive and finite in exact arithmetic
             raise DomainError("ellipsoid shape form too ill-conditioned to slice")
         central = specfn.unit_ball_volume(m) / math.sqrt(det)
         shape = shadow.shape
@@ -648,6 +651,8 @@ def check_base_volume_bound(body: geom.ConvexBody, family, r: int,
     d = body.dim
     lhs = float(sum(cylinders.base_volume(c.base) for c in family))
     _, max_shadow = geom.max_hyperplane_projection(body)
+    if max_shadow == math.inf:
+        raise DomainError("largest hyperplane shadow overflows")
     rhs = surface_constant(d) * r * max_shadow
     digest = _digest_family(body, family, {"r": r})
     return make_report("plank_base_volume", lhs, rhs, LE, digest,

@@ -537,7 +537,7 @@ def cap_packing_report(d: int, k: int, delta: float, seed: int = 0,
             np.full(n, antipodal),
             lambda: _cap_cylinders(frames[:1], poles[:1], cap_delta, antipodal)[0])
         packing_report = multiplicity.judge(
-            certified, 1, sample=lambda: multiplicity.estimate_multiplicity(
+            certified, 1, False, lambda: multiplicity.estimate_multiplicity(
                 ball, _cap_cylinders(frames, poles, cap_delta, antipodal),
                 packing_samples, seed)).report
     return CapPackingReport(

@@ -15,10 +15,12 @@ and decides its separation (``is_separable``) and enclosing circle
 (``circumradius``) once each.  Both separability and the hull, the disks
 and the segments that join their extreme arcs (``_hull_segments``), come
 from one pass of tangent arcs per disk.  ``check_disk_planks`` decides all
-of one instance's checks from these and one exact arrangement sweep on the
-hull, in the family's ``unit``; nothing is sampled, and the sweep's verdict
-is a ``multiplicity.VerificationResult`` certified by ``SWEEP_CERTIFICATE``,
-the evidence of the reports that rest on it.
+of one instance's checks from these and one run of
+``multiplicity.exact_plank_multiplicity`` on the hull, in the family's
+``unit``; nothing is sampled, and the sweep's verdict is a
+``multiplicity.VerificationResult`` certified by
+``multiplicity.SWEEP_CERTIFICATE``, the evidence of the reports that rest
+on it.
 """
 
 import math
@@ -30,18 +32,10 @@ import numpy as np
 from . import cylinders, geom, multiplicity
 from .bounds import (EXACT_TOL, GE, LE, BoundReport, evidence, hypothesis,
                      instance_digest, make_report)
-from .errors import (
-    DimensionMismatch,
-    DomainError,
-    NotAPacking,
-    NotNS,
-)
+from .errors import DimensionMismatch, DomainError, NotAPacking, NotNS
 
-ON_LINE = 1e-12             # gap, in family units, and slope at which two boundary lines coincide
 SHUFFLE_SEED = 0            # disk order of the enclosing-circle pass
-SWEEP_BLOCK = 1 << 20       # midpoint-plank pairs counted per batch of the sweep
 SVG_SIZE = 480              # width and height of family_to_svg drawings, in pixels
-SWEEP_CERTIFICATE = "arrangement-sweep"
 
 
 def _plane_vector(value, field: str) -> np.ndarray:
@@ -75,11 +69,6 @@ class DiskFamily:
 
     def __len__(self) -> int:
         return len(self.radii)
-
-    def support(self, u) -> float:
-        """Exact support function of the hull of the union."""
-        u = np.asarray(u, dtype=float)
-        return float(np.max(self.centers @ u + self.radii))
 
     @cached_property
     def separation(self) -> tuple[bool, "SeparatingLine | None"]:
@@ -243,13 +232,13 @@ def _circle_two(d1, d2) -> tuple[np.ndarray, float]:
     if gap + r1 <= r2:
         return c2.copy(), r2
     radius = (gap + r1 + r2) / 2.0
-    direction = (c2 - c1) / gap
-    return c1 + (radius - r1) * direction, radius
+    return c1 + (radius - r1) * ((c2 - c1) / gap), radius
 
 
-def _circle_three(d1, d2, d3) -> tuple[np.ndarray, float] | None:
-    # internally tangent circle: |x - c_i| = R - r_i; pair differences are
-    # linear in (x, R), leaving one quadratic in R
+def _circle_three(d1, d2, d3) -> list[tuple[np.ndarray, float]]:
+    # internally tangent circles: |x - c_i| = R - r_i; pair differences are
+    # linear in (x, R), leaving one quadratic in R, whose roots of at least
+    # the largest radius are the candidates
     c, r = zip(d1, d2, d3)
     a = 2.0 * np.array([c[0] - c[1], c[0] - c[2]])
     dvec = 2.0 * np.array([r[0] - r[1], r[0] - r[2]])
@@ -258,7 +247,7 @@ def _circle_three(d1, d2, d3) -> tuple[np.ndarray, float] | None:
         c[0] @ c[0] - c[2] @ c[2] - r[0] ** 2 + r[2] ** 2,
     ])
     if abs(np.linalg.det(a)) < 1e-12:
-        return None
+        return []
     p = np.linalg.solve(a, rhs)
     q = np.linalg.solve(a, dvec)
     qa = float(q @ q) - 1.0
@@ -273,15 +262,7 @@ def _circle_three(d1, d2, d3) -> tuple[np.ndarray, float] | None:
         if disc >= 0:
             s = math.sqrt(disc)
             roots = [(-qb - s) / (2 * qa), (-qb + s) / (2 * qa)]
-    best = None
-    for radius in roots:
-        if radius < max(r) - 1e-12:
-            continue
-        x = p + radius * q
-        if all(_disk_in_circle(d, x, radius, tol=1e-9) for d in (d1, d2, d3)):
-            if best is None or radius < best[1]:
-                best = (x, radius)
-    return best
+    return [(p + radius * q, radius) for radius in roots if not radius < max(r) - 1e-12]
 
 
 def _smallest_circle_of(support: list[tuple[int, tuple]]) -> tuple[np.ndarray, float]:
@@ -292,15 +273,10 @@ def _smallest_circle_of(support: list[tuple[int, tuple]]) -> tuple[np.ndarray, f
         return disks[0][0].copy(), disks[0][1]
     if len(disks) == 2:
         return _circle_two(*disks)
-    cands = [_circle_three(*disks)]
-    for i in range(3):
-        pair = [disks[j] for j in range(3) if j != i]
-        cands.append(_circle_two(*pair))
-    best = None
-    for cand in cands:
-        if cand is None:
-            continue
-        x, radius = cand
+    cands = _circle_three(*disks) + [_circle_two(*(disks[:i] + disks[i + 1:]))
+                                     for i in range(3)]
+    best = None  # the first smallest candidate that holds the three disks
+    for x, radius in cands:
         if all(_disk_in_circle(d, x, radius, tol=1e-9) for d in disks):
             if best is None or radius < best[1]:
                 best = (x, radius)
@@ -374,43 +350,8 @@ def _hull_segments(family: DiskFamily, arcs: tuple) -> np.ndarray:
         return c[disks] + r[disks, None] * np.stack([np.cos(angles), np.sin(angles)], axis=2)
 
 
-def _chords(family: DiskFamily, segments: np.ndarray, points: np.ndarray,
-            directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ends (lo, hi) of the ranges of t with points + t * directions in the
-    hull, one row per line (unit directions); lo >= hi where a line meets the
-    hull in at most one point, and possibly where it runs along a segment.
-
-    The hull boundary is made of disk arcs and ``hull_segments``, so its
-    chord runs from the lowest to the highest point at which the line meets
-    a disk or a segment.  Each line's products have the shapes of a lone
-    line's, (n + 2m, 2) @ (2,) stacked over the lines, so a line gets the
-    same bits in any batch.
-    """
-    n = len(family)
-    normals = np.column_stack([-directions[:, 1], directions[:, 0]])
-    rel = np.concatenate([family.centers, segments.reshape(-1, 2)]) - points[:, None, :]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        side = (rel @ normals[:, :, None])[..., 0]
-        mid = (rel @ directions[:, :, None])[..., 0]
-        room2 = family.radii ** 2 - side[:, :n] ** 2
-        hit = room2 >= 0
-        half = np.sqrt(np.where(hit, room2, 0.0))
-        near, far = mid[:, :n] - half, mid[:, :n] + half
-        finite = np.all(np.isfinite(room2)
-                        & (~hit | (np.isfinite(near) & np.isfinite(far))), axis=1)
-        p, q, tp, tq = side[:, n::2], side[:, n + 1::2], mid[:, n::2], mid[:, n + 1::2]
-        cross = (p <= 0) != (q <= 0)  # the segment's ends lie on both sides of the line
-        t = tp + (tq - tp) * (p / (p - q))
-    if not np.all(finite):
-        raise DomainError("disk family hull chord is not finite in double precision")
-    return (np.min(np.concatenate([np.where(hit, near, np.inf),
-                                   np.where(cross, t, np.inf)], axis=1), axis=1),
-            np.max(np.concatenate([np.where(hit, far, -np.inf),
-                                   np.where(cross, t, -np.inf)], axis=1), axis=1))
-
-
 # ---------------------------------------------------------------------------
-# planks and exact multiplicity
+# planks
 
 
 def plank(u, a: float, b: float) -> cylinders.Cylinder:
@@ -431,150 +372,15 @@ def plank(u, a: float, b: float) -> cylinders.Cylinder:
                               geom.Polytope(np.array([[a], [b]], dtype=float)))
 
 
-def _plank_arrays(planks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(normals (n, 2), lows (n,), highs (n,)) of planar k = 1 cylinders: each
-    normal is the frame's column, each interval the base's bounding box."""
-    planks = list(planks)
-    if any(p.ambient_dim != 2 or p.k != 1 or isinstance(p.base, cylinders.CapBase)
-           for p in planks):
-        raise DimensionMismatch("planks are k = 1 cylinders in the plane "
-                                "with interval bases")
-    normals = np.array([p.frame.columns[:, 0] for p in planks]).reshape(-1, 2)
-    lows, highs = np.array([geom.bounding_box(p.base) for p in planks]).reshape(-1, 2).T
-    return normals, lows, highs
-
-
-def _planks_json(normals: np.ndarray, lows: np.ndarray, highs: np.ndarray) -> list[dict]:
+def planks_to_json(planks) -> list[dict]:
     return [{"u": u, "interval": [a, b]}
-            for u, a, b in zip(normals.tolist(), lows.tolist(), highs.tolist())]
-
-
-def plank_to_json(p: cylinders.Cylinder) -> dict:
-    return _planks_json(*_plank_arrays([p]))[0]
+            for u, a, b in zip(*(x.tolist() for x in multiplicity._plank_arrays(planks)))]
 
 
 def plank_from_json(obj: dict) -> cylinders.Cylinder:
     a, b = obj["interval"]
     return plank(obj["u"], geom.json_number(a, "plank interval"),
                  geom.json_number(b, "plank interval"))
-
-
-def _support_range(family: DiskFamily, normals: np.ndarray,
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """(-h(-u), h(u)) of the hull for each row u of normals: ``support``'s
-    (n, 2) @ (2,) products, stacked over the rows."""
-    proj = (family.centers @ normals[:, :, None])[..., 0]
-    return (-np.max(family.radii - proj, axis=1, initial=-np.inf),
-            np.max(proj + family.radii, axis=1, initial=-np.inf))
-
-
-def exact_plank_multiplicity(family: DiskFamily, normals: np.ndarray,
-                             lows: np.ndarray, highs: np.ndarray) -> tuple[int, tuple]:
-    """Largest open-plank multiplicity over the hull, with a witness point,
-    for the planks {x : lows < <x, u> < highs}, u the rows of normals
-    (``_plank_arrays``).
-
-    The plank boundary lines cut the hull into arrangement cells of constant
-    multiplicity.  When some line crosses the hull interior, every cell that
-    meets the interior borders such a line's chord between two consecutive
-    crossings with the other lines; otherwise the hull is one cell.  So the
-    count on both sides of every sub-segment midpoint, plus the count at one
-    interior point, visits every cell.  A boundary line that coincides with
-    the chord's own line (within ``ON_LINE``, as shared plank boundaries do)
-    is decided by the side, not by comparing offsets.  The witness lies in
-    the hull and in exactly the returned number of open planks.  The sweep
-    runs in the family's ``unit``, exactly, so its thresholds are relative
-    to the family's size: a family scaled by a power of two gets the same
-    count, and its witness scaled by that power.
-
-    All 2P boundary lines (each plank's low line, then its high line) are
-    swept at once: their chords (``_chords`` through the disks and
-    ``hull_segments``), crossings, sorted sub-segment ends and
-    midpoint counts are arrays over the lines.  The cell is the first
-    maximum in (line, side, midpoint) order, taken when it beats the
-    interior point.  Every product has the shapes of a lone line's: the
-    midpoint counts of the lines with M midpoints are one (M, 2) @ (2, P)
-    product per line, stacked.
-    """
-    unit = family.unit  # a power of two: the scaling is exact
-    segments = family.hull_segments / unit  # the copy's, unless subnormal
-    family = DiskFamily(family.centers / unit, family.radii / unit)
-    with np.errstate(over="ignore"):  # past the hull: inf is as good
-        lows, highs = lows / unit, highs / unit
-    if not np.all(np.isfinite(segments)):
-        raise DomainError("disk family hull is not finite in double precision")
-    inner = np.mean(family.centers, axis=0)  # interior: a mix of disk centers
-    t = normals @ inner
-    best = int(np.sum((t > lows) & (t < highs)))
-    u = np.repeat(normals, 2, axis=0)  # the lines <x, u> = s
-    s = np.column_stack([lows, highs]).ravel()
-    d = np.column_stack([-u[:, 1], u[:, 0]])
-    bottom, top = np.repeat(_support_range(family, normals), 2, axis=1)
-    meets = (bottom < s) & (s < top)  # no chord outside the support range, where s may be huge
-    lo, hi = _chords(family, segments, np.where(meets, s, 0.0)[:, None] * u, d)
-    meets &= lo < hi  # the line crosses the hull interior
-    slope = (normals @ d[:, :, None])[..., 0]
-    along = (normals @ u[:, :, None])[..., 0]
-    crossing = np.abs(slope) > ON_LINE
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        cuts = ((np.concatenate([lows, highs]) - s[:, None] * np.tile(along, 2))
-                / np.tile(slope, 2))
-        cuts = np.where(np.tile(crossing, 2) & (cuts > lo[:, None]) & (cuts < hi[:, None]),
-                        cuts, np.inf)
-        ts = np.sort(np.column_stack([lo, hi, cuts]), axis=1)
-        ts[:, 1:][ts[:, 1:] == ts[:, :-1]] = np.inf  # no zero-length pieces
-        ts = np.sort(ts, axis=1)
-        mids = (s[:, None] * u)[:, None, :] \
-            + ((ts[:, :-1] + ts[:, 1:]) / 2.0)[:, :, None] * d[:, None, :]
-        on_line = ON_LINE * np.maximum(1.0, np.abs(s))
-        on_low = ~crossing & (np.abs(lows - s[:, None] * along) <= on_line[:, None])
-        on_high = ~crossing & (np.abs(highs - s[:, None] * along) <= on_line[:, None])
-    pieces = np.where(meets, np.sum(ts < np.inf, axis=1) - 1, 0)
-    counts = np.empty((len(s), 2, mids.shape[1]), dtype=int)
-    block = max(1, SWEEP_BLOCK // max(1, mids.shape[1] * len(lows)))
-    for begin in range(0, len(s), block):
-        lines = slice(begin, begin + block)
-        here = pieces[lines]
-        t = np.zeros(mids[lines].shape[:2] + (len(lows),))  # (lines, M, P)
-        for m in np.unique(here[here > 0]).tolist():
-            rows = np.flatnonzero(here == m)
-            t[rows, :m] = mids[begin + rows, :m] @ normals.T
-        ahead = np.array([1.0, -1.0])[:, None, None] * along[lines, None, None, :]
-        inside = (np.where(on_low[lines, None, None], ahead > 0, t[:, None] > lows)
-                  & np.where(on_high[lines, None, None], ahead < 0, t[:, None] < highs))
-        counts[lines] = np.where(np.arange(mids.shape[1]) < here[:, None, None],
-                                 inside.sum(axis=3), -1)
-    if not counts.size or counts.max() <= best:
-        return best, tuple(map(float, inner * unit))
-    line, side, k = np.unravel_index(int(np.argmax(counts)), counts.shape)  # the first
-    best = int(counts[line, side, k])
-    # step off the midpoint into its cell: half way to the nearest other
-    # boundary line or to the hull boundary
-    mid, step = mids[line, k], (1.0, -1.0)[side] * u[line]
-    t = normals @ mid
-    gaps = np.concatenate([np.abs(t - lows)[~on_low[line]],
-                           np.abs(t - highs)[~on_high[line]],
-                           _chords(family, segments, mid[None], step[None])[1]])
-    return best, tuple(map(float, (mid + 0.5 * float(np.min(gaps)) * step) * unit))
-
-
-def verify_plank_packing(family: DiskFamily, normals: np.ndarray, lows: np.ndarray,
-                         highs: np.ndarray, r: int) -> multiplicity.VerificationResult:
-    """r-fold packing check of planks (``_plank_arrays``) inside the hull,
-    exact on arrangement cells (``SWEEP_CERTIFICATE``); like a packing's
-    ``multiplicity.decide`` it also fails, without a witness, when a
-    plank leaves the support range by more than ``cylinders.CONTAINMENT_TOL``
-    times the family's ``unit``."""
-    mult, witness = exact_plank_multiplicity(family, normals, lows, highs)
-    report = multiplicity.MultiplicityReport(0, mult, None, None, witness, None,
-                                             None, certificate=SWEEP_CERTIFICATE)
-    tol = cylinders.CONTAINMENT_TOL * family.unit
-    bottom, top = _support_range(family, normals)
-    outside = np.flatnonzero((lows < bottom - tol) | (highs > top + tol))
-    if outside.size:
-        return multiplicity.VerificationResult(
-            False, None, report, reason=f"plank {outside[0]} base leaves the support range")
-    return multiplicity.judge(report, r)
 
 
 # ---------------------------------------------------------------------------
@@ -600,13 +406,25 @@ def check_disk_planks(family: DiskFamily, planks, r: int) -> list[BoundReport]:
     separable, line = family.separation
     if separable:
         raise NotNS(f"family is separable by the line {line}")
-    normals, lows, highs = _plank_arrays(planks)
-    ev = evidence(verify_plank_packing(family, normals, lows, highs, r), NotAPacking)
+    normals, lows, highs = multiplicity._plank_arrays(planks)
+    region = family.centers, family.radii
+    mult, witness = multiplicity.exact_plank_multiplicity(
+        *region, family.hull_segments, family.unit, normals, lows, highs)
+    verdict = multiplicity.judge(multiplicity.MultiplicityReport(
+        0, mult, None, None, witness, None, None,
+        certificate=multiplicity.SWEEP_CERTIFICATE), r)
+    # like a packing's decide, a plank outside the support range fails without a witness
+    pad = cylinders.CONTAINMENT_TOL * family.unit
+    bottom, top = multiplicity._support_range(*region, normals)
+    if (outside := np.flatnonzero((lows < bottom - pad) | (highs > top + pad))).size:
+        verdict = multiplicity.VerificationResult(False, None, verdict.report, reason=(
+            f"plank {outside[0]} base leaves the support range"))
+    ev = evidence(verdict, NotAPacking)
     diam_ns = ns_diameter(family)
     circ = family.circle
     family_json = family.to_json()
     digest = instance_digest({"family": family_json,
-                              "planks": _planks_json(normals, lows, highs), "r": r})
+                              "planks": planks_to_json(planks), "r": r})
     widths = (highs - lows).tolist()  # Python floats: sum() rounds as it always has
     tol = EXACT_TOL * family.unit  # every side is a length
     return [
@@ -645,7 +463,7 @@ def family_to_svg(family: DiskFamily, planks=()) -> str:
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" '
              f'height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">']
-    for u, a, b in zip(*_plank_arrays(planks)):
+    for u, a, b in zip(*multiplicity._plank_arrays(planks)):
         d = np.array([-u[1], u[0]])
         corners = [a * u + 3 * half * d, b * u + 3 * half * d,
                    b * u - 3 * half * d, a * u - 3 * half * d]

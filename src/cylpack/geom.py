@@ -512,7 +512,6 @@ def contains_points(body: ConvexBody, points, tol: float = 0.0) -> np.ndarray:
 
 def bounding_box(body: ConvexBody) -> tuple[np.ndarray, np.ndarray]:
     """(lower, upper) axis-aligned bounds of the body."""
-    d = body.dim
     if isinstance(body, Ball):
         return body.center - body.radius, body.center + body.radius
     if isinstance(body, Ellipsoid):
@@ -560,15 +559,22 @@ def volume(body: ConvexBody) -> float:
     """
     d = body.dim
     if isinstance(body, Ball):
-        with np.errstate(over="ignore"):  # inf, not OverflowError, past ~1e154
-            return specfn.unit_ball_volume(d) * float(np.float64(body.radius) ** d)
+        return _ball_volume(d, body.radius, d)
     if isinstance(body, Ellipsoid):
         with np.errstate(over="ignore"):
             det = float(np.linalg.det(body.shape))
-        return specfn.unit_ball_volume(d) / math.sqrt(det)
+        return specfn.unit_ball_volume(d) / math.sqrt(det) if det > 0.0 else math.inf
     if d == 1:
         return float(np.ptp(body.vertices[:, 0]))
     return float(body._hull.volume)
+
+
+def _ball_volume(m: int, base: float, power: float) -> float:
+    """omega_m base**power, a ball's m-volume: inf, not OverflowError or
+    nan, where the power overflows, though omega_m underflows from m = 453."""
+    with np.errstate(over="ignore"):
+        value = float(np.float64(base) ** power)
+    return math.inf if value == math.inf else specfn.unit_ball_volume(m) * value
 
 
 def polytope_volume_mc(body: Polytope, samples: int, seed: int) -> tuple[float, float]:
@@ -626,8 +632,7 @@ def sample_in_body(body: ConvexBody, n: int, rng: np.random.Generator) -> np.nda
 
 
 def _unit_ball_points(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    x = rng.standard_normal((n, d))
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    x = uniform_sphere_points(d, n, rng)
     radii = rng.random(n) ** (1.0 / d)
     return x * radii[:, None]
 
@@ -649,7 +654,7 @@ def hyperplane_shadow_volume(body: ConvexBody, u) -> float:
     u = u / np.linalg.norm(u)
     d = body.dim
     if isinstance(body, Ball):
-        return specfn.unit_ball_volume(d - 1) * body.radius ** (d - 1)
+        return _ball_volume(d - 1, body.radius, d - 1)
     if isinstance(body, Ellipsoid):
         det = float(np.linalg.det(body.shape_inv))
         return specfn.unit_ball_volume(d - 1) * math.sqrt(det * float(u @ body.shape @ u))
@@ -757,7 +762,7 @@ def affine_slice_volume(body: ConvexBody, slice_frame: Frame, point) -> float:
         rho2 = body.radius**2 - dist2
         if rho2 <= 0:
             return 0.0
-        return specfn.unit_ball_volume(k) * rho2 ** (k / 2.0)
+        return _ball_volume(k, rho2, k / 2.0)
     if isinstance(body, Ellipsoid):
         diff = x0 - body.center
         qs = s.T @ body.shape @ s

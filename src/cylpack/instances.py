@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from . import cylinders, falconer, geom
+from . import cylinders, falconer, geom, multiplicity
 from .errors import DomainError
 
 SCHEMA_VERSION = 1
@@ -208,7 +208,7 @@ def random_plank2d_packing(family: falconer.DiskFamily, n_per_layer: int,
     for _ in range(r):
         theta = rng.uniform(0.0, math.pi)
         u = np.array([math.cos(theta), math.sin(theta)])
-        lo, hi = -family.support(-u), family.support(u)
+        (lo,), (hi,) = multiplicity._support_range(family.centers, family.radii, u[None])
         for a, b in _disjoint_intervals(lo, hi, n_per_layer, rng):
             planks.append(falconer.plank(u, a, b))
     return planks
@@ -243,7 +243,7 @@ def disk_planks_instance(family: falconer.DiskFamily, planks, r: int,
         "schema_version": SCHEMA_VERSION,
         "kind": KIND_DISK_PLANKS,
         "disks": family.to_json()["disks"],
-        "planks": [falconer.plank_to_json(p) for p in planks],
+        "planks": falconer.planks_to_json(planks),
         "r": r,
         "meta": meta,
     }

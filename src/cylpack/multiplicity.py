@@ -4,11 +4,14 @@ multiplicity sampling for the families they leave undecided.
 ``certify`` bounds multiplicities from the family's structure, in the sound
 direction: cap cylinders by the separation of their poles, other families
 layer by layer.  ``judge`` keeps a certified report that settles the r-fold
-reading, and else its sampler tests n seeded uniform samples of the body
-once against every base, through ``cylinders.base_membership`` whatever
-the body: strict-interior counts for packings, closed ones for coverings.
-Every verdict, ``cappack``'s and ``falconer``'s included, is a
-``VerificationResult`` that ``judge`` draws from a ``MultiplicityReport``.
+reading; else a planar strip packing in a disk or polygon takes the exact
+plank arrangement sweep (``exact_plank_multiplicity``, also ``falconer``'s
+on a disk hull), and what is still open the sampler: n seeded uniform
+samples of the body tested once against every base, through
+``cylinders.base_membership``, strict-interior counts for packings and
+closed ones for coverings.  Every verdict, ``cappack``'s and
+``falconer``'s included, is a ``VerificationResult`` that ``judge`` draws
+from a ``MultiplicityReport``.
 Sampling runs in fixed-size blocks with per-block derived seeds and a fixed
 reduction order, so identical seeds reproduce reports bit for bit.
 """
@@ -27,8 +30,11 @@ ALPHA = 0.05          # a sampled pass bounds its violating fraction at confiden
 POLE_PAIRS = 1 << 15  # pairs per row block of pole levels and disk distances
 SHADOW_MARGIN = 1e-9  # relative outward widening of a layer's shadow, far beyond rounding
 _U = 2.0 ** -53       # unit roundoff of float64
+ON_LINE = 1e-12       # gap, in region units, and slope at which two boundary lines coincide
+SWEEP_BLOCK = 1 << 20  # midpoint-plank pairs counted per batch of the sweep
 CAP_CERTIFICATE = "pole-separation"
 LAYER_CERTIFICATE = "layer-depth"
+SWEEP_CERTIFICATE = "arrangement-sweep"
 
 
 @dataclass(frozen=True)
@@ -282,6 +288,177 @@ def certify(body: geom.ConvexBody, family) -> MultiplicityReport | None:
 
 
 # ---------------------------------------------------------------------------
+# the plank arrangement sweep
+
+
+def _chords(centers: np.ndarray, radii: np.ndarray, segments: np.ndarray,
+            points: np.ndarray, directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ends (lo, hi) of the ranges of t with points + t * directions in the
+    hull, one row per line (unit directions); lo >= hi where a line meets the
+    hull in at most one point, and possibly where it runs along a segment.
+
+    The hull boundary is made of disk arcs and segments, so its chord runs
+    from the lowest to the highest point at which the line meets a disk or
+    a segment.  Each line's products have the shapes of a lone line's,
+    (n + 2m, 2) @ (2,) stacked over the lines, so a line gets the same bits
+    in any batch.
+    """
+    n = len(radii)
+    normals = np.column_stack([-directions[:, 1], directions[:, 0]])
+    rel = np.concatenate([centers, segments.reshape(-1, 2)]) - points[:, None, :]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        side = (rel @ normals[:, :, None])[..., 0]
+        mid = (rel @ directions[:, :, None])[..., 0]
+        room2 = radii ** 2 - side[:, :n] ** 2
+        hit = room2 >= 0
+        half = np.sqrt(np.where(hit, room2, 0.0))
+        near, far = mid[:, :n] - half, mid[:, :n] + half
+        finite = np.all(np.isfinite(room2)
+                        & (~hit | (np.isfinite(near) & np.isfinite(far))), axis=1)
+        p, q, tp, tq = side[:, n::2], side[:, n + 1::2], mid[:, n::2], mid[:, n + 1::2]
+        cross = (p <= 0) != (q <= 0)  # the segment's ends lie on both sides of the line
+        t = tp + (tq - tp) * (p / (p - q))
+    if not np.all(finite):
+        raise DomainError("disk family hull chord is not finite in double precision")
+    return (np.min(np.concatenate([np.where(hit, near, np.inf),
+                                   np.where(cross, t, np.inf)], axis=1), axis=1),
+            np.max(np.concatenate([np.where(hit, far, -np.inf),
+                                   np.where(cross, t, -np.inf)], axis=1), axis=1))
+
+
+def _plank_arrays(planks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(normals (n, 2), lows (n,), highs (n,)) of planar k = 1 cylinders: each
+    normal is the frame's column, each interval the base's bounding box."""
+    planks = list(planks)
+    if any(p.ambient_dim != 2 or p.k != 1 or isinstance(p.base, cylinders.CapBase)
+           for p in planks):
+        raise DimensionMismatch("planks are k = 1 cylinders in the plane "
+                                "with interval bases")
+    normals = np.array([p.frame.columns[:, 0] for p in planks]).reshape(-1, 2)
+    lows, highs = np.array([geom.bounding_box(p.base) for p in planks]).reshape(-1, 2).T
+    return normals, lows, highs
+
+
+def _support_range(centers: np.ndarray, radii: np.ndarray, normals: np.ndarray,
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """(-h(-u), h(u)) of the hull of the disks for each row u of normals:
+    (n, 2) @ (2,) products, stacked over the rows."""
+    proj = (centers @ normals[:, :, None])[..., 0]
+    return (-np.max(radii - proj, axis=1, initial=-np.inf),
+            np.max(proj + radii, axis=1, initial=-np.inf))
+
+
+def exact_plank_multiplicity(centers: np.ndarray, radii: np.ndarray,
+                             segments: np.ndarray, unit: float, normals: np.ndarray,
+                             lows: np.ndarray, highs: np.ndarray) -> tuple[int, tuple]:
+    """Largest open-plank multiplicity over a planar region, with a witness
+    point, for the planks {x : lows < <x, u> < highs}, u the rows of normals
+    (``_plank_arrays``).  The region is the hull of (n, 2) centres and n
+    radii of disks, whose arcs (m, 2, 2) segments join; ``unit`` is a power
+    of two near its size.
+
+    The plank boundary lines cut the hull into arrangement cells of constant
+    multiplicity.  When some line crosses the hull interior, every cell that
+    meets the interior borders such a line's chord between two consecutive
+    crossings with the other lines; otherwise the hull is one cell.  So the
+    count on both sides of every sub-segment midpoint, plus the count at one
+    interior point, visits every cell.  A boundary line that coincides with
+    the chord's own line (within ``ON_LINE``, as shared plank boundaries do)
+    is decided by the side, not by comparing offsets.  The witness lies in
+    the hull and in exactly the returned number of open planks.  The sweep
+    runs in ``unit``, exactly, so its thresholds are relative to the
+    region's size: a region scaled by a power of two, with its unit, gets
+    the same count, and its witness scaled by that power.
+
+    All 2P boundary lines (each plank's low line, then its high line) are
+    swept at once: their chords (``_chords``), crossings, sorted sub-segment
+    ends and midpoint counts are arrays over the lines.  The cell is the first
+    maximum in (line, side, midpoint) order, taken when it beats the
+    interior point.  Every product has the shapes of a lone line's: the
+    midpoint counts of the lines with M midpoints are one (M, 2) @ (2, P)
+    product per line, stacked.
+    """
+    # a power of two: the scaling is exact, unless subnormal
+    centers, radii, segments = centers / unit, radii / unit, segments / unit
+    with np.errstate(over="ignore"):  # past the hull: inf is as good
+        lows, highs = lows / unit, highs / unit
+    if not np.all(np.isfinite(segments)):
+        raise DomainError("disk family hull is not finite in double precision")
+    inner = np.mean(centers, axis=0)  # interior: a mix of disk centers
+    t = normals @ inner
+    best = int(np.sum((t > lows) & (t < highs)))
+    u = np.repeat(normals, 2, axis=0)  # the lines <x, u> = s
+    s = np.column_stack([lows, highs]).ravel()
+    d = np.column_stack([-u[:, 1], u[:, 0]])
+    bottom, top = np.repeat(_support_range(centers, radii, normals), 2, axis=1)
+    meets = (bottom < s) & (s < top)  # no chord outside the support range, where s may be huge
+    lo, hi = _chords(centers, radii, segments, np.where(meets, s, 0.0)[:, None] * u, d)
+    meets &= lo < hi  # the line crosses the hull interior
+    slope = (normals @ d[:, :, None])[..., 0]
+    along = (normals @ u[:, :, None])[..., 0]
+    crossing = np.abs(slope) > ON_LINE
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        cuts = ((np.concatenate([lows, highs]) - s[:, None] * np.tile(along, 2))
+                / np.tile(slope, 2))
+        cuts = np.where(np.tile(crossing, 2) & (cuts > lo[:, None]) & (cuts < hi[:, None]),
+                        cuts, np.inf)
+        ts = np.sort(np.column_stack([lo, hi, cuts]), axis=1)
+        ts[:, 1:][ts[:, 1:] == ts[:, :-1]] = np.inf  # no zero-length pieces
+        ts = np.sort(ts, axis=1)
+        mids = (s[:, None] * u)[:, None, :] \
+            + ((ts[:, :-1] + ts[:, 1:]) / 2.0)[:, :, None] * d[:, None, :]
+        on_line = ON_LINE * np.maximum(1.0, np.abs(s))
+        on_low = ~crossing & (np.abs(lows - s[:, None] * along) <= on_line[:, None])
+        on_high = ~crossing & (np.abs(highs - s[:, None] * along) <= on_line[:, None])
+    pieces = np.where(meets, np.sum(ts < np.inf, axis=1) - 1, 0)
+    counts = np.empty((len(s), 2, mids.shape[1]), dtype=int)
+    block = max(1, SWEEP_BLOCK // max(1, mids.shape[1] * len(lows)))
+    for begin in range(0, len(s), block):
+        lines = slice(begin, begin + block)
+        here = pieces[lines]
+        t = np.zeros(mids[lines].shape[:2] + (len(lows),))  # (lines, M, P)
+        for m in np.unique(here[here > 0]).tolist():
+            rows = np.flatnonzero(here == m)
+            t[rows, :m] = mids[begin + rows, :m] @ normals.T
+        ahead = np.array([1.0, -1.0])[:, None, None] * along[lines, None, None, :]
+        inside = (np.where(on_low[lines, None, None], ahead > 0, t[:, None] > lows)
+                  & np.where(on_high[lines, None, None], ahead < 0, t[:, None] < highs))
+        counts[lines] = np.where(np.arange(mids.shape[1]) < here[:, None, None],
+                                 inside.sum(axis=3), -1)
+    if not counts.size or counts.max() <= best:
+        return best, tuple(map(float, inner * unit))
+    line, side, k = np.unravel_index(int(np.argmax(counts)), counts.shape)  # the first
+    best = int(counts[line, side, k])
+    # step off the midpoint into its cell: half way to the nearest other
+    # boundary line or to the hull boundary
+    mid, step = mids[line, k], (1.0, -1.0)[side] * u[line]
+    t = normals @ mid
+    gaps = np.concatenate([np.abs(t - lows)[~on_low[line]],
+                           np.abs(t - highs)[~on_high[line]],
+                           _chords(centers, radii, segments, mid[None], step[None])[1]])
+    return best, tuple(map(float, (mid + 0.5 * float(np.min(gaps)) * step) * unit))
+
+
+def _sweep_certificate(body, family) -> MultiplicityReport | None:
+    """``exact_plank_multiplicity`` of planar k = 1 interval bases in a disk
+    (one disk) or a polygon (hull vertices of radius 0 joined by hull edges),
+    in the body's ``unit``, else None.  The open count bounds the strict one
+    from above; a witness stands where ``_confirmed`` reproduces the count."""
+    if body.dim != 2 or isinstance(body, geom.Ellipsoid) or any(
+            cyl.k != 1 or isinstance(cyl.base, cylinders.CapBase) for cyl in family):
+        return None  # an affine map would move an ellipse's plank lines by rounding
+    if isinstance(body, geom.Ball):
+        region = body.center[None], np.array([body.radius]), np.zeros((0, 2, 2))
+    else:
+        v, hull = body.vertices, body._hull
+        region = v[hull.vertices], np.zeros(len(hull.vertices)), v[hull.simplices]
+    count, x = exact_plank_multiplicity(*region, body.unit, *_plank_arrays(family))
+    witness = _confirmed(body, family, x, count, closed=False)
+    return MultiplicityReport(0, count, None, None, witness, None, None,
+                              certificate=SWEEP_CERTIFICATE)
+
+
+# ---------------------------------------------------------------------------
 # sampling
 
 
@@ -358,16 +535,17 @@ def estimate_multiplicity(body: geom.ConvexBody, family, n: int, seed: int,
 def decide(body: geom.ConvexBody, family, r: int, n: int, seed: int,
            covering: bool = False) -> VerificationResult:
     """r-fold packing (or, with ``covering``, covering) verdict: the
-    family's certificate, or n samples where it does not settle the
-    reading (``judge``); a packing with a base outside the body's shadow
-    (``geom.project_body``) fails without a witness.  n must reach
-    MIN_SAMPLES either way."""
+    family's certificate, then, where it does not settle the reading
+    (``judge``), for a packing the arrangement sweep, and n samples; a
+    packing with a base outside the body's shadow (``geom.project_body``)
+    fails without a witness.  n must reach MIN_SAMPLES either way."""
     check_samples(n)
     family = list(family)
     shadows = [] if covering else [geom.project_body(body, c.frame) for c in family]
     outside = next((i for i, (cyl, shadow) in enumerate(zip(family, shadows))
                     if not cylinders.base_contained(shadow, cyl.base, body.unit)), None)
     verdict = judge(certify(body, family), r, covering,
+                    lambda: None if covering else _sweep_certificate(body, family),
                     lambda: estimate_multiplicity(body, family, n, seed))
     if outside is not None:
         return VerificationResult(
@@ -377,23 +555,27 @@ def decide(body: geom.ConvexBody, family, r: int, n: int, seed: int,
 
 
 def judge(report: MultiplicityReport | None, r: int, covering: bool = False,
-          sample=None) -> VerificationResult:
+          *steps) -> VerificationResult:
     """The r-fold packing (or covering) verdict of a report.
 
     A certified report stands when its bound meets r, or when a witness
-    attains a bound that misses r; otherwise, or with no report,
-    ``sample()`` gives the report that decides.  A failure carries the
-    report's witness of the reading, and a passed sampled report its
+    attains a bound that misses r; otherwise, or with no report, each of
+    ``steps`` in turn gives the next report (None where it does not
+    apply), until one settles the reading.  A failure carries the report's
+    witness of the reading, and a passed sampled report its
     violation_fraction_ucb, ln(1/ALPHA) over its own samples.
     """
     def reading(rep):
+        if rep is None:
+            return False, None
         if covering:
             return rep.min_mult is not None and rep.min_mult >= r, rep.witness_min
         return rep.max_mult <= r, rep.witness_max
-    ok, witness = (False, None) if report is None else reading(report)
-    if sample is not None and not ok and witness is None:
-        report = sample()
-        ok, witness = reading(report)
+    ok, witness = reading(report)
+    for step in steps:
+        if not ok and witness is None:
+            report = step() or report
+            ok, witness = reading(report)
     if not ok:
         reason = (f"closed multiplicity {report.min_mult} falls below r={r}" if covering
                   else f"interior multiplicity {report.max_mult} exceeds r={r}")

@@ -20,10 +20,11 @@ of every pair's critical directions, each with an interval sweep
 consecutive bitangent normals, O(n^3)), ``hull_chord`` and the per-line loop
 ``exact_plank_multiplicity`` are the earlier hull and arrangement sweep.
 ``hull_chord`` through ``hull_polygon``'s halfplanes is the chord reference
-of ``falconer._chords`` on the disks and ``falconer._hull_segments``, within
-1e-12 of the family's size, and the loop is the count reference of
-``falconer.exact_plank_multiplicity``, whose witnesses ``certainly_in_hull``
-and ``open_counts`` check.
+of ``multiplicity._chords`` on the disks and ``falconer._hull_segments``,
+within 1e-12 of the family's size, and the loop is the count reference of
+``multiplicity.exact_plank_multiplicity`` (``sweep``), whose witnesses
+``certainly_in_hull`` and ``open_counts`` check.  A polygon is the family
+of its vertices with radius 0, a disk the family of one disk.
 """
 
 import math
@@ -35,7 +36,7 @@ from scipy.optimize import linprog
 from conftest import inscribed_hull
 from cylpack import geom
 from cylpack.errors import CylpackError, DomainError
-from cylpack import falconer
+from cylpack import falconer, multiplicity
 
 ORACLE_ARC_POINTS = 4096
 UNIT_CHORD = "unit_chord"   # density (1/pi) (r^2 - rho^2)^(-1/2): every chord integrates to 1
@@ -44,6 +45,24 @@ RADIUS_SCALED = "radius_scaled"  # 1/(pi r) scaling: a chord of disk j integrate
 
 class LineMissesBody(CylpackError):
     """The requested section line does not meet the interior of the body."""
+
+
+def support(family, u) -> float:
+    """Support function of the hull of the family's disks."""
+    return float(np.max(family.centers @ np.asarray(u, dtype=float) + family.radii))
+
+
+def sweep(family, planks) -> tuple[int, tuple]:
+    """``multiplicity.exact_plank_multiplicity`` of plank cylinders on the
+    family's hull, in its unit, as ``falconer.check_disk_planks`` runs it."""
+    return multiplicity.exact_plank_multiplicity(
+        family.centers, family.radii, family.hull_segments, family.unit,
+        *multiplicity._plank_arrays(planks))
+
+
+def chords(family, segments, points, directions) -> tuple[np.ndarray, np.ndarray]:
+    """``multiplicity._chords`` through the family's disks and ``segments``."""
+    return multiplicity._chords(family.centers, family.radii, segments, points, directions)
 
 
 def _chord_half_length(center, radius: float, s: float, u: np.ndarray) -> float:
@@ -63,7 +82,7 @@ def sectional_integral(family, s: float, u, mode: str = UNIT_CHORD) -> float:
     """
     u = np.asarray(u, dtype=float)
     u = u / np.linalg.norm(u)
-    if not (-family.support(-u) + 1e-12 < s < family.support(u) - 1e-12):
+    if not (-support(family, -u) + 1e-12 < s < support(family, u) - 1e-12):
         raise LineMissesBody("section line misses the interior of the hull")
     total = 0.0
     for center, radius in zip(family.centers, family.radii):
@@ -89,7 +108,7 @@ def plank2d_partition(family, n_planks: int, r: int = 1, direction=None) -> list
     (default e_1) into n_planks equal planks."""
     u = np.array([1.0, 0.0]) if direction is None else np.asarray(direction, float)
     u = u / np.linalg.norm(u)
-    lo, hi = -family.support(-u), family.support(u)
+    lo, hi = -support(family, -u), support(family, u)
     breaks = np.linspace(lo, hi, n_planks + 1)
     return [falconer.plank(u, float(a), float(b))
             for _ in range(r) for a, b in zip(breaks, breaks[1:])]
@@ -147,7 +166,7 @@ def sectional_integral_quadrature(family, s: float, u,
     numerically (after the arcsine substitution)."""
     u = np.asarray(u, dtype=float)
     u = u / np.linalg.norm(u)
-    if not (-family.support(-u) + 1e-12 < s < family.support(u) - 1e-12):
+    if not (-support(family, -u) + 1e-12 < s < support(family, u) - 1e-12):
         raise LineMissesBody("section line misses the interior of the hull")
     total = 0.0
     for center, radius in zip(family.centers, family.radii):
@@ -342,7 +361,7 @@ def hull_polygon(family) -> np.ndarray:
             v = _unit((lo + hi) / 2.0)
             rows.append([*v, centers[disk] @ v + radii[disk] * math.cos((hi - lo) / 2.0)])
             v = _unit(hi)
-            rows.append([*v, family.support(v)])
+            rows.append([*v, support(family, v)])
     rows = np.asarray(rows, dtype=float).reshape(-1, 3)
     if not np.all(np.isfinite(rows)):
         raise DomainError("disk family hull is not finite in double precision")
@@ -388,11 +407,11 @@ def exact_plank_multiplicity(family, planks) -> tuple[int, tuple]:
     crossings with the other lines; otherwise the hull is one cell.  So the
     count on both sides of every sub-segment midpoint, plus the count at one
     interior point, visits every cell.  A boundary line that coincides with
-    the chord's own line (within ``falconer.ON_LINE``, as shared plank
+    the chord's own line (within ``multiplicity.ON_LINE``, as shared plank
     boundaries do) is decided by the side, not by comparing offsets.  The witness lies in
     the hull and in exactly the returned number of open planks.
     """
-    normals, lows, highs = falconer._plank_arrays(planks)
+    normals, lows, highs = multiplicity._plank_arrays(planks)
     polygon = hull_polygon(family)
     inner = np.mean(family.centers, axis=0)  # interior: a mix of disk centers
     t = normals @ inner
@@ -400,17 +419,17 @@ def exact_plank_multiplicity(family, planks) -> tuple[int, tuple]:
     for u, s in [(u, s) for u, a, b in zip(normals, lows, highs) for s in (a, b)]:
         d = np.array([-u[1], u[0]])
         chord = hull_chord(family, polygon, s * u, d)
-        if chord is None or not -family.support(-u) < s < family.support(u):
+        if chord is None or not -support(family, -u) < s < support(family, u):
             continue  # the line misses the hull interior
         slope, along = normals @ d, normals @ u
-        crossing = np.abs(slope) > falconer.ON_LINE
+        crossing = np.abs(slope) > multiplicity.ON_LINE
         cuts = ((np.concatenate([lows[crossing], highs[crossing]])
                  - s * np.tile(along[crossing], 2)) / np.tile(slope[crossing], 2))
         cuts = cuts[(cuts > chord[0]) & (cuts < chord[1])]
         ts = np.unique(np.concatenate([chord, cuts]))
         mids = s * u + ((ts[:-1] + ts[1:]) / 2.0)[:, None] * d
         t = mids @ normals.T
-        on_line = falconer.ON_LINE * max(1.0, abs(s))
+        on_line = multiplicity.ON_LINE * max(1.0, abs(s))
         on_low = ~crossing & (np.abs(lows - s * along) <= on_line)
         on_high = ~crossing & (np.abs(highs - s * along) <= on_line)
         for side in (1.0, -1.0):

@@ -6,7 +6,7 @@ import pytest
 
 import falconer_oracle
 from conftest import inscribed_hull
-from cylpack import cli, falconer, geom, instances
+from cylpack import cli, cylinders, falconer, geom, instances, multiplicity
 from cylpack.errors import (
     DimensionMismatch,
     DomainError,
@@ -308,22 +308,26 @@ def test_plank_outside_the_support_range_fails_with_the_sweep_report():
     # the plank reaches past the disk's support 1 along u; the sweep still
     # runs, so its exact maximum comes with the failure
     planks = [falconer.plank(np.array([1.0, 0.0]), 0.5, 1.5)]
-    verdict = falconer.verify_plank_packing(
-        UNIT_DISK, *falconer._plank_arrays(planks), 1)
+    verdict = plank_verdict(UNIT_DISK, planks, 1)
     assert not verdict.ok and verdict.witness is None
     assert verdict.reason == "plank 0 base leaves the support range"
     report = verdict.report
-    assert report.certificate == falconer.SWEEP_CERTIFICATE
+    assert report.certificate == multiplicity.SWEEP_CERTIFICATE
     assert report.samples == 0 and report.seed is None and report.max_mult == 1
     assert falconer_oracle.open_counts(planks, report.witness_max)[0] == 1
-    with pytest.raises(NotAPacking) as info:
-        falconer.check_disk_planks(UNIT_DISK, planks, 1)
-    assert info.value.verdict.to_json() == verdict.to_json()
 
 
-def sweep(family, planks):
-    """``exact_plank_multiplicity`` of plank cylinders."""
-    return falconer.exact_plank_multiplicity(family, *falconer._plank_arrays(planks))
+def plank_verdict(family, planks, r: int):
+    """The packing verdict ``check_disk_planks`` raises, or None when the
+    planks pass."""
+    try:
+        falconer.check_disk_planks(family, planks, r)
+    except NotAPacking as exc:
+        return exc.verdict
+    return None
+
+
+sweep = falconer_oracle.sweep
 
 
 def _random_planks(family, gen, n):
@@ -333,7 +337,8 @@ def _random_planks(family, gen, n):
     for _ in range(n):
         theta = gen.uniform(0.0, 2.0 * math.pi)
         u = np.array([math.cos(theta), math.sin(theta)])
-        a, b = np.sort(gen.uniform(-family.support(-u), family.support(u), 2))
+        a, b = np.sort(gen.uniform(-falconer_oracle.support(family, -u),
+                                   falconer_oracle.support(family, u), 2))
         planks.append(falconer.plank(u, float(a), float(b)))
     return planks
 
@@ -359,8 +364,8 @@ def test_thin_plank_at_the_hull_top_overlaps():
     fam = instances.random_ns_family(4, 3)
     theta = 0.3 + math.pi / 256
     u = np.array([math.cos(theta), math.sin(theta)])
-    top = fam.support(u)
-    planks = [falconer.plank(u, -fam.support(-u), top),
+    top = falconer_oracle.support(fam, u)
+    planks = [falconer.plank(u, -falconer_oracle.support(fam, -u), top),
               falconer.plank(u, top - 1e-5, top)]
     mult, witness = sweep(fam, planks)
     assert mult == 2
@@ -390,7 +395,7 @@ def test_cell_on_the_low_side_of_all_its_lines_is_found():
     planks = []
     for theta in (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0):
         u = np.array([math.cos(theta), math.sin(theta)])
-        planks.append(falconer.plank(u, -UNIT_DISK.support(-u),
+        planks.append(falconer.plank(u, -falconer_oracle.support(UNIT_DISK, -u),
                                      0.5 * u[0] + 0.2))
     assert falconer_oracle.open_counts(planks, [0.0, 0.0])[0] == 1
     mult, witness = sweep(UNIT_DISK, planks)
@@ -421,18 +426,23 @@ def test_sweep_counts_do_not_depend_on_the_scale(scale):
         scaled = falconer.DiskFamily(family.centers * scale, family.radii * scale)
         for r in (1, 2, 3):
             planks = instances.random_plank2d_packing(family, 3 + seed % 3, r, seed=seed)
-            normals, lows, highs = falconer._plank_arrays(planks)
-            mult, unscaled = falconer.exact_plank_multiplicity(family, normals, lows, highs)
-            got, witness = falconer.exact_plank_multiplicity(
-                scaled, normals, lows * scale, highs * scale)
+            normals, lows, highs = multiplicity._plank_arrays(planks)
+            mult, unscaled = sweep(family, planks)
+            got, witness = multiplicity.exact_plank_multiplicity(
+                scaled.centers, scaled.radii, scaled.hull_segments, scaled.unit,
+                normals, lows * scale, highs * scale)
             assert got == mult, (seed, r)
             if math.frexp(scale)[0] == 0.5 and scale > 1e-300:
                 assert witness == tuple(x * scale for x in unscaled), (seed, r)
             assert falconer_oracle.open_counts(planks, np.divide(witness, scale))[0] == mult
             assert falconer_oracle.certainly_in_hull(family, np.divide(witness, scale))[0]
-            verdict = falconer.verify_plank_packing(scaled, normals, lows * scale,
-                                                    highs * scale, r)
-            assert verdict.ok, (seed, r, verdict.reason)
+            # the packing check passes: the count meets r and every plank
+            # lies in the support range, within CONTAINMENT_TOL of the unit
+            bottom, top = multiplicity._support_range(scaled.centers, scaled.radii,
+                                                      normals)
+            pad = cylinders.CONTAINMENT_TOL * scaled.unit
+            assert got <= r and np.all((lows * scale >= bottom - pad)
+                                       & (highs * scale <= top + pad)), (seed, r)
 
 
 @pytest.mark.parametrize("scale,far", [(1.0, 1e200), (1e-300, 1e10), (1e-13, 3e-13)])
@@ -444,7 +454,7 @@ def test_far_plank_leaves_the_support_range(scale, far):
     family = falconer.DiskFamily(family.centers * scale, family.radii * scale)
     planks = [falconer.plank([1.0, 0.0], far, 2.0 * far),
               falconer.plank([0.6, 0.8], -0.1 * scale, 0.1 * scale)]
-    verdict = falconer.verify_plank_packing(family, *falconer._plank_arrays(planks), 1)
+    verdict = plank_verdict(family, planks, 1)
     assert not verdict.ok and verdict.report.max_mult == 1
     assert verdict.reason == "plank 0 base leaves the support range"
 
@@ -473,7 +483,7 @@ def test_hull_chords_end_on_the_hull_boundary(rng):
         phi = rng.uniform(0.0, 2.0 * math.pi, 20)
         directions = np.column_stack([np.cos(phi), np.sin(phi)])
         points = np.tile(fam.centers[0], (20, 1))  # inside the first disk, of radius 0.5
-        ends = falconer._chords(fam, segments, points, directions)
+        ends = falconer_oracle.chords(fam, segments, points, directions)
         for t in ends:
             for point in points + t[:, None] * directions:
                 excess = np.max(normals @ point - support)
@@ -493,11 +503,11 @@ def test_hull_chords_scale_with_the_family(scale):
     theta = np.linspace(0.0, 2.0 * math.pi, 50)
     directions = np.column_stack([np.cos(theta), np.sin(theta)])
     points = np.random.default_rng(3).uniform(-1.0, 2.5, (50, 2))
-    lo, hi = falconer._chords(trio, segments, points, directions)
+    lo, hi = falconer_oracle.chords(trio, segments, points, directions)
     assert np.sum(lo < hi) > 25
     unit = scaled.unit
     in_units = falconer.DiskFamily(scaled.centers / unit, scaled.radii / unit)
-    got = falconer._chords(in_units, in_units.hull_segments,
+    got = falconer_oracle.chords(in_units, in_units.hull_segments,
                            points * scale / unit, directions)
     for want, ends in zip((lo, hi), got):
         assert np.allclose(ends[lo < hi] * unit / scale, want[lo < hi],
@@ -648,6 +658,6 @@ def test_family_json_roundtrip():
     back = falconer.family_from_json(blob)
     assert np.array_equal(back.centers, TANGENT_TRIO.centers)
     assert np.array_equal(back.radii, TANGENT_TRIO.radii)
-    blob = falconer.plank_to_json(falconer.plank(np.array([0.6, 0.8]), -0.25, 1.75))
+    [blob] = falconer.planks_to_json([falconer.plank(np.array([0.6, 0.8]), -0.25, 1.75)])
     assert blob["interval"] == [-0.25, 1.75]
-    assert falconer.plank_to_json(falconer.plank_from_json(blob)) == blob
+    assert falconer.planks_to_json([falconer.plank_from_json(blob)]) == [blob]

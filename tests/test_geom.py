@@ -178,6 +178,18 @@ def test_ellipsoid_volume():
     assert geom.volume(ell) == pytest.approx(want, rel=1e-13)
 
 
+def test_ball_powers_that_overflow_give_inf():
+    # radius 2 in d = 1300: 2^1299 overflows while omega_1299 underflows to
+    # 0, so each closed form is inf, never OverflowError or nan; so is the
+    # volume of an ellipsoid whose determinant underflows to 0
+    ball = geom.Ball(np.zeros(1300), 2.0)
+    assert geom.volume(ball) == math.inf
+    assert geom.hyperplane_shadow_volume(ball, np.eye(1300)[0]) == math.inf
+    fibre = geom.Frame(np.eye(1300)[:, 2:])
+    assert geom.affine_slice_volume(ball, fibre, np.zeros(1300)) == math.inf
+    assert geom.volume(geom.Ellipsoid(np.zeros(3), np.eye(3) * 2.0 ** -400)) == math.inf
+
+
 def test_polytope_volume_exact_small_dims():
     tri = geom.Polytope(np.array([[0, 0], [1, 0], [0, 1]], float))
     assert geom.volume(tri) == pytest.approx(0.5, abs=1e-14)

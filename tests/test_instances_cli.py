@@ -126,7 +126,7 @@ def test_cli_overpacked_disk_planks_report_their_witness(tmp_path, capsys):
     point = np.array(mult["witness"])
     theta = np.linspace(0.0, 2.0 * math.pi, 3600, endpoint=False)
     family = parsed["disk_family"]
-    assert all(u @ point <= family.support(u) + 1e-12
+    assert all(u @ point <= falconer_oracle.support(family, u) + 1e-12
                for u in np.column_stack([np.cos(theta), np.sin(theta)]))
     assert falconer_oracle.open_counts(parsed["planks"], point)[0] == mult["max_mult"]
     assert cli.main(["bounds", str(inst)]) == 1
@@ -610,20 +610,21 @@ def _underflowing_covering(tmp_path) -> str:
     return path
 
 
-def _thin_strip_packing(tmp_path) -> str:
+def _thin_strips(tmp_path, instance=instances.covering_instance) -> str:
     """Two layers of strips, written with r = 1, in a 1 x 1e-5 box rotated by
-    45 degrees: the box fills too little of its bounding box to be sampled."""
+    45 degrees: the box fills too little of its bounding box to be sampled.
+    As a covering, no certificate decides them."""
     c = math.cos(math.pi / 4)
     rot = np.array([[c, -c], [c, c]])
     body = geom.Polytope(np.array([[0, 0], [1, 0], [1, 1e-5], [0, 1e-5]]) @ rot.T)
     family = instances.random_strip_packing(body, 3, 2, seed=1)
     path = str(tmp_path / "thin.json")
-    instances.dump_json(instances.packing_instance(body, family, 1, {}), path)
+    instances.dump_json(instance(body, family, 1, {}), path)
     return path
 
 
 @pytest.mark.parametrize("make,error", [(_underflowing_covering, "DegenerateProjection"),
-                                        (_thin_strip_packing, "SamplingFailure")])
+                                        (_thin_strips, "SamplingFailure")])
 def test_cli_numerically_unusable_input_exits_2(tmp_path, capsys, make, error):
     # no check can run, so there is no witness: unusable input, not a failure
     path = make(tmp_path)
@@ -634,6 +635,40 @@ def test_cli_numerically_unusable_input_exits_2(tmp_path, capsys, make, error):
     # one document: the error listed beside the (empty) table
     out = json.loads(capsys.readouterr().out)
     assert out["reports"] == [] and [e["type"] for e in out["errors"]] == [error]
+
+
+def test_cli_ball_volume_overflow_exits_2(tmp_path, capsys):
+    # a d = 1300 ball of radius 2 with one 2-d disk base: its 1298-d central
+    # slice has omega_1298 2^1298, whose power overflows, so the general
+    # packing bound stops with an error object instead of an OverflowError
+    body = geom.Ball(np.zeros(1300), 2.0)
+    family = [cylinders.Cylinder(geom.Frame(np.eye(1300)[:, :2]),
+                                 geom.Ball(np.zeros(2), 0.5))]
+    path = tmp_path / "ball1300.json"
+    instances.dump_json(instances.packing_instance(body, family, 1, {}), path)
+    capsys.readouterr()
+    assert cli.main(["verify", str(path)]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err == {"message": "slice volume overflows", "stage": "verify",
+                   "type": "DomainError"}
+    assert cli.main(["bounds", str(path)]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["reports"] == [] and [e["type"] for e in out["errors"]] == ["DomainError"]
+
+
+def test_cli_certifies_the_thin_strip_packing(tmp_path, capsys):
+    # the arrangement sweep decides the thin box's packing without a sample:
+    # the two layers cross, and the witness lies in the box, in both
+    path = _thin_strips(tmp_path, instances.packing_instance)
+    capsys.readouterr()
+    assert cli.main(["verify", path, "--samples", "2000"]) == 1
+    mult = json.loads(capsys.readouterr().out)["multiplicity"]
+    assert mult["certificate"] == multiplicity.SWEEP_CERTIFICATE
+    assert mult["samples"] == 0 and mult["max_mult"] == 2
+    inst = instances.parse_instance(instances.load_json(path))
+    witness = np.array([mult["witness"]])
+    assert geom.contains_points(inst["body"], witness)[0]
+    assert multiplicity.multiplicity_counts(inst["body"], inst["family"], witness)[0][0] == 2
 
 
 def test_cli_bounds_table(tmp_path, capsys):
@@ -944,8 +979,8 @@ def test_cli_verifies_disk_planks_in_one_pass(tmp_path, monkeypatch, capsys):
     assert cli.main(["construct", *CONSTRUCT_KINDS["ns"], "--seed", "1",
                      "--out", str(inst)]) == 0
     calls = _count_calls(monkeypatch, falconer,
-                         ["exact_plank_multiplicity", "_hull_segments",
-                          "circumradius", "is_separable", "_pair_arcs"])
+                         ["_hull_segments", "circumradius", "is_separable", "_pair_arcs"])
+    calls.update(_count_calls(monkeypatch, multiplicity, ["exact_plank_multiplicity"]))
     for argv in (["verify", str(inst)], ["bounds", str(inst)],
                  ["falconer", str(inst), "--svg", str(tmp_path / "ns.svg")]):
         for c in calls.values():

@@ -1,7 +1,7 @@
-"""The array sweep of ``falconer.exact_plank_multiplicity`` keeps the counts
-of the per-line loop it replaced, and the hull chords of ``falconer._chords``
-(disks and ``falconer._hull_segments``) those of the per-interval hull
-polygon (``falconer_oracle``).
+"""The array sweep of ``multiplicity.exact_plank_multiplicity`` keeps the
+counts of the per-line loop it replaced, and the hull chords of
+``multiplicity._chords`` (disks and ``falconer._hull_segments``) those of the
+per-interval hull polygon (``falconer_oracle``).
 
 Every sweep's count equals the loop's, and its witness is certainly in the
 hull and in exactly that many open planks; every chord's ends agree with the
@@ -40,7 +40,7 @@ def assert_witness(family, planks, mult, witness):
 
 
 def assert_same_sweep(family, planks) -> tuple[int, tuple]:
-    got = falconer.exact_plank_multiplicity(family, *falconer._plank_arrays(planks))
+    got = falconer_oracle.sweep(family, planks)
     assert got[0] == falconer_oracle.exact_plank_multiplicity(family, planks)[0]
     assert_witness(family, planks, *got)
     return got
@@ -61,7 +61,7 @@ def assert_same_chords(family, lines: int = 20, seed: int = 0) -> np.ndarray:
     theta = np.concatenate([gen.uniform(0.0, 2.0 * math.pi, lines),
                             along + gen.uniform(math.pi / 6.0, 5.0 * math.pi / 6.0, len(along))])
     directions = np.column_stack([np.cos(theta), np.sin(theta)])
-    lo, hi = falconer._chords(family, segments, points, directions)
+    lo, hi = falconer_oracle.chords(family, segments, points, directions)
     for k, (point, direction) in enumerate(zip(points, directions)):
         want = falconer_oracle.hull_chord(family, polygon, point, direction)
         if want is None:
@@ -79,7 +79,8 @@ def _random_planks(family, gen, n):
     for _ in range(n):
         theta = gen.uniform(0.0, 2.0 * math.pi)
         u = np.array([math.cos(theta), math.sin(theta)])
-        a, b = np.sort(gen.uniform(-family.support(-u), family.support(u), 2))
+        a, b = np.sort(gen.uniform(-falconer_oracle.support(family, -u),
+                                   falconer_oracle.support(family, u), 2))
         planks.append(falconer.plank(u, float(a), float(b)))
     return planks
 
@@ -136,7 +137,8 @@ def test_planks_missing_the_hull_or_parallel_keep_the_loop_bytes():
         family = instances.random_ns_family(4, seed=seed + 9000)
         theta = gen.uniform(0.0, math.pi)
         u = np.array([math.cos(theta), math.sin(theta)])
-        top, bottom = family.support(u), -family.support(-u)
+        top = falconer_oracle.support(family, u)
+        bottom = -falconer_oracle.support(family, -u)
         width = top - bottom
         parallel = [falconer.plank(u, bottom + width * a, bottom + width * b)
                     for a, b in ((0.1, 0.3), (0.25, 0.5), (0.5, 0.9), (0.5, 0.6))]
@@ -180,7 +182,7 @@ def assert_rotated_chain_keeps_its_cusps(n, phi):
     family = falconer.DiskFamily([0.3, -0.7] + np.outer(2.0 * np.arange(n), u), [1.0] * n)
     segments = family.hull_segments
     points = family.centers[0] + np.outer(np.linspace(0.0, 2.0 * n - 2.0, 4 * n), u)
-    lo, hi = falconer._chords(family, segments, points, np.tile(v, (len(points), 1)))
+    lo, hi = falconer_oracle.chords(family, segments, points, np.tile(v, (len(points), 1)))
     assert np.allclose(lo, -1.0, rtol=0.0, atol=CHORD_TOL * 2.0 * n)
     assert np.allclose(hi, 1.0, rtol=0.0, atol=CHORD_TOL * 2.0 * n)
     base = family.centers[0] @ np.column_stack([u, v])

@@ -98,6 +98,33 @@ def test_scaled_files_keep_their_verdicts(tmp_path, name):
             assert _verdict(_scaled(obj, s), tmp_path / "scaled.json") == want, (shift, s)
 
 
+# ellipsoid files whose shadow volumes overflow or underflow at 2**300 and 2**-300
+FAR_KINDS = {name: CONSTRUCT_KINDS[name] for name in ("pack3", "pack4", "pack5", "cover")}
+FAR_KINDS["cover_k1"] = ["--kind", "covering", "--dim", "3", "--k", "1"]
+
+
+@pytest.mark.parametrize("name", FAR_KINDS)
+def test_far_scaled_ellipsoid_files_end_in_a_verdict_or_an_error(tmp_path, name):
+    # scaled by 2**300 or 2**-300, a file and its r - 1 and r + 1 mutations
+    # each pass, fail with a witness, or exit 2 with an error object
+    path = tmp_path / f"{name}.json"
+    assert cli.main(["construct", *FAR_KINDS[name], "--seed", "1",
+                     "--out", str(path)]) == 0
+    original = instances.load_json(path)
+    for shift, s in itertools.product((-1, 0, 1), (2.0 ** 300, 2.0 ** -300)):
+        obj = dict(original, r=original["r"] + shift)
+        if obj["r"] < 1:
+            continue
+        instances.dump_json(_scaled(obj, s), path)
+        code, out = _verify(path)
+        if code == 2:
+            assert list(out) == ["error"], (shift, s)
+        elif code == 1:
+            assert out["multiplicity"]["witness"] is not None, (shift, s)
+        else:
+            assert code == 0, (shift, s)
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e-10, 2.0 ** -40])
 def test_strip_outside_the_body_fails_at_every_scale(tmp_path, scale):
     # strip 0 moved out by four body diameters lies outside the body's shadow
