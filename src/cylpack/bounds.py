@@ -260,13 +260,10 @@ def _ellipsoid_max(slice_at, body, slice_frame, shadow, base) -> SliceMax:
     s = slice_frame.columns
     if isinstance(body, geom.Ball):
         central = geom._ball_volume(m, body.radius, m)
+        _check_ball_form(shadow)
         shape = np.eye(shadow.dim) / shadow.radius**2
-    else:
-        with np.errstate(over="ignore"):  # an overflow to inf fails below, like a 0
-            det = np.linalg.det(s.T @ body.shape @ s)
-        if not 0 < det < math.inf:  # positive and finite in exact arithmetic
-            raise DomainError("ellipsoid shape form too ill-conditioned to slice")
-        central = specfn.unit_ball_volume(m) / math.sqrt(det)
+    else:  # geom.slice_kernel found det positive and finite
+        central = specfn.unit_ball_volume(m) / math.sqrt(np.linalg.det(s.T @ body.shape @ s))
         shape = shadow.shape
     if base is None:
         z, dual = shadow.center, 0.0
@@ -277,6 +274,14 @@ def _ellipsoid_max(slice_at, body, slice_frame, shadow, base) -> SliceMax:
         z, dual = _quadratic_on_cap(shape, shadow.center, base)
     upper = central * max(1.0 - dual, 0.0) ** (m / 2.0)
     return _bracket(slice_at, z, upper, "ellipsoid")
+
+
+def _check_ball_form(ball: geom.Ball) -> None:
+    """DomainError where the squared radius of a ball shadow or disk base,
+    whose form I / r^2 the slice maxima read, overflows or underflows."""
+    if not 0.0 < ball.radius * ball.radius < math.inf:
+        raise DomainError("squared radius of a ball or disk overflows or "
+                          "underflows double precision")
 
 
 def _quadratic_on_cap(shape, center, cap) -> tuple[np.ndarray, float]:
@@ -362,6 +367,7 @@ def _concave_search(slice_at, m, shadow, offsets_frame, base) -> SliceMax:
     quads, polys, cut = [], [], None  # regions in the rotated coordinates y
     for region in [shadow, base]:
         if isinstance(region, geom.Ball):
+            _check_ball_form(region)
             quads.append((np.eye(n) / (region.radius * region.radius),
                           region.center @ rot))
         elif isinstance(region, geom.Ellipsoid):

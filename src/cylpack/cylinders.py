@@ -90,8 +90,9 @@ def base_membership(base: CylinderBase, z, unit: float) -> tuple[np.ndarray, np.
     boundary, times the body's ``unit`` but for cap bases (in the unit ball)."""
     z = np.atleast_2d(np.asarray(z, dtype=float))
     if isinstance(base, geom.Ball):
-        dist = np.linalg.norm(z - base.center, axis=1)
-        return dist <= base.radius, dist <= base.radius - INTERIOR_MARGIN * unit
+        s = geom._radius_unit(base.radius)
+        dist = np.linalg.norm((z - base.center) / s, axis=1)
+        return dist <= base.radius / s, dist <= (base.radius - INTERIOR_MARGIN * unit) / s
     if isinstance(base, geom.Polytope):
         eq = base.equations
         top = np.max(z @ eq[:, :-1].T + eq[:, -1], axis=1)
@@ -189,13 +190,12 @@ def base_contained(shadow: geom.ConvexBody, base: CylinderBase, unit: float) -> 
                                         base.center, base.radius, maximize=True)
         return top <= 1.0 + tol
     if isinstance(shadow, geom.Ball):
-        c = shadow.center
-        if isinstance(base, geom.Ball):
-            reach = float(np.linalg.norm(base.center - c)) + base.radius
-        else:
-            with np.errstate(over="ignore"):  # a far shadow reaches inf: outside
-                reach = math.sqrt(1.0 + float(c @ c)
-                                  + 2.0 * float(cap_support(base, -c)[0]))
+        c, s = shadow.center, geom._radius_unit(shadow.radius)
+        with np.errstate(over="ignore"):  # a far base or shadow reaches inf: outside
+            if isinstance(base, geom.Ball):
+                return float(np.linalg.norm((base.center - c) / s)) + base.radius / s \
+                    <= (shadow.radius + tol) / s
+            reach = math.sqrt(1.0 + float(c @ c) + 2.0 * float(cap_support(base, -c)[0]))
         return reach <= shadow.radius + tol
     eq = shadow.equations
     if isinstance(base, geom.Ball):

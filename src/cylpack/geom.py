@@ -315,6 +315,8 @@ class Polytope(_Body):
         if self.dim == 1:
             lo, hi = float(np.min(self.vertices)), float(np.max(self.vertices))
             return _freeze(np.array([[1.0, -hi], [-1.0, lo]]))
+        if not np.all(np.isfinite(self._hull.equations)):
+            raise DomainError("the vertex hull's facet equations overflow double precision")
         return _freeze(self._hull.equations)
 
     @cached_property
@@ -496,8 +498,9 @@ def contains_points(body: ConvexBody, points, tol: float = 0.0) -> np.ndarray:
     if pts.shape[1] != body.dim:
         raise DimensionMismatch("point dimension does not match the body")
     if isinstance(body, Ball):
+        s = _radius_unit(body.radius)
         with np.errstate(over="ignore"):  # an inf distance is outside
-            return np.linalg.norm(pts - body.center, axis=1) <= body.radius + tol
+            return np.linalg.norm((pts - body.center) / s, axis=1) <= (body.radius + tol) / s
     if isinstance(body, Ellipsoid):
         diff = pts - body.center
         q = np.einsum("ij,jk,ik->i", diff, body.shape, diff)
@@ -508,6 +511,13 @@ def contains_points(body: ConvexBody, points, tol: float = 0.0) -> np.ndarray:
         vals = pts[start:start + SAMPLE_CHUNK] @ normals + offsets
         np.all(vals <= tol, axis=1, out=inside[start:start + SAMPLE_CHUNK])
     return inside
+
+
+def _radius_unit(radius: float) -> float:
+    """The power of two at a radius (2**1023 at most).  Lengths divided by it
+    compare as before, exactly, but a squared distance to the ball's centre
+    overflows only ~1e154 radii out and underflows only ~1e-154 radii in."""
+    return math.ldexp(1.0, min(math.frexp(radius)[1], 1023))
 
 
 def bounding_box(body: ConvexBody) -> tuple[np.ndarray, np.ndarray]:
@@ -763,16 +773,7 @@ def affine_slice_volume(body: ConvexBody, slice_frame: Frame, point) -> float:
         if rho2 <= 0:
             return 0.0
         return _ball_volume(k, rho2, k / 2.0)
-    if isinstance(body, Ellipsoid):
-        diff = x0 - body.center
-        qs = s.T @ body.shape @ s
-        w = s.T @ body.shape @ diff
-        q0 = float(diff @ body.shape @ diff)
-        rho2 = 1.0 - q0 + float(w @ np.linalg.solve(qs, w))
-        if rho2 <= 0:
-            return 0.0
-        return specfn.unit_ball_volume(k) * rho2 ** (k / 2.0) / math.sqrt(np.linalg.det(qs))
-    if k == 1:
+    if isinstance(body, Polytope) and k == 1:
         eq = body.equations
         a = eq[:, :-1] @ s                      # (F, 1)
         b = -(eq[:, -1] + eq[:, :-1] @ x0)      # A_s t <= b
@@ -787,12 +788,17 @@ def affine_slice_volume(body: ConvexBody, slice_frame: Frame, point) -> float:
 
 def slice_kernel(body: ConvexBody, slice_frame: Frame):
     """point -> :func:`affine_slice_volume` (body, slice_frame, point), with
-    a polytope's face systems for k >= 2 built and filtered once, so that a
-    point costs one batched solve."""
+    an ellipsoid's restricted form, and a polytope's face systems for k >= 2,
+    built and filtered once, so that a point costs one batched solve.  An
+    ellipsoid's restricted form whose determinant is not positive and finite
+    in double precision raises DomainError."""
     k = slice_frame.subspace_dim
-    if not isinstance(body, Polytope) or k == 1 or slice_frame.ambient_dim != body.dim:
+    if isinstance(body, Ball) or isinstance(body, Polytope) and k == 1 \
+            or slice_frame.ambient_dim != body.dim:
         return partial(affine_slice_volume, body, slice_frame)
     s, c = slice_frame.columns, body.dim - k
+    if isinstance(body, Ellipsoid):
+        return _ellipsoid_slices(body, s)
     idx = body._face_simplices(c)
     origin, normal = body.centroid, _complement_columns(s)
     rel = body.vertices - origin
@@ -816,6 +822,29 @@ def slice_kernel(body: ConvexBody, slice_frame: Frame):
             return float(_geom.ConvexHull(t).volume)
         except _geom.QhullError:
             return 0.0
+
+    return volume
+
+
+def _ellipsoid_slices(body: Ellipsoid, s: np.ndarray):
+    """point -> the k-volume of the ellipsoid's slice through it along the
+    columns s: omega_k rho^k / sqrt(det Q_s), Q_s = s^T Q s its form on the
+    slice and rho^2 = 1 - q(point) + w^T Q_s^-1 w, w = s^T Q (point - c)."""
+    k, sq = s.shape[1], s.T @ body.shape
+    qs = sq @ s
+    with np.errstate(over="ignore"):  # an overflow to inf fails below, like a 0
+        det = np.linalg.det(qs)
+    if not 0 < det < math.inf:  # positive and finite in exact arithmetic
+        raise DomainError("ellipsoid shape form too ill-conditioned to slice")
+    root = math.sqrt(det)
+
+    def volume(point) -> float:
+        diff = np.asarray(point, dtype=float) - body.center
+        w = sq @ diff
+        rho2 = 1.0 - float(diff @ body.shape @ diff) + float(w @ np.linalg.solve(qs, w))
+        if rho2 <= 0:
+            return 0.0
+        return specfn.unit_ball_volume(k) * rho2 ** (k / 2.0) / root
 
     return volume
 

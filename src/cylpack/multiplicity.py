@@ -1,17 +1,17 @@
-"""r-fold packing and covering verification: structural certificates first,
+"""r-fold packing and covering verification: exact certificates first,
 multiplicity sampling for the families they leave undecided.
 
-``certify`` bounds multiplicities from the family's structure, in the sound
-direction: cap cylinders by the separation of their poles, other families
-layer by layer.  ``judge`` keeps a certified report that settles the r-fold
-reading; else a planar strip packing in a disk or polygon takes the exact
-plank arrangement sweep (``exact_plank_multiplicity``, also ``falconer``'s
-on a disk hull), and what is still open the sampler: n seeded uniform
-samples of the body tested once against every base, through
+``decide`` hands ``judge`` one ordered list of steps, each a report or None
+where it does not apply: pole separation for cap cylinders in a ball,
+layer depth for cylinders grouped by frame, the exact plank arrangement
+sweep (``exact_plank_multiplicity``, also ``falconer``'s on a disk hull)
+for a planar strip packing in a disk or polygon, then the sampler: n seeded
+uniform samples of the body tested once against every base, through
 ``cylinders.base_membership``, strict-interior counts for packings and
-closed ones for coverings.  Every verdict, ``cappack``'s and
-``falconer``'s included, is a ``VerificationResult`` that ``judge`` draws
-from a ``MultiplicityReport``.
+closed ones for coverings.  The first report that settles the r-fold
+reading is the verdict.  Every verdict, ``cappack``'s and ``falconer``'s
+included, is a ``VerificationResult`` that ``judge`` draws from a
+``MultiplicityReport``.
 Sampling runs in fixed-size blocks with per-block derived seeds and a fixed
 reduction order, so identical seeds reproduce reports bit for bit.
 """
@@ -115,12 +115,12 @@ def pole_conflicts(poles: np.ndarray, cos_a: np.ndarray, sin_a: np.ndarray,
 
 
 def _cap_certificate(body, family) -> MultiplicityReport | None:
-    """``pole_certificate`` of an object family in a ball body, stacked once;
-    None for another body or mixed base dimensions."""
-    if not isinstance(body, geom.Ball):
-        return None
+    """``pole_certificate`` of a cap family in a ball body, stacked once;
+    None for another body, an empty family, a base that is not a cap or
+    mixed base dimensions (no stack)."""
     frames = [cyl.frame.columns for cyl in family]
-    if len({f.shape for f in frames}) > 1:  # mixed base dimensions: no stack
+    if not isinstance(body, geom.Ball) or len({f.shape for f in frames}) != 1 \
+            or not all(isinstance(cyl.base, cylinders.CapBase) for cyl in family):
         return None
     return pole_certificate(
         body, np.stack(frames), np.array([cyl.base.pole for cyl in family]),
@@ -194,6 +194,7 @@ def _disk_depth(bases) -> int:
     return degree + 1
 
 
+@np.errstate(all="ignore")  # an overflow or nan leaves a bound open
 def _layer_certificate(body, family) -> MultiplicityReport | None:
     """Layer depths of cylinders grouped by bit-equal frames
     (``cylinders._frame_groups``), where membership depends on the base
@@ -203,8 +204,8 @@ def _layer_certificate(body, family) -> MultiplicityReport | None:
     largest open depth bounds the packing reading, and their smallest closed
     depth over the body's shadow [-h(-u), h(u)], widened outward by
     SHADOW_MARGIN of the body's ``unit`` and extent, the covering one.  Other
-    groups leave the family open.  Depths add over groups; a lone interval
-    group also takes witnesses, inside the body, of both of its bounds.
+    groups, cap ones too, leave the family open.  Depths add over groups; a
+    lone interval group also takes witnesses, inside the body, of both.
     """
     groups = [[family[i] for i in idx] for idx in cylinders._frame_groups(family)]
     top, low = 0, 0
@@ -270,21 +271,6 @@ def _confirmed(body, family, x, count: int, closed: bool) -> tuple | None:
         return None
     counts = multiplicity_counts(body, family, pts)[1 if closed else 0]
     return tuple(map(float, pts[0])) if counts[0] == count else None
-
-
-def certify(body: geom.ConvexBody, family) -> MultiplicityReport | None:
-    """Certified multiplicity bounds of the family inside the body, or None
-    when no certificate applies: caps get ``_cap_certificate``, families
-    without caps ``_layer_certificate``, and mixed families none."""
-    family = list(family)
-    if any(cyl.ambient_dim != body.dim for cyl in family):
-        raise DimensionMismatch("family and body disagree in dimension")
-    caps = [isinstance(cyl.base, cylinders.CapBase) for cyl in family]
-    if not family or any(caps) and not all(caps):
-        return None
-    # an overflow or nan counts as a conflict, or leaves a bound open
-    with np.errstate(all="ignore"):
-        return (_cap_certificate if all(caps) else _layer_certificate)(body, family)
 
 
 # ---------------------------------------------------------------------------
@@ -534,17 +520,21 @@ def estimate_multiplicity(body: geom.ConvexBody, family, n: int, seed: int,
 
 def decide(body: geom.ConvexBody, family, r: int, n: int, seed: int,
            covering: bool = False) -> VerificationResult:
-    """r-fold packing (or, with ``covering``, covering) verdict: the
-    family's certificate, then, where it does not settle the reading
-    (``judge``), for a packing the arrangement sweep, and n samples; a
-    packing with a base outside the body's shadow (``geom.project_body``)
-    fails without a witness.  n must reach MIN_SAMPLES either way."""
+    """r-fold packing (or, with ``covering``, covering) verdict: ``judge``
+    over pole separation, layer depth, for a packing the arrangement sweep,
+    and n samples, in turn; a packing with a base outside the body's shadow
+    (``geom.project_body``) fails without a witness.  n must reach
+    MIN_SAMPLES either way."""
     check_samples(n)
     family = list(family)
     shadows = [] if covering else [geom.project_body(body, c.frame) for c in family]
     outside = next((i for i, (cyl, shadow) in enumerate(zip(family, shadows))
                     if not cylinders.base_contained(shadow, cyl.base, body.unit)), None)
-    verdict = judge(certify(body, family), r, covering,
+    if any(cyl.ambient_dim != body.dim for cyl in family):
+        raise DimensionMismatch("family and body disagree in dimension")
+    verdict = judge(None, r, covering,
+                    lambda: _cap_certificate(body, family),
+                    lambda: _layer_certificate(body, family),
                     lambda: None if covering else _sweep_certificate(body, family),
                     lambda: estimate_multiplicity(body, family, n, seed))
     if outside is not None:

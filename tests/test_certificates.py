@@ -1,14 +1,16 @@
 """Structural certificates of the packing and covering hypotheses.
 
-``multiplicity.certify`` reads multiplicity bounds off a family's structure:
-pole separation for cap cylinders, layer depth for every other construct
-kind.  The sampler (``estimate_multiplicity``), which no longer runs on these
-families, serves as the oracle: it must never see a count beyond a certified
-bound.  Refutations carry witnesses that ``geom`` places in the body, and
+``multiplicity.decide`` reads multiplicity bounds off a family's structure
+before it samples: pole separation for cap cylinders (``_cap_certificate``),
+layer depth for every other construct kind (``_layer_certificate``), each
+None where it does not apply.  The sampler (``estimate_multiplicity``),
+which no longer runs on these families, serves as the oracle: it must never
+see a count beyond a certified bound.  Refutations carry witnesses that ``geom`` places in the body, and
 certified reports do not depend on the sample count or seed.
 """
 
 import dataclasses
+import itertools
 import json
 import math
 import tracemalloc
@@ -114,7 +116,8 @@ def test_constructed_families_are_certified(tmp_path, name):
     for seed in SEEDS:
         _, inst = _construct(tmp_path, name, seed)
         body, family, r = inst["body"], inst["family"], inst["r"]
-        cert = multiplicity.certify(body, family)
+        cert = (multiplicity._cap_certificate(body, family)
+                or multiplicity._layer_certificate(body, family))
         assert cert is not None and cert.samples == 0 and cert.seed is None
         verdict = multiplicity.decide(body, family, r, 4000, seed, covering)
         assert verdict.ok and verdict.report == cert
@@ -130,13 +133,40 @@ def test_constructed_families_are_certified(tmp_path, name):
             assert _counts(family, x)[0] == cert.max_mult
 
 
+STEPS = ("_cap_certificate", "_layer_certificate", "_sweep_certificate",
+         "estimate_multiplicity")
+
+
+@pytest.mark.parametrize("covering", [False, True])
+def test_decide_tries_each_step_in_turn(monkeypatch, covering):
+    # with every certificate left open, decide runs pole separation, layer
+    # depth, the sweep (packings only) and the sampler, in that order, and
+    # the sampled report stands
+    ball = geom.Ball(np.zeros(2), 1.0)
+    family = instances.plank_partition(ball, 3)
+    order = []
+    for name in STEPS:
+        real = getattr(multiplicity, name)
+        monkeypatch.setattr(multiplicity, name, lambda *args, _name=name, _real=real: (
+            order.append(_name) or (_real(*args) if _name == STEPS[-1] else None)))
+    verdict = multiplicity.decide(ball, family, 2, 2000, 1, covering)
+    assert order == [name for name in STEPS if not covering or name != "_sweep_certificate"]
+    assert verdict.report.samples == 2000 and verdict.report.certificate is None
+
+
 def test_certificate_names():
     ball = geom.Ball(np.zeros(4), 1.0)
     _, caps = cappack.build_cap_packing(4, 1, 0.3, seed=1)
     planks = instances.plank_partition(ball, 3)
-    assert multiplicity.certify(ball, caps).certificate == "pole-separation"
-    assert multiplicity.certify(ball, planks).certificate == "layer-depth"
-    assert multiplicity.certify(ball, [*caps, *planks]) is None  # mixed families sample
+    assert multiplicity._cap_certificate(ball, caps).certificate == "pole-separation"
+    assert multiplicity._layer_certificate(ball, planks).certificate == "layer-depth"
+    # each step is None where it does not apply; mixed families sample
+    for family in (planks, [*caps, *planks], []):
+        assert multiplicity._cap_certificate(ball, family) is None
+    for family in (caps, [*caps, *planks]):
+        assert multiplicity._layer_certificate(ball, family) is None
+    box = geom.Polytope(np.array(list(itertools.product((-1.0, 1.0), repeat=4))))
+    assert multiplicity._cap_certificate(box, caps) is None
 
 
 def test_cap_report_is_certified_whatever_the_sample_count():
@@ -198,7 +228,7 @@ def test_overlapping_cap_file_falls_back_and_fails(tmp_path, capsys):
     obj["cylinders"][1]["base"]["pole"] = [math.cos(delta), math.sin(delta), 0.0]
     instances.dump_json(obj, path)
     family = instances.parse_instance(obj)["family"]
-    cert = multiplicity.certify(inst["body"], family)
+    cert = multiplicity._cap_certificate(inst["body"], family)
     assert cert.max_mult > 1 and cert.witness_max is None  # not settled
     code, out = _verify(path, 20_000, 1, capsys)
     mult = json.loads(out)["multiplicity"]
@@ -216,7 +246,7 @@ def test_pole_pairs_within_the_margin_are_not_certified(below, certified):
     poles = np.array([[1.0, 0.0, 0.0, 0.0], [level, math.sqrt(1 - level**2), 0.0, 0.0]])
     rng = np.random.default_rng(0)
     family = [_cap_cylinder(p, delta, rng) for p in poles]
-    cert = multiplicity.certify(geom.Ball(np.zeros(4), 1.0), family)
+    cert = multiplicity._cap_certificate(geom.Ball(np.zeros(4), 1.0), family)
     assert (cert.max_mult == 1) == certified
     sep_set = cappack.SeparatedSet(poles, 2 * delta, cappack.PROJECTIVE, True, 0)
     assert sepset_oracle.check_separation(sep_set) == certified
@@ -228,7 +258,8 @@ def test_polytope_base_covering_is_sampled_unchanged(tmp_path):
                      "--seed", "2", "--out", str(path)]) == 0
     inst = instances.parse_instance(instances.load_json(path))
     body, family = inst["body"], inst["family"]
-    assert multiplicity.certify(body, family) is None
+    assert multiplicity._cap_certificate(body, family) is None
+    assert multiplicity._layer_certificate(body, family) is None
     verdict = multiplicity.decide(body, family, 1, 5000, seed=4, covering=True)
     sampled = multiplicity.estimate_multiplicity(body, family, 5000, seed=4)
     assert verdict.ok and verdict.report.certificate is None
@@ -246,7 +277,7 @@ def test_disk_bases_that_overlap_are_bounded_not_refuted():
     frame = geom.orthonormalize(np.eye(3)[:2])
     family = [cylinders.Cylinder(frame, geom.Ball(np.array([c, 0.0]), 0.3))
               for c in (-0.2, 0.2)]
-    cert = multiplicity.certify(ball, family)
+    cert = multiplicity._layer_certificate(ball, family)
     assert cert.max_mult == 2 and cert.min_mult is None and cert.witness_max is None
     verdict = multiplicity.decide(ball, family, 1, 4000, seed=1)
     assert not verdict.ok and verdict.report.samples == 4000
@@ -264,11 +295,11 @@ def test_layer_depth_of_many_disks_keeps_memory_flat():
     family = [cylinders.Cylinder(frame, geom.Ball(c, radius)) for c in centers]
     tracemalloc.start()
     try:
-        cert = multiplicity.certify(ball, family)
+        cert = multiplicity._layer_certificate(ball, family)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert cert.certificate == multiplicity.LAYER_CERTIFICATE and cert.max_mult == 1
     assert peak < 16 << 20, peak
     overlap = cylinders.Cylinder(frame, geom.Ball(centers[-1], radius))
-    assert multiplicity.certify(ball, family + [overlap]).max_mult == 2
+    assert multiplicity._layer_certificate(ball, family + [overlap]).max_mult == 2

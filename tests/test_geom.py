@@ -190,6 +190,29 @@ def test_ball_powers_that_overflow_give_inf():
     assert geom.volume(geom.Ellipsoid(np.zeros(3), np.eye(3) * 2.0 ** -400)) == math.inf
 
 
+def test_ill_conditioned_ellipsoid_slices_raise_one_error():
+    # the form on the slice has det 1e-400 (0.0) or 1e400 (inf): both fail
+    # the same conditioning rule, once per kernel, instead of dividing by
+    # zero or returning 0.0
+    e1e2 = geom.Frame(np.eye(3)[:, :2])
+    for scale in (1e-200, 1e200):
+        body = geom.Ellipsoid(np.zeros(3), np.diag([scale, scale, 1.0]))
+        with pytest.raises(DomainError, match="too ill-conditioned to slice"):
+            geom.affine_slice_volume(body, e1e2, np.zeros(3))
+        with pytest.raises(DomainError, match="too ill-conditioned to slice"):
+            geom.slice_kernel(body, e1e2)
+
+
+def test_ball_membership_reads_distances_at_the_radius_scale():
+    # past ~1.3e154 a squared distance overflows and below ~1e-154 it
+    # underflows; in the power of two at the radius neither happens
+    for e in (-1000, -600, 600, 1000):
+        s = 2.0 ** e
+        ball = geom.Ball(np.array([s, 0.0]), s)
+        pts = s * np.array([[1.5, 0.5], [1.0, 0.999], [2.001, 0.0], [1e6, 0.0]])
+        assert geom.contains_points(ball, pts).tolist() == [True, True, False, False], e
+
+
 def test_polytope_volume_exact_small_dims():
     tri = geom.Polytope(np.array([[0, 0], [1, 0], [0, 1]], float))
     assert geom.volume(tri) == pytest.approx(0.5, abs=1e-14)

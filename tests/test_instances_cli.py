@@ -656,6 +656,35 @@ def test_cli_ball_volume_overflow_exits_2(tmp_path, capsys):
     assert out["reports"] == [] and [e["type"] for e in out["errors"]] == ["DomainError"]
 
 
+def test_cli_facet_equation_overflow_exits_2(tmp_path, capsys):
+    # every number of the file is finite, but qhull's facet equations of a
+    # cube of half-width 1e160 are not: the error object names them
+    cube = geom.Polytope(1e160 * np.array(list(itertools.product((-1.0, 1.0), repeat=3))))
+    path = tmp_path / "cube.json"
+    family = instances.plank_partition(cube, 5)
+    instances.dump_json(instances.packing_instance(cube, family, 1, {}), path)
+    capsys.readouterr()
+    assert cli.main(["verify", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out) == {"error": {
+        "message": "the vertex hull's facet equations overflow double precision",
+        "stage": "verify", "type": "DomainError"}}
+
+
+def test_cli_squared_radius_underflow_exits_2(tmp_path, capsys):
+    # a disk base of radius 1e-170 in a 4-cube: its form I / r^2 is inf, so
+    # the restricted slice search stops with an error object that names
+    # the underflow instead of searching an empty region
+    cube = geom.Polytope(np.array(list(itertools.product((-1.0, 1.0), repeat=4))))
+    family = [cylinders.Cylinder(geom.Frame(np.eye(4)[:, :2]),
+                                 geom.Ball(np.zeros(2), 1e-170))]
+    path = tmp_path / "tiny_disk.json"
+    instances.dump_json(instances.packing_instance(cube, family, 1, {}), path)
+    capsys.readouterr()
+    assert cli.main(["verify", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["message"] == (
+        "squared radius of a ball or disk overflows or underflows double precision")
+
+
 def test_cli_certifies_the_thin_strip_packing(tmp_path, capsys):
     # the arrangement sweep decides the thin box's packing without a sample:
     # the two layers cross, and the witness lies in the box, in both
@@ -922,9 +951,9 @@ def test_cli_plank_and_strip_files_are_byte_pinned(tmp_path, monkeypatch):
 
 
 def test_cli_samples_each_instance_once(tmp_path, monkeypatch, capsys):
-    # every construct kind is decided by one certificate pass and samples
-    # nothing; a family with 2-d box bases, which no certificate decides, is
-    # sampled once
+    # every construct kind is decided by one hypothesis check (``decide``)
+    # and samples nothing; a family with 2-d box bases, which no certificate
+    # decides, is sampled once; the ns file is judged by falconer alone
     files = construct_all(tmp_path, seed=4)
     paths = [str(p) for p in files.values()]
     overpacked = tmp_path / "overpacked.json"
@@ -935,7 +964,7 @@ def test_cli_samples_each_instance_once(tmp_path, monkeypatch, capsys):
     assert cli.main(["construct", "--kind", "covering", "--dim", "3", "--k", "1",
                      "--seed", "4", "--out", str(boxes)]) == 0
     calls = _count_calls(monkeypatch, multiplicity,
-                         ["certify", "estimate_multiplicity"])
+                         ["decide", "estimate_multiplicity"])
 
     def counts():
         out = {name: len(c) for name, c in calls.items()}
@@ -946,14 +975,14 @@ def test_cli_samples_each_instance_once(tmp_path, monkeypatch, capsys):
     certified = [str(p) for name, p in files.items() if name != "ns"] + [str(overpacked)]
     for path in certified:
         cli.main(["verify", path, "--samples", "2000"])
-        assert counts() == {"certify": 1, "estimate_multiplicity": 0}, path
+        assert counts() == {"decide": 1, "estimate_multiplicity": 0}, path
     assert cli.main(["verify", str(boxes), "--samples", "2000"]) == 0
-    assert counts() == {"certify": 1, "estimate_multiplicity": 1}
+    assert counts() == {"decide": 1, "estimate_multiplicity": 1}
     assert cli.main(["bounds", *paths, str(overpacked), str(boxes),
                      "--samples", "2000"]) == 1
-    assert counts() == {"certify": len(certified) + 1, "estimate_multiplicity": 1}
+    assert counts() == {"decide": len(certified) + 1, "estimate_multiplicity": 1}
     cli.main(["verify", str(files["ns"]), "--samples", "2000"])
-    assert counts() == {"certify": 0, "estimate_multiplicity": 0}
+    assert counts() == {"decide": 0, "estimate_multiplicity": 0}
     capsys.readouterr()
 
 

@@ -3,7 +3,9 @@
 Every non-cap construct kind of ``CONSTRUCT_KINDS`` at seed 1, and its
 r - 1 and r + 1 mutations, is scaled by 2**e for e in (-40, -20, 20, 40).
 A power of two scales every coordinate exactly, so each scaled file must give
-the unscaled run's exit code, certificate and per-report verdicts.  Cap
+the unscaled run's exit code, certificate and per-report verdicts.  Scaled
+far enough for squared lengths or volumes to leave double precision, a file
+keeps its exit code and certificate or exits 2 with an error object.  Cap
 bases live in the unit ball and do not scale.  The lhs and rhs themselves are
 not compared: crv sums of ellipsoid files differ in their last bits.
 """
@@ -17,7 +19,7 @@ import json
 import numpy as np
 import pytest
 
-from cylpack import bounds, cli, geom, instances
+from cylpack import bounds, cli, cylinders, geom, instances
 from conftest import CONSTRUCT_KINDS
 
 SCALES = [2.0 ** e for e in (-40, -20, 20, 40)]
@@ -98,6 +100,41 @@ def test_scaled_files_keep_their_verdicts(tmp_path, name):
             assert _verdict(_scaled(obj, s), tmp_path / "scaled.json") == want, (shift, s)
 
 
+def _constructed(tmp_path, args) -> dict:
+    path = tmp_path / "constructed.json"
+    assert cli.main(["construct", *args, "--seed", "1", "--out", str(path)]) == 0
+    return instances.load_json(path)
+
+
+def _far_verdicts(tmp_path, original: dict, exponents):
+    """An instance and its r - 1 and r + 1 mutations, each scaled by 2**e
+    for e in exponents where the scaled file stays finite: each run gives
+    the unscaled exit code and certificate, or exits 2 with an error object;
+    an exit 1 carries a witness, and no run ends in a traceback."""
+    path = tmp_path / "far.json"
+    for shift in (-1, 0, 1):
+        obj = dict(original, r=original["r"] + shift)
+        if obj["r"] < 1:
+            continue
+        instances.dump_json(obj, path)
+        code, out = _verify(path)
+        want = (code, out["multiplicity"]["certificate"])
+        for e in exponents:
+            scaled = _scaled(obj, 2.0 ** e)
+            try:
+                json.dumps(scaled, allow_nan=False)
+            except ValueError:
+                continue
+            instances.dump_json(scaled, path)
+            code, out = _verify(path)
+            if code == 2:
+                assert list(out) == ["error"], (shift, e)
+                continue
+            mult = out["multiplicity"]
+            assert (code, mult["certificate"]) == want, (shift, e)
+            assert code == 0 or mult["witness"] is not None, (shift, e)
+
+
 # ellipsoid files whose shadow volumes overflow or underflow at 2**300 and 2**-300
 FAR_KINDS = {name: CONSTRUCT_KINDS[name] for name in ("pack3", "pack4", "pack5", "cover")}
 FAR_KINDS["cover_k1"] = ["--kind", "covering", "--dim", "3", "--k", "1"]
@@ -105,24 +142,31 @@ FAR_KINDS["cover_k1"] = ["--kind", "covering", "--dim", "3", "--k", "1"]
 
 @pytest.mark.parametrize("name", FAR_KINDS)
 def test_far_scaled_ellipsoid_files_end_in_a_verdict_or_an_error(tmp_path, name):
-    # scaled by 2**300 or 2**-300, a file and its r - 1 and r + 1 mutations
-    # each pass, fail with a witness, or exit 2 with an error object
-    path = tmp_path / f"{name}.json"
-    assert cli.main(["construct", *FAR_KINDS[name], "--seed", "1",
-                     "--out", str(path)]) == 0
-    original = instances.load_json(path)
-    for shift, s in itertools.product((-1, 0, 1), (2.0 ** 300, 2.0 ** -300)):
-        obj = dict(original, r=original["r"] + shift)
-        if obj["r"] < 1:
-            continue
-        instances.dump_json(_scaled(obj, s), path)
-        code, out = _verify(path)
-        if code == 2:
-            assert list(out) == ["error"], (shift, s)
-        elif code == 1:
-            assert out["multiplicity"]["witness"] is not None, (shift, s)
-        else:
-            assert code == 0, (shift, s)
+    _far_verdicts(tmp_path, _constructed(tmp_path, FAR_KINDS[name]), (300, -300))
+
+
+# ball, disk-hull and polygon files, whose squared lengths overflow or
+# underflow at 2**600 and 2**-600; the d = 4 plank partition's restricted
+# slice maxima search its ball shadow
+FARTHER_KINDS = {name: CONSTRUCT_KINDS[name] for name in ("plank", "ns", "strips")}
+FARTHER_KINDS["plank4"] = ["--kind", "plank-partition", "--dim", "4", "--n", "5", "--r", "2"]
+
+
+@pytest.mark.parametrize("name", FARTHER_KINDS)
+def test_farther_scaled_files_keep_their_verdict_or_exit_2(tmp_path, name):
+    _far_verdicts(tmp_path, _constructed(tmp_path, FARTHER_KINDS[name]),
+                  (600, -600, 1000, -1000))
+
+
+def test_farther_scaled_disk_bases_in_a_ball_keep_their_verdict_or_exit_2(tmp_path):
+    # two disjoint disk bases in one frame of a ball: their membership and
+    # their containment in the ball's shadow read distances, whose squares
+    # overflow or underflow unless read in the power of two at the radius
+    frame = geom.Frame(np.eye(3)[:, :2])
+    family = [cylinders.Cylinder(frame, geom.Ball(np.array([c, 0.0]), 0.3))
+              for c in (-0.4, 0.4)]
+    original = instances.packing_instance(geom.Ball(np.zeros(3), 1.0), family, 1, {})
+    _far_verdicts(tmp_path, original, (600, -600, 1000, -1000))
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-10, 2.0 ** -40])
