@@ -380,7 +380,8 @@ def planar_hull(points) -> PlanarHull:
     dropped, one at a time.  Edge normals come from the scaled edges too
     (the same bits), and the area is the shoelace sum of the scaled vertices
     about the first one, scaled back.  Raises DegenerateBody when fewer than
-    three vertices remain and DomainError when the area overflows.
+    three vertices remain and DomainError when the area overflows or
+    underflows.
     """
     pts = _as_points(points)
     xs, ys = pts.T.tolist()
@@ -427,10 +428,12 @@ def planar_hull(points) -> PlanarHull:
         rows.append((nx, ny, -(nx * xs[a] + ny * ys[a])))
         area += turn(idx[0], a, b)
     try:
-        area = math.ldexp(0.5 * area, 2 * exp)
+        volume = math.ldexp(0.5 * area, 2 * exp)
     except OverflowError:
         raise DomainError("the vertex hull's area overflows double precision") from None
-    return PlanarHull(np.array(idx), np.array(edges), np.array(rows), area)
+    if volume == 0.0 and area > 0.0:
+        raise DomainError("the vertex hull's area underflows double precision")
+    return PlanarHull(np.array(idx), np.array(edges), np.array(rows), volume)
 
 
 def body_to_json(body: ConvexBody) -> dict:

@@ -96,16 +96,32 @@ def pole_conflicts(poles: np.ndarray, cos_a: np.ndarray, sin_a: np.ndarray,
     when the level of the normalized poles lies below cos(a_i + a_j) =
     cos a_i cos a_j - sin a_i sin a_j by more than 64 d 2**-53, which exceeds
     the rounding of the normalization, of the level's dot product and of the
-    threshold's products.  Levels are formed in row blocks of about
-    POLE_PAIRS pairs, so memory stays flat in the number of poles.
+    threshold's products; nan conflicts.  Levels are formed in row blocks of
+    about POLE_PAIRS pairs, so memory stays flat in the number of poles.
+
+    A block skips that test when the |level| of each of its off-diagonal
+    pairs lies below the floor (c c - s s) - 64 d 2**-53, c the smallest
+    cos a and s the largest sin a, in the same rounded operations as each
+    pair's threshold.  Rounding is monotone, so with every cos a and sin a in
+    [0, 1] the floor lies at or below every computed threshold, and the level
+    minus the threshold, two distinct doubles, is negative: the test clears
+    the pair too.  Otherwise the floor is -inf and every block takes the test.
     """
     p = poles / np.linalg.norm(poles, axis=1)[:, None]
     margin = 64.0 * p.shape[1] * _U
+    floor = -math.inf
+    if len(p) and np.all((cos_a >= 0.0) & (cos_a <= 1.0) & (sin_a >= 0.0) & (sin_a <= 1.0)):
+        c, s = np.min(cos_a), np.max(sin_a)
+        floor = (c * c - s * s) - margin
     degree = np.zeros(len(p), dtype=np.int64)
     step = max(1, POLE_PAIRS // len(p))
     for lo in range(0, len(p), step):
         rows = slice(lo, lo + step)
         level = p[rows] @ p.T
+        cleared = np.abs(level) < floor
+        np.fill_diagonal(cleared[:, lo:], True)
+        if cleared.all():
+            continue
         np.abs(level, out=level, where=antipodal[rows, None] | antipodal[None, :])
         level -= np.outer(cos_a[rows], cos_a) - np.outer(sin_a[rows], sin_a) - margin
         hit = ~(level < 0.0)  # nan conflicts

@@ -104,6 +104,17 @@ def test_an_overflowing_area_is_named():
         geom.Polytope(square * 1e160)
 
 
+def test_an_underflowing_area_is_named():
+    # a valid square whose area, 2^-1200 or less, no double holds
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    assert geom.volume(geom.Polytope(square * 2.0 ** -500)) == 2.0 ** -1000
+    for scale in (2.0 ** -600, 2.0 ** -1000):
+        with pytest.raises(DomainError, match="area underflows double precision"):
+            geom.Polytope(square * scale)
+    with pytest.raises(DegenerateBody, match="not full-dimensional"):
+        geom.Polytope(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]) * 2.0 ** -600)
+
+
 def test_planar_polytopes_and_random_polygons_run_no_qhull(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("qhull called for a planar hull")

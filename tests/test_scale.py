@@ -169,6 +169,20 @@ def test_farther_scaled_disk_bases_in_a_ball_keep_their_verdict_or_exit_2(tmp_pa
     _far_verdicts(tmp_path, original, (600, -600, 1000, -1000))
 
 
+@pytest.mark.parametrize("e", [-600, -1000])
+def test_an_underflowing_polygon_area_names_itself(tmp_path, e):
+    # the strips polygon scaled by 2**e is a valid body whose area no double
+    # holds: r and r - 1 exit 2 naming the underflow, not a degenerate hull
+    original = _constructed(tmp_path, CONSTRUCT_KINDS["strips"])
+    path = tmp_path / "tiny.json"
+    for shift in (0, -1):
+        instances.dump_json(_scaled(dict(original, r=original["r"] + shift), 2.0 ** e), path)
+        code, out = _verify(path)
+        assert code == 2, shift
+        assert out["error"]["type"] == "DomainError", shift
+        assert out["error"]["message"] == "the vertex hull's area underflows double precision"
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e-10, 2.0 ** -40])
 def test_strip_outside_the_body_fails_at_every_scale(tmp_path, scale):
     # strip 0 moved out by four body diameters lies outside the body's shadow
